@@ -90,9 +90,9 @@ type Theorem struct {
 	// builds from their saved checkpoints.
 	Resume bool
 	// Reduce selects state-space reductions (POR and/or symmetry) for the
-	// safety-only graphs of the check — the closure LHS, the guarantees-only
-	// graph, and the +v monitor base. Hypothesis 2b needs fairness, so its
-	// full graph is never reduced. Requested modes that fail validation
+	// safety-only graphs of the check — the closure LHS and the
+	// guarantees-only graph (also the +v monitor base). Hypothesis 2b needs
+	// fairness, so its full graph is never reduced. Requested modes that fail validation
 	// (a symmetry group the system or properties do not respect, step
 	// constraints the POR analysis cannot read) are disabled with a
 	// flight-recorder note rather than erroring: reduction is an
@@ -489,18 +489,32 @@ func (th *Theorem) checkAll(r *Report, m *engine.Meter) error {
 		return err
 	}
 
-	// Hypothesis (2a), route A (Propositions 3 + 4).
-	if err := th.checkHyp2aViaPropositions(r, closedG); err != nil {
+	// Hypothesis (2a), route A (Propositions 3 + 4). It builds the graph of
+	// ⋀ C(M_j) alone, which route B reuses as its monitor base.
+	rG, err := th.checkHyp2aViaPropositions(r, closedG)
+	if err != nil {
 		return err
 	}
 
 	// Hypothesis (2a), route B (direct +v monitor product).
-	if err := th.checkHyp2aDirect(r, m); err != nil {
+	if err := th.checkHyp2aDirect(r, rG); err != nil {
 		return err
 	}
 
 	// Hypothesis (2b): full implication with fairness.
 	return th.checkHyp2b(r, m)
+}
+
+// guaranteesGraph builds the graph of ⋀ C(M_j) with the environment
+// variables unconstrained: the side conditions of route A must hold without
+// assuming E, and route B's +v monitor supplies E itself.
+func (th *Theorem) guaranteesGraph(r *Report, m *engine.Meter) (*ts.Graph, error) {
+	g, err := th.lhsSystem(th.Name+"/guarantees-only", false, true).BuildWith(m)
+	if err != nil {
+		return nil, fmt.Errorf("building guarantees-only graph: %w", err)
+	}
+	r.noteStates(g.NumStates())
+	return g, nil
 }
 
 func (r *Report) noteStates(n int) {
@@ -544,7 +558,8 @@ func (th *Theorem) CheckHyp2aPropositionsOnly() (*Report, error) {
 			return err
 		}
 		r.noteStates(closedG.NumStates())
-		return th.checkHyp2aViaPropositions(r, closedG)
+		_, err = th.checkHyp2aViaPropositions(r, closedG)
+		return err
 	}())
 }
 
@@ -557,7 +572,13 @@ func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
 	m := engine.NoLimit()
 	th.rd = th.buildReduce(m)
 	r := &Report{TheoremName: th.Name + " (2a direct)", Valid: true}
-	return finishReport(r, m, th.checkHyp2aDirect(r, m))
+	return finishReport(r, m, func() error {
+		rG, err := th.guaranteesGraph(r, m)
+		if err != nil {
+			return err
+		}
+		return th.checkHyp2aDirect(r, rG)
+	}())
 }
 
 // checkHyp2aViaPropositions discharges 2a along the paper's route:
@@ -567,26 +588,24 @@ func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
 //	     Proposition 4, giving ⋀C(M_j) ⇒ C(E) ⊥ C(M)   (Fig. 9, step 2.1)
 //	(iii) v contains every free variable of C(M)        (Prop. 3 side cond.)
 //
-// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M).
-func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) error {
+// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). The side conditions
+// are checked on the graph of ⋀C(M_j) alone (see guaranteesGraph), which is
+// returned for route B. It is built after (i), once closedG is no longer
+// needed, so the two graphs need not be held at once.
+func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) (*ts.Graph, error) {
 	defer obs.SpanFromMeter(closedG.Meter(), "H2a-A")()
 	m := th.Concl.Sys
 	// (i) plain closure implication on the env-constrained graph.
 	res, err := check.SafetyUnder(closedG, m.SafetyOnly().SafetyFormula(), th.Concl.Mapping)
 	if err != nil {
-		return fmt.Errorf("hypothesis 2a(i): %w", err)
+		return nil, fmt.Errorf("hypothesis 2a(i): %w", err)
 	}
 	r.add("H2a-A(i): C(E) /\\ conj C(Mj) => C(M)", res.Holds, res.String())
 
-	// Graph of ⋀C(M_j) alone (environment unconstrained) for the side
-	// conditions, which must hold without assuming E. Shares the closure
-	// graph's meter so the whole check draws from one budget.
-	rSys := th.lhsSystem(th.Name+"/guarantees-only", false, true)
-	rG, err := rSys.BuildWith(closedG.Meter())
+	rG, err := th.guaranteesGraph(r, closedG.Meter())
 	if err != nil {
-		return fmt.Errorf("building guarantees-only graph: %w", err)
+		return nil, err
 	}
-	r.noteStates(rG.NumStates())
 
 	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
 	// tuples (Proposition 4's interleaving requirement).
@@ -595,7 +614,7 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) error
 		disj := form.Disjoint(eVars, mVars)
 		dres, err := check.Safety(rG, disj)
 		if err != nil {
-			return fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
+			return nil, fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
 		}
 		r.add("H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]", dres.Holds, dres.String())
 	} else {
@@ -621,7 +640,7 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) error
 		for _, id := range rG.Inits {
 			ok, err := form.EvalStateBool(disjInit, rG.States[id])
 			if err != nil {
-				return fmt.Errorf("hypothesis 2a(ii) init disjunction: %w", err)
+				return nil, fmt.Errorf("hypothesis 2a(ii) init disjunction: %w", err)
 			}
 			if !ok {
 				initOK = false
@@ -646,7 +665,7 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) error
 	}
 	r.add("H2a-A(iii): v contains the free variables of C(M)  [Prop 3]",
 		len(missing) == 0, fmt.Sprintf("missing from v: %v", missing))
-	return nil
+	return rG, nil
 }
 
 // conclusionInterface returns the conclusion's environment-output tuple e
@@ -670,17 +689,11 @@ func (th *Theorem) conclusionGuaranteeFreeVars() []string {
 }
 
 // checkHyp2aDirect discharges 2a with a +v monitor: the base graph is
-// ⋀C(M_j) with environment variables unconstrained; the monitor enforces
-// "C(E) held for a prefix, after which v froze"; C(M) is then checked on
-// the product.
-func (th *Theorem) checkHyp2aDirect(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "H2a-B")()
-	baseSys := th.lhsSystem(th.Name+"/plus-base", false, true)
-	baseG, err := baseSys.BuildWith(m)
-	if err != nil {
-		return fmt.Errorf("building +v base graph: %w", err)
-	}
-	r.noteStates(baseG.NumStates())
+// ⋀C(M_j) with environment variables unconstrained (see guaranteesGraph);
+// the monitor enforces "C(E) held for a prefix, after which v froze"; C(M)
+// is then checked on the product.
+func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
+	defer obs.SpanFromMeter(baseG.Meter(), "H2a-B")()
 
 	var envInit form.Expr
 	var envSquares []form.Expr

@@ -32,7 +32,7 @@ func (th *Theorem) Vet() *vet.Result {
 			return
 		}
 		vetted[c.Name] = true
-		res.Merge(vet.Component(c, opt))
+		res.Merge(vet.Component(c))
 	}
 	for _, p := range th.Pairs {
 		single(p.Env)
@@ -71,7 +71,7 @@ func (rf *Refinement) Vet() *vet.Result {
 			}
 		}
 		if !dup {
-			res.Merge(vet.Component(rf.High, opt))
+			res.Merge(vet.Component(rf.High))
 		}
 	}
 	return res

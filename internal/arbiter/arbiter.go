@@ -19,7 +19,6 @@ import (
 	"opentla/internal/ag"
 	"opentla/internal/form"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/ts"
 	"opentla/internal/value"
 )
@@ -69,33 +68,16 @@ func Arbiter() *spec.Component {
 	g2 := grantAction(2, 1)
 	r1 := revokeAction(1, 2)
 	r2 := revokeAction(2, 1)
-	execFor := func(ri, gi, gj string, grant bool) spec.ExecFunc {
-		return func(s *state.State) []map[string]value.Value {
-			rv, _ := s.MustGet(ri).AsInt()
-			gv, _ := s.MustGet(gi).AsInt()
-			ov, _ := s.MustGet(gj).AsInt()
-			if grant {
-				if rv == 1 && gv == 0 && ov == 0 {
-					return []map[string]value.Value{{gi: value.Int(1)}}
-				}
-				return nil
-			}
-			if rv == 0 && gv == 1 {
-				return []map[string]value.Value{{gi: value.Int(0)}}
-			}
-			return nil
-		}
-	}
 	return &spec.Component{
 		Name:    "arbiter",
 		Inputs:  []string{"r1", "r2"},
 		Outputs: []string{"g1", "g2"},
 		Init:    form.And(is("g1", 0), is("g2", 0)),
 		Actions: []spec.Action{
-			{Name: "Grant1", Def: g1, Exec: execFor("r1", "g1", "g2", true)},
-			{Name: "Grant2", Def: g2, Exec: execFor("r2", "g2", "g1", true)},
-			{Name: "Revoke1", Def: r1, Exec: execFor("r1", "g1", "g2", false)},
-			{Name: "Revoke2", Def: r2, Exec: execFor("r2", "g2", "g1", false)},
+			{Name: "Grant1", Def: g1},
+			{Name: "Grant2", Def: g2},
+			{Name: "Revoke1", Def: r1},
+			{Name: "Revoke2", Def: r2},
 		},
 		Fairness: []spec.Fairness{
 			{Kind: form.Strong, Action: g1},
@@ -126,30 +108,14 @@ func Client(i int) *spec.Component {
 		set(rvar(i), 0),
 		form.Unchanged(gvar(i)),
 	)
-	ri := rvar(i)
-	gi := gvar(i)
 	return &spec.Component{
 		Name:    fmt.Sprintf("client%d", i),
 		Inputs:  []string{gvar(i)},
 		Outputs: []string{rvar(i)},
 		Init:    is(rvar(i), 0),
 		Actions: []spec.Action{
-			{Name: "Raise", Def: raise, Exec: func(s *state.State) []map[string]value.Value {
-				rv, _ := s.MustGet(ri).AsInt()
-				gv, _ := s.MustGet(gi).AsInt()
-				if rv == 0 && gv == 0 {
-					return []map[string]value.Value{{ri: value.Int(1)}}
-				}
-				return nil
-			}},
-			{Name: "Release", Def: release, Exec: func(s *state.State) []map[string]value.Value {
-				rv, _ := s.MustGet(ri).AsInt()
-				gv, _ := s.MustGet(gi).AsInt()
-				if rv == 1 && gv == 1 {
-					return []map[string]value.Value{{ri: value.Int(0)}}
-				}
-				return nil
-			}},
+			{Name: "Raise", Def: raise},
+			{Name: "Release", Def: release},
 		},
 		Fairness: []spec.Fairness{
 			{Kind: form.Weak, Action: release},
@@ -169,7 +135,6 @@ func ClientsEnv() *spec.Component {
 		return spec.Action{
 			Name: fmt.Sprintf("%s%d", a.Name, i),
 			Def:  form.And(a.Def, form.Unchanged(rvar(3-i))),
-			Exec: a.Exec,
 		}
 	}
 	c1 := Client(1)
@@ -228,7 +193,6 @@ func CompleteConclusion() *spec.Component {
 		return spec.Action{
 			Name: a.Name,
 			Def:  form.And(a.Def, frozenExcept(writes)),
-			Exec: a.Exec,
 		}
 	}
 	arb := Arbiter()

@@ -136,7 +136,6 @@ func TestGreedyArbiterViolatesAGSpec(t *testing.T) {
 		set("g1", 1),
 		form.Unchanged("g2", "r1", "r2"),
 	)
-	greedy.Actions[0].Exec = nil
 	sys := &ts.System{
 		Name:       "greedy-arbiter",
 		Components: []*spec.Component{greedy},

@@ -351,10 +351,7 @@ func TestCorruptFilesFallBackToColdBuild(t *testing.T) {
 			if _, err := cold.Build(); err != nil {
 				t.Fatal(err)
 			}
-			desc, ok := cold.CanonicalDesc()
-			if !ok {
-				t.Fatal("system not describable")
-			}
+			desc := cold.CanonicalDesc()
 			path := c.EntryPath(desc)
 			if _, err := os.Stat(path); err != nil {
 				t.Fatalf("cold build left no cache entry: %v", err)
@@ -426,7 +423,7 @@ func TestResumeProducesByteIdenticalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, _ := ref.CanonicalDesc()
+	desc := ref.CanonicalDesc()
 	refBytes, err := os.ReadFile(refCache.EntryPath(desc))
 	if err != nil {
 		t.Fatal(err)

@@ -42,10 +42,7 @@ func chaosReference(t *testing.T, top int64) chaosRef {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, ok := sys.CanonicalDesc()
-	if !ok {
-		t.Fatal("system not describable")
-	}
+	desc := sys.CanonicalDesc()
 	raw, err := os.ReadFile(c.EntryPath(desc))
 	if err != nil {
 		t.Fatal(err)

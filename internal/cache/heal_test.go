@@ -525,7 +525,7 @@ func TestDirectoryCorruptionCatalog(t *testing.T) {
 		if _, err := sys.Build(); err != nil {
 			t.Fatal(err)
 		}
-		desc, _ := sys.CanonicalDesc()
+		desc := sys.CanonicalDesc()
 		if err := os.Chmod(c.EntryPath(desc), 0o000); err != nil {
 			t.Fatal(err)
 		}

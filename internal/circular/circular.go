@@ -48,15 +48,12 @@ func CopyProcess(name, out, in string) *spec.Component {
 		form.Eq(form.PrimedVar(out), form.Var(in)),
 		form.Unchanged(in),
 	)
-	exec := func(s *state.State) []map[string]value.Value {
-		return []map[string]value.Value{{out: s.MustGet(in)}}
-	}
 	return &spec.Component{
 		Name:    name,
 		Inputs:  []string{in},
 		Outputs: []string{out},
 		Init:    form.Eq(form.Var(out), form.IntC(0)),
-		Actions: []spec.Action{{Name: "Copy", Def: copyAct, Exec: exec}},
+		Actions: []spec.Action{{Name: "Copy", Def: copyAct}},
 		Fairness: []spec.Fairness{
 			{Kind: form.Weak, Action: copyAct},
 		},

@@ -165,10 +165,7 @@ func durabilityReference() (desc string, raw []byte, err error) {
 	if _, err := sys.Build(); err != nil {
 		return "", nil, err
 	}
-	desc, ok := sys.CanonicalDesc()
-	if !ok {
-		return "", nil, errors.New("durability workload not describable")
-	}
+	desc = sys.CanonicalDesc()
 	raw, err = os.ReadFile(c.EntryPath(desc))
 	return desc, raw, err
 }
@@ -276,7 +273,7 @@ func detectCheckpointLoadable(mut cache.Mutation) (string, error) {
 	if _, err := sys.BuildWith(engine.Budget{MaxStates: 8}.Meter()); !isBudgetError(err) {
 		return "", fmt.Errorf("want budget exhaustion, got %v", err)
 	}
-	desc, _ := sys.CanonicalDesc()
+	desc := sys.CanonicalDesc()
 	if _, err := os.Stat(c.CheckpointPath(desc)); err != nil {
 		return "", fmt.Errorf("no checkpoint written: %w", err)
 	}
@@ -316,7 +313,7 @@ func detectCorruptEntryRejected(mut cache.Mutation) (string, error) {
 	if _, err := sys.Build(); err != nil {
 		return "", err
 	}
-	desc, _ := sys.CanonicalDesc()
+	desc := sys.CanonicalDesc()
 	path := c.EntryPath(desc)
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -2,15 +2,13 @@
 // engine. Each Mutation plants a single, deliberate fault in the Figure 9
 // Composition Theorem instance (drop an initial-state conjunct, corrupt an
 // action, delete a fairness condition, weaken the interleaving assumption,
-// truncate the refinement mapping, or truncate an executable successor
-// generator) and records which proof obligation catches it. A mutant that
-// no hypothesis rejects — a survivor — is evidence of a hole in the
-// checker, exactly as a surviving mutant in mutation testing is evidence of
-// a hole in a test suite.
+// truncate the refinement mapping, or restrict an assumption) and records
+// which proof obligation catches it. A mutant that no hypothesis rejects — a
+// survivor — is evidence of a hole in the checker, exactly as a surviving
+// mutant in mutation testing is evidence of a hole in a test suite.
 package faultinject
 
 import (
-	"errors"
 	"fmt"
 
 	"opentla/internal/ag"
@@ -19,9 +17,6 @@ import (
 	"opentla/internal/handshake"
 	"opentla/internal/queue"
 	"opentla/internal/spec"
-	"opentla/internal/state"
-	"opentla/internal/ts"
-	"opentla/internal/value"
 )
 
 // Kind classifies what part of the specification a mutation corrupts.
@@ -35,7 +30,6 @@ const (
 	KindInterleaving Kind = "interleaving" // weaken the Disjoint assumption G
 	KindMapping      Kind = "mapping"      // truncate the refinement mapping
 	KindEnv          Kind = "env"          // restrict a pair's assumption
-	KindExec         Kind = "exec"         // truncate a successor generator
 )
 
 // Mutation is one injected specification fault.
@@ -44,15 +38,10 @@ type Mutation struct {
 	Kind        Kind
 	Description string
 	// WantFail is a substring the detecting obligation's name must contain
-	// (e.g. "H2a", "H1[", "AuditExecs"); empty accepts any detector.
+	// (e.g. "H2a", "H1["); empty accepts any detector.
 	WantFail string
 	// Apply plants the fault in a freshly built theorem instance.
 	Apply func(th *ag.Theorem) error
-	// Detect overrides the default detection (a full theorem check). Used
-	// for generator faults, which are invisible to the theorem checker —
-	// they truncate the graphs it explores — and are caught by the
-	// Exec-completeness audit instead.
-	Detect func(th *ag.Theorem, b engine.Budget) (*Result, error)
 }
 
 // Result records whether and how one mutant was rejected.
@@ -61,7 +50,7 @@ type Result struct {
 	Detected bool
 	// FailedHypothesis names the obligation that rejected the mutant.
 	FailedHypothesis string
-	// Detail carries the rejecting counterexample or divergence report.
+	// Detail carries the rejecting counterexample.
 	Detail string
 }
 
@@ -85,31 +74,22 @@ func Run(cfg queue.Config, muts []Mutation, b engine.Budget) ([]Result, error) {
 		if err := mu.Apply(th); err != nil {
 			return nil, fmt.Errorf("mutant %s: apply: %w", mu.Name, err)
 		}
-		var res *Result
-		if mu.Detect != nil {
-			res, err = mu.Detect(th, b)
-			if err != nil {
-				return nil, fmt.Errorf("mutant %s: detect: %w", mu.Name, err)
-			}
-		} else {
-			rep, err := th.CheckWith(b.Meter())
-			if err != nil {
-				return nil, fmt.Errorf("mutant %s: check: %w", mu.Name, err)
-			}
-			res = &Result{Detected: rep.Verdict == engine.Violated}
-			for _, h := range rep.Hypotheses {
-				if !h.Holds {
-					res.FailedHypothesis = h.Name
-					res.Detail = h.Detail
-					break
-				}
-			}
-			if rep.Verdict == engine.Unknown {
-				res.Detail = "check aborted: " + rep.Unknown
+		rep, err := th.CheckWith(b.Meter())
+		if err != nil {
+			return nil, fmt.Errorf("mutant %s: check: %w", mu.Name, err)
+		}
+		res := Result{Mutation: mu.Name, Detected: rep.Verdict == engine.Violated}
+		for _, h := range rep.Hypotheses {
+			if !h.Holds {
+				res.FailedHypothesis = h.Name
+				res.Detail = h.Detail
+				break
 			}
 		}
-		res.Mutation = mu.Name
-		results = append(results, *res)
+		if rep.Verdict == engine.Unknown {
+			res.Detail = "check aborted: " + rep.Unknown
+		}
+		results = append(results, res)
 	}
 	return results, nil
 }
@@ -184,20 +164,7 @@ func Catalog(cfg queue.Config) []Mutation {
 					form.Eq(form.PrimedVar("q1"), form.AppendTo(q, form.IntC(0))),
 					form.Unchanged(queue.Mid.Vars()...),
 				)
-				exec := func(s *state.State) []map[string]value.Value {
-					qv := s.MustGet("q1")
-					sig, _ := s.MustGet(queue.In.Sig()).AsInt()
-					ack, _ := s.MustGet(queue.In.Ack()).AsInt()
-					if sig == ack || int64(qv.Len()) >= n {
-						return nil
-					}
-					nq, _ := qv.Append(value.Int(0))
-					return []map[string]value.Value{{
-						queue.In.Ack(): value.Int(1 - ack),
-						"q1":           nq,
-					}}
-				}
-				p.Sys.Actions[0] = spec.Action{Name: "Enq", Def: def, Exec: exec}
+				p.Sys.Actions[0] = spec.Action{Name: "Enq", Def: def}
 				return nil
 			},
 		},
@@ -219,20 +186,7 @@ func Catalog(cfg queue.Config) []Mutation {
 					form.Eq(form.PrimedVar("q2"), q),
 					form.Unchanged(queue.Mid.Vars()...),
 				)
-				exec := func(s *state.State) []map[string]value.Value {
-					qv := s.MustGet("q2")
-					sig, _ := s.MustGet(queue.Out.Sig()).AsInt()
-					ack, _ := s.MustGet(queue.Out.Ack()).AsInt()
-					if sig != ack || qv.Len() == 0 {
-						return nil
-					}
-					head, _ := qv.Head()
-					return []map[string]value.Value{{
-						queue.Out.Val(): head,
-						queue.Out.Sig(): value.Int(1 - sig),
-					}}
-				}
-				p.Sys.Actions[1] = spec.Action{Name: "Deq", Def: def, Exec: exec}
+				p.Sys.Actions[1] = spec.Action{Name: "Deq", Def: def}
 				return nil
 			},
 		},
@@ -316,67 +270,5 @@ func Catalog(cfg queue.Config) []Mutation {
 				return nil
 			},
 		},
-		{
-			Name: "exec-incomplete-deq",
-			Kind: KindExec,
-			Description: "QM1's Deq generator returns no successors while its definition " +
-				"still permits them: the state graph is silently truncated and every " +
-				"theorem check over it passes vacuously — only the Exec audit catches this",
-			WantFail: "AuditExecs",
-			Apply: func(th *ag.Theorem) error {
-				p, err := pairByName(th, "Q1")
-				if err != nil {
-					return err
-				}
-				p.Sys.Actions[1].Exec = func(s *state.State) []map[string]value.Value {
-					return nil
-				}
-				return nil
-			},
-			Detect: auditDetect,
-		},
 	}
-}
-
-// auditDetect builds the theorem's full left-hand-side system and runs the
-// Exec-completeness audit over its graph. This is the detector for
-// generator faults: they shrink the graphs the theorem checker explores,
-// so every hypothesis holds vacuously and only a cross-check of Exec
-// against Def exposes the hole.
-func auditDetect(th *ag.Theorem, b engine.Budget) (*Result, error) {
-	m := b.Meter()
-	var comps []*spec.Component
-	if th.Concl.Env != nil {
-		comps = append(comps, th.Concl.Env)
-	}
-	var cons []ts.StepConstraint
-	for _, p := range th.Pairs {
-		if p.Sys != nil {
-			comps = append(comps, p.Sys)
-		}
-		cons = append(cons, p.Constraints...)
-	}
-	sys := &ts.System{
-		Name:        th.Name + "/audit",
-		Components:  comps,
-		Constraints: cons,
-		Domains:     th.Domains,
-		MaxStates:   th.MaxStates,
-	}
-	g, err := sys.BuildWith(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.AuditExecs(); err != nil {
-		var div *ts.ExecDivergence
-		if errors.As(err, &div) {
-			return &Result{
-				Detected:         true,
-				FailedHypothesis: "AuditExecs",
-				Detail:           div.Error(),
-			}, nil
-		}
-		return nil, err
-	}
-	return &Result{Detected: false}, nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestAllMutantsDetected is the harness's acceptance criterion: every
-// injected specification fault must be rejected by some proof obligation
-// (or the Exec audit), with a non-empty counterexample, and by the
-// obligation the catalog predicts. Zero survivors.
+// injected specification fault must be rejected by some proof obligation,
+// with a non-empty counterexample, and by the obligation the catalog
+// predicts. Zero survivors.
 func TestAllMutantsDetected(t *testing.T) {
 	cfg := queue.Config{N: 1, Vals: 2}
 	muts := Catalog(cfg)

@@ -6,8 +6,6 @@ import (
 	"opentla/internal/ag"
 	"opentla/internal/form"
 	"opentla/internal/queue"
-	"opentla/internal/state"
-	"opentla/internal/value"
 	"opentla/internal/vet"
 )
 
@@ -162,24 +160,6 @@ func VetCatalog(cfg queue.Config) []VetMutation {
 				}
 				guard := form.Gt(form.Len(form.Var("q1")), form.IntC(0))
 				p.Sys.Actions[1].Def = form.And(guard, form.Not(guard))
-				p.Sys.Actions[1].Exec = nil
-				return nil
-			},
-		},
-		{
-			Name: "vet-exec-rogue-write",
-			Kind: KindExec,
-			Description: "QM1's Enq generator updates q2, a variable the " +
-				"component does not own",
-			WantCodes: []string{"SV040"},
-			Apply: func(th *ag.Theorem) error {
-				p, err := q1Pair(th)
-				if err != nil {
-					return err
-				}
-				p.Sys.Actions[0].Exec = func(s *state.State) []map[string]value.Value {
-					return []map[string]value.Value{{"q2": value.Empty}}
-				}
 				return nil
 			},
 		},

@@ -58,7 +58,6 @@ func semVetMutations(cfg queue.Config) []VetMutation {
 				leak := &p.Sys.Actions[len(p.Sys.Actions)-1]
 				leak.Name = "Leak"
 				leak.Def = form.Eq(form.PrimedVar(ack), form.Add(form.Var(ack), form.IntC(1)))
-				leak.Exec = nil
 				delete(th.Domains, ack)
 				return nil
 			},
@@ -119,7 +118,6 @@ func semVetMutations(cfg queue.Config) []VetMutation {
 				}
 				p.Sys.Actions[1].Def = form.And(p.Sys.Actions[1].Def,
 					form.Gt(form.Len(form.Var("q1")), form.IntC(5)))
-				p.Sys.Actions[1].Exec = nil
 				return nil
 			},
 		},

@@ -38,7 +38,7 @@ func TestVetCatalogKindsCovered(t *testing.T) {
 	for _, mu := range VetCatalog(queue.Config{N: 1, Vals: 2}) {
 		kinds[mu.Kind] = true
 	}
-	for _, want := range []Kind{KindAction, KindPartition, KindFairness, KindInterleaving, KindExec, KindSemantic} {
+	for _, want := range []Kind{KindAction, KindPartition, KindFairness, KindInterleaving, KindSemantic} {
 		if !kinds[want] {
 			t.Errorf("no vet mutant of kind %q", want)
 		}

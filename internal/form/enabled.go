@@ -3,6 +3,7 @@ package form
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"opentla/internal/state"
 	"opentla/internal/value"
@@ -12,6 +13,15 @@ import (
 // Beyond it the action is pathological for static expansion and the
 // per-call analysis of Enabled is the better trade.
 const maxEnabledBranches = 256
+
+// maxUpdateBranches caps the disjunction and ∃ expansion of UpdatesFn, and
+// maxUndetermined the per-branch count of owned-variable assignments it
+// enumerates. UpdatesFn has no interpreted fallback, so exceeding either is
+// a compile-time error.
+const (
+	maxUpdateBranches = 4096
+	maxUndetermined   = 1_000_000
+)
 
 // EnabledFn compiles Enabled(a, ·) for states binding exactly the variables
 // of layout: the syntactic analysis Enabled repeats on every call —
@@ -29,26 +39,30 @@ const maxEnabledBranches = 256
 func (c *Ctx) EnabledFn(a Expr, layout []string) func(s *state.State) (bool, error) {
 	interp := func(s *state.State) (bool, error) { return c.Enabled(a, s) }
 	budget := maxEnabledBranches
-	flat, ok := expandEnabledBranches(flattenAnd(a, nil), nil, &budget)
+	flat, ok := expandBranches(flattenAnd(a, nil), nil, &budget, false)
 	if !ok {
 		return interp
 	}
-	comp := &compiler{pos: make(map[string]int, len(layout))}
-	for i, v := range layout {
-		comp.pos[v] = i
-	}
+	comp := newCompiler(layout)
 	branches := make([]*enBranch, len(flat))
 	for i, conjs := range flat {
-		branches[i] = c.compileBranch(conjs, comp)
+		branches[i] = c.compileBranch(conjs, comp, nil)
 	}
 	n := len(layout)
 	scr := &enScratch{state: state.New(nil)}
+	found := func([]state.PosUpdate) bool { return false }
 	return func(s *state.State) (bool, error) {
 		if s == nil || s.Len() != n {
 			return interp(s)
 		}
 		for _, b := range branches {
-			enabled, err := b.eval(c, s, scr)
+			var enabled bool
+			var err error
+			if b.fallback {
+				enabled, err = c.enabledConj(b.conjs, s)
+			} else {
+				enabled, err = b.each(s, scr, false, found)
+			}
 			if err != nil {
 				return false, err
 			}
@@ -60,24 +74,133 @@ func (c *Ctx) EnabledFn(a Expr, layout []string) func(s *state.State) (bool, err
 	}
 }
 
-// expandEnabledBranches statically distributes the disjunctions of a
-// conjunct list into pure-conjunction branches, in exactly the depth-first
-// order enabledConj explores them at runtime (so verdicts and first-error
-// behavior are preserved). It fails if the expansion exceeds the budget.
-func expandEnabledBranches(conjs []Expr, out [][]Expr, budget *int) ([][]Expr, bool) {
+// UpdatesFn compiles the successor generator of action a for a component
+// owning the variables owned, over states binding exactly the variables of
+// layout. The returned function lists, for a state s, every assignment to
+// the owned variables — each within its declared domain — that satisfies a
+// when every other variable keeps its value in s. Each candidate is a
+// positional update covering all of owned, in layout order; candidates are
+// distinct.
+//
+// It is the same branch compiler as EnabledFn, run to completion instead
+// of to the first witness, with two extensions: a finite ∃ with primes
+// expands into one branch per domain value, and primed variables outside
+// owned are checked against s rather than enumerated. An evaluation error
+// rejects the branch or candidate it occurs in, as a brute-force
+// enumeration skips every assignment on which a fails to evaluate.
+//
+// Compilation fails when a mentions a variable outside the layout, when an
+// owned variable has no declared domain, or when the expansion or the
+// enumeration of undetermined owned variables is too large to be a
+// plausible finite-state action. The returned function is safe for
+// concurrent use.
+func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State) ([][]state.PosUpdate, error), error) {
+	budget := maxUpdateBranches
+	flat, ok := expandBranches(flattenAnd(a, nil), nil, &budget, true)
+	if !ok {
+		return nil, fmt.Errorf("action expands into more than %d disjunctive branches", maxUpdateBranches)
+	}
+	comp := newCompiler(layout)
+	ownedSet := make(map[string]bool, len(owned))
+	for _, v := range owned {
+		if _, ok := comp.pos[v]; !ok {
+			return nil, fmt.Errorf("owned variable %q is not in the state layout", v)
+		}
+		ownedSet[v] = true
+	}
+	branches := make([]*enBranch, len(flat))
+	for i, conjs := range flat {
+		b := c.compileBranch(conjs, comp, ownedSet)
+		switch {
+		case b.fallback:
+			return nil, fmt.Errorf("action mentions a variable outside the state layout")
+		case b.domainErr != nil:
+			return nil, b.domainErr
+		}
+		n := 1
+		for _, d := range b.freeDoms {
+			if n *= len(d); n > maxUndetermined {
+				return nil, fmt.Errorf("more than %d undetermined owned-variable assignments per state", maxUndetermined)
+			}
+		}
+		branches[i] = b
+	}
+	n := len(layout)
+	pool := sync.Pool{New: func() any { return &enScratch{state: state.New(nil)} }}
+	return func(s *state.State) ([][]state.PosUpdate, error) {
+		if s == nil || s.Len() != n {
+			return nil, fmt.Errorf("state %s does not bind the %d layout variables", s, n)
+		}
+		scr := pool.Get().(*enScratch)
+		defer pool.Put(scr)
+		var out [][]state.PosUpdate
+		for _, b := range branches {
+			// Branches may overlap; a candidate repeating one from an earlier
+			// branch is dropped. Within a branch candidates are distinct.
+			prior := out
+			_, _ = b.each(s, scr, true, func(ups []state.PosUpdate) bool {
+				for _, o := range prior {
+					if sameValues(o, ups) {
+						return true
+					}
+				}
+				out = append(out, append([]state.PosUpdate(nil), ups...))
+				return true
+			})
+		}
+		return out, nil
+	}, nil
+}
+
+// sameValues reports whether two updates over the same positions assign the
+// same values.
+func sameValues(a, b []state.PosUpdate) bool {
+	for i := range a {
+		if !a[i].Val.Equal(b[i].Val) {
+			return false
+		}
+	}
+	return true
+}
+
+func newCompiler(layout []string) *compiler {
+	comp := &compiler{pos: make(map[string]int, len(layout))}
+	for i, v := range layout {
+		comp.pos[v] = i
+	}
+	return comp
+}
+
+// expandBranches statically distributes the disjunctions of a conjunct list
+// into pure-conjunction branches, in exactly the depth-first order
+// enabledConj explores them at runtime (so verdicts and first-error
+// behavior are preserved). With quant set, a conjunct ∃v ∈ D : body that
+// has primes is distributed too, as the disjunction of body[d/v] over D in
+// domain order. It fails if the expansion exceeds the budget.
+func expandBranches(conjs []Expr, out [][]Expr, budget *int, quant bool) ([][]Expr, bool) {
 	for i, cj := range conjs {
-		or, ok := cj.(OrE)
-		if !ok {
+		var alts []Expr
+		switch n := cj.(type) {
+		case OrE:
+			alts = n.Xs
+		case QuantE:
+			if !quant || !n.Exists || !HasPrimes(n) {
+				continue
+			}
+			for _, d := range n.Domain {
+				alts = append(alts, n.Body.Subst(map[string]Expr{n.Name: Const(d)}))
+			}
+		default:
 			continue
 		}
-		for _, branch := range or.Xs {
+		for _, alt := range alts {
 			sub := make([]Expr, 0, len(conjs)+1)
 			sub = append(sub, conjs[:i]...)
-			sub = flattenAnd(branch, sub)
+			sub = flattenAnd(alt, sub)
 			sub = append(sub, conjs[i+1:]...)
-			var ok2 bool
-			out, ok2 = expandEnabledBranches(sub, out, budget)
-			if !ok2 {
+			var ok bool
+			out, ok = expandBranches(sub, out, budget, quant)
+			if !ok {
 				return nil, false
 			}
 		}
@@ -103,12 +226,16 @@ type enItem struct {
 	det     bool
 	rhs     valFn
 	rhsExpr Expr
-	slot    int           // distinct-variable slot this determination fills
-	dup     bool          // a repeat determination: must agree with the slot
+	pos     int           // layout position of x
+	w       int           // index of x in the written updates; -1: x keeps its value
+	dup     bool          // a repeat determination: must agree with the first
 	domain  []value.Value // declared domain of x, nil if none
 }
 
-// enBranch is one compiled pure-conjunction branch of an Enabled query.
+// enBranch is one compiled pure-conjunction branch. Its candidates assign
+// the written variables — the determined ones from their assignments, the
+// free ones by mixed-radix enumeration over their domains — and must then
+// satisfy the residual conjuncts.
 type enBranch struct {
 	conjs    []Expr // original conjuncts, for the interpreted fallback
 	fallback bool   // a variable is outside the layout: interpret
@@ -116,70 +243,82 @@ type enBranch struct {
 	items     []enItem
 	domainErr error // free variable with no declared domain
 
-	slotPos  []int           // layout position per determined slot
+	writePos []int           // layout positions of the written variables, ascending
 	rest     []enItem        // residual conjuncts (guard/gexpr fields), on ⟨s, cand⟩
-	freePos  []int           // layout positions of the enumerated variables
-	freeDoms [][]value.Value // their domains, aligned with freePos
+	freeW    []int           // written-update index of each enumerated variable
+	freeDoms [][]value.Value // their domains, aligned with freeW
 }
 
-// enScratch holds the per-call buffers an EnabledFn reuses across branches
-// and calls (hence the no-concurrency contract).
+// enScratch holds the per-call buffers a branch evaluation reuses.
 type enScratch struct {
-	vals    []value.Value
-	detUps  []state.PosUpdate
-	freeUps []state.PosUpdate
+	ups     []state.PosUpdate
 	freeIdx []int
 	state   *state.State
 }
 
-// compileBranch classifies and compiles one pure-conjunction branch,
-// mirroring enabledConj's pure-conjunction path.
-func (c *Ctx) compileBranch(conjs []Expr, comp *compiler) *enBranch {
+// compileBranch classifies and compiles one pure-conjunction branch.
+//
+// With owned nil it mirrors enabledConj's pure-conjunction path: every
+// primed variable is written, the undetermined ones enumerated. With owned
+// set (UpdatesFn) exactly the owned variables are written — each owned
+// variable not determined is enumerated, primed or not — while a primed
+// variable outside owned keeps its value in s, so an assignment to it is
+// checked against s instead of written.
+func (c *Ctx) compileBranch(conjs []Expr, comp *compiler, owned map[string]bool) *enBranch {
 	b := &enBranch{conjs: conjs}
-	slots := make(map[string]int)
+	detPos := make(map[string]int)
+	written := make(map[string]bool)
+	for v := range owned {
+		written[v] = true
+	}
 	for _, cj := range conjs {
-		if !HasPrimes(cj) {
-			b.items = append(b.items, enItem{guard: comp.pred(cj, false), gexpr: cj})
-			continue
-		}
 		if name, rhs, ok := determinedAssignment(cj); ok {
 			pos, inLayout := comp.pos[name]
 			if !inLayout {
 				b.fallback = true
 				return b
 			}
-			it := enItem{det: true, rhs: comp.val(rhs, false), rhsExpr: rhs, domain: c.Domains[name]}
-			if slot, dup := slots[name]; dup {
-				it.slot, it.dup = slot, true
-			} else {
-				it.slot = len(b.slotPos)
-				slots[name] = it.slot
-				b.slotPos = append(b.slotPos, pos)
+			if owned == nil {
+				written[name] = true
 			}
-			b.items = append(b.items, it)
+			_, dup := detPos[name]
+			detPos[name] = pos
+			b.items = append(b.items, enItem{
+				det: true, rhs: comp.val(rhs, false), rhsExpr: rhs,
+				pos: pos, dup: dup, domain: c.Domains[name],
+			})
 			continue
+		}
+		primed := PrimedVars(cj)
+		if len(primed) == 0 {
+			b.items = append(b.items, enItem{guard: comp.pred(cj, false), gexpr: cj})
+			continue
+		}
+		for _, v := range primed {
+			if owned == nil {
+				written[v] = true
+			} else if _, inLayout := comp.pos[v]; !inLayout {
+				b.fallback = true
+				return b
+			}
 		}
 		b.rest = append(b.rest, enItem{guard: comp.pred(cj, false), gexpr: cj})
 	}
-	primedSet := make(map[string]bool)
-	for _, cj := range conjs {
-		for _, v := range PrimedVars(cj) {
-			primedSet[v] = true
-		}
-	}
 	var free []string
-	for v := range primedSet {
-		if _, det := slots[v]; !det {
+	for v := range written {
+		if _, det := detPos[v]; !det {
 			free = append(free, v)
 		}
 	}
 	sort.Strings(free)
+	var freePos []int
 	for _, v := range free {
 		dom, err := c.Domain(v)
 		if err != nil {
 			if b.domainErr == nil {
 				b.domainErr = fmt.Errorf("Enabled: %w", err)
 			}
+			delete(written, v)
 			continue
 		}
 		pos, inLayout := comp.pos[v]
@@ -187,65 +326,88 @@ func (c *Ctx) compileBranch(conjs []Expr, comp *compiler) *enBranch {
 			b.fallback = true
 			return b
 		}
-		b.freePos = append(b.freePos, pos)
+		freePos = append(freePos, pos)
 		b.freeDoms = append(b.freeDoms, dom)
+	}
+	for v := range written {
+		if pos, ok := comp.pos[v]; ok {
+			b.writePos = append(b.writePos, pos)
+		}
+	}
+	sort.Ints(b.writePos)
+	windex := make(map[int]int, len(b.writePos))
+	for i, pos := range b.writePos {
+		windex[pos] = i
+	}
+	for i := range b.items {
+		it := &b.items[i]
+		if !it.det {
+			continue
+		}
+		it.w = -1
+		if w, ok := windex[it.pos]; ok {
+			it.w = w
+		}
+	}
+	for _, pos := range freePos {
+		b.freeW = append(b.freeW, windex[pos])
 	}
 	return b
 }
 
-// eval runs one compiled branch against s. Every step — guards, determined
-// assignments, domain checks, candidate enumeration — happens in the same
-// order as enabledConj, with compiled closures doing the evaluation and the
-// interpreter re-deriving any compiled failure for its canonical error.
-func (b *enBranch) eval(c *Ctx, s *state.State, scr *enScratch) (bool, error) {
-	if b.fallback {
-		return c.enabledConj(b.conjs, s)
-	}
+// each evaluates the branch on s and passes every satisfying candidate (the
+// written updates, valid only for the duration of the call) to yield,
+// stopping when yield returns false; it reports whether it stopped.
+//
+// Every step — guards, determined assignments, domain checks, candidate
+// enumeration — happens in the same order as enabledConj, with compiled
+// closures doing the evaluation and the interpreter re-deriving any
+// compiled failure. Unless lenient, an interpreter error is returned; when
+// lenient it rejects the branch (guards, assignments) or the candidate
+// (residual conjuncts). Lenient evaluation also supplies s as the successor
+// of a primeless conjunct, for the primed constants an ∃ expansion leaves.
+func (b *enBranch) each(s *state.State, scr *enScratch, lenient bool, yield func([]state.PosUpdate) bool) (bool, error) {
 	st0 := state.Step{From: s}
-	if cap(scr.vals) < len(b.slotPos) {
-		scr.vals = make([]value.Value, len(b.slotPos))
+	if lenient {
+		st0.To = s
 	}
-	vals := scr.vals[:len(b.slotPos)]
+	ups := grow(scr.ups, len(b.writePos))
+	scr.ups = ups
+	for i, pos := range b.writePos {
+		ups[i] = state.PosUpdate{Pos: pos}
+	}
 	for _, it := range b.items {
 		if !it.det {
-			ok, err := it.guard(st0)
-			if err != nil {
-				ok, err = EvalStateBool(it.gexpr, s)
-				if err != nil {
-					return false, err
-				}
-			}
-			if !ok {
-				return false, nil
+			ok, err := evalPred(it.guard, it.gexpr, st0, lenient)
+			if err != nil || !ok {
+				return false, err
 			}
 			continue
 		}
 		v, err := it.rhs(st0)
 		if err != nil {
-			v, err = it.rhsExpr.Eval(st0, nil)
-			if err != nil {
+			if v, err = it.rhsExpr.Eval(st0, nil); err != nil {
+				if lenient {
+					return false, nil
+				}
 				return false, err
 			}
 		}
-		if it.dup {
-			if !vals[it.slot].Equal(v) {
+		switch {
+		case it.w < 0:
+			if !v.Equal(s.At(it.pos)) {
+				return false, nil // x keeps its value, which differs
+			}
+		case it.dup:
+			if !ups[it.w].Val.Equal(v) {
 				return false, nil // conflicting determinations
 			}
-			continue
-		}
-		if it.domain != nil {
-			inDomain := false
-			for _, dv := range it.domain {
-				if dv.Equal(v) {
-					inDomain = true
-					break
-				}
-			}
-			if !inDomain {
+		default:
+			if it.domain != nil && !inDomain(v, it.domain) {
 				return false, nil
 			}
+			ups[it.w].Val = v
 		}
-		vals[it.slot] = v
 	}
 	if b.domainErr != nil {
 		return false, b.domainErr
@@ -253,57 +415,77 @@ func (b *enBranch) eval(c *Ctx, s *state.State, scr *enScratch) (bool, error) {
 	// Candidate enumeration: mixed-radix over the free variables, last
 	// variable fastest, over a single scratch state — the compiled twin of
 	// enabledConj's positional loop.
-	if cap(scr.detUps) < len(b.slotPos) {
-		scr.detUps = make([]state.PosUpdate, len(b.slotPos))
-	}
-	detUps := scr.detUps[:len(b.slotPos)]
-	for i, pos := range b.slotPos {
-		detUps[i] = state.PosUpdate{Pos: pos, Val: vals[i]}
-	}
-	if cap(scr.freeUps) < len(b.freePos) {
-		scr.freeUps = make([]state.PosUpdate, len(b.freePos))
-		scr.freeIdx = make([]int, len(b.freePos))
-	}
-	freeUps := scr.freeUps[:len(b.freePos)]
-	freeIdx := scr.freeIdx[:len(b.freePos)]
-	for i, pos := range b.freePos {
-		freeUps[i] = state.PosUpdate{Pos: pos}
-		freeIdx[i] = 0
+	idx := grow(scr.freeIdx, len(b.freeW))
+	scr.freeIdx = idx
+	for i := range idx {
+		idx[i] = 0
 	}
 	for {
-		for i := range freeUps {
-			freeUps[i].Val = b.freeDoms[i][freeIdx[i]]
+		for i, w := range b.freeW {
+			ups[w].Val = b.freeDoms[i][idx[i]]
 		}
-		s.OverwriteInto(scr.state, detUps, freeUps)
-		st := state.Step{From: s, To: scr.state}
 		sat := true
-		for _, r := range b.rest {
-			ok, err := r.guard(st)
-			if err != nil {
-				ok, err = EvalBool(r.gexpr, st, nil)
+		if len(b.rest) > 0 {
+			s.OverwriteInto(scr.state, ups)
+			st := state.Step{From: s, To: scr.state}
+			for _, r := range b.rest {
+				ok, err := evalPred(r.guard, r.gexpr, st, lenient)
 				if err != nil {
 					return false, err
 				}
-			}
-			if !ok {
-				sat = false
-				break
+				if !ok {
+					sat = false
+					break
+				}
 			}
 		}
-		if sat {
+		if sat && !yield(ups) {
 			return true, nil
 		}
-		fi := len(freeIdx) - 1
+		fi := len(idx) - 1
 		for fi >= 0 {
-			freeIdx[fi]++
-			if freeIdx[fi] < len(b.freeDoms[fi]) {
+			idx[fi]++
+			if idx[fi] < len(b.freeDoms[fi]) {
 				break
 			}
-			freeIdx[fi] = 0
+			idx[fi] = 0
 			fi--
 		}
 		if fi < 0 {
 			return false, nil
 		}
 	}
+}
+
+// evalPred runs a compiled predicate, re-deriving a compiled failure
+// through the interpreter; a lenient caller reads an interpreter error as
+// false.
+func evalPred(f boolFn, e Expr, st state.Step, lenient bool) (bool, error) {
+	ok, err := f(st)
+	if err == nil {
+		return ok, nil
+	}
+	ok, err = EvalBool(e, st, nil)
+	if err != nil && lenient {
+		return false, nil
+	}
+	return ok, err
+}
+
+func inDomain(v value.Value, dom []value.Value) bool {
+	for _, dv := range dom {
+		if dv.Equal(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -35,6 +35,10 @@ func PrimedVars(e Expr) []string {
 // HasPrimes reports whether e contains any primed variable occurrence —
 // i.e. whether e is an action rather than a state function.
 func HasPrimes(e Expr) bool {
+	switch e.(type) {
+	case VarE, ConstE:
+		return false
+	}
 	up := make(map[string]bool)
 	pr := make(map[string]bool)
 	e.collect(up, pr, nil, false)

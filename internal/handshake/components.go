@@ -3,7 +3,6 @@ package handshake
 import (
 	"opentla/internal/form"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/value"
 )
 
@@ -21,21 +20,6 @@ func Sender(name string, c Channel, vals []value.Value) *spec.Component {
 		Actions: []spec.Action{{
 			Name: "Send",
 			Def:  send,
-			Exec: func(s *state.State) []map[string]value.Value {
-				sig, _ := s.MustGet(c.Sig()).AsInt()
-				ack, _ := s.MustGet(c.Ack()).AsInt()
-				if sig != ack {
-					return nil
-				}
-				out := make([]map[string]value.Value, len(vals))
-				for i, v := range vals {
-					out[i] = map[string]value.Value{
-						c.Val(): v,
-						c.Sig(): value.Int(1 - sig),
-					}
-				}
-				return out
-			},
 		}},
 		Fairness: []spec.Fairness{{Kind: form.Weak, Action: send}},
 	}
@@ -53,14 +37,6 @@ func Receiver(name string, c Channel) *spec.Component {
 		Actions: []spec.Action{{
 			Name: "Ack",
 			Def:  ack,
-			Exec: func(s *state.State) []map[string]value.Value {
-				sig, _ := s.MustGet(c.Sig()).AsInt()
-				a, _ := s.MustGet(c.Ack()).AsInt()
-				if sig == a {
-					return nil
-				}
-				return []map[string]value.Value{{c.Ack(): value.Int(1 - a)}}
-			},
 		}},
 		Fairness: []spec.Fairness{{Kind: form.Weak, Action: ack}},
 	}

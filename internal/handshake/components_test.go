@@ -3,19 +3,15 @@ package handshake
 import (
 	"testing"
 
-	"opentla/internal/form"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/value"
 )
 
 // TestSenderReceiverComponents checks the canonical-form packaging of the
-// protocol: validity, partition, and agreement between the executable
-// generators and the declarative actions over all reachable-shape states.
+// protocol: each side validates and owns its half of the channel.
 func TestSenderReceiverComponents(t *testing.T) {
 	c := Chan("c")
-	vals := value.Ints(0, 1)
-	snd := Sender("sender", c, vals)
+	snd := Sender("sender", c, value.Ints(0, 1))
 	rcv := Receiver("receiver", c)
 	for _, comp := range []*spec.Component{snd, rcv} {
 		if err := comp.Validate(); err != nil {
@@ -25,30 +21,7 @@ func TestSenderReceiverComponents(t *testing.T) {
 	if got := len(snd.Outputs); got != 2 || snd.Inputs[0] != "c.ack" {
 		t.Errorf("sender partition: in=%v out=%v", snd.Inputs, snd.Outputs)
 	}
-
-	domains := c.Domains(vals)
-	names := c.Vars()
-	value.ForEachAssignment(names, domains, func(a map[string]value.Value) bool {
-		cp := make(map[string]value.Value, len(a))
-		for k, v := range a {
-			cp[k] = v
-		}
-		s := state.New(cp)
-		for _, comp := range []*spec.Component{snd, rcv} {
-			act := comp.Actions[0]
-			brute := spec.BruteExec(comp.Owned(), domains, act.Def)(s)
-			got := act.Exec(s)
-			if len(got) != len(brute) {
-				t.Fatalf("%s/%s at %v: exec %d updates, brute %d", comp.Name, act.Name, s, len(got), len(brute))
-			}
-			for _, up := range got {
-				to := s.WithAll(up)
-				ok, err := form.EvalBool(act.Def, state.Step{From: s, To: to}, nil)
-				if err != nil || !ok {
-					t.Fatalf("%s/%s update %v rejected by Def: ok=%v err=%v", comp.Name, act.Name, up, ok, err)
-				}
-			}
-		}
-		return true
-	})
+	if len(rcv.Outputs) != 1 || rcv.Outputs[0] != "c.ack" {
+		t.Errorf("receiver partition: in=%v out=%v", rcv.Inputs, rcv.Outputs)
+	}
 }

@@ -3,7 +3,7 @@
 // analyzer and CI can enumerate without knowing each package's
 // constructors. Each entry lists the composed components, the step
 // constraints the composition assumes (its Disjoint hypotheses), and the
-// finite domains used for the Exec-generator audit.
+// finite variable domains its state graph is built over.
 package models
 
 import (
@@ -33,7 +33,8 @@ type Model struct {
 	// Constraints are the composition's step constraints — the Disjoint
 	// hypotheses it assumes.
 	Constraints []ts.StepConstraint
-	// Domains are the finite variable domains, enabling the Exec audit.
+	// Domains are the finite variable domains; they bound successor
+	// derivation and enable specvet's semantic pass.
 	Domains map[string][]value.Value
 	// Interleaved records whether the composition's correctness argument
 	// relies on the Disjoint hypothesis of Proposition 4; it raises

@@ -8,7 +8,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/handshake"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/ts"
 	"opentla/internal/value"
 )
@@ -55,14 +54,6 @@ func droppingQueue(c Config) *spec.Component {
 	qm.Actions[0] = spec.Action{
 		Name: "DropEnq",
 		Def:  drop,
-		Exec: func(s *state.State) []map[string]value.Value {
-			sig, _ := s.MustGet(In.Sig()).AsInt()
-			ack, _ := s.MustGet(In.Ack()).AsInt()
-			if sig == ack {
-				return nil
-			}
-			return []map[string]value.Value{{In.Ack(): value.Int(1 - ack)}}
-		},
 	}
 	return qm
 }
@@ -94,17 +85,6 @@ func reorderingQueue(c Config) *spec.Component {
 	qm.Actions[0] = spec.Action{
 		Name: "PushFront",
 		Def:  lifo,
-		Exec: func(s *state.State) []map[string]value.Value {
-			qv := s.MustGet("q")
-			sig, _ := s.MustGet(In.Sig()).AsInt()
-			ack, _ := s.MustGet(In.Ack()).AsInt()
-			if sig == ack || int64(qv.Len()) >= int64(c.N) {
-				return nil
-			}
-			front := value.Tuple(s.MustGet(In.Val()))
-			nq, _ := front.Concat(qv)
-			return []map[string]value.Value{{In.Ack(): value.Int(1 - ack), "q": nq}}
-		},
 	}
 	return qm
 }
@@ -131,16 +111,6 @@ func overflowQueue(c Config) *spec.Component {
 	qm.Actions[0] = spec.Action{
 		Name: "OverEnq",
 		Def:  over,
-		Exec: func(s *state.State) []map[string]value.Value {
-			qv := s.MustGet("q")
-			sig, _ := s.MustGet(In.Sig()).AsInt()
-			ack, _ := s.MustGet(In.Ack()).AsInt()
-			if sig == ack || int64(qv.Len()) > int64(c.N) {
-				return nil
-			}
-			nq, _ := qv.Append(s.MustGet(In.Val()))
-			return []map[string]value.Value{{In.Ack(): value.Int(1 - ack), "q": nq}}
-		},
 	}
 	return qm
 }
@@ -170,18 +140,6 @@ func corruptingQueue(c Config) *spec.Component {
 	qm.Actions[1] = spec.Action{
 		Name: "CorruptDeq",
 		Def:  corrupt,
-		Exec: func(s *state.State) []map[string]value.Value {
-			qv := s.MustGet("q")
-			sig, _ := s.MustGet(Out.Sig()).AsInt()
-			ack, _ := s.MustGet(Out.Ack()).AsInt()
-			if sig != ack || qv.Len() == 0 {
-				return nil
-			}
-			tail, _ := qv.Tail()
-			return []map[string]value.Value{{
-				Out.Val(): value.Int(0), Out.Sig(): value.Int(1 - sig), "q": tail,
-			}}
-		},
 	}
 	return qm
 }
@@ -212,10 +170,6 @@ func protocolViolatingQueue(c Config) *spec.Component {
 	qm.Actions = append(qm.Actions, spec.Action{
 		Name: "EagerAck",
 		Def:  eager,
-		Exec: func(s *state.State) []map[string]value.Value {
-			ack, _ := s.MustGet(In.Ack()).AsInt()
-			return []map[string]value.Value{{In.Ack(): value.Int(1 - ack)}}
-		},
 	})
 	return qm
 }

@@ -7,7 +7,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/handshake"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/value"
 )
 
@@ -68,53 +67,6 @@ func (c Config) FusedDouble() *spec.Component {
 		frozen(Out.Sig(), Out.Val(), "q2"),
 	)
 
-	enq1Exec := func(s *state.State) []map[string]value.Value {
-		qv := s.MustGet("q1")
-		sig, _ := s.MustGet(In.Sig()).AsInt()
-		ack, _ := s.MustGet(In.Ack()).AsInt()
-		if sig == ack || int64(qv.Len()) >= n {
-			return nil
-		}
-		nq, _ := qv.Append(s.MustGet(In.Val()))
-		return []map[string]value.Value{{In.Ack(): value.Int(1 - ack), "q1": nq}}
-	}
-	move1Exec := func(s *state.State) []map[string]value.Value {
-		qv := s.MustGet("q1")
-		sig, _ := s.MustGet(Mid.Sig()).AsInt()
-		ack, _ := s.MustGet(Mid.Ack()).AsInt()
-		if sig != ack || qv.Len() == 0 {
-			return nil
-		}
-		head, _ := qv.Head()
-		tail, _ := qv.Tail()
-		return []map[string]value.Value{{
-			Mid.Val(): head, Mid.Sig(): value.Int(1 - sig), "q1": tail,
-		}}
-	}
-	move2Exec := func(s *state.State) []map[string]value.Value {
-		qv := s.MustGet("q2")
-		sig, _ := s.MustGet(Mid.Sig()).AsInt()
-		ack, _ := s.MustGet(Mid.Ack()).AsInt()
-		if sig == ack || int64(qv.Len()) >= n {
-			return nil
-		}
-		nq, _ := qv.Append(s.MustGet(Mid.Val()))
-		return []map[string]value.Value{{Mid.Ack(): value.Int(1 - ack), "q2": nq}}
-	}
-	deq2Exec := func(s *state.State) []map[string]value.Value {
-		qv := s.MustGet("q2")
-		sig, _ := s.MustGet(Out.Sig()).AsInt()
-		ack, _ := s.MustGet(Out.Ack()).AsInt()
-		if sig != ack || qv.Len() == 0 {
-			return nil
-		}
-		head, _ := qv.Head()
-		tail, _ := qv.Tail()
-		return []map[string]value.Value{{
-			Out.Val(): head, Out.Sig(): value.Int(1 - sig), "q2": tail,
-		}}
-	}
-
 	allVars := []string{
 		In.Sig(), In.Ack(), In.Val(),
 		Out.Sig(), Out.Ack(), Out.Val(),
@@ -132,10 +84,10 @@ func (c Config) FusedDouble() *spec.Component {
 			form.Eq(q2, form.Const(value.Empty)),
 		),
 		Actions: []spec.Action{
-			{Name: "Enq1", Def: enq1, Exec: enq1Exec},
-			{Name: "Move1", Def: move1, Exec: move1Exec},
-			{Name: "Move2", Def: move2, Exec: move2Exec},
-			{Name: "Deq2", Def: deq2, Exec: deq2Exec},
+			{Name: "Enq1", Def: enq1},
+			{Name: "Move1", Def: move1},
+			{Name: "Move2", Def: move2},
+			{Name: "Deq2", Def: deq2},
 		},
 		Fairness: []spec.Fairness{
 			{Kind: form.Weak, Action: form.Or(enq1, move1), Sub: form.VarTuple(allVars...)},

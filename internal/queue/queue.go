@@ -14,7 +14,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/handshake"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/ts"
 	"opentla/internal/value"
 )
@@ -57,35 +56,6 @@ func QM(name string, n int, in, out handshake.Channel, qVar string, vals []value
 		form.Eq(form.PrimedVar(qVar), form.Tail(q)),
 		form.Unchanged(in.Vars()...),
 	)
-	nCap := int64(n)
-	enqExec := func(s *state.State) []map[string]value.Value {
-		qv := s.MustGet(qVar)
-		sig, _ := s.MustGet(in.Sig()).AsInt()
-		ack, _ := s.MustGet(in.Ack()).AsInt()
-		if sig == ack || int64(qv.Len()) >= nCap {
-			return nil
-		}
-		nq, _ := qv.Append(s.MustGet(in.Val()))
-		return []map[string]value.Value{{
-			in.Ack(): value.Int(1 - ack),
-			qVar:     nq,
-		}}
-	}
-	deqExec := func(s *state.State) []map[string]value.Value {
-		qv := s.MustGet(qVar)
-		sig, _ := s.MustGet(out.Sig()).AsInt()
-		ack, _ := s.MustGet(out.Ack()).AsInt()
-		if sig != ack || qv.Len() == 0 {
-			return nil
-		}
-		head, _ := qv.Head()
-		tail, _ := qv.Tail()
-		return []map[string]value.Value{{
-			out.Val(): head,
-			out.Sig(): value.Int(1 - sig),
-			qVar:      tail,
-		}}
-	}
 	// ICL's subscript is the tuple ⟨in, out, q⟩ of all relevant variables
 	// (Fig. 6).
 	allVars := append(append([]string{}, in.Vars()...), out.Vars()...)
@@ -97,8 +67,8 @@ func QM(name string, n int, in, out handshake.Channel, qVar string, vals []value
 		Internals: []string{qVar},
 		Init:      form.And(out.Init(), form.Eq(q, form.Const(value.Empty))),
 		Actions: []spec.Action{
-			{Name: "Enq", Def: enq, Exec: enqExec},
-			{Name: "Deq", Def: deq, Exec: deqExec},
+			{Name: "Enq", Def: enq},
+			{Name: "Deq", Def: deq},
 		},
 		Fairness: []spec.Fairness{{
 			Kind:   form.Weak,
@@ -115,39 +85,14 @@ func QM(name string, n int, in, out handshake.Channel, qVar string, vals []value
 func QE(name string, in, out handshake.Channel, vals []value.Value) *spec.Component {
 	put := form.And(handshake.SendAny(in, vals), form.Unchanged(out.Vars()...))
 	get := form.And(handshake.AckAction(out), form.Unchanged(in.Vars()...))
-	valDom := make([]value.Value, len(vals))
-	copy(valDom, vals)
-	putExec := func(s *state.State) []map[string]value.Value {
-		sig, _ := s.MustGet(in.Sig()).AsInt()
-		ack, _ := s.MustGet(in.Ack()).AsInt()
-		if sig != ack {
-			return nil
-		}
-		out := make([]map[string]value.Value, 0, len(valDom))
-		for _, v := range valDom {
-			out = append(out, map[string]value.Value{
-				in.Val(): v,
-				in.Sig(): value.Int(1 - sig),
-			})
-		}
-		return out
-	}
-	getExec := func(s *state.State) []map[string]value.Value {
-		sig, _ := s.MustGet(out.Sig()).AsInt()
-		ack, _ := s.MustGet(out.Ack()).AsInt()
-		if sig == ack {
-			return nil
-		}
-		return []map[string]value.Value{{out.Ack(): value.Int(1 - ack)}}
-	}
 	return &spec.Component{
 		Name:    name,
 		Inputs:  []string{in.Ack(), out.Sig(), out.Val()},
 		Outputs: []string{in.Sig(), in.Val(), out.Ack()},
 		Init:    in.Init(),
 		Actions: []spec.Action{
-			{Name: "Put", Def: put, Exec: putExec},
-			{Name: "Get", Def: get, Exec: getExec},
+			{Name: "Put", Def: put},
+			{Name: "Get", Def: get},
 		},
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"opentla/internal/check"
 	"opentla/internal/form"
-	"opentla/internal/spec"
-	"opentla/internal/ts"
 )
 
 func cfg1() Config { return Config{N: 1, Vals: 2} }
@@ -151,38 +149,5 @@ func TestDoubleSystemWithoutGAllowsSimultaneity(t *testing.T) {
 	}
 	if res.Holds {
 		t.Fatalf("without G the double system should violate QM^dbl's interleaving guarantee")
-	}
-}
-
-// TestBruteExecMatchesHandwrittenExec cross-validates the hand-written Exec
-// generators of QM and QE against brute-force enumeration from the
-// declarative action definitions, on every reachable state of CQ.
-func TestBruteExecMatchesHandwrittenExec(t *testing.T) {
-	c := cfg1()
-	sys := c.SingleSystem()
-	g, err := sys.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	// Rebuild the same system with Execs stripped (forcing brute force).
-	stripped := &ts.System{
-		Name:    sys.Name + "/brute",
-		Domains: sys.Domains,
-	}
-	for _, comp := range sys.Components {
-		cp := *comp
-		cp.Actions = make([]spec.Action, len(comp.Actions))
-		for i, a := range comp.Actions {
-			cp.Actions[i] = spec.Action{Name: a.Name, Def: a.Def}
-		}
-		stripped.Components = append(stripped.Components, &cp)
-	}
-	g2, err := stripped.Build()
-	if err != nil {
-		t.Fatalf("Build (brute): %v", err)
-	}
-	if g.NumStates() != g2.NumStates() || g.NumEdges() != g2.NumEdges() {
-		t.Fatalf("hand-written Exec graph (%d states, %d edges) differs from brute-force graph (%d states, %d edges)",
-			g.NumStates(), g.NumEdges(), g2.NumStates(), g2.NumEdges())
 	}
 }

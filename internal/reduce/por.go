@@ -92,17 +92,10 @@ func NewPORPlan(comps []*spec.Component, constraints []NamedExpr, free, visible 
 	}
 	writes := make([]map[string]bool, len(comps))
 	vars := make([]map[string]bool, len(comps))
-	analyzable := make([]bool, len(comps))
 	for j, c := range comps {
 		w := make(map[string]bool)
 		v := toSet(c.Vars())
-		ok := true
 		for _, a := range c.Actions {
-			if a.Def == nil {
-				// Exec-only action: its write set is unknown statically.
-				ok = false
-				break
-			}
 			for _, n := range form.PrimedVars(a.Def) {
 				w[n] = true
 			}
@@ -127,12 +120,12 @@ func NewPORPlan(comps []*spec.Component, constraints []NamedExpr, free, visible 
 				}
 			}
 		}
-		writes[j], vars[j], analyzable[j] = w, v, ok
+		writes[j], vars[j] = w, v
 	}
 
 	plan := &PORPlan{eligible: make([]bool, len(comps))}
 	for j, c := range comps {
-		if !analyzable[j] || len(writes[j]) == 0 {
+		if len(writes[j]) == 0 {
 			continue
 		}
 		if !subsetOf(writes[j], toSet(c.Owned())) {

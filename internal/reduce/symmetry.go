@@ -302,9 +302,6 @@ func (sym *Symmetry) Validate(comps []*spec.Component, steps, inits []NamedExpr,
 				return err
 			}
 			for _, a := range c.Actions {
-				if a.Def == nil {
-					return fmt.Errorf("component %s action %s: no declarative definition; value symmetry cannot be validated", c.Name, a.Name)
-				}
 				if err := check(fmt.Sprintf("component %s action %s", c.Name, a.Name), a.Def); err != nil {
 					return err
 				}

@@ -17,7 +17,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/handshake"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/ts"
 	"opentla/internal/value"
 )
@@ -71,32 +70,6 @@ func Sender() *spec.Component {
 		form.Eq(form.PrimedVar("sbuf"), form.Tail(sbuf)),
 	)
 
-	chooseExec := func(s *state.State) []map[string]value.Value {
-		if s.MustGet("sbuf").Len() != 0 {
-			return nil
-		}
-		out := make([]map[string]value.Value, 0, 4)
-		for v := int64(0); v <= 3; v++ {
-			out = append(out, map[string]value.Value{"sbuf": bitsOf(v)})
-		}
-		return out
-	}
-	sendExec := func(s *state.State) []map[string]value.Value {
-		buf := s.MustGet("sbuf")
-		if buf.Len() == 0 {
-			return nil
-		}
-		sig, _ := s.MustGet(L.Sig()).AsInt()
-		ack, _ := s.MustGet(L.Ack()).AsInt()
-		if sig != ack {
-			return nil
-		}
-		head, _ := buf.Head()
-		tail, _ := buf.Tail()
-		return []map[string]value.Value{{
-			L.Val(): head, L.Sig(): value.Int(1 - sig), "sbuf": tail,
-		}}
-	}
 	return &spec.Component{
 		Name:      "serial-sender",
 		Inputs:    []string{L.Ack()},
@@ -104,8 +77,8 @@ func Sender() *spec.Component {
 		Internals: []string{"sbuf"},
 		Init:      form.And(L.Init(), form.Eq(sbuf, form.Const(value.Empty))),
 		Actions: []spec.Action{
-			{Name: "Choose", Def: choose, Exec: chooseExec},
-			{Name: "SendBit", Def: sendBit, Exec: sendExec},
+			{Name: "Choose", Def: choose},
+			{Name: "SendBit", Def: sendBit},
 		},
 		Fairness: []spec.Fairness{
 			{Kind: form.Weak, Action: sendBit},
@@ -138,42 +111,6 @@ func Receiver() *spec.Component {
 		form.Eq(form.PrimedVar("racc"), form.Const(value.Empty)),
 	)
 
-	hiExec := func(s *state.State) []map[string]value.Value {
-		if s.MustGet("racc").Len() != 0 {
-			return nil
-		}
-		sig, _ := s.MustGet(L.Sig()).AsInt()
-		ack, _ := s.MustGet(L.Ack()).AsInt()
-		if sig == ack {
-			return nil
-		}
-		return []map[string]value.Value{{
-			L.Ack(): value.Int(1 - ack),
-			"racc":  value.Tuple(s.MustGet(L.Val())),
-		}}
-	}
-	deliverExec := func(s *state.State) []map[string]value.Value {
-		buf := s.MustGet("racc")
-		if buf.Len() == 0 {
-			return nil
-		}
-		lsig, _ := s.MustGet(L.Sig()).AsInt()
-		lack, _ := s.MustGet(L.Ack()).AsInt()
-		wsig, _ := s.MustGet(W.Sig()).AsInt()
-		wack, _ := s.MustGet(W.Ack()).AsInt()
-		if lsig == lack || wsig != wack {
-			return nil
-		}
-		hi, _ := buf.Head()
-		hiInt, _ := hi.AsInt()
-		lo, _ := s.MustGet(L.Val()).AsInt()
-		return []map[string]value.Value{{
-			L.Ack(): value.Int(1 - lack),
-			W.Val(): value.Int(2*hiInt + lo),
-			W.Sig(): value.Int(1 - wsig),
-			"racc":  value.Empty,
-		}}
-	}
 	return &spec.Component{
 		Name:      "serial-receiver",
 		Inputs:    []string{L.Sig(), L.Val(), W.Ack()},
@@ -181,8 +118,8 @@ func Receiver() *spec.Component {
 		Internals: []string{"racc"},
 		Init:      form.And(W.Init(), form.Eq(racc, form.Const(value.Empty))),
 		Actions: []spec.Action{
-			{Name: "RecvHi", Def: recvHi, Exec: hiExec},
-			{Name: "Deliver", Def: deliver, Exec: deliverExec},
+			{Name: "RecvHi", Def: recvHi},
+			{Name: "Deliver", Def: deliver},
 		},
 		Fairness: []spec.Fairness{
 			{Kind: form.Weak, Action: form.Or(recvHi, deliver)},
@@ -201,14 +138,6 @@ func Consumer(fair bool) *spec.Component {
 		Actions: []spec.Action{{
 			Name: "Get",
 			Def:  get,
-			Exec: func(s *state.State) []map[string]value.Value {
-				sig, _ := s.MustGet(W.Sig()).AsInt()
-				ack, _ := s.MustGet(W.Ack()).AsInt()
-				if sig == ack {
-					return nil
-				}
-				return []map[string]value.Value{{W.Ack(): value.Int(1 - ack)}}
-			},
 		}},
 	}
 	if fair {

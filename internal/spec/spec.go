@@ -7,37 +7,22 @@
 // input variables, N the next-state action (a disjunction of named actions),
 // and L a conjunction of fairness conditions.
 //
-// Besides the declarative formula, each action may carry an executable
-// successor generator used by the explicit-state model checker; package ts
-// cross-checks generators against the declarative definitions.
+// The formula is the component's only encoding: the explicit-state model
+// checker (package ts) derives successors from each action's definition.
 package spec
 
 import (
 	"fmt"
-	"sort"
 
 	"opentla/internal/form"
-	"opentla/internal/state"
-	"opentla/internal/value"
 )
-
-// ExecFunc enumerates candidate updates for a component action in state s:
-// each map assigns new values to (a subset of) the component's owned
-// variables; unmentioned variables keep their values. ExecFunc must be
-// complete: every step ⟨s,t⟩ satisfying the action's definition must have
-// t's owned-variable values equal to some returned candidate.
-type ExecFunc func(s *state.State) []map[string]value.Value
 
 // Action is a named next-state disjunct.
 type Action struct {
 	Name string
-	// Def is the declarative TLA definition of the action; it is the
-	// ground truth against which generated successors are verified.
+	// Def is the declarative TLA definition of the action, from which the
+	// model checker derives its successors. It must not be nil.
 	Def form.Expr
-	// Exec optionally generates candidate owned-variable updates. If nil,
-	// the model checker derives a brute-force generator from Def over the
-	// declared domains.
-	Exec ExecFunc
 }
 
 // Fairness is one WF/SF conjunct of the liveness part L.
@@ -195,8 +180,8 @@ func New(c *Component) (*Component, error) {
 }
 
 // Validate checks structural well-formedness: variable classes are
-// disjoint, action definitions only prime declared variables, and fairness
-// actions only prime owned variables. Duplicate declarations are reported
+// disjoint, every action has a definition mentioning only declared
+// variables, and Init primes nothing. Duplicate declarations are reported
 // as a *DuplicateVarError.
 func (c *Component) Validate() error {
 	seen := make(map[string]string)
@@ -223,6 +208,9 @@ func (c *Component) Validate() error {
 		declared[n] = true
 	}
 	for _, a := range c.Actions {
+		if a.Def == nil {
+			return fmt.Errorf("component %s: action %s has no definition", c.Name, a.Name)
+		}
 		for _, v := range form.AllVars(a.Def) {
 			if !declared[v] {
 				return fmt.Errorf("component %s: action %s mentions undeclared variable %q", c.Name, a.Name, v)
@@ -239,9 +227,8 @@ func (c *Component) Validate() error {
 
 // Rename returns a copy of the component with variables renamed according
 // to m, implementing the paper's substitution F[z/o, q1/q] (§A.4) at the
-// component level. Exec generators are wrapped to translate states both
-// ways. Variables absent from m keep their names; the component is also
-// given the new name.
+// component level. Variables absent from m keep their names; the component
+// is also given the new name.
 func (c *Component) Rename(name string, m map[string]string) *Component {
 	fwd := func(n string) string {
 		if r, ok := m[n]; ok {
@@ -256,41 +243,9 @@ func (c *Component) Rename(name string, m map[string]string) *Component {
 		}
 		return out
 	}
-	inv := make(map[string]string, len(m))
-	for from, to := range m {
-		inv[to] = from
-	}
-	renameState := func(s *state.State, dir map[string]string) *state.State {
-		mm := make(map[string]value.Value, s.Len())
-		for n, v := range s.Map() {
-			if r, ok := dir[n]; ok {
-				mm[r] = v
-			} else {
-				mm[n] = v
-			}
-		}
-		return state.New(mm)
-	}
 	actions := make([]Action, len(c.Actions))
 	for i, a := range c.Actions {
-		na := Action{Name: a.Name, Def: form.Rename(a.Def, m)}
-		if a.Exec != nil {
-			orig := a.Exec
-			na.Exec = func(s *state.State) []map[string]value.Value {
-				back := renameState(s, inv)
-				ups := orig(back)
-				out := make([]map[string]value.Value, len(ups))
-				for j, up := range ups {
-					ren := make(map[string]value.Value, len(up))
-					for n, v := range up {
-						ren[fwd(n)] = v
-					}
-					out[j] = ren
-				}
-				return out
-			}
-		}
-		actions[i] = na
+		actions[i] = Action{Name: a.Name, Def: form.Rename(a.Def, m)}
 	}
 	fair := make([]Fairness, len(c.Fairness))
 	for i, fc := range c.Fairness {
@@ -312,32 +267,5 @@ func (c *Component) Rename(name string, m map[string]string) *Component {
 		Init:      init,
 		Actions:   actions,
 		Fairness:  fair,
-	}
-}
-
-// BruteExec returns an ExecFunc for action def that enumerates every
-// assignment to the component's owned variables over the given domains and
-// keeps those satisfying def with all other variables left unchanged. For
-// interleaving specifications (whose actions imply e′ = e) this generator
-// is complete.
-func BruteExec(owned []string, domains map[string][]value.Value, def form.Expr) ExecFunc {
-	names := make([]string, len(owned))
-	copy(names, owned)
-	sort.Strings(names)
-	return func(s *state.State) []map[string]value.Value {
-		var out []map[string]value.Value
-		value.ForEachAssignment(names, domains, func(a map[string]value.Value) bool {
-			t := s.WithAll(a)
-			ok, err := form.EvalBool(def, state.Step{From: s, To: t}, nil)
-			if err == nil && ok {
-				cp := make(map[string]value.Value, len(a))
-				for k, v := range a {
-					cp[k] = v
-				}
-				out = append(out, cp)
-			}
-			return true
-		})
-		return out
 	}
 }

@@ -124,10 +124,6 @@ func TestFormulas(t *testing.T) {
 func TestRename(t *testing.T) {
 	c := counter()
 	c.Inputs = []string{"d"}
-	c.Actions[0].Exec = func(s *state.State) []map[string]value.Value {
-		x, _ := s.MustGet("x").AsInt()
-		return []map[string]value.Value{{"x": value.Int((x + 1) % 3)}}
-	}
 	r := c.Rename("counter-y", map[string]string{"x": "y", "d": "e"})
 	if r.Name != "counter-y" || r.Outputs[0] != "y" || r.Inputs[0] != "e" {
 		t.Fatalf("rename lists: %+v", r)
@@ -140,37 +136,52 @@ func TestRename(t *testing.T) {
 	if !strings.Contains(r.Init.String(), "y") {
 		t.Errorf("Init not renamed: %s", r.Init)
 	}
-	// Renamed Exec works on renamed states.
+	// The renamed definition relates renamed states.
 	s := state.FromPairs("y", value.Int(1), "e", value.Int(0))
-	ups := r.Actions[0].Exec(s)
-	if len(ups) != 1 {
-		t.Fatalf("renamed exec returned %d updates", len(ups))
-	}
-	if !ups[0]["y"].Equal(value.Int(2)) {
-		t.Errorf("renamed exec update = %v", ups[0])
-	}
-	// Renamed declarative definition agrees.
-	to := s.WithAll(ups[0])
+	to := state.FromPairs("y", value.Int(2), "e", value.Int(0))
 	ok, err := form.EvalBool(r.Actions[0].Def, state.Step{From: s, To: to}, nil)
 	if err != nil || !ok {
-		t.Errorf("renamed Def rejects renamed exec update: ok=%v err=%v", ok, err)
+		t.Errorf("renamed Def rejects the renamed step: ok=%v err=%v", ok, err)
 	}
 }
 
-func TestBruteExec(t *testing.T) {
-	domains := map[string][]value.Value{"x": value.Ints(0, 2)}
+// TestValidateRejectsMissingDef: an action without a definition has no
+// semantics to derive successors from.
+func TestValidateRejectsMissingDef(t *testing.T) {
 	c := counter()
-	exec := BruteExec(c.Owned(), domains, c.Actions[0].Def)
-	ups := exec(state.FromPairs("x", value.Int(1)))
-	if len(ups) != 1 || !ups[0]["x"].Equal(value.Int(2)) {
-		t.Fatalf("BruteExec = %v", ups)
+	c.Actions = append(c.Actions, Action{Name: "Opaque"})
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "Opaque") {
+		t.Fatalf("Validate = %v, want an error naming action Opaque", err)
+	}
+}
+
+// TestDerivedUpdates checks the successor candidates derived from an
+// action's definition: one for a deterministic action, every permitted value
+// for a nondeterministic one.
+func TestDerivedUpdates(t *testing.T) {
+	ctx := form.NewCtx(map[string][]value.Value{"x": value.Ints(0, 2)})
+	c := counter()
+	s := state.FromPairs("x", value.Int(1))
+	derive := func(def form.Expr) [][]state.PosUpdate {
+		t.Helper()
+		updates, err := ctx.UpdatesFn(def, []string{"x"}, c.Owned())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ups, err := updates(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ups
+	}
+	ups := derive(c.Actions[0].Def)
+	if len(ups) != 1 || !ups[0][0].Val.Equal(value.Int(2)) {
+		t.Fatalf("deterministic action: updates = %v", ups)
 	}
 	// Nondeterministic action: x' ∈ {0,1,2} with x' ≠ x.
-	nd := form.Ne(form.PrimedVar("x"), form.Var("x"))
-	exec = BruteExec(c.Owned(), domains, nd)
-	ups = exec(state.FromPairs("x", value.Int(1)))
-	if len(ups) != 2 {
-		t.Fatalf("nondeterministic BruteExec: %d updates, want 2", len(ups))
+	if ups := derive(form.Ne(form.PrimedVar("x"), form.Var("x"))); len(ups) != 2 {
+		t.Fatalf("nondeterministic action: %d updates, want 2", len(ups))
 	}
 }
 

@@ -91,24 +91,26 @@ func TestOversizedInitialSpaceIsBudgetError(t *testing.T) {
 	}
 }
 
+// TestBuildContainsPanicsWithFingerprint: a panic in a user callback — a
+// monitor's Step, the one Go callback exploration runs — is contained as an
+// *engine.EngineError carrying the fingerprint of the state being expanded.
 func TestBuildContainsPanicsWithFingerprint(t *testing.T) {
-	c := counterComponent(3)
-	c.Actions[0].Exec = func(s *state.State) []map[string]value.Value {
-		x, _ := s.MustGet("x").AsInt()
-		if x == 2 {
-			panic("generator invariant broken")
-		}
-		if x >= 3 {
-			return nil
-		}
-		return []map[string]value.Value{{"x": value.Int(x + 1)}}
+	g, err := counterSystem(3).Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sys := &System{
-		Name:       "panicky",
-		Components: []*spec.Component{c},
-		Domains:    map[string][]value.Value{"x": value.Ints(0, 3)},
+	mon := &Monitor{
+		Var:    "$m",
+		Domain: value.Bools(),
+		Init:   func(*state.State) ([]value.Value, error) { return []value.Value{value.Bool(true)}, nil },
+		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
+			if x, _ := st.From.MustGet("x").AsInt(); x == 2 {
+				panic("monitor invariant broken")
+			}
+			return []value.Value{cur}, nil
+		},
 	}
-	_, err := sys.Build()
+	_, err = Product(g, []*Monitor{mon})
 	if err == nil {
 		t.Fatal("expected contained panic")
 	}
@@ -116,7 +118,7 @@ func TestBuildContainsPanicsWithFingerprint(t *testing.T) {
 	if !errors.As(err, &ee) {
 		t.Fatalf("expected *engine.EngineError, got %T: %v", err, err)
 	}
-	if !strings.Contains(ee.PanicVal, "generator invariant broken") {
+	if !strings.Contains(ee.PanicVal, "monitor invariant broken") {
 		t.Errorf("panic val = %q", ee.PanicVal)
 	}
 	if !strings.Contains(ee.Fingerprint, "x=2") {
@@ -145,63 +147,5 @@ func TestProductInheritsMeterAndBudget(t *testing.T) {
 	var be *engine.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected *engine.BudgetError from product, got %T: %v", err, err)
-	}
-}
-
-func TestAuditExecsCatchesIncompleteGenerator(t *testing.T) {
-	c := counterComponent(3)
-	// Generator drops the successor from x=1: states x>=2 vanish silently.
-	c.Actions[0].Exec = func(s *state.State) []map[string]value.Value {
-		x, _ := s.MustGet("x").AsInt()
-		if x != 0 {
-			return nil
-		}
-		return []map[string]value.Value{{"x": value.Int(1)}}
-	}
-	sys := &System{
-		Name:       "truncated",
-		Components: []*spec.Component{c},
-		Domains:    map[string][]value.Value{"x": value.Ints(0, 3)},
-	}
-	g, err := sys.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumStates() != 2 {
-		t.Fatalf("truncated graph should have 2 states, got %d", g.NumStates())
-	}
-	err = g.AuditExecs()
-	if err == nil {
-		t.Fatal("audit should detect the missing successor")
-	}
-	var div *ExecDivergence
-	if !errors.As(err, &div) {
-		t.Fatalf("expected *ExecDivergence, got %T: %v", err, err)
-	}
-	if div.Action != "Inc" || !strings.Contains(div.Fingerprint, "x=1") {
-		t.Errorf("divergence = %+v", div)
-	}
-}
-
-func TestAuditExecsPassesCompleteGenerator(t *testing.T) {
-	c := counterComponent(3)
-	c.Actions[0].Exec = func(s *state.State) []map[string]value.Value {
-		x, _ := s.MustGet("x").AsInt()
-		if x >= 3 {
-			return nil
-		}
-		return []map[string]value.Value{{"x": value.Int(x + 1)}}
-	}
-	sys := &System{
-		Name:       "complete",
-		Components: []*spec.Component{c},
-		Domains:    map[string][]value.Value{"x": value.Ints(0, 3)},
-	}
-	g, err := sys.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AuditExecs(); err != nil {
-		t.Fatalf("complete generator should pass the audit: %v", err)
 	}
 }

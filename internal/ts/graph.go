@@ -186,16 +186,12 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 }
 
 // cacheSetup resolves the system's cache key and, when resuming, loads the
-// saved checkpoint. It returns ("", nil) when caching is disabled or the
-// system is not content-addressable.
+// saved checkpoint. It returns ("", nil) when caching is disabled.
 func (sys *System) cacheSetup(m *engine.Meter) (string, *Snapshot) {
 	if sys.Cache == nil {
 		return "", nil
 	}
-	desc, ok := sys.CanonicalDesc()
-	if !ok {
-		return "", nil
-	}
+	desc := sys.CanonicalDesc()
 	var resume *Snapshot
 	if sys.Resume {
 		snap, err := sys.Cache.LoadCheckpoint(desc)

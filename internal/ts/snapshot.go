@@ -168,15 +168,12 @@ func validSnapshot(snap *Snapshot, wantComplete bool) bool {
 // are cached, and a complete graph does not depend on the cap that failed to
 // trigger).
 //
-// The second result is false when the system cannot be described faithfully:
-// an action with an executable generator but no declarative definition has
-// unhashable semantics. (Actions with both are described by the definition —
-// generator agreement is audited separately by Graph.AuditExecs.)
 // CanonicalDesc is the cache key; identical systems must produce
-// identical descriptors on every run.
+// identical descriptors on every run. It assumes a validated system (every
+// action has a definition).
 //
 // aglint:deterministic
-func (sys *System) CanonicalDesc() (string, bool) {
+func (sys *System) CanonicalDesc() string {
 	var sb strings.Builder
 	sb.WriteString("opentla-system-desc-v1\n")
 	sb.WriteString("vars:\n")
@@ -203,9 +200,6 @@ func (sys *System) CanonicalDesc() (string, bool) {
 		writeExpr(&sb, c.Init)
 		sb.WriteByte('\n')
 		for _, a := range c.Actions {
-			if a.Def == nil {
-				return "", false
-			}
 			sb.WriteString("  action ")
 			sb.WriteString(a.Name)
 			sb.WriteString(": ")
@@ -239,7 +233,7 @@ func (sys *System) CanonicalDesc() (string, bool) {
 	// build — and from any other reduction configuration. An inactive config
 	// contributes nothing, keeping pre-reduction cache keys stable.
 	sb.WriteString(sys.Reduce.Desc())
-	return sb.String(), true
+	return sb.String()
 }
 
 func writeNames(sb *strings.Builder, label string, names []string) {
@@ -264,16 +258,12 @@ func writeExpr(sb *strings.Builder, e form.Expr) {
 
 // productDesc renders the canonical description of a monitor product: the
 // base system's description extended with each monitor's variable, domain,
-// and semantic description. It returns false — caching disabled — when the
-// base system is indescribable or any monitor lacks a Desc (a hand-rolled
-// monitor with opaque callbacks cannot be content-addressed).
+// and semantic description. It returns false — caching disabled — when any
+// monitor lacks a Desc (a hand-rolled monitor with opaque callbacks cannot
+// be content-addressed).
 func productDesc(sys *System, mons []*Monitor) (string, bool) {
-	base, ok := sys.CanonicalDesc()
-	if !ok {
-		return "", false
-	}
 	var sb strings.Builder
-	sb.WriteString(base)
+	sb.WriteString(sys.CanonicalDesc())
 	sb.WriteString("product:\n")
 	for _, m := range mons {
 		if m.Desc == "" {

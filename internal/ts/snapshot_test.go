@@ -3,6 +3,7 @@ package ts
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"opentla/internal/engine"
@@ -57,11 +58,8 @@ func (c *memCache) StoreCheckpoint(desc string, snap *Snapshot) error {
 }
 
 func TestCanonicalDescStable(t *testing.T) {
-	d1, ok := counterSystem(3).CanonicalDesc()
-	if !ok {
-		t.Fatal("counter system should be describable")
-	}
-	d2, _ := counterSystem(3).CanonicalDesc()
+	d1 := counterSystem(3).CanonicalDesc()
+	d2 := counterSystem(3).CanonicalDesc()
 	if d1 != d2 {
 		t.Error("identical systems should have identical descriptions")
 	}
@@ -71,27 +69,33 @@ func TestCanonicalDescStable(t *testing.T) {
 	renamed.Name = "other"
 	renamed.Workers = 7
 	renamed.MaxStates = 99
-	if d3, _ := renamed.CanonicalDesc(); d3 != d1 {
+	if d3 := renamed.CanonicalDesc(); d3 != d1 {
 		t.Error("Name/Workers/MaxStates should not affect the description")
 	}
 
 	// A different domain is a different system.
-	if d4, _ := counterSystem(4).CanonicalDesc(); d4 == d1 {
+	if d4 := counterSystem(4).CanonicalDesc(); d4 == d1 {
 		t.Error("different domains should yield different descriptions")
 	}
 }
 
-func TestCanonicalDescRejectsExecOnlyActions(t *testing.T) {
+// TestValidateRejectsDefLessAction: an action with no definition has no
+// semantics to derive successors from or to content-address, so the system
+// is rejected before any cache lookup or exploration.
+func TestValidateRejectsDefLessAction(t *testing.T) {
 	c := counterComponent(3)
 	c.Actions[0].Def = nil
-	c.Actions[0].Exec = func(s *state.State) []map[string]value.Value { return nil }
 	sys := &System{
 		Name:       "opaque",
 		Components: []*spec.Component{c},
 		Domains:    map[string][]value.Value{"x": value.Ints(0, 3)},
+		Cache:      newMemCache(),
 	}
-	if _, ok := sys.CanonicalDesc(); ok {
-		t.Error("an action with no Def cannot be content-addressed")
+	if err := sys.Validate(); err == nil || !strings.Contains(err.Error(), "no definition") {
+		t.Fatalf("Validate = %v, want a missing-definition error", err)
+	}
+	if _, err := sys.Build(); err == nil {
+		t.Fatal("Build accepted an action without a definition")
 	}
 }
 
@@ -148,7 +152,7 @@ func TestCorruptCacheFallsBackToColdBuild(t *testing.T) {
 	c2 := newMemCache()
 	bad := counterSystem(3)
 	bad.Cache = c2
-	desc, _ := bad.CanonicalDesc()
+	desc := bad.CanonicalDesc()
 	c2.snaps[desc] = &Snapshot{Complete: true, States: g.States, Inits: []int{99}, Offsets: []int{0}, Targets: nil}
 	g2, err := bad.Build()
 	if err != nil {
@@ -250,7 +254,7 @@ func TestCheckpointResumeDeterministic(t *testing.T) {
 				workers, st.States, gRes.NumStates())
 		}
 		// The completed resume stores the full graph and clears the checkpoint.
-		desc, _ := resumed.CanonicalDesc()
+		desc := resumed.CanonicalDesc()
 		if _, ok := c.ckpts[desc]; ok {
 			t.Errorf("workers=%d: checkpoint not cleared after completion", workers)
 		}

@@ -171,12 +171,14 @@ type compiledComponent struct {
 	actions []compiledAction
 }
 
+// compiledAction is one action definition compiled twice against the system
+// layout: as a successor generator proposing owned-variable updates, and as
+// a predicate re-checked on every merged step.
 type compiledAction struct {
-	name   string
-	def    form.Expr
-	pred   form.CompiledPred // def compiled against the system layout
-	exec   spec.ExecFunc
-	primed []string // primed variables of def, for free-dependence analysis
+	name    string
+	pred    form.CompiledPred // Def compiled against the system layout
+	updates func(*state.State) ([][]state.PosUpdate, error)
+	primed  []string // primed variables of Def, for free-dependence analysis
 }
 
 // compiledConstraint is a step constraint with its primed variables
@@ -184,13 +186,12 @@ type compiledAction struct {
 // free set has the same verdict for every free assignment).
 type compiledConstraint struct {
 	name   string
-	action form.Expr
-	pred   form.CompiledPred // action compiled against the system layout
+	pred   form.CompiledPred // the constraint compiled against the system layout
 	primed []string
 }
 
 // compiledSystem caches everything successor generation needs: per-component
-// actions with executable update generators, plus the step constraints.
+// actions with their derived update generators, plus the step constraints.
 // It is immutable after compile and shared across exploration workers.
 type compiledSystem struct {
 	comps       []compiledComponent
@@ -202,50 +203,32 @@ func (sys *System) compile() (*compiledSystem, error) {
 	// declarative definition against that layout once moves variable
 	// resolution and stutter-equality checks out of the per-candidate loop.
 	layout := sys.Vars()
+	ctx := sys.Ctx()
 	cs := &compiledSystem{comps: make([]compiledComponent, len(sys.Components))}
 	for i, c := range sys.Components {
 		cc := compiledComponent{comp: c, owned: c.Owned()}
 		for _, a := range c.Actions {
-			ca := compiledAction{name: a.Name, def: a.Def, exec: a.Exec, primed: form.PrimedVars(a.Def)}
-			if a.Def != nil {
-				ca.pred = form.CompilePred(a.Def, layout)
+			if a.Def == nil {
+				return nil, fmt.Errorf("component %s action %s: no definition", c.Name, a.Name)
 			}
-			if ca.exec == nil {
-				n, err := updateSpaceSize(cc.owned, sys.Domains)
-				if err != nil {
-					return nil, fmt.Errorf("component %s action %s: %w", c.Name, a.Name, err)
-				}
-				if n > 1_000_000 {
-					return nil, fmt.Errorf("component %s action %s: no Exec and %d brute-force updates; supply an Exec generator", c.Name, a.Name, n)
-				}
-				ca.exec = spec.BruteExec(cc.owned, sys.Domains, a.Def)
+			updates, err := ctx.UpdatesFn(a.Def, layout, cc.owned)
+			if err != nil {
+				return nil, fmt.Errorf("component %s action %s: %w", c.Name, a.Name, err)
 			}
-			cc.actions = append(cc.actions, ca)
+			cc.actions = append(cc.actions, compiledAction{
+				name: a.Name, pred: form.CompilePred(a.Def, layout),
+				updates: updates, primed: form.PrimedVars(a.Def),
+			})
 		}
 		cs.comps[i] = cc
 	}
 	for _, sc := range sys.Constraints {
 		cs.constraints = append(cs.constraints, compiledConstraint{
-			name: sc.Name, action: sc.Action, pred: form.CompilePred(sc.Action, layout),
+			name: sc.Name, pred: form.CompilePred(sc.Action, layout),
 			primed: form.PrimedVars(sc.Action),
 		})
 	}
 	return cs, nil
-}
-
-func updateSpaceSize(vars []string, domains map[string][]value.Value) (int, error) {
-	n := 1
-	for _, v := range vars {
-		d := domains[v]
-		if len(d) == 0 {
-			return 0, fmt.Errorf("variable %q has no domain", v)
-		}
-		n *= len(d)
-		if n > 1<<30 {
-			return n, nil
-		}
-	}
-	return n, nil
 }
 
 // InitialStates enumerates the states over the full variable set whose
@@ -259,7 +242,7 @@ func (sys *System) InitialStates() ([]*state.State, error) {
 // fails informatively with an *engine.BudgetError instead of grinding.
 func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 	vars := sys.Vars()
-	total, err := updateSpaceSize(vars, sys.Domains)
+	total, err := assignmentCount(vars, sys.Domains)
 	if err != nil {
 		return nil, err
 	}
@@ -309,6 +292,23 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 	return out, nil
 }
 
+// assignmentCount returns the number of assignments to vars over their
+// domains, saturating past 2^30.
+func assignmentCount(vars []string, domains map[string][]value.Value) (int, error) {
+	n := 1
+	for _, v := range vars {
+		d := domains[v]
+		if len(d) == 0 {
+			return 0, fmt.Errorf("variable %q has no domain", v)
+		}
+		n *= len(d)
+		if n > 1<<30 {
+			return n, nil
+		}
+	}
+	return n, nil
+}
+
 // choice is one component's contribution to a joint step with its update
 // resolved to positional form: either a stutter (action == nil, no updates)
 // or a named action reassigning its owned variables. Positional updates let
@@ -321,22 +321,6 @@ type choice struct {
 	action     *compiledAction
 	ups        []state.PosUpdate
 	defFreeDep bool
-}
-
-// posUpdates resolves an action's update map against s's binding positions.
-// Every updated variable must already be bound: successor generation works
-// over the full variable set, so an unbound name means the action writes a
-// variable outside the system.
-func (sys *System) posUpdates(ca *compiledAction, s *state.State, up map[string]value.Value) ([]state.PosUpdate, error) {
-	ups := make([]state.PosUpdate, 0, len(up))
-	for n, v := range up {
-		p, ok := s.PosOf(n)
-		if !ok {
-			return nil, fmt.Errorf("system %s: action %s updates variable %q not bound in state %s", sys.Name, ca.name, n, s)
-		}
-		ups = append(ups, state.PosUpdate{Pos: p, Val: v})
-	}
-	return ups, nil
 }
 
 // Successors computes all states t such that ⟨s, t⟩ satisfies every
@@ -398,8 +382,8 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 	}
 
-	// Gather each component's choices in state s, resolving update maps to
-	// positional form once so each candidate below costs one slice copy.
+	// Gather each component's choices in state s; each is a positional
+	// update, so each candidate below costs one slice copy.
 	perComp := make([][]choice, len(compiled))
 	comboCount := 1
 	for i, cc := range compiled {
@@ -407,11 +391,11 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		for ai := range cc.actions {
 			ca := &cc.actions[ai]
 			dep := primesFree(ca.primed)
-			for _, up := range ca.exec(s) {
-				ups, err := sys.posUpdates(ca, s, up)
-				if err != nil {
-					return nil, err
-				}
+			cands, err := ca.updates(s)
+			if err != nil {
+				return nil, fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
+			}
+			for _, ups := range cands {
 				chs = append(chs, choice{action: ca, ups: ups, defFreeDep: dep})
 			}
 		}
@@ -443,20 +427,6 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 		freePos[i] = state.PosUpdate{Pos: p}
 		freeDoms[i] = sys.Domains[v]
-	}
-
-	evalOn := func(kind, name string, pred form.CompiledPred, e form.Expr, st state.Step) (bool, error) {
-		var ok bool
-		var err error
-		if pred != nil {
-			ok, err = pred(st)
-		} else {
-			ok, err = form.EvalBool(e, st, nil)
-		}
-		if err != nil {
-			return false, fmt.Errorf("system %s: %s %s on %s: %w", sys.Name, kind, name, st, err)
-		}
-		return ok, nil
 	}
 
 	seen := store.NewSet() // fingerprint dedup; Key() stays out of this hot path
@@ -514,7 +484,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 						if ch.defFreeDep {
 							continue
 						}
-						ok, err := evalOn("action", ch.action.name, ch.action.pred, ch.action.def, st)
+						ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st)
 						if err != nil {
 							return nil, err
 						}
@@ -525,7 +495,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 					}
 					if valid {
 						for _, c := range consIndep {
-							ok, err := evalOn("constraint", c.name, c.pred, c.action, st)
+							ok, err := sys.evalStep("constraint", c.name, c.pred, st)
 							if err != nil {
 								return nil, err
 							}
@@ -549,7 +519,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 						if !ch.defFreeDep {
 							continue
 						}
-						ok, err := evalOn("action", ch.action.name, ch.action.pred, ch.action.def, st)
+						ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st)
 						if err != nil {
 							return nil, err
 						}
@@ -560,7 +530,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 					}
 					if valid {
 						for _, c := range consDep {
-							ok, err := evalOn("constraint", c.name, c.pred, c.action, st)
+							ok, err := sys.evalStep("constraint", c.name, c.pred, st)
 							if err != nil {
 								return nil, err
 							}
@@ -598,6 +568,16 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 	}
 	return out, nil
+}
+
+// evalStep evaluates an action definition or step constraint, compiled
+// against the system layout, on a candidate step.
+func (sys *System) evalStep(kind, name string, pred form.CompiledPred, st state.Step) (bool, error) {
+	ok, err := pred(st)
+	if err != nil {
+		return false, fmt.Errorf("system %s: %s %s on %s: %w", sys.Name, kind, name, st, err)
+	}
+	return ok, nil
 }
 
 // reductionCounters accumulates reduction statistics across concurrent
@@ -640,14 +620,6 @@ func (rc *reductionCounters) stats() engine.ReductionStats {
 // The returned list always ends with s: TLA behaviors permit stuttering, so
 // every state keeps its self-loop, exactly as in full expansion.
 func (sys *System) ampleSuccessors(cs *compiledSystem, free []string, plan *reduce.PORPlan, skipC3 bool, s *state.State, committed func(*state.State) bool, rc *reductionCounters) ([]*state.State, error) {
-	evalStep := func(kind, name string, pred form.CompiledPred, e form.Expr, st state.Step) (bool, error) {
-		ok, err := pred(st)
-		if err != nil {
-			return false, fmt.Errorf("system %s: %s %s on %s: %w", sys.Name, kind, name, st, err)
-		}
-		return ok, nil
-	}
-
 nextComponent:
 	for j := range cs.comps {
 		if !plan.Eligible(j) {
@@ -658,17 +630,17 @@ nextComponent:
 		var amp []*state.State
 		for ai := range cc.actions {
 			ca := &cc.actions[ai]
-			for _, up := range ca.exec(s) {
-				ups, err := sys.posUpdates(ca, s, up)
-				if err != nil {
-					return nil, err
-				}
+			cands, err := ca.updates(s)
+			if err != nil {
+				return nil, fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
+			}
+			for _, ups := range cands {
 				t := s.CloneWith(ups)
 				if t.Equal(s) || seen.Has(t) {
 					continue
 				}
 				st := state.Step{From: s, To: t}
-				ok, err := evalStep("action", ca.name, ca.pred, ca.def, st)
+				ok, err := sys.evalStep("action", ca.name, ca.pred, st)
 				if err != nil {
 					return nil, err
 				}
@@ -677,7 +649,7 @@ nextComponent:
 				}
 				for ci := range cs.constraints {
 					c := &cs.constraints[ci]
-					ok, err = evalStep("constraint", c.name, c.pred, c.action, st)
+					ok, err = sys.evalStep("constraint", c.name, c.pred, st)
 					if err != nil {
 						return nil, err
 					}

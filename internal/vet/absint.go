@@ -18,9 +18,9 @@ import (
 // over-approximations, per-action write sets, guard satisfiability, and a
 // state-space cardinality upper bound (attached to the Result as Bound).
 //
-// The pass activates when the caller declares variable domains — the same
-// signal that enables the Exec audit — so minimal unit-test compositions
-// without domains are not flooded with finiteness findings.
+// The pass activates when the caller declares variable domains, so minimal
+// unit-test compositions without domains are not flooded with finiteness
+// findings.
 func checkSemantic(res *Result, name string, comps []*spec.Component, cons []ts.StepConstraint, opt Options) {
 	if len(opt.Domains) == 0 {
 		return

@@ -31,7 +31,7 @@ func TestDeadActionDiagnostics(t *testing.T) {
 			c := clean()
 			c.Actions = []spec.Action{{Name: "A", Def: tc.def}}
 			c.Fairness = nil
-			res := Component(c, Options{})
+			res := Component(c)
 			if got := hasCode(res, "SV050"); got != tc.dead {
 				t.Errorf("SV050 = %v, want %v\n%s", got, tc.dead, res)
 			}

@@ -41,7 +41,7 @@ func TestFairnessDiagnostics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := clean()
 			tc.mutate(c)
-			res := Component(c, Options{})
+			res := Component(c)
 			if tc.want == "" {
 				if len(res.Diagnostics) != 0 {
 					t.Errorf("unexpected diagnostics:\n%s", res)
@@ -63,7 +63,7 @@ func TestStrongFairnessLocation(t *testing.T) {
 	c := clean()
 	c.Fairness[0].Kind = form.Strong
 	c.Fairness[0].Sub = form.PrimedVar("x")
-	res := Component(c, Options{})
+	res := Component(c)
 	if d := diag(t, res, "SV030"); d.Action != "SF[0]" {
 		t.Errorf("location = %q, want SF[0]", d.Action)
 	}

@@ -42,7 +42,7 @@ func TestFreeVarDiagnostics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := clean()
 			tc.mutate(c)
-			res := Component(c, Options{})
+			res := Component(c)
 			if tc.want == "" {
 				if len(res.Diagnostics) != 0 {
 					t.Errorf("unexpected diagnostics:\n%s", res)

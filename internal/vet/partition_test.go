@@ -25,7 +25,7 @@ func TestPartitionDiagnostics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Component(tc.comp, Options{})
+			res := Component(tc.comp)
 			if tc.want == "" {
 				if hasCode(res, "SV010") {
 					t.Errorf("unexpected SV010:\n%s", res)

@@ -9,7 +9,7 @@ import (
 
 func TestVarUsageDiagnostics(t *testing.T) {
 	t.Run("all-referenced", func(t *testing.T) {
-		res := Component(clean(), Options{})
+		res := Component(clean())
 		if hasCode(res, "SV060") {
 			t.Errorf("fully-referenced component flagged:\n%s", res)
 		}
@@ -17,7 +17,7 @@ func TestVarUsageDiagnostics(t *testing.T) {
 	t.Run("unreferenced-input", func(t *testing.T) {
 		c := clean()
 		c.Inputs = append(c.Inputs, "spare")
-		res := Component(c, Options{})
+		res := Component(c)
 		d := diag(t, res, "SV060")
 		if d.Severity != Info || d.Component != "clean" {
 			t.Errorf("SV060 = %+v", d)
@@ -28,7 +28,7 @@ func TestVarUsageDiagnostics(t *testing.T) {
 		c := clean()
 		c.Inputs = append(c.Inputs, "spare")
 		c.Fairness[0].Sub = form.VarTuple("x", "h", "spare")
-		res := Component(c, Options{})
+		res := Component(c)
 		if hasCode(res, "SV060") {
 			t.Errorf("subscript reference not counted:\n%s", res)
 		}
@@ -37,7 +37,7 @@ func TestVarUsageDiagnostics(t *testing.T) {
 		c := clean()
 		c.Actions[0].Def = form.Exists("d", value.Ints(0, 1),
 			form.Eq(form.PrimedVar("x"), form.Var("d")))
-		res := Component(c, Options{})
+		res := Component(c)
 		d := diag(t, res, "SV061")
 		if d.Severity != Warn || d.Action != "Inc" {
 			t.Errorf("SV061 = %+v", d)
@@ -47,7 +47,7 @@ func TestVarUsageDiagnostics(t *testing.T) {
 		c := clean()
 		c.Actions[0].Def = form.Exists("$v", value.Ints(0, 1),
 			form.Eq(form.PrimedVar("x"), form.Var("$v")))
-		res := Component(c, Options{})
+		res := Component(c)
 		if hasCode(res, "SV061") {
 			t.Errorf("fresh binder flagged:\n%s", res)
 		}

@@ -31,8 +31,6 @@
 //	SV032 error  fairness action constrains a non-owned variable
 //	SV033 warn   fairness subscript contains no owned variable
 //	SV034 info   fairness subscript mixes inputs with owned variables
-//	SV040 error  Exec generator writes a variable outside the owned set
-//	SV041 error  Exec generator panicked during sampling
 //	SV050 warn   action definition is syntactically unsatisfiable (dead)
 //	SV060 info   declared variable never referenced
 //	SV061 warn   quantifier binds a name shadowing a declared variable
@@ -228,12 +226,9 @@ func (r *Result) String() string {
 
 // Options tunes an analysis run.
 type Options struct {
-	// Domains enables Exec-generator sampling (SV040/SV041) when it covers
-	// every variable of the component under analysis; nil disables it.
+	// Domains are the declared variable domains; they enable the semantic
+	// pass (SV1xx) of Composition. nil disables it.
 	Domains map[string][]value.Value
-	// ExecSamples bounds the states sampled per component by the Exec
-	// audit; 0 means the default of 64.
-	ExecSamples int
 	// RequireDisjoint raises missing-Disjoint-coverage (SV020) from info
 	// to warn. Set it when the composition's correctness argument relies
 	// on the interleaving hypothesis of Proposition 4 (as every
@@ -241,22 +236,14 @@ type Options struct {
 	RequireDisjoint bool
 }
 
-func (opt Options) execSamples() int {
-	if opt.ExecSamples > 0 {
-		return opt.ExecSamples
-	}
-	return 64
-}
-
 // Component runs every per-component analysis on c.
-func Component(c *spec.Component, opt Options) *Result {
+func Component(c *spec.Component) *Result {
 	res := &Result{}
 	checkPartition(res, c)
 	checkFreeVars(res, c)
 	checkFairness(res, c)
 	checkDeadActions(res, c)
 	checkVarUsage(res, c)
-	checkExecs(res, c, opt)
 	return res
 }
 
@@ -268,7 +255,7 @@ func Component(c *spec.Component, opt Options) *Result {
 func Composition(name string, comps []*spec.Component, cons []ts.StepConstraint, opt Options) *Result {
 	res := &Result{}
 	for _, c := range comps {
-		res.Merge(Component(c, opt))
+		res.Merge(Component(c))
 	}
 	checkOwnership(res, comps)
 	checkDisjointCoverage(res, name, comps, cons, opt)

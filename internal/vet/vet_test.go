@@ -59,7 +59,7 @@ func clean() *spec.Component {
 }
 
 func TestCleanComponentHasNoFindings(t *testing.T) {
-	res := Component(clean(), Options{})
+	res := Component(clean())
 	if len(res.Diagnostics) != 0 {
 		t.Errorf("clean component produced diagnostics:\n%s", res)
 	}
