@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&k, "K", 2, "alias for -k")
 	vetFlag := fs.String("vet", "warn", "static pre-check mode: strict | warn | off")
 	mutate := fs.String("mutate", "", "plant a named faultinject vet mutation before checking (analyzer testing aid)")
-	reduceFlag := fs.String("reduce", "off", "state-space reduction for safety-only obligations: off | por | sym | por,sym")
+	reduceFlag := fs.String("reduce", "off", "symmetry reduction for safety-only obligations: off|sym")
 	bf := engine.AddBudgetFlags(fs)
 	workers := engine.AddWorkersFlag(fs)
 	of := obs.AddFlags(fs)

@@ -481,6 +481,8 @@ func TestWorkersAndReduceValidation(t *testing.T) {
 		{"very negative workers", []string{"-model", "circular", "-workers", "-100000"}, "-workers must be >= 1"},
 		{"absurd workers", []string{"-model", "circular", "-workers", "1000000"}, "exceeds the maximum"},
 		{"bad reduce mode", []string{"-model", "circular", "-reduce", "magic"}, `invalid -reduce mode "magic"`},
+		{"removed por mode", []string{"-model", "circular", "-reduce", "por"}, "want off|sym"},
+		{"removed por,sym mode", []string{"-model", "queues", "-reduce", "por,sym"}, "want off|sym"},
 		{"reduce on corollary", []string{"-model", "corollary", "-reduce", "sym"}, "not supported for the corollary"},
 	}
 	for _, tc := range tests {
@@ -499,7 +501,7 @@ func TestWorkersAndReduceValidation(t *testing.T) {
 // TestReduceFlagStillValidates: the reduced pipeline decides the same
 // verdict as the full one on a small theorem instance.
 func TestReduceFlagStillValidates(t *testing.T) {
-	for _, mode := range []string{"por", "sym", "por,sym"} {
+	for _, mode := range []string{"off", "sym"} {
 		var out, errb bytes.Buffer
 		args := []string{"-model", "arbiter", "-reduce", mode}
 		if code := run(args, &out, &errb); code != 0 {

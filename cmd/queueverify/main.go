@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&k, "K", 2, "alias for -k")
 	verbose := fs.Bool("v", false, "print graph sizes")
 	vetFlag := fs.String("vet", "warn", "static pre-check mode: strict | warn | off")
-	reduceFlag := fs.String("reduce", "off", "state-space reduction for safety-only obligations: off | por | sym | por,sym")
+	reduceFlag := fs.String("reduce", "off", "symmetry reduction for safety-only obligations: off|sym")
 	bf := engine.AddBudgetFlags(fs)
 	workers := engine.AddWorkersFlag(fs)
 	of := obs.AddFlags(fs)

@@ -265,6 +265,8 @@ func TestWorkersAndReduceValidation(t *testing.T) {
 		{"very negative workers", []string{"-workers", "-100000"}, "-workers must be >= 1"},
 		{"absurd workers", []string{"-workers", "1000000"}, "exceeds the maximum"},
 		{"bad reduce mode", []string{"-reduce", "magic"}, `invalid -reduce mode "magic"`},
+		{"removed por mode", []string{"-reduce", "por"}, "want off|sym"},
+		{"removed por,sym mode", []string{"-reduce", "por,sym"}, "want off|sym"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -332,11 +334,11 @@ func TestTraceOutput(t *testing.T) {
 // end with reduction enabled, and reports the reduced CQ build as such.
 func TestReduceFlagVerifies(t *testing.T) {
 	var out, errb bytes.Buffer
-	args := []string{"-n", "1", "-k", "2", "-reduce", "por,sym"}
+	args := []string{"-n", "1", "-k", "2", "-reduce", "sym"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("run(%v) = %d, want 0 (stderr %q)", args, code, errb.String())
 	}
-	if !strings.Contains(out.String(), "[reduced: por,sym]") {
+	if !strings.Contains(out.String(), "[reduced: sym]") {
 		t.Errorf("stdout missing reduced-build marker:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "VALID") {

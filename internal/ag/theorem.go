@@ -89,14 +89,12 @@ type Theorem struct {
 	// Resume, when true (with Cache set), continues interrupted graph
 	// builds from their saved checkpoints.
 	Resume bool
-	// Reduce selects state-space reductions (POR and/or symmetry) for the
-	// safety-only graphs of the check — the closure LHS and the
-	// guarantees-only graph (also the +v monitor base). Hypothesis 2b needs
-	// fairness, so its full graph is never reduced. Requested modes that fail validation
-	// (a symmetry group the system or properties do not respect, step
-	// constraints the POR analysis cannot read) are disabled with a
-	// flight-recorder note rather than erroring: reduction is an
-	// optimization, and the verdict is identical either way.
+	// Reduce selects symmetry reduction for the safety-only graphs of the
+	// check — the closure LHS and the guarantees-only graph (also the +v
+	// monitor base). Hypothesis 2b needs fairness, so its full graph is
+	// never reduced. A symmetry group the system or properties do not
+	// respect is disabled with a flight-recorder note rather than erroring:
+	// reduction is an optimization, and the verdict is identical either way.
 	Reduce reduce.Options
 	// Symmetry declares the permutation group for Reduce.Sym.
 	Symmetry *reduce.Symmetry
@@ -294,8 +292,7 @@ func (th *Theorem) lhsSystem(name string, withEnv, safetyOnly bool) *ts.System {
 // conclusion's assumption and (mapping-substituted) guarantee, the mapping
 // state functions themselves, the +v subscript, and Proposition 4's
 // Disjoint(e, m). A declared symmetry must leave all of them invariant for
-// canonicalization to preserve verdicts, and their variables are exactly
-// what POR must keep visible.
+// canonicalization to preserve verdicts.
 func (th *Theorem) propertyExprs() []form.Expr {
 	var out []form.Expr
 	addComp := func(c *spec.Component, mapping map[string]form.Expr) {
@@ -331,73 +328,49 @@ func (th *Theorem) propertyExprs() []form.Expr {
 	return out
 }
 
-// buildReduce resolves the requested reductions into a validated config, or
+// buildReduce resolves the requested reduction into a validated config, or
 // nil when nothing (usable) was requested. Unlike ts.System — where an
 // invalid symmetry declaration is a hard error — a theorem check silently
-// drops modes that fail validation, noting why: the reduced and full checks
-// decide the same question.
+// drops a group that fails validation, noting why: the reduced and full
+// checks decide the same question.
 func (th *Theorem) buildReduce(m *engine.Meter) *reduce.Config {
 	if !th.Reduce.Any() {
 		return nil
 	}
-	opts := th.Reduce
-	props := th.propertyExprs()
-	if opts.Sym {
-		sym := th.Symmetry
-		disable := func(why string) {
-			m.Note("reduce", fmt.Sprintf("%s: symmetry disabled: %s", th.Name, why))
-			opts.Sym = false
-		}
-		if sym == nil {
-			disable("no symmetry group declared")
-		} else {
-			for _, e := range props {
-				if err := sym.CheckValueInvariant(e); err != nil {
-					disable(fmt.Sprintf("property %s: %v", e, err))
-					break
-				}
-				if err := sym.CheckBlockInvariant(e); err != nil {
-					disable(fmt.Sprintf("property %s: %v", e, err))
-					break
-				}
-			}
-		}
-		// Dry-run the system-level validation on both reduced LHS shapes
-		// (with and without the conclusion's environment): BuildWith errors
-		// on an invalid declaration, and a graceful disable must happen here.
-		for _, withEnv := range []bool{true, false} {
-			if !opts.Sym {
-				break
-			}
-			sys := th.lhsSystem(th.Name+"/reduce-dryrun", withEnv, true)
-			steps := make([]reduce.NamedExpr, 0, len(sys.Constraints))
-			for _, sc := range sys.Constraints {
-				steps = append(steps, reduce.NamedExpr{Name: sc.Name, E: sc.Action})
-			}
-			inits := make([]reduce.NamedExpr, 0, len(sys.InitConstraints))
-			for i, ic := range sys.InitConstraints {
-				inits = append(inits, reduce.NamedExpr{Name: fmt.Sprintf("init-%d", i), E: ic})
-			}
-			if err := sym.Validate(sys.Components, steps, inits, sys.Domains); err != nil {
-				disable(err.Error())
-			}
-		}
-	}
-	if !opts.Any() {
+	sym := th.Symmetry
+	disable := func(why string) *reduce.Config {
+		m.Note("reduce", fmt.Sprintf("%s: symmetry disabled: %s", th.Name, why))
 		return nil
 	}
-	visible := make(map[string]bool)
-	for _, e := range props {
-		for _, v := range form.AllVars(e) {
-			visible[v] = true
+	if sym == nil {
+		return disable("no symmetry group declared")
+	}
+	for _, e := range th.propertyExprs() {
+		if err := sym.CheckValueInvariant(e); err != nil {
+			return disable(fmt.Sprintf("property %s: %v", e, err))
+		}
+		if err := sym.CheckBlockInvariant(e); err != nil {
+			return disable(fmt.Sprintf("property %s: %v", e, err))
 		}
 	}
-	vis := make([]string, 0, len(visible))
-	for v := range visible {
-		vis = append(vis, v)
+	// Dry-run the system-level validation on both reduced LHS shapes (with
+	// and without the conclusion's environment): BuildWith errors on an
+	// invalid declaration, and a graceful disable must happen here.
+	for _, withEnv := range []bool{true, false} {
+		sys := th.lhsSystem(th.Name+"/reduce-dryrun", withEnv, true)
+		steps := make([]reduce.NamedExpr, 0, len(sys.Constraints))
+		for _, sc := range sys.Constraints {
+			steps = append(steps, reduce.NamedExpr{Name: sc.Name, E: sc.Action})
+		}
+		inits := make([]reduce.NamedExpr, 0, len(sys.InitConstraints))
+		for i, ic := range sys.InitConstraints {
+			inits = append(inits, reduce.NamedExpr{Name: fmt.Sprintf("init-%d", i), E: ic})
+		}
+		if err := sym.Validate(sys.Components, steps, inits, sys.Domains); err != nil {
+			return disable(err.Error())
+		}
 	}
-	sort.Strings(vis)
-	return &reduce.Config{Options: opts, Symmetry: th.Symmetry, Visible: vis}
+	return &reduce.Config{Options: th.Reduce, Symmetry: sym}
 }
 
 // validate checks the structural requirements of the theorem instance.

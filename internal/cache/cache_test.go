@@ -90,6 +90,14 @@ func sameSnapshot(a, b *ts.Snapshot) error {
 	if fmt.Sprint(a.Targets) != fmt.Sprint(b.Targets) {
 		return fmt.Errorf("targets: %v vs %v", a.Targets, b.Targets)
 	}
+	if len(a.EdgeStates) != len(b.EdgeStates) {
+		return fmt.Errorf("edge states: %d vs %d", len(a.EdgeStates), len(b.EdgeStates))
+	}
+	for k := range a.EdgeStates {
+		if !a.EdgeStates[k].Equal(b.EdgeStates[k]) {
+			return fmt.Errorf("edge state %d: %s vs %s", k, a.EdgeStates[k], b.EdgeStates[k])
+		}
+	}
 	return nil
 }
 

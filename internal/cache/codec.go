@@ -182,7 +182,10 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 	}
 	snap.Level = int(level)
 
-	nvars, err := r.uvarint()
+	// Every count is checked against the bytes left before anything is
+	// sized from it: the checksum proves only that the file is intact, not
+	// that its writer was correct.
+	nvars, err := r.count("nvars")
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +195,17 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 			return nil, err
 		}
 	}
-	nstates, err := r.uvarint()
+	nstates, err := r.count("nstates")
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case nvars == 0 && nstates > 1:
+		// States binding no variables are all one state, and a graph holds
+		// each state once.
+		return nil, fmt.Errorf("snapshot has %d states binding no variables", nstates)
+	case nvars > 0 && nstates > r.left()/nvars:
+		return nil, fmt.Errorf("snapshot nstates×nvars %d×%d exceeds the %d bytes left at offset %d", nstates, nvars, r.left(), r.off)
 	}
 	snap.States = make([]*state.State, nstates)
 	binding := make(map[string]value.Value, len(vars))
@@ -208,7 +219,7 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		}
 		snap.States[i] = state.New(binding)
 	}
-	ninits, err := r.uvarint()
+	ninits, err := r.count("ninits")
 	if err != nil {
 		return nil, err
 	}
@@ -220,19 +231,21 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		}
 		snap.Inits[i] = int(id)
 	}
-	nrows, err := r.uvarint()
+	nrows, err := r.count("nrows")
 	if err != nil {
 		return nil, err
 	}
 	snap.Offsets = make([]int, nrows+1)
 	total := 0
-	for i := 0; i < int(nrows); i++ {
+	for i := 0; i < nrows; i++ {
 		snap.Offsets[i] = total
-		n, err := r.uvarint()
+		n, err := r.count("row length")
 		if err != nil {
 			return nil, err
 		}
-		total += int(n)
+		if total += n; total > r.left() {
+			return nil, fmt.Errorf("snapshot total targets %d exceeds the %d bytes left at offset %d", total, r.left(), r.off)
+		}
 	}
 	snap.Offsets[nrows] = total
 	snap.Targets = make([]int32, total)
@@ -240,6 +253,9 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		t, err := r.uvarint()
 		if err != nil {
 			return nil, err
+		}
+		if t >= uint64(nstates) {
+			return nil, fmt.Errorf("edge %d target %d out of range", i, t)
 		}
 		snap.Targets[i] = int32(t)
 	}
@@ -252,11 +268,7 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 			}
 			switch marker {
 			case 0:
-				t := snap.Targets[k]
-				if int(t) >= len(snap.States) {
-					return nil, fmt.Errorf("edge %d target %d out of range", k, t)
-				}
-				snap.EdgeStates[k] = snap.States[t]
+				snap.EdgeStates[k] = snap.States[snap.Targets[k]]
 			case 1:
 				for _, v := range vars {
 					val, err := r.value(0)
@@ -319,6 +331,23 @@ const maxNesting = 64
 type reader struct {
 	buf []byte
 	off int
+}
+
+// left returns the number of unread payload bytes.
+func (r *reader) left() int { return len(r.buf) - r.off }
+
+// count reads an element count and rejects one larger than the bytes left:
+// every element a count announces takes at least one byte, so a larger
+// count is corrupt, and trusting it would size an allocation from the file.
+func (r *reader) count(what string) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.left()) {
+		return 0, fmt.Errorf("snapshot %s %d exceeds the %d bytes left at offset %d", what, n, r.left(), r.off)
+	}
+	return int(n), nil
 }
 
 func (r *reader) byte() (byte, error) {

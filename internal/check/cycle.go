@@ -79,8 +79,7 @@ func (w *LassoWitness) ToLasso(g *ts.Graph) *state.Lasso {
 // spuriously empty (property-proving) answer from a truncated search.
 func FindFairLasso(g *ts.Graph, q LassoQuery) (*LassoWitness, error) {
 	// Reduction preserves safety (all reachable states modulo symmetry, real
-	// steps on every edge) but NOT fair-cycle structure: POR may postpone
-	// the very interleavings a fairness condition needs, and symmetry quotient
+	// steps on every edge) but NOT fair-cycle structure: symmetry quotient
 	// cycles need not lift to fair cycles of the full system. Refusing here
 	// is what lets the rest of the pipeline thread reduction into
 	// safety-only obligations without auditing every caller.

@@ -111,40 +111,20 @@ type Observer interface {
 	ObserveReduction(op string, s ReductionStats)
 }
 
-// ReductionStats counts the work a reduced exploration did and avoided:
-// partial-order ample expansions vs full expansions, their successor counts,
-// and the successor slots symmetry canonicalization redirected to an orbit
-// representative. The exploration layer reports them through
-// Meter.NoteReduction once per build.
+// ReductionStats counts the work a symmetry-reduced exploration did and
+// avoided: the states expanded, the successors they produced, and the
+// successor slots canonicalization redirected to an orbit representative.
+// The exploration layer reports them through Meter.NoteReduction once per
+// build.
 type ReductionStats struct {
-	// AmpleStates/FullStates partition the expanded states by whether the
-	// ample set was used or expansion fell back to the full successor set.
-	AmpleStates int64
-	FullStates  int64
-	// AmpleSuccs/FullSuccs count the successors produced by each kind of
-	// expansion; comparing their per-state averages shows the branching
-	// reduction POR achieved.
-	AmpleSuccs int64
+	// FullStates counts the expanded states and FullSuccs the successors
+	// they produced.
+	FullStates int64
 	FullSuccs  int64
 	// SymCollapsed counts successor slots whose state was replaced by a
 	// different canonical representative — each is a potential duplicate
 	// orbit state the graph did not have to explore.
 	SymCollapsed int64
-}
-
-// Any reports whether the stats record any reduction activity.
-func (s ReductionStats) Any() bool {
-	return s.AmpleStates != 0 || s.FullStates != 0 || s.SymCollapsed != 0
-}
-
-// AmpleHitRate returns the fraction of expanded states served by an ample
-// set, in [0,1] (0 when nothing was expanded).
-func (s ReductionStats) AmpleHitRate() float64 {
-	total := s.AmpleStates + s.FullStates
-	if total == 0 {
-		return 0
-	}
-	return float64(s.AmpleStates) / float64(total)
 }
 
 // Budget bounds an exploration. The zero value is unlimited.

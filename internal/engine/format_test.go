@@ -119,8 +119,8 @@ func (l *eventLog) ObserveLevel(op string, level, width, workers, totalStates in
 func (l *eventLog) ObserveReduction(op string, s ReductionStats) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, fmt.Sprintf("reduce: %s ample=%d full=%d sym=%d",
-		op, s.AmpleStates, s.FullStates, s.SymCollapsed))
+	l.events = append(l.events, fmt.Sprintf("reduce: %s full=%d sym=%d",
+		op, s.FullStates, s.SymCollapsed))
 }
 
 func (l *eventLog) snapshot() []string {

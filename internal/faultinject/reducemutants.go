@@ -14,9 +14,9 @@ import (
 
 // ReduceMutation is one injected reduction-soundness fault. Unlike the spec
 // mutations of Catalog, which corrupt the Figure 9 theorem instance, a
-// reduction mutant flips exactly one sabotage seam of internal/reduce
-// (see reduce.Sabotage) and pairs it with a miniature system whose safety
-// verdict that seam demonstrably flips: the probe formula decides
+// reduction mutant flips exactly one symmetry sabotage seam of
+// internal/reduce (see reduce.Sabotage) and pairs it with a miniature
+// system whose safety verdict that seam demonstrably flips: the probe formula decides
 // differently on the sabotaged reduced graph than on the full graph. The
 // reduced-vs-full cross-check is the detector; a surviving mutant means
 // that cross-check could miss a reduction bug of the same shape.
@@ -29,23 +29,17 @@ type ReduceMutation struct {
 	// expose the seam.
 	System func() *ts.System
 	// Probe is the safety property whose verdict the sabotage flips. It is
-	// invariant under Symmetry (when set), so full, soundly-reduced, and
-	// sabotaged graphs are all legitimately comparable on it.
+	// invariant under Symmetry, so full, soundly-reduced, and sabotaged
+	// graphs are all legitimately comparable on it.
 	Probe form.Formula
-	// Options, Symmetry, and Visible configure the (sound) reduction the
-	// seam corrupts.
-	Options  reduce.Options
+	// Symmetry is the group of the (sound) reduction the seam corrupts.
 	Symmetry *reduce.Symmetry
-	Visible  []string
 }
 
+// config returns the symmetry reduction of the mutant, broken by sab when
+// sab is non-nil.
 func (mu *ReduceMutation) config(sab *reduce.Sabotage) *reduce.Config {
-	return &reduce.Config{
-		Options:  mu.Options,
-		Symmetry: mu.Symmetry,
-		Visible:  mu.Visible,
-		Sabotage: sab,
-	}
+	return &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: mu.Symmetry, Sabotage: sab}
 }
 
 // RunReduce checks every reduction mutant: first that the soundly reduced
@@ -117,35 +111,6 @@ func tuplesUpTo2(vals []value.Value) []value.Value {
 	return dom
 }
 
-// oneShot is a component owning a single 0/1 variable with one action that
-// moves it from 0 to 1, the minimal unit of the POR mutants.
-func oneShot(name, v string) *spec.Component {
-	return &spec.Component{
-		Name:    name,
-		Outputs: []string{v},
-		Init:    form.Eq(form.Var(v), form.IntC(0)),
-		Actions: []spec.Action{{
-			Name: "Fire",
-			Def: form.And(
-				form.Eq(form.Var(v), form.IntC(0)),
-				form.Eq(form.PrimedVar(v), form.IntC(1)),
-			),
-		}},
-	}
-}
-
-func bit01() []value.Value { return value.Ints(0, 1) }
-
-// disjointXY imposes interleaving on the two named single-variable owners,
-// the Disjoint shape the POR planner derives independence from.
-func disjointXY(x, y string) []ts.StepConstraint {
-	var out []ts.StepConstraint
-	for i, sq := range form.DisjointSteps([]string{x}, []string{y}) {
-		out = append(out, ts.StepConstraint{Name: fmt.Sprintf("disjoint-%d", i), Action: sq})
-	}
-	return out
-}
-
 // ReduceCatalog returns one mutant per sabotage seam of reduce.Sabotage.
 // Every mutant must be detected — see the package test, which asserts zero
 // survivors.
@@ -189,7 +154,6 @@ func ReduceCatalog() []ReduceMutation {
 				form.Not(form.Eq(form.Var("t"), tupleC(0, 1))),
 				form.Not(form.Eq(form.Var("t"), tupleC(1, 0))),
 			)),
-			Options:  reduce.Options{Sym: true},
 			Symmetry: &reduce.Symmetry{Values: vals01(), Vars: []string{"t"}},
 		},
 		{
@@ -222,91 +186,7 @@ func ReduceCatalog() []ReduceMutation {
 				}
 			},
 			Probe:    form.AlwaysPred(form.Eq(form.Var("t"), form.TupleOf(form.Var("x")))),
-			Options:  reduce.Options{Sym: true},
 			Symmetry: &reduce.Symmetry{Values: vals01(), Vars: []string{"t", "x"}},
-		},
-		{
-			Name: "por-skip-c3",
-			Description: "ample expansion ignores the cycle proviso (C3): the toggler's " +
-				"x 0<->1 cycle is explored as a closed pair of ample steps that postpones " +
-				"the one-shot component forever, so y = 1 is never reached on the " +
-				"sabotaged graph while the full graph reaches it",
-			Sabotage: reduce.Sabotage{SkipC3: true},
-			System: func() *ts.System {
-				toggler := &spec.Component{
-					Name:    "toggler",
-					Outputs: []string{"x"},
-					Init:    form.Eq(form.Var("x"), form.IntC(0)),
-					Actions: []spec.Action{{
-						Name: "Toggle",
-						Def:  form.Eq(form.PrimedVar("x"), form.Sub(form.IntC(1), form.Var("x"))),
-					}},
-				}
-				return &ts.System{
-					Name:        "reduce-mutant/por-skip-c3",
-					Components:  []*spec.Component{toggler, oneShot("shot", "y")},
-					Constraints: disjointXY("x", "y"),
-					Domains:     map[string][]value.Value{"x": bit01(), "y": bit01()},
-				}
-			},
-			Probe:   form.AlwaysPred(form.Eq(form.Var("y"), form.IntC(0))),
-			Options: reduce.Options{POR: true},
-			Visible: []string{"y"},
-		},
-		{
-			Name: "por-ignore-visibility",
-			Description: "ample eligibility drops the C2 visibility check: both one-shot " +
-				"components write probed variables, so sound POR disables itself and " +
-				"explores all four interleavings, but the sabotaged build commits to one " +
-				"order and never generates the state (x=0, y=1) the probe forbids",
-			Sabotage: reduce.Sabotage{IgnoreVisibility: true},
-			System: func() *ts.System {
-				return &ts.System{
-					Name:        "reduce-mutant/por-ignore-visibility",
-					Components:  []*spec.Component{oneShot("left", "x"), oneShot("right", "y")},
-					Constraints: disjointXY("x", "y"),
-					Domains:     map[string][]value.Value{"x": bit01(), "y": bit01()},
-				}
-			},
-			Probe: form.AlwaysPred(form.Not(form.And(
-				form.Eq(form.Var("x"), form.IntC(0)),
-				form.Eq(form.Var("y"), form.IntC(1)),
-			))),
-			Options: reduce.Options{POR: true},
-			Visible: []string{"x", "y"},
-		},
-		{
-			Name: "por-ignore-dependence",
-			Description: "ample eligibility drops the static independence check (C1): the " +
-				"writer's x 0->1 step disables the reader's guard x = 0, so the sabotaged " +
-				"ample step at the initial state makes y = 1 unreachable while the full " +
-				"graph reaches it by firing the reader first",
-			Sabotage: reduce.Sabotage{IgnoreDependence: true},
-			System: func() *ts.System {
-				reader := &spec.Component{
-					Name:    "reader",
-					Inputs:  []string{"x"},
-					Outputs: []string{"y"},
-					Init:    form.Eq(form.Var("y"), form.IntC(0)),
-					Actions: []spec.Action{{
-						Name: "Probe",
-						Def: form.And(
-							form.Eq(form.Var("x"), form.IntC(0)),
-							form.Eq(form.Var("y"), form.IntC(0)),
-							form.Eq(form.PrimedVar("y"), form.IntC(1)),
-						),
-					}},
-				}
-				return &ts.System{
-					Name:        "reduce-mutant/por-ignore-dependence",
-					Components:  []*spec.Component{oneShot("writer", "x"), reader},
-					Constraints: disjointXY("x", "y"),
-					Domains:     map[string][]value.Value{"x": bit01(), "y": bit01()},
-				}
-			},
-			Probe:   form.AlwaysPred(form.Eq(form.Var("y"), form.IntC(0))),
-			Options: reduce.Options{POR: true},
-			Visible: []string{"y"},
 		},
 	}
 }

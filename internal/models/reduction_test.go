@@ -15,27 +15,13 @@ import (
 	"opentla/internal/ts"
 )
 
-// reductionModes returns the reduction configurations to cross-check for a
-// model: POR alone always, and the symmetry combinations when the model
-// declares a group.
-func reductionModes(m Model) []reduce.Options {
-	modes := []reduce.Options{{POR: true}}
-	if m.Symmetry != nil {
-		modes = append(modes, reduce.Options{Sym: true}, reduce.Options{POR: true, Sym: true})
-	}
-	return modes
-}
-
 // reductionProbe is a safety property checked on both the full and the
-// reduced graph. symOK marks probes that are invariant under the model's
-// declared symmetry group; only those may be cross-checked on
-// symmetry-reduced graphs (a non-invariant probe is allowed to disagree,
-// so a disagreement would not witness a reduction bug).
+// symmetry-reduced graph. Every probe is invariant under the model's
+// declared group (a non-invariant probe is allowed to disagree, so a
+// disagreement would not witness a reduction bug).
 type reductionProbe struct {
-	name    string
-	f       form.Formula
-	visible []string
-	symOK   bool
+	name string
+	f    form.Formula
 }
 
 // buildProbes assembles the cross-check properties for a model:
@@ -49,17 +35,11 @@ type reductionProbe struct {
 //     the value orbit are excluded (v = 0 is not invariant under value
 //     permutation); block variables stay because the models' initial
 //     bindings assign equal values across block positions.
-//   - pin-one: the init pin on a single variable, giving POR a small
-//     visible set so the ample machinery actually prunes. Not
-//     symmetry-invariant in general (it names one block position), so it
-//     runs only on POR-only graphs.
 func buildProbes(m Model, full *ts.Graph) []reductionProbe {
 	var boxes []form.Formula
 	for _, c := range m.Components {
 		boxes = append(boxes, c.Box())
 	}
-	allVars := full.States[full.Inits[0]].Vars()
-
 	orbit := make(map[string]bool)
 	if m.Symmetry != nil {
 		for _, v := range m.Symmetry.Vars {
@@ -68,21 +48,20 @@ func buildProbes(m Model, full *ts.Graph) []reductionProbe {
 	}
 	init := full.States[full.Inits[0]]
 	var pins []form.Expr
-	var pinVars []string
-	for _, v := range allVars {
-		if orbit[v] {
-			continue
+	for _, v := range init.Vars() {
+		if !orbit[v] {
+			pins = append(pins, form.Eq(form.Var(v), form.Const(init.MustGet(v))))
 		}
-		pins = append(pins, form.Eq(form.Var(v), form.Const(init.MustGet(v))))
-		pinVars = append(pinVars, v)
 	}
+	return []reductionProbe{
+		{name: "boxes", f: form.AndF(boxes...)},
+		{name: "init-pin", f: form.AlwaysPred(form.And(pins...))},
+	}
+}
 
-	probes := []reductionProbe{
-		{name: "boxes", f: form.AndF(boxes...), visible: allVars, symOK: true},
-		{name: "init-pin", f: form.AlwaysPred(form.And(pins...)), visible: pinVars, symOK: true},
-		{name: "pin-one", f: form.AlwaysPred(pins[0]), visible: pinVars[:1], symOK: false},
-	}
-	return probes
+// symConfig is the -reduce sym configuration of a model.
+func symConfig(m Model) *reduce.Config {
+	return &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: m.Symmetry}
 }
 
 func buildModel(t *testing.T, m Model, rd *reduce.Config, workers int) *ts.Graph {
@@ -98,57 +77,53 @@ func buildModel(t *testing.T, m Model, rd *reduce.Config, workers int) *ts.Graph
 }
 
 // TestReducedVsFullRegistry is the soundness cross-check the reduction
-// mutants of internal/faultinject must fail: for every bundled model and
-// every reduction mode, the reduced graph decides the same safety verdicts
-// as the full graph, produces a counterexample exactly when the full check
-// does, and never has more states. Run with -race and -cpu 1,4.
+// mutants of internal/faultinject must fail: for every bundled model with a
+// declared symmetry group, the reduced graph decides the same safety
+// verdicts as the full graph, produces a counterexample exactly when the
+// full check does, and never has more states. Run with -race and -cpu 1,4.
 func TestReducedVsFullRegistry(t *testing.T) {
 	// Value symmetry collapses data-distinguishing states in these models,
-	// so sym modes must strictly shrink them; a non-shrinking "reduction"
-	// means the canonicalizer silently stopped firing.
+	// so it must strictly shrink them; a non-shrinking "reduction" means the
+	// canonicalizer silently stopped firing.
 	strictSym := map[string]bool{"handshake": true, "queue": true, "doublequeue": true}
 
 	for _, m := range All() {
+		if m.Symmetry == nil {
+			continue
+		}
 		t.Run(m.Name, func(t *testing.T) {
 			full := buildModel(t, m, nil, 0)
-			probes := buildProbes(m, full)
-			for _, o := range reductionModes(m) {
-				for _, p := range probes {
-					if o.Sym && !p.symOK {
-						continue
+			red := buildModel(t, m, symConfig(m), 0)
+			for _, p := range buildProbes(m, full) {
+				t.Run("sym/"+p.name, func(t *testing.T) {
+					if len(red.States) > len(full.States) {
+						t.Errorf("reduced graph has MORE states than full: %d > %d",
+							len(red.States), len(full.States))
 					}
-					t.Run(o.String()+"/"+p.name, func(t *testing.T) {
-						rd := &reduce.Config{Options: o, Symmetry: m.Symmetry, Visible: p.visible}
-						red := buildModel(t, m, rd, 0)
-						if len(red.States) > len(full.States) {
-							t.Errorf("reduced graph has MORE states than full: %d > %d",
-								len(red.States), len(full.States))
-						}
-						if o.Sym && strictSym[m.Name] && len(red.States) >= len(full.States) {
-							t.Errorf("value symmetry did not shrink the graph: %d >= %d states",
-								len(red.States), len(full.States))
-						}
-						fr, err := check.Safety(full, p.f)
-						if err != nil {
-							t.Fatalf("full check: %v", err)
-						}
-						rr, err := check.Safety(red, p.f)
-						if err != nil {
-							t.Fatalf("reduced check: %v", err)
-						}
-						if fr.Holds != rr.Holds {
-							t.Errorf("verdict mismatch: full holds=%v, reduced holds=%v (%s / %s)",
-								fr.Holds, rr.Holds, fr.Violation, rr.Violation)
-						}
-						if !rr.Holds && len(rr.Trace) == 0 {
-							t.Errorf("reduced check violated without a counterexample trace")
-						}
-						if !fr.Holds && len(fr.Trace) == 0 {
-							t.Errorf("full check violated without a counterexample trace")
-						}
-						t.Logf("states full=%d reduced=%d holds=%v", len(full.States), len(red.States), rr.Holds)
-					})
-				}
+					if strictSym[m.Name] && len(red.States) >= len(full.States) {
+						t.Errorf("value symmetry did not shrink the graph: %d >= %d states",
+							len(red.States), len(full.States))
+					}
+					fr, err := check.Safety(full, p.f)
+					if err != nil {
+						t.Fatalf("full check: %v", err)
+					}
+					rr, err := check.Safety(red, p.f)
+					if err != nil {
+						t.Fatalf("reduced check: %v", err)
+					}
+					if fr.Holds != rr.Holds {
+						t.Errorf("verdict mismatch: full holds=%v, reduced holds=%v (%s / %s)",
+							fr.Holds, rr.Holds, fr.Violation, rr.Violation)
+					}
+					if !rr.Holds && len(rr.Trace) == 0 {
+						t.Errorf("reduced check violated without a counterexample trace")
+					}
+					if !fr.Holds && len(fr.Trace) == 0 {
+						t.Errorf("full check violated without a counterexample trace")
+					}
+					t.Logf("states full=%d reduced=%d holds=%v", len(full.States), len(red.States), rr.Holds)
+				})
 			}
 		})
 	}
@@ -179,25 +154,22 @@ func reducedSignature(g *ts.Graph) string {
 // per-edge real successors must be byte-identical at any worker count.
 func TestReducedBuildDeterministic(t *testing.T) {
 	for _, m := range All() {
-		for _, o := range reductionModes(m) {
-			t.Run(m.Name+"/"+o.String(), func(t *testing.T) {
-				mk := func(workers int) *ts.Graph {
-					rd := &reduce.Config{Options: o, Symmetry: m.Symmetry}
-					return buildModel(t, m, rd, workers)
-				}
-				want := reducedSignature(mk(1))
-				for _, workers := range []int{2, 4, 8} {
-					if got := reducedSignature(mk(workers)); got != want {
-						t.Errorf("reduced graph at workers=%d differs from sequential", workers)
-					}
-				}
-			})
+		if m.Symmetry == nil {
+			continue
 		}
+		t.Run(m.Name+"/sym", func(t *testing.T) {
+			want := reducedSignature(buildModel(t, m, symConfig(m), 1))
+			for _, workers := range []int{2, 4, 8} {
+				if got := reducedSignature(buildModel(t, m, symConfig(m), workers)); got != want {
+					t.Errorf("reduced graph at workers=%d differs from sequential", workers)
+				}
+			}
+		})
 	}
 }
 
 // TestReducedBuildFlightRecorder pins the observability side of -reduce
-// por,sym: a reduced build through an instrumented meter must land a
+// sym: a reduced build through an instrumented meter must land a
 // "reduce" event in the flight-recorder ring, a reduction section in the
 // run report, and the opentla_reduce_* counters in the metric snapshot.
 // Run with -race and -cpu 1,4: the recorder seams are the only shared
@@ -205,7 +177,7 @@ func TestReducedBuildDeterministic(t *testing.T) {
 func TestReducedBuildFlightRecorder(t *testing.T) {
 	for _, m := range All() {
 		if m.Symmetry == nil {
-			continue // por,sym needs a declared group
+			continue // sym needs a declared group
 		}
 		t.Run(m.Name, func(t *testing.T) {
 			meter := engine.NoLimit()
@@ -213,31 +185,19 @@ func TestReducedBuildFlightRecorder(t *testing.T) {
 			reg := metrics.NewRegistry()
 			rec.SetMetrics(reg)
 
-			// A small visible set (as -reduce derives from the checked
-			// property) keeps the ample machinery engaged; without one POR
-			// declines and only symmetry runs.
-			full := buildModel(t, m, nil, 0)
-			probes := buildProbes(m, full)
-
 			sys := m.System()
-			sys.Reduce = &reduce.Config{
-				Options:  reduce.Options{POR: true, Sym: true},
-				Symmetry: m.Symmetry,
-				Visible:  probes[len(probes)-1].visible,
-			}
+			sys.Reduce = symConfig(m)
 			sys.Workers = 4
 			if _, err := sys.BuildWith(meter); err != nil {
 				t.Fatalf("reduced build: %v", err)
 			}
 
-			// The ring may also hold advisory reduce events ("POR
-			// disabled: ..."); at least one must carry the tallies.
 			var statsEvents int
 			for _, e := range rec.Events() {
 				if e.Kind == "reduce" && strings.Contains(e.Msg, "sym-collapsed") {
 					statsEvents++
-					if !strings.Contains(e.Msg, "ample") {
-						t.Errorf("reduce event %q missing the ample tally", e.Msg)
+					if !strings.Contains(e.Msg, "expansions") {
+						t.Errorf("reduce event %q missing the expansion tally", e.Msg)
 					}
 				}
 			}
@@ -249,8 +209,11 @@ func TestReducedBuildFlightRecorder(t *testing.T) {
 			if rep.Reduction == nil {
 				t.Fatal("report has no reduction section")
 			}
-			if rep.Reduction.AmpleStates+rep.Reduction.FullStates == 0 {
+			if rep.Reduction.FullStates == 0 {
 				t.Errorf("reduction section counted no expansions: %+v", rep.Reduction)
+			}
+			if rep.Reduction.RemovedPORStates != 0 || rep.Reduction.RemovedPORSuccs != 0 {
+				t.Errorf("removed ample counters are nonzero: %+v", rep.Reduction)
 			}
 
 			byName := map[string]int64{}
@@ -259,7 +222,7 @@ func TestReducedBuildFlightRecorder(t *testing.T) {
 					byName[p.Name] = p.Value
 				}
 			}
-			if byName["opentla_reduce_ample_states_total"]+byName["opentla_reduce_full_states_total"] == 0 {
+			if byName["opentla_reduce_full_states_total"] == 0 {
 				t.Errorf("opentla_reduce_* counters absent from metrics snapshot: %v", byName)
 			}
 		})

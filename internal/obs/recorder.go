@@ -299,16 +299,14 @@ func (r *Recorder) ObserveReduction(op string, s engine.ReductionStats) {
 		return
 	}
 	r.mu.Lock()
-	r.reduction.AmpleStates += s.AmpleStates
 	r.reduction.FullStates += s.FullStates
-	r.reduction.AmpleSuccs += s.AmpleSuccs
 	r.reduction.FullSuccs += s.FullSuccs
 	r.reduction.SymCollapsed += s.SymCollapsed
 	r.pushEvent(Event{
 		T:    r.now().Sub(r.start),
 		Kind: "reduce",
-		Msg: fmt.Sprintf("%s: %d ample / %d full expansions, %d sym-collapsed successors",
-			op, s.AmpleStates, s.FullStates, s.SymCollapsed),
+		Msg: fmt.Sprintf("%s: %d expansions, %d sym-collapsed successors",
+			op, s.FullStates, s.SymCollapsed),
 	})
 	r.mu.Unlock()
 }

@@ -345,7 +345,7 @@ func goldenReport(t *testing.T) *Report {
 	m.NoteFrontier(6)
 	r.ObserveLevel("ts.Build(demo/closure)", 0, 6, 2, 6)
 	r.ObserveReduction("ts.Build(demo/closure)", engine.ReductionStats{
-		AmpleStates: 4, FullStates: 2, AmpleSuccs: 6, FullSuccs: 9, SymCollapsed: 3,
+		FullStates: 6, FullSuccs: 15, SymCollapsed: 3,
 	})
 	// A deterministic telemetry registry, pinning the metrics section shape.
 	reg := metrics.NewRegistry()
@@ -362,7 +362,7 @@ func goldenReport(t *testing.T) *Report {
 		K:         2,
 		Workers:   2,
 		MaxStates: 10,
-		Reduce:    "por,sym",
+		Reduce:    "sym",
 	}, engine.Unknown, lastErr.Error())
 	rep.Hypotheses = append(rep.Hypotheses, Hypothesis{Name: "H1: C(E) => E_1", Holds: true})
 	rep.Vet = &VetReport{

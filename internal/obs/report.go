@@ -74,8 +74,8 @@ type Config struct {
 	BudgetMS       int64  `json:"budget_ms"`
 	MaxStates      int    `json:"max_states"`
 	MaxTransitions int    `json:"max_transitions"`
-	// Reduce is the -reduce mode of the run ("por", "sym", "por,sym"),
-	// empty when reduction was off.
+	// Reduce is the -reduce mode of the run ("sym"), empty when reduction
+	// was off.
 	Reduce string `json:"reduce,omitempty"`
 }
 
@@ -131,17 +131,21 @@ func (c CacheStats) any() bool {
 	return c != CacheStats{}
 }
 
-// ReductionReport summarizes state-space reduction over one run, summed
-// across every exploration that ran with an active reduce.Config.
+// ReductionReport summarizes symmetry reduction over one run, summed across
+// every exploration that ran with an active reduce.Config.
 type ReductionReport struct {
-	// AmpleStates and FullStates count expanded states by whether POR
-	// chose an ample subset or fell back to full expansion.
-	AmpleStates int64 `json:"ample_states"`
-	FullStates  int64 `json:"full_states"`
-	// AmpleSuccs and FullSuccs count the successors those expansions
-	// produced; their ratio is the POR edge-pruning factor.
-	AmpleSuccs int64 `json:"ample_succs"`
-	FullSuccs  int64 `json:"full_succs"`
+	// RemovedPORStates is always 0, as is RemovedPORSuccs: under the keys
+	// ample_states and ample_succs they counted partial-order (ample-set)
+	// expansions, a reduction that has been removed. The keys stay, in
+	// their order, so that readers of schema_version 7 keep parsing
+	// reports; they go with the next schema bump.
+	RemovedPORStates int64 `json:"ample_states"`
+	// FullStates counts the expanded states.
+	FullStates int64 `json:"full_states"`
+	// RemovedPORSuccs is always 0 (see RemovedPORStates).
+	RemovedPORSuccs int64 `json:"ample_succs"`
+	// FullSuccs counts the successors the expanded states produced.
+	FullSuccs int64 `json:"full_succs"`
 	// SymCollapsed counts successors rewritten to a distinct canonical
 	// representative by symmetry canonicalization.
 	SymCollapsed int64 `json:"sym_collapsed"`
@@ -278,9 +282,7 @@ func (r *Recorder) Finish(tool string, cfg Config, v engine.Verdict, unknownReas
 	}
 	if rs := r.Reduction(); rs != (engine.ReductionStats{}) {
 		rep.Reduction = &ReductionReport{
-			AmpleStates:  rs.AmpleStates,
 			FullStates:   rs.FullStates,
-			AmpleSuccs:   rs.AmpleSuccs,
 			FullSuccs:    rs.FullSuccs,
 			SymCollapsed: rs.SymCollapsed,
 		}

@@ -15,9 +15,7 @@ import (
 //
 // This is the single shared reading of the paper's Disjoint hypothesis
 // (§2.3): the vet pre-check uses it to audit interleaving coverage
-// (SV020/SV021), the POR planner uses it to prove that any joint step
-// factors through a pure single-component step without violating the
-// constraint, and the block-symmetry validator uses it to compare
+// (SV020/SV021), and the block-symmetry validator uses it to compare
 // constraints up to the argument reordering a block rename induces.
 func ParseDisjoint(e form.Expr) ([]map[string]bool, bool) {
 	var sets []map[string]bool

@@ -84,7 +84,7 @@ func TestParseDisjointOverlappingDeclarations(t *testing.T) {
 
 // TestParseDisjointRejectsForeignShapes: anything that is not a stutter
 // equality must fail the parse — treating x' = x+1 as "freezes x" would
-// make the POR planner unsound.
+// make the vet coverage audit and block-symmetry validation unsound.
 func TestParseDisjointRejectsForeignShapes(t *testing.T) {
 	reject := []form.Expr{
 		form.Eq(form.PrimedVar("x"), form.Add(form.Var("x"), form.IntC(1))),

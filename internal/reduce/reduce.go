@@ -1,78 +1,56 @@
-// Package reduce implements sound state-space reduction for the
-// explicit-state exploration of package ts: ample-set partial-order
-// reduction (POR) with independence derived from Disjoint variable
-// ownership, and symmetry reduction under data-value and component-block
-// permutations.
+// Package reduce implements symmetry reduction for the explicit-state
+// exploration of package ts: canonicalization under data-value and
+// component-block permutations.
 //
-// Both reductions are validated before use, never assumed:
-//
-//   - Symmetry declarations are checked structurally against the system
-//     (domain closure, literal/shape scan of every formula the group must
-//     leave invariant, block-rename invariance of the component multiset).
-//     An invalid declaration is an error at the ts.System level and a
-//     graceful disable (with a flight-recorder note) at the ag.Theorem
-//     level.
-//   - POR eligibility is computed statically from the same Disjoint
-//     analysis the vet pre-check uses (ParseDisjoint); a system whose step
-//     constraints are not all Disjoint-shaped gets no POR, only a note.
+// Symmetry declarations are validated before use, never assumed: they are
+// checked structurally against the system (domain closure, literal/shape
+// scan of every formula the group must leave invariant, block-rename
+// invariance of the component multiset). An invalid declaration is an error
+// at the ts.System level and a graceful disable (with a flight-recorder
+// note) at the ag.Theorem level.
 //
 // Reduced graphs store, for every edge, the real successor state alongside
 // the canonical target id (see ts.Graph.ForEachSuccStep), so safety checks
 // always evaluate genuine steps of the system — the reduction can hide
-// behaviors only if the validated group/independence assumptions are
-// violated, never manufacture spurious ones.
+// behaviors only if the validated group assumptions are violated, never
+// manufacture spurious ones.
+//
+// ParseDisjoint, the Disjoint-shape recognizer the block-symmetry
+// validator compares constraints with, lives here too; the vet pre-check
+// shares it.
 package reduce
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // Options selects which reductions to apply.
 type Options struct {
-	// POR enables ample-set partial-order reduction.
-	POR bool
 	// Sym enables symmetry canonicalization.
 	Sym bool
 }
 
-// Any reports whether at least one reduction is enabled.
-func (o Options) Any() bool { return o.POR || o.Sym }
+// Any reports whether a reduction is enabled.
+func (o Options) Any() bool { return o.Sym }
 
 // String renders the options in the -reduce flag syntax.
 func (o Options) String() string {
-	switch {
-	case o.POR && o.Sym:
-		return "por,sym"
-	case o.POR:
-		return "por"
-	case o.Sym:
+	if o.Sym {
 		return "sym"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
-// ParseFlag parses a -reduce flag value: "off", or a comma-separated subset
-// of {"por", "sym"}.
+// ParseFlag parses a -reduce flag value: "off" (or empty) or "sym".
 func ParseFlag(s string) (Options, error) {
-	var o Options
-	s = strings.TrimSpace(s)
-	if s == "" || s == "off" {
-		return o, nil
+	switch strings.TrimSpace(s) {
+	case "", "off":
+		return Options{}, nil
+	case "sym":
+		return Options{Sym: true}, nil
 	}
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "por":
-			o.POR = true
-		case "sym":
-			o.Sym = true
-		default:
-			return Options{}, fmt.Errorf("invalid -reduce mode %q: want off, por, sym, or por,sym", part)
-		}
-	}
-	return o, nil
+	return Options{}, fmt.Errorf("invalid -reduce mode %q: want off|sym", s)
 }
 
 // Config carries everything a reduced exploration needs. A nil *Config (or
@@ -82,40 +60,23 @@ type Config struct {
 	// Symmetry declares the permutation group for Options.Sym. Sym with a
 	// nil Symmetry is inert.
 	Symmetry *Symmetry
-	// Visible lists the variables observed by the properties that will be
-	// checked on the graph. POR never picks an ample component that writes
-	// a visible variable (condition C2), so stutter-equivalence is with
-	// respect to exactly these variables.
-	Visible []string
 	// Sabotage, when non-nil, deliberately breaks the reduction machinery.
 	// It exists solely as a fault-injection seam for the mutation tests of
 	// internal/faultinject; production paths never set it.
 	Sabotage *Sabotage
 }
 
-// Active reports whether the config requests any reduction work.
-func (c *Config) Active() bool {
-	if c == nil {
-		return false
-	}
-	if c.Sym && c.Symmetry != nil && c.Symmetry.nontrivial() {
-		return true
-	}
-	return c.POR
-}
-
-// SymActive reports whether symmetry canonicalization is requested and the
+// Active reports whether symmetry canonicalization is requested and the
 // declared group is nontrivial.
-func (c *Config) SymActive() bool {
+func (c *Config) Active() bool {
 	return c != nil && c.Sym && c.Symmetry != nil && c.Symmetry.nontrivial()
 }
 
 // Desc renders the canonical content-addressing description of the
 // reduction configuration, for inclusion in graph-cache keys: a reduced
 // graph must never collide with the full graph of the same system, nor
-// with a graph reduced under a different group or visible set. Inactive
-// configs yield "" (no desc section, byte-identical keys to pre-reduction
-// builds).
+// with a graph reduced under a different group. Inactive configs yield ""
+// (no desc section, byte-identical keys to pre-reduction builds).
 func (c *Config) Desc() string {
 	if !c.Active() {
 		return ""
@@ -125,16 +86,7 @@ func (c *Config) Desc() string {
 	sb.WriteString("  modes=")
 	sb.WriteString(c.Options.String())
 	sb.WriteByte('\n')
-	if c.POR {
-		vis := append([]string(nil), c.Visible...)
-		sort.Strings(vis)
-		sb.WriteString("  visible=[")
-		sb.WriteString(strings.Join(vis, ","))
-		sb.WriteString("]\n")
-	}
-	if c.SymActive() {
-		sb.WriteString(c.Symmetry.desc())
-	}
+	sb.WriteString(c.Symmetry.desc())
 	if c.Sabotage != nil && c.Sabotage.any() {
 		// Sabotaged builds must not poison (or be served from) sound cache
 		// entries.
@@ -159,23 +111,10 @@ type Sabotage struct {
 	// "canonical" states outside the orbit of the input (an inconsistent
 	// canonicalizer manufacturing unreachable states).
 	SkipTupleValues bool
-	// SkipC3 ignores the ample-set cycle proviso (C3): an ample successor
-	// already committed in a previous level no longer forces full
-	// expansion, so a cycle of ample steps can postpone other components
-	// forever.
-	SkipC3 bool
-	// IgnoreVisibility drops the C2 check: components writing visible
-	// variables become ample-eligible, losing interleavings the checked
-	// property can distinguish.
-	IgnoreVisibility bool
-	// IgnoreDependence drops the static independence check: components
-	// whose variables overlap other components' become ample-eligible, so
-	// an ample step can disable (or race) a dependent action.
-	IgnoreDependence bool
 }
 
 func (s *Sabotage) any() bool {
-	return s != nil && (s.CollapseValues || s.SkipTupleValues || s.SkipC3 || s.IgnoreVisibility || s.IgnoreDependence)
+	return s != nil && (s.CollapseValues || s.SkipTupleValues)
 }
 
 // String names the active seams, comma-separated.
@@ -189,15 +128,6 @@ func (s *Sabotage) String() string {
 	}
 	if s.SkipTupleValues {
 		parts = append(parts, "skip-tuple-values")
-	}
-	if s.SkipC3 {
-		parts = append(parts, "skip-c3")
-	}
-	if s.IgnoreVisibility {
-		parts = append(parts, "ignore-visibility")
-	}
-	if s.IgnoreDependence {
-		parts = append(parts, "ignore-dependence")
 	}
 	return strings.Join(parts, ",")
 }

@@ -18,19 +18,21 @@ func TestParseFlag(t *testing.T) {
 	}{
 		{"", Options{}, false},
 		{"off", Options{}, false},
-		{"por", Options{POR: true}, false},
 		{"sym", Options{Sym: true}, false},
-		{"por,sym", Options{POR: true, Sym: true}, false},
-		{"sym,por", Options{POR: true, Sym: true}, false},
-		{" sym , por ", Options{POR: true, Sym: true}, false},
+		{" sym ", Options{Sym: true}, false},
 		{"bogus", Options{}, true},
-		{"por,off", Options{}, true},
+		{"por", Options{}, true},
+		{"por,sym", Options{}, true},
+		{"sym,sym", Options{}, true},
 	}
 	for _, c := range cases {
 		got, err := ParseFlag(c.in)
 		if (err != nil) != c.wantErr {
 			t.Errorf("ParseFlag(%q) err = %v, wantErr %v", c.in, err, c.wantErr)
 			continue
+		}
+		if err != nil && !strings.Contains(err.Error(), "off|sym") {
+			t.Errorf("ParseFlag(%q) error %q does not name the valid modes", c.in, err)
 		}
 		if !c.wantErr && got != c.want {
 			t.Errorf("ParseFlag(%q) = %+v, want %+v", c.in, got, c.want)
@@ -39,7 +41,7 @@ func TestParseFlag(t *testing.T) {
 }
 
 func TestOptionsString(t *testing.T) {
-	for _, s := range []string{"off", "por", "sym", "por,sym"} {
+	for _, s := range []string{"off", "sym"} {
 		o, err := ParseFlag(s)
 		if err != nil {
 			t.Fatalf("ParseFlag(%q): %v", s, err)
@@ -363,114 +365,6 @@ func TestCheckBlockInvariant(t *testing.T) {
 	}
 }
 
-func independentComps() []*spec.Component {
-	return []*spec.Component{
-		{
-			Name:    "A",
-			Outputs: []string{"a"},
-			Init:    form.Eq(form.Var("a"), form.IntC(0)),
-			Actions: []spec.Action{{
-				Name: "inc",
-				Def:  form.Eq(form.Prime(form.Var("a")), form.IntC(1)),
-			}},
-		},
-		{
-			Name:    "B",
-			Outputs: []string{"b"},
-			Init:    form.Eq(form.Var("b"), form.IntC(0)),
-			Actions: []spec.Action{{
-				Name: "inc",
-				Def:  form.Eq(form.Prime(form.Var("b")), form.IntC(1)),
-			}},
-		},
-	}
-}
-
-func TestNewPORPlanIndependent(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	plan, reason := NewPORPlan(comps, steps, nil, []string{"c"}, nil)
-	if plan == nil {
-		t.Fatalf("plan disabled: %s", reason)
-	}
-	if !plan.Eligible(0) || !plan.Eligible(1) {
-		t.Errorf("want both components eligible, got %v", plan.EligibleNames())
-	}
-}
-
-func TestNewPORPlanVisibility(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	plan, reason := NewPORPlan(comps, steps, nil, []string{"a"}, nil)
-	if plan == nil {
-		t.Fatalf("plan disabled: %s", reason)
-	}
-	if plan.Eligible(0) {
-		t.Error("component writing visible variable is eligible")
-	}
-	if !plan.Eligible(1) {
-		t.Error("invisible independent component not eligible")
-	}
-	// The sabotage seam restores eligibility.
-	plan, _ = NewPORPlan(comps, steps, nil, []string{"a"}, &Sabotage{IgnoreVisibility: true})
-	if plan == nil || !plan.Eligible(0) {
-		t.Error("ignore-visibility sabotage did not restore eligibility")
-	}
-}
-
-func TestNewPORPlanDependence(t *testing.T) {
-	comps := independentComps()
-	// B now reads a: A's writes intersect B's vars, so neither side of the
-	// A/B pair is independent — A ineligible; B writes only b but reads a,
-	// and a is written by A, so B ineligible too.
-	comps[1].Inputs = []string{"a"}
-	comps[1].Actions[0].Def = form.And(
-		form.Eq(form.Var("a"), form.IntC(1)),
-		form.Eq(form.Prime(form.Var("b")), form.IntC(1)))
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	plan, reason := NewPORPlan(comps, steps, nil, nil, nil)
-	if plan != nil {
-		t.Fatalf("dependent components produced plan %v", plan.EligibleNames())
-	}
-	if !strings.Contains(reason, "no component") {
-		t.Errorf("unexpected disable reason %q", reason)
-	}
-	// ignore-dependence sabotage accepts them.
-	plan, _ = NewPORPlan(comps, steps, nil, nil, &Sabotage{IgnoreDependence: true})
-	if plan == nil || !plan.Eligible(0) {
-		t.Error("ignore-dependence sabotage did not restore eligibility")
-	}
-}
-
-func TestNewPORPlanFreeVars(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "disj", E: form.DisjointSteps([]string{"a"}, []string{"b"})[0]}}
-	// a free environment variable read by A disqualifies A only.
-	comps[0].Inputs = []string{"env"}
-	plan, reason := NewPORPlan(comps, steps, []string{"env"}, nil, nil)
-	if plan == nil {
-		t.Fatalf("plan disabled: %s", reason)
-	}
-	if plan.Eligible(0) {
-		t.Error("component touching a free variable is eligible")
-	}
-	if !plan.Eligible(1) {
-		t.Error("independent component not eligible")
-	}
-}
-
-func TestNewPORPlanOpaqueConstraint(t *testing.T) {
-	comps := independentComps()
-	steps := []NamedExpr{{Name: "odd", E: form.Lt(form.Var("a"), form.IntC(5))}}
-	plan, reason := NewPORPlan(comps, steps, nil, nil, nil)
-	if plan != nil {
-		t.Fatal("plan produced despite opaque constraint")
-	}
-	if !strings.Contains(reason, "Disjoint") {
-		t.Errorf("unexpected disable reason %q", reason)
-	}
-}
-
 func TestConfigDesc(t *testing.T) {
 	var nilCfg *Config
 	if nilCfg.Desc() != "" {
@@ -479,20 +373,16 @@ func TestConfigDesc(t *testing.T) {
 	if (&Config{}).Desc() != "" {
 		t.Error("inactive config desc nonempty")
 	}
-	full := &Config{
-		Options:  Options{POR: true, Sym: true},
-		Symmetry: valSym(),
-		Visible:  []string{"z", "a"},
+	if (&Config{Options: Options{Sym: true}}).Desc() != "" {
+		t.Error("sym config without a group has a desc")
 	}
-	d := full.Desc()
-	for _, want := range []string{"modes=por,sym", "visible=[a,z]", "sym-values=[0,1,2]"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("desc missing %q:\n%s", want, d)
-		}
+	full := &Config{Options: Options{Sym: true}, Symmetry: valSym()}
+	if d, want := full.Desc(), "reduce:\n  modes=sym\n  sym-values=[0,1,2]"; !strings.HasPrefix(d, want) {
+		t.Errorf("desc = %q, want prefix %q", d, want)
 	}
 	sab := &Config{Options: Options{Sym: true}, Symmetry: valSym(),
-		Sabotage: &Sabotage{SkipC3: true, CollapseValues: true}}
-	if !strings.Contains(sab.Desc(), "sabotage=collapse-values,skip-c3") {
+		Sabotage: &Sabotage{SkipTupleValues: true, CollapseValues: true}}
+	if !strings.Contains(sab.Desc(), "sabotage=collapse-values,skip-tuple-values") {
 		t.Errorf("sabotage marker missing from desc:\n%s", sab.Desc())
 	}
 	// Sabotaged and sound configs must never share a cache key.

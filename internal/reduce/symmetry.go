@@ -121,7 +121,7 @@ type Canonicalizer struct {
 // Canonicalizer compiles the config's symmetry declaration into a reusable
 // canonicalizer, or nil when symmetry reduction is inactive.
 func (c *Config) Canonicalizer() *Canonicalizer {
-	if !c.SymActive() {
+	if !c.Active() {
 		return nil
 	}
 	cz := &Canonicalizer{sym: c.Symmetry, vars: c.Symmetry.sortedVars(), sab: c.Sabotage}

@@ -33,11 +33,8 @@ type exploreParams struct {
 	// inits seeds the exploration, in a deterministic order.
 	inits []*state.State
 	// expand returns the successor states of s (duplicates allowed; the
-	// store dedups). Successor order must be deterministic in s. The
-	// committed callback reports whether a state already has a final id
-	// (assigned at a previous level barrier) — reduction uses it for the
-	// ample-set cycle proviso; expansions that don't care may ignore it.
-	expand func(s *state.State, committed func(*state.State) bool) ([]*state.State, error)
+	// store dedups). Successor order must be deterministic in s.
+	expand func(s *state.State) ([]*state.State, error)
 	// canon, when non-nil, maps every state to the canonical representative
 	// of its symmetry orbit. Seeds and successors are canonicalized before
 	// interning, so the graph holds only representatives; the real (pre-
@@ -135,20 +132,6 @@ func explore(p exploreParams) (*exploreResult, error) {
 	offsets := []int{0}
 	var targets []int32
 	var edgeStates []*state.State
-
-	// committed reports whether a state's canonical representative already
-	// has a final id. The index is written only at level barriers (in
-	// parallel, but never overlapping a drain) and by the single-threaded
-	// seeding/resume paths, and read here from workers between barriers, so
-	// the probe is race-free and — because barriers are schedule-independent
-	// — deterministic at any worker count.
-	committed := func(t *state.State) bool {
-		if p.canon != nil {
-			t = p.canon(t)
-		}
-		_, ok := res.idx.Get(t)
-		return ok
-	}
 
 	// finals maps interned refs (via their dense encoding) to final ids;
 	// written at level barriers (disjoint slots per partition) and by the
@@ -273,12 +256,11 @@ func explore(p exploreParams) (*exploreResult, error) {
 	// The level scratch persists across levels: one levelRun handed to the
 	// pool each phase round, per-worker arenas that keep their capacity.
 	lv := &levelRun{
-		params:    &p,
-		store:     interned,
-		scratch:   make([]workerScratch, workers),
-		committed: committed,
-		lookup:    res.idx.Get,
-		telem:     telem,
+		params:  &p,
+		store:   interned,
+		scratch: make([]workerScratch, workers),
+		lookup:  res.idx.Get,
+		telem:   telem,
 	}
 
 	// Persistent pool: workers 1..n-1 live for the whole exploration and
@@ -536,11 +518,8 @@ type levelRun struct {
 	states  []*state.State // the frontier (current level), final-id order
 	rows    []refRow       // per frontier index: where its successor entries live
 	scratch []workerScratch
-	// committed is explore's barrier-granularity membership probe, handed to
-	// every expand call (see exploreParams.expand); lookup is the underlying
-	// index probe the drain deduplicates successors through.
-	committed func(*state.State) bool
-	lookup    func(*state.State) (int, bool)
+	// lookup is the index probe the drain deduplicates successors through.
+	lookup func(*state.State) (int, bool)
 	// telem is the exploration's telemetry bundle (nil when disabled); level
 	// is the BFS level currently being drained, set by explore before begin
 	// and read by workers only for telemetry labels.
@@ -761,7 +740,7 @@ func (lv *levelRun) drain(wid int) {
 				lv.setErr(err)
 				return
 			}
-			succs, err := p.expand(cur, lv.committed)
+			succs, err := p.expand(cur)
 			if err != nil {
 				lv.setErr(err)
 				return

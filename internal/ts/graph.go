@@ -8,7 +8,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/metrics"
 	"opentla/internal/obs"
-	"opentla/internal/reduce"
 	"opentla/internal/state"
 	"opentla/internal/store"
 )
@@ -34,18 +33,18 @@ type Graph struct {
 	meter   *engine.Meter
 
 	// Reduction bookkeeping. A reduced graph's States are canonical orbit
-	// representatives and its adjacency may omit interleavings; edgeStates
-	// (parallel to targets, symmetry builds only) preserves each edge's real
-	// successor so checks can iterate genuine steps via ForEachSuccStep.
+	// representatives; edgeStates (parallel to targets, symmetry builds
+	// only) preserves each edge's real successor so checks can iterate
+	// genuine steps via ForEachSuccStep.
 	// canon maps any state to its representative (nil when symmetry is off).
 	edgeStates []*state.State
 	reduced    bool
 	canon      func(*state.State) *state.State
 }
 
-// Reduced reports whether the graph was built under state-space reduction
-// (POR and/or symmetry). Reduced graphs preserve all safety verdicts over
-// the visible variables but are unsuitable for fairness/liveness analysis.
+// Reduced reports whether the graph was built under symmetry reduction.
+// Reduced graphs preserve all safety verdicts of properties the group
+// leaves invariant but are unsuitable for fairness/liveness analysis.
 func (g *Graph) Reduced() bool { return g.reduced }
 
 // Meter returns the resource meter governing this graph and every check run
@@ -86,11 +85,13 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	// the canonicalizer is needed to reconstruct a cached reduced graph.
 	rd := sys.Reduce
 	var canon func(*state.State) *state.State
-	if rd.SymActive() {
+	var rc *reductionCounters
+	if rd.Active() {
 		if err := rd.Symmetry.Validate(sys.Components, sys.reduceSteps(), sys.reduceInits(), sys.Domains); err != nil {
 			return nil, fmt.Errorf("system %s: symmetry declaration rejected: %w", sys.Name, err)
 		}
 		canon = rd.Canonicalizer().Canon
+		rc = &reductionCounters{}
 	}
 
 	// Cache consultation happens before compiling or enumerating anything: a
@@ -110,22 +111,6 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	}
 	free := sys.FreeVars()
 
-	var plan *reduce.PORPlan
-	var rc *reductionCounters
-	if rd.Active() {
-		rc = &reductionCounters{}
-		if rd.POR {
-			var reason string
-			plan, reason = reduce.NewPORPlan(sys.Components, sys.reduceSteps(), free, rd.Visible, rd.Sabotage)
-			if plan == nil {
-				m.Note("reduce", fmt.Sprintf("%s: POR disabled: %s", sys.Name, reason))
-			} else {
-				m.Note("reduce", fmt.Sprintf("%s: %s", sys.Name, reduce.DescribePlan(plan)))
-			}
-		}
-	}
-	skipC3 := rd != nil && rd.Sabotage != nil && rd.Sabotage.SkipC3
-
 	var inits []*state.State
 	if resume == nil {
 		inits, err = sys.initialStates(m)
@@ -144,10 +129,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		limitName: "system " + sys.Name,
 		meter:     m,
 		inits:     inits,
-		expand: func(s *state.State, committed func(*state.State) bool) ([]*state.State, error) {
-			if plan != nil {
-				return sys.ampleSuccessors(compiled, free, plan, skipC3, s, committed, rc)
-			}
+		expand: func(s *state.State) ([]*state.State, error) {
 			succs, serr := sys.successors(compiled, free, s)
 			if serr == nil && rc != nil {
 				rc.fullStates.Add(1)

@@ -126,7 +126,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		limitName: "monitor product",
 		meter:     meter,
 		inits:     inits,
-		expand: func(cur *state.State, _ func(*state.State) bool) ([]*state.State, error) {
+		expand: func(cur *state.State) ([]*state.State, error) {
 			base := BaseState(cur, mons)
 			bid := g.ID(base)
 			if bid < 0 {

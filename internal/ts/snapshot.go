@@ -228,8 +228,8 @@ func (sys *System) CanonicalDesc() string {
 		writeExpr(&sb, ic)
 		sb.WriteByte('\n')
 	}
-	// Reduction changes the constructed graph (representative states, ample
-	// edges), so an active configuration must key differently from the full
+	// Reduction changes the constructed graph (representative states), so
+	// an active configuration must key differently from the full
 	// build — and from any other reduction configuration. An inactive config
 	// contributes nothing, keeping pre-reduction cache keys stable.
 	sb.WriteString(sys.Reduce.Desc())

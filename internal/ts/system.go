@@ -56,10 +56,10 @@ type System struct {
 	// an earlier budget-exhausted run and continues the exploration from its
 	// last completed level instead of restarting.
 	Resume bool
-	// Reduce, when non-nil with enabled options, requests state-space
-	// reduction: symmetry canonicalization and/or ample-set partial-order
-	// reduction (see internal/reduce). An invalid symmetry declaration is a
-	// BuildWith error — at this level the declaration is the user's claim
+	// Reduce, when non-nil with enabled options, requests symmetry
+	// reduction: canonicalization of every state to its orbit
+	// representative (see internal/reduce). An invalid symmetry declaration
+	// is a BuildWith error — at this level the declaration is the user's claim
 	// and a wrong claim must fail loudly, not silently explore less.
 	// Liveness checks refuse reduced graphs (see check.FindFairLasso);
 	// safety checks must iterate real steps via ForEachSuccStep.
@@ -67,7 +67,7 @@ type System struct {
 }
 
 // reduceSteps converts the step constraints to the reduce package's named
-// expressions (shared by symmetry validation and the POR planner).
+// expressions, for symmetry validation.
 func (sys *System) reduceSteps() []reduce.NamedExpr {
 	out := make([]reduce.NamedExpr, 0, len(sys.Constraints))
 	for _, sc := range sys.Constraints {
@@ -584,9 +584,7 @@ func (sys *System) evalStep(kind, name string, pred form.CompiledPred, st state.
 // expansion workers; BuildWith reports them once per exploration via
 // Meter.NoteReduction.
 type reductionCounters struct {
-	ampleStates  atomic.Int64
 	fullStates   atomic.Int64
-	ampleSuccs   atomic.Int64
 	fullSuccs    atomic.Int64
 	symCollapsed atomic.Int64
 }
@@ -596,95 +594,10 @@ func (rc *reductionCounters) stats() engine.ReductionStats {
 		return engine.ReductionStats{}
 	}
 	return engine.ReductionStats{
-		AmpleStates:  rc.ampleStates.Load(),
 		FullStates:   rc.fullStates.Load(),
-		AmpleSuccs:   rc.ampleSuccs.Load(),
 		FullSuccs:    rc.fullSuccs.Load(),
 		SymCollapsed: rc.symCollapsed.Load(),
 	}
-}
-
-// ampleSuccessors is successor generation under ample-set partial-order
-// reduction. It tries each statically eligible component j in declaration
-// order: the candidate ample set is j's pure steps from s (j executes one of
-// its actions; every other component and every free variable stutters),
-// each validated against j's action definition and every step constraint.
-// The set is used when it is nonempty (C0), excludes s itself (pure stutter
-// carries no progress), and contains no already-committed successor (C3, the
-// cycle proviso: an edge back to an explored state could close a cycle of
-// ample steps that postpones the other components forever — committed
-// states are exactly those assigned at previous level barriers, so this
-// test is deterministic at any worker count). If no eligible component
-// yields a usable ample set, the state is expanded in full.
-//
-// The returned list always ends with s: TLA behaviors permit stuttering, so
-// every state keeps its self-loop, exactly as in full expansion.
-func (sys *System) ampleSuccessors(cs *compiledSystem, free []string, plan *reduce.PORPlan, skipC3 bool, s *state.State, committed func(*state.State) bool, rc *reductionCounters) ([]*state.State, error) {
-nextComponent:
-	for j := range cs.comps {
-		if !plan.Eligible(j) {
-			continue
-		}
-		cc := &cs.comps[j]
-		seen := store.NewSet()
-		var amp []*state.State
-		for ai := range cc.actions {
-			ca := &cc.actions[ai]
-			cands, err := ca.updates(s)
-			if err != nil {
-				return nil, fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
-			}
-			for _, ups := range cands {
-				t := s.CloneWith(ups)
-				if t.Equal(s) || seen.Has(t) {
-					continue
-				}
-				st := state.Step{From: s, To: t}
-				ok, err := sys.evalStep("action", ca.name, ca.pred, st)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				for ci := range cs.constraints {
-					c := &cs.constraints[ci]
-					ok, err = sys.evalStep("constraint", c.name, c.pred, st)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				seen.Add(t)
-				amp = append(amp, t)
-			}
-		}
-		if len(amp) == 0 {
-			continue // C0: an empty ample set selects nothing
-		}
-		if !skipC3 {
-			for _, t := range amp {
-				if committed(t) {
-					continue nextComponent // C3: possible cycle, try another component
-				}
-			}
-		}
-		rc.ampleStates.Add(1)
-		rc.ampleSuccs.Add(int64(len(amp)) + 1)
-		return append(amp, s), nil
-	}
-
-	out, err := sys.successors(cs, free, s)
-	if err == nil {
-		rc.fullStates.Add(1)
-		rc.fullSuccs.Add(int64(len(out)))
-	}
-	return out, err
 }
 
 // advance increments the per-component mixed-radix counter; it returns

@@ -151,19 +151,15 @@ func observeCacheOp(m *engine.Meter, op string, start time.Time) {
 }
 
 // noteReductionMetrics exports one exploration's reduction statistics as
-// counters: ample hits/misses (states that took an ample set vs. fell back
-// to full expansion) and the successor and symmetry-collapse tallies.
+// counters: the states expanded, their successors, and the successors
+// symmetry redirected to an orbit representative.
 func noteReductionMetrics(m *engine.Meter, st engine.ReductionStats) {
 	reg := metrics.FromMeter(m)
 	if reg == nil {
 		return
 	}
-	reg.Counter("opentla_reduce_ample_states_total",
-		"states expanded through an ample set (POR hits)").Add(st.AmpleStates)
 	reg.Counter("opentla_reduce_full_states_total",
-		"states expanded in full under reduction (POR misses)").Add(st.FullStates)
-	reg.Counter("opentla_reduce_ample_succs_total",
-		"successors emitted by ample sets").Add(st.AmpleSuccs)
+		"states expanded under reduction").Add(st.FullStates)
 	reg.Counter("opentla_reduce_full_succs_total",
 		"successors emitted by full expansion under reduction").Add(st.FullSuccs)
 	reg.Counter("opentla_reduce_sym_collapsed_total",

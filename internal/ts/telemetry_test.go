@@ -162,23 +162,25 @@ func TestBuildMetricsOnlyNeedsNoTracer(t *testing.T) {
 	}
 }
 
-// TestReductionMetricsExported checks that a POR build lands ample hit/miss
-// counters in the registry (the reduce instrumentation seam).
+// TestReductionMetricsExported checks that a symmetry-reduced build lands
+// its expansion and collapse counters in the registry (the reduce
+// instrumentation seam).
 func TestReductionMetricsExported(t *testing.T) {
 	m, _, reg := telemetryMeter()
 	sys := pairSystem(4)
 	sys.Workers = 2
-	sys.Reduce = &reduce.Config{Options: reduce.Options{POR: true}}
+	sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true},
+		Symmetry: &reduce.Symmetry{Blocks: [][]string{{"x"}, {"y"}}}}
 	if _, err := sys.BuildWith(m); err != nil {
 		t.Fatal(err)
 	}
-	ample, okA := snapshotValue(reg, "opentla_reduce_ample_states_total")
 	full, okF := snapshotValue(reg, "opentla_reduce_full_states_total")
-	if !okA || !okF {
-		t.Fatalf("reduce counters not registered (ample=%v full=%v)", okA, okF)
+	collapsed, okC := snapshotValue(reg, "opentla_reduce_sym_collapsed_total")
+	if !okF || !okC {
+		t.Fatalf("reduce counters not registered (full=%v sym_collapsed=%v)", okF, okC)
 	}
-	if ample+full == 0 {
-		t.Errorf("a POR build must classify every expanded state: ample=%d full=%d", ample, full)
+	if full == 0 || collapsed == 0 {
+		t.Errorf("a symmetric pair build must expand and collapse states: full=%d sym_collapsed=%d", full, collapsed)
 	}
 }
 

@@ -98,8 +98,9 @@ func subset(names []string, set map[string]bool) bool {
 
 // parseDisjoint decomposes a step constraint into disjuncts that each
 // freeze a set of variables, returning the frozen set per disjunct. The
-// analysis is shared with the POR planner — vet and reduce must agree on
-// what counts as a Disjoint shape, so both delegate to reduce.ParseDisjoint.
+// analysis is shared with the block-symmetry validator — vet and reduce
+// must agree on what counts as a Disjoint shape, so both delegate to
+// reduce.ParseDisjoint.
 func parseDisjoint(e form.Expr) ([]map[string]bool, bool) {
 	return reduce.ParseDisjoint(e)
 }

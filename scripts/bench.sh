@@ -5,7 +5,7 @@
 # agcheck's machine-readable -report run reports — the same artifact CI
 # validates — at 1 worker and at a parallel worker pool (the parallel
 # section records NumCPU and flags cpu-limited machines); the reduction
-# section reruns the theorem with -reduce (por,sym by default) and reports
+# section reruns the theorem with -reduce (sym by default) and reports
 # state/transition/wall ratios plus the report's reduction counters; and
 # the recorder-on vs recorder-off overhead comparison backs the
 # "observability costs < 3%" contract. Prior PRs' numbers are embedded in

@@ -16,7 +16,7 @@
 //     performance-telemetry counters — single-threaded seal time vs wall.
 //     This is the Amdahl term PR 9 shrank; the companion agprof
 //     -max-commit-pct gate asserts the same bound from a trace capture.
-//   - reduction: the same instance with -reduce=por,sym vs -reduce=off.
+//   - reduction: the same instance with -reduce=sym vs -reduce=off.
 //     The gate is a state-count ratio (>= 3x at K=3) with identical
 //     verdicts — enforced, not merely reported.
 //
@@ -93,7 +93,7 @@ type BarrierProfile struct {
 }
 
 // Reduction is the reduction headline: the same check with and without
-// -reduce=por,sym.
+// -reduce=sym.
 type Reduction struct {
 	Mode    string      `json:"mode"`
 	Full    Measurement `json:"full"`
@@ -105,7 +105,7 @@ type Reduction struct {
 	VerdictFull     string  `json:"verdict_full"`
 	VerdictReduced  string  `json:"verdict_reduced"`
 	// Stats is the run report's reduction section (schema_version 5):
-	// per-state ample vs full expansions and symmetry-collapsed successors.
+	// expansions, their successors and symmetry-collapsed successors.
 	Stats *obs.ReductionReport `json:"stats,omitempty"`
 }
 
@@ -179,7 +179,7 @@ func main() {
 		"fail -scaling-check outright when the machine has fewer CPUs (0 = allow the degraded no-regression gate)")
 	flag.StringVar(&out, "out", "BENCH_PR9.json", "output JSON path")
 	flag.StringVar(&agcheckPath, "agcheck", "", "path to a built agcheck binary ('' = go build one)")
-	flag.StringVar(&reduceMode, "reduce", "por,sym", "reduction mode for the reduction section")
+	flag.StringVar(&reduceMode, "reduce", "sym", "reduction mode for the reduction section")
 	flag.BoolVar(&overheadCheck, "overhead-check", false,
 		"only compare recorder-on vs recorder-off builds; exit 1 when over the threshold")
 	flag.BoolVar(&telemetryCheck, "telemetry-check", false,
