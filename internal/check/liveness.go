@@ -43,19 +43,23 @@ func (r *LivenessResult) String() string {
 	return sb.String()
 }
 
-// memoState caches a state predicate over graph IDs.
+// memoState caches a state predicate over graph IDs, one entry per state:
+// 0 not yet evaluated, 1 false, 2 true. The first evaluation error is kept.
 func memoState(g *ts.Graph, f func(id int) (bool, error)) (StateMask, *error) {
-	cache := make(map[int]bool, len(g.States))
+	cache := make([]int8, len(g.States))
 	var firstErr error
 	return func(id int) bool {
-		if v, ok := cache[id]; ok {
-			return v
+		if c := cache[id]; c != 0 {
+			return c == 2
 		}
 		v, err := f(id)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		cache[id] = v
+		cache[id] = 1
+		if v {
+			cache[id] = 2
+		}
 		return v
 	}, &firstErr
 }

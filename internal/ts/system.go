@@ -265,31 +265,55 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 	for i, p := range preds {
 		compiled[i] = form.CompilePred(p, vars)
 	}
+	// Positional enumeration in one scratch state, last variable fastest
+	// (value.ForEachAssignment's order); vars is sorted, so variable i sits
+	// at binding position i, and only accepted states are materialized.
+	doms := make([][]value.Value, len(vars))
+	first := make(map[string]value.Value, len(vars))
+	ups := make([]state.PosUpdate, len(vars))
+	for i, v := range vars {
+		doms[i] = sys.Domains[v]
+		first[v] = doms[i][0]
+		ups[i].Pos = i
+	}
+	base, scratch := state.New(first), state.New(nil)
+	idx := make([]int, len(vars))
 	var out []*state.State
-	var evalErr error
-	value.ForEachAssignment(vars, sys.Domains, func(a map[string]value.Value) bool {
+	for {
 		if err := m.Tick(); err != nil {
-			evalErr = err
-			return false
+			return nil, err
 		}
-		s := state.New(a)
+		for i := range ups {
+			ups[i].Val = doms[i][idx[i]]
+		}
+		base.OverwriteInto(scratch, ups)
+		accept := true
 		for i, p := range compiled {
-			ok, err := p(state.Step{From: s})
+			ok, err := p(state.Step{From: scratch})
 			if err != nil {
-				evalErr = fmt.Errorf("system %s: evaluating Init %s on %s: %w", sys.Name, preds[i], s, err)
-				return false
+				return nil, fmt.Errorf("system %s: evaluating Init %s on %s: %w", sys.Name, preds[i], scratch, err)
 			}
 			if !ok {
-				return true
+				accept = false
+				break
 			}
 		}
-		out = append(out, s)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+		if accept {
+			out = append(out, scratch.Clone())
+		}
+		vi := len(idx) - 1
+		for vi >= 0 {
+			idx[vi]++
+			if idx[vi] < len(doms[vi]) {
+				break
+			}
+			idx[vi] = 0
+			vi--
+		}
+		if vi < 0 {
+			return out, nil
+		}
 	}
-	return out, nil
 }
 
 // assignmentCount returns the number of assignments to vars over their
