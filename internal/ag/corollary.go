@@ -130,18 +130,7 @@ func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
 		return fmt.Errorf("refinement %s: building C(M') graph: %w", rf.Name, err)
 	}
 	r.noteStates(baseG.NumStates())
-	var envInit form.Expr
-	var envSquares []form.Expr
-	if rf.Env != nil {
-		envInit = rf.Env.Init
-		envSquares = []form.Expr{rf.Env.SquareExpr()}
-	}
-	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, rf.plusSub())})
-	if err != nil {
-		return fmt.Errorf("refinement %s: +v product: %w", rf.Name, err)
-	}
-	r.noteStates(prod.NumStates())
-	resA, err := check.SafetyUnder(prod, rf.High.SafetyOnly().SafetyFormula(), rf.Mapping)
+	resA, err := plusCheck(r, baseG, rf.Env, rf.plusSub(), rf.High, rf.Mapping)
 	if err != nil {
 		return fmt.Errorf("refinement %s hypothesis (a): %w", rf.Name, err)
 	}
@@ -173,7 +162,7 @@ func (rf *Refinement) checkHypB(r *Report, m *engine.Meter) error {
 	if err != nil {
 		return fmt.Errorf("refinement %s hypothesis (b): %w", rf.Name, err)
 	}
-	r.add("(b): E /\\ M' => M (safety)", resB.Safety == nil || resB.Safety.Holds, safeString(resB.Safety))
+	r.add("(b): E /\\ M' => M (safety)", resB.Safety.Holds, resB.Safety.String())
 	if resB.Liveness != nil {
 		r.add("(b): E /\\ M' => M (liveness)", resB.Liveness.Holds, resB.Liveness.String())
 	}

@@ -5,9 +5,18 @@ import (
 	"opentla/internal/ts"
 )
 
-// ClosureLHS returns the closure-LHS system CheckWith builds for hypothesis
-// 1 and route A of 2a, with the theorem's reduction resolved as in a check.
-func (th *Theorem) ClosureLHS() *ts.System {
+// LHSSystem returns the left-hand-side system CheckWith builds for
+// hypotheses 1, 2a(i) and 2b, with the theorem's reduction resolved as in
+// a check.
+func (th *Theorem) LHSSystem() *ts.System {
 	th.rd = th.buildReduce(engine.NoLimit())
-	return th.lhsSystem(th.Name+"/closure-lhs", true, true)
+	return th.lhsSystem()
+}
+
+// GuaranteesSystem returns the guarantees-only system CheckWith builds for
+// both routes of hypothesis 2a, with the theorem's reduction resolved as in
+// a check.
+func (th *Theorem) GuaranteesSystem() *ts.System {
+	th.rd = th.buildReduce(engine.NoLimit())
+	return th.guaranteesSystem()
 }

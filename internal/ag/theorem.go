@@ -89,12 +89,12 @@ type Theorem struct {
 	// Resume, when true (with Cache set), continues interrupted graph
 	// builds from their saved checkpoints.
 	Resume bool
-	// Reduce selects symmetry reduction for the safety-only graphs of the
-	// check — the closure LHS and the guarantees-only graph (also the +v
-	// monitor base). Hypothesis 2b needs fairness, so its full graph is
-	// never reduced. A symmetry group the system or properties do not
-	// respect is disabled with a flight-recorder note rather than erroring:
-	// reduction is an optimization, and the verdict is identical either way.
+	// Reduce selects symmetry reduction for the guarantees-only graph and
+	// its +v monitor product. The left-hand-side graph that hypotheses 1,
+	// 2a(i) and 2b share is never reduced: 2b needs fairness. A symmetry
+	// group the system or properties do not respect is disabled with a
+	// flight-recorder note rather than erroring: reduction is an
+	// optimization, and the verdict is identical either way.
 	Reduce reduce.Options
 	// Symmetry declares the permutation group for Reduce.Sym.
 	Symmetry *reduce.Symmetry
@@ -239,38 +239,50 @@ func (th *Theorem) plusSub() form.Expr {
 	return form.VarTuple(th.visibleVars()...)
 }
 
-// guaranteeComponents returns the Sys components of all pairs, optionally
-// stripped of fairness, and the union of all pairs' step constraints.
-func (th *Theorem) guaranteeComponents(safetyOnly bool) ([]*spec.Component, []ts.StepConstraint) {
+// guaranteeComponents returns the Sys components of all pairs and the
+// union of all pairs' step constraints.
+func (th *Theorem) guaranteeComponents() ([]*spec.Component, []ts.StepConstraint) {
 	var comps []*spec.Component
 	var cons []ts.StepConstraint
 	for _, p := range th.Pairs {
 		if p.Sys != nil {
-			if safetyOnly {
-				comps = append(comps, p.Sys.SafetyOnly())
-			} else {
-				comps = append(comps, p.Sys)
-			}
+			comps = append(comps, p.Sys)
 		}
 		cons = append(cons, p.Constraints...)
 	}
 	return comps, cons
 }
 
-// lhsSystem builds the complete system for a hypothesis's left-hand side.
-// withEnv includes the conclusion's environment assumption as a component;
-// safetyOnly strips fairness (for hypotheses about closures).
-func (th *Theorem) lhsSystem(name string, withEnv, safetyOnly bool) *ts.System {
-	comps, cons := th.guaranteeComponents(safetyOnly)
-	if withEnv && th.Concl.Env != nil {
-		env := th.Concl.Env
-		if safetyOnly {
-			env = env.SafetyOnly()
-		}
-		comps = append([]*spec.Component{env}, comps...)
+// lhsSystem returns the complete system E ∧ ⋀M_j, fairness included. Its
+// graph is also the graph of C(E) ∧ ⋀C(M_j): by Proposition 1 fairness
+// removes no state and no edge. So hypotheses (1), 2a(i) and (2b) all read
+// this one graph. It is never reduced, since 2b's liveness check refuses
+// reduced graphs.
+func (th *Theorem) lhsSystem() *ts.System {
+	comps, cons := th.guaranteeComponents()
+	if th.Concl.Env != nil {
+		comps = append([]*spec.Component{th.Concl.Env}, comps...)
 	}
-	sys := &ts.System{
-		Name:        name,
+	return th.system("/full-lhs", comps, cons)
+}
+
+// guaranteesSystem returns the system ⋀C(M_j) with the environment
+// variables unconstrained, under the check's reduction.
+func (th *Theorem) guaranteesSystem() *ts.System {
+	comps, cons := th.guaranteeComponents()
+	for i, c := range comps {
+		comps[i] = c.SafetyOnly()
+	}
+	sys := th.system("/guarantees-only", comps, cons)
+	sys.Reduce = th.rd
+	return sys
+}
+
+// system returns a system over comps and cons with the theorem's
+// exploration settings, named after the theorem.
+func (th *Theorem) system(suffix string, comps []*spec.Component, cons []ts.StepConstraint) *ts.System {
+	return &ts.System{
+		Name:        th.Name + suffix,
 		Components:  comps,
 		Constraints: cons,
 		Domains:     th.Domains,
@@ -279,12 +291,6 @@ func (th *Theorem) lhsSystem(name string, withEnv, safetyOnly bool) *ts.System {
 		Cache:       th.Cache,
 		Resume:      th.Resume,
 	}
-	// Reduction only for safety graphs: reduced graphs refuse fair-lasso
-	// search (see check.FindFairLasso), and H2b's full LHS needs it.
-	if safetyOnly {
-		sys.Reduce = th.rd
-	}
-	return sys
 }
 
 // propertyExprs collects every expression that will be evaluated as (part
@@ -353,22 +359,16 @@ func (th *Theorem) buildReduce(m *engine.Meter) *reduce.Config {
 			return disable(fmt.Sprintf("property %s: %v", e, err))
 		}
 	}
-	// Dry-run the system-level validation on both reduced LHS shapes (with
-	// and without the conclusion's environment): BuildWith errors on an
-	// invalid declaration, and a graceful disable must happen here.
-	for _, withEnv := range []bool{true, false} {
-		sys := th.lhsSystem(th.Name+"/reduce-dryrun", withEnv, true)
-		steps := make([]reduce.NamedExpr, 0, len(sys.Constraints))
-		for _, sc := range sys.Constraints {
-			steps = append(steps, reduce.NamedExpr{Name: sc.Name, E: sc.Action})
-		}
-		inits := make([]reduce.NamedExpr, 0, len(sys.InitConstraints))
-		for i, ic := range sys.InitConstraints {
-			inits = append(inits, reduce.NamedExpr{Name: fmt.Sprintf("init-%d", i), E: ic})
-		}
-		if err := sym.Validate(sys.Components, steps, inits, sys.Domains); err != nil {
-			return disable(err.Error())
-		}
+	// Dry-run the system-level validation on the one reduced system:
+	// BuildWith errors on an invalid declaration, and a graceful disable
+	// must happen here.
+	sys := th.guaranteesSystem()
+	steps := make([]reduce.NamedExpr, 0, len(sys.Constraints))
+	for _, sc := range sys.Constraints {
+		steps = append(steps, reduce.NamedExpr{Name: sc.Name, E: sc.Action})
+	}
+	if err := sym.Validate(sys.Components, steps, nil, sys.Domains); err != nil {
+		return disable(err.Error())
 	}
 	return &reduce.Config{Options: th.Reduce, Symmetry: sym}
 }
@@ -436,53 +436,92 @@ func (th *Theorem) Check() (*Report, error) {
 // cancellation, and contained internal failures yield a Report with an
 // Unknown verdict and partial statistics instead of an error.
 func (th *Theorem) CheckWith(m *engine.Meter) (*Report, error) {
+	return th.run(m, "", th.checkAll)
+}
+
+// run validates the theorem, resolves its reduction and runs body under m,
+// settling the report titled th.Name+title.
+func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine.Meter) error) (*Report, error) {
 	if err := th.validate(); err != nil {
 		return nil, err
 	}
 	end := obs.SpanFromMeter(m, "theorem:"+th.Name)
 	th.rd = th.buildReduce(m)
-	r := &Report{TheoremName: th.Name, Valid: true}
-	err := th.checkAll(r, m)
+	r := &Report{TheoremName: th.Name + title, Valid: true}
+	err := body(r, m)
 	end()
 	return finishReport(r, m, err)
 }
 
-// checkAll runs every hypothesis check, accumulating results into r.
+// checkAll runs every hypothesis check, accumulating results into r in the
+// order Check documents. Hypothesis (2b) is checked first, on the LHS graph,
+// but reported last.
 func (th *Theorem) checkAll(r *Report, m *engine.Meter) error {
-	// --- Graph of C(E) ∧ ⋀ C(M_j): used by hypotheses (1) and 2a-route-A.
-	closedSys := th.lhsSystem(th.Name+"/closure-lhs", true, true)
-	closedG, err := closedSys.BuildWith(m)
-	if err != nil {
-		return fmt.Errorf("building closure LHS graph: %w", err)
-	}
-	r.noteStates(closedG.NumStates())
-
-	// Hypothesis (1): each assumption is implied.
-	if err := th.checkHyp1(r, m, closedG); err != nil {
-		return err
-	}
-
-	// Hypothesis (2a), route A (Propositions 3 + 4). It builds the graph of
-	// ⋀ C(M_j) alone, which route B reuses as its monitor base.
-	rG, err := th.checkHyp2aViaPropositions(r, closedG)
+	h2b, err := th.checkLHS(r, m)
 	if err != nil {
 		return err
 	}
 
+	// The graph of ⋀ C(M_j) alone: route A's side conditions and route B's
+	// monitor base.
+	rG, err := th.guaranteesGraph(r, m)
+	if err != nil {
+		return err
+	}
+	// Hypothesis (2a), route A (Propositions 3 + 4): (ii) and (iii).
+	if err := th.checkHyp2aViaPropositions(r, rG); err != nil {
+		return err
+	}
 	// Hypothesis (2a), route B (direct +v monitor product).
 	if err := th.checkHyp2aDirect(r, rG); err != nil {
 		return err
 	}
+	th.addHyp2b(r, h2b)
+	return nil
+}
 
-	// Hypothesis (2b): full implication with fairness.
-	return th.checkHyp2b(r, m)
+// checkLHS builds the graph of the left-hand side (see lhsSystem) and reads
+// it three times: hypothesis (1) for each pair, (2b), and 2a(i). 2a(i),
+// C(E) ∧ ⋀C(M_j) ⇒ C(M), is the very SafetyUnder check that is (2b)'s
+// safety half, so it reuses that result. (2b)'s result is returned for
+// checkAll to report last. The graph is dropped on return, before the
+// guarantees-only graph is built, so the two are never held at once.
+func (th *Theorem) checkLHS(r *Report, m *engine.Meter) (*check.SpecResult, error) {
+	g, err := th.buildLHS(r, m)
+	if err != nil {
+		return nil, err
+	}
+	if err := th.checkHyp1(r, m, g); err != nil {
+		return nil, err
+	}
+	end := obs.SpanFromMeter(m, "H2b")
+	h2b, err := check.Component(g, th.Concl.Sys, th.Concl.Mapping)
+	end()
+	if err != nil {
+		return nil, fmt.Errorf("hypothesis 2b: %w", err)
+	}
+	r.add(hyp2aI, h2b.Safety.Holds, h2b.Safety.String())
+	return h2b, nil
+}
+
+// hyp2aI names route A's plain closure implication on the LHS graph.
+const hyp2aI = "H2a-A(i): C(E) /\\ conj C(Mj) => C(M)"
+
+// buildLHS builds the graph of lhsSystem and notes its size in r.
+func (th *Theorem) buildLHS(r *Report, m *engine.Meter) (*ts.Graph, error) {
+	g, err := th.lhsSystem().BuildWith(m)
+	if err != nil {
+		return nil, fmt.Errorf("building LHS graph: %w", err)
+	}
+	r.noteStates(g.NumStates())
+	return g, nil
 }
 
 // guaranteesGraph builds the graph of ⋀ C(M_j) with the environment
 // variables unconstrained: the side conditions of route A must hold without
 // assuming E, and route B's +v monitor supplies E itself.
 func (th *Theorem) guaranteesGraph(r *Report, m *engine.Meter) (*ts.Graph, error) {
-	g, err := th.lhsSystem(th.Name+"/guarantees-only", false, true).BuildWith(m)
+	g, err := th.guaranteesSystem().BuildWith(m)
 	if err != nil {
 		return nil, fmt.Errorf("building guarantees-only graph: %w", err)
 	}
@@ -498,14 +537,14 @@ func (r *Report) noteStates(n int) {
 
 // checkHyp1 discharges hypothesis (1) for every pair: each assumption is
 // implied by the closure of the environment-constrained composition.
-func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, closedG *ts.Graph) error {
+func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, lhsG *ts.Graph) error {
 	defer obs.SpanFromMeter(m, "H1")()
 	for _, p := range th.Pairs {
 		if p.Env == nil {
 			r.add(fmt.Sprintf("H1[%s]: C(E) /\\ conj C(Mj) => TRUE", p.Name), true, "trivial (E_i = TRUE)")
 			continue
 		}
-		res, err := check.Safety(closedG, p.Env.SafetyFormula())
+		res, err := check.Safety(lhsG, p.Env.SafetyFormula())
 		if err != nil {
 			return fmt.Errorf("hypothesis 1 for %s: %w", p.Name, err)
 		}
@@ -518,40 +557,34 @@ func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, closedG *ts.Graph) erro
 // paper's Proposition 3+4 route. Exposed for the ablation benchmark
 // comparing the two 2a routes.
 func (th *Theorem) CheckHyp2aPropositionsOnly() (*Report, error) {
-	if err := th.validate(); err != nil {
-		return nil, err
-	}
-	m := engine.NoLimit()
-	th.rd = th.buildReduce(m)
-	r := &Report{TheoremName: th.Name + " (2a via Props 3+4)", Valid: true}
-	return finishReport(r, m, func() error {
-		closedSys := th.lhsSystem(th.Name+"/closure-lhs", true, true)
-		closedG, err := closedSys.BuildWith(m)
+	return th.run(engine.NoLimit(), " (2a via Props 3+4)", func(r *Report, m *engine.Meter) error {
+		g, err := th.buildLHS(r, m)
 		if err != nil {
 			return err
 		}
-		r.noteStates(closedG.NumStates())
-		_, err = th.checkHyp2aViaPropositions(r, closedG)
-		return err
-	}())
+		res, err := check.SafetyUnder(g, th.Concl.Sys.SafetyFormula(), th.Concl.Mapping)
+		if err != nil {
+			return fmt.Errorf("hypothesis 2a(i): %w", err)
+		}
+		r.add(hyp2aI, res.Holds, res.String())
+		rG, err := th.guaranteesGraph(r, m)
+		if err != nil {
+			return err
+		}
+		return th.checkHyp2aViaPropositions(r, rG)
+	})
 }
 
 // CheckHyp2aDirectOnly discharges only hypothesis 2a, with the direct +v
 // monitor product. Exposed for the ablation benchmark.
 func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
-	if err := th.validate(); err != nil {
-		return nil, err
-	}
-	m := engine.NoLimit()
-	th.rd = th.buildReduce(m)
-	r := &Report{TheoremName: th.Name + " (2a direct)", Valid: true}
-	return finishReport(r, m, func() error {
+	return th.run(engine.NoLimit(), " (2a direct)", func(r *Report, m *engine.Meter) error {
 		rG, err := th.guaranteesGraph(r, m)
 		if err != nil {
 			return err
 		}
 		return th.checkHyp2aDirect(r, rG)
-	}())
+	})
 }
 
 // checkHyp2aViaPropositions discharges 2a along the paper's route:
@@ -561,24 +594,12 @@ func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
 //	     Proposition 4, giving ⋀C(M_j) ⇒ C(E) ⊥ C(M)   (Fig. 9, step 2.1)
 //	(iii) v contains every free variable of C(M)        (Prop. 3 side cond.)
 //
-// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). The side conditions
-// are checked on the graph of ⋀C(M_j) alone (see guaranteesGraph), which is
-// returned for route B. It is built after (i), once closedG is no longer
-// needed, so the two graphs need not be held at once.
-func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) (*ts.Graph, error) {
-	defer obs.SpanFromMeter(closedG.Meter(), "H2a-A")()
+// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). Step (i) is checked
+// on the LHS graph (see checkLHS); this checks the side conditions (ii) and
+// (iii) on the graph rG of ⋀C(M_j) alone (see guaranteesGraph).
+func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
+	defer obs.SpanFromMeter(rG.Meter(), "H2a-A")()
 	m := th.Concl.Sys
-	// (i) plain closure implication on the env-constrained graph.
-	res, err := check.SafetyUnder(closedG, m.SafetyOnly().SafetyFormula(), th.Concl.Mapping)
-	if err != nil {
-		return nil, fmt.Errorf("hypothesis 2a(i): %w", err)
-	}
-	r.add("H2a-A(i): C(E) /\\ conj C(Mj) => C(M)", res.Holds, res.String())
-
-	rG, err := th.guaranteesGraph(r, closedG.Meter())
-	if err != nil {
-		return nil, err
-	}
 
 	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
 	// tuples (Proposition 4's interleaving requirement).
@@ -587,7 +608,7 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) (*ts.
 		disj := form.Disjoint(eVars, mVars)
 		dres, err := check.Safety(rG, disj)
 		if err != nil {
-			return nil, fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
+			return fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
 		}
 		r.add("H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]", dres.Holds, dres.String())
 	} else {
@@ -613,7 +634,7 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) (*ts.
 		for _, id := range rG.Inits {
 			ok, err := form.EvalStateBool(disjInit, rG.States[id])
 			if err != nil {
-				return nil, fmt.Errorf("hypothesis 2a(ii) init disjunction: %w", err)
+				return fmt.Errorf("hypothesis 2a(ii) init disjunction: %w", err)
 			}
 			if !ok {
 				initOK = false
@@ -638,7 +659,7 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, closedG *ts.Graph) (*ts.
 	}
 	r.add("H2a-A(iii): v contains the free variables of C(M)  [Prop 3]",
 		len(missing) == 0, fmt.Sprintf("missing from v: %v", missing))
-	return rG, nil
+	return nil
 }
 
 // conclusionInterface returns the conclusion's environment-output tuple e
@@ -662,26 +683,10 @@ func (th *Theorem) conclusionGuaranteeFreeVars() []string {
 }
 
 // checkHyp2aDirect discharges 2a with a +v monitor: the base graph is
-// ⋀C(M_j) with environment variables unconstrained (see guaranteesGraph);
-// the monitor enforces "C(E) held for a prefix, after which v froze"; C(M)
-// is then checked on the product.
+// ⋀C(M_j) with environment variables unconstrained (see guaranteesGraph).
 func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
 	defer obs.SpanFromMeter(baseG.Meter(), "H2a-B")()
-
-	var envInit form.Expr
-	var envSquares []form.Expr
-	if th.Concl.Env != nil {
-		envInit = th.Concl.Env.Init
-		envSquares = []form.Expr{th.Concl.Env.SquareExpr()}
-	}
-	mon := ts.PlusMonitor(plusVar, envInit, envSquares, th.plusSub())
-	prod, err := ts.Product(baseG, []*ts.Monitor{mon})
-	if err != nil {
-		return fmt.Errorf("+v monitor product: %w", err)
-	}
-	r.noteStates(prod.NumStates())
-
-	res, err := check.SafetyUnder(prod, th.Concl.Sys.SafetyOnly().SafetyFormula(), th.Concl.Mapping)
+	res, err := plusCheck(r, baseG, th.Concl.Env, th.plusSub(), th.Concl.Sys, th.Concl.Mapping)
 	if err != nil {
 		return fmt.Errorf("hypothesis 2a (direct): %w", err)
 	}
@@ -689,32 +694,32 @@ func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
 	return nil
 }
 
-// checkHyp2b discharges ⊨ E ∧ ⋀M_j ⇒ M with fairness on both sides.
-func (th *Theorem) checkHyp2b(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "H2b")()
-	fullSys := th.lhsSystem(th.Name+"/full-lhs", true, false)
-	fullG, err := fullSys.BuildWith(m)
+// plusCheck checks ⊨ env+v ∧ G ⇒ C(target) on the graph baseG of G, whose
+// environment variables are unconstrained: a +v monitor enforces "env held
+// for a prefix, after which v froze" (env nil means TRUE), and target's
+// closure is checked under mapping on the product. The Composition
+// Theorem's route B and the Corollary's hypothesis (a) both use it.
+func plusCheck(r *Report, baseG *ts.Graph, env *spec.Component, v form.Expr, target *spec.Component, mapping map[string]form.Expr) (*check.SafetyResult, error) {
+	var envInit form.Expr
+	var envSquares []form.Expr
+	if env != nil {
+		envInit = env.Init
+		envSquares = []form.Expr{env.SquareExpr()}
+	}
+	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, v)})
 	if err != nil {
-		return fmt.Errorf("building full LHS graph: %w", err)
+		return nil, fmt.Errorf("+v monitor product: %w", err)
 	}
-	r.noteStates(fullG.NumStates())
-
-	res, err := check.Component(fullG, th.Concl.Sys, th.Concl.Mapping)
-	if err != nil {
-		return fmt.Errorf("hypothesis 2b: %w", err)
-	}
-	r.add("H2b: E /\\ conj Mj => M  (safety)", res.Safety == nil || res.Safety.Holds, safeString(res.Safety))
-	if res.Liveness != nil {
-		r.add("H2b: E /\\ conj Mj => M  (liveness)", res.Liveness.Holds, res.Liveness.String())
-	} else if len(th.Concl.Sys.Fairness) > 0 && res.Safety != nil && !res.Safety.Holds {
-		r.add("H2b: E /\\ conj Mj => M  (liveness)", false, "skipped: safety part failed")
-	}
-	return nil
+	r.noteStates(prod.NumStates())
+	return check.SafetyUnder(prod, target.SafetyFormula(), mapping)
 }
 
-func safeString(s *check.SafetyResult) string {
-	if s == nil {
-		return ""
+// addHyp2b reports ⊨ E ∧ ⋀M_j ⇒ M, checked with fairness on both sides.
+func (th *Theorem) addHyp2b(r *Report, res *check.SpecResult) {
+	r.add("H2b: E /\\ conj Mj => M  (safety)", res.Safety.Holds, res.Safety.String())
+	if res.Liveness != nil {
+		r.add("H2b: E /\\ conj Mj => M  (liveness)", res.Liveness.Holds, res.Liveness.String())
+	} else if len(th.Concl.Sys.Fairness) > 0 && !res.Safety.Holds {
+		r.add("H2b: E /\\ conj Mj => M  (liveness)", false, "skipped: safety part failed")
 	}
-	return s.String()
 }

@@ -15,13 +15,9 @@ import (
 func (th *Theorem) Vet() *vet.Result {
 	opt := vet.Options{Domains: th.Domains, RequireDisjoint: true}
 
-	var comps []*spec.Component
-	if th.Concl.Env != nil {
-		comps = append(comps, th.Concl.Env)
-	}
-	sysComps, cons := th.guaranteeComponents(false)
-	comps = append(comps, sysComps...)
-	res := vet.Composition(th.Name, comps, cons, opt)
+	lhs := th.lhsSystem()
+	comps := lhs.Components
+	res := vet.Composition(th.Name, comps, lhs.Constraints, opt)
 
 	vetted := make(map[string]bool, len(comps))
 	for _, c := range comps {

@@ -12,9 +12,10 @@ import (
 	"opentla/internal/ts"
 )
 
-// fig9Closure is the Fig. 9 N=1 K=2 closure-LHS system, C(E) ∧ ⋀C(Mⱼ), as
-// the Composition Theorem check builds it for hypotheses 1 and 2a,
-// optionally under the theorem's symmetry.
+// fig9Closure is the Fig. 9 N=1 K=2 system C(E) ∧ ⋀C(Mⱼ), optionally under
+// the theorem's symmetry. Its graph is that of the Composition Theorem
+// check's left-hand side (fairness adds no states), so it seeds the decoder
+// with a real graph, reduced or not.
 func fig9Closure(sym bool) *ts.System {
 	cfg := queue.Config{N: 1, Vals: 2}
 	th := cfg.Fig9Theorem()

@@ -77,9 +77,10 @@ func TestTheoremSpanTreeAccountsForStats(t *testing.T) {
 // TestTheoremBudgetExhaustionNamesPhase exhausts a tiny state budget inside
 // a real check and verifies the report names the phase that did it.
 func TestTheoremBudgetExhaustionNamesPhase(t *testing.T) {
-	// The whole check explores 5 states, the last in the H2b graph build; a
-	// budget of 4 runs out there.
-	m := engine.Budget{MaxStates: 4}.Meter()
+	// The whole check explores 4 states: 1 in the LHS graph build, 1 in the
+	// guarantees-only build and 2 in the +v product. A budget of 1 runs out
+	// in the guarantees-only build.
+	m := engine.Budget{MaxStates: 1}.Meter()
 	rec := obs.New(m)
 	th := circular.SafetyTheorem()
 	report, err := th.CheckWith(m)
@@ -87,9 +88,9 @@ func TestTheoremBudgetExhaustionNamesPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	if report.Verdict != engine.Unknown {
-		t.Fatalf("verdict = %v, want Unknown under a 4-state budget", report.Verdict)
+		t.Fatalf("verdict = %v, want Unknown under a 1-state budget", report.Verdict)
 	}
-	doc := rec.Finish("test", obs.Config{MaxStates: 4}, report.Verdict, report.Unknown)
+	doc := rec.Finish("test", obs.Config{MaxStates: 1}, report.Verdict, report.Unknown)
 	if doc.ExhaustedPhase == "" || !strings.Contains(doc.ExhaustedPhase, "build:") {
 		t.Errorf("exhausted_phase = %q, want a path through a build: span", doc.ExhaustedPhase)
 	}
