@@ -1,10 +1,13 @@
 package ag_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"testing"
 
 	"opentla/internal/ag"
+	"opentla/internal/cache"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/ts"
@@ -36,6 +39,40 @@ func TestCheckGraphsCanonicalDescGolden(t *testing.T) {
 		th.Reduce, th.Symmetry = tc.opts, cfg.DoubleSymmetry()
 		if got := tc.sys(th).CanonicalDesc(); got != string(want) {
 			t.Errorf("-reduce %s: %s CanonicalDesc changed; cached graphs would miss.\ngot:\n%s\nwant:\n%s", tc.opts, tc.golden, got, want)
+		}
+	}
+}
+
+// TestGuaranteesSnapshotGolden pins the SHA-256 of the encoded snapshot of
+// the Fig. 9 N=1 K=2 guarantees-only graph, unreduced and under symmetry.
+// The digests were computed by the binding-slice state representation, so
+// the test proves that state numbering, edge order and every snapshot byte
+// are independent of how states are stored: a change here means graph
+// caches users already hold decode to different graphs or miss.
+func TestGuaranteesSnapshotGolden(t *testing.T) {
+	cfg := queue.Config{N: 1, Vals: 2}
+	for _, tc := range []struct {
+		opts   reduce.Options
+		states int
+		sha    string
+	}{
+		{reduce.Options{}, 1824, "b12923d592956f0774772a5482597e1efb519e69fe45df965a9b7e0c00026437"},
+		{reduce.Options{Sym: true}, 912, "87df88d8e02f3eead77a2cac3fa5598775d9fe450b8ae915ec943f95fb185ff4"},
+	} {
+		th := cfg.Fig9Theorem()
+		th.Reduce, th.Symmetry = tc.opts, cfg.DoubleSymmetry()
+		sys := th.GuaranteesSystem()
+		g, err := sys.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sum := cache.Digest(sys.CanonicalDesc())
+		data, err := cache.Encode(g.Snapshot(), sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.sha || g.NumStates() != tc.states {
+			t.Errorf("-reduce %s: snapshot of %d states has SHA-256 %s, want %d states and %s", tc.opts, g.NumStates(), got, tc.states, tc.sha)
 		}
 	}
 }

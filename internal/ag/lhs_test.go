@@ -10,7 +10,6 @@ import (
 	"opentla/internal/circular"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
-	"opentla/internal/spec"
 	"opentla/internal/ts"
 )
 
@@ -64,14 +63,12 @@ func graphShape(t *testing.T, sys *ts.System) (states []string, inits []int, edg
 func TestLHSGraphIgnoresFairness(t *testing.T) {
 	for _, tm := range theoremModels() {
 		t.Run(tm.name, func(t *testing.T) {
-			full := tm.make().LHSSystem()
-			closed := *full
-			closed.Components = make([]*spec.Component, len(full.Components))
-			for i, c := range full.Components {
+			full, closed := tm.make().LHSSystem(), tm.make().LHSSystem()
+			for i, c := range closed.Components {
 				closed.Components[i] = c.SafetyOnly()
 			}
 			fs, fi, fe := graphShape(t, full)
-			cs, ci, ce := graphShape(t, &closed)
+			cs, ci, ce := graphShape(t, closed)
 			if !reflect.DeepEqual(fs, cs) || !reflect.DeepEqual(fi, ci) || !reflect.DeepEqual(fe, ce) {
 				t.Fatalf("graphs differ: with fairness %d states / inits %v, without %d states / inits %v",
 					len(fs), fi, len(cs), ci)

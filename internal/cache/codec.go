@@ -208,16 +208,11 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		return nil, fmt.Errorf("snapshot nstates×nvars %d×%d exceeds the %d bytes left at offset %d", nstates, nvars, r.left(), r.off)
 	}
 	snap.States = make([]*state.State, nstates)
-	binding := make(map[string]value.Value, len(vars))
+	sd := &stateDecoder{vars: vars}
 	for i := range snap.States {
-		for _, v := range vars {
-			val, err := r.value(0)
-			if err != nil {
-				return nil, err
-			}
-			binding[v] = val
+		if snap.States[i], err = sd.next(r); err != nil {
+			return nil, err
 		}
-		snap.States[i] = state.New(binding)
 	}
 	ninits, err := r.count("ninits")
 	if err != nil {
@@ -270,14 +265,9 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 			case 0:
 				snap.EdgeStates[k] = snap.States[snap.Targets[k]]
 			case 1:
-				for _, v := range vars {
-					val, err := r.value(0)
-					if err != nil {
-						return nil, err
-					}
-					binding[v] = val
+				if snap.EdgeStates[k], err = sd.next(r); err != nil {
+					return nil, err
 				}
-				snap.EdgeStates[k] = state.New(binding)
 			default:
 				return nil, fmt.Errorf("edge %d has unknown marker %d", k, marker)
 			}
@@ -287,6 +277,44 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		return nil, fmt.Errorf("snapshot has %d trailing bytes", len(r.buf)-r.off)
 	}
 	return snap, nil
+}
+
+// stateDecoder reads states binding vars, one value per variable in the
+// order of vars. The first state read fixes the variable layout; every
+// later one is a positional copy of it, so a state costs the interning of
+// its values and no name handling. A variable repeated in vars keeps its
+// last value, as in a map.
+type stateDecoder struct {
+	vars []string
+	tmpl *state.State
+	ups  []state.PosUpdate
+}
+
+func (d *stateDecoder) next(r *reader) (*state.State, error) {
+	if d.tmpl == nil {
+		binding := make(map[string]value.Value, len(d.vars))
+		for _, v := range d.vars {
+			val, err := r.value(0)
+			if err != nil {
+				return nil, err
+			}
+			binding[v] = val
+		}
+		d.tmpl = state.New(binding)
+		d.ups = make([]state.PosUpdate, len(d.vars))
+		for i, v := range d.vars {
+			d.ups[i].Pos, _ = d.tmpl.PosOf(v)
+		}
+		return d.tmpl, nil
+	}
+	for i := range d.ups {
+		val, err := r.value(0)
+		if err != nil {
+			return nil, err
+		}
+		d.ups[i].Val = val
+	}
+	return d.tmpl.CloneWith(d.ups), nil
 }
 
 func appendString(buf []byte, s string) []byte {

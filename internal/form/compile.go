@@ -260,7 +260,7 @@ func (c *compiler) cmp(n CmpE, primed bool) boolFn {
 					return false, errCompiled
 				}
 				for _, p := range ps {
-					if !st.From.At(p).Equal(st.To.At(p)) {
+					if !st.From.EqualAt(st.To, p) {
 						return neq, nil
 					}
 				}

@@ -13,33 +13,45 @@ import (
 	"opentla/internal/value"
 )
 
-type binding struct {
-	name string
-	val  value.Value
-}
-
 // State is an immutable assignment of values to a finite set of variables.
 // In the paper a state assigns values to all variables of the universe; here
 // a State mentions only the variables relevant to the systems under check,
 // which is sound because every formula we evaluate mentions only those.
 //
+// A State is a row of value codes over a shared layout: the layout holds
+// the sorted variable names, interned once per name set, and row[i] is the
+// code of the value of variable i in that variable's dictionary, which
+// interns each distinct value once (see dict.go). The row is pointer-free,
+// so the garbage collector never scans it, and no state repeats a name or a
+// value.
+//
 // Concurrency contract: a State is immutable after construction and safe to
-// share across goroutines without synchronization. The only mutable word is
+// share across goroutines without synchronization. Its only mutable word is
 // the lazily cached fingerprint, which is maintained with atomic loads and
-// stores (see Fingerprint).
+// stores (see Fingerprint). The layouts and dictionaries behind it are
+// process-wide and safe for concurrent use: states may be built, read and
+// compared from any number of goroutines at once, and equal values get
+// equal codes whichever goroutine interns them first.
 type State struct {
-	bindings []binding // sorted by name
-	fp       uint64    // lazily cached fingerprint (0 = not yet computed); aglint:atomic
+	lay *layout
+	row []uint32 // row[i]: code of variable lay.names[i]'s value in lay.dicts[i]
+	fp  uint64   // lazily cached fingerprint (0 = not yet computed); aglint:atomic
 }
 
-// New constructs a state from a variable→value map.
+// New constructs a state from a variable→value map. It panics if a value is
+// the invalid zero value.Value.
 func New(vars map[string]value.Value) *State {
-	bs := make([]binding, 0, len(vars))
-	for n, v := range vars {
-		bs = append(bs, binding{name: n, val: v})
+	names := make([]string, 0, len(vars))
+	for n := range vars {
+		names = append(names, n)
 	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].name < bs[j].name })
-	return &State{bindings: bs}
+	sort.Strings(names)
+	lay := layoutOf(names)
+	row := make([]uint32, len(names))
+	for i, n := range names {
+		row[i] = lay.dicts[i].intern(vars[n])
+	}
+	return &State{lay: lay, row: row}
 }
 
 // FromPairs constructs a state from alternating name/value pairs, e.g.
@@ -65,21 +77,10 @@ func FromPairs(pairs ...any) *State {
 }
 
 // Get returns the value of variable name. The second result is false if the
-// state does not bind name. The binary search is hand-rolled: Get is the
-// innermost call of formula evaluation and sort.Search's closure defeats
-// inlining.
+// state does not bind name.
 func (s *State) Get(name string) (value.Value, bool) {
-	lo, hi := 0, len(s.bindings)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.bindings[mid].name < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.bindings) && s.bindings[lo].name == name {
-		return s.bindings[lo].val, true
+	if i, ok := s.lay.pos(name); ok {
+		return s.At(i), true
 	}
 	return value.Value{}, false
 }
@@ -88,7 +89,16 @@ func (s *State) Get(name string) (value.Value, bool) {
 // order — the positional dual of Get, used by compiled expression
 // evaluation (form.CompilePred) after positions are resolved once against
 // a fixed variable layout. The caller must ensure 0 <= i < Len().
-func (s *State) At(i int) value.Value { return s.bindings[i].val }
+func (s *State) At(i int) value.Value { return s.lay.dicts[i].entry(s.row[i]).val }
+
+// EqualAt reports whether s and t have equal values at binding position i,
+// comparing codes when both bind the same variable there.
+func (s *State) EqualAt(t *State, i int) bool {
+	if s.lay.dicts[i] == t.lay.dicts[i] {
+		return s.row[i] == t.row[i]
+	}
+	return s.At(i).Equal(t.At(i))
+}
 
 // MustGet returns the value of variable name and panics if unbound. Use in
 // contexts where the variable set has been validated.
@@ -102,83 +112,85 @@ func (s *State) MustGet(name string) value.Value {
 
 // With returns a new state equal to s except that name is bound to v.
 func (s *State) With(name string, v value.Value) *State {
-	out := make([]binding, 0, len(s.bindings)+1)
-	inserted := false
-	for _, b := range s.bindings {
-		switch {
-		case b.name == name:
-			out = append(out, binding{name: name, val: v})
-			inserted = true
-		case !inserted && b.name > name:
-			out = append(out, binding{name: name, val: v}, b)
-			inserted = true
-		default:
-			out = append(out, b)
-		}
-	}
-	if !inserted {
-		out = append(out, binding{name: name, val: v})
-	}
-	return &State{bindings: out}
+	return s.WithAll(map[string]value.Value{name: v})
 }
 
 // WithAll returns a new state equal to s with every binding in updates
 // applied. Existing bindings are replaced; new names are inserted in order.
+// Codes of the bindings s keeps are copied, not re-interned.
 func (s *State) WithAll(updates map[string]value.Value) *State {
 	if len(updates) == 0 {
 		return s
 	}
-	news := make([]binding, 0, len(updates))
-	for n, v := range updates {
-		news = append(news, binding{name: n, val: v})
-	}
-	sort.Slice(news, func(i, j int) bool { return news[i].name < news[j].name })
-	out := make([]binding, 0, len(s.bindings)+len(news))
-	i, j := 0, 0
-	for i < len(s.bindings) && j < len(news) {
-		switch {
-		case s.bindings[i].name < news[j].name:
-			out = append(out, s.bindings[i])
-			i++
-		case s.bindings[i].name > news[j].name:
-			out = append(out, news[j])
-			j++
-		default:
-			out = append(out, news[j])
-			i++
-			j++
+	var added []string
+	for n := range updates {
+		if _, ok := s.lay.pos(n); !ok {
+			added = append(added, n)
 		}
 	}
-	out = append(out, s.bindings[i:]...)
-	out = append(out, news[j:]...)
-	return &State{bindings: out}
+	lay := s.lay
+	if len(added) > 0 {
+		names := append(append([]string(nil), s.lay.names...), added...)
+		sort.Strings(names)
+		lay = layoutOf(names)
+	}
+	row := make([]uint32, len(lay.names))
+	for i, n := range lay.names {
+		if v, ok := updates[n]; ok {
+			row[i] = lay.dicts[i].intern(v)
+		} else {
+			j, _ := s.lay.pos(n)
+			row[i] = s.row[j]
+		}
+	}
+	return &State{lay: lay, row: row}
 }
 
 // PosUpdate assigns Val to the binding at index Pos in a state's sorted
 // binding order (see PosOf). Positional updates let the successor generator
-// build candidate states with a single slice copy instead of repeated
+// build candidate states with a single row copy instead of repeated
 // map-merge-sort passes.
+//
+// Applying an update interns Val unless Resolve has already recorded its
+// code; an update reused across many candidates should be resolved once.
+// Resolve records the code of the Val it saw, so reassigning Val afterwards
+// requires resolving again (assigning a whole resolved PosUpdate is fine).
 type PosUpdate struct {
-	Pos int
-	Val value.Value
+	Pos  int
+	Val  value.Value
+	code uint32 // Val's code in the dictionary at Pos; 0 = not resolved
+}
+
+// Resolve interns the value of every update against s's layout and records
+// its code, so applying the updates (CloneWith, OverwriteInto) on any state
+// with s's variable set copies codes instead of interning. It panics if a
+// value is the invalid zero value.Value.
+func (s *State) Resolve(ups []PosUpdate) {
+	for i := range ups {
+		ups[i].code = s.lay.dicts[ups[i].Pos].intern(ups[i].Val)
+	}
 }
 
 // PosOf returns the index of name within the state's sorted bindings, for
 // use with CloneWith.
 func (s *State) PosOf(name string) (int, bool) {
-	lo, hi := 0, len(s.bindings)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.bindings[mid].name < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.bindings) && s.bindings[lo].name == name {
-		return lo, true
+	if i, ok := s.lay.pos(name); ok {
+		return i, true
 	}
 	return -1, false
+}
+
+// apply writes the update groups into row, a row over s's layout.
+func (s *State) apply(row []uint32, groups [][]PosUpdate) {
+	for _, g := range groups {
+		for i := range g {
+			if u := &g[i]; u.code != 0 {
+				row[u.Pos] = u.code
+			} else {
+				row[u.Pos] = s.lay.dicts[u.Pos].intern(u.Val)
+			}
+		}
+	}
 }
 
 // CloneWith returns a copy of s with every update group applied in order.
@@ -186,33 +198,21 @@ func (s *State) PosOf(name string) (int, bool) {
 // with the same variable set. Unlike WithAll it cannot introduce new
 // variables — it only reassigns existing ones.
 func (s *State) CloneWith(groups ...[]PosUpdate) *State {
-	bs := make([]binding, len(s.bindings))
-	copy(bs, s.bindings)
-	for _, g := range groups {
-		for _, u := range g {
-			bs[u.Pos].val = u.Val
-		}
-	}
-	return &State{bindings: bs}
+	row := append([]uint32(nil), s.row...)
+	s.apply(row, groups)
+	return &State{lay: s.lay, row: row}
 }
 
-// OverwriteInto copies s's bindings into dst (reusing its capacity), applies
-// the update groups, and invalidates dst's cached fingerprint. It exists so
+// OverwriteInto copies s into dst (reusing dst's row capacity), applies the
+// update groups, and invalidates dst's cached fingerprint. It exists so
 // successor enumeration can evaluate millions of candidate states against a
 // single scratch State instead of allocating one per candidate; dst must be
 // goroutine-local and must not escape while being reused — materialize an
 // accepted candidate with Clone.
 func (s *State) OverwriteInto(dst *State, groups ...[]PosUpdate) {
-	if cap(dst.bindings) < len(s.bindings) {
-		dst.bindings = make([]binding, len(s.bindings))
-	}
-	dst.bindings = dst.bindings[:len(s.bindings)]
-	copy(dst.bindings, s.bindings)
-	for _, g := range groups {
-		for _, u := range g {
-			dst.bindings[u.Pos].val = u.Val
-		}
-	}
+	dst.lay = s.lay
+	dst.row = append(dst.row[:0], s.row...)
+	s.apply(dst.row, groups)
 	atomic.StoreUint64(&dst.fp, 0)
 }
 
@@ -220,21 +220,17 @@ func (s *State) OverwriteInto(dst *State, groups ...[]PosUpdate) {
 // fingerprint. It materializes a scratch state (see OverwriteInto) into one
 // that may be shared and retained.
 func (s *State) Clone() *State {
-	bs := make([]binding, len(s.bindings))
-	copy(bs, s.bindings)
-	return &State{bindings: bs, fp: atomic.LoadUint64(&s.fp)}
+	return &State{lay: s.lay, row: append([]uint32(nil), s.row...), fp: atomic.LoadUint64(&s.fp)}
 }
 
 // Restrict returns the state containing only the named variables (those of
 // them that s binds).
 func (s *State) Restrict(names []string) *State {
-	m := make(map[string]value.Value, len(names))
+	keep := make(map[string]bool, len(names))
 	for _, n := range names {
-		if v, ok := s.Get(n); ok {
-			m[n] = v
-		}
+		keep[n] = true
 	}
-	return New(m)
+	return s.subset(func(n string) bool { return keep[n] })
 }
 
 // Drop returns the state without the named variables.
@@ -243,46 +239,50 @@ func (s *State) Drop(names []string) *State {
 	for _, n := range names {
 		drop[n] = true
 	}
-	m := make(map[string]value.Value, len(s.bindings))
-	for _, b := range s.bindings {
-		if !drop[b.name] {
-			m[b.name] = b.val
+	return s.subset(func(n string) bool { return !drop[n] })
+}
+
+// subset returns the state binding the variables of s that keep accepts,
+// with their codes copied.
+func (s *State) subset(keep func(string) bool) *State {
+	var names []string
+	var row []uint32
+	for i, n := range s.lay.names {
+		if keep(n) {
+			names = append(names, n)
+			row = append(row, s.row[i])
 		}
 	}
-	return New(m)
+	return &State{lay: layoutOf(names), row: row}
 }
 
 // Vars returns the sorted variable names bound by s.
-func (s *State) Vars() []string {
-	out := make([]string, len(s.bindings))
-	for i, b := range s.bindings {
-		out[i] = b.name
-	}
-	return out
-}
+func (s *State) Vars() []string { return append([]string(nil), s.lay.names...) }
 
 // Map returns a fresh map copy of the bindings.
 func (s *State) Map() map[string]value.Value {
-	m := make(map[string]value.Value, len(s.bindings))
-	for _, b := range s.bindings {
-		m[b.name] = b.val
+	m := make(map[string]value.Value, len(s.row))
+	for i, n := range s.lay.names {
+		m[n] = s.At(i)
 	}
 	return m
 }
 
 // Len returns the number of bound variables.
-func (s *State) Len() int { return len(s.bindings) }
+func (s *State) Len() int { return len(s.row) }
 
 // Equal reports whether s and t bind the same variables to equal values.
+// Layouts are interned per name set and dictionaries intern values by
+// value.Equal, so comparing layout pointers and code rows is exact.
 func (s *State) Equal(t *State) bool {
 	if s == t {
 		return true
 	}
-	if s == nil || t == nil || len(s.bindings) != len(t.bindings) {
+	if s == nil || t == nil || s.lay != t.lay {
 		return false
 	}
-	for i := range s.bindings {
-		if s.bindings[i].name != t.bindings[i].name || !s.bindings[i].val.Equal(t.bindings[i].val) {
+	for i := range s.row {
+		if s.row[i] != t.row[i] {
 			return false
 		}
 	}
@@ -293,12 +293,9 @@ func (s *State) Equal(t *State) bool {
 // Variables unbound in both states are considered in agreement.
 func (s *State) EqualOn(t *State, names []string) bool {
 	for _, n := range names {
-		sv, sok := s.Get(n)
-		tv, tok := t.Get(n)
-		if sok != tok {
-			return false
-		}
-		if sok && !sv.Equal(tv) {
+		i, sok := s.lay.pos(n)
+		j, tok := t.lay.pos(n)
+		if sok != tok || sok && s.row[i] != t.row[j] {
 			return false
 		}
 	}
@@ -325,23 +322,27 @@ func (s *State) Fingerprint() uint64 {
 
 // FNV-1a 64-bit constants; the hash is unrolled by hand because this is the
 // hottest function of graph exploration and hash/fnv's interface-based
-// Writer both allocates and defeats inlining. The byte stream (and hence
-// every fingerprint) is identical to the previous hash/fnv implementation.
+// Writer both allocates and defeats inlining.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
+// computeFingerprint hashes, for each binding in name order, the name
+// bytes, '=', the 8 little-endian bytes of the value's fingerprint and ';'.
+// The stream is the one the binding-slice representation hashed, so state
+// numbering and snapshot bytes do not depend on the representation; the
+// value fingerprints come cached from the dictionaries.
 func (s *State) computeFingerprint() uint64 {
 	h := uint64(fnvOffset64)
-	for _, b := range s.bindings {
-		for i := 0; i < len(b.name); i++ {
-			h = (h ^ uint64(b.name[i])) * fnvPrime64
+	for i, name := range s.lay.names {
+		for j := 0; j < len(name); j++ {
+			h = (h ^ uint64(name[j])) * fnvPrime64
 		}
 		h = (h ^ '=') * fnvPrime64
-		f := b.val.Fingerprint()
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(f>>(8*i)))) * fnvPrime64
+		f := s.lay.dicts[i].entry(s.row[i]).fp
+		for j := 0; j < 8; j++ {
+			h = (h ^ uint64(byte(f>>(8*j)))) * fnvPrime64
 		}
 		h = (h ^ ';') * fnvPrime64
 	}
@@ -352,10 +353,10 @@ func (s *State) computeFingerprint() uint64 {
 // with no collision risk (unlike Fingerprint).
 func (s *State) Key() string {
 	var sb strings.Builder
-	for _, b := range s.bindings {
-		sb.WriteString(b.name)
+	for i, n := range s.lay.names {
+		sb.WriteString(n)
 		sb.WriteByte('=')
-		sb.WriteString(b.val.String())
+		sb.WriteString(s.At(i).String())
 		sb.WriteByte(';')
 	}
 	return sb.String()
@@ -365,13 +366,13 @@ func (s *State) Key() string {
 func (s *State) String() string {
 	var sb strings.Builder
 	sb.WriteByte('[')
-	for i, b := range s.bindings {
+	for i, n := range s.lay.names {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		sb.WriteString(b.name)
+		sb.WriteString(n)
 		sb.WriteByte('=')
-		sb.WriteString(b.val.String())
+		sb.WriteString(s.At(i).String())
 	}
 	sb.WriteByte(']')
 	return sb.String()

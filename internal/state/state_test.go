@@ -1,6 +1,9 @@
 package state
 
 import (
+	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -268,5 +271,320 @@ func TestFingerprintConcurrent(t *testing.T) {
 				t.Fatalf("round %d: inconsistent fingerprints %v", round, got)
 			}
 		}
+	}
+}
+
+// refState is the representation State had before value codes: a sorted
+// slice of name/value bindings. It is the slow oracle TestStateMatchesReference
+// holds State to.
+type refState []refBinding
+
+type refBinding struct {
+	name string
+	val  value.Value
+}
+
+func refNew(vars map[string]value.Value) refState {
+	r := make(refState, 0, len(vars))
+	for n, v := range vars {
+		r = append(r, refBinding{n, v})
+	}
+	sort.Slice(r, func(i, j int) bool { return r[i].name < r[j].name })
+	return r
+}
+
+func (r refState) toMap() map[string]value.Value {
+	m := make(map[string]value.Value, len(r))
+	for _, b := range r {
+		m[b.name] = b.val
+	}
+	return m
+}
+
+func (r refState) get(name string) (value.Value, bool) {
+	for _, b := range r {
+		if b.name == name {
+			return b.val, true
+		}
+	}
+	return value.Value{}, false
+}
+
+func (r refState) withAll(updates map[string]value.Value) refState {
+	m := r.toMap()
+	for n, v := range updates {
+		m[n] = v
+	}
+	return refNew(m)
+}
+
+func (r refState) filter(keep func(string) bool) refState {
+	var out refState
+	for _, b := range r {
+		if keep(b.name) {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+func (r refState) cloneWith(ups []PosUpdate) refState {
+	out := append(refState(nil), r...)
+	for _, u := range ups {
+		out[u.Pos].val = u.Val
+	}
+	return out
+}
+
+func (r refState) vars() []string {
+	out := make([]string, len(r))
+	for i, b := range r {
+		out[i] = b.name
+	}
+	return out
+}
+
+func (r refState) key() string {
+	var sb strings.Builder
+	for _, b := range r {
+		sb.WriteString(b.name + "=" + b.val.String() + ";")
+	}
+	return sb.String()
+}
+
+func (r refState) String() string {
+	parts := make([]string, len(r))
+	for i, b := range r {
+		parts[i] = b.name + "=" + b.val.String()
+	}
+	return "[" + strings.Join(parts, " ") + "]"
+}
+
+func (r refState) equal(o refState) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for i := range r {
+		if r[i].name != o[i].name || !r[i].val.Equal(o[i].val) {
+			return false
+		}
+	}
+	return true
+}
+
+// fingerprint is the binding-slice hash: FNV-1a over each binding's name
+// bytes, '=', its value's fingerprint (8 bytes, little-endian) and ';'.
+func (r refState) fingerprint() uint64 {
+	h := uint64(fnvOffset64)
+	for _, b := range r {
+		for i := 0; i < len(b.name); i++ {
+			h = (h ^ uint64(b.name[i])) * fnvPrime64
+		}
+		h = (h ^ '=') * fnvPrime64
+		f := b.val.Fingerprint()
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(byte(f>>(8*i)))) * fnvPrime64
+		}
+		h = (h ^ ';') * fnvPrime64
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
+}
+
+// refNames are the variable names the reference test draws from; "q.w"
+// and "w" exercise names that sort around punctuation.
+var refNames = []string{"a", "b", "q.w", "w", "x"}
+
+func randValue(rng *rand.Rand, depth int) value.Value {
+	switch k := rng.Intn(5); {
+	case k == 0:
+		return value.Bool(rng.Intn(2) == 0)
+	case k == 1:
+		return value.Str([]string{"", "a", "bc"}[rng.Intn(3)])
+	case k == 2 && depth < 2:
+		elems := make([]value.Value, rng.Intn(3))
+		for i := range elems {
+			elems[i] = randValue(rng, depth+1)
+		}
+		return value.Tuple(elems...)
+	default:
+		return value.Int(int64(rng.Intn(7) - 3))
+	}
+}
+
+func randBindings(rng *rand.Rand) map[string]value.Value {
+	m := map[string]value.Value{}
+	for _, n := range refNames {
+		if rng.Intn(3) > 0 {
+			m[n] = randValue(rng, 0)
+		}
+	}
+	return m
+}
+
+func randNames(rng *rand.Rand) []string {
+	var out []string
+	for _, n := range append(refNames, "absent") {
+		if rng.Intn(2) == 0 {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestStateMatchesReference drives State and the binding-slice reference
+// through the same seeded sequence of constructions and checks that every
+// observation agrees: Get on every name, Vars, Key, String, Equal against
+// earlier states, and Fingerprint, which must be equal, not merely
+// consistent, since state numbering and snapshot bytes depend on it.
+func TestStateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	type pair struct {
+		st  *State
+		ref refState
+	}
+	pool := []pair{{New(nil), nil}}
+	scratch := New(nil)
+	for step := 0; step < 5000; step++ {
+		p := pool[rng.Intn(len(pool))]
+		var next pair
+		switch op := rng.Intn(7); op {
+		case 0:
+			m := randBindings(rng)
+			next = pair{New(m), refNew(m)}
+		case 1:
+			n, v := refNames[rng.Intn(len(refNames))], randValue(rng, 0)
+			next = pair{p.st.With(n, v), p.ref.withAll(map[string]value.Value{n: v})}
+		case 2:
+			m := randBindings(rng)
+			next = pair{p.st.WithAll(m), p.ref.withAll(m)}
+		case 3:
+			names := randNames(rng)
+			drop := map[string]bool{}
+			for _, n := range names {
+				drop[n] = true
+			}
+			next = pair{p.st.Drop(names), p.ref.filter(func(n string) bool { return !drop[n] })}
+		case 4:
+			names := randNames(rng)
+			keep := map[string]bool{}
+			for _, n := range names {
+				keep[n] = true
+			}
+			next = pair{p.st.Restrict(names), p.ref.filter(func(n string) bool { return keep[n] })}
+		case 5, 6:
+			var ups []PosUpdate
+			for i := 0; i < p.st.Len(); i++ {
+				if rng.Intn(2) == 0 {
+					ups = append(ups, PosUpdate{Pos: i, Val: randValue(rng, 0)})
+				}
+			}
+			if rng.Intn(2) == 0 {
+				p.st.Resolve(ups)
+			}
+			if op == 5 {
+				next = pair{p.st.CloneWith(ups), p.ref.cloneWith(ups)}
+			} else {
+				p.st.OverwriteInto(scratch, ups)
+				checkAgainstRef(t, step, scratch, p.ref.cloneWith(ups))
+				next = pair{scratch.Clone(), p.ref.cloneWith(ups)}
+			}
+		}
+		checkAgainstRef(t, step, next.st, next.ref)
+		for _, o := range pool[max(0, len(pool)-20):] {
+			if got, want := next.st.Equal(o.st), next.ref.equal(o.ref); got != want {
+				t.Fatalf("step %d: %s.Equal(%s) = %v, reference says %v", step, next.st, o.st, got, want)
+			}
+			if got, want := next.st.EqualOn(o.st, refNames), next.ref.restrictEqual(o.ref); got != want {
+				t.Fatalf("step %d: %s.EqualOn(%s) = %v, reference says %v", step, next.st, o.st, got, want)
+			}
+		}
+		pool = append(pool, next)
+	}
+}
+
+// restrictEqual is EqualOn(o, refNames) on the reference.
+func (r refState) restrictEqual(o refState) bool {
+	for _, n := range refNames {
+		a, aok := r.get(n)
+		b, bok := o.get(n)
+		if aok != bok || aok && !a.Equal(b) {
+			return false
+		}
+	}
+	return true
+}
+
+func checkAgainstRef(t *testing.T, step int, st *State, ref refState) {
+	t.Helper()
+	for _, n := range append(refNames, "absent") {
+		got, gok := st.Get(n)
+		want, wok := ref.get(n)
+		if gok != wok || gok && !got.Equal(want) {
+			t.Fatalf("step %d: %s.Get(%q) = %v, %v; reference %v, %v", step, st, n, got, gok, want, wok)
+		}
+	}
+	if got, want := strings.Join(st.Vars(), ","), strings.Join(ref.vars(), ","); got != want {
+		t.Fatalf("step %d: Vars = %s, reference %s", step, got, want)
+	}
+	if got, want := st.Key(), ref.key(); got != want {
+		t.Fatalf("step %d: Key = %s, reference %s", step, got, want)
+	}
+	if got, want := st.String(), ref.String(); got != want {
+		t.Fatalf("step %d: String = %s, reference %s", step, got, want)
+	}
+	if got, want := st.Fingerprint(), ref.fingerprint(); got != want {
+		t.Fatalf("step %d: %s Fingerprint = %#x, reference %#x", step, st, got, want)
+	}
+}
+
+// TestFingerprintGolden pins literal fingerprints, computed by the
+// binding-slice representation before value codes existed. State numbering,
+// graph-cache snapshots and their bytes all follow from these hashes, so a
+// change here silently renumbers every graph.
+func TestFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		st   *State
+		want uint64
+	}{
+		{s("x", value.Int(0)), 0x915f0d707d666672},
+		{s("x", value.Int(-7), "y", value.Int(1<<40)), 0xbe2ec9fab26bd925},
+		{s("b", value.True, "c", value.False), 0x5a7168b0b4189e90},
+		{s("msg", value.Str("hello"), "z", value.Str("")), 0xf8cfdfd88d3f05b9},
+		{s("q", value.Tuple(value.Int(1), value.Tuple(value.Str("a"), value.True)), "r", value.Empty, "s", value.Int(3)), 0x6134e7dac4e63310},
+		{s("i.ack", value.Int(0), "i.sig", value.Int(1), "i.val", value.Int(0), "q", value.Tuple(value.Int(1), value.Int(0))), 0x808e289066f32616},
+	} {
+		if got := tc.st.Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint = %#x, want %#x", tc.st, got, tc.want)
+		}
+	}
+}
+
+// TestInvalidZeroValuePanics checks that no state can bind the invalid zero
+// value.Value: every constructor that interns a value refuses it by name.
+func TestInvalidZeroValuePanics(t *testing.T) {
+	base := s("x", value.Int(0))
+	var zero value.Value
+	for name, f := range map[string]func(){
+		"New":       func() { New(map[string]value.Value{"x": zero}) },
+		"With":      func() { base.With("x", zero) },
+		"WithAll":   func() { base.WithAll(map[string]value.Value{"y": zero}) },
+		"CloneWith": func() { base.CloneWith([]PosUpdate{{Pos: 0, Val: zero}}) },
+		"Resolve":   func() { base.Resolve([]PosUpdate{{Pos: 0, Val: zero}}) },
+		"OverwriteInto": func() {
+			base.OverwriteInto(New(nil), []PosUpdate{{Pos: 0, Val: zero}})
+		},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "invalid zero value.Value") {
+					t.Errorf("%s with the zero value: panic %q, want one naming the invalid zero value", name, msg)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -109,7 +109,6 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	free := sys.FreeVars()
 
 	var inits []*state.State
 	if resume == nil {
@@ -130,7 +129,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		meter:     m,
 		inits:     inits,
 		expand: func(s *state.State) ([]*state.State, error) {
-			succs, serr := sys.successors(compiled, free, s)
+			succs, serr := sys.successors(compiled, s)
 			if serr == nil && rc != nil {
 				rc.fullStates.Add(1)
 				rc.fullSuccs.Add(int64(len(succs)))

@@ -14,6 +14,7 @@ package ts
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"opentla/internal/engine"
@@ -36,6 +37,10 @@ type StepConstraint struct {
 // System is a finite-state complete system: the conjunction of component
 // specifications plus optional step and initial constraints, over declared
 // finite variable domains.
+//
+// A System must not be mutated after its first Successors call, which
+// compiles it once and keeps the result (Build and BuildWith compile afresh
+// on every call).
 type System struct {
 	Name            string
 	Components      []*spec.Component
@@ -64,6 +69,10 @@ type System struct {
 	// Liveness checks refuse reduced graphs (see check.FindFairLasso);
 	// safety checks must iterate real steps via ForEachSuccStep.
 	Reduce *reduce.Config
+
+	succOnce sync.Once // compiles succCS/succErr for Successors
+	succCS   *compiledSystem
+	succErr  error
 }
 
 // reduceSteps converts the step constraints to the reduce package's named
@@ -191,11 +200,14 @@ type compiledConstraint struct {
 }
 
 // compiledSystem caches everything successor generation needs: per-component
-// actions with their derived update generators, plus the step constraints.
+// actions with their derived update generators, the step constraints, and
+// the free variables with each domain value resolved to a positional update.
 // It is immutable after compile and shared across exploration workers.
 type compiledSystem struct {
 	comps       []compiledComponent
 	constraints []compiledConstraint
+	free        []string
+	freeUps     [][]state.PosUpdate // freeUps[i][j]: free[i] := its j-th domain value
 }
 
 func (sys *System) compile() (*compiledSystem, error) {
@@ -228,7 +240,38 @@ func (sys *System) compile() (*compiledSystem, error) {
 			primed: form.PrimedVars(sc.Action),
 		})
 	}
+	cs.free = sys.FreeVars()
+	_, ups, err := sys.domainUpdates(layout, cs.free)
+	if err != nil {
+		return nil, err
+	}
+	cs.freeUps = ups
 	return cs, nil
+}
+
+// domainUpdates returns a state over layout (the sorted sys.Vars()) binding
+// each variable to its first domain value and, for each variable of vars,
+// one positional update per value of its domain, resolved so that applying
+// one copies a code instead of interning the value.
+func (sys *System) domainUpdates(layout, vars []string) (*state.State, [][]state.PosUpdate, error) {
+	first := make(map[string]value.Value, len(layout))
+	for _, v := range layout {
+		dom := sys.Domains[v]
+		if len(dom) == 0 {
+			return nil, nil, fmt.Errorf("system %s: variable %q has no domain", sys.Name, v)
+		}
+		first[v] = dom[0]
+	}
+	tmpl := state.New(first)
+	out := make([][]state.PosUpdate, len(vars))
+	for i, v := range vars {
+		pos, _ := tmpl.PosOf(v)
+		for _, d := range sys.Domains[v] {
+			out[i] = append(out[i], state.PosUpdate{Pos: pos, Val: d})
+		}
+		tmpl.Resolve(out[i])
+	}
+	return tmpl, out, nil
 }
 
 // InitialStates enumerates the states over the full variable set whose
@@ -268,23 +311,21 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 	// Positional enumeration in one scratch state, last variable fastest
 	// (value.ForEachAssignment's order); vars is sorted, so variable i sits
 	// at binding position i, and only accepted states are materialized.
-	doms := make([][]value.Value, len(vars))
-	first := make(map[string]value.Value, len(vars))
-	ups := make([]state.PosUpdate, len(vars))
-	for i, v := range vars {
-		doms[i] = sys.Domains[v]
-		first[v] = doms[i][0]
-		ups[i].Pos = i
+	// Domain values are resolved to codes once, not per assignment.
+	base, doms, err := sys.domainUpdates(vars, vars)
+	if err != nil {
+		return nil, err
 	}
-	base, scratch := state.New(first), state.New(nil)
+	ups := make([]state.PosUpdate, len(vars))
+	for i := range ups {
+		ups[i] = doms[i][0]
+	}
+	scratch := state.New(nil)
 	idx := make([]int, len(vars))
 	var out []*state.State
 	for {
 		if err := m.Tick(); err != nil {
 			return nil, err
-		}
-		for i := range ups {
-			ups[i].Val = doms[i][idx[i]]
 		}
 		base.OverwriteInto(scratch, ups)
 		accept := true
@@ -313,6 +354,9 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 		if vi < 0 {
 			return out, nil
 		}
+		for i := vi; i < len(ups); i++ {
+			ups[i] = doms[i][idx[i]]
+		}
 	}
 }
 
@@ -335,12 +379,12 @@ func assignmentCount(vars []string, domains map[string][]value.Value) (int, erro
 
 // choice is one component's contribution to a joint step with its update
 // resolved to positional form: either a stutter (action == nil, no updates)
-// or a named action reassigning its owned variables. Positional updates let
-// each candidate successor be built with a single slice copy (CloneWith)
-// instead of one map-merge-sort per component. defFreeDep records whether
-// the action's definition primes any free variable; when it does not, its
-// verdict on a candidate step is the same under every free assignment and
-// is cached per choice combination.
+// or a named action reassigning its owned variables. Its updates are
+// resolved to value codes once and reused by every choice combination, so
+// each candidate successor is built with a single row copy. defFreeDep
+// records whether the action's definition primes any free variable; when it
+// does not, its verdict on a candidate step is the same under every free
+// assignment and is cached per choice combination.
 type choice struct {
 	action     *compiledAction
 	ups        []state.PosUpdate
@@ -350,12 +394,13 @@ type choice struct {
 // Successors computes all states t such that ⟨s, t⟩ satisfies every
 // component's [N_i]_⟨m_i,x_i⟩, every step constraint, and changes free
 // variables arbitrarily. The result always includes s itself (stuttering).
+// The system is compiled on the first call only (see System).
 func (sys *System) Successors(s *state.State) ([]*state.State, error) {
-	cs, err := sys.compile()
-	if err != nil {
-		return nil, err
+	sys.succOnce.Do(func() { sys.succCS, sys.succErr = sys.compile() })
+	if sys.succErr != nil {
+		return nil, sys.succErr
 	}
-	return sys.successors(cs, sys.FreeVars(), s)
+	return sys.successors(sys.succCS, s)
 }
 
 // Combo-cache verdicts for the free-independent part of a step's validity.
@@ -380,8 +425,8 @@ const maxComboCache = 1 << 20
 // variable has the same verdict for a given choice combination under every
 // free assignment (unprimed variables read s, which is fixed), so those
 // verdicts are computed once per combination and cached.
-func (sys *System) successors(cs *compiledSystem, free []string, s *state.State) ([]*state.State, error) {
-	compiled := cs.comps
+func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.State, error) {
+	compiled, free := cs.comps, cs.free
 	freeSet := make(map[string]bool, len(free))
 	for _, v := range free {
 		freeSet[v] = true
@@ -420,6 +465,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 				return nil, fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
 			}
 			for _, ups := range cands {
+				s.Resolve(ups)
 				chs = append(chs, choice{action: ca, ups: ups, defFreeDep: dep})
 			}
 		}
@@ -439,18 +485,15 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		}
 	}
 
-	// Resolve free-variable positions and domains once; most systems have
-	// none, in which case the outer loop body runs exactly once.
+	// Free-variable updates come resolved from compile; most systems have
+	// no free variables, in which case the outer loop body runs exactly
+	// once.
 	freePos := make([]state.PosUpdate, len(free))
-	freeDoms := make([][]value.Value, len(free))
 	freeIdx := make([]int, len(free))
 	for i, v := range free {
-		p, ok := s.PosOf(v)
-		if !ok {
-			return nil, fmt.Errorf("system %s: free variable %q not bound in state %s", sys.Name, v, s)
+		if p, ok := s.PosOf(v); !ok || p != cs.freeUps[i][0].Pos {
+			return nil, fmt.Errorf("system %s: free variable %q not bound at its layout position in state %s", sys.Name, v, s)
 		}
-		freePos[i] = state.PosUpdate{Pos: p}
-		freeDoms[i] = sys.Domains[v]
 	}
 
 	seen := store.NewSet() // fingerprint dedup; Key() stays out of this hot path
@@ -465,7 +508,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 
 	for {
 		for i := range free {
-			freePos[i].Val = freeDoms[i][freeIdx[i]]
+			freePos[i] = cs.freeUps[i][freeIdx[i]]
 		}
 		groups[0] = freePos
 		// Enumerate per-component choice combinations under this free
@@ -581,7 +624,7 @@ func (sys *System) successors(cs *compiledSystem, free []string, s *state.State)
 		fi := len(free) - 1
 		for fi >= 0 {
 			freeIdx[fi]++
-			if freeIdx[fi] < len(freeDoms[fi]) {
+			if freeIdx[fi] < len(cs.freeUps[fi]) {
 				break
 			}
 			freeIdx[fi] = 0

@@ -40,8 +40,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is an immutable TLA value. The zero Value is invalid; construct
-// values with Bool, Int, Str, and Tuple.
+// Value is an immutable TLA value. Construct values with Bool, Int, Str,
+// and Tuple. The zero Value is invalid: it is no TLA value, only the
+// "nothing" result of a failed accessor (At, Head, ...), and no state may
+// bind it — package state's constructors panic on it.
 type Value struct {
 	kind Kind
 	b    bool
