@@ -1,0 +1,174 @@
+package check
+
+import (
+	"testing"
+
+	"opentla/internal/form"
+	"opentla/internal/reduce"
+	"opentla/internal/spec"
+	"opentla/internal/state"
+	"opentla/internal/ts"
+	"opentla/internal/value"
+)
+
+// failingAt maps to e, except on states satisfying at, where it fails to
+// evaluate (Head of the empty sequence).
+func failingAt(at, e form.Expr) form.Expr {
+	return form.If(at, form.Head(form.EmptySeq), e)
+}
+
+// pairGraph builds x, y ∈ 0..2, each incremented on its own up to 2, under
+// a symmetry swapping x and y when sym is set.
+func pairGraph(t *testing.T, sym bool) *ts.Graph {
+	t.Helper()
+	inc := func(v, other string) spec.Action {
+		return spec.Action{Name: "Inc" + v, Def: form.And(
+			form.Lt(form.Var(v), form.IntC(2)),
+			form.Eq(form.PrimedVar(v), form.Add(form.Var(v), form.IntC(1))),
+			form.Unchanged(other),
+		)}
+	}
+	dom := value.Ints(0, 2)
+	sys := &ts.System{
+		Name: "pair",
+		Components: []*spec.Component{{
+			Name:    "pair",
+			Outputs: []string{"x", "y"},
+			Init:    form.And(form.Eq(form.Var("x"), form.IntC(0)), form.Eq(form.Var("y"), form.IntC(0))),
+			Actions: []spec.Action{inc("x", "y"), inc("y", "x")},
+		}},
+		Domains: map[string][]value.Value{"x": dom, "y": dom},
+	}
+	if sym {
+		sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true},
+			Symmetry: &reduce.Symmetry{Blocks: [][]string{{"x"}, {"y"}}}}
+	}
+	g, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSafetyUnderMappingFailsOnSomeStates: where a mapped value fails to
+// evaluate, the state and its steps are checked as F̄ on the concrete
+// states, so F̄'s short-circuits hold and its errors are reported.
+func TestSafetyUnderMappingFailsOnSomeStates(t *testing.T) {
+	g := ringGraph(t, 3, false)
+	x, y := form.Var("x"), form.Var("y")
+	at2 := form.Eq(x, form.IntC(2))
+	mapping := map[string]form.Expr{"y": failingAt(at2, form.Add(x, form.IntC(10)))}
+	for _, tc := range []struct {
+		name  string
+		f     form.Formula
+		holds bool // meaningless when fails
+		fails bool
+	}{
+		{"init", form.Pred(form.Eq(y, form.IntC(10))), true, false},
+		{"guarded-invariant", form.AlwaysPred(form.Or(at2, form.Lt(y, form.IntC(13)))), true, false},
+		{"violated-invariant", form.AlwaysPred(form.Or(at2, form.Lt(y, form.IntC(11)))), false, false},
+		{"failing-invariant", form.AlwaysPred(form.Lt(y, form.IntC(13))), false, true},
+		{"guarded-box", form.ActBoxVars(form.Or(at2, form.Eq(form.PrimedVar("x"), form.IntC(2)),
+			form.Gt(form.PrimedVar("y"), y)), "x"), true, false},
+		{"failing-box", form.ActBoxVars(form.Gt(form.PrimedVar("y"), y), "x"), false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := SameAsReference(t, g, tc.f, mapping)
+			if (res == nil) != tc.fails || res != nil && res.Holds != tc.holds {
+				t.Fatalf("result %v, want holds=%v fails=%v", res, tc.holds, tc.fails)
+			}
+		})
+	}
+}
+
+// TestSafetyUnderMappedConcreteName: a mapped name that is also a concrete
+// variable reads its mapped value, in every state of a step.
+func TestSafetyUnderMappedConcreteName(t *testing.T) {
+	x, y := form.Var("x"), form.Var("y")
+	swap := map[string]form.Expr{"x": y, "y": x}
+	g := pairGraph(t, false)
+	shift := map[string]form.Expr{"x": form.Add(x, form.IntC(1))}
+	for _, tc := range []struct {
+		name    string
+		f       form.Formula
+		mapping map[string]form.Expr
+		holds   bool
+	}{
+		{"swap-box", form.ActBoxF{A: form.And(form.Eq(form.PrimedVar("x"), form.Add(x, form.IntC(1))), form.Unchanged("y")), Sub: x}, swap, true},
+		{"swap-box-violated", form.ActBoxVars(form.Eq(form.PrimedVar("x"), form.Add(x, form.IntC(1))), "x", "y"), swap, false},
+		{"shift-init", form.Pred(form.And(form.Eq(x, form.IntC(1)), form.Eq(y, form.IntC(0)))), shift, true},
+		{"shift-invariant", form.AlwaysPred(form.Lt(x, form.IntC(3))), shift, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if res := SameAsReference(t, g, tc.f, tc.mapping); res == nil || res.Holds != tc.holds {
+				t.Fatalf("result %v, want holds=%v", res, tc.holds)
+			}
+		})
+	}
+}
+
+// TestSafetyUnderReducedEdges: on a symmetry-reduced graph an edge's real
+// successor need not be its target's representative; its image is computed
+// from the real state, including where the mapping fails on it.
+func TestSafetyUnderReducedEdges(t *testing.T) {
+	g := pairGraph(t, true)
+	offRep := 0
+	g.ForEachEdgeStep(func(_, to int, real *state.State) bool {
+		if real != g.States[to] {
+			offRep++
+		}
+		return true
+	})
+	if offRep == 0 {
+		t.Fatal("no edge of the reduced graph leaves its representative")
+	}
+	x, y := form.Var("x"), form.Var("y")
+	sum := form.Add(x, y)
+	// (1, 0) is not a representative, only the real successor of (0, 0).
+	at10 := form.And(form.Eq(x, form.IntC(1)), form.Eq(y, form.IntC(0)))
+	if g.ID(state.FromPairs("x", value.Int(1), "y", value.Int(0))) >= 0 {
+		t.Fatal("(1, 0) is a representative")
+	}
+	for _, tc := range []struct {
+		name    string
+		f       form.Formula
+		mapping map[string]form.Expr
+		holds   bool
+		fails   bool
+	}{
+		{"sum-box", form.ActBoxVars(form.Eq(form.PrimedVar("s"), form.Add(form.Var("s"), form.IntC(1))), "s"),
+			map[string]form.Expr{"s": sum}, true, false},
+		{"real-box", form.ActBoxVars(form.Ge(form.PrimedVar("d"), form.Var("d")), "d"),
+			map[string]form.Expr{"d": x}, true, false},
+		{"real-box-violated", form.ActBoxVars(form.Le(form.PrimedVar("d"), form.IntC(1)), "d"),
+			map[string]form.Expr{"d": x}, false, false},
+		{"failing-real", form.ActBoxVars(form.Ge(form.PrimedVar("d"), form.Var("d")), "d"),
+			map[string]form.Expr{"d": failingAt(at10, x)}, false, true},
+		{"guarded-real", form.ActBoxVars(form.Or(form.Eq(form.PrimedVar("x"), form.IntC(1)),
+			form.Ge(form.PrimedVar("d"), form.Var("d"))), "x"),
+			map[string]form.Expr{"d": failingAt(at10, x)}, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := SameAsReference(t, g, tc.f, tc.mapping)
+			if (res == nil) != tc.fails || res != nil && res.Holds != tc.holds {
+				t.Fatalf("result %v, want holds=%v fails=%v", res, tc.holds, tc.fails)
+			}
+		})
+	}
+}
+
+// TestSafetyUnderImageErrorReDerives: where f fails on an image, the step
+// is evaluated as F̄, so the error names F̄'s expression, not f's.
+func TestSafetyUnderImageErrorReDerives(t *testing.T) {
+	g := ringGraph(t, 3, false)
+	x, y := form.Var("x"), form.Var("y")
+	mapping := map[string]form.Expr{"y": form.If(form.Eq(x, form.IntC(2)), form.EmptySeq, form.TupleOf(x))}
+	for _, f := range []form.Formula{
+		form.AlwaysPred(form.Ge(form.Head(y), form.IntC(0))),
+		form.ActBoxVars(form.Ge(form.Head(form.PrimedVar("y")), form.IntC(0)), "x"),
+	} {
+		if res := SameAsReference(t, g, f, mapping); res != nil {
+			t.Fatalf("%s: %v, want an error", f, res)
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"opentla/internal/obs"
 	"opentla/internal/state"
 	"opentla/internal/ts"
+	"opentla/internal/value"
 )
 
 // SafetyResult reports the outcome of a safety check.
@@ -107,52 +108,78 @@ func Safety(g *ts.Graph, f form.Formula) (*SafetyResult, error) {
 	return SafetyUnder(g, f, nil)
 }
 
-// SafetyUnder checks the safety formula f after substituting the refinement
-// mapping (abstract variable → concrete state function) into it. With a nil
-// mapping it checks f directly. This implements the standard TLA refinement
-// step: g ⊨ F̄ where F̄ is F with mapped variables replaced (§A.4).
+// SafetyUnder checks g ⊨ F̄, where F̄ is the safety formula f with the
+// refinement mapping (abstract variable → concrete state function)
+// substituted into it (§A.4). With a nil mapping it checks f directly.
+//
+// Under a mapping the check reads images instead of substituting: a state's
+// image is the state with every mapped variable bound to its mapped value,
+// computed once per state, and f's own predicates, compiled against the
+// image layout, are evaluated on the image of each state and step. That is
+// the capture-free meaning of F̄, so it agrees with Subst wherever Subst
+// does not capture a bound name. Where a mapped value or an image
+// evaluation fails, the step is evaluated as F̄ on the concrete states,
+// which re-derives the error F̄ reports. Messages and errors name F̄, and
+// traces are concrete behaviors.
 //
 // The check is governed by the graph's resource meter: exhaustion aborts
 // with an *engine.BudgetError, and panics during evaluation are contained
 // as *engine.EngineError carrying the offending state and formula.
 func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (result *SafetyResult, err error) {
+	shown := f
 	if mapping != nil {
-		f = f.Subst(mapping)
+		shown = f.Subst(mapping)
 	}
 	m := g.Meter()
 	defer obs.SpanFromMeter(m, "check:safety")()
 	var cur *state.State
 	defer engine.Capture(&err, "check.Safety", func() (string, string) {
 		if cur != nil {
-			return cur.Key(), f.String()
+			return cur.Key(), shown.String()
 		}
-		return "", f.String()
+		return "", shown.String()
 	})
 	done := func(r *SafetyResult) (*SafetyResult, error) {
 		r.Stats = m.Stats()
 		return r, nil
 	}
-	ob, err := decomposeSafety(f)
+	ob, err := decomposeSafety(shown)
 	if err != nil {
 		return nil, err
 	}
-	// Every state of one graph binds the same variable set; compiling the
-	// obligation's predicates against that layout once keeps the per-state
-	// and per-edge evaluation positional and allocation-free.
+	// Every state of one graph binds the same variable set, and so does
+	// every image; compiling the obligation's predicates against those
+	// layouts once keeps the per-state and per-edge evaluation positional
+	// and allocation-free.
 	var layout []string
 	if len(g.States) > 0 {
 		layout = g.States[0].Vars()
 	}
-	// Initial predicates.
-	initPreds := make([]form.CompiledPred, len(ob.inits))
-	for i, p := range ob.inits {
-		initPreds[i] = form.CompilePred(p, layout)
+	var im *imager
+	raw := &safetyObligation{}
+	if mapping != nil {
+		// Subst keeps a formula's shape, so f decomposes as F̄ does.
+		if raw, err = decomposeSafety(f); err != nil {
+			return nil, err
+		}
+		im = newImager(g.States, mapping)
+		for id, s := range g.States {
+			if err := m.Tick(); err != nil {
+				return nil, err
+			}
+			cur = s
+			im.images[id] = im.of(s)
+		}
 	}
+	inits := im.compile(ob.inits, raw.inits, layout)
+	invs := im.compile(ob.invariants, raw.invariants, layout)
+	boxes := im.compile(squares(ob.boxes), squares(raw.boxes), layout)
+	// Initial predicates.
 	for _, id := range g.Inits {
 		s := g.States[id]
 		cur = s
-		for i, p := range initPreds {
-			ok, err := p(state.Step{From: s})
+		for i, p := range inits {
+			ok, err := p.eval(state.Step{From: s}, im.state(id))
 			if err != nil {
 				return nil, fmt.Errorf("initial predicate %s on %s: %w", ob.inits[i], s, err)
 			}
@@ -165,17 +192,13 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		}
 	}
 	// Invariants.
-	invPreds := make([]form.CompiledPred, len(ob.invariants))
-	for i, p := range ob.invariants {
-		invPreds[i] = form.CompilePred(p, layout)
-	}
 	for id, s := range g.States {
 		if err := m.Tick(); err != nil {
 			return nil, err
 		}
 		cur = s
-		for i, p := range invPreds {
-			ok, err := p(state.Step{From: s})
+		for i, p := range invs {
+			ok, err := p.eval(state.Step{From: s}, im.state(id))
 			if err != nil {
 				return nil, fmt.Errorf("invariant %s on %s: %w", ob.invariants[i], s, err)
 			}
@@ -188,10 +211,6 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		}
 	}
 	// Action boxes.
-	squares := make([]form.CompiledPred, len(ob.boxes))
-	for i, b := range ob.boxes {
-		squares[i] = form.CompilePred(form.Square(b.A, b.Sub), layout)
-	}
 	var res *SafetyResult
 	var evalErr error
 	// ForEachEdgeStep hands every edge as a GENUINE step of the system: on a
@@ -206,8 +225,9 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		}
 		st := state.Step{From: g.States[from], To: real}
 		cur = st.From
-		for i, sq := range squares {
-			ok, err := sq(st)
+		img := im.step(from, to, real)
+		for i, sq := range boxes {
+			ok, err := sq.eval(st, img)
 			if err != nil {
 				evalErr = fmt.Errorf("box %s on step %s: %w", ob.boxes[i], st, err)
 				return false
@@ -236,4 +256,113 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 // Invariant checks □P for a single state predicate.
 func Invariant(g *ts.Graph, p form.Expr) (*SafetyResult, error) {
 	return Safety(g, form.AlwaysPred(p))
+}
+
+// squares returns the action [A]_v of each box □[A]_v.
+func squares(boxes []form.ActBoxF) []form.Expr {
+	out := make([]form.Expr, len(boxes))
+	for i, b := range boxes {
+		out[i] = form.Square(b.A, b.Sub)
+	}
+	return out
+}
+
+// obligationPred is one predicate of a safety obligation: F̄'s, compiled
+// against the graph layout, and under a mapping f's own, compiled against
+// the image layout.
+type obligationPred struct {
+	concrete form.CompiledPred
+	image    form.CompiledPred // nil without a mapping
+}
+
+// eval evaluates the predicate on the image step img when there is one and
+// it evaluates, and as F̄ on the concrete step st otherwise.
+func (p obligationPred) eval(st, img state.Step) (bool, error) {
+	if img.From != nil {
+		if ok, err := p.image(img); err == nil {
+			return ok, nil
+		}
+	}
+	return p.concrete(st)
+}
+
+// imager holds the image of every graph state under a refinement mapping
+// (see SafetyUnder). A nil imager stands for no mapping: it has no images.
+type imager struct {
+	states []*state.State
+	names  []string
+	exprs  []form.Expr
+	vals   map[string]value.Value // scratch for of
+	images []*state.State         // by state id; nil where the mapping fails
+	layout []string               // variables of every image
+}
+
+func newImager(states []*state.State, mapping map[string]form.Expr) *imager {
+	im := &imager{
+		states: states,
+		vals:   make(map[string]value.Value, len(mapping)),
+		images: make([]*state.State, len(states)),
+	}
+	for name, e := range mapping {
+		im.names = append(im.names, name)
+		im.exprs = append(im.exprs, e)
+	}
+	return im
+}
+
+// of returns the image of s: s with every mapped variable bound to its
+// mapped value, or nil if one fails to evaluate on s.
+func (im *imager) of(s *state.State) *state.State {
+	for i, e := range im.exprs {
+		v, err := form.EvalState(e, s)
+		if err != nil {
+			return nil
+		}
+		im.vals[im.names[i]] = v
+	}
+	img := s.WithAll(im.vals)
+	if im.layout == nil {
+		im.layout = img.Vars()
+	}
+	return img
+}
+
+// compile compiles the predicates shown of F̄ against layout and, under a
+// mapping, the corresponding predicates raw of f against the image layout.
+func (im *imager) compile(shown, raw []form.Expr, layout []string) []obligationPred {
+	ps := make([]obligationPred, len(shown))
+	for i, e := range shown {
+		ps[i].concrete = form.CompilePred(e, layout)
+		if im != nil {
+			ps[i].image = form.CompilePred(raw[i], im.layout)
+		}
+	}
+	return ps
+}
+
+// state returns the image step of state id, or the zero step if there is
+// none.
+func (im *imager) state(id int) state.Step {
+	if im == nil || im.images[id] == nil {
+		return state.Step{}
+	}
+	return state.Step{From: im.images[id]}
+}
+
+// step returns the image of the step from state from to real, a state whose
+// canonical representative is state to, or the zero step if either image
+// is missing. A real successor that is not a graph state (on a
+// symmetry-reduced graph) gets its image computed here.
+func (im *imager) step(from, to int, real *state.State) state.Step {
+	if im == nil || im.images[from] == nil {
+		return state.Step{}
+	}
+	img := im.images[to]
+	if real != im.states[to] {
+		img = im.of(real)
+	}
+	if img == nil {
+		return state.Step{}
+	}
+	return state.Step{From: im.images[from], To: img}
 }

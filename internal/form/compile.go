@@ -14,7 +14,9 @@ import (
 // evaluation reads states positionally (state.At) instead of binary-searching
 // names, and the stutter-equality shapes that dominate checking — v' = v and
 // ⟨v1,…,vn⟩' = ⟨v1,…,vn⟩ from form.Square/Unchanged — run without allocating
-// the tuples the interpreter would build.
+// the tuples the interpreter would build. A bounded quantifier ∃/∀ x ∈ D : B
+// is unrolled over D into compiled copies of B with x replaced by each
+// element, so it binds no rigid variable at run time.
 //
 // A CompiledPred is safe for concurrent use: the closure tree is immutable and reads
 // only the step it is given.
@@ -32,17 +34,13 @@ var errCompiled = errors.New("form: compiled evaluation fell back to the interpr
 // state.Vars). The compiled predicate is semantically identical to
 // EvalBool(e, st, nil): same verdicts, and on failure the same error
 // messages (errors re-derive through the interpreter). Steps whose states do
-// not match the layout's variable count are evaluated by the interpreter, so
-// a mismatched caller degrades to slow-but-correct.
+// not have exactly layout's variables (state.Layout) are evaluated by the
+// interpreter, so a mismatched caller degrades to slow-but-correct.
 func CompilePred(e Expr, layout []string) CompiledPred {
-	c := &compiler{pos: make(map[string]int, len(layout))}
-	for i, v := range layout {
-		c.pos[v] = i
-	}
-	n := len(layout)
-	f := c.pred(e, false)
+	lay := state.LayoutOf(layout)
+	f := newCompiler(layout).pred(e, false)
 	return func(st state.Step) (bool, error) {
-		if st.From == nil || st.From.Len() != n || (st.To != nil && st.To.Len() != n) {
+		if st.From == nil || st.From.Layout() != lay || (st.To != nil && st.To.Layout() != lay) {
 			return EvalBool(e, st, nil)
 		}
 		b, err := f(st)
@@ -82,6 +80,22 @@ type (
 
 type compiler struct {
 	pos map[string]int
+	// unroll is what is left of the budget of quantifier bodies compiled
+	// per domain element (see pred); a quantifier that would exceed it is
+	// interpreted.
+	unroll int
+}
+
+// maxUnrolledBodies caps the bodies one compilation unrolls for bounded
+// quantifiers, nested ones counting once per enclosing element.
+const maxUnrolledBodies = 4096
+
+func newCompiler(layout []string) *compiler {
+	c := &compiler{pos: make(map[string]int, len(layout)), unroll: maxUnrolledBodies}
+	for i, v := range layout {
+		c.pos[v] = i
+	}
+	return c
 }
 
 // interpVal is the universal fallback: interpret the subtree. In a primed
@@ -168,8 +182,39 @@ func (c *compiler) pred(e Expr, primed bool) boolFn {
 		}
 	case CmpE:
 		return c.cmp(n, primed)
+	case QuantE:
+		if len(n.Domain) > c.unroll {
+			return asBool(interpVal(e, primed))
+		}
+		c.unroll -= len(n.Domain)
+		// ∃/∀ x ∈ D : B is the disjunction/conjunction of B[d/x] over D in
+		// domain order, stopping at the first deciding element or error as
+		// QuantE.Eval does. Subst replaces exactly the occurrences the
+		// binding would shadow, primed ones included.
+		fs := make([]boolFn, len(n.Domain))
+		for i, d := range n.Domain {
+			fs[i] = c.pred(n.Body.Subst(map[string]Expr{n.Name: Const(d)}), primed)
+		}
+		exists := n.Exists
+		return func(st state.Step) (bool, error) {
+			for _, f := range fs {
+				b, err := f(st)
+				if err != nil {
+					return false, err
+				}
+				if b == exists {
+					return exists, nil
+				}
+			}
+			return !exists, nil
+		}
 	}
-	f := c.val(e, primed)
+	return asBool(c.val(e, primed))
+}
+
+// asBool turns a compiled value into a compiled predicate; a non-boolean
+// value fails.
+func asBool(f valFn) boolFn {
 	return func(st state.Step) (bool, error) {
 		v, err := f(st)
 		if err != nil {
@@ -346,8 +391,9 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 	case VarE:
 		p, ok := c.pos[n.Name]
 		if !ok {
-			// Unknown in the layout: unbound at runtime (or rigid, which only
-			// occurs under quantifiers the compiler does not descend into).
+			// Unknown in the layout: unbound at runtime. (Bound names never
+			// get here: unrolling substitutes them, and a quantifier over
+			// budget is interpreted whole.)
 			return interpVal(e, primed)
 		}
 		if primed {
@@ -371,7 +417,7 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 			}
 			return f(st)
 		}
-	case AndE, OrE, NotE, ImpliesE, EquivE, CmpE:
+	case AndE, OrE, NotE, ImpliesE, EquivE, CmpE, QuantE:
 		f := c.pred(e, primed)
 		return func(st state.Step) (value.Value, error) {
 			b, err := f(st)
@@ -495,7 +541,6 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 			return cv, nil
 		}
 	}
-	// QuantE and any future node kinds interpret, preserving rigid-variable
-	// binding semantics exactly.
+	// Any future node kinds interpret.
 	return interpVal(e, primed)
 }

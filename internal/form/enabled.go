@@ -46,11 +46,11 @@ func (c *Ctx) EnabledFn(a Expr, layout []string) func(s *state.State) (bool, err
 	if !ok {
 		return interp
 	}
-	n := len(layout)
+	lay := state.LayoutOf(layout)
 	scr := &enScratch{state: state.New(nil)}
 	found := func([]state.PosUpdate) bool { return false }
 	return func(s *state.State) (bool, error) {
-		if s == nil || s.Len() != n {
+		if s == nil || s.Layout() != lay {
 			return interp(s)
 		}
 		for _, b := range branches {
@@ -140,11 +140,11 @@ func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State) ([
 		}
 		branches[i] = b
 	}
-	n := len(layout)
+	lay := state.LayoutOf(layout)
 	pool := sync.Pool{New: func() any { return &enScratch{state: state.New(nil)} }}
 	return func(s *state.State) ([][]state.PosUpdate, error) {
-		if s == nil || s.Len() != n {
-			return nil, fmt.Errorf("state %s does not bind the %d layout variables", s, n)
+		if s == nil || s.Layout() != lay {
+			return nil, fmt.Errorf("state %s does not bind exactly the %d layout variables", s, len(layout))
 		}
 		scr := pool.Get().(*enScratch)
 		defer pool.Put(scr)
@@ -176,14 +176,6 @@ func sameValues(a, b []state.PosUpdate) bool {
 		}
 	}
 	return true
-}
-
-func newCompiler(layout []string) *compiler {
-	comp := &compiler{pos: make(map[string]int, len(layout))}
-	for i, v := range layout {
-		comp.pos[v] = i
-	}
-	return comp
 }
 
 // expandBranches statically distributes the disjunctions of a conjunct list

@@ -287,3 +287,22 @@ func TestUpdatesFnIndexedOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestEnabledFnLayoutMismatch: EnabledFn interprets, and UpdatesFn
+// rejects, a state that binds as many variables as the layout but not the
+// same ones; read by position, x = 0 would pass for a = 0.
+func TestEnabledFnLayoutMismatch(t *testing.T) {
+	dom := value.Ints(0, 1)
+	ctx := NewCtx(map[string][]value.Value{"a": dom, "b": dom})
+	layout := []string{"a", "b"}
+	a := And(Eq(Var("a"), IntC(0)), Eq(PrimedVar("b"), IntC(1)), Unchanged("a"))
+	xy := st("x", value.Int(0), "y", value.Int(0))
+	sameEnabled(t, ctx, ctx.EnabledFn(a, layout), a, xy)
+	updates, err := ctx.UpdatesFn(a, layout, []string{"b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ups, err := updates(xy); err == nil {
+		t.Fatalf("UpdatesFn on %s: %v, want an error", xy, ups)
+	}
+}

@@ -259,6 +259,26 @@ func (s *State) subset(keep func(string) bool) *State {
 // Vars returns the sorted variable names bound by s.
 func (s *State) Vars() []string { return append([]string(nil), s.lay.names...) }
 
+// Layout identifies the variable set a state binds. Layouts are interned,
+// so two states bind the same variables exactly when their Layouts are
+// equal, and the comparison costs one pointer compare.
+type Layout struct{ l *layout }
+
+// LayoutOf returns the Layout of states binding exactly names. names must
+// be sorted and distinct, as Vars returns them; for any other list it
+// returns the zero Layout, which no state has.
+func LayoutOf(names []string) Layout {
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			return Layout{}
+		}
+	}
+	return Layout{layoutOf(names)}
+}
+
+// Layout returns the Layout of the variables s binds.
+func (s *State) Layout() Layout { return Layout{s.lay} }
+
 // Map returns a fresh map copy of the bindings.
 func (s *State) Map() map[string]value.Value {
 	m := make(map[string]value.Value, len(s.row))
