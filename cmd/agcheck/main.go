@@ -98,19 +98,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxTransitions: bf.MaxTransitions,
 	}
 
-	// fail reports a usage or startup error. When -report was requested the
-	// run still gets a minimal UNKNOWN report, so automation reading reports
-	// sees the failure reason instead of a missing file.
+	// The run's one record (nil until the meter exists, or when no
+	// observability flag asks for it). finish writes every requested output
+	// from it — the report doc, -trace and -metrics-out — on every exit
+	// that has a verdict, and returns code, or 2 when a write fails.
+	var rec *obs.Recorder
+	finish := func(code int, doc *obs.Report) int {
+		if err := of.Write(rec, doc); err != nil {
+			fmt.Fprintln(stderr, "agcheck:", err)
+			return 2
+		}
+		return code
+	}
+	// fail reports a usage or startup error as an UNKNOWN run, so
+	// automation reading the outputs sees the reason instead of a missing
+	// file.
 	fail := func(format string, fargs ...any) int {
 		msg := fmt.Sprintf(format, fargs...)
 		fmt.Fprintf(stderr, "agcheck: %s\n", msg)
-		if of.Report != "" {
-			doc := (*obs.Recorder)(nil).Finish("agcheck", conf, engine.Unknown, msg)
-			if werr := obs.WriteFile(of.Report, doc); werr != nil {
-				fmt.Fprintln(stderr, "agcheck:", werr)
-			}
-		}
-		return 2
+		return finish(2, rec.Finish("agcheck", conf, engine.Unknown, msg))
 	}
 
 	if fs.NArg() > 0 {
@@ -246,11 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	m := bf.Meter()
-	var rec *obs.Recorder
-	if of.Enabled() {
-		rec = obs.New(m)
-	}
-	tracer, registry := of.Telemetry(rec)
+	rec = of.NewRecorder(m)
 	if cc != nil {
 		// Route the cache's self-healing diagnostics (sweeps, quarantines,
 		// retries, gc) into the flight recorder; events from Open flush now.
@@ -263,7 +265,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// not mean what the Composition Theorem says it means.
 	var vetSection *obs.VetReport
 	if mode != vet.ModeOff {
-		endVet := obs.SpanFromMeter(m, "vet")
+		endVet := obs.FromMeter(m).Span("vet")
 		var res *vet.Result
 		if makeRefinement != nil {
 			res = makeRefinement().Vet()
@@ -287,14 +289,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				msg = fmt.Sprintf("vet: state-space bound %s exceeds -max-states %d in strict mode; refusing a run that cannot finish", res.Bound, bf.MaxStates)
 			}
 			fmt.Fprintf(stderr, "agcheck: %s\n", msg)
-			if of.Report != "" {
-				doc := rec.Finish("agcheck", conf, engine.Unknown, msg)
-				doc.Vet = vetSection
-				if werr := obs.WriteFile(of.Report, doc); werr != nil {
-					fmt.Fprintln(stderr, "agcheck:", werr)
-				}
-			}
-			return 2
+			doc := rec.Finish("agcheck", conf, engine.Unknown, msg)
+			doc.Vet = vetSection
+			return finish(2, doc)
 		}
 	}
 
@@ -312,21 +309,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		unknown = err.Error()
 	}
-	if of.Report != "" {
-		doc := rec.Finish("agcheck", conf, verdict, unknown)
-		doc.Vet = vetSection
-		if report != nil {
-			for _, h := range report.Hypotheses {
-				doc.Hypotheses = append(doc.Hypotheses, obs.Hypothesis{Name: h.Name, Holds: h.Holds, Detail: h.Detail})
-			}
-		}
-		if werr := obs.WriteFile(of.Report, doc); werr != nil {
-			fmt.Fprintln(stderr, "agcheck:", werr)
-			return 2
+	doc := rec.Finish("agcheck", conf, verdict, unknown)
+	doc.Vet = vetSection
+	if report != nil {
+		for _, h := range report.Hypotheses {
+			doc.Hypotheses = append(doc.Hypotheses, obs.Hypothesis{Name: h.Name, Holds: h.Holds, Detail: h.Detail})
 		}
 	}
-	if werr := of.WriteTelemetry(tracer, registry); werr != nil {
-		fmt.Fprintln(stderr, "agcheck:", werr)
+	if finish(0, doc) != 0 {
 		return 2
 	}
 	if err != nil {

@@ -31,6 +31,16 @@ type workerProf struct {
 	commit float64 // Σ "commit" durations (parallel barrier phases)
 }
 
+// graphProf is one exploration's row of the per-graph table: the graph it
+// built (the innermost build:/product: phase enclosing its slices) and its
+// expand tallies.
+type graphProf struct {
+	name          string
+	start         float64 // first slice, µs
+	states, succs int64
+	expand        float64 // Σ "expand" durations over its workers, µs
+}
+
 // profile is the attribution agprof derives from one trace.
 //
 // The model follows the explorer's critical path. Each BFS level is a
@@ -49,9 +59,10 @@ type workerProf struct {
 // overhead, reported as the unattributed remainder.
 type profile struct {
 	workers []workerProf
-	runs    int     // distinct explorations seen
-	levels  int     // serial seal slices seen
-	wall    float64 // Σ exploration spans + cache I/O, µs
+	graphs  []graphProf // one per exploration, in run order
+	runs    int         // distinct explorations seen
+	levels  int         // serial seal slices seen
+	wall    float64     // Σ exploration spans + cache I/O, µs
 
 	succgen   float64 // level wall share: expansion minus canonicalization
 	reduction float64 // level wall share: canonicalization
@@ -128,11 +139,15 @@ func analyze(events []traceEvent) (*profile, error) {
 	}
 	drains := map[[2]int64]*span{} // {run, level} → level wall span (worker lanes)
 	runs := map[[2]int64]*span{}   // {run, 0}     → whole-exploration span
+	graphs := map[int64]*graphProf{}
+	var phases []traceEvent // build:/product: slices, to name the runs
 	var laneBusy, laneCanon, laneWait, laneCommit float64
+	slices := 0
 	for _, e := range events {
 		if e.Ph != "X" {
 			continue
 		}
+		slices++
 		track := names[e.TID]
 		isWorker := strings.HasPrefix(track, "worker ")
 		switch {
@@ -147,6 +162,15 @@ func analyze(events []traceEvent) (*profile, error) {
 			grow(runs, [2]int64{run, 0}, e)
 			switch e.Name {
 			case "expand":
+				g := graphs[run]
+				if g == nil {
+					g = &graphProf{start: e.TS}
+					graphs[run] = g
+				}
+				g.start = min(g.start, e.TS)
+				g.states += intArg(e, "states")
+				g.succs += intArg(e, "succs")
+				g.expand += e.Dur
 				w.busy += e.Dur
 				canon := float64(intArg(e, "canon_ns")) / 1e3
 				w.canon += canon
@@ -168,10 +192,22 @@ func analyze(events []traceEvent) (*profile, error) {
 			}
 		case track == "cache":
 			p.cache += e.Dur
+		case track == "phases" && (strings.HasPrefix(e.Name, "build:") || strings.HasPrefix(e.Name, "product:")):
+			phases = append(phases, e)
 		}
 	}
-	if len(byWorker) == 0 {
-		return nil, fmt.Errorf("no worker tracks in trace (was it captured with -trace?)")
+	if slices == 0 {
+		return nil, fmt.Errorf("no slices in trace (was it captured with -trace?)")
+	}
+	ids := make([]int64, 0, len(graphs))
+	for id := range graphs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		g := graphs[id]
+		g.name = nameRun(id, g.start, phases)
+		p.graphs = append(p.graphs, *g)
 	}
 
 	var drainTotal float64
@@ -202,6 +238,18 @@ func analyze(events []traceEvent) (*profile, error) {
 	}
 	sort.Slice(p.workers, func(i, j int) bool { return p.workers[i].name < p.workers[j].name })
 	return p, nil
+}
+
+// nameRun names exploration run by the innermost build:/product: phase
+// slice enclosing its first slice, or "run N" when no phase encloses it.
+func nameRun(run int64, start float64, phases []traceEvent) string {
+	name, best := fmt.Sprintf("run %d", run), -1.0
+	for _, ph := range phases {
+		if ph.TS <= start && start <= ph.TS+ph.Dur && (best < 0 || ph.Dur < best) {
+			name, best = ph.Name, ph.Dur
+		}
+	}
+	return name
 }
 
 // reportMetrics is the slice of a run report agprof joins in: the metrics
@@ -299,6 +347,21 @@ func printProfile(w io.Writer, p *profile, rep *reportMetrics) {
 	}
 	fmt.Fprintf(w, "  mean utilization: %s over %d active workers\n",
 		pct(busyTotal, float64(len(p.workers))*p.wall), len(p.workers))
+
+	if len(p.graphs) > 0 {
+		width := 0
+		for _, g := range p.graphs {
+			width = max(width, len(g.name))
+		}
+		fmt.Fprintln(w, "\nper-graph exploration (states, successors per state, expand time):")
+		for _, g := range p.graphs {
+			perState := 0.0
+			if g.states > 0 {
+				perState = float64(g.succs) / float64(g.states)
+			}
+			fmt.Fprintf(w, "  %-*s %9d %7.2f %s\n", width, g.name, g.states, perState, ms(g.expand))
+		}
+	}
 
 	type bucket struct {
 		name   string

@@ -1,7 +1,8 @@
 // Command agprof analyzes a performance-telemetry capture: the Chrome Trace
 // Event JSON written by agcheck/queueverify -trace, optionally joined with
-// the run report written by -report. It prints per-worker utilization and a
-// ranked bottleneck attribution of the measured wall time across four
+// the run report written by -report. It prints per-worker utilization, one
+// row per explored graph (states, successors per state, expand time), and
+// a ranked bottleneck attribution of the measured wall time across four
 // buckets — successor generation, barrier (wait + commit), reduction
 // (canonicalization), and cache I/O — so "where did the time go?" has a
 // one-command answer.

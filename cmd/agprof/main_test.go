@@ -9,11 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"opentla/internal/circular"
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
 	"opentla/internal/models"
 	"opentla/internal/obs"
-	"opentla/internal/trace"
 )
 
 // syntheticTrace is a hand-built capture with round numbers so every
@@ -116,8 +115,37 @@ func TestUsageErrors(t *testing.T) {
 	}
 	empty := writeTemp(t, "empty.json", `{"traceEvents":[]}`)
 	if code := run([]string{"-trace", empty}, &out, &errb); code != 2 {
-		t.Fatalf("trace without worker tracks must exit 2, got %d", code)
+		t.Fatalf("trace without slices must exit 2, got %d", code)
 	}
+}
+
+// TestTraceWithoutWorkers: a warm-cache run explores nothing, so its trace
+// has phase and cache slices but no worker tracks; agprof still profiles it.
+func TestTraceWithoutWorkers(t *testing.T) {
+	warm := writeTemp(t, "warm.json", `{"traceEvents":[
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"name":"cache"}},
+{"name":"load","cat":"cache","ph":"X","pid":1,"tid":0,"ts":0,"dur":10}]}`)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-trace", warm}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "agprof: 0 workers, 0 explorations") || !strings.Contains(out.String(), "1. cache") {
+		t.Errorf("warm trace profile wrong:\n%s", out.String())
+	}
+}
+
+// writeRun writes a recorder's trace and report into dir and returns
+// their paths.
+func writeRun(t *testing.T, rec *obs.Recorder, workers int) (tracePath, reportPath string) {
+	t.Helper()
+	dir := t.TempDir()
+	tracePath = filepath.Join(dir, "trace.json")
+	reportPath = filepath.Join(dir, "report.json")
+	f := &obs.Flags{Trace: tracePath, Report: reportPath}
+	if err := f.Write(rec, rec.Finish("test", obs.Config{Workers: workers}, engine.Holds, "")); err != nil {
+		t.Fatal(err)
+	}
+	return tracePath, reportPath
 }
 
 // TestEndToEnd runs agprof over a real 4-worker traced build of a bundled
@@ -126,10 +154,7 @@ func TestUsageErrors(t *testing.T) {
 func TestEndToEnd(t *testing.T) {
 	m := engine.NoLimit()
 	rec := obs.New(m)
-	tr := trace.New()
-	rec.SetTracer(tr)
-	reg := metrics.NewRegistry()
-	rec.SetMetrics(reg)
+	rec.EnableTelemetry()
 
 	model, err := models.ByName("doublequeue")
 	if err != nil {
@@ -140,17 +165,7 @@ func TestEndToEnd(t *testing.T) {
 	if _, err := sys.BuildWith(m); err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	if err := tr.WriteFile(tracePath); err != nil {
-		t.Fatal(err)
-	}
-	reportPath := filepath.Join(dir, "report.json")
-	rep := rec.Finish("test", obs.Config{Workers: 4}, engine.Holds, "")
-	if err := obs.WriteFile(reportPath, rep); err != nil {
-		t.Fatal(err)
-	}
+	tracePath, reportPath := writeRun(t, rec, 4)
 
 	var out, errb bytes.Buffer
 	if code := run([]string{"-trace", tracePath, "-report", reportPath}, &out, &errb); code != 0 {
@@ -160,7 +175,7 @@ func TestEndToEnd(t *testing.T) {
 	if !strings.Contains(got, "agprof: 4 workers") {
 		t.Errorf("want 4 worker tracks:\n%s", got)
 	}
-	for _, want := range []string{"worker 0", "worker 3", "successor generation", "barrier", "attributed:"} {
+	for _, want := range []string{"worker 0", "worker 3", "successor generation", "barrier", "attributed:", "build:" + sys.Name} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
@@ -177,5 +192,40 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if share < 80 || share > 120 {
 		t.Errorf("attributed share %.1f%% implausible:\n%s", share, got)
+	}
+
+	// A Composition Theorem check builds three graphs — the left-hand
+	// side, the guarantees-only graph, and its monitor product — and the
+	// per-graph table names each one with its states.
+	m = engine.NoLimit()
+	rec = obs.New(m)
+	rec.EnableTelemetry()
+	th := circular.SafetyTheorem()
+	th.Workers = 2
+	if _, err := th.CheckWith(m); err != nil {
+		t.Fatal(err)
+	}
+	tracePath, _ = writeRun(t, rec, 2)
+	out.Reset()
+	if code := run([]string{"-trace", tracePath}, &out, &errb); code != 0 {
+		t.Fatalf("theorem trace: exit %d, stderr: %s", code, errb.String())
+	}
+	rows := regexp.MustCompile(`(?m)^  ((?:build|product):\S.*?)\s+(\d+)\s+[0-9.]+ [0-9.]+ms$`).FindAllStringSubmatch(out.String(), -1)
+	if len(rows) != 3 {
+		t.Fatalf("want 3 named graph rows, got %d:\n%s", len(rows), out.String())
+	}
+	for _, suffix := range []string{"/full-lhs", "/guarantees-only", "/guarantees-only"} {
+		found := false
+		for _, r := range rows {
+			if strings.HasSuffix(r[1], suffix) && r[2] != "0" {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no row for a graph ending %q with states:\n%s", suffix, out.String())
+		}
+	}
+	if !strings.HasPrefix(rows[2][1], "product:") {
+		t.Errorf("third graph should be the monitor product:\n%s", out.String())
 	}
 }

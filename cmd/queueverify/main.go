@@ -88,18 +88,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxTransitions: bf.MaxTransitions,
 	}
 
-	// fail mirrors agcheck: startup failures exit 2 and, when -report was
-	// requested, still produce a minimal UNKNOWN report with the reason.
+	// The run's one record and its write path, as in agcheck: every exit
+	// that has a verdict writes each requested output from it.
+	var rec *obs.Recorder
+	finish := func(code int, doc *obs.Report) int {
+		if err := of.Write(rec, doc); err != nil {
+			fmt.Fprintln(stderr, "queueverify:", err)
+			return 2
+		}
+		return code
+	}
+	// fail mirrors agcheck: startup failures exit 2 as an UNKNOWN run with
+	// the reason.
 	fail := func(format string, fargs ...any) int {
 		msg := fmt.Sprintf(format, fargs...)
 		fmt.Fprintf(stderr, "queueverify: %s\n", msg)
-		if of.Report != "" {
-			doc := (*obs.Recorder)(nil).Finish("queueverify", conf, engine.Unknown, msg)
-			if werr := obs.WriteFile(of.Report, doc); werr != nil {
-				fmt.Fprintln(stderr, "queueverify:", werr)
-			}
-		}
-		return 2
+		return finish(2, rec.Finish("queueverify", conf, engine.Unknown, msg))
 	}
 
 	if fs.NArg() > 0 {
@@ -153,11 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	m := bf.Meter()
-	var rec *obs.Recorder
-	if of.Enabled() {
-		rec = obs.New(m)
-	}
-	tracer, registry := of.Telemetry(rec)
+	rec = of.NewRecorder(m)
 	if cc != nil {
 		// Route the cache's self-healing diagnostics (sweeps, quarantines,
 		// retries, gc) into the flight recorder; events from Open flush now.
@@ -174,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if mode != vet.ModeOff && !vetTractable(cfg, 1<<20) {
 		fmt.Fprintln(stderr, "queueverify: vet: skipped (instance domains too large to materialize; shrink -n/-k to vet)")
 	} else if mode != vet.ModeOff {
-		endVet := obs.SpanFromMeter(m, "vet")
+		endVet := obs.FromMeter(m).Span("vet")
 		res := cfg.Fig9Theorem().Vet()
 		res.Merge(vet.Composition("CQ", []*spec.Component{
 			queue.QE("QE", queue.In, queue.Out, cfg.ValueDomain()),
@@ -192,14 +192,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				msg = fmt.Sprintf("vet: state-space bound %s exceeds -max-states %d in strict mode; refusing a run that cannot finish", res.Bound, bf.MaxStates)
 			}
 			fmt.Fprintf(stderr, "queueverify: %s\n", msg)
-			if of.Report != "" {
-				doc := rec.Finish("queueverify", conf, engine.Unknown, msg)
-				doc.Vet = vetSection
-				if werr := obs.WriteFile(of.Report, doc); werr != nil {
-					fmt.Fprintln(stderr, "queueverify:", werr)
-				}
-			}
-			return 2
+			doc := rec.Finish("queueverify", conf, engine.Unknown, msg)
+			doc.Vet = vetSection
+			return finish(2, doc)
 		}
 	}
 
@@ -224,19 +219,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "run stats: %s\n", m.Stats())
 	}
-	if of.Report != "" {
-		doc := rec.Finish("queueverify", conf, verdict, unknown)
-		doc.Vet = vetSection
-		if werr := obs.WriteFile(of.Report, doc); werr != nil {
-			fmt.Fprintln(stderr, "queueverify:", werr)
-			return 2
-		}
-	}
-	if werr := of.WriteTelemetry(tracer, registry); werr != nil {
-		fmt.Fprintln(stderr, "queueverify:", werr)
-		return 2
-	}
-	return code
+	doc := rec.Finish("queueverify", conf, verdict, unknown)
+	doc.Vet = vetSection
+	return finish(code, doc)
 }
 
 // vetTractable reports whether the vet pre-check can afford to
@@ -286,7 +271,7 @@ func verify(w io.Writer, cfg queue.Config, m *engine.Meter, verbose bool, worker
 
 	// §A.2: the complete single queue CQ.
 	start := time.Now()
-	endCQ := obs.SpanFromMeter(m, "phase:CQ")
+	endCQ := obs.FromMeter(m).Span("phase:CQ")
 	singleSys := cfg.SingleSystem()
 	singleSys.Workers = workers
 	singleSys.Cache, singleSys.Resume = gc, resume
@@ -307,7 +292,7 @@ func verify(w io.Writer, cfg queue.Config, m *engine.Meter, verbose bool, worker
 
 	// §A.4: CDQ implements CQ^dbl.
 	start = time.Now()
-	endCDQ := obs.SpanFromMeter(m, "phase:CDQ=>CQdbl")
+	endCDQ := obs.FromMeter(m).Span("phase:CDQ=>CQdbl")
 	doubleSys := cfg.DoubleSystem(true)
 	doubleSys.Workers = workers
 	doubleSys.Cache, doubleSys.Resume = gc, resume

@@ -345,3 +345,67 @@ func TestReduceFlagVerifies(t *testing.T) {
 		t.Errorf("stdout missing VALID verdict:\n%s", out.String())
 	}
 }
+
+// parseOutputs checks that the report, trace and metrics files a run was
+// asked for exist and parse: the report and trace as JSON, the metrics as
+// Prometheus text (comments and `name[{labels}] value` samples). A report
+// path of "" is skipped.
+func parseOutputs(t *testing.T, report, trace, prom string) {
+	t.Helper()
+	if report != "" {
+		var rep obs.Report
+		if data, err := os.ReadFile(report); err != nil || json.Unmarshal(data, &rep) != nil || rep.Verdict != "UNKNOWN" {
+			t.Errorf("report %s missing or not an UNKNOWN report (err %v)", report, err)
+		}
+	}
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if data, err := os.ReadFile(trace); err != nil || json.Unmarshal(data, &tr) != nil || len(tr.TraceEvents) == 0 {
+		t.Errorf("trace %s missing or unparsable (err %v)", trace, err)
+	}
+	data, err := os.ReadFile(prom)
+	if err != nil || len(data) == 0 {
+		t.Fatalf("metrics %s missing or empty (err %v)", prom, err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if f := strings.Fields(line); !strings.HasPrefix(line, "#") && len(f) != 2 {
+			t.Errorf("metrics line %q does not parse", line)
+		}
+	}
+}
+
+// TestEarlyExitsWriteEveryOutput: every exit that has a verdict writes all
+// three requested files from the one record — the strict-vet refusal, a
+// startup failure, budget exhaustion — and a report that cannot be written
+// does not stop the trace and metrics.
+func TestEarlyExitsWriteEveryOutput(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		args      []string
+		badReport bool
+	}{
+		{"vet strict refusal", []string{"-n", "1", "-k", "2", "-vet", "strict", "-max-states", "10"}, false},
+		{"startup failure", []string{"-n", "1", "-k", "1"}, false},
+		{"budget exhausted", []string{"-n", "1", "-k", "2", "-max-states", "50"}, false},
+		{"report write failure", []string{"-n", "1", "-k", "2", "-vet", "strict", "-max-states", "10"}, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			report := filepath.Join(dir, "r.json")
+			if tt.badReport {
+				report = filepath.Join(dir, "missing", "r.json")
+			}
+			trace, prom := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom")
+			var out, errb bytes.Buffer
+			args := append(tt.args, "-report", report, "-trace", trace, "-metrics-out", prom)
+			if code := run(args, &out, &errb); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr %q)", code, errb.String())
+			}
+			if tt.badReport {
+				report = ""
+			}
+			parseOutputs(t, report, trace, prom)
+		})
+	}
+}

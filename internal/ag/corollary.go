@@ -98,7 +98,7 @@ func (rf *Refinement) CheckWith(m *engine.Meter) (*Report, error) {
 		Valid:       true,
 		Conclusion:  "(E -+> M') => (E -+> M)",
 	}
-	end := obs.SpanFromMeter(m, "corollary:"+rf.Name)
+	end := obs.FromMeter(m).Span("corollary:" + rf.Name)
 	err := rf.checkBoth(r, m)
 	end()
 	return finishReport(r, m, err)
@@ -115,7 +115,7 @@ func (rf *Refinement) checkBoth(r *Report, m *engine.Meter) error {
 // checkHypA discharges (a) E+v ∧ C(M') ⇒ C(M), via the +v monitor product
 // over the graph of C(M') with environment variables unconstrained.
 func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "hyp-a")()
+	defer obs.FromMeter(m).Span("hyp-a")()
 	baseSys := &ts.System{
 		Name:       rf.Name + "/low-closure",
 		Components: []*spec.Component{rf.Low.SafetyOnly()},
@@ -140,7 +140,7 @@ func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
 
 // checkHypB discharges (b) E ∧ M' ⇒ M with fairness.
 func (rf *Refinement) checkHypB(r *Report, m *engine.Meter) error {
-	defer obs.SpanFromMeter(m, "hyp-b")()
+	defer obs.FromMeter(m).Span("hyp-b")()
 	fullSys := &ts.System{
 		Name:       rf.Name + "/full",
 		Components: []*spec.Component{rf.Low},

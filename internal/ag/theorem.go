@@ -445,7 +445,7 @@ func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine
 	if err := th.validate(); err != nil {
 		return nil, err
 	}
-	end := obs.SpanFromMeter(m, "theorem:"+th.Name)
+	end := obs.FromMeter(m).Span("theorem:" + th.Name)
 	th.rd = th.buildReduce(m)
 	r := &Report{TheoremName: th.Name + title, Valid: true}
 	err := body(r, m)
@@ -494,7 +494,7 @@ func (th *Theorem) checkLHS(r *Report, m *engine.Meter) (*check.SpecResult, erro
 	if err := th.checkHyp1(r, m, g); err != nil {
 		return nil, err
 	}
-	end := obs.SpanFromMeter(m, "H2b")
+	end := obs.FromMeter(m).Span("H2b")
 	h2b, err := check.Component(g, th.Concl.Sys, th.Concl.Mapping)
 	end()
 	if err != nil {
@@ -538,7 +538,7 @@ func (r *Report) noteStates(n int) {
 // checkHyp1 discharges hypothesis (1) for every pair: each assumption is
 // implied by the closure of the environment-constrained composition.
 func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, lhsG *ts.Graph) error {
-	defer obs.SpanFromMeter(m, "H1")()
+	defer obs.FromMeter(m).Span("H1")()
 	for _, p := range th.Pairs {
 		if p.Env == nil {
 			r.add(fmt.Sprintf("H1[%s]: C(E) /\\ conj C(Mj) => TRUE", p.Name), true, "trivial (E_i = TRUE)")
@@ -598,7 +598,7 @@ func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
 // on the LHS graph (see checkLHS); this checks the side conditions (ii) and
 // (iii) on the graph rG of ⋀C(M_j) alone (see guaranteesGraph).
 func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
-	defer obs.SpanFromMeter(rG.Meter(), "H2a-A")()
+	defer obs.FromMeter(rG.Meter()).Span("H2a-A")()
 	m := th.Concl.Sys
 
 	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
@@ -685,7 +685,7 @@ func (th *Theorem) conclusionGuaranteeFreeVars() []string {
 // checkHyp2aDirect discharges 2a with a +v monitor: the base graph is
 // ⋀C(M_j) with environment variables unconstrained (see guaranteesGraph).
 func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
-	defer obs.SpanFromMeter(baseG.Meter(), "H2a-B")()
+	defer obs.FromMeter(baseG.Meter()).Span("H2a-B")()
 	res, err := plusCheck(r, baseG, th.Concl.Env, th.plusSub(), th.Concl.Sys, th.Concl.Mapping)
 	if err != nil {
 		return fmt.Errorf("hypothesis 2a (direct): %w", err)

@@ -151,7 +151,7 @@ func Liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr) (r
 		target = target.Subst(mapping)
 	}
 	m := g.Meter()
-	defer obs.SpanFromMeter(m, "check:liveness")()
+	defer obs.FromMeter(m).Span("check:liveness")()
 	var curTarget form.Formula
 	defer engine.Capture(&err, "check.Liveness", func() (string, string) {
 		if curTarget != nil {

@@ -47,7 +47,7 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		f = f.Subst(mapping)
 	}
 	m := g.Meter()
-	defer obs.SpanFromMeter(m, "check:safety")()
+	defer obs.FromMeter(m).Span("check:safety")()
 	var cur *state.State
 	defer engine.Capture(&err, "check.Safety", func() (string, string) {
 		if cur != nil {

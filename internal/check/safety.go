@@ -131,7 +131,7 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		shown = f.Subst(mapping)
 	}
 	m := g.Meter()
-	defer obs.SpanFromMeter(m, "check:safety")()
+	defer obs.FromMeter(m).Span("check:safety")()
 	var cur *state.State
 	defer engine.Capture(&err, "check.Safety", func() (string, string) {
 		if cur != nil {

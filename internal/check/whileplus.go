@@ -77,7 +77,7 @@ func (r *AGResult) String() string {
 //     where the safety parts never die).
 func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Expr) (result *AGResult, err error) {
 	m := g.Meter()
-	defer obs.SpanFromMeter(m, "check:while-plus")()
+	defer obs.FromMeter(m).Span("check:while-plus")()
 	var cur *state.State
 	defer engine.Capture(&err, "check.WhilePlus", func() (string, string) {
 		fp := ""

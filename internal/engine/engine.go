@@ -87,44 +87,21 @@ func (s RunStats) String() string {
 		s.States, s.Transitions, s.SCCs, s.PeakFrontier, s.Elapsed.Round(time.Millisecond))
 }
 
-// Observer receives engine-level observability callbacks: flight-recorder
-// events (budget warnings, exhaustion, SCC milestones) and frontier level
-// barriers. The obs package provides the standard implementation; a nil
-// observer costs one pointer load and branch per callback site.
+// Observer receives the meter's own flight-recorder events: budget
+// warnings and exhaustion, SCC milestones, and the diagnostics layers above
+// the engine drop through Meter.Note. The obs package provides the standard
+// implementation; a nil observer costs one pointer load and branch per
+// callback site.
 //
 // Concurrency contract: an Observer must be installed with SetObserver
 // before the exploration it observes starts and must itself be safe for
 // concurrent use — callbacks arrive from worker goroutines.
 type Observer interface {
 	// ObserveEvent records one flight-recorder event. kind is a short stable
-	// tag ("budget", "budget-exhausted", "scc", "level", "unknown-verdict",
-	// "reduce", and the graph-cache outcomes "cache-hit", "cache-miss",
-	// "cache-corrupt", "checkpoint-saved", "resume"); msg is human-readable.
+	// tag ("budget", "budget-exhausted", "scc", "unknown-verdict", and the
+	// graph-cache outcomes "cache-hit", "cache-miss", "cache-corrupt",
+	// "checkpoint-saved", "resume"); msg is human-readable.
 	ObserveEvent(kind, msg string)
-	// ObserveLevel records a frontier level barrier of exploration op:
-	// the level index (BFS depth), the level's width in states, the worker
-	// goroutines that drained it, and the total states explored so far.
-	ObserveLevel(op string, level, width, workers, totalStates int)
-	// ObserveReduction records the reduction statistics of a finished
-	// exploration op (a graph build or a monitor product). Called at most
-	// once per exploration, only when a reduction was active.
-	ObserveReduction(op string, s ReductionStats)
-}
-
-// ReductionStats counts the work a symmetry-reduced exploration did and
-// avoided: the states expanded, the successors they produced, and the
-// successor slots canonicalization redirected to an orbit representative.
-// The exploration layer reports them through Meter.NoteReduction once per
-// build.
-type ReductionStats struct {
-	// FullStates counts the expanded states and FullSuccs the successors
-	// they produced.
-	FullStates int64
-	FullSuccs  int64
-	// SymCollapsed counts successor slots whose state was replaced by a
-	// different canonical representative — each is a potential duplicate
-	// orbit state the graph did not have to explore.
-	SymCollapsed int64
 }
 
 // Budget bounds an exploration. The zero value is unlimited.
@@ -235,15 +212,6 @@ func (m *Meter) Budget() Budget { return m.budget }
 func (m *Meter) Note(kind, msg string) {
 	if m.obs != nil {
 		m.obs.ObserveEvent(kind, msg)
-	}
-}
-
-// NoteReduction forwards an exploration's reduction statistics to the
-// observer, if any. Like Note, it lets the exploration layer feed the
-// flight recorder without depending on the obs package.
-func (m *Meter) NoteReduction(op string, s ReductionStats) {
-	if m.obs != nil {
-		m.obs.ObserveReduction(op, s)
 	}
 }
 

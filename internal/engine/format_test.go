@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -101,26 +100,12 @@ func TestBudgetErrorFormat(t *testing.T) {
 type eventLog struct {
 	mu     sync.Mutex
 	events []string
-	levels []string
 }
 
 func (l *eventLog) ObserveEvent(kind, msg string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, kind+": "+msg)
-}
-
-func (l *eventLog) ObserveLevel(op string, level, width, workers, totalStates int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.levels = append(l.levels, fmt.Sprintf("%s L%d w%d", op, level, width))
-}
-
-func (l *eventLog) ObserveReduction(op string, s ReductionStats) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, fmt.Sprintf("reduce: %s full=%d sym=%d",
-		op, s.FullStates, s.SymCollapsed))
 }
 
 func (l *eventLog) snapshot() []string {

@@ -8,7 +8,6 @@ import (
 	"opentla/internal/check"
 	"opentla/internal/engine"
 	"opentla/internal/form"
-	"opentla/internal/metrics"
 	"opentla/internal/obs"
 	"opentla/internal/reduce"
 	"opentla/internal/state"
@@ -182,8 +181,7 @@ func TestReducedBuildFlightRecorder(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			meter := engine.NoLimit()
 			rec := obs.New(meter)
-			reg := metrics.NewRegistry()
-			rec.SetMetrics(reg)
+			rec.EnableTelemetry()
 
 			sys := m.System()
 			sys.Reduce = symConfig(m)

@@ -1,15 +1,16 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
-	"opentla/internal/metrics"
-	"opentla/internal/trace"
+	"opentla/internal/engine"
 )
 
 // ProfileFlags carries the pprof flags shared by every CLI.
@@ -82,10 +83,10 @@ type Flags struct {
 	// StallTimeout arms the stall watchdog: a build making zero progress
 	// for this long is aborted to an UNKNOWN verdict (0 = off).
 	StallTimeout time.Duration
-	// Trace is the Chrome Trace Event JSON output path ("" = no tracing).
+	// Trace is the Chrome Trace Event JSON output path ("" = none).
 	Trace string
-	// MetricsOut is the Prometheus text exposition output path ("" = no
-	// metric registry).
+	// MetricsOut is the Prometheus text exposition output path ("" =
+	// none). Either of Trace and MetricsOut turns telemetry on.
 	MetricsOut string
 	*ProfileFlags
 }
@@ -132,40 +133,48 @@ func (f *Flags) Enabled() bool {
 	return f.Progress || f.Report != "" || f.StallTimeout > 0 || f.Trace != "" || f.MetricsOut != ""
 }
 
-// Telemetry creates and attaches the performance-telemetry sinks the flags
-// ask for — a tracer for -trace, a metric registry for -metrics-out (or for
-// the report's metrics section when tracing): the registry rides along with
-// the tracer so a captured timeline always has its counters next to it.
-// Returns the sinks (nil when not requested) for the CLI to write out after
-// the run. Nil-safe on a nil recorder (returns nils: no recorder, no seam).
-func (f *Flags) Telemetry(rec *Recorder) (*trace.Tracer, *metrics.Registry) {
-	if rec == nil {
-		return nil, nil
+// NewRecorder returns the run's recorder, installed as m's observer, or
+// nil when no flag asks for one. -trace and -metrics-out turn its
+// telemetry on.
+func (f *Flags) NewRecorder(m *engine.Meter) *Recorder {
+	if !f.Enabled() {
+		return nil
 	}
-	var tr *trace.Tracer
-	var reg *metrics.Registry
-	if f.Trace != "" {
-		tr = trace.New()
-		rec.SetTracer(tr)
+	r := New(m)
+	if f.Trace != "" || f.MetricsOut != "" {
+		r.EnableTelemetry()
 	}
-	if f.MetricsOut != "" || f.Trace != "" {
-		reg = metrics.NewRegistry()
-		rec.SetMetrics(reg)
-	}
-	return tr, reg
+	return r
 }
 
-// WriteTelemetry writes the -trace and -metrics-out files, if requested.
-func (f *Flags) WriteTelemetry(tr *trace.Tracer, reg *metrics.Registry) error {
-	if f.Trace != "" && tr != nil {
-		if err := tr.WriteFile(f.Trace); err != nil {
-			return err
-		}
+// Write is the one write path of a run's outputs: the report doc for
+// -report, the timeline for -trace and the Prometheus text for
+// -metrics-out, all from the one record rec (nil when the run failed
+// before it had one). It writes every requested file even when one fails,
+// and returns the errors joined.
+func (f *Flags) Write(rec *Recorder, doc *Report) error {
+	var errs []error
+	if f.Report != "" {
+		errs = append(errs, writeFile("writing run report", f.Report, doc.write))
 	}
-	if f.MetricsOut != "" && reg != nil {
-		if err := reg.WriteFile(f.MetricsOut); err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
+	if f.Trace != "" {
+		errs = append(errs, writeFile("trace", f.Trace, rec.WriteTrace))
 	}
-	return nil
+	if f.MetricsOut != "" {
+		errs = append(errs, writeFile("metrics", f.MetricsOut, rec.WritePrometheus))
+	}
+	return errors.Join(errs...)
+}
+
+// writeFile creates path and renders into it, prefixing errors with what.
+func writeFile(what, path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: write %s: %w", what, path, err)
+	}
+	return f.Close()
 }

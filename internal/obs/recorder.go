@@ -1,6 +1,7 @@
-// Package obs is the zero-dependency observability layer of the checker:
-// phase spans, a flight recorder, live progress, machine-readable run
-// reports, and profiling hooks.
+// Package obs is the checker's one telemetry sink: phase spans, a flight
+// recorder, live progress, performance counters and a per-worker timeline,
+// all recorded once in a Recorder and rendered as the run report, the
+// Chrome trace and the Prometheus text.
 //
 // Mature explicit-state checkers win adoption by explaining their runs —
 // coverage, progress, diagnostics — not just by printing a verdict. This
@@ -9,20 +10,24 @@
 //   - A Recorder collects a tree of phase Spans (graph builds, monitor
 //     products, safety/liveness/while-plus checks, per-hypothesis proof
 //     obligations), each carrying the engine.RunStats delta of its phase.
-//   - A fixed-size flight-recorder ring keeps the most recent engine events
-//     (frontier level barriers, budget warnings at 80%/95%, SCC milestones)
-//     so an exhausted or panicked run is diagnosable from its report.
+//   - A fixed-size flight-recorder ring keeps the most recent events
+//     (frontier level barriers, reduction tallies, budget warnings at
+//     80%/95%, SCC milestones, cache outcomes) so an exhausted or panicked
+//     run is diagnosable from its report.
+//   - With telemetry on (EnableTelemetry, behind -trace and -metrics-out)
+//     it also keeps a fixed set of counters, one gauge and four latency
+//     histograms, and one timeline track per exploration worker.
 //   - An opt-in progress ticker prints throughput, frontier depth/width,
 //     worker occupancy, and budget headroom to stderr while a run is live.
-//   - Finish serializes everything into a versioned JSON report consumed by
-//     scripts/bench.sh and CI.
+//   - Finish, WriteTrace and WritePrometheus render the one record; the
+//     CLIs write whichever files were asked for through Flags.Write.
 //
-// The Recorder implements engine.Observer and attaches to an engine.Meter,
-// which every layer of the checker already threads; no additional plumbing
-// is needed. All methods are nil-safe and the layer is allocation-light: a
-// disabled (absent) recorder costs one pointer load and branch at each
-// callback site, and an enabled one allocates only at phase boundaries and
-// level barriers, never per state.
+// The Recorder is the meter's engine.Observer, so the budget, SCC and
+// cache events every layer already sends through the meter land in it.
+// The exploration layer reaches it once per exploration with FromMeter and
+// calls its typed methods (Level, AddReduction, CacheOp, Explore). All
+// methods are nil-safe: without a recorder a call site costs one pointer
+// check, and with telemetry off the explorer takes no timestamps.
 package obs
 
 import (
@@ -32,8 +37,6 @@ import (
 	"time"
 
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
-	"opentla/internal/trace"
 )
 
 // ringSize is the flight-recorder capacity: enough to hold the full level
@@ -45,9 +48,10 @@ const ringSize = 256
 type Event struct {
 	// T is the event time relative to the recorder's start.
 	T time.Duration
-	// Kind is a short stable tag: "level", "budget", "budget-exhausted",
-	// "scc", "unknown-verdict", or a graph-cache outcome ("cache-hit",
-	// "cache-miss", "cache-corrupt", "checkpoint-saved", "resume").
+	// Kind is a short stable tag: "level", "reduce", "budget",
+	// "budget-exhausted", "scc", "unknown-verdict", or a graph-cache outcome
+	// ("cache-hit", "cache-miss", "cache-corrupt", "checkpoint-saved",
+	// "resume").
 	Kind string
 	// Msg is the human-readable payload.
 	Msg string
@@ -63,12 +67,21 @@ type span struct {
 	children   []*span
 }
 
-// Recorder collects spans, events, and progress gauges for one run. Create
-// one with New; a nil *Recorder is valid and inert, so call sites never
-// need to guard.
+// ReductionStats counts the work a symmetry-reduced exploration did and
+// avoided: the states expanded, the successors they produced, and the
+// successor slots canonicalization redirected to an orbit representative.
+type ReductionStats struct {
+	FullStates   int64
+	FullSuccs    int64
+	SymCollapsed int64
+}
+
+// Recorder collects spans, events, progress gauges and, with telemetry on,
+// counters and timeline tracks for one run. Create one with New; a nil
+// *Recorder is valid and inert, so call sites never need to guard.
 //
 // Concurrency contract: spans are opened and closed by the single goroutine
-// driving the check (phases are sequential); ObserveEvent and ObserveLevel
+// driving the check (phases are sequential); the other recording methods
 // are safe for concurrent use from exploration workers.
 type Recorder struct {
 	meter *engine.Meter
@@ -81,16 +94,19 @@ type Recorder struct {
 	ring      [ringSize]Event
 	ringNext  int
 	ringCount int
-	exhausted string                // span path when the budget latched
-	cache     CacheStats            // graph-cache outcome counters, fed by ObserveEvent
-	reduction engine.ReductionStats // summed across explorations, fed by ObserveReduction
+	exhausted string         // span path when the budget latched
+	cache     CacheStats     // graph-cache outcome counters, fed by ObserveEvent
+	reduction ReductionStats // summed across explorations, fed by AddReduction
 
-	// Performance-telemetry sinks, attached before the run starts. The
-	// exploration layers reach them through trace.FromMeter /
-	// metrics.FromMeter, which type-assert this recorder via the meter's
-	// observer — so the engine package never imports either.
-	tracer  *trace.Tracer
-	metrics *metrics.Registry
+	// telemetry is the one enable bit for the counters and tracks below
+	// (telemetry.go); set before the run starts.
+	telemetry        bool
+	explorations     int
+	tracks           []*track
+	contendedByShard []int64
+	counters         [numCounters]atomic.Int64
+	histograms       [numHistograms]histogram
+	poolWorkers      atomic.Int64
 
 	// Progress gauges, written at frontier level barriers.
 	gaugeOp      atomic.Value // string: the exploration op label
@@ -122,61 +138,11 @@ func FromMeter(m *engine.Meter) *Recorder {
 	return r
 }
 
-// SetTracer attaches a perf tracer; phase spans closed after this call also
-// land on the tracer's "phases" track. Call before the run starts. Nil-safe.
-func (r *Recorder) SetTracer(t *trace.Tracer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tracer = t
-	r.mu.Unlock()
-}
-
-// Tracer returns the attached perf tracer, or nil. It is the optional
-// observer interface trace.FromMeter discovers.
-func (r *Recorder) Tracer() *trace.Tracer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
-}
-
-// SetMetrics attaches a metric registry; Finish snapshots it into the
-// report's metrics section. Call before the run starts. Nil-safe.
-func (r *Recorder) SetMetrics(reg *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.metrics = reg
-	r.mu.Unlock()
-}
-
-// Metrics returns the attached metric registry, or nil. It is the optional
-// observer interface metrics.FromMeter discovers.
-func (r *Recorder) Metrics() *metrics.Registry {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.metrics
-}
+// EnableTelemetry turns on the counters, histograms and timeline tracks
+// that -trace and -metrics-out render. Call before the run starts.
+func (r *Recorder) EnableTelemetry() { r.telemetry = true }
 
 var noop = func() {}
-
-// SpanFromMeter opens a span on the meter's recorder, if any, and returns
-// the closing func. With no recorder attached it returns a no-op, so
-// instrumented call sites cost one interface load on the disabled path.
-func SpanFromMeter(m *engine.Meter, name string) func() {
-	if r := FromMeter(m); r != nil {
-		return r.Span(name)
-	}
-	return noop
-}
 
 // Span opens a named phase span nested in the innermost open span and
 // returns the func that closes it (idempotent). The span records the meter
@@ -207,9 +173,11 @@ func (r *Recorder) Span(name string) func() {
 					break
 				}
 			}
-			// Mirror the closed phase onto the perf timeline, so the trace
-			// shows build/check phases above the per-worker tracks.
-			r.tracer.Phase(s.name, s.start, s.end)
+			// Mirror the closed phase onto the timeline, so the trace shows
+			// build/check phases above the per-worker tracks.
+			if r.telemetry {
+				r.trackLocked("phases").add(r.start, "phase", s.name, s.start, s.end)
+			}
 		})
 	}
 }
@@ -272,9 +240,11 @@ func (r *Recorder) ObserveEvent(kind, msg string) {
 	r.mu.Unlock()
 }
 
-// ObserveLevel implements engine.Observer: it updates the progress gauges
-// and drops one flight-recorder entry per frontier level barrier.
-func (r *Recorder) ObserveLevel(op string, level, width, workers, totalStates int) {
+// Level records one frontier level barrier of exploration op: the level
+// index (BFS depth), the width drained, the workers that drained it, and
+// the states explored so far. It updates the progress gauges and drops one
+// flight-recorder entry.
+func (r *Recorder) Level(op string, level, width, workers, totalStates int) {
 	if r == nil {
 		return
 	}
@@ -282,6 +252,7 @@ func (r *Recorder) ObserveLevel(op string, level, width, workers, totalStates in
 	r.gaugeLevel.Store(int64(level))
 	r.gaugeWidth.Store(int64(width))
 	r.gaugeWorkers.Store(int64(workers))
+	r.counters[cLevels].Add(1)
 	r.mu.Lock()
 	r.pushEvent(Event{
 		T:    r.now().Sub(r.start),
@@ -291,10 +262,9 @@ func (r *Recorder) ObserveLevel(op string, level, width, workers, totalStates in
 	r.mu.Unlock()
 }
 
-// ObserveReduction implements engine.Observer: it sums per-exploration
-// reduction statistics into the run totals and drops one flight-recorder
-// entry describing what the reduction achieved.
-func (r *Recorder) ObserveReduction(op string, s engine.ReductionStats) {
+// AddReduction sums one reduced exploration's statistics into the run
+// totals and drops one flight-recorder entry describing them.
+func (r *Recorder) AddReduction(op string, s ReductionStats) {
 	if r == nil {
 		return
 	}
@@ -312,9 +282,9 @@ func (r *Recorder) ObserveReduction(op string, s engine.ReductionStats) {
 }
 
 // Reduction returns the reduction statistics accumulated so far.
-func (r *Recorder) Reduction() engine.ReductionStats {
+func (r *Recorder) Reduction() ReductionStats {
 	if r == nil {
-		return engine.ReductionStats{}
+		return ReductionStats{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -39,7 +38,12 @@ func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Span("phase")() // must not panic
 	r.ObserveEvent("budget", "msg")
-	r.ObserveLevel("op", 1, 2, 3, 4)
+	r.Level("op", 1, 2, 3, 4)
+	r.AddReduction("op", ReductionStats{FullStates: 1})
+	r.CacheOp("load", time.Now())
+	if r.Explore(4) != nil {
+		t.Error("nil recorder Explore() should be nil")
+	}
 	if got := r.Events(); got != nil {
 		t.Errorf("nil recorder Events() = %v, want nil", got)
 	}
@@ -56,8 +60,8 @@ func TestNilRecorderIsInert(t *testing.T) {
 
 func TestSpanFromMeterWithoutRecorder(t *testing.T) {
 	m := engine.NoLimit()
-	SpanFromMeter(m, "phase")() // no recorder attached: must be a no-op
-	SpanFromMeter(nil, "phase")()
+	FromMeter(m).Span("phase")() // no recorder attached: must be a no-op
+	FromMeter(nil).Span("phase")()
 	if FromMeter(m) != nil {
 		t.Error("FromMeter on bare meter should be nil")
 	}
@@ -220,7 +224,7 @@ func TestCacheStatsFromEvents(t *testing.T) {
 func TestObserveLevelUpdatesGauges(t *testing.T) {
 	m := engine.NoLimit()
 	r := newFakeRecorder(m)
-	r.ObserveLevel("ts.Build(demo)", 7, 42, 4, 1000)
+	r.Level("ts.Build(demo)", 7, 42, 4, 1000)
 	if r.gaugeLevel.Load() != 7 || r.gaugeWidth.Load() != 42 || r.gaugeWorkers.Load() != 4 {
 		t.Errorf("gauges = %d/%d/%d, want 7/42/4",
 			r.gaugeLevel.Load(), r.gaugeWidth.Load(), r.gaugeWorkers.Load())
@@ -240,7 +244,7 @@ func TestProgressLine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.ObserveLevel("ts.Build(demo)", 3, 15, 2, 45)
+	r.Level("ts.Build(demo)", 3, 15, 2, 45)
 	var sb strings.Builder
 	r.progressLine(&sb, 0, time.Now().Add(-time.Second))
 	line := sb.String()
@@ -343,17 +347,15 @@ func goldenReport(t *testing.T) *Report {
 		t.Fatal("meter should stay exhausted")
 	}
 	m.NoteFrontier(6)
-	r.ObserveLevel("ts.Build(demo/closure)", 0, 6, 2, 6)
-	r.ObserveReduction("ts.Build(demo/closure)", engine.ReductionStats{
+	r.Level("ts.Build(demo/closure)", 0, 6, 2, 6)
+	r.AddReduction("ts.Build(demo/closure)", ReductionStats{
 		FullStates: 6, FullSuccs: 15, SymCollapsed: 3,
 	})
-	// A deterministic telemetry registry, pinning the metrics section shape.
-	reg := metrics.NewRegistry()
-	reg.Counter("opentla_store_lock_acquisitions_total", "store shard-lock acquisitions").Add(12)
-	reg.LabeledCounter("opentla_store_lock_contended_total", "contended shard-lock acquisitions", "shard", "3").Add(2)
-	reg.Gauge("opentla_workers", "worker count of the last exploration").Set(2)
-	reg.Histogram("opentla_barrier_wait_nanoseconds", "per-worker barrier wait", []int64{1000, 1000000}).Observe(4000)
-	r.SetMetrics(reg)
+	// Deterministic telemetry, pinning the metrics section shape: one
+	// two-worker exploration's store tallies and one barrier wait.
+	r.EnableTelemetry()
+	r.Explore(2).StoreCounts(12, 2, 0, []int64{3: 2})
+	r.histograms[hBarrierWait].observe(4000)
 	endBuild()
 	endTheorem()
 	rep := r.Finish("goldentest", Config{

@@ -2,14 +2,12 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
 
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
 )
 
 // SchemaVersion identifies the run-report JSON schema. Bump it on any
@@ -22,7 +20,7 @@ import (
 // version 5 added the reduction section (POR/symmetry statistics), the
 // config "reduce" field, and the "reduce" flight-recorder event kind;
 // version 6 added the metrics section (performance-telemetry counter/
-// gauge/histogram snapshot, present when the run attached a registry via
+// gauge/histogram snapshot, present when the run had telemetry on via
 // -trace or -metrics-out); version 7 added the vet section's bound field
 // (the semantic pass's state-space cardinality upper bound).
 const SchemaVersion = 7
@@ -52,10 +50,10 @@ type Report struct {
 	// Reduction summarizes state-space reduction activity (-reduce),
 	// present when any exploration reported reduction statistics.
 	Reduction *ReductionReport `json:"reduction,omitempty"`
-	// Metrics is the performance-telemetry snapshot (sorted by name),
-	// present when the run attached a metric registry (-trace or
-	// -metrics-out).
-	Metrics []metrics.Point `json:"metrics,omitempty"`
+	// Metrics is the performance-telemetry snapshot (sorted by name), the
+	// same samples -metrics-out writes; present when the run had telemetry
+	// on (-trace or -metrics-out) and recorded any.
+	Metrics []Point `json:"metrics,omitempty"`
 	// Span is the root of the phase tree; child spans carry per-phase
 	// RunStats deltas that account for the top-level Stats.
 	Span *Span `json:"span"`
@@ -280,16 +278,14 @@ func (r *Recorder) Finish(tool string, cfg Config, v engine.Verdict, unknownReas
 	if cs := r.CacheStats(); cs.any() {
 		rep.Cache = &cs
 	}
-	if rs := r.Reduction(); rs != (engine.ReductionStats{}) {
+	if rs := r.Reduction(); rs != (ReductionStats{}) {
 		rep.Reduction = &ReductionReport{
 			FullStates:   rs.FullStates,
 			FullSuccs:    rs.FullSuccs,
 			SymCollapsed: rs.SymCollapsed,
 		}
 	}
-	if reg := r.Metrics(); reg != nil {
-		rep.Metrics = reg.Snapshot()
-	}
+	rep.Metrics = r.Points()
 	if v == engine.Unknown {
 		for _, e := range r.Events() {
 			rep.Events = append(rep.Events, EventJSON{TMS: ms(e.T), Kind: e.Kind, Msg: e.Msg})
@@ -342,14 +338,11 @@ func (rep *Report) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WriteFile writes the report to path.
-func WriteFile(path string, rep *Report) error {
+// write renders the report as Marshal does, to w.
+func (rep *Report) write(w io.Writer) error {
 	data, err := rep.Marshal()
-	if err != nil {
-		return fmt.Errorf("marshaling run report: %w", err)
+	if err == nil {
+		_, err = w.Write(data)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("writing run report: %w", err)
-	}
-	return nil
+	return err
 }

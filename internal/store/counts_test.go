@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"opentla/internal/metrics"
 	"opentla/internal/state"
 	"opentla/internal/value"
 )
@@ -15,45 +14,31 @@ func mkNamed(name string, v int64) *state.State {
 	return state.FromPairs(name, value.Int(v))
 }
 
-func metricValue(t *testing.T, reg *metrics.Registry, name, labels string) int64 {
-	t.Helper()
-	for _, p := range reg.Snapshot() {
-		if p.Name == name && p.Labels == labels {
-			return p.Value
-		}
-	}
-	return 0
-}
-
 func TestMetricsCountAcquisitionsAndProbes(t *testing.T) {
-	reg := metrics.NewRegistry()
 	st := New()
-	st.SetMetrics(NewMetrics(reg))
-
 	a := mkNamed("a", 1)
 	b := mkNamed("b", 2)
 	st.Intern(a) // 1 acquisition, 0 probes (empty bucket)
 	st.Intern(a) // 1 acquisition, 1 probe (dedup hit)
 	st.Intern(b) // 1 acquisition
 
-	if got := metricValue(t, reg, "opentla_store_lock_acquisitions_total", ""); got != 3 {
-		t.Fatalf("acquisitions = %d, want 3", got)
+	c := st.Counts()
+	if c.Acquisitions != 3 {
+		t.Fatalf("acquisitions = %d, want 3", c.Acquisitions)
 	}
-	if got := metricValue(t, reg, "opentla_store_collision_probes_total", ""); got != 1 {
-		t.Fatalf("probes = %d, want 1", got)
+	if c.Probes != 1 {
+		t.Fatalf("probes = %d, want 1", c.Probes)
 	}
 }
 
 func TestMetricsCollisionProbesOnCollidingHash(t *testing.T) {
-	reg := metrics.NewRegistry()
 	st := NewWithHash(func(*state.State) uint64 { return 42 })
-	st.SetMetrics(NewMetrics(reg))
 	for i := 0; i < 4; i++ {
 		st.Intern(mkNamed("x", int64(i)))
 	}
 	// Interning the i-th distinct state probes the i earlier entries:
 	// 0+1+2+3 = 6.
-	if got := metricValue(t, reg, "opentla_store_collision_probes_total", ""); got != 6 {
+	if got := st.Counts().Probes; got != 6 {
 		t.Fatalf("probes = %d, want 6", got)
 	}
 	if st.Len() != 4 {
@@ -62,16 +47,14 @@ func TestMetricsCollisionProbesOnCollidingHash(t *testing.T) {
 }
 
 func TestMetricsBatchCountsOnce(t *testing.T) {
-	reg := metrics.NewRegistry()
 	st := NewWithHash(func(*state.State) uint64 { return 7 }) // one shard, one bucket
-	st.SetMetrics(NewMetrics(reg))
 	batch := []*state.State{mkNamed("x", 1), mkNamed("x", 2), mkNamed("x", 1)}
 	fps := make([]uint64, 3)
 	refs := make([]Ref, 3)
 	added := make([]bool, 3)
 	st.InternBatch(batch, fps, refs, added)
 	// Everything maps to one shard: the lock is taken once per batch.
-	if got := metricValue(t, reg, "opentla_store_lock_acquisitions_total", ""); got != 1 {
+	if got := st.Counts().Acquisitions; got != 1 {
 		t.Fatalf("acquisitions = %d, want 1 (one shard visit per batch)", got)
 	}
 	if refs[0] != refs[2] || !added[0] || added[2] {
@@ -79,12 +62,11 @@ func TestMetricsBatchCountsOnce(t *testing.T) {
 	}
 }
 
+// TestMetricsContentionAndFlush: contention under concurrent interning is
+// attributed to the shard it happened on, and reading the tallies neither
+// resets nor bumps them.
 func TestMetricsContentionAndFlush(t *testing.T) {
-	reg := metrics.NewRegistry()
 	st := NewWithHash(func(*state.State) uint64 { return 3 }) // all states → shard 3
-	sm := NewMetrics(reg)
-	st.SetMetrics(sm)
-
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -97,32 +79,27 @@ func TestMetricsContentionAndFlush(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	sm.Flush()
 
-	total := metricValue(t, reg, "opentla_store_lock_contended_total", "")
-	perShard := metricValue(t, reg, "opentla_store_lock_contended_total", `shard="3"`)
-	if total != perShard {
-		t.Fatalf("single-shard contention must attribute to shard 3: total=%d shard3=%d", total, perShard)
+	c := st.Counts()
+	if c.Contended != c.ContendedByShard[3] {
+		t.Fatalf("single-shard contention must attribute to shard 3: total=%d shard3=%d", c.Contended, c.ContendedByShard[3])
 	}
-	if got := metricValue(t, reg, "opentla_store_lock_acquisitions_total", ""); got != goroutines*500 {
-		t.Fatalf("acquisitions = %d, want %d", got, goroutines*500)
+	if c.Acquisitions != goroutines*500 {
+		t.Fatalf("acquisitions = %d, want %d", c.Acquisitions, goroutines*500)
 	}
-	// Flush drains the per-shard counters; a second flush adds nothing.
-	sm.Flush()
-	if again := metricValue(t, reg, "opentla_store_lock_contended_total", `shard="3"`); again != perShard {
-		t.Fatalf("double flush must not double-count: %d vs %d", again, perShard)
+	if again := st.Counts(); again != c {
+		t.Fatalf("reading the tallies changed them: %+v vs %+v", again, c)
 	}
 }
 
+// TestNilMetricsPathUnchanged: counting is always on and leaves interning
+// and lookup semantics alone; Lookup counts its acquisition.
 func TestNilMetricsPathUnchanged(t *testing.T) {
-	st := New() // no SetMetrics: every operation runs the nil fast path
-	var refs []Ref
+	st := New()
 	for i := 0; i < 100; i++ {
-		r, added := st.Intern(mkNamed("k", int64(i)))
-		if !added {
+		if _, added := st.Intern(mkNamed("k", int64(i))); !added {
 			t.Fatalf("state %d should be new", i)
 		}
-		refs = append(refs, r)
 	}
 	if _, ok := st.Lookup(mkNamed("k", 50)); !ok {
 		t.Fatalf("lookup must find interned state")
@@ -130,12 +107,7 @@ func TestNilMetricsPathUnchanged(t *testing.T) {
 	if st.Len() != 100 {
 		t.Fatalf("len = %d, want 100", st.Len())
 	}
-	// Detach/attach round trip keeps working.
-	reg := metrics.NewRegistry()
-	st.SetMetrics(NewMetrics(reg))
-	st.SetMetrics(nil)
-	if _, ok := st.Lookup(mkNamed("k", 51)); !ok {
-		t.Fatalf("lookup after detach must still work")
+	if c := st.Counts(); c.Acquisitions != 101 || c.Contended != 0 {
+		t.Fatalf("counts = %+v, want 101 uncontended acquisitions", c)
 	}
-	_ = refs
 }

@@ -54,14 +54,56 @@ type shard struct {
 	mu      sync.Mutex
 	buckets map[uint64][]entry
 	states  []*state.State // slot-indexed backing store for Ref resolution
+	// Lock and probe tallies, written under mu (see Counts).
+	acquisitions, contended, probes int64
+}
+
+// lock takes the shard's mutex, counting the acquisition and whether it
+// had to block (TryLock failed).
+func (sh *shard) lock() {
+	if !sh.mu.TryLock() {
+		sh.mu.Lock()
+		sh.contended++
+	}
+	sh.acquisitions++
 }
 
 // Store is a sharded, concurrency-safe interned-state store.
 type Store struct {
-	hash    Hash
-	count   atomic.Int64
-	metrics atomic.Pointer[Metrics] // nil unless telemetry attached (SetMetrics)
-	shards  [numShards]shard
+	hash   Hash
+	count  atomic.Int64
+	shards [numShards]shard
+}
+
+// Counts are a store's lock and probe tallies, the contention-analysis
+// figures of the performance telemetry:
+//
+//   - Acquisitions: every time a shard mutex is taken by Intern, a batch
+//     shard visit, or Lookup;
+//   - Contended: those where TryLock failed and the caller had to block —
+//     the direct measure of shard contention — also per shard, so a skewed
+//     fingerprint distribution is visible;
+//   - Probes: structural-equality comparisons inside fingerprint buckets
+//     while interning, the price of fingerprint collisions (and of dedup
+//     hits, which probe once).
+type Counts struct {
+	Acquisitions, Contended, Probes int64
+	ContendedByShard                [numShards]int64
+}
+
+// Counts sums the shards' tallies.
+func (st *Store) Counts() Counts {
+	var c Counts
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		c.Acquisitions += sh.acquisitions
+		c.Contended += sh.contended
+		c.Probes += sh.probes
+		c.ContendedByShard[i] = sh.contended
+		sh.mu.Unlock()
+	}
+	return c
 }
 
 // New returns an empty store deduplicating by state.Fingerprint.
@@ -88,13 +130,11 @@ func NewWithHash(h Hash) *Store {
 func (st *Store) Intern(s *state.State) (Ref, bool) {
 	fp := st.hash(s)
 	sh := &st.shards[fp&shardMask]
-	st.lock(sh, fp&shardMask)
-	var probes int64
+	sh.lock()
 	for _, e := range sh.buckets[fp] {
-		probes++
+		sh.probes++
 		if e.st.Equal(s) {
 			sh.mu.Unlock()
-			st.addProbes(probes)
 			return e.ref, false
 		}
 	}
@@ -102,7 +142,6 @@ func (st *Store) Intern(s *state.State) (Ref, bool) {
 	sh.states = append(sh.states, s)
 	sh.buckets[fp] = append(sh.buckets[fp], entry{st: s, ref: ref})
 	sh.mu.Unlock()
-	st.addProbes(probes)
 	st.count.Add(1)
 	return ref, true
 }
@@ -125,14 +164,13 @@ func (st *Store) InternBatch(batch []*state.State, fps []uint64, refs []Ref, add
 		refs[i] = noRef
 	}
 	newCount := 0
-	var probes int64
 	for i := range batch {
 		if refs[i] != noRef {
 			continue
 		}
 		shardIdx := fps[i] & shardMask
 		sh := &st.shards[shardIdx]
-		st.lock(sh, shardIdx)
+		sh.lock()
 		for j := i; j < len(batch); j++ {
 			if refs[j] != noRef || fps[j]&shardMask != shardIdx {
 				continue
@@ -140,7 +178,7 @@ func (st *Store) InternBatch(batch []*state.State, fps []uint64, refs []Ref, add
 			fp, s := fps[j], batch[j]
 			found := false
 			for _, e := range sh.buckets[fp] {
-				probes++
+				sh.probes++
 				if e.st.Equal(s) {
 					refs[j], added[j] = e.ref, false
 					found = true
@@ -157,7 +195,6 @@ func (st *Store) InternBatch(batch []*state.State, fps []uint64, refs []Ref, add
 		}
 		sh.mu.Unlock()
 	}
-	st.addProbes(probes)
 	if newCount > 0 {
 		st.count.Add(int64(newCount))
 	}
@@ -175,7 +212,7 @@ func (r Ref) Dense() int { return int(r) }
 func (st *Store) Lookup(s *state.State) (Ref, bool) {
 	fp := st.hash(s)
 	sh := &st.shards[fp&shardMask]
-	st.lock(sh, fp&shardMask)
+	sh.lock()
 	defer sh.mu.Unlock()
 	for _, e := range sh.buckets[fp] {
 		if e.st.Equal(s) {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
+	"opentla/internal/obs"
 	"opentla/internal/state"
 	"opentla/internal/store"
 )
@@ -66,9 +66,11 @@ type exploreResult struct {
 	// state (nil when exploration ran without canon: the canonical target
 	// IS the real successor).
 	edgeStates []*state.State
+	// expanded and emitted count the states this exploration expanded and
+	// the successors they produced (restored checkpoint rows excluded);
 	// symCollapsed counts successor and seed slots redirected to a
 	// different canonical representative.
-	symCollapsed int64
+	expanded, emitted, symCollapsed int64
 }
 
 // explore runs a level-synchronous parallel frontier BFS over the states
@@ -114,15 +116,16 @@ func explore(p exploreParams) (*exploreResult, error) {
 	}
 
 	interned := store.New()
-	// Telemetry attaches only when the meter's observer exposes a tracer or a
-	// metric registry (internal/obs wires them in behind -trace/-metrics-out);
-	// otherwise telem stays nil and the hot paths below pay one pointer check.
-	// Store contention counting is gated the same way, behind an atomic
-	// pointer inside the store.
-	telem := newExploreTelemetry(m, workers)
-	if sm := store.NewMetrics(metrics.FromMeter(m)); sm != nil {
-		interned.SetMetrics(sm)
-		defer sm.Flush()
+	// The run's recorder, if any, gets the level barriers; ex, its telemetry
+	// handle, exists only with telemetry on (-trace/-metrics-out), so with it
+	// off the hot paths below pay one pointer check and take no timestamps.
+	rec := obs.FromMeter(m)
+	ex := rec.Explore(workers)
+	if ex != nil {
+		defer func() {
+			c := interned.Counts()
+			ex.StoreCounts(c.Acquisitions, c.Contended, c.Probes, c.ContendedByShard[:])
+		}()
 	}
 	res := &exploreResult{idx: store.NewIndex()}
 	// Incrementally built CSR adjacency, committed one frontier row at a
@@ -260,8 +263,9 @@ func explore(p exploreParams) (*exploreResult, error) {
 		store:   interned,
 		scratch: make([]workerScratch, workers),
 		lookup:  res.idx.Get,
-		telem:   telem,
+		ex:      ex,
 	}
+	firstRow, firstTarget := levelStart, len(targets)
 
 	// Persistent pool: workers 1..n-1 live for the whole exploration and
 	// receive one levelRun per phase round on a private channel (so each
@@ -302,7 +306,6 @@ func explore(p exploreParams) (*exploreResult, error) {
 		lv.wg.Wait()
 	}
 
-	obs := m.Observer()
 	for levelStart < len(res.states) {
 		levelEnd := len(res.states)
 		n := levelEnd - levelStart
@@ -317,7 +320,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 			return fail(err)
 		}
 		var drainDone time.Time
-		if telem != nil {
+		if ex != nil {
 			drainDone = time.Now()
 		}
 
@@ -358,8 +361,8 @@ func explore(p exploreParams) (*exploreResult, error) {
 		}
 		lv.finals, lv.states, lv.idx = finals, res.states, res.idx
 		lv.offsets, lv.targets, lv.edgeStates = offsets, targets, edgeStates
-		if telem != nil {
-			telem.barrierDone(level, w, drainDone, time.Now())
+		if ex != nil {
+			ex.BarrierDone(level, w, drainDone, time.Now())
 		}
 
 		// Commit (parallel): number the fingerprint partitions against the
@@ -376,15 +379,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 		}
 
 		m.NoteFrontier(total)
-		if telem != nil {
-			telem.levelDone()
-		}
-		if obs != nil {
-			// Per-level counters for live progress and the flight recorder:
-			// BFS depth, the width just drained, the workers that drained it,
-			// and the running state total.
-			obs.ObserveLevel(p.op, level, levelEnd-levelStart, w, len(res.states))
-		}
+		rec.Level(p.op, level, levelEnd-levelStart, w, len(res.states))
 		level++
 		levelStart = levelEnd
 		// The barrier is complete: this is a consistent point to resume from.
@@ -394,6 +389,10 @@ func explore(p exploreParams) (*exploreResult, error) {
 	res.offsets = offsets
 	res.targets = targets
 	res.edgeStates = edgeStates
+	// Every row past the restored ones is one expansion, and its successors
+	// are the targets past the restored ones.
+	res.expanded = int64(len(offsets) - 1 - firstRow)
+	res.emitted = int64(len(targets) - firstTarget)
 	for wid := range lv.scratch {
 		res.symCollapsed += lv.scratch[wid].collapsed
 	}
@@ -520,10 +519,10 @@ type levelRun struct {
 	scratch []workerScratch
 	// lookup is the index probe the drain deduplicates successors through.
 	lookup func(*state.State) (int, bool)
-	// telem is the exploration's telemetry bundle (nil when disabled); level
-	// is the BFS level currently being drained, set by explore before begin
-	// and read by workers only for telemetry labels.
-	telem *exploreTelemetry
+	// ex is the exploration's telemetry handle (nil when telemetry is off);
+	// level is the BFS level currently being drained, set by explore before
+	// begin and read by workers only for telemetry labels.
+	ex    *obs.Exploration
 	level int
 	w     int   // workers participating in the current level
 	phase int   // current pool round (phaseDrain/phaseAssign/phaseRows)
@@ -602,29 +601,30 @@ func (lv *levelRun) firstErr() error {
 func (lv *levelRun) work(wid int) {
 	switch lv.phase {
 	case phaseDrain:
-		if lv.telem == nil {
+		if lv.ex == nil {
 			lv.drain(wid)
 			return
 		}
 		start := time.Now()
 		lv.drain(wid)
-		lv.telem.endDrain(wid, lv.level, &lv.scratch[wid], start)
+		ws := &lv.scratch[wid]
+		lv.ex.EndDrain(wid, lv.level, ws.levelStates, ws.levelSuccs, ws.levelCanonNS, start)
 	case phaseAssign:
-		if lv.telem == nil {
+		if lv.ex == nil {
 			lv.assignPartitions(wid)
 			return
 		}
 		start := time.Now()
 		lv.assignPartitions(wid)
-		lv.telem.endCommitPhase(wid, lv.level, start)
+		lv.ex.EndCommit(wid, lv.level, start)
 	case phaseRows:
-		if lv.telem == nil {
+		if lv.ex == nil {
 			lv.commitRows(wid)
 			return
 		}
 		start := time.Now()
 		lv.commitRows(wid)
-		lv.telem.endCommitPhase(wid, lv.level, start)
+		lv.ex.EndCommit(wid, lv.level, start)
 	}
 }
 
@@ -753,7 +753,7 @@ func (lv *levelRun) drain(wid int) {
 			interning := succs
 			if p.canon != nil {
 				var canonStart time.Time
-				if lv.telem != nil {
+				if lv.ex != nil {
 					canonStart = time.Now()
 				}
 				if cap(ws.canonBuf) < len(succs) {
@@ -767,7 +767,7 @@ func (lv *levelRun) drain(wid int) {
 					}
 					cb[j] = c
 				}
-				if lv.telem != nil {
+				if lv.ex != nil {
 					ws.levelCanonNS += time.Since(canonStart).Nanoseconds()
 				}
 				ws.realArena = append(ws.realArena, succs...)

@@ -6,7 +6,6 @@ import (
 
 	"opentla/internal/engine"
 	"opentla/internal/form"
-	"opentla/internal/metrics"
 	"opentla/internal/obs"
 	"opentla/internal/state"
 	"opentla/internal/store"
@@ -75,7 +74,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	if m == nil {
 		m = engine.NoLimit()
 	}
-	defer obs.SpanFromMeter(m, "build:"+sys.Name)()
+	defer obs.FromMeter(m).Span("build:" + sys.Name)()
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,13 +84,11 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	// the canonicalizer is needed to reconstruct a cached reduced graph.
 	rd := sys.Reduce
 	var canon func(*state.State) *state.State
-	var rc *reductionCounters
 	if rd.Active() {
 		if err := rd.Symmetry.Validate(sys.Components, sys.reduceSteps(), sys.reduceInits(), sys.Domains); err != nil {
 			return nil, fmt.Errorf("system %s: symmetry declaration rejected: %w", sys.Name, err)
 		}
 		canon = rd.Canonicalizer().Canon
-		rc = &reductionCounters{}
 	}
 
 	// Cache consultation happens before compiling or enumerating anything: a
@@ -129,12 +126,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		meter:     m,
 		inits:     inits,
 		expand: func(s *state.State) ([]*state.State, error) {
-			succs, serr := sys.successors(compiled, s)
-			if serr == nil && rc != nil {
-				rc.fullStates.Add(1)
-				rc.fullSuccs.Add(int64(len(succs)))
-			}
-			return succs, serr
+			return sys.successors(compiled, s)
 		},
 		canon:        canon,
 		resume:       resume,
@@ -143,11 +135,10 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rc != nil {
-		rc.symCollapsed.Add(res.symCollapsed)
-		stats := rc.stats()
-		m.NoteReduction(op, stats)
-		noteReductionMetrics(m, stats)
+	if rd.Active() {
+		obs.FromMeter(m).AddReduction(op, obs.ReductionStats{
+			FullStates: res.expanded, FullSuccs: res.emitted, SymCollapsed: res.symCollapsed,
+		})
 	}
 	g := &Graph{
 		Sys:        sys,
@@ -191,32 +182,24 @@ func (sys *System) cacheSetup(m *engine.Meter) (string, *Snapshot) {
 }
 
 // cacheLoad consults the cache for a complete graph, noting the outcome in
-// the flight recorder and the hit/miss counters (corruption counts as a
-// miss: the build goes cold either way). Corruption and validation failures
-// degrade to a miss, never to a wrong graph.
+// the flight recorder (obs.Recorder.Points says how the outcomes become
+// hit and miss counters). Corruption and validation failures degrade to a
+// cold build, never to a wrong graph.
 func cacheLoad(c GraphCache, m *engine.Meter, desc string) *Snapshot {
-	defer observeCacheOp(m, "load", time.Now())
-	reg := metrics.FromMeter(m)
-	miss := func() {
-		reg.Counter("opentla_cache_misses_total", "graph cache lookups that went to a cold build").Inc()
-	}
+	defer obs.FromMeter(m).CacheOp("load", time.Now())
 	snap, err := c.Load(desc)
 	switch {
 	case err != nil:
 		m.Note("cache-corrupt", fmt.Sprintf("cache entry unusable, cold build: %v", err))
-		miss()
 		return nil
 	case snap == nil:
 		m.Note("cache-miss", "no cached graph")
-		miss()
 		return nil
 	case !validSnapshot(snap, true):
 		m.Note("cache-corrupt", "cache entry fails validation, cold build")
-		miss()
 		return nil
 	}
 	m.Note("cache-hit", fmt.Sprintf("reusing cached graph: %d states, %d edges", len(snap.States), len(snap.Targets)))
-	reg.Counter("opentla_cache_hits_total", "graph cache lookups satisfied by a cached graph").Inc()
 	return snap
 }
 
@@ -226,7 +209,7 @@ func cacheStore(c GraphCache, m *engine.Meter, desc string, g *Graph) {
 	if c == nil || desc == "" {
 		return
 	}
-	defer observeCacheOp(m, "store", time.Now())
+	defer obs.FromMeter(m).CacheOp("store", time.Now())
 	if err := c.Store(desc, g.Snapshot()); err != nil {
 		m.Note("cache-corrupt", fmt.Sprintf("storing cache entry: %v", err))
 	}
@@ -239,7 +222,7 @@ func checkpointSaver(c GraphCache, m *engine.Meter, desc string) func(*Snapshot)
 		return nil
 	}
 	return func(snap *Snapshot) {
-		defer observeCacheOp(m, "checkpoint", time.Now())
+		defer obs.FromMeter(m).CacheOp("checkpoint", time.Now())
 		if err := c.StoreCheckpoint(desc, snap); err != nil {
 			m.Note("cache-corrupt", fmt.Sprintf("storing checkpoint: %v", err))
 			return

@@ -49,7 +49,7 @@ type Monitor struct {
 // *engine.EngineError with the current product state's fingerprint.
 func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	meter := g.Meter()
-	defer obs.SpanFromMeter(meter, "product:"+g.Sys.Name)()
+	defer obs.FromMeter(meter).Span("product:" + g.Sys.Name)()
 	defer engine.Capture(&err, "ts.Product", nil)
 	domains := make(map[string][]value.Value, len(g.Ctx.Domains)+len(mons))
 	for k, v := range g.Ctx.Domains {
@@ -159,7 +159,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		return nil, err
 	}
 	if pcanon != nil && res.symCollapsed > 0 {
-		meter.NoteReduction("ts.Product", engine.ReductionStats{SymCollapsed: res.symCollapsed})
+		obs.FromMeter(meter).AddReduction("ts.Product", obs.ReductionStats{SymCollapsed: res.symCollapsed})
 	}
 	prod := &Graph{
 		Sys:        g.Sys,

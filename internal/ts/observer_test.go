@@ -1,15 +1,16 @@
 package ts
 
 import (
-	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"opentla/internal/engine"
+	"opentla/internal/obs"
 )
 
-// levelRecord is one ObserveLevel callback.
+// levelRecord is one frontier level barrier as the recorder logs it.
 type levelRecord struct {
 	op          string
 	level       int
@@ -18,53 +19,46 @@ type levelRecord struct {
 	totalStates int
 }
 
-// levelObserver collects ObserveLevel calls; concurrency-safe because
-// exploration may invoke the observer from the coordinating goroutine while
-// tests read afterwards.
-type levelObserver struct {
-	mu     sync.Mutex
-	levels []levelRecord
-	events []string
+var levelMsg = regexp.MustCompile(`^(.*): level (\d+), width (\d+), (\d+) workers, (\d+) states total$`)
+
+// recordedLevels parses the recorder's "level" flight-recorder entries.
+func recordedLevels(t *testing.T, rec *obs.Recorder) []levelRecord {
+	t.Helper()
+	var out []levelRecord
+	for _, e := range rec.Events() {
+		if e.Kind != "level" {
+			continue
+		}
+		f := levelMsg.FindStringSubmatch(e.Msg)
+		if f == nil {
+			t.Fatalf("malformed level event %q", e.Msg)
+		}
+		n := func(i int) int { v, _ := strconv.Atoi(f[i]); return v }
+		out = append(out, levelRecord{f[1], n(2), n(3), n(4), n(5)})
+	}
+	return out
 }
 
-func (o *levelObserver) ObserveEvent(kind, msg string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.events = append(o.events, kind+": "+msg)
-}
-
-func (o *levelObserver) ObserveLevel(op string, level, width, workers, totalStates int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.levels = append(o.levels, levelRecord{op, level, width, workers, totalStates})
-}
-
-func (o *levelObserver) ObserveReduction(op string, s engine.ReductionStats) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.events = append(o.events, fmt.Sprintf("reduce: %s %+v", op, s))
-}
-
-// TestExploreReportsLevels verifies that graph exploration emits one
-// ObserveLevel per BFS level barrier with consistent counters: levels
+// TestExploreReportsLevels verifies that graph exploration records one
+// Level per BFS level barrier with consistent counters: levels
 // strictly increasing from 0, widths summing to the number of states, and
 // the final cumulative total matching the graph.
 func TestExploreReportsLevels(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		obs := &levelObserver{}
 		m := engine.NoLimit()
-		m.SetObserver(obs)
+		rec := obs.New(m)
 		sys := pairSystem(4)
 		sys.Workers = workers
 		g, err := sys.BuildWith(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(obs.levels) == 0 {
-			t.Fatalf("workers=%d: no ObserveLevel calls", workers)
+		levels := recordedLevels(t, rec)
+		if len(levels) == 0 {
+			t.Fatalf("workers=%d: no level records", workers)
 		}
 		widthSum, prevTotal := 0, 0
-		for i, l := range obs.levels {
+		for i, l := range levels {
 			if l.level != i {
 				t.Errorf("workers=%d: level %d reported as %d", workers, i, l.level)
 			}
@@ -88,14 +82,14 @@ func TestExploreReportsLevels(t *testing.T) {
 			t.Errorf("workers=%d: level widths sum to %d, graph has %d states",
 				workers, widthSum, g.NumStates())
 		}
-		final := obs.levels[len(obs.levels)-1]
+		final := levels[len(levels)-1]
 		if final.totalStates != g.NumStates() {
 			t.Errorf("workers=%d: final total %d, want %d", workers, final.totalStates, g.NumStates())
 		}
 	}
 }
 
-// TestExploreNoObserverStillCounts pins the disabled path: no observer, same
+// TestExploreNoObserverStillCounts pins the disabled path: no recorder, same
 // graph, frontier peak still recorded by the meter.
 func TestExploreNoObserverStillCounts(t *testing.T) {
 	m := engine.NoLimit()

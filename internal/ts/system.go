@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"opentla/internal/engine"
 	"opentla/internal/form"
@@ -645,26 +644,6 @@ func (sys *System) evalStep(kind, name string, pred form.CompiledPred, st state.
 		return false, fmt.Errorf("system %s: %s %s on %s: %w", sys.Name, kind, name, st, err)
 	}
 	return ok, nil
-}
-
-// reductionCounters accumulates reduction statistics across concurrent
-// expansion workers; BuildWith reports them once per exploration via
-// Meter.NoteReduction.
-type reductionCounters struct {
-	fullStates   atomic.Int64
-	fullSuccs    atomic.Int64
-	symCollapsed atomic.Int64
-}
-
-func (rc *reductionCounters) stats() engine.ReductionStats {
-	if rc == nil {
-		return engine.ReductionStats{}
-	}
-	return engine.ReductionStats{
-		FullStates:   rc.fullStates.Load(),
-		FullSuccs:    rc.fullSuccs.Load(),
-		SymCollapsed: rc.symCollapsed.Load(),
-	}
 }
 
 // advance increments the per-component mixed-radix counter; it returns

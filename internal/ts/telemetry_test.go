@@ -7,29 +7,24 @@ import (
 	"testing"
 
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
 	"opentla/internal/obs"
 	"opentla/internal/reduce"
-	"opentla/internal/trace"
 )
 
-// telemetryMeter returns a meter whose observer carries a fresh tracer and
-// registry, the way the CLIs wire -trace / -metrics-out.
-func telemetryMeter() (*engine.Meter, *trace.Tracer, *metrics.Registry) {
+// telemetryMeter returns a meter whose recorder has telemetry on, the way
+// the CLIs wire -trace / -metrics-out.
+func telemetryMeter() (*engine.Meter, *obs.Recorder) {
 	m := engine.NoLimit()
 	rec := obs.New(m)
-	tr := trace.New()
-	rec.SetTracer(tr)
-	reg := metrics.NewRegistry()
-	rec.SetMetrics(reg)
-	return m, tr, reg
+	rec.EnableTelemetry()
+	return m, rec
 }
 
-// decodeTrace parses the Chrome Trace Event JSON a tracer renders.
-func decodeTrace(t *testing.T, tr *trace.Tracer) []map[string]any {
+// decodeTrace parses the Chrome Trace Event JSON a recorder renders.
+func decodeTrace(t *testing.T, rec *obs.Recorder) []map[string]any {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := rec.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var wire struct {
@@ -41,8 +36,8 @@ func decodeTrace(t *testing.T, tr *trace.Tracer) []map[string]any {
 	return wire.TraceEvents
 }
 
-func snapshotValue(reg *metrics.Registry, name string) (int64, bool) {
-	for _, p := range reg.Snapshot() {
+func snapshotValue(rec *obs.Recorder, name string) (int64, bool) {
+	for _, p := range rec.Points() {
 		if p.Name == name && p.Labels == "" {
 			if p.Type == "histogram" {
 				return p.Count, true
@@ -61,7 +56,7 @@ func snapshotValue(reg *metrics.Registry, name string) (int64, bool) {
 // and the exploration metrics — without perturbing the graph.
 func TestBuildEmitsWorkerTracks(t *testing.T) {
 	const workers = 4
-	m, tr, reg := telemetryMeter()
+	m, rec := telemetryMeter()
 	sys := pairSystem(4)
 	sys.Workers = workers
 	g, err := sys.BuildWith(m)
@@ -79,7 +74,7 @@ func TestBuildEmitsWorkerTracks(t *testing.T) {
 		t.Fatalf("telemetry changed the built graph")
 	}
 
-	events := decodeTrace(t, tr)
+	events := decodeTrace(t, rec)
 	threads := map[string]bool{}
 	tids := map[string]float64{}
 	var expandSlices, waitSlices, commitSlices int
@@ -125,48 +120,45 @@ func TestBuildEmitsWorkerTracks(t *testing.T) {
 	}
 
 	// The exploration metrics must be registered and consistent.
-	if v, ok := snapshotValue(reg, "opentla_levels_total"); !ok || v == 0 {
+	if v, ok := snapshotValue(rec, "opentla_levels_total"); !ok || v == 0 {
 		t.Errorf("opentla_levels_total = %d, %v", v, ok)
 	}
-	if v, ok := snapshotValue(reg, "opentla_barrier_wait_nanoseconds"); !ok || v == 0 {
+	if v, ok := snapshotValue(rec, "opentla_barrier_wait_nanoseconds"); !ok || v == 0 {
 		t.Errorf("opentla_barrier_wait_nanoseconds count = %d, %v", v, ok)
 	}
-	if v, ok := snapshotValue(reg, "opentla_workers"); !ok || v != workers {
+	if v, ok := snapshotValue(rec, "opentla_workers"); !ok || v != workers {
 		t.Errorf("opentla_workers = %d, want %d", v, workers)
 	}
-	if v, ok := snapshotValue(reg, "opentla_store_lock_acquisitions_total"); !ok || v == 0 {
+	if v, ok := snapshotValue(rec, "opentla_store_lock_acquisitions_total"); !ok || v == 0 {
 		t.Errorf("store lock acquisitions = %d, %v (store metrics not attached?)", v, ok)
 	}
-	if v, ok := snapshotValue(reg, "opentla_barrier_parallel_commit_nanoseconds_total"); !ok || v == 0 {
+	if v, ok := snapshotValue(rec, "opentla_barrier_parallel_commit_nanoseconds_total"); !ok || v == 0 {
 		t.Errorf("opentla_barrier_parallel_commit_nanoseconds_total = %d, %v", v, ok)
 	}
 }
 
 // TestBuildMetricsOnlyNeedsNoTracer checks the -metrics-out-without--trace
-// path: counters fill in with no tracer attached.
+// path: the one telemetry bit fills in the counters.
 func TestBuildMetricsOnlyNeedsNoTracer(t *testing.T) {
-	m := engine.NoLimit()
-	rec := obs.New(m)
-	reg := metrics.NewRegistry()
-	rec.SetMetrics(reg)
+	m, rec := telemetryMeter()
 	sys := pairSystem(3)
 	sys.Workers = 2
 	if _, err := sys.BuildWith(m); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := snapshotValue(reg, "opentla_worker_busy_nanoseconds_total"); !ok || v == 0 {
+	if v, ok := snapshotValue(rec, "opentla_worker_busy_nanoseconds_total"); !ok || v == 0 {
 		t.Errorf("worker busy time = %d, %v", v, ok)
 	}
-	if v, ok := snapshotValue(reg, "opentla_levels_total"); !ok || v == 0 {
+	if v, ok := snapshotValue(rec, "opentla_levels_total"); !ok || v == 0 {
 		t.Errorf("levels = %d, %v", v, ok)
 	}
 }
 
 // TestReductionMetricsExported checks that a symmetry-reduced build lands
-// its expansion and collapse counters in the registry (the reduce
-// instrumentation seam).
+// its expansion and collapse counters in the telemetry (the reduce
+// instrumentation seam), equal to the report's reduction section.
 func TestReductionMetricsExported(t *testing.T) {
-	m, _, reg := telemetryMeter()
+	m, rec := telemetryMeter()
 	sys := pairSystem(4)
 	sys.Workers = 2
 	sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true},
@@ -174,13 +166,16 @@ func TestReductionMetricsExported(t *testing.T) {
 	if _, err := sys.BuildWith(m); err != nil {
 		t.Fatal(err)
 	}
-	full, okF := snapshotValue(reg, "opentla_reduce_full_states_total")
-	collapsed, okC := snapshotValue(reg, "opentla_reduce_sym_collapsed_total")
+	full, okF := snapshotValue(rec, "opentla_reduce_full_states_total")
+	collapsed, okC := snapshotValue(rec, "opentla_reduce_sym_collapsed_total")
 	if !okF || !okC {
 		t.Fatalf("reduce counters not registered (full=%v sym_collapsed=%v)", okF, okC)
 	}
 	if full == 0 || collapsed == 0 {
 		t.Errorf("a symmetric pair build must expand and collapse states: full=%d sym_collapsed=%d", full, collapsed)
+	}
+	if rd := rec.Reduction(); rd.FullStates != full || rd.SymCollapsed != collapsed {
+		t.Errorf("counters %d/%d differ from the reduction record %+v", full, collapsed, rd)
 	}
 }
 
@@ -188,8 +183,8 @@ func TestReductionMetricsExported(t *testing.T) {
 // counts a miss and a load/store latency pair; a warm rebuild counts a hit.
 func TestCacheMetricsExported(t *testing.T) {
 	cache := newMemCache()
-	build := func() *metrics.Registry {
-		m, tr, reg := telemetryMeter()
+	build := func() *obs.Recorder {
+		m, rec := telemetryMeter()
 		sys := counterSystem(3)
 		sys.Cache = cache
 		if _, err := sys.BuildWith(m); err != nil {
@@ -197,13 +192,13 @@ func TestCacheMetricsExported(t *testing.T) {
 		}
 		// The cache track must exist on the trace whenever cache ops ran.
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := rec.WriteTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), `"cache"`) {
 			t.Errorf("trace missing cache track:\n%s", buf.String())
 		}
-		return reg
+		return rec
 	}
 
 	cold := build()

@@ -43,10 +43,8 @@ import (
 	"time"
 
 	"opentla/internal/engine"
-	"opentla/internal/metrics"
 	"opentla/internal/obs"
 	"opentla/internal/queue"
-	"opentla/internal/trace"
 )
 
 // Measurement is one timed exploration run.
@@ -363,16 +361,14 @@ func scalingPass(sc ParallelScaling, target, floor float64) bool {
 }
 
 // measureBarrier builds the double-queue system in-process with the
-// performance-telemetry registry attached and reads the barrier counters
+// recorder's telemetry on and reads the barrier counters
 // back: serial seal time, aggregate parallel commit time, levels, and the
 // serial fraction of wall — the barrier-serial-fraction metric the PR 9
 // acceptance tracks (agprof gates the same quantity from a trace capture).
 func measureBarrier(cfg queue.Config, workers int) BarrierProfile {
 	m := engine.NoLimit()
 	rec := obs.New(m)
-	rec.SetTracer(trace.New())
-	reg := metrics.NewRegistry()
-	rec.SetMetrics(reg)
+	rec.EnableTelemetry()
 	sys := cfg.DoubleSystem(true)
 	sys.Workers = workers
 	start := time.Now()
@@ -383,7 +379,7 @@ func measureBarrier(cfg queue.Config, workers int) BarrierProfile {
 	rec.Finish("benchpr9", obs.Config{}, engine.Holds, "")
 
 	bp := BarrierProfile{Workers: workers, WallSeconds: wall}
-	for _, pt := range reg.Snapshot() {
+	for _, pt := range rec.Points() {
 		switch pt.Name {
 		case "opentla_barrier_commit_nanoseconds_total":
 			bp.SerialCommitSeconds = float64(pt.Value) / 1e9
@@ -525,20 +521,17 @@ func measureOverhead(cfg queue.Config, workers, rounds int) Overhead {
 }
 
 // measureTelemetryOverhead times the double-queue build with a bare recorder
-// vs a recorder carrying a tracer and a metric registry (the -trace and
-// -metrics-out configuration), interleaved best-of-rounds like
-// measureOverhead. This carries the PR 8 acceptance gate: full per-worker
-// timeline capture must stay within the same few-percent envelope the PR 3
-// recorder was held to — now including the parallel commit-phase slices.
+// vs one with telemetry on (the -trace and -metrics-out configuration),
+// interleaved best-of-rounds like measureOverhead. This carries the
+// telemetry gate: full per-worker timeline capture, parallel commit-phase
+// slices included, must stay within the same few-percent envelope as the
+// recorder itself.
 func measureTelemetryOverhead(cfg queue.Config, workers, rounds int) Overhead {
 	build := func(withTelemetry bool) float64 {
 		m := engine.NoLimit()
 		rec := obs.New(m)
-		var tr *trace.Tracer
 		if withTelemetry {
-			tr = trace.New()
-			rec.SetTracer(tr)
-			rec.SetMetrics(metrics.NewRegistry())
+			rec.EnableTelemetry()
 		}
 		sys := cfg.DoubleSystem(true)
 		sys.Workers = workers
