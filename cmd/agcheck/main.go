@@ -162,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *model {
 	case "circular":
 		makeTheorem = func() (*ag.Theorem, error) { return circular.SafetyTheorem(), nil }
-		modelSym = circular.Symmetry()
 	case "queues":
 		makeTheorem = func() (*ag.Theorem, error) { return cfg.Fig9Theorem(), nil }
 		modelSym = cfg.DoubleSymmetry()
@@ -178,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		makeRefinement = cfg.CorollaryRefinement
 	case "arbiter":
 		makeTheorem = func() (*ag.Theorem, error) { return arbiter.Theorem(), nil }
-		modelSym = arbiter.Symmetry()
 	default:
 		return fail("unknown model %q; valid models: %s", *model, strings.Join(modelNames, " | "))
 	}

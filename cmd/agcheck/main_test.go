@@ -498,17 +498,37 @@ func TestWorkersAndReduceValidation(t *testing.T) {
 	}
 }
 
-// TestReduceFlagStillValidates: the reduced pipeline decides the same
-// verdict as the full one on a small theorem instance.
+// TestReduceFlagStillValidates: -reduce sym decides the same verdict as
+// -reduce off. The arbiter and circular models declare no symmetry group,
+// so sym checks them unreduced and prints the off hypothesis lines,
+// run-stats counts and exit code.
 func TestReduceFlagStillValidates(t *testing.T) {
-	for _, mode := range []string{"off", "sym"} {
-		var out, errb bytes.Buffer
-		args := []string{"-model", "arbiter", "-reduce", mode}
-		if code := run(args, &out, &errb); code != 0 {
-			t.Errorf("run(%v) = %d, want 0 (stderr %q)", args, code, errb.String())
+	// timeless drops the elapsed time, the one part of the output that may
+	// differ between runs.
+	timeless := func(out string) string {
+		lines := strings.Split(out, "\n")
+		for i, l := range lines {
+			if j := strings.Index(l, ", elapsed "); j >= 0 && strings.HasPrefix(l, "run stats:") {
+				lines[i] = l[:j]
+			}
 		}
-		if !strings.Contains(out.String(), "VALID") {
-			t.Errorf("-reduce=%s: stdout missing VALID verdict:\n%s", mode, out.String())
+		return strings.Join(lines, "\n")
+	}
+	for _, model := range []string{"arbiter", "circular"} {
+		var outs []string
+		for _, mode := range []string{"off", "sym"} {
+			var out, errb bytes.Buffer
+			args := []string{"-model", model, "-reduce", mode, "-workers", "1"}
+			if code := run(args, &out, &errb); code != 0 {
+				t.Errorf("run(%v) = %d, want 0 (stderr %q)", args, code, errb.String())
+			}
+			if !strings.Contains(out.String(), "VALID") || !strings.Contains(out.String(), "run stats: ") {
+				t.Errorf("%v: stdout missing the VALID verdict or run stats:\n%s", args, out.String())
+			}
+			outs = append(outs, timeless(out.String()))
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s: output differs:\n-reduce off:\n%s\n-reduce sym:\n%s", model, outs[0], outs[1])
 		}
 	}
 }

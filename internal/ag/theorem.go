@@ -355,9 +355,6 @@ func (th *Theorem) buildReduce(m *engine.Meter) *reduce.Config {
 		if err := sym.CheckValueInvariant(e); err != nil {
 			return disable(fmt.Sprintf("property %s: %v", e, err))
 		}
-		if err := sym.CheckBlockInvariant(e); err != nil {
-			return disable(fmt.Sprintf("property %s: %v", e, err))
-		}
 	}
 	// Dry-run the system-level validation on the one reduced system:
 	// BuildWith errors on an invalid declaration, and a graceful disable

@@ -64,17 +64,31 @@ func memoState(g *ts.Graph, f func(id int) (bool, error)) (StateMask, *error) {
 	}, &firstErr
 }
 
-// compiledAngle compiles the enabledness query and the step predicate for
-// ⟨A⟩_sub against the graph's state layout (every state of one graph binds
-// the same variable set). The enabledness function reuses scratch buffers
-// (see form.Ctx.EnabledFn) and so shares memoState's single-goroutine
-// contract.
-func compiledAngle(g *ts.Graph, angle form.Expr) (func(*state.State) (bool, error), form.CompiledPred) {
+// angleMasks compiles ⟨A⟩_sub against the graph's state layout (every
+// state of one graph binds the same variable set) into the memoized
+// ENABLED ⟨A⟩_sub state mask, whose first evaluation error lands in
+// *enErr, and the edge predicate "this edge is an ⟨A⟩_sub step", whose
+// first evaluation error lands in *errs. The enabledness function reuses
+// scratch buffers (see form.Ctx.EnabledFn) and so shares memoState's
+// single-goroutine contract.
+func angleMasks(g *ts.Graph, action, sub form.Expr, errs *error) (enabled StateMask, enErr *error, taken EdgeMask) {
 	var layout []string
 	if len(g.States) > 0 {
 		layout = g.States[0].Vars()
 	}
-	return g.Ctx.EnabledFn(angle, layout), form.CompilePred(angle, layout)
+	angle := form.Angle(action, sub)
+	enFn, stepPred := g.Ctx.EnabledFn(angle, layout), form.CompilePred(angle, layout)
+	enabled, enErr = memoState(g, func(id int) (bool, error) {
+		return enFn(g.States[id])
+	})
+	taken = func(from, to int) bool {
+		ok, err := stepPred(state.Step{From: g.States[from], To: g.States[to]})
+		if err != nil && *errs == nil {
+			*errs = err
+		}
+		return ok
+	}
+	return enabled, enErr, taken
 }
 
 // FairnessConds translates the WF/SF assumptions of the graph's system
@@ -97,18 +111,7 @@ func FairnessConds(g *ts.Graph) ([]CycleCond, *error) {
 
 // fairnessCond builds the cycle condition for one WF/SF assumption.
 func fairnessCond(g *ts.Graph, name string, kind form.FairKind, action, sub form.Expr, errs *error) CycleCond {
-	angle := form.Angle(action, sub)
-	enFn, stepPred := compiledAngle(g, angle)
-	enabled, enErr := memoState(g, func(id int) (bool, error) {
-		return enFn(g.States[id])
-	})
-	taken := func(from, to int) bool {
-		ok, err := stepPred(state.Step{From: g.States[from], To: g.States[to]})
-		if err != nil && *errs == nil {
-			*errs = err
-		}
-		return ok
-	}
+	enabled, enErr, taken := angleMasks(g, action, sub, errs)
 	cond := CycleCond{Name: name, HitEdge: taken}
 	if kind == form.Weak {
 		// Fair iff cycle has a ¬enabled state or a taken edge.
@@ -230,7 +233,7 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula) (
 			}
 		}
 	case form.FairF:
-		return checkFairTarget(g, fair, t)
+		return checkFairTarget(g, fair, t, nil)
 	}
 	return nil, fmt.Errorf("liveness: unsupported target conjunct %s", target)
 }
@@ -344,23 +347,23 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*
 //	                    ⟨A⟩_v edge;
 //	SF_v(A) violated ⟺ fair cycle with some state enabling ⟨A⟩_v and no
 //	                    ⟨A⟩_v edge.
-func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF) (*LivenessResult, error) {
-	angle := form.Angle(t.A, t.Sub)
-	enFn, stepPred := compiledAngle(g, angle)
-	enabled, enErr := memoState(g, func(id int) (bool, error) {
-		return enFn(g.States[id])
-	})
+//
+// A non-nil restrict confines the lasso's prefix and cycle to its states.
+func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, restrict StateMask) (*LivenessResult, error) {
 	var takenErr error
-	notTaken := func(from, to int) bool {
-		ok, err := stepPred(state.Step{From: g.States[from], To: g.States[to]})
-		if err != nil && takenErr == nil {
-			takenErr = err
-		}
-		return !ok
+	enabled, enErr, taken := angleMasks(g, t.A, t.Sub, &takenErr)
+	q := LassoQuery{
+		StartIDs:    g.Inits,
+		PrefixState: restrict,
+		CycleState:  restrict,
+		CycleEdge:   func(from, to int) bool { return !taken(from, to) },
+		Conds:       fair,
 	}
-	q := LassoQuery{StartIDs: g.Inits, CycleEdge: notTaken, Conds: fair}
 	if t.Kind == form.Weak {
 		q.CycleState = enabled
+		if restrict != nil {
+			q.CycleState = func(id int) bool { return restrict(id) && enabled(id) }
+		}
 	} else {
 		q.Conds = append(append([]CycleCond(nil), fair...), CycleCond{
 			Name:     "hits enabled state",

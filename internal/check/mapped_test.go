@@ -17,9 +17,24 @@ func failingAt(at, e form.Expr) form.Expr {
 	return form.If(at, form.Head(form.EmptySeq), e)
 }
 
-// pairGraph builds x, y ∈ 0..2, each incremented on its own up to 2, under
-// a symmetry swapping x and y when sym is set.
-func pairGraph(t *testing.T, sym bool) *ts.Graph {
+// buildGraph builds a one-component system over x, y.
+func buildGraph(t *testing.T, c *spec.Component, dom []value.Value, rd *reduce.Config) *ts.Graph {
+	t.Helper()
+	sys := &ts.System{
+		Name:       c.Name,
+		Components: []*spec.Component{c},
+		Domains:    map[string][]value.Value{"x": dom, "y": dom},
+		Reduce:     rd,
+	}
+	g, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// pairGraph builds x, y ∈ 0..2, each incremented on its own up to 2.
+func pairGraph(t *testing.T) *ts.Graph {
 	t.Helper()
 	inc := func(v, other string) spec.Action {
 		return spec.Action{Name: "Inc" + v, Def: form.And(
@@ -28,26 +43,34 @@ func pairGraph(t *testing.T, sym bool) *ts.Graph {
 			form.Unchanged(other),
 		)}
 	}
-	dom := value.Ints(0, 2)
-	sys := &ts.System{
-		Name: "pair",
-		Components: []*spec.Component{{
-			Name:    "pair",
-			Outputs: []string{"x", "y"},
-			Init:    form.And(form.Eq(form.Var("x"), form.IntC(0)), form.Eq(form.Var("y"), form.IntC(0))),
-			Actions: []spec.Action{inc("x", "y"), inc("y", "x")},
-		}},
-		Domains: map[string][]value.Value{"x": dom, "y": dom},
-	}
-	if sym {
-		sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true},
-			Symmetry: &reduce.Symmetry{Blocks: [][]string{{"x"}, {"y"}}}}
-	}
-	g, err := sys.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return buildGraph(t, &spec.Component{
+		Name:    "pair",
+		Outputs: []string{"x", "y"},
+		Init:    form.And(form.Eq(form.Var("x"), form.IntC(0)), form.Eq(form.Var("y"), form.IntC(0))),
+		Actions: []spec.Action{inc("x", "y"), inc("y", "x")},
+	}, value.Ints(0, 2), nil)
+}
+
+// copyGraph builds x, y ∈ 0..2, both 0 at first: x is set once to a data
+// value 1 or 2, then y copies it. Reduced under the symmetry swapping the
+// data values 1 and 2, (2, 0) is only the real successor of (0, 0) on the
+// edge to its representative (1, 0).
+func copyGraph(t *testing.T) *ts.Graph {
+	t.Helper()
+	x, y, zero := form.Var("x"), form.Var("y"), form.IntC(0)
+	data := value.Ints(1, 2)
+	return buildGraph(t, &spec.Component{
+		Name:    "copy",
+		Outputs: []string{"x", "y"},
+		Init:    form.And(form.Eq(x, zero), form.Eq(y, zero)),
+		Actions: []spec.Action{
+			{Name: "Set", Def: form.And(form.Eq(x, zero),
+				form.Exists("d", data, form.Eq(form.PrimedVar("x"), form.Var("d"))), form.Unchanged("y"))},
+			{Name: "Copy", Def: form.And(form.Ne(x, zero), form.Eq(y, zero),
+				form.Eq(form.PrimedVar("y"), x), form.Unchanged("x"))},
+		},
+	}, value.Ints(0, 2), &reduce.Config{Options: reduce.Options{Sym: true},
+		Symmetry: &reduce.Symmetry{Values: data, Vars: []string{"x", "y"}}})
 }
 
 // TestSafetyUnderMappingFailsOnSomeStates: where a mapped value fails to
@@ -86,7 +109,7 @@ func TestSafetyUnderMappingFailsOnSomeStates(t *testing.T) {
 func TestSafetyUnderMappedConcreteName(t *testing.T) {
 	x, y := form.Var("x"), form.Var("y")
 	swap := map[string]form.Expr{"x": y, "y": x}
-	g := pairGraph(t, false)
+	g := pairGraph(t)
 	shift := map[string]form.Expr{"x": form.Add(x, form.IntC(1))}
 	for _, tc := range []struct {
 		name    string
@@ -111,7 +134,7 @@ func TestSafetyUnderMappedConcreteName(t *testing.T) {
 // successor need not be its target's representative; its image is computed
 // from the real state, including where the mapping fails on it.
 func TestSafetyUnderReducedEdges(t *testing.T) {
-	g := pairGraph(t, true)
+	g := copyGraph(t)
 	offRep := 0
 	g.ForEachEdgeStep(func(_, to int, real *state.State) bool {
 		if real != g.States[to] {
@@ -123,11 +146,10 @@ func TestSafetyUnderReducedEdges(t *testing.T) {
 		t.Fatal("no edge of the reduced graph leaves its representative")
 	}
 	x, y := form.Var("x"), form.Var("y")
-	sum := form.Add(x, y)
-	// (1, 0) is not a representative, only the real successor of (0, 0).
-	at10 := form.And(form.Eq(x, form.IntC(1)), form.Eq(y, form.IntC(0)))
-	if g.ID(state.FromPairs("x", value.Int(1), "y", value.Int(0))) >= 0 {
-		t.Fatal("(1, 0) is a representative")
+	// (2, 0) is not a representative, only the real successor of (0, 0).
+	at20 := form.And(form.Eq(x, form.IntC(2)), form.Eq(y, form.IntC(0)))
+	if g.ID(state.FromPairs("x", value.Int(2), "y", value.Int(0))) >= 0 {
+		t.Fatal("(2, 0) is a representative")
 	}
 	for _, tc := range []struct {
 		name    string
@@ -136,17 +158,17 @@ func TestSafetyUnderReducedEdges(t *testing.T) {
 		holds   bool
 		fails   bool
 	}{
-		{"sum-box", form.ActBoxVars(form.Eq(form.PrimedVar("s"), form.Add(form.Var("s"), form.IntC(1))), "s"),
-			map[string]form.Expr{"s": sum}, true, false},
+		{"sum-box", form.ActBoxVars(form.Ge(form.PrimedVar("s"), form.Var("s")), "s"),
+			map[string]form.Expr{"s": form.Add(x, y)}, true, false},
 		{"real-box", form.ActBoxVars(form.Ge(form.PrimedVar("d"), form.Var("d")), "d"),
 			map[string]form.Expr{"d": x}, true, false},
 		{"real-box-violated", form.ActBoxVars(form.Le(form.PrimedVar("d"), form.IntC(1)), "d"),
 			map[string]form.Expr{"d": x}, false, false},
 		{"failing-real", form.ActBoxVars(form.Ge(form.PrimedVar("d"), form.Var("d")), "d"),
-			map[string]form.Expr{"d": failingAt(at10, x)}, false, true},
-		{"guarded-real", form.ActBoxVars(form.Or(form.Eq(form.PrimedVar("x"), form.IntC(1)),
+			map[string]form.Expr{"d": failingAt(at20, x)}, false, true},
+		{"guarded-real", form.ActBoxVars(form.Or(form.Eq(form.PrimedVar("x"), form.IntC(2)),
 			form.Ge(form.PrimedVar("d"), form.Var("d"))), "x"),
-			map[string]form.Expr{"d": failingAt(at10, x)}, true, false},
+			map[string]form.Expr{"d": failingAt(at20, x)}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := SameAsReference(t, g, tc.f, tc.mapping)

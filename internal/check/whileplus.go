@@ -192,7 +192,7 @@ func livenessRestricted(g *ts.Graph, restrict StateMask, target form.Formula) (*
 		if !ok {
 			return nil, fmt.Errorf("restricted liveness: only WF/SF targets supported, got %s", cj)
 		}
-		res, err := checkFairTargetWithin(g, fair, t, restrict)
+		res, err := checkFairTarget(g, fair, t, restrict)
 		if err != nil {
 			return nil, err
 		}
@@ -204,59 +204,4 @@ func livenessRestricted(g *ts.Graph, restrict StateMask, target form.Formula) (*
 		}
 	}
 	return &LivenessResult{Holds: true}, nil
-}
-
-// checkFairTargetWithin is checkFairTarget with prefix and cycle restricted
-// to a state mask.
-func checkFairTargetWithin(g *ts.Graph, fair []CycleCond, t form.FairF, restrict StateMask) (*LivenessResult, error) {
-	angle := form.Angle(t.A, t.Sub)
-	enFn, stepPred := compiledAngle(g, angle)
-	enabled, enErr := memoState(g, func(id int) (bool, error) {
-		return enFn(g.States[id])
-	})
-	var takenErr error
-	notTaken := func(from, to int) bool {
-		ok, err := stepPred(state.Step{From: g.States[from], To: g.States[to]})
-		if err != nil && takenErr == nil {
-			takenErr = err
-		}
-		return !ok
-	}
-	intersect := func(a, b StateMask) StateMask {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		default:
-			return func(id int) bool { return a(id) && b(id) }
-		}
-	}
-	q := LassoQuery{
-		StartIDs:    g.Inits,
-		PrefixState: restrict,
-		CycleEdge:   notTaken,
-		Conds:       fair,
-	}
-	if t.Kind == form.Weak {
-		q.CycleState = intersect(restrict, enabled)
-	} else {
-		q.CycleState = restrict
-		q.Conds = append(append([]CycleCond(nil), fair...), CycleCond{
-			Name:     "hits enabled state",
-			Buchi:    true,
-			HitState: enabled,
-		})
-	}
-	w, err := FindFairLasso(g, q)
-	if err != nil {
-		return nil, err
-	}
-	if *enErr != nil {
-		return nil, *enErr
-	}
-	if takenErr != nil {
-		return nil, takenErr
-	}
-	return lassoResult(g, w, t.String()), nil
 }

@@ -40,8 +40,8 @@ type Model struct {
 	// relies on the Disjoint hypothesis of Proposition 4; it raises
 	// missing-coverage findings from info to warn.
 	Interleaved bool
-	// Symmetry is the model's declared state-space symmetry (value and/or
-	// block), if any; -reduce=sym validates and exploits it.
+	// Symmetry is the model's declared data-value symmetry, if any;
+	// -reduce=sym validates and exploits it.
 	Symmetry *reduce.Symmetry
 }
 
@@ -118,7 +118,6 @@ func All() []Model {
 			Constraints: arbiter.GConstraints(),
 			Domains:     arbiter.Domains(),
 			Interleaved: true,
-			Symmetry:    arbiter.Symmetry(),
 		},
 		{
 			Name: "circular",
@@ -131,7 +130,6 @@ func All() []Model {
 				form.DisjointSteps([]string{"c"}, []string{"d"})),
 			Domains:     circular.Domains(),
 			Interleaved: true,
-			Symmetry:    circular.Symmetry(),
 		},
 	}
 }

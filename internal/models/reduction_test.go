@@ -27,13 +27,12 @@ type reductionProbe struct {
 //
 //   - boxes: the conjunction of every component's □[N]_v — holds by
 //     construction, and is group-invariant because symmetry validation
-//     checks exactly that the group permutes the component multiset.
-//   - init-pin: □(v = v₀ for every symmetry-safe variable v), pinning the
-//     state to its initial binding. Violated whenever any such variable
-//     ever changes, so it exercises the counterexample path. Variables of
-//     the value orbit are excluded (v = 0 is not invariant under value
-//     permutation); block variables stay because the models' initial
-//     bindings assign equal values across block positions.
+//     checks exactly that every action is.
+//   - init-pin: □(v = v₀ for every variable v outside the value orbit),
+//     pinning the state to its initial binding. Violated whenever any such
+//     variable ever changes, so it exercises the counterexample path.
+//     Variables of the value orbit are excluded (v = 0 is not invariant
+//     under value permutation).
 func buildProbes(m Model, full *ts.Graph) []reductionProbe {
 	var boxes []form.Formula
 	for _, c := range m.Components {
@@ -76,10 +75,11 @@ func buildModel(t *testing.T, m Model, rd *reduce.Config, workers int) *ts.Graph
 }
 
 // TestReducedVsFullRegistry is the soundness cross-check the reduction
-// mutants of internal/faultinject must fail: for every bundled model with a
-// declared symmetry group, the reduced graph decides the same safety
-// verdicts as the full graph, produces a counterexample exactly when the
-// full check does, and never has more states. Run with -race and -cpu 1,4.
+// mutants of internal/faultinject must fail: for every bundled model, the
+// -reduce sym graph decides the same safety verdicts as the full graph,
+// produces a counterexample exactly when the full check does, and never
+// has more states. A model that declares no symmetry group (arbiter,
+// circular) gets the full graph itself. Run with -race and -cpu 1,4.
 func TestReducedVsFullRegistry(t *testing.T) {
 	// Value symmetry collapses data-distinguishing states in these models,
 	// so it must strictly shrink them; a non-shrinking "reduction" means the
@@ -87,12 +87,13 @@ func TestReducedVsFullRegistry(t *testing.T) {
 	strictSym := map[string]bool{"handshake": true, "queue": true, "doublequeue": true}
 
 	for _, m := range All() {
-		if m.Symmetry == nil {
-			continue
-		}
 		t.Run(m.Name, func(t *testing.T) {
 			full := buildModel(t, m, nil, 0)
 			red := buildModel(t, m, symConfig(m), 0)
+			if m.Symmetry == nil && (red.Reduced() || len(red.States) != len(full.States)) {
+				t.Errorf("no group declared, yet -reduce sym built a reduced graph: %d of %d states",
+					len(red.States), len(full.States))
+			}
 			for _, p := range buildProbes(m, full) {
 				t.Run("sym/"+p.name, func(t *testing.T) {
 					if len(red.States) > len(full.States) {
@@ -153,9 +154,6 @@ func reducedSignature(g *ts.Graph) string {
 // per-edge real successors must be byte-identical at any worker count.
 func TestReducedBuildDeterministic(t *testing.T) {
 	for _, m := range All() {
-		if m.Symmetry == nil {
-			continue
-		}
 		t.Run(m.Name+"/sym", func(t *testing.T) {
 			want := reducedSignature(buildModel(t, m, symConfig(m), 1))
 			for _, workers := range []int{2, 4, 8} {
@@ -171,13 +169,11 @@ func TestReducedBuildDeterministic(t *testing.T) {
 // sym: a reduced build through an instrumented meter must land a
 // "reduce" event in the flight-recorder ring, a reduction section in the
 // run report, and the opentla_reduce_* counters in the metric snapshot.
+// A model that declares no group records none of them.
 // Run with -race and -cpu 1,4: the recorder seams are the only shared
 // state between the build workers and the coordinator.
 func TestReducedBuildFlightRecorder(t *testing.T) {
 	for _, m := range All() {
-		if m.Symmetry == nil {
-			continue // sym needs a declared group
-		}
 		t.Run(m.Name, func(t *testing.T) {
 			meter := engine.NoLimit()
 			rec := obs.New(meter)
@@ -199,11 +195,16 @@ func TestReducedBuildFlightRecorder(t *testing.T) {
 					}
 				}
 			}
+			rep := rec.Finish("test", obs.Config{Model: m.Name, Workers: 4}, engine.Holds, "")
+			if m.Symmetry == nil {
+				if statsEvents != 0 || rep.Reduction != nil {
+					t.Errorf("no group declared, yet the build recorded a reduction: %d events, %+v", statsEvents, rep.Reduction)
+				}
+				return
+			}
 			if statsEvents == 0 {
 				t.Fatalf("no reduce statistics event in the flight recorder ring: %+v", rec.Events())
 			}
-
-			rep := rec.Finish("test", obs.Config{Model: m.Name, Workers: 4}, engine.Holds, "")
 			if rep.Reduction == nil {
 				t.Fatal("report has no reduction section")
 			}

@@ -1,23 +1,18 @@
 // Package reduce implements symmetry reduction for the explicit-state
-// exploration of package ts: canonicalization under data-value and
-// component-block permutations.
+// exploration of package ts: canonicalization under permutations of a
+// declared set of interchangeable data values.
 //
 // Symmetry declarations are validated before use, never assumed: they are
-// checked structurally against the system (domain closure, literal/shape
-// scan of every formula the group must leave invariant, block-rename
-// invariance of the component multiset). An invalid declaration is an error
-// at the ts.System level and a graceful disable (with a flight-recorder
-// note) at the ag.Theorem level.
+// checked structurally against the system (domain closure and a
+// literal/shape scan of every formula the group must leave invariant). An
+// invalid declaration is an error at the ts.System level and a graceful
+// disable (with a flight-recorder note) at the ag.Theorem level.
 //
 // Reduced graphs store, for every edge, the real successor state alongside
 // the canonical target id (see ts.Graph.ForEachSuccStep), so safety checks
 // always evaluate genuine steps of the system — the reduction can hide
 // behaviors only if the validated group assumptions are violated, never
 // manufacture spurious ones.
-//
-// ParseDisjoint, the Disjoint-shape recognizer the block-symmetry
-// validator compares constraints with, lives here too; the vet pre-check
-// shares it.
 package reduce
 
 import (

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"opentla/internal/engine"
+	"opentla/internal/form"
 	"opentla/internal/obs"
 	"opentla/internal/reduce"
+	"opentla/internal/spec"
+	"opentla/internal/value"
 )
 
 // telemetryMeter returns a meter whose recorder has telemetry on, the way
@@ -154,17 +157,46 @@ func TestBuildMetricsOnlyNeedsNoTracer(t *testing.T) {
 	}
 }
 
+// registerSystem is two registers x, y, each set once from 0 to a data
+// value 1 or 2, reduced under the symmetry swapping the data values: 9
+// states, 5 orbits.
+func registerSystem() *System {
+	data := value.Ints(1, 2)
+	set := func(v, other string) spec.Action {
+		return spec.Action{Name: "Set" + v, Def: form.And(
+			form.Eq(form.Var(v), form.IntC(0)),
+			form.Exists("d", data, form.Eq(form.PrimedVar(v), form.Var("d"))),
+			form.Unchanged(other),
+		)}
+	}
+	zero := form.IntC(0)
+	return &System{
+		Name: "registers",
+		Components: []*spec.Component{{
+			Name:    "registers",
+			Outputs: []string{"x", "y"},
+			Init:    form.And(form.Eq(form.Var("x"), zero), form.Eq(form.Var("y"), zero)),
+			Actions: []spec.Action{set("x", "y"), set("y", "x")},
+		}},
+		Domains: map[string][]value.Value{"x": value.Ints(0, 2), "y": value.Ints(0, 2)},
+		Reduce: &reduce.Config{Options: reduce.Options{Sym: true},
+			Symmetry: &reduce.Symmetry{Values: data, Vars: []string{"x", "y"}}},
+	}
+}
+
 // TestReductionMetricsExported checks that a symmetry-reduced build lands
 // its expansion and collapse counters in the telemetry (the reduce
 // instrumentation seam), equal to the report's reduction section.
 func TestReductionMetricsExported(t *testing.T) {
 	m, rec := telemetryMeter()
-	sys := pairSystem(4)
+	sys := registerSystem()
 	sys.Workers = 2
-	sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true},
-		Symmetry: &reduce.Symmetry{Blocks: [][]string{{"x"}, {"y"}}}}
-	if _, err := sys.BuildWith(m); err != nil {
+	g, err := sys.BuildWith(m)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if g.NumStates() != 5 {
+		t.Errorf("reduced build has %d states, want the 5 orbits", g.NumStates())
 	}
 	full, okF := snapshotValue(rec, "opentla_reduce_full_states_total")
 	collapsed, okC := snapshotValue(rec, "opentla_reduce_sym_collapsed_total")
@@ -172,7 +204,7 @@ func TestReductionMetricsExported(t *testing.T) {
 		t.Fatalf("reduce counters not registered (full=%v sym_collapsed=%v)", okF, okC)
 	}
 	if full == 0 || collapsed == 0 {
-		t.Errorf("a symmetric pair build must expand and collapse states: full=%d sym_collapsed=%d", full, collapsed)
+		t.Errorf("a symmetric register build must expand and collapse states: full=%d sym_collapsed=%d", full, collapsed)
 	}
 	if rd := rec.Reduction(); rd.FullStates != full || rd.SymCollapsed != collapsed {
 		t.Errorf("counters %d/%d differ from the reduction record %+v", full, collapsed, rd)

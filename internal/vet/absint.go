@@ -133,7 +133,7 @@ func checkHiddenInterface(res *Result, comps []*spec.Component) {
 func checkDisjointRefuted(res *Result, name string, comps []*spec.Component, cons []ts.StepConstraint, a *absint.Analysis) {
 	var recognized [][]map[string]bool
 	for _, con := range cons {
-		if sets, ok := parseDisjoint(con.Action); ok {
+		if sets, ok := form.ParseDisjoint(con.Action); ok {
 			recognized = append(recognized, sets)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"opentla/internal/form"
-	"opentla/internal/reduce"
 	"opentla/internal/spec"
 	"opentla/internal/ts"
 )
@@ -31,7 +30,7 @@ import (
 func checkDisjointCoverage(res *Result, name string, comps []*spec.Component, cons []ts.StepConstraint, opt Options) {
 	var recognized [][]map[string]bool
 	for _, con := range cons {
-		sets, ok := parseDisjoint(con.Action)
+		sets, ok := form.ParseDisjoint(con.Action)
 		if !ok {
 			res.add(Diagnostic{
 				Code: "SV021", Severity: Info, Component: name, Action: con.Name,
@@ -94,13 +93,4 @@ func subset(names []string, set map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-// parseDisjoint decomposes a step constraint into disjuncts that each
-// freeze a set of variables, returning the frozen set per disjunct. The
-// analysis is shared with the block-symmetry validator — vet and reduce
-// must agree on what counts as a Disjoint shape, so both delegate to
-// reduce.ParseDisjoint.
-func parseDisjoint(e form.Expr) ([]map[string]bool, bool) {
-	return reduce.ParseDisjoint(e)
 }

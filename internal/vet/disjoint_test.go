@@ -82,21 +82,24 @@ func TestDisjointCoverage(t *testing.T) {
 	})
 }
 
+// TestParseDisjoint: the coverage audit reads each DisjointSteps
+// constraint as the blocks it lets move alone, and does not mistake an
+// assignment for a stutter.
 func TestParseDisjoint(t *testing.T) {
 	steps := form.DisjointSteps([]string{"x1", "x2"}, []string{"y"})
 	if len(steps) != 1 {
 		t.Fatalf("DisjointSteps produced %d constraints", len(steps))
 	}
-	sets, ok := parseDisjoint(steps[0])
+	sets, ok := form.ParseDisjoint(steps[0])
 	if !ok || len(sets) != 3 {
-		t.Fatalf("parseDisjoint: ok=%v sets=%v", ok, sets)
+		t.Fatalf("ParseDisjoint: ok=%v sets=%v", ok, sets)
 	}
 	// The three disjuncts freeze x, y, and the combined tuple.
 	if !subset([]string{"x1", "x2"}, sets[0]) || !subset([]string{"y"}, sets[1]) ||
 		!subset([]string{"x1", "x2", "y"}, sets[2]) {
 		t.Errorf("frozen sets = %v", sets)
 	}
-	if _, ok := parseDisjoint(form.Eq(form.PrimedVar("x"), form.IntC(0))); ok {
+	if _, ok := form.ParseDisjoint(form.Eq(form.PrimedVar("x"), form.IntC(0))); ok {
 		t.Error("assignment parsed as a Disjoint shape")
 	}
 }
