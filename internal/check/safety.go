@@ -12,6 +12,7 @@ package check
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"opentla/internal/engine"
@@ -19,7 +20,6 @@ import (
 	"opentla/internal/obs"
 	"opentla/internal/state"
 	"opentla/internal/ts"
-	"opentla/internal/value"
 )
 
 // SafetyResult reports the outcome of a safety check.
@@ -162,13 +162,17 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		if raw, err = decomposeSafety(f); err != nil {
 			return nil, err
 		}
-		im = newImager(g.States, mapping)
+		if im, err = newImager(g.States, mapping); err != nil {
+			return nil, err
+		}
 		for id, s := range g.States {
 			if err := m.Tick(); err != nil {
 				return nil, err
 			}
 			cur = s
-			im.images[id] = im.of(s)
+			if im.images[id], err = im.of(s); err != nil {
+				return nil, err
+			}
 		}
 	}
 	inits := im.compile(ob.inits, raw.inits, layout)
@@ -225,7 +229,11 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		}
 		st := state.Step{From: g.States[from], To: real}
 		cur = st.From
-		img := im.step(from, to, real)
+		img, err := im.step(from, to, real)
+		if err != nil {
+			evalErr = err
+			return false
+		}
 		for i, sq := range boxes {
 			ok, err := sq.eval(st, img)
 			if err != nil {
@@ -288,43 +296,50 @@ func (p obligationPred) eval(st, img state.Step) (bool, error) {
 
 // imager holds the image of every graph state under a refinement mapping
 // (see SafetyUnder). A nil imager stands for no mapping: it has no images.
+// Images are the graph states widened by the mapped variables through one
+// state.Extension, so the image layout is known before any image is built.
 type imager struct {
 	states []*state.State
-	names  []string
-	exprs  []form.Expr
-	vals   map[string]value.Value // scratch for of
-	images []*state.State         // by state id; nil where the mapping fails
-	layout []string               // variables of every image
+	exprs  []form.Expr       // exprs[j]: the mapped value of extra variable j
+	x      *state.Extension  // graph layout → image layout; nil for an empty graph
+	ups    []state.PosUpdate // scratch for of
+	images []*state.State    // by state id; nil where the mapping fails
+	layout []string          // variables of every image
 }
 
-func newImager(states []*state.State, mapping map[string]form.Expr) *imager {
-	im := &imager{
-		states: states,
-		vals:   make(map[string]value.Value, len(mapping)),
-		images: make([]*state.State, len(states)),
+func newImager(states []*state.State, mapping map[string]form.Expr) (*imager, error) {
+	im := &imager{states: states, images: make([]*state.State, len(states))}
+	if len(states) == 0 {
+		return im, nil
 	}
-	for name, e := range mapping {
-		im.names = append(im.names, name)
-		im.exprs = append(im.exprs, e)
+	names := make([]string, 0, len(mapping))
+	for name := range mapping {
+		names = append(names, name)
 	}
-	return im
+	sort.Strings(names)
+	for _, name := range names {
+		im.exprs = append(im.exprs, mapping[name])
+	}
+	x, err := state.NewExtension(states[0].Layout(), names, nil)
+	if err != nil {
+		return nil, err
+	}
+	im.x, im.ups, im.layout = x, make([]state.PosUpdate, len(names)), x.Layout().Vars()
+	return im, nil
 }
 
 // of returns the image of s: s with every mapped variable bound to its
-// mapped value, or nil if one fails to evaluate on s.
-func (im *imager) of(s *state.State) *state.State {
-	for i, e := range im.exprs {
+// mapped value, or nil if one fails to evaluate on s. A state off the
+// graph's layout is an error.
+func (im *imager) of(s *state.State) (*state.State, error) {
+	for j, e := range im.exprs {
 		v, err := form.EvalState(e, s)
 		if err != nil {
-			return nil
+			return nil, nil
 		}
-		im.vals[im.names[i]] = v
+		im.ups[j] = im.x.Update(j, v)
 	}
-	img := s.WithAll(im.vals)
-	if im.layout == nil {
-		im.layout = img.Vars()
-	}
-	return img
+	return im.x.Extend(s, im.ups)
 }
 
 // compile compiles the predicates shown of F̄ against layout and, under a
@@ -353,16 +368,19 @@ func (im *imager) state(id int) state.Step {
 // canonical representative is state to, or the zero step if either image
 // is missing. A real successor that is not a graph state (on a
 // symmetry-reduced graph) gets its image computed here.
-func (im *imager) step(from, to int, real *state.State) state.Step {
+func (im *imager) step(from, to int, real *state.State) (state.Step, error) {
 	if im == nil || im.images[from] == nil {
-		return state.Step{}
+		return state.Step{}, nil
 	}
 	img := im.images[to]
 	if real != im.states[to] {
-		img = im.of(real)
+		var err error
+		if img, err = im.of(real); err != nil {
+			return state.Step{}, err
+		}
 	}
 	if img == nil {
-		return state.Step{}
+		return state.Step{}, nil
 	}
-	return state.Step{From: im.images[from], To: img}
+	return state.Step{From: im.images[from], To: img}, nil
 }

@@ -46,3 +46,36 @@ func TestDerivedUpdatesMatchBruteForce(t *testing.T) {
 		})
 	}
 }
+
+// bruteSpaceLimit bounds the assignment space of the systems the
+// whole-step oracle enumerates from every reachable state.
+const bruteSpaceLimit = 4096
+
+// TestBruteSuccessorsMatchSuccessors holds whole successor sets, the
+// output of ts.System.Successors, to the whole-step oracle
+// (tstest.BruteSuccessors) on every reachable state of each system in
+// derivedSystems whose assignment space is at most bruteSpaceLimit: the
+// same successors, none listed twice.
+func TestBruteSuccessorsMatchSuccessors(t *testing.T) {
+	checked := 0
+	for _, sys := range derivedSystems() {
+		space := 1
+		for _, v := range sys.Vars() {
+			if space *= len(sys.Domains[v]); space > bruteSpaceLimit {
+				break
+			}
+		}
+		if space > bruteSpaceLimit {
+			continue
+		}
+		checked++
+		t.Run(sys.Name, func(t *testing.T) {
+			if err := tstest.CheckSuccessors(sys); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no system small enough to enumerate")
+	}
+}

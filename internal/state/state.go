@@ -180,14 +180,14 @@ func (s *State) PosOf(name string) (int, bool) {
 	return -1, false
 }
 
-// apply writes the update groups into row, a row over s's layout.
-func (s *State) apply(row []uint32, groups [][]PosUpdate) {
+// apply writes the update groups into row, a row over l.
+func (l *layout) apply(row []uint32, groups ...[]PosUpdate) {
 	for _, g := range groups {
 		for i := range g {
 			if u := &g[i]; u.code != 0 {
 				row[u.Pos] = u.code
 			} else {
-				row[u.Pos] = s.lay.dicts[u.Pos].intern(u.Val)
+				row[u.Pos] = l.dicts[u.Pos].intern(u.Val)
 			}
 		}
 	}
@@ -199,7 +199,7 @@ func (s *State) apply(row []uint32, groups [][]PosUpdate) {
 // variables — it only reassigns existing ones.
 func (s *State) CloneWith(groups ...[]PosUpdate) *State {
 	row := append([]uint32(nil), s.row...)
-	s.apply(row, groups)
+	s.lay.apply(row, groups...)
 	return &State{lay: s.lay, row: row}
 }
 
@@ -212,7 +212,7 @@ func (s *State) CloneWith(groups ...[]PosUpdate) *State {
 func (s *State) OverwriteInto(dst *State, groups ...[]PosUpdate) {
 	dst.lay = s.lay
 	dst.row = append(dst.row[:0], s.row...)
-	s.apply(dst.row, groups)
+	s.lay.apply(dst.row, groups...)
 	atomic.StoreUint64(&dst.fp, 0)
 }
 
@@ -278,6 +278,14 @@ func LayoutOf(names []string) Layout {
 
 // Layout returns the Layout of the variables s binds.
 func (s *State) Layout() Layout { return Layout{s.lay} }
+
+// Vars returns the sorted variable names of the layout.
+func (l Layout) Vars() []string {
+	if l.l == nil {
+		return nil
+	}
+	return append([]string(nil), l.l.names...)
+}
 
 // Map returns a fresh map copy of the bindings.
 func (s *State) Map() map[string]value.Value {

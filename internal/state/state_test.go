@@ -576,6 +576,13 @@ func TestInvalidZeroValuePanics(t *testing.T) {
 		"OverwriteInto": func() {
 			base.OverwriteInto(New(nil), []PosUpdate{{Pos: 0, Val: zero}})
 		},
+		"Extension.Extend": func() {
+			x, err := NewExtension(base.Layout(), []string{"y"}, nil)
+			if err != nil {
+				panic(err.Error())
+			}
+			x.Extend(base, []PosUpdate{x.Update(0, zero)})
+		},
 	} {
 		func() {
 			defer func() {

@@ -97,3 +97,91 @@ func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 		})
 	}
 }
+
+// TestBruteSuccessorsMatchSuccessors holds Successors to the whole-step
+// brute-force oracle on this package's test systems: on every reachable
+// state, the same successors, none listed twice.
+func TestBruteSuccessorsMatchSuccessors(t *testing.T) {
+	for _, sys := range append(ts.UnitSystems(), chooserSystem(), rejectedFirstSystem(), freePrimedSystem()) {
+		t.Run(sys.Name, func(t *testing.T) {
+			if err := tstest.CheckSuccessors(sys); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// freePrimedSystem primes its free variable y (owned by no component) in
+// an action's Def and in a step constraint, whose verdicts therefore change
+// with y's assignment and must not be cached per choice combination.
+func freePrimedSystem() *ts.System {
+	return &ts.System{
+		Name: "free-primed",
+		Components: []*spec.Component{{
+			Name:    "setter",
+			Inputs:  []string{"y"},
+			Outputs: []string{"x"},
+			Init:    form.Eq(form.Var("x"), form.IntC(0)),
+			Actions: []spec.Action{{Name: "Set", Def: form.And(
+				form.Eq(form.PrimedVar("x"), form.Sub(form.IntC(1), form.Var("x"))),
+				form.Unchanged("y"))}},
+		}},
+		Constraints: []ts.StepConstraint{{Name: "y-grows", Action: form.Ge(form.PrimedVar("y"), form.Var("y"))}},
+		Domains:     map[string][]value.Value{"x": value.Bits(), "y": value.Ints(0, 2)},
+	}
+}
+
+// rejectedFirstSystem has two choice combinations that build the same
+// successor, the first rejected by its Def on the merged step: writer's
+// Bad (x' = 1 ∧ y' = y) joined with flipper's Flip, then Good (x' = 1)
+// joined with Flip. Combinations enumerate with the first component
+// fastest, so Other's distinct successor comes between the two.
+func rejectedFirstSystem() *ts.System {
+	x1 := form.Eq(form.PrimedVar("x"), form.IntC(1))
+	return &ts.System{
+		Name: "rejected-first",
+		Components: []*spec.Component{{
+			Name:    "writer",
+			Inputs:  []string{"y"},
+			Outputs: []string{"x"},
+			Init:    form.Eq(form.Var("x"), form.IntC(0)),
+			Actions: []spec.Action{
+				{Name: "Bad", Def: form.And(x1, form.Unchanged("y"))},
+				{Name: "Other", Def: form.Eq(form.PrimedVar("x"), form.IntC(2))},
+				{Name: "Good", Def: x1},
+			},
+		}, {
+			Name:    "flipper",
+			Outputs: []string{"y"},
+			Init:    form.Eq(form.Var("y"), form.IntC(0)),
+			Actions: []spec.Action{{Name: "Flip", Def: form.Eq(form.PrimedVar("y"), form.Sub(form.IntC(1), form.Var("y")))}},
+		}},
+		Domains: map[string][]value.Value{"x": value.Ints(0, 2), "y": value.Bits()},
+	}
+}
+
+// TestSuccessorEmittedAtFirstValidCombination: a successor that a rejected
+// combination builds first is emitted once, where the combination that
+// passes its Def builds it, and a successor two valid combinations build is
+// emitted once, at the first.
+func TestSuccessorEmittedAtFirstValidCombination(t *testing.T) {
+	sys := rejectedFirstSystem()
+	inits, err := sys.InitialStates()
+	if err != nil || len(inits) != 1 {
+		t.Fatalf("initial states %v, %v", inits, err)
+	}
+	succs, err := sys.Successors(inits[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range succs {
+		got = append(got, s.String())
+	}
+	// (st,st) (Bad,st) (Other,st) [(Good,st): again x=1 y=0] (st,Flip)
+	// [(Bad,Flip): rejected] (Other,Flip) (Good,Flip).
+	want := []string{"[x=0 y=0]", "[x=1 y=0]", "[x=2 y=0]", "[x=0 y=1]", "[x=2 y=1]", "[x=1 y=1]"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("successors %v, want %v", got, want)
+	}
+}

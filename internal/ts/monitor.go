@@ -33,8 +33,19 @@ type Monitor struct {
 	Init func(s *state.State) ([]value.Value, error)
 	// Step returns the allowed next values given the base step and the
 	// current value (empty = edge disallowed for this value).
+	//
+	// The slices Init and Step return are read-only: Product never writes
+	// them, so a monitor may return the same slice from every call.
 	Step func(st state.Step, cur value.Value) ([]value.Value, error)
 }
+
+// The results of the constructor-built monitors, shared by every call (see
+// Monitor: results are read-only).
+var (
+	onlyTrue    = []value.Value{value.True}
+	onlyFalse   = []value.Value{value.False}
+	trueOrFalse = []value.Value{value.True, value.False}
+)
 
 // Product runs the monitors in lockstep with the graph and returns the
 // product graph. Product states extend base states with the monitor
@@ -62,13 +73,21 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		domains[m.Var] = m.Domain
 	}
 
+	// Product states widen base states by the monitor variables, one row
+	// scatter each (see state.Extension); the monitors' domain values are
+	// resolved to codes once, here.
+	x, err := productExtension(g, mons)
+	if err != nil {
+		return nil, err
+	}
+
 	// When the base graph was built under symmetry, the product inherits the
 	// reduction: product states are canonicalized on their base part (monitor
 	// values ride along unchanged), and every product edge records its real
 	// successor. Monitors always evaluate on genuine base steps — the base
 	// edge's real successor — never on representative-to-representative
 	// pseudo-steps.
-	pcanon := productCanon(g, mons)
+	pcanon := productCanon(g, x, len(mons))
 
 	// Products are cached like base graphs, keyed by the base system's
 	// description extended with the monitors' semantic descriptions. A
@@ -102,23 +121,33 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	// unlike an empty base graph.
 	var inits []*state.State
 	if resumeSnap == nil {
+		c := newCombos(x, len(mons))
 		for _, bid := range g.Inits {
 			base := g.States[bid]
-			combos, err := monitorInitCombos(mons, base)
-			if err != nil {
-				return nil, err
+			admitted := true
+			for i, m := range mons {
+				vals, err := m.Init(base)
+				if err != nil {
+					return nil, fmt.Errorf("monitor %s init on %s: %w", m.Var, base, err)
+				}
+				if len(vals) == 0 {
+					admitted = false
+					break
+				}
+				c.vals[i] = vals
 			}
-			for _, combo := range combos {
-				inits = append(inits, base.WithAll(combo))
+			if admitted {
+				if inits, err = c.extend(inits, base); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 
 	// The base id of a product state is recoverable from the state itself:
-	// stripping the monitor variables yields the base state, which the base
-	// graph's fingerprint index resolves. This replaces the baseOf side
-	// table of the sequential implementation and keeps expansion stateless,
-	// hence safe for concurrent workers.
+	// projecting away the monitor variables yields the base state, which the
+	// base graph's fingerprint index resolves. This keeps expansion
+	// stateless, hence safe for concurrent workers.
 	res, err := explore(exploreParams{
 		op:        "ts.Product",
 		workers:   g.Sys.Workers,
@@ -127,24 +156,37 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		meter:     meter,
 		inits:     inits,
 		expand: func(cur *state.State) ([]*state.State, error) {
-			base := BaseState(cur, mons)
-			bid := g.ID(base)
-			if bid < 0 {
-				return nil, fmt.Errorf("ts.Product: base state %s not in base graph", base)
+			var base state.State
+			if err := x.Project(cur, &base); err != nil {
+				return nil, fmt.Errorf("ts.Product: %w", err)
 			}
+			bid := g.ID(&base)
+			if bid < 0 {
+				return nil, fmt.Errorf("ts.Product: base state %s not in base graph", &base)
+			}
+			from := g.States[bid]
+			curVals := make([]value.Value, len(mons))
+			for i := range mons {
+				curVals[i] = cur.At(x.Pos(i))
+			}
+			c := newCombos(x, len(mons))
 			var out []*state.State
 			var expErr error
-			g.ForEachSuccStep(bid, func(tbid int, real *state.State) bool {
-				baseStep := state.Step{From: g.States[bid], To: real}
-				combos, cerr := monitorStepCombos(mons, baseStep, cur)
-				if cerr != nil {
-					expErr = cerr
-					return false
+			g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
+				st := state.Step{From: from, To: real}
+				for i, m := range mons {
+					vals, err := m.Step(st, curVals[i])
+					if err != nil {
+						expErr = fmt.Errorf("monitor %s step on %s: %w", m.Var, st, err)
+						return false
+					}
+					if len(vals) == 0 {
+						return true // some monitor disallows the edge
+					}
+					c.vals[i] = vals
 				}
-				for _, combo := range combos {
-					out = append(out, real.WithAll(combo))
-				}
-				return true
+				out, expErr = c.extend(out, real)
+				return expErr == nil
 			})
 			if expErr != nil {
 				return nil, expErr
@@ -178,94 +220,97 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	return prod, nil
 }
 
+// productExtension returns the extension of the base graph's layout by the
+// monitor variables, in monitor order, with each monitor's domain resolved.
+func productExtension(g *Graph, mons []*Monitor) (*state.Extension, error) {
+	lay := state.LayoutOf(g.Sys.Vars())
+	if len(g.States) > 0 {
+		lay = g.States[0].Layout()
+	}
+	names := make([]string, len(mons))
+	doms := make([][]value.Value, len(mons))
+	for i, m := range mons {
+		names[i], doms[i] = m.Var, m.Domain
+	}
+	x, err := state.NewExtension(lay, names, doms)
+	if err != nil {
+		return nil, fmt.Errorf("ts.Product: %w", err)
+	}
+	return x, nil
+}
+
 // productCanon lifts the base graph's symmetry canonicalizer to product
 // states: the base part is canonicalized, the monitor bindings ride along
 // unchanged. Returns nil when the base graph has no canonicalizer. Like
 // every canon function, it returns its argument pointer when the state is
-// already canonical.
-func productCanon(g *Graph, mons []*Monitor) func(*state.State) *state.State {
+// already canonical. A product state off the extension's layout is an
+// internal error; canon functions cannot return one, so it panics, and
+// exploration contains the panic as an *engine.EngineError.
+func productCanon(g *Graph, x *state.Extension, nmons int) func(*state.State) *state.State {
 	if g.canon == nil {
 		return nil
 	}
-	names := make([]string, len(mons))
-	for i, m := range mons {
-		names[i] = m.Var
-	}
 	return func(s *state.State) *state.State {
-		base := s.Drop(names)
+		base := new(state.State)
+		if err := x.Project(s, base); err != nil {
+			panic(err)
+		}
 		c := g.canon(base)
 		if c == base {
 			return s
 		}
-		binds := make(map[string]value.Value, len(names))
-		for _, n := range names {
-			if v, ok := s.Get(n); ok {
-				binds[n] = v
-			}
+		ups := make([]state.PosUpdate, nmons)
+		for j := range ups {
+			ups[j] = x.Update(j, s.At(x.Pos(j)))
 		}
-		return c.WithAll(binds)
-	}
-}
-
-// BaseState strips monitor variables from a product state.
-func BaseState(s *state.State, mons []*Monitor) *state.State {
-	names := make([]string, len(mons))
-	for i, m := range mons {
-		names[i] = m.Var
-	}
-	return s.Drop(names)
-}
-
-func monitorInitCombos(mons []*Monitor, base *state.State) ([]map[string]value.Value, error) {
-	combos := []map[string]value.Value{{}}
-	for _, m := range mons {
-		vals, err := m.Init(base)
+		t, err := x.Extend(c, ups)
 		if err != nil {
-			return nil, fmt.Errorf("monitor %s init on %s: %w", m.Var, base, err)
+			panic(err)
 		}
-		combos = extendCombos(combos, m.Var, vals)
-		if len(combos) == 0 {
-			return nil, nil
-		}
+		return t
 	}
-	return combos, nil
 }
 
-func monitorStepCombos(mons []*Monitor, st state.Step, cur *state.State) ([]map[string]value.Value, error) {
-	combos := []map[string]value.Value{{}}
-	for _, m := range mons {
-		curVal, ok := cur.Get(m.Var)
-		if !ok {
-			return nil, fmt.Errorf("monitor %s: variable missing from product state %s", m.Var, cur)
-		}
-		vals, err := m.Step(st, curVal)
+// combos enumerates the monitor-value combinations of one base state or
+// step as index vectors over each monitor's value slice, the first monitor
+// varying slowest, and widens the base state by each.
+type combos struct {
+	x    *state.Extension
+	vals [][]value.Value   // vals[i]: the values monitor i allows
+	idx  []int             // the current combination
+	ups  []state.PosUpdate // ups[i]: monitor i's update for vals[i][idx[i]]
+}
+
+func newCombos(x *state.Extension, n int) *combos {
+	return &combos{x: x, vals: make([][]value.Value, n), idx: make([]int, n), ups: make([]state.PosUpdate, n)}
+}
+
+// extend appends base widened by every combination of c.vals to out.
+func (c *combos) extend(out []*state.State, base *state.State) ([]*state.State, error) {
+	for i := range c.idx {
+		c.idx[i] = 0
+		c.ups[i] = c.x.Update(i, c.vals[i][0])
+	}
+	for {
+		t, err := c.x.Extend(base, c.ups)
 		if err != nil {
-			return nil, fmt.Errorf("monitor %s step on %s: %w", m.Var, st, err)
+			return nil, fmt.Errorf("ts.Product: %w", err)
 		}
-		combos = extendCombos(combos, m.Var, vals)
-		if len(combos) == 0 {
-			return nil, nil
-		}
-	}
-	return combos, nil
-}
-
-func extendCombos(combos []map[string]value.Value, name string, vals []value.Value) []map[string]value.Value {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]map[string]value.Value, 0, len(combos)*len(vals))
-	for _, c := range combos {
-		for _, v := range vals {
-			n := make(map[string]value.Value, len(c)+1)
-			for k, vv := range c {
-				n[k] = vv
+		out = append(out, t)
+		i := len(c.idx) - 1
+		for ; i >= 0; i-- {
+			c.idx[i]++
+			if c.idx[i] < len(c.vals[i]) {
+				c.ups[i] = c.x.Update(i, c.vals[i][c.idx[i]])
+				break
 			}
-			n[name] = v
-			out = append(out, n)
+			c.idx[i] = 0
+			c.ups[i] = c.x.Update(i, c.vals[i][0])
+		}
+		if i < 0 {
+			return out, nil
 		}
 	}
-	return out
 }
 
 // monitorDesc renders the canonical description of a constructor-built
@@ -331,14 +376,14 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict b
 				}
 			}
 			if ok {
-				return []value.Value{value.True}, nil
+				return onlyTrue, nil
 			}
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
 			alive, _ := cur.AsBool()
 			if !alive {
-				return []value.Value{value.False}, nil
+				return onlyFalse, nil
 			}
 			ok := true
 			for _, sq := range sqPreds {
@@ -353,11 +398,11 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict b
 			}
 			if ok {
 				if strict {
-					return []value.Value{value.True}, nil
+					return onlyTrue, nil
 				}
-				return []value.Value{value.True, value.False}, nil
+				return trueOrFalse, nil
 			}
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 	}
 }
@@ -392,9 +437,9 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 			}
 			if ok {
 				// May start alive, or immediately frozen (n = 0).
-				return []value.Value{value.True, value.False}, nil
+				return trueOrFalse, nil
 			}
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
 			alive, _ := cur.AsBool()
@@ -404,7 +449,7 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 					return nil, err
 				}
 				if frozen {
-					return []value.Value{value.False}, nil
+					return onlyFalse, nil
 				}
 				return nil, nil // v changed after freezing: edge disallowed
 			}
@@ -422,10 +467,10 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 			if ok {
 				// Stay alive, or die with freezing starting at the target
 				// state (the dying step itself may change v).
-				return []value.Value{value.True, value.False}, nil
+				return trueOrFalse, nil
 			}
 			// E violated on this step: freezing starts at the target.
-			return []value.Value{value.False}, nil
+			return onlyFalse, nil
 		},
 	}
 }

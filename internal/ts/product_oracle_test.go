@@ -1,0 +1,98 @@
+package ts_test
+
+import (
+	"fmt"
+	"testing"
+
+	"opentla/internal/ag"
+	"opentla/internal/form"
+	"opentla/internal/queue"
+	"opentla/internal/reduce"
+	"opentla/internal/ts"
+)
+
+// guaranteesOnly returns the system ⋀C(M_j) of th with the environment
+// variables unconstrained: the base graph of hypothesis 2a.
+func guaranteesOnly(th *ag.Theorem) *ts.System {
+	sys := &ts.System{Name: "guarantees-only", Domains: th.Domains}
+	for _, p := range th.Pairs {
+		if p.Sys != nil {
+			sys.Components = append(sys.Components, p.Sys.SafetyOnly())
+		}
+		sys.Constraints = append(sys.Constraints, p.Constraints...)
+	}
+	return sys
+}
+
+// TestProductMatchesReference holds the positional monitor product to the
+// map-based product it replaced (ts.RefProduct) on the products the checks
+// build over Fig. 9's guarantees-only graph: the +v product of H2a-B, the
+// two-monitor product of check.WhilePlus (strict safety monitors for C(E)
+// and for C(M) under the refinement mapping), and a product of two
+// monitors that each allow two values. Each is built unreduced
+// and under symmetry, for K = 2 and 3, by 1 and 4 workers, and must equal
+// the reference in states, fingerprints, initial ids, CSR adjacency and
+// real successors.
+func TestProductMatchesReference(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		cfg := queue.Config{N: 1, Vals: k}
+		th := cfg.Fig9Theorem()
+		env, target, mapping := th.Concl.Env, th.Concl.Sys, th.Concl.Mapping
+		envInit, envSquares := env.Init, []form.Expr{env.SquareExpr()}
+		sysInit, sysSquares := target.Init.Subst(mapping), []form.Expr{target.SquareExpr().Subst(mapping)}
+		products := []struct {
+			name string
+			mons func() []*ts.Monitor
+		}{
+			{"plus", func() []*ts.Monitor {
+				return []*ts.Monitor{ts.PlusMonitor("$plusAlive", envInit, envSquares, th.Concl.PlusSub)}
+			}},
+			{"while-plus", func() []*ts.Monitor {
+				return []*ts.Monitor{
+					ts.SafetyMonitor("$envAlive", envInit, envSquares, true),
+					ts.SafetyMonitor("$sysAlive", sysInit, sysSquares, true),
+				}
+			}},
+			// Strict monitors allow one value per step; two that may die
+			// early allow two each, so the combination order shows.
+			{"two-nondeterministic", func() []*ts.Monitor {
+				return []*ts.Monitor{
+					ts.PlusMonitor("$plusAlive", envInit, envSquares, th.Concl.PlusSub),
+					ts.SafetyMonitor("$sysAlive", sysInit, sysSquares, false),
+				}
+			}},
+		}
+		for _, sym := range []bool{false, true} {
+			sys := guaranteesOnly(th)
+			if sym {
+				sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: cfg.DoubleSymmetry()}
+			}
+			g, err := sys.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range products {
+				t.Run(fmt.Sprintf("K=%d/sym=%v/%s", k, sym, p.name), func(t *testing.T) {
+					sys.Workers = 1
+					want, err := ts.RefProduct(g, p.mons())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sym && want.NumStates() == 0 {
+						t.Fatal("empty reference product")
+					}
+					for _, workers := range []int{1, 4} {
+						sys.Workers = workers
+						got, err := ts.Product(g, p.mons())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := ts.DiffGraphs(got, want); err != nil {
+							t.Errorf("-workers %d: %v", workers, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -181,32 +181,34 @@ type compiledComponent struct {
 
 // compiledAction is one action definition compiled twice against the system
 // layout: as a successor generator proposing owned-variable updates, and as
-// a predicate re-checked on every merged step.
+// a predicate re-checked on every merged step. freeDep records whether Def
+// primes a free variable: when it does not, its verdict on a candidate step
+// is the same under every free assignment (see successors).
 type compiledAction struct {
 	name    string
 	pred    form.CompiledPred // Def compiled against the system layout
 	updates func(*state.State) ([][]state.PosUpdate, error)
-	primed  []string // primed variables of Def, for free-dependence analysis
+	freeDep bool
 }
 
-// compiledConstraint is a step constraint with its primed variables
-// precomputed (see successors: a constraint whose primed variables avoid the
-// free set has the same verdict for every free assignment).
+// compiledConstraint is a step constraint compiled against the system
+// layout.
 type compiledConstraint struct {
-	name   string
-	pred   form.CompiledPred // the constraint compiled against the system layout
-	primed []string
+	name string
+	pred form.CompiledPred
 }
 
 // compiledSystem caches everything successor generation needs: per-component
-// actions with their derived update generators, the step constraints, and
-// the free variables with each domain value resolved to a positional update.
-// It is immutable after compile and shared across exploration workers.
+// actions with their derived update generators, the step constraints split
+// by whether they prime a free variable, and the free variables with each
+// domain value resolved to a positional update. It is immutable after
+// compile and shared across exploration workers.
 type compiledSystem struct {
-	comps       []compiledComponent
-	constraints []compiledConstraint
-	free        []string
-	freeUps     [][]state.PosUpdate // freeUps[i][j]: free[i] := its j-th domain value
+	comps     []compiledComponent
+	consIndep []compiledConstraint // constraints priming no free variable
+	consDep   []compiledConstraint // constraints priming some free variable
+	free      []string
+	freeUps   [][]state.PosUpdate // freeUps[i][j]: free[i] := its j-th domain value
 }
 
 func (sys *System) compile() (*compiledSystem, error) {
@@ -215,7 +217,19 @@ func (sys *System) compile() (*compiledSystem, error) {
 	// resolution and stutter-equality checks out of the per-candidate loop.
 	layout := sys.Vars()
 	ctx := sys.Ctx()
-	cs := &compiledSystem{comps: make([]compiledComponent, len(sys.Components))}
+	cs := &compiledSystem{comps: make([]compiledComponent, len(sys.Components)), free: sys.FreeVars()}
+	freeSet := make(map[string]bool, len(cs.free))
+	for _, v := range cs.free {
+		freeSet[v] = true
+	}
+	primesFree := func(e form.Expr) bool {
+		for _, v := range form.PrimedVars(e) {
+			if freeSet[v] {
+				return true
+			}
+		}
+		return false
+	}
 	for i, c := range sys.Components {
 		cc := compiledComponent{comp: c, owned: c.Owned()}
 		for _, a := range c.Actions {
@@ -228,18 +242,19 @@ func (sys *System) compile() (*compiledSystem, error) {
 			}
 			cc.actions = append(cc.actions, compiledAction{
 				name: a.Name, pred: form.CompilePred(a.Def, layout),
-				updates: updates, primed: form.PrimedVars(a.Def),
+				updates: updates, freeDep: primesFree(a.Def),
 			})
 		}
 		cs.comps[i] = cc
 	}
 	for _, sc := range sys.Constraints {
-		cs.constraints = append(cs.constraints, compiledConstraint{
-			name: sc.Name, pred: form.CompilePred(sc.Action, layout),
-			primed: form.PrimedVars(sc.Action),
-		})
+		c := compiledConstraint{name: sc.Name, pred: form.CompilePred(sc.Action, layout)}
+		if primesFree(sc.Action) {
+			cs.consDep = append(cs.consDep, c)
+		} else {
+			cs.consIndep = append(cs.consIndep, c)
+		}
 	}
-	cs.free = sys.FreeVars()
 	_, ups, err := sys.domainUpdates(layout, cs.free)
 	if err != nil {
 		return nil, err
@@ -380,14 +395,10 @@ func assignmentCount(vars []string, domains map[string][]value.Value) (int, erro
 // resolved to positional form: either a stutter (action == nil, no updates)
 // or a named action reassigning its owned variables. Its updates are
 // resolved to value codes once and reused by every choice combination, so
-// each candidate successor is built with a single row copy. defFreeDep
-// records whether the action's definition primes any free variable; when it
-// does not, its verdict on a candidate step is the same under every free
-// assignment and is cached per choice combination.
+// each candidate successor is built with a single row copy.
 type choice struct {
-	action     *compiledAction
-	ups        []state.PosUpdate
-	defFreeDep bool
+	action *compiledAction
+	ups    []state.PosUpdate
 }
 
 // Successors computes all states t such that ⟨s, t⟩ satisfies every
@@ -424,31 +435,14 @@ const maxComboCache = 1 << 20
 // variable has the same verdict for a given choice combination under every
 // free assignment (unprimed variables read s, which is fixed), so those
 // verdicts are computed once per combination and cached.
+//
+// A candidate is checked first and deduplicated after: only valid ones are
+// fingerprinted and looked up among the successors already emitted. Since
+// an invalid candidate is never emitted, the result is each valid successor
+// once, at its first valid occurrence, and each emitted state carries the
+// fingerprint the explorer dedups it by next.
 func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.State, error) {
 	compiled, free := cs.comps, cs.free
-	freeSet := make(map[string]bool, len(free))
-	for _, v := range free {
-		freeSet[v] = true
-	}
-	primesFree := func(vars []string) bool {
-		for _, v := range vars {
-			if freeSet[v] {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Split the step constraints by free-dependence.
-	var consIndep, consDep []*compiledConstraint
-	for i := range cs.constraints {
-		c := &cs.constraints[i]
-		if primesFree(c.primed) {
-			consDep = append(consDep, c)
-		} else {
-			consIndep = append(consIndep, c)
-		}
-	}
 
 	// Gather each component's choices in state s; each is a positional
 	// update, so each candidate below costs one slice copy.
@@ -458,14 +452,13 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 		chs := []choice{{action: nil}} // stutter
 		for ai := range cc.actions {
 			ca := &cc.actions[ai]
-			dep := primesFree(ca.primed)
 			cands, err := ca.updates(s)
 			if err != nil {
 				return nil, fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
 			}
 			for _, ups := range cands {
 				s.Resolve(ups)
-				chs = append(chs, choice{action: ca, ups: ups, defFreeDep: dep})
+				chs = append(chs, choice{action: ca, ups: ups})
 			}
 		}
 		perComp[i] = chs
@@ -501,8 +494,8 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 	idx := make([]int, len(compiled))
 	var chosen []*choice
 	// All candidates are built in one goroutine-local scratch state; only
-	// accepted ones are materialized (Clone), so rejected and duplicate
-	// candidates cost no allocation.
+	// accepted ones are materialized (Clone), so rejected candidates cost no
+	// allocation.
 	scratch := state.New(nil)
 
 	for {
@@ -540,76 +533,34 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 				}
 			}
 			s.OverwriteInto(scratch, groups...)
-			if !seen.Has(scratch) {
-				st := state.Step{From: s, To: scratch}
-				valid := true
-				if cv == comboUnknown {
-					// Free-independent part: chosen defs and constraints
-					// that prime no free variable.
-					for _, ch := range chosen {
-						if ch.defFreeDep {
-							continue
-						}
-						ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st)
-						if err != nil {
-							return nil, err
-						}
-						if !ok {
-							valid = false
-							break
-						}
-					}
+			st := state.Step{From: s, To: scratch}
+			valid := true
+			if cv == comboUnknown {
+				// Free-independent part: chosen defs and constraints that
+				// prime no free variable.
+				ok, err := sys.holds(chosen, false, cs.consIndep, st)
+				if err != nil {
+					return nil, err
+				}
+				valid = ok
+				if comboCache != nil {
 					if valid {
-						for _, c := range consIndep {
-							ok, err := sys.evalStep("constraint", c.name, c.pred, st)
-							if err != nil {
-								return nil, err
-							}
-							if !ok {
-								valid = false
-								break
-							}
-						}
-					}
-					if comboCache != nil {
-						if valid {
-							comboCache[lin] = comboPass
-						} else {
-							comboCache[lin] = comboFail
-						}
+						comboCache[lin] = comboPass
+					} else {
+						comboCache[lin] = comboFail
 					}
 				}
-				if valid {
-					// Free-dependent part, re-checked per free assignment.
-					for _, ch := range chosen {
-						if !ch.defFreeDep {
-							continue
-						}
-						ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st)
-						if err != nil {
-							return nil, err
-						}
-						if !ok {
-							valid = false
-							break
-						}
-					}
-					if valid {
-						for _, c := range consDep {
-							ok, err := sys.evalStep("constraint", c.name, c.pred, st)
-							if err != nil {
-								return nil, err
-							}
-							if !ok {
-								valid = false
-								break
-							}
-						}
-					}
+			}
+			if valid {
+				// Free-dependent part, re-checked per free assignment.
+				ok, err := sys.holds(chosen, true, cs.consDep, st)
+				if err != nil {
+					return nil, err
 				}
-				if valid {
-					t := scratch.Clone()
-					seen.Add(t)
+				valid = ok
+			}
+			if valid {
+				if t := scratch.Clone(); seen.Add(t) {
 					out = append(out, t)
 				}
 			}
@@ -634,6 +585,26 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 		}
 	}
 	return out, nil
+}
+
+// holds evaluates on st the Defs of the chosen actions whose free
+// dependence is freeDep, then the constraints cons, stopping at the first
+// that fails.
+func (sys *System) holds(chosen []*choice, freeDep bool, cons []compiledConstraint, st state.Step) (bool, error) {
+	for _, ch := range chosen {
+		if ch.action.freeDep != freeDep {
+			continue
+		}
+		if ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st); err != nil || !ok {
+			return false, err
+		}
+	}
+	for i := range cons {
+		if ok, err := sys.evalStep("constraint", cons[i].name, cons[i].pred, st); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // evalStep evaluates an action definition or step constraint, compiled

@@ -1,5 +1,6 @@
-// Package tstest holds the brute-force oracle that tests hold derived
-// successor generation to. Only tests import it.
+// Package tstest holds the brute-force oracles that tests hold derived
+// successor generation to: per action (BruteUpdates) and per step
+// (BruteSuccessors). Only tests import it.
 package tstest
 
 import (
@@ -96,4 +97,95 @@ func CheckDerivedUpdates(sys *ts.System) error {
 		return err
 	}
 	return CheckUpdates(sys, g, sys.Ctx().UpdatesFn)
+}
+
+// BruteSuccessors is the reference semantics of one step of sys from s:
+// every assignment t to sys.Vars() over their declared domains such that,
+// interpreted, ⟨s, t⟩ satisfies every component's [N]_owned — t gives the
+// component's owned variables their values in s, or the step satisfies one
+// of its actions' Def — and every step constraint. Variables no component
+// owns take every value of their domains. It returns the successor keys,
+// sorted.
+func BruteSuccessors(sys *ts.System, s *state.State) ([]string, error) {
+	var out []string
+	var evalErr error
+	value.ForEachAssignment(sys.Vars(), sys.Domains, func(a map[string]value.Value) bool {
+		st := state.Step{From: s, To: state.New(a)}
+		ok, err := bruteStepHolds(sys, st)
+		if err != nil {
+			evalErr = fmt.Errorf("%s: %w", st, err)
+			return false
+		}
+		if ok {
+			out = append(out, st.To.Key())
+		}
+		return true
+	})
+	sort.Strings(out)
+	return out, evalErr
+}
+
+func bruteStepHolds(sys *ts.System, st state.Step) (bool, error) {
+	for _, c := range sys.Components {
+		if st.Stutters(c.Owned()) {
+			continue
+		}
+		moved := false
+		for _, a := range c.Actions {
+			ok, err := form.EvalBool(a.Def, st, nil)
+			if err != nil {
+				return false, fmt.Errorf("%s.%s: %w", c.Name, a.Name, err)
+			}
+			if ok {
+				moved = true
+				break
+			}
+		}
+		if !moved {
+			return false, nil
+		}
+	}
+	for _, sc := range sys.Constraints {
+		ok, err := form.EvalBool(sc.Action, st, nil)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// CheckSuccessors holds sys.Successors to BruteSuccessors on every state of
+// sys's graph, and returns the first divergence: a successor listed twice,
+// or a different set. A missing successor truncates the graph, so every
+// check over it is vacuously optimistic; an extra one adds a step the
+// specification forbids.
+func CheckSuccessors(sys *ts.System) error {
+	g, err := sys.Build()
+	if err != nil {
+		return err
+	}
+	for _, s := range g.States {
+		succs, err := sys.Successors(s)
+		if err != nil {
+			return err
+		}
+		got := make([]string, len(succs))
+		for i, t := range succs {
+			got[i] = t.Key()
+		}
+		sort.Strings(got)
+		for i := 1; i < len(got); i++ {
+			if got[i] == got[i-1] {
+				return fmt.Errorf("%s: successor %s listed twice", s, got[i])
+			}
+		}
+		want, err := BruteSuccessors(sys, s)
+		if err != nil {
+			return fmt.Errorf("brute force from %s: %w", s, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("successors of %s:\n derived %v\n brute   %v", s, got, want)
+		}
+	}
+	return nil
 }
