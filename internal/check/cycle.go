@@ -166,27 +166,13 @@ func reachableFrom(g *ts.Graph, starts []int, sm StateMask, em EdgeMask) []bool 
 //   - a Streett condition with a trigger but no hit forces removal of the
 //     trigger states, and the SCC is re-decomposed.
 func searchFairCycle(g *ts.Graph, sm StateMask, em EdgeMask, conds []CycleCond) []int {
-	sccs := g.SCCs(toStateFilter(sm), toEdgeFilter(em))
+	sccs := g.SCCs(sm, em)
 	for _, comp := range sccs {
 		if cyc := examineSCC(g, comp, sm, em, conds); cyc != nil {
 			return cyc
 		}
 	}
 	return nil
-}
-
-func toStateFilter(sm StateMask) func(int) bool {
-	if sm == nil {
-		return nil
-	}
-	return func(id int) bool { return sm(id) }
-}
-
-func toEdgeFilter(em EdgeMask) func(int, int) bool {
-	if em == nil {
-		return nil
-	}
-	return func(a, b int) bool { return em(a, b) }
 }
 
 // examineSCC decides whether the SCC contains an accepting cycle, possibly

@@ -223,37 +223,21 @@ func (s *State) Clone() *State {
 	return &State{lay: s.lay, row: append([]uint32(nil), s.row...), fp: atomic.LoadUint64(&s.fp)}
 }
 
-// Restrict returns the state containing only the named variables (those of
-// them that s binds).
-func (s *State) Restrict(names []string) *State {
-	keep := make(map[string]bool, len(names))
-	for _, n := range names {
-		keep[n] = true
-	}
-	return s.subset(func(n string) bool { return keep[n] })
-}
-
 // Drop returns the state without the named variables.
 func (s *State) Drop(names []string) *State {
 	drop := make(map[string]bool, len(names))
 	for _, n := range names {
 		drop[n] = true
 	}
-	return s.subset(func(n string) bool { return !drop[n] })
-}
-
-// subset returns the state binding the variables of s that keep accepts,
-// with their codes copied.
-func (s *State) subset(keep func(string) bool) *State {
-	var names []string
+	var kept []string
 	var row []uint32
 	for i, n := range s.lay.names {
-		if keep(n) {
-			names = append(names, n)
+		if !drop[n] {
+			kept = append(kept, n)
 			row = append(row, s.row[i])
 		}
 	}
-	return &State{lay: layoutOf(names), row: row}
+	return &State{lay: layoutOf(kept), row: row}
 }
 
 // Vars returns the sorted variable names bound by s.

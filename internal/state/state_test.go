@@ -119,14 +119,10 @@ func TestWithAllMatchesMapRebuild(t *testing.T) {
 	}
 }
 
-func TestRestrictAndDrop(t *testing.T) {
+func TestDrop(t *testing.T) {
 	st := s("x", value.Int(1), "y", value.Int(2), "z", value.Int(3))
-	r := st.Restrict([]string{"x", "z", "missing"})
-	if r.Len() != 2 || !r.MustGet("z").Equal(value.Int(3)) {
-		t.Errorf("Restrict = %s", r)
-	}
-	d := st.Drop([]string{"y"})
-	if d.Len() != 2 {
+	d := st.Drop([]string{"y", "missing"})
+	if d.Len() != 2 || !d.MustGet("z").Equal(value.Int(3)) {
 		t.Errorf("Drop = %s", d)
 	}
 	if _, ok := d.Get("y"); ok {
@@ -450,7 +446,7 @@ func TestStateMatchesReference(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		p := pool[rng.Intn(len(pool))]
 		var next pair
-		switch op := rng.Intn(7); op {
+		switch op := rng.Intn(6); op {
 		case 0:
 			m := randBindings(rng)
 			next = pair{New(m), refNew(m)}
@@ -467,14 +463,7 @@ func TestStateMatchesReference(t *testing.T) {
 				drop[n] = true
 			}
 			next = pair{p.st.Drop(names), p.ref.filter(func(n string) bool { return !drop[n] })}
-		case 4:
-			names := randNames(rng)
-			keep := map[string]bool{}
-			for _, n := range names {
-				keep[n] = true
-			}
-			next = pair{p.st.Restrict(names), p.ref.filter(func(n string) bool { return keep[n] })}
-		case 5, 6:
+		case 4, 5:
 			var ups []PosUpdate
 			for i := 0; i < p.st.Len(); i++ {
 				if rng.Intn(2) == 0 {
@@ -484,7 +473,7 @@ func TestStateMatchesReference(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				p.st.Resolve(ups)
 			}
-			if op == 5 {
+			if op == 4 {
 				next = pair{p.st.CloneWith(ups), p.ref.cloneWith(ups)}
 			} else {
 				p.st.OverwriteInto(scratch, ups)

@@ -66,7 +66,7 @@ func TestMetricsBatchCountsOnce(t *testing.T) {
 // attributed to the shard it happened on, and reading the tallies neither
 // resets nor bumps them.
 func TestMetricsContentionAndFlush(t *testing.T) {
-	st := NewWithHash(func(*state.State) uint64 { return 3 }) // all states → shard 3
+	st := NewWithHash(func(*state.State) uint64 { return 3 << (64 - PartitionBits) }) // all states → shard 3
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -93,21 +93,23 @@ func TestMetricsContentionAndFlush(t *testing.T) {
 }
 
 // TestNilMetricsPathUnchanged: counting is always on and leaves interning
-// and lookup semantics alone; Lookup counts its acquisition.
+// and lookup semantics alone; Get takes no lock, so it counts nothing.
 func TestNilMetricsPathUnchanged(t *testing.T) {
 	st := New()
 	for i := 0; i < 100; i++ {
-		if _, added := st.Intern(mkNamed("k", int64(i))); !added {
+		ref, added := st.Intern(mkNamed("k", int64(i)))
+		if !added {
 			t.Fatalf("state %d should be new", i)
 		}
+		st.Number(ref, i)
 	}
-	if _, ok := st.Lookup(mkNamed("k", 50)); !ok {
-		t.Fatalf("lookup must find interned state")
+	if id, ok := st.Get(mkNamed("k", 50)); !ok || id != 50 {
+		t.Fatalf("Get must find the numbered state: %d,%v", id, ok)
 	}
 	if st.Len() != 100 {
 		t.Fatalf("len = %d, want 100", st.Len())
 	}
-	if c := st.Counts(); c.Acquisitions != 101 || c.Contended != 0 {
-		t.Fatalf("counts = %+v, want 101 uncontended acquisitions", c)
+	if c := st.Counts(); c.Acquisitions != 100 || c.Contended != 0 {
+		t.Fatalf("counts = %+v, want 100 uncontended acquisitions", c)
 	}
 }

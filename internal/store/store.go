@@ -1,23 +1,14 @@
-// Package store provides interned-state storage for explicit-state model
-// checking: states are deduplicated by their 64-bit fingerprint with
-// collision-verified structural equality, so the string serialization
-// state.Key() never enters a hot path (it survives only in diagnostics and
-// golden files).
+// Package store is the explicit-state checker's one state table: it
+// interns states by their 64-bit fingerprint with collision-verified
+// structural equality, and it records each state's final id once the
+// explorer numbers it. The string serialization state.Key() never enters a
+// hot path (it survives only in diagnostics and golden files).
 //
-// Two families of containers are provided:
-//
-//   - Store: a sharded, concurrency-safe interner used by the parallel
-//     frontier exploration of package ts. Interning returns a stable Ref;
-//     many goroutines may intern concurrently and exactly one of them is
-//     told a given state was new.
-//   - Index and Set: single-goroutine fingerprint-keyed id maps and
-//     membership sets for the sequential portions of the checker
-//     (successor dedup, generator audits, final graph lookup).
-//
-// All containers fall back to structural equality (state.Equal) when two
-// distinct states share a fingerprint, so a 64-bit collision can never
-// merge distinct states — the failure mode that silently truncates state
-// graphs in fingerprint-only checkers.
+// Many goroutines may intern concurrently, and exactly one of them is told
+// a given state was new. A 64-bit fingerprint collision falls back to
+// structural equality (state.Equal), so it can never merge distinct states,
+// the failure mode that silently truncates state graphs in fingerprint-only
+// checkers.
 package store
 
 import (
@@ -27,17 +18,31 @@ import (
 	"opentla/internal/state"
 )
 
-// shardBits is log2 of the shard count. 64 shards keeps lock contention
-// negligible for worker pools up to a few dozen goroutines.
+// Partitioning: the store's shards are the fingerprint ranges of the
+// parallel level barrier of package ts, the top PartitionBits bits of a
+// fingerprint. The barrier numbers each range on its own worker, so two
+// workers may Number concurrently: they never touch the same shard.
+// Concatenating the ranges in ascending partition order preserves the global
+// fingerprint sort, which is what keeps the parallel numbering
+// byte-identical to a single global sort. 64 shards also keep lock
+// contention negligible for worker pools up to a few dozen goroutines.
 const (
-	shardBits = 6
-	numShards = 1 << shardBits
-	shardMask = numShards - 1
+	// PartitionBits is log2 of NumPartitions.
+	PartitionBits = 6
+	// NumPartitions is the shard count, and the fingerprint-range fan-out of
+	// the parallel barrier.
+	NumPartitions = 1 << PartitionBits
+	partMask      = NumPartitions - 1
 )
 
+// Partition maps a fingerprint to its shard and barrier partition: the top
+// PartitionBits bits, so partition order is fingerprint order.
+func Partition(fp uint64) int { return int(fp >> (64 - PartitionBits)) }
+
 // Ref is an opaque handle to an interned state, stable for the lifetime of
-// its Store. Refs order is an implementation detail (arrival order within a
-// shard); deterministic numbering is the caller's concern.
+// its Store: the state's slot in its shard, shifted past the shard index.
+// Ref order is an implementation detail (arrival order within a shard);
+// deterministic numbering is the caller's concern, recorded with Number.
 type Ref uint64
 
 // Hash maps a state to its dedup fingerprint. The default is
@@ -45,15 +50,19 @@ type Ref uint64
 // the collision path.
 type Hash func(*state.State) uint64
 
+// entry is one interned state: its final id (-1 until numbered) and the
+// slot of the next entry in its fingerprint bucket, plus one (0 ends the
+// chain).
 type entry struct {
-	st  *state.State
-	ref Ref
+	st   *state.State
+	id   int32
+	next int32
 }
 
 type shard struct {
 	mu      sync.Mutex
-	buckets map[uint64][]entry
-	states  []*state.State // slot-indexed backing store for Ref resolution
+	heads   map[uint64]int32 // fingerprint -> first slot of its bucket, plus one
+	entries []entry          // slot-indexed
 	// Lock and probe tallies, written under mu (see Counts).
 	acquisitions, contended, probes int64
 }
@@ -68,18 +77,38 @@ func (sh *shard) lock() {
 	sh.acquisitions++
 }
 
-// Store is a sharded, concurrency-safe interned-state store.
+// intern returns the Ref of a state equal to s in fp's bucket of shard
+// part, counting each equality probe, or appends s there unnumbered and
+// reports it added; mu must be held.
+func (sh *shard) intern(part int, fp uint64, s *state.State) (Ref, bool) {
+	i := sh.heads[fp]
+	for ; i != 0; i = sh.entries[i-1].next {
+		sh.probes++
+		if sh.entries[i-1].st.Equal(s) {
+			break
+		}
+	}
+	added := i == 0
+	if added {
+		sh.entries = append(sh.entries, entry{st: s, id: -1, next: sh.heads[fp]})
+		i = int32(len(sh.entries))
+		sh.heads[fp] = i
+	}
+	return Ref(i-1)<<PartitionBits | Ref(part), added
+}
+
+// Store is a sharded, concurrency-safe interned-state table.
 type Store struct {
 	hash   Hash
 	count  atomic.Int64
-	shards [numShards]shard
+	shards [NumPartitions]shard
 }
 
 // Counts are a store's lock and probe tallies, the contention-analysis
 // figures of the performance telemetry:
 //
-//   - Acquisitions: every time a shard mutex is taken by Intern, a batch
-//     shard visit, or Lookup;
+//   - Acquisitions: every time a shard mutex is taken by Intern or a batch
+//     shard visit;
 //   - Contended: those where TryLock failed and the caller had to block —
 //     the direct measure of shard contention — also per shard, so a skewed
 //     fingerprint distribution is visible;
@@ -88,7 +117,7 @@ type Store struct {
 //     hits, which probe once).
 type Counts struct {
 	Acquisitions, Contended, Probes int64
-	ContendedByShard                [numShards]int64
+	ContendedByShard                [NumPartitions]int64
 }
 
 // Counts sums the shards' tallies.
@@ -118,7 +147,7 @@ func NewWithHash(h Hash) *Store {
 	}
 	s := &Store{hash: h}
 	for i := range s.shards {
-		s.shards[i].buckets = make(map[uint64][]entry)
+		s.shards[i].heads = make(map[uint64]int32)
 	}
 	return s
 }
@@ -129,21 +158,15 @@ func NewWithHash(h Hash) *Store {
 // are immutable by construction).
 func (st *Store) Intern(s *state.State) (Ref, bool) {
 	fp := st.hash(s)
-	sh := &st.shards[fp&shardMask]
+	part := Partition(fp)
+	sh := &st.shards[part]
 	sh.lock()
-	for _, e := range sh.buckets[fp] {
-		sh.probes++
-		if e.st.Equal(s) {
-			sh.mu.Unlock()
-			return e.ref, false
-		}
-	}
-	ref := Ref(len(sh.states))<<shardBits | Ref(fp&shardMask)
-	sh.states = append(sh.states, s)
-	sh.buckets[fp] = append(sh.buckets[fp], entry{st: s, ref: ref})
+	ref, added := sh.intern(part, fp, s)
 	sh.mu.Unlock()
-	st.count.Add(1)
-	return ref, true
+	if added {
+		st.count.Add(1)
+	}
+	return ref, added
 }
 
 // noRef marks an unprocessed slot during batch interning; it can never be a
@@ -168,28 +191,15 @@ func (st *Store) InternBatch(batch []*state.State, fps []uint64, refs []Ref, add
 		if refs[i] != noRef {
 			continue
 		}
-		shardIdx := fps[i] & shardMask
-		sh := &st.shards[shardIdx]
+		part := Partition(fps[i])
+		sh := &st.shards[part]
 		sh.lock()
 		for j := i; j < len(batch); j++ {
-			if refs[j] != noRef || fps[j]&shardMask != shardIdx {
+			if refs[j] != noRef || Partition(fps[j]) != part {
 				continue
 			}
-			fp, s := fps[j], batch[j]
-			found := false
-			for _, e := range sh.buckets[fp] {
-				sh.probes++
-				if e.st.Equal(s) {
-					refs[j], added[j] = e.ref, false
-					found = true
-					break
-				}
-			}
-			if !found {
-				ref := Ref(len(sh.states))<<shardBits | Ref(shardIdx)
-				sh.states = append(sh.states, s)
-				sh.buckets[fp] = append(sh.buckets[fp], entry{st: s, ref: ref})
-				refs[j], added[j] = ref, true
+			refs[j], added[j] = sh.intern(part, fps[j], batch[j])
+			if added[j] {
 				newCount++
 			}
 		}
@@ -200,168 +210,36 @@ func (st *Store) InternBatch(batch []*state.State, fps []uint64, refs []Ref, add
 	}
 }
 
-// Dense returns a small-integer encoding of the Ref suitable for direct
-// slice indexing: refs encode slot<<shardBits|shard, so Dense values are
-// unique per store and bounded by numShards × (largest shard's size) —
-// close to the interned-state count when fingerprints spread evenly. The
-// frontier's barrier uses this to replace its ref→final-id map with a flat
-// array.
-func (r Ref) Dense() int { return int(r) }
+// Number records id as the final id of the state behind ref. Numbering
+// takes no lock: calls on refs of one partition must be serialized, but
+// calls on distinct partitions may run concurrently (the parallel barrier
+// of package ts relies on this), and none may overlap an intern into the
+// same partition.
+func (st *Store) Number(ref Ref, id int) {
+	st.shards[ref&partMask].entries[ref>>PartitionBits].id = int32(id)
+}
 
-// Lookup returns the Ref of a state equal to s, if interned.
-func (st *Store) Lookup(s *state.State) (Ref, bool) {
+// ID returns the final id recorded for ref, or -1 if it is not numbered
+// yet. It takes no lock, so it must not overlap an intern or a Number into
+// ref's partition.
+func (st *Store) ID(ref Ref) int {
+	return int(st.shards[ref&partMask].entries[ref>>PartitionBits].id)
+}
+
+// Get returns the final id of a state equal to s, if one is interned and
+// numbered. It takes no lock and counts no probes: once interning and
+// numbering pause (at a level barrier, or for good), any number of
+// goroutines may Get concurrently.
+func (st *Store) Get(s *state.State) (int, bool) {
 	fp := st.hash(s)
-	sh := &st.shards[fp&shardMask]
-	sh.lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.buckets[fp] {
-		if e.st.Equal(s) {
-			return e.ref, true
+	sh := &st.shards[Partition(fp)]
+	for i := sh.heads[fp]; i != 0; i = sh.entries[i-1].next {
+		if e := &sh.entries[i-1]; e.st.Equal(s) {
+			return int(e.id), e.id >= 0
 		}
 	}
 	return 0, false
-}
-
-// State resolves a Ref produced by Intern.
-func (st *Store) State(r Ref) *state.State {
-	sh := &st.shards[r&shardMask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.states[r>>shardBits]
 }
 
 // Len returns the number of interned states.
 func (st *Store) Len() int { return int(st.count.Load()) }
-
-// Partitioning: the parallel level barrier of package ts splits a level's
-// newly discovered states into NumPartitions fingerprint ranges (the top
-// PartitionBits bits) and numbers each range on its own worker. Index shards
-// its buckets by the same function, so two barrier partitions may Put
-// concurrently — they can never touch the same shard. Concatenating the
-// ranges in ascending partition order preserves the global fingerprint sort,
-// which is what keeps the parallel numbering byte-identical to a single
-// global sort.
-const (
-	// PartitionBits is log2 of NumPartitions.
-	PartitionBits = 6
-	// NumPartitions is the fingerprint-range fan-out of the parallel barrier
-	// (and the shard count of Index).
-	NumPartitions = 1 << PartitionBits
-)
-
-// Partition maps a fingerprint to its barrier partition / Index shard: the
-// top PartitionBits bits, so partition order is fingerprint order.
-func Partition(fp uint64) int { return int(fp >> (64 - PartitionBits)) }
-
-// Index maps states to caller-chosen integer ids, keyed by fingerprint with
-// structural-equality collision verification. Buckets are sharded by
-// Partition(fingerprint): Puts within one partition must be serialized, but
-// Puts in distinct partitions may run concurrently (the parallel barrier of
-// package ts relies on this). Gets must not overlap Puts; once construction
-// pauses at a barrier, any number of goroutines may Get concurrently (the
-// monitor-product workers resolve base-state ids against the finished base
-// graph's index, and the frontier workers probe committed states mid-level).
-type Index struct {
-	hash   Hash
-	shards [NumPartitions]idxShard
-}
-
-type idxShard struct {
-	buckets map[uint64][]idEntry
-	n       int
-}
-
-type idEntry struct {
-	st *state.State
-	id int
-}
-
-// NewIndex returns an empty index keyed by state.Fingerprint.
-func NewIndex() *Index { return NewIndexWithHash(nil) }
-
-// NewIndexWithHash returns an empty index keyed by the given hash (nil
-// means state.Fingerprint). Shard maps allocate lazily on first Put, so
-// small single-partition indexes (sets, audits) pay for one map.
-func NewIndexWithHash(h Hash) *Index {
-	if h == nil {
-		h = (*state.State).Fingerprint
-	}
-	return &Index{hash: h}
-}
-
-// NewIndexFrom builds an index mapping each state to its slice position,
-// the lookup structure of a graph reconstructed from a snapshot (state ids
-// are their positions in the snapshot's final-id ordering).
-func NewIndexFrom(states []*state.State) *Index {
-	ix := NewIndex()
-	for i, s := range states {
-		ix.Put(s, i)
-	}
-	return ix
-}
-
-// Put records id for s. A state equal to s must not already be present.
-// Puts for states in the same partition must be serialized; Puts in
-// distinct partitions may run concurrently (see the Index doc).
-func (ix *Index) Put(s *state.State, id int) {
-	fp := ix.hash(s)
-	sh := &ix.shards[Partition(fp)]
-	if sh.buckets == nil {
-		sh.buckets = make(map[uint64][]idEntry)
-	}
-	sh.buckets[fp] = append(sh.buckets[fp], idEntry{st: s, id: id})
-	sh.n++
-}
-
-// Get returns the id recorded for a state equal to s.
-func (ix *Index) Get(s *state.State) (int, bool) {
-	fp := ix.hash(s)
-	for _, e := range ix.shards[Partition(fp)].buckets[fp] {
-		if e.st.Equal(s) {
-			return e.id, true
-		}
-	}
-	return 0, false
-}
-
-// Len returns the number of states in the index.
-func (ix *Index) Len() int {
-	n := 0
-	for i := range ix.shards {
-		n += ix.shards[i].n
-	}
-	return n
-}
-
-// Set is a fingerprint-keyed state membership set with structural-equality
-// collision fallback, replacing string-keyed map[string]bool sets in hot
-// paths. Not safe for concurrent use.
-type Set struct {
-	ix *Index
-	n  int
-}
-
-// NewSet returns an empty set keyed by state.Fingerprint.
-func NewSet() *Set { return &Set{ix: NewIndex()} }
-
-// NewSetWithHash returns an empty set keyed by the given hash.
-func NewSetWithHash(h Hash) *Set { return &Set{ix: NewIndexWithHash(h)} }
-
-// Add inserts s and reports whether it was newly added.
-func (se *Set) Add(s *state.State) bool {
-	if _, ok := se.ix.Get(s); ok {
-		return false
-	}
-	se.ix.Put(s, se.n)
-	se.n++
-	return true
-}
-
-// Has reports membership of a state equal to s.
-func (se *Set) Has(s *state.State) bool {
-	_, ok := se.ix.Get(s)
-	return ok
-}
-
-// Len returns the number of states in the set.
-func (se *Set) Len() int { return se.n }

@@ -35,14 +35,12 @@ func TestInternDedupes(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", st.Len())
 	}
-	if got := st.State(refA); !got.Equal(a) {
-		t.Fatalf("State(ref) = %v, want %v", got, a)
+	st.Number(refA, 5)
+	if id, ok := st.Get(mkState(1)); !ok || id != 5 {
+		t.Errorf("Get = %d,%v; want 5,true", id, ok)
 	}
-	if _, ok := st.Lookup(mkState(1)); !ok {
-		t.Error("Lookup should find the interned state")
-	}
-	if _, ok := st.Lookup(mkState(2)); ok {
-		t.Error("Lookup should miss an un-interned state")
+	if _, ok := st.Get(mkState(2)); ok {
+		t.Error("Get should miss an un-interned state")
 	}
 }
 
@@ -67,10 +65,14 @@ func TestCollisionFallback(t *testing.T) {
 	if st.Len() != n {
 		t.Fatalf("Len = %d, want %d", st.Len(), n)
 	}
-	// Every ref resolves to the exact state that produced it.
+	// Every ref is the exact state that produced it: numbering it by its
+	// value makes Get of that value return it.
 	for ref, x := range refs {
-		if got := st.State(ref); !got.Equal(mkState(x)) {
-			t.Errorf("ref of x=%d resolves to %v", x, got)
+		st.Number(ref, int(x))
+	}
+	for i := int64(0); i < n; i++ {
+		if id, ok := st.Get(mkState(i)); !ok || id != int(i) {
+			t.Errorf("Get(x=%d) = %d,%v; want %d,true", i, id, ok, i)
 		}
 	}
 	// Re-interning any of them still dedups.
@@ -91,15 +93,16 @@ func TestConcurrentIntern(t *testing.T) {
 		distinct   = 500
 	)
 	wins := make([][]bool, goroutines)
+	refs := make([][]Ref, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wins[g] = make([]bool, distinct)
+		refs[g] = make([]Ref, distinct)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < distinct; i++ {
-				_, added := st.Intern(mkState2(int64(i), int64(i%7)))
-				wins[g][i] = added
+				refs[g][i], wins[g][i] = st.Intern(mkState2(int64(i), int64(i%7)))
 			}
 		}(g)
 	}
@@ -120,74 +123,128 @@ func TestConcurrentIntern(t *testing.T) {
 	}
 	// All goroutines observe the same ref for the same state.
 	for i := 0; i < distinct; i++ {
-		s := mkState2(int64(i), int64(i%7))
-		ref1, _ := st.Lookup(s)
-		ref2, added := st.Intern(s)
-		if added || ref1 != ref2 {
-			t.Fatalf("state %d: inconsistent refs after concurrent intern", i)
+		ref, added := st.Intern(mkState2(int64(i), int64(i%7)))
+		for g := 0; g < goroutines; g++ {
+			if added || refs[g][i] != ref {
+				t.Fatalf("state %d: inconsistent refs after concurrent intern", i)
+			}
 		}
 	}
 }
 
-func TestIndexCollisions(t *testing.T) {
-	ix := NewIndexWithHash(func(*state.State) uint64 { return 7 })
+// TestNumberCollisions: with a constant hash every state shares one
+// bucket, yet distinct states keep distinct numbers.
+func TestNumberCollisions(t *testing.T) {
+	st := NewWithHash(func(*state.State) uint64 { return 7 })
 	for i := int64(0); i < 10; i++ {
-		ix.Put(mkState(i), int(i))
+		ref, added := st.Intern(mkState(i))
+		if !added {
+			t.Fatalf("x=%d should be new despite the colliding hash", i)
+		}
+		st.Number(ref, int(i))
 	}
-	if ix.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", ix.Len())
+	if st.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", st.Len())
 	}
 	for i := int64(0); i < 10; i++ {
-		id, ok := ix.Get(mkState(i))
+		id, ok := st.Get(mkState(i))
 		if !ok || id != int(i) {
 			t.Errorf("Get(x=%d) = %d,%v; want %d,true", i, id, ok, i)
 		}
 	}
-	if _, ok := ix.Get(mkState(99)); ok {
+	if _, ok := st.Get(mkState(99)); ok {
 		t.Error("Get of an absent state should miss even with a colliding hash")
 	}
 }
 
-func TestSet(t *testing.T) {
-	se := NewSet()
-	if !se.Add(mkState(1)) {
-		t.Error("first Add should report new")
-	}
-	if se.Add(mkState(1)) {
-		t.Error("second Add of an equal state should report existing")
-	}
-	if !se.Has(mkState(1)) || se.Has(mkState(2)) {
-		t.Error("membership wrong")
-	}
-	if se.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", se.Len())
-	}
-	// Colliding hash keeps distinct states distinct.
-	sc := NewSetWithHash(func(*state.State) uint64 { return 0 })
-	for i := int64(0); i < 5; i++ {
-		if !sc.Add(mkState(i)) {
-			t.Fatalf("colliding Add of x=%d should be new", i)
+// TestGetNumberedOnly: a state is found by Get only once it is numbered;
+// until then ID reports -1.
+func TestGetNumberedOnly(t *testing.T) {
+	for _, h := range []Hash{nil, func(*state.State) uint64 { return 0 }} {
+		st := NewWithHash(h)
+		ref, _ := st.Intern(mkState(1))
+		other, _ := st.Intern(mkState(2))
+		if _, ok := st.Get(mkState(1)); ok {
+			t.Error("Get of an interned but unnumbered state should report false")
 		}
-	}
-	if sc.Len() != 5 {
-		t.Fatalf("colliding set Len = %d, want 5", sc.Len())
+		if id := st.ID(ref); id != -1 {
+			t.Errorf("ID of an unnumbered ref = %d, want -1", id)
+		}
+		st.Number(ref, 0)
+		if id, ok := st.Get(mkState(1)); !ok || id != 0 || st.ID(ref) != 0 {
+			t.Errorf("after Number: Get = %d,%v, ID = %d; want 0,true,0", id, ok, st.ID(ref))
+		}
+		if _, ok := st.Get(mkState(2)); ok || st.ID(other) != -1 {
+			t.Error("numbering one state must leave the other unnumbered")
+		}
 	}
 }
 
+// TestRefPacksShardAndSlot: a Ref carries its state's partition in its low
+// bits, and ID and Get round-trip through it.
 func TestRefPacksShardAndSlot(t *testing.T) {
 	st := New()
 	// Enough states to populate many shards and multiple slots per shard.
-	for i := int64(0); i < 1000; i++ {
-		ref, added := st.Intern(mkState(i))
+	refs := make([]Ref, 1000)
+	for i := range refs {
+		s := mkState(int64(i))
+		ref, added := st.Intern(s)
 		if !added {
 			t.Fatalf("x=%d should be new", i)
 		}
-		if got := st.State(ref); !got.Equal(mkState(i)) {
-			t.Fatalf("round-trip of x=%d through Ref %v yields %v", i, ref, got)
+		if got, want := int(ref&(NumPartitions-1)), Partition(s.Fingerprint()); got != want {
+			t.Fatalf("x=%d: Ref %v is in shard %d, want partition %d", i, ref, got, want)
 		}
+		refs[i] = ref
+		st.Number(ref, i)
 	}
 	if st.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", st.Len())
+	}
+	for i, ref := range refs {
+		if id := st.ID(ref); id != i {
+			t.Fatalf("ID of x=%d = %d", i, id)
+		}
+		if id, ok := st.Get(mkState(int64(i))); !ok || id != i {
+			t.Fatalf("Get(x=%d) = %d,%v", i, id, ok)
+		}
+	}
+}
+
+// TestConcurrentNumberDistinctPartitions numbers every partition on its own
+// goroutine at once, the parallel barrier's assign phase. Run with -race:
+// Number takes no lock, so distinct partitions must share no memory.
+func TestConcurrentNumberDistinctPartitions(t *testing.T) {
+	st := New()
+	var byPart [NumPartitions][]Ref
+	for i := 0; i < 4000; i++ {
+		s := mkState2(int64(i), int64(i%3))
+		ref, _ := st.Intern(s)
+		p := Partition(s.Fingerprint())
+		byPart[p] = append(byPart[p], ref)
+	}
+	var wg sync.WaitGroup
+	for p := range byPart {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for k, ref := range byPart[p] {
+				st.Number(ref, p<<16|k)
+			}
+		}(p)
+	}
+	wg.Wait()
+	for p := range byPart {
+		for k, ref := range byPart[p] {
+			if id := st.ID(ref); id != p<<16|k {
+				t.Fatalf("partition %d slot %d: ID = %d, want %d", p, k, id, p<<16|k)
+			}
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		if _, ok := st.Get(mkState2(int64(i), int64(i%3))); !ok {
+			t.Fatalf("state %d unnumbered after the concurrent round", i)
+		}
 	}
 }
 

@@ -12,3 +12,9 @@ var (
 func UnitSystems() []*System {
 	return []*System{counterSystem(3), pairSystem(2), registerSystem()}
 }
+
+// Reload rebuilds g from its snapshot as a cache hit does: the returned
+// graph has no ID table until its first ID call.
+func Reload(g *Graph) *Graph {
+	return graphFromSnapshot(g.Sys, g.Ctx, g.Meter(), g.Snapshot(), g.canon)
+}

@@ -59,7 +59,7 @@ type exploreParams struct {
 type exploreResult struct {
 	states  []*state.State // numbered level-by-level, fingerprint-sorted within a level
 	inits   []int          // final ids of params.inits, in seed order (deduped to first occurrence)
-	idx     *store.Index   // state -> final id lookup for the finished graph
+	table   *store.Store   // every state interned, numbered with its final id
 	offsets []int          // CSR row offsets, len(states)+1
 	targets []int32        // CSR adjacency, offsets[i]:offsets[i+1] are i's successors
 	// edgeStates, parallel to targets, holds each edge's real successor
@@ -92,22 +92,23 @@ type exploreResult struct {
 // the whole exploration at ~1x sequential; Amdahl). Each level runs three
 // phases on the same persistent worker pool:
 //
-//  1. drain: workers claim frontier chunks, expand states, dedup successors
-//     against the committed index (states numbered at earlier barriers
-//     resolve to their final id lock-free, without touching the store), and
-//     batch-intern only the remainder. Newly interned states land in
-//     per-worker per-partition buckets keyed by store.Partition(fp) — the
-//     top fingerprint bits — so the barrier never re-buckets.
+//  1. drain: workers claim frontier chunks, expand states, and
+//     batch-intern every successor into the store, recording its Ref in the
+//     worker's arena. Newly interned states land in per-worker
+//     per-partition buckets keyed by store.Partition(fp) — the top
+//     fingerprint bits, which are also the store's shards — so the barrier
+//     never re-buckets.
 //  2. seal (single-threaded, deliberately tiny): per-partition counts are
 //     summed into base offsets, the CSR offsets row is extended by a prefix
-//     sum of known row lengths, and the states/finals/targets arrays are
-//     grown. Pure arithmetic — no sorting, no hashing, no per-edge work.
+//     sum of known row lengths, and the states/targets arrays are grown.
+//     Pure arithmetic — no sorting, no hashing, no per-edge work.
 //  3. commit (parallel): workers sort and number whole fingerprint
-//     partitions against their precomputed bases (writing disjoint index
-//     shards, finals slots, and states slots), then remap and commit their
-//     own drain rows into the preallocated CSR range. Partition order is
-//     fingerprint order, so concatenating sorted partitions reproduces the
-//     exact global (fingerprint, Key) sort a single thread would produce.
+//     partitions against their precomputed bases (each numbering only its
+//     own store shards and states slots), then resolve their own drain
+//     rows' Refs to final ids into the preallocated CSR range. Partition
+//     order is fingerprint order, so concatenating sorted partitions
+//     reproduces the exact global (fingerprint, Key) sort a single thread
+//     would produce.
 func explore(p exploreParams) (*exploreResult, error) {
 	m := p.meter
 	workers := p.workers
@@ -127,7 +128,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 			ex.StoreCounts(c.Acquisitions, c.Contended, c.Probes, c.ContendedByShard[:])
 		}()
 	}
-	res := &exploreResult{idx: store.NewIndex()}
+	res := &exploreResult{table: interned}
 	// Incrementally built CSR adjacency, committed one frontier row at a
 	// time at level barriers. offsets always carries the leading 0, so
 	// len(offsets)-1 is the committed row count. edgeStates (canon runs
@@ -135,34 +136,6 @@ func explore(p exploreParams) (*exploreResult, error) {
 	offsets := []int{0}
 	var targets []int32
 	var edgeStates []*state.State
-
-	// finals maps interned refs (via their dense encoding) to final ids;
-	// written at level barriers (disjoint slots per partition) and by the
-	// single-threaded seeding below. A flat slice instead of a map: the
-	// barrier does one remap lookup per edge, and dense refs grow with the
-	// state count.
-	finals := make([]int32, 0, 1024)
-	ensureFinals := func(d int) {
-		if d < len(finals) {
-			return
-		}
-		n := len(finals)
-		if d >= cap(finals) {
-			grown := make([]int32, d+1, max(2*cap(finals), d+1))
-			copy(grown, finals)
-			finals = grown
-		} else {
-			finals = finals[:d+1]
-		}
-		for i := n; i <= d; i++ {
-			finals[i] = -1
-		}
-	}
-	setFinal := func(ref store.Ref, id int) {
-		d := ref.Dense()
-		ensureFinals(d)
-		finals[d] = int32(id)
-	}
 
 	// Checkpoint bookkeeping: the state count, committed row count, and next
 	// level as of the last clean barrier. ckStates < 0 means no consistent
@@ -194,8 +167,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 		for _, ns := range news {
 			id := len(res.states)
 			res.states = append(res.states, ns.st)
-			res.idx.Put(ns.st, id)
-			setFinal(ns.ref, id)
+			interned.Number(ns.ref, id)
 		}
 		if p.limit > 0 && len(res.states) > p.limit {
 			return &engine.BudgetError{
@@ -209,16 +181,11 @@ func explore(p exploreParams) (*exploreResult, error) {
 	levelStart, level := 0, 0
 	if p.resume != nil {
 		// Restore the checkpoint: adopt the committed numbering, inits, and
-		// adjacency verbatim. Interning in final-id order rebuilds finals and
-		// the index deterministically; restored states bypass the meter so
-		// budgets govern only new work, letting repeated bounded runs make
+		// adjacency verbatim. Restored states bypass the meter so budgets
+		// govern only new work, letting repeated bounded runs make
 		// incremental progress.
-		for i, s := range p.resume.States {
-			ref, _ := interned.Intern(s)
-			res.states = append(res.states, s)
-			res.idx.Put(s, i)
-			setFinal(ref, i)
-		}
+		internNumbered(interned, p.resume.States)
+		res.states = append(res.states, p.resume.States...)
 		res.inits = append(res.inits, p.resume.Inits...)
 		rows := p.resume.Rows()
 		offsets = append(offsets[:1], p.resume.Offsets[1:]...)
@@ -251,7 +218,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 			return nil, err
 		}
 		for _, ref := range seedRefs {
-			res.inits = append(res.inits, int(finals[ref.Dense()]))
+			res.inits = append(res.inits, interned.ID(ref))
 		}
 		ckStates, ckRows, ckLevel = len(res.states), 0, 0
 	}
@@ -262,7 +229,6 @@ func explore(p exploreParams) (*exploreResult, error) {
 		params:  &p,
 		store:   interned,
 		scratch: make([]workerScratch, workers),
-		lookup:  res.idx.Get,
 		ex:      ex,
 	}
 	firstRow, firstTarget := levelStart, len(targets)
@@ -327,16 +293,10 @@ func explore(p exploreParams) (*exploreResult, error) {
 		// Seal (single-threaded): partition bases, array growth, and the
 		// CSR offsets prefix sum — the only serial section of the barrier.
 		total := 0
-		maxDense := -1
 		for pi := 0; pi < store.NumPartitions; pi++ {
 			lv.bases[pi] = levelEnd + total
 			for wid := 0; wid < w; wid++ {
 				total += len(lv.scratch[wid].newsPart[pi])
-			}
-		}
-		for wid := 0; wid < w; wid++ {
-			if d := lv.scratch[wid].maxDense; d > maxDense {
-				maxDense = d
 			}
 		}
 		if p.limit > 0 && levelEnd+total > p.limit {
@@ -344,9 +304,6 @@ func explore(p exploreParams) (*exploreResult, error) {
 				Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
 				Stats:  m.Stats(),
 			})
-		}
-		if maxDense >= 0 {
-			ensureFinals(maxDense)
 		}
 		res.states = grow(res.states, total)
 		lv.rowBase = len(offsets) - 1
@@ -359,16 +316,16 @@ func explore(p exploreParams) (*exploreResult, error) {
 		if p.canon != nil {
 			edgeStates = grow(edgeStates, off-len(edgeStates))
 		}
-		lv.finals, lv.states, lv.idx = finals, res.states, res.idx
+		lv.states = res.states
 		lv.offsets, lv.targets, lv.edgeStates = offsets, targets, edgeStates
 		if ex != nil {
 			ex.BarrierDone(level, w, drainDone, time.Now())
 		}
 
 		// Commit (parallel): number the fingerprint partitions against the
-		// sealed bases, then remap and write each worker's own CSR rows.
+		// sealed bases, then resolve and write each worker's own CSR rows.
 		// The round boundary between the two phases is the happens-before
-		// edge that publishes every partition's finals to every remapper.
+		// edge that publishes every partition's numbers to every resolver.
 		runRound(phaseAssign, w)
 		if err := lv.firstErr(); err != nil {
 			return fail(err)
@@ -397,6 +354,14 @@ func explore(p exploreParams) (*exploreResult, error) {
 		res.symCollapsed += lv.scratch[wid].collapsed
 	}
 	return res, nil
+}
+
+// internNumbered interns states into st, numbering each with its position.
+func internNumbered(st *store.Store, states []*state.State) {
+	for i, s := range states {
+		ref, _ := st.Intern(s)
+		st.Number(ref, i)
+	}
 }
 
 // grow extends s by n zeroed elements. The slices it serves only ever grow,
@@ -449,21 +414,6 @@ type refRow struct {
 	start, end int32
 }
 
-// Arena entries encode either an interned ref awaiting its final id, or —
-// for successors the drain already resolved against the committed index —
-// the final id itself, bitwise-complemented so the two are distinguishable
-// by sign. The committed-dedup fast path is what keeps already-explored
-// successors (the bulk of a BFS level's edges) off the store's shard locks
-// and out of the barrier's remap-by-ref volume.
-func arenaRef(r store.Ref) int64 { return int64(r) }
-func arenaFinal(id int) int64    { return ^int64(id) }
-func arenaResolve(v int64, finals []int32) int32 {
-	if v < 0 {
-		return int32(^v)
-	}
-	return finals[store.Ref(v).Dense()]
-}
-
 // Barrier phases, run as pool rounds (see explore).
 const (
 	phaseDrain = iota
@@ -473,23 +423,18 @@ const (
 
 // workerScratch is one worker's private level scratch, reused across levels
 // so steady-state expansion allocates only for genuinely new states. arena
-// accumulates the successor entries of every state the worker expanded this
+// accumulates the successor Refs of every state the worker expanded this
 // level (rows index into it); newsPart buckets first-interned states by
-// fingerprint partition for the barrier; fps/refs/added are the InternBatch
-// scratch.
+// fingerprint partition for the barrier; fps/added are the rest of the
+// InternBatch scratch.
 type workerScratch struct {
-	arena  []int64
+	arena  []store.Ref
 	rowIdx []int32 // frontier indices this worker expanded (its commit rows)
-	pend   []int32 // per-expansion scratch: successor slots needing interning
-	batch  []*state.State
 	fps    []uint64
-	refs   []store.Ref
 	added  []bool
 	// newsPart[p] holds the states this worker interned first whose
-	// fingerprint lands in partition p; maxDense is the largest dense ref
-	// encoding among them (for the seal's one ensureFinals call).
+	// fingerprint lands in partition p.
 	newsPart [store.NumPartitions][]newlyInterned
-	maxDense int
 	// merge is the commit-phase scratch a worker sorts partitions in.
 	merge []newlyInterned
 	// realArena mirrors arena positionally with each successor's real
@@ -517,8 +462,6 @@ type levelRun struct {
 	states  []*state.State // the frontier (current level), final-id order
 	rows    []refRow       // per frontier index: where its successor entries live
 	scratch []workerScratch
-	// lookup is the index probe the drain deduplicates successors through.
-	lookup func(*state.State) (int, bool)
 	// ex is the exploration's telemetry handle (nil when telemetry is off);
 	// level is the BFS level currently being drained, set by explore before
 	// begin and read by workers only for telemetry labels.
@@ -530,11 +473,9 @@ type levelRun struct {
 
 	// Commit-phase context, sealed by the coordinator between the drain and
 	// assign rounds (the pool channel provides the happens-before edge):
-	// partition base ids, the grown finals/states arrays, the index, and
-	// the preallocated CSR arrays with this level's first offsets row.
+	// partition base ids, the grown states array, and the preallocated CSR
+	// arrays with this level's first offsets row.
 	bases      [store.NumPartitions]int
-	finals     []int32
-	idx        *store.Index
 	offsets    []int
 	targets    []int32
 	edgeStates []*state.State
@@ -563,7 +504,6 @@ func (lv *levelRun) begin(states []*state.State, w int) {
 		for pi := range ws.newsPart {
 			ws.newsPart[pi] = ws.newsPart[pi][:0]
 		}
-		ws.maxDense = -1
 		ws.levelStates, ws.levelSuccs, ws.levelCanonNS = 0, 0, 0
 	}
 	// Chunk so each worker claims ~8 batches per level: big enough to keep
@@ -631,9 +571,9 @@ func (lv *levelRun) work(wid int) {
 // assignPartitions numbers this worker's share of the fingerprint
 // partitions: for each owned partition, merge every drain worker's bucket,
 // sort by (fingerprint, Key), and assign final ids from the sealed base.
-// Distinct partitions touch disjoint index shards, finals slots, and states
-// slots, so the phase is write-race-free by construction; panics are
-// contained like drain panics.
+// Distinct partitions touch disjoint store shards and states slots, so the
+// phase is write-race-free by construction; panics are contained like drain
+// panics.
 func (lv *levelRun) assignPartitions(wid int) {
 	var perr error
 	defer func() {
@@ -661,21 +601,18 @@ func (lv *levelRun) assignPartitions(wid int) {
 		for k, ns := range merge {
 			id := base + k
 			lv.states[id] = ns.st
-			lv.idx.Put(ns.st, id)
-			lv.finals[ns.ref.Dense()] = int32(id)
+			lv.store.Number(ns.ref, id)
 		}
 		ws.merge = merge[:0]
 	}
 }
 
-// commitRows remaps this worker's own drain rows to final ids and writes
+// commitRows resolves this worker's own drain rows to final ids and writes
 // them into the sealed CSR range. Every row's span [offsets[rowBase+i],
 // offsets[rowBase+i+1]) is owned by exactly one worker, so writes are
-// disjoint; finals reads see every partition via the round barrier between
-// assign and rows.
-// commitRows writes each row's successor ids at their final positions; the
-// graph bytes it produces are replay-compared and cached, so the path must
-// stay free of randomized iteration.
+// disjoint; ID reads see every partition's numbers via the round barrier
+// between assign and rows. The graph bytes it produces are replay-compared
+// and cached, so the path must stay free of randomized iteration.
 //
 // aglint:deterministic
 func (lv *levelRun) commitRows(wid int) {
@@ -692,9 +629,8 @@ func (lv *levelRun) commitRows(wid int) {
 		i := int(ri)
 		row := lv.rows[i]
 		dst := lv.targets[lv.offsets[lv.rowBase+i]:lv.offsets[lv.rowBase+i+1]]
-		arena := ws.arena[row.start:row.end]
-		for n, v := range arena {
-			dst[n] = arenaResolve(v, lv.finals)
+		for n, ref := range ws.arena[row.start:row.end] {
+			dst[n] = int32(lv.store.ID(ref))
 		}
 		if canon {
 			copy(lv.edgeStates[lv.offsets[lv.rowBase+i]:], ws.realArena[row.start:row.end])
@@ -773,56 +709,36 @@ func (lv *levelRun) drain(wid int) {
 				ws.realArena = append(ws.realArena, succs...)
 				interning = cb
 			}
-			// Dedup against the committed index before interning: successors
-			// already numbered at an earlier barrier resolve lock-free to
-			// their final id, so only frontier-fresh states reach the store.
+			// Intern the row straight into its arena slots: a successor
+			// numbered at an earlier barrier gets its old Ref back, and
+			// commitRows resolves every Ref to its final id.
 			rowStart := len(ws.arena)
-			pend := ws.pend[:0]
-			batch := ws.batch[:0]
+			k := len(interning)
+			ws.arena = append(ws.arena, make([]store.Ref, k)...)
+			if cap(ws.fps) < k {
+				ws.fps = make([]uint64, k)
+				ws.added = make([]bool, k)
+			}
+			fps, added := ws.fps[:k], ws.added[:k]
+			lv.store.InternBatch(interning, fps, ws.arena[rowStart:], added)
 			for j, t := range interning {
-				if id, ok := lv.lookup(t); ok {
-					ws.arena = append(ws.arena, arenaFinal(id))
+				if !added[j] {
 					continue
 				}
-				ws.arena = append(ws.arena, 0)
-				pend = append(pend, int32(j))
-				batch = append(batch, t)
-			}
-			if len(batch) > 0 {
-				if cap(ws.refs) < len(batch) {
-					ws.refs = make([]store.Ref, len(batch))
-					ws.fps = make([]uint64, len(batch))
-					ws.added = make([]bool, len(batch))
+				pi := store.Partition(fps[j])
+				ws.newsPart[pi] = append(ws.newsPart[pi], newlyInterned{ref: ws.arena[rowStart+j], fp: fps[j], st: t})
+				if err := m.AddState(); err != nil {
+					lv.setErr(err)
+					return
 				}
-				refs := ws.refs[:len(batch)]
-				added := ws.added[:len(batch)]
-				fps := ws.fps[:len(batch)]
-				lv.store.InternBatch(batch, fps, refs, added)
-				for bi, j := range pend {
-					ws.arena[rowStart+int(j)] = arenaRef(refs[bi])
-					if !added[bi] {
-						continue
-					}
-					ws.newsPart[store.Partition(fps[bi])] = append(
-						ws.newsPart[store.Partition(fps[bi])],
-						newlyInterned{ref: refs[bi], fp: fps[bi], st: batch[bi]})
-					if d := refs[bi].Dense(); d > ws.maxDense {
-						ws.maxDense = d
-					}
-					if err := m.AddState(); err != nil {
-						lv.setErr(err)
-						return
-					}
-					if p.limit > 0 && lv.store.Len() > p.limit {
-						lv.setErr(&engine.BudgetError{
-							Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
-							Stats:  m.Stats(),
-						})
-						return
-					}
+				if p.limit > 0 && lv.store.Len() > p.limit {
+					lv.setErr(&engine.BudgetError{
+						Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
+						Stats:  m.Stats(),
+					})
+					return
 				}
 			}
-			ws.pend, ws.batch = pend, batch
 			ws.rowIdx = append(ws.rowIdx, int32(i))
 			lv.rows[i] = refRow{start: int32(rowStart), end: int32(len(ws.arena))}
 			if err := m.AddTransitions(len(succs)); err != nil {

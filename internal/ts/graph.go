@@ -2,6 +2,7 @@ package ts
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"opentla/internal/engine"
@@ -28,8 +29,12 @@ type Graph struct {
 
 	offsets []int
 	targets []int32
-	idx     *store.Index
 	meter   *engine.Meter
+	// table numbers every state for ID: the explore's own store for a
+	// built graph, or, for a graph loaded from a snapshot, one interned on
+	// the first ID call (a warm run that never calls ID never pays for it).
+	table     *store.Store
+	tableOnce sync.Once
 
 	// Reduction bookkeeping. A reduced graph's States are canonical orbit
 	// representatives; edgeStates (parallel to targets, symmetry builds
@@ -148,7 +153,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		offsets:    res.offsets,
 		targets:    res.targets,
 		edgeStates: res.edgeStates,
-		idx:        res.idx,
+		table:      res.table,
 		meter:      m,
 		reduced:    rd.Active(),
 		canon:      canon,
@@ -286,9 +291,16 @@ func (g *Graph) ForEachEdgeStep(f func(from, to int, real *state.State) bool) {
 	}
 }
 
-// ID returns the identifier of a state, or -1 if unreachable.
+// ID returns the identifier of a state, or -1 if unreachable. Any number
+// of goroutines may call it concurrently.
 func (g *Graph) ID(s *state.State) int {
-	if id, ok := g.idx.Get(s); ok {
+	g.tableOnce.Do(func() {
+		if g.table == nil {
+			g.table = store.New()
+			internNumbered(g.table, g.States)
+		}
+	})
+	if id, ok := g.table.Get(s); ok {
 		return id
 	}
 	return -1

@@ -146,7 +146,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 
 	// The base id of a product state is recoverable from the state itself:
 	// projecting away the monitor variables yields the base state, which the
-	// base graph's fingerprint index resolves. This keeps expansion
+	// base graph's state table resolves. This keeps expansion
 	// stateless, hence safe for concurrent workers.
 	res, err := explore(exploreParams{
 		op:        "ts.Product",
@@ -211,7 +211,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		offsets:    res.offsets,
 		targets:    res.targets,
 		edgeStates: res.edgeStates,
-		idx:        res.idx,
+		table:      res.table,
 		meter:      meter,
 		reduced:    g.reduced,
 		canon:      pcanon,

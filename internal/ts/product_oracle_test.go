@@ -2,6 +2,7 @@ package ts_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"opentla/internal/ag"
@@ -94,5 +95,59 @@ func TestProductMatchesReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestProductOverReloadedGraph builds the +v product over Fig. 9's
+// guarantees-only graph reloaded from its snapshot, whose ID table is
+// interned lazily by the first ID call, at 1 and 4 workers, so under -race
+// the product workers' first calls race. It must equal the product over the
+// built graph, which resolves ids through the explore's own store. Then
+// several goroutines resolve every state of a fresh reload at once.
+func TestProductOverReloadedGraph(t *testing.T) {
+	cfg := queue.Config{N: 1, Vals: 2}
+	th := cfg.Fig9Theorem()
+	env := th.Concl.Env
+	mons := func() []*ts.Monitor {
+		return []*ts.Monitor{ts.PlusMonitor("$plusAlive", env.Init, []form.Expr{env.SquareExpr()}, th.Concl.PlusSub)}
+	}
+	for _, sym := range []bool{false, true} {
+		sys := guaranteesOnly(th)
+		if sym {
+			sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: cfg.DoubleSymmetry()}
+		}
+		g, err := sys.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			sys.Workers = workers
+			want, err := ts.Product(g, mons())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ts.Product(ts.Reload(g), mons())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ts.DiffGraphs(got, want); err != nil {
+				t.Errorf("sym=%v -workers %d: %v", sym, workers, err)
+			}
+		}
+		r := ts.Reload(g)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for id, s := range g.States {
+					if got := r.ID(s); got != id {
+						t.Errorf("sym=%v: reloaded ID of state %d = %d", sym, id, got)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

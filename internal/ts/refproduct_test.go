@@ -76,7 +76,7 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 		offsets:    res.offsets,
 		targets:    res.targets,
 		edgeStates: res.edgeStates,
-		idx:        res.idx,
+		table:      res.table,
 		reduced:    g.reduced,
 		canon:      pcanon,
 	}, nil

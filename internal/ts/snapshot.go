@@ -7,7 +7,6 @@ import (
 	"opentla/internal/engine"
 	"opentla/internal/form"
 	"opentla/internal/state"
-	"opentla/internal/store"
 )
 
 // Snapshot is the serializable image of an exploration: either a complete
@@ -83,12 +82,12 @@ func (g *Graph) Snapshot() *Snapshot {
 	}
 }
 
-// graphFromSnapshot reconstructs a graph from a complete snapshot, rebuilding
-// the fingerprint index from the state list. canon is the canonicalizer of
-// the reconstructing configuration (nil when symmetry is off); the reduced
-// flag follows the configuration, not the snapshot — the cache key embeds the
-// reduction description, so a snapshot is only ever loaded by a matching
-// configuration.
+// graphFromSnapshot reconstructs a graph from a complete snapshot; its ID
+// table is interned from the state list on the first ID call. canon is the
+// canonicalizer of the reconstructing configuration (nil when symmetry is
+// off); the reduced flag follows the configuration, not the snapshot — the
+// cache key embeds the reduction description, so a snapshot is only ever
+// loaded by a matching configuration.
 func graphFromSnapshot(sys *System, ctx *form.Ctx, m *engine.Meter, snap *Snapshot, canon func(*state.State) *state.State) *Graph {
 	return &Graph{
 		Sys:        sys,
@@ -98,7 +97,6 @@ func graphFromSnapshot(sys *System, ctx *form.Ctx, m *engine.Meter, snap *Snapsh
 		offsets:    snap.Offsets,
 		targets:    snap.Targets,
 		edgeStates: snap.EdgeStates,
-		idx:        store.NewIndexFrom(snap.States),
 		meter:      m,
 		reduced:    sys.Reduce.Active(),
 		canon:      canon,

@@ -21,7 +21,6 @@ import (
 	"opentla/internal/reduce"
 	"opentla/internal/spec"
 	"opentla/internal/state"
-	"opentla/internal/store"
 	"opentla/internal/value"
 )
 
@@ -437,10 +436,11 @@ const maxComboCache = 1 << 20
 // verdicts are computed once per combination and cached.
 //
 // A candidate is checked first and deduplicated after: only valid ones are
-// fingerprinted and looked up among the successors already emitted. Since
-// an invalid candidate is never emitted, the result is each valid successor
-// once, at its first valid occurrence, and each emitted state carries the
-// fingerprint the explorer dedups it by next.
+// fingerprinted and compared with the successors already emitted, by a
+// linear scan (a state has few successors, so no map pays for itself).
+// Since an invalid candidate is never emitted, the result is each valid
+// successor once, at its first valid occurrence, and each emitted state
+// carries the fingerprint the explorer interns it by next.
 func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.State, error) {
 	compiled, free := cs.comps, cs.free
 
@@ -488,7 +488,6 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 		}
 	}
 
-	seen := store.NewSet() // fingerprint dedup; Key() stays out of this hot path
 	var out []*state.State
 	groups := make([][]state.PosUpdate, len(compiled)+1)
 	idx := make([]int, len(compiled))
@@ -560,7 +559,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 				valid = ok
 			}
 			if valid {
-				if t := scratch.Clone(); seen.Add(t) {
+				if t := scratch.Clone(); !emitted(out, t) {
 					out = append(out, t)
 				}
 			}
@@ -585,6 +584,18 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 		}
 	}
 	return out, nil
+}
+
+// emitted reports whether out holds a state equal to t, comparing cached
+// fingerprints before structure.
+func emitted(out []*state.State, t *state.State) bool {
+	fp := t.Fingerprint()
+	for _, o := range out {
+		if o.Fingerprint() == fp && o.Equal(t) {
+			return true
+		}
+	}
+	return false
 }
 
 // holds evaluates on st the Defs of the chosen actions whose free
