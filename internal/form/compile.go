@@ -16,10 +16,14 @@ import (
 // ⟨v1,…,vn⟩' = ⟨v1,…,vn⟩ from form.Square/Unchanged — run without allocating
 // the tuples the interpreter would build. A bounded quantifier ∃/∀ x ∈ D : B
 // is unrolled over D into compiled copies of B with x replaced by each
-// element, so it binds no rigid variable at run time.
+// element, so it binds no rigid variable at run time. A subterm reading at
+// most three state slots remembers its answers by the slots' value codes
+// (see memo.go), so a step it has seen is answered by a table lookup while
+// those codes fit the table's cap.
 //
-// A CompiledPred is safe for concurrent use: the closure tree is immutable and reads
-// only the step it is given.
+// A CompiledPred is safe for concurrent use: the closure tree is immutable,
+// reads only the step it is given, and its memo tables are lock-free for
+// readers.
 type CompiledPred func(st state.Step) (bool, error)
 
 // errCompiled is the internal sentinel raised by compiled fast paths when
@@ -84,6 +88,10 @@ type compiler struct {
 	// per domain element (see pred); a quantifier that would exceed it is
 	// interpreted.
 	unroll int
+	// reads collects the slots the node being compiled reads; pred and val
+	// save it around each node, so every node's set is gathered in the one
+	// compilation pass (see memo.go).
+	reads slotSet
 }
 
 // maxUnrolledBodies caps the bodies one compilation unrolls for bounded
@@ -100,8 +108,10 @@ func newCompiler(layout []string) *compiler {
 
 // interpVal is the universal fallback: interpret the subtree. In a primed
 // context the step is shifted exactly as PrimeE.Eval does, so nested primes
-// and quantifiers behave identically to the interpreter.
-func interpVal(e Expr, primed bool) valFn {
+// and quantifiers behave identically to the interpreter. What the
+// interpreter reads is not tracked, so no enclosing node is memoized.
+func (c *compiler) interpVal(e Expr, primed bool) valFn {
+	c.reads.many = true
 	if primed {
 		return func(st state.Step) (value.Value, error) {
 			return e.Eval(state.Step{From: st.To}, nil)
@@ -112,12 +122,41 @@ func interpVal(e Expr, primed bool) valFn {
 	}
 }
 
-// pred compiles e as a boolean.
+// pred compiles e as a boolean, memoized by code when it reads few slots
+// and is not a fast path already (see memo.go).
 func (c *compiler) pred(e Expr, primed bool) boolFn {
+	outer := c.reads
+	c.reads = slotSet{}
+	f, memoize := c.predNode(e, primed)
+	if memoize && !c.reads.many {
+		f = memoPred(&c.reads, f)
+	}
+	outer.union(&c.reads)
+	c.reads = outer
+	return f
+}
+
+// val compiles e as a value, memoized like pred.
+func (c *compiler) val(e Expr, primed bool) valFn {
+	outer := c.reads
+	c.reads = slotSet{}
+	f, memoize := c.valNode(e, primed)
+	if memoize && !c.reads.many {
+		f = memoVal(&c.reads, f)
+	}
+	outer.union(&c.reads)
+	c.reads = outer
+	return f
+}
+
+// predNode compiles the node e as a boolean and reports whether it is
+// worth memoizing: constants and the nodes that only convert a memoized
+// value are not.
+func (c *compiler) predNode(e Expr, primed bool) (boolFn, bool) {
 	switch n := e.(type) {
 	case ConstE:
 		if b, ok := n.V.AsBool(); ok {
-			return func(state.Step) (bool, error) { return b, nil }
+			return func(state.Step) (bool, error) { return b, nil }, false
 		}
 	case AndE:
 		fs := make([]boolFn, len(n.Xs))
@@ -132,7 +171,7 @@ func (c *compiler) pred(e Expr, primed bool) boolFn {
 				}
 			}
 			return true, nil
-		}
+		}, true
 	case OrE:
 		fs := make([]boolFn, len(n.Xs))
 		for i, x := range n.Xs {
@@ -146,13 +185,13 @@ func (c *compiler) pred(e Expr, primed bool) boolFn {
 				}
 			}
 			return false, nil
-		}
+		}, true
 	case NotE:
 		f := c.pred(n.X, primed)
 		return func(st state.Step) (bool, error) {
 			b, err := f(st)
 			return !b && err == nil, err
-		}
+		}, true
 	case ImpliesE:
 		fa := c.pred(n.A, primed)
 		fb := c.pred(n.B, primed)
@@ -165,7 +204,7 @@ func (c *compiler) pred(e Expr, primed bool) boolFn {
 				return true, nil
 			}
 			return fb(st)
-		}
+		}, true
 	case EquivE:
 		fa := c.pred(n.A, primed)
 		fb := c.pred(n.B, primed)
@@ -179,12 +218,12 @@ func (c *compiler) pred(e Expr, primed bool) boolFn {
 				return false, err
 			}
 			return a == b, nil
-		}
+		}, true
 	case CmpE:
 		return c.cmp(n, primed)
 	case QuantE:
 		if len(n.Domain) > c.unroll {
-			return asBool(interpVal(e, primed))
+			return asBool(c.interpVal(e, primed)), false
 		}
 		c.unroll -= len(n.Domain)
 		// ∃/∀ x ∈ D : B is the disjunction/conjunction of B[d/x] over D in
@@ -207,9 +246,9 @@ func (c *compiler) pred(e Expr, primed bool) boolFn {
 				}
 			}
 			return !exists, nil
-		}
+		}, true
 	}
-	return asBool(c.val(e, primed))
+	return asBool(c.val(e, primed)), false
 }
 
 // asBool turns a compiled value into a compiled predicate; a non-boolean
@@ -293,12 +332,17 @@ func (c *compiler) stutterPositions(a, b Expr) ([]int, bool) {
 	return ps, true
 }
 
-// cmp compiles a comparison. Equality gets two fast paths: the stutter shape
-// f' = f over variable layouts, and elementwise tuple comparison (both sides
-// syntactic tuples of equal length), neither of which allocates.
-func (c *compiler) cmp(n CmpE, primed bool) boolFn {
+// cmp compiles a comparison and reports whether to memoize it. Equality gets
+// two fast paths: the stutter shape f' = f over variable layouts, which
+// compares codes and is never memoized, and elementwise tuple comparison
+// (both sides syntactic tuples of equal length); neither allocates.
+func (c *compiler) cmp(n CmpE, primed bool) (boolFn, bool) {
 	if (n.Op == OpEq || n.Op == OpNe) && !primed {
 		if ps, ok := c.stutterPositions(n.A, n.B); ok {
+			for _, p := range ps {
+				c.reads.add(mkSlot(p, false))
+				c.reads.add(mkSlot(p, true))
+			}
 			neq := n.Op == OpNe
 			return func(st state.Step) (bool, error) {
 				if st.To == nil {
@@ -310,7 +354,7 @@ func (c *compiler) cmp(n CmpE, primed bool) boolFn {
 					}
 				}
 				return !neq, nil
-			}
+			}, false
 		}
 	}
 	if n.Op == OpEq || n.Op == OpNe {
@@ -343,7 +387,7 @@ func (c *compiler) cmp(n CmpE, primed bool) boolFn {
 					}
 				}
 				return eq != neq, nil
-			}
+			}, true
 		}
 	}
 	fa := c.val(n.A, primed)
@@ -379,44 +423,48 @@ func (c *compiler) cmp(n CmpE, primed bool) boolFn {
 			return cv >= 0, nil
 		}
 		return false, errCompiled
-	}
+	}, true
 }
 
-// val compiles e as a value.
-func (c *compiler) val(e Expr, primed bool) valFn {
+// valNode compiles the node e as a value and reports whether it is worth
+// memoizing: constants, variable reads, primes and boolean nodes (memoized
+// as predicates) are not.
+func (c *compiler) valNode(e Expr, primed bool) (valFn, bool) {
 	switch n := e.(type) {
 	case ConstE:
 		v := n.V
-		return func(state.Step) (value.Value, error) { return v, nil }
+		return func(state.Step) (value.Value, error) { return v, nil }, false
 	case VarE:
 		p, ok := c.pos[n.Name]
 		if !ok {
 			// Unknown in the layout: unbound at runtime. (Bound names never
 			// get here: unrolling substitutes them, and a quantifier over
 			// budget is interpreted whole.)
-			return interpVal(e, primed)
+			return c.interpVal(e, primed), false
 		}
+		c.reads.add(mkSlot(p, primed))
 		if primed {
 			return func(st state.Step) (value.Value, error) {
 				return st.To.At(p), nil
-			}
+			}, false
 		}
 		return func(st state.Step) (value.Value, error) {
 			return st.From.At(p), nil
-		}
+		}, false
 	case PrimeE:
 		if primed {
 			// x'' — the interpreter evaluates the inner prime against a step
 			// with no successor state, which always errors.
-			return func(state.Step) (value.Value, error) { return value.Value{}, errCompiled }
+			return func(state.Step) (value.Value, error) { return value.Value{}, errCompiled }, false
 		}
+		c.reads.to = true
 		f := c.val(n.X, true)
 		return func(st state.Step) (value.Value, error) {
 			if st.To == nil {
 				return value.Value{}, errCompiled
 			}
 			return f(st)
-		}
+		}, false
 	case AndE, OrE, NotE, ImpliesE, EquivE, CmpE, QuantE:
 		f := c.pred(e, primed)
 		return func(st state.Step) (value.Value, error) {
@@ -425,7 +473,7 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 				return value.Value{}, err
 			}
 			return value.Bool(b), nil
-		}
+		}, false
 	case ArithE:
 		fa := c.val(n.A, primed)
 		fb := c.val(n.B, primed)
@@ -461,7 +509,7 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 				return value.Int(((a % b) + b) % b), nil
 			}
 			return value.Value{}, errCompiled
-		}
+		}, true
 	case IfE:
 		fc := c.pred(n.C, primed)
 		ft := c.val(n.T, primed)
@@ -475,7 +523,7 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 				return ft(st)
 			}
 			return fe(st)
-		}
+		}, true
 	case TupleE:
 		fs := make([]valFn, len(n.Xs))
 		for i, x := range n.Xs {
@@ -491,7 +539,7 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 				elems[i] = v
 			}
 			return value.Tuple(elems...), nil
-		}
+		}, true
 	case SeqUnE:
 		f := c.val(n.X, primed)
 		op := n.Op
@@ -521,7 +569,7 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 				return value.Int(int64(l)), nil
 			}
 			return value.Value{}, errCompiled
-		}
+		}, true
 	case ConcatE:
 		fa := c.val(n.A, primed)
 		fb := c.val(n.B, primed)
@@ -539,8 +587,8 @@ func (c *compiler) val(e Expr, primed bool) valFn {
 				return value.Value{}, errCompiled
 			}
 			return cv, nil
-		}
+		}, true
 	}
 	// Any future node kinds interpret.
-	return interpVal(e, primed)
+	return c.interpVal(e, primed), false
 }

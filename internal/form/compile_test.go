@@ -1,6 +1,7 @@
 package form
 
 import (
+	"sync"
 	"testing"
 
 	"opentla/internal/state"
@@ -22,12 +23,19 @@ func stepString(st state.Step) string {
 // the raw closure decided.
 func sameCompiled(t *testing.T, e Expr, st state.Step) bool {
 	t.Helper()
+	return sameAnswers(t, e, CompileRaw(e, mappedLayout), CompilePred(e, mappedLayout), st)
+}
+
+// sameAnswers is sameCompiled for closures already compiled from e, so a
+// caller can evaluate them on many steps and meet their memos' hits.
+func sameAnswers(t *testing.T, e Expr, raw func(state.Step) (bool, error), p CompiledPred, st state.Step) bool {
+	t.Helper()
 	want, wantErr := EvalBool(e, st, nil)
-	raw, rawErr := CompileRaw(e, mappedLayout)(st)
-	if rawErr == nil && (wantErr != nil || raw != want) {
-		t.Fatalf("%s on %s: compiled %v, interpreter %v (error %v)", e, stepString(st), raw, want, wantErr)
+	got, rawErr := raw(st)
+	if rawErr == nil && (wantErr != nil || got != want) {
+		t.Fatalf("%s on %s: compiled %v, interpreter %v (error %v)", e, stepString(st), got, want, wantErr)
 	}
-	got, gotErr := CompilePred(e, mappedLayout)(st)
+	got, gotErr := p(st)
 	switch {
 	case (gotErr == nil) != (wantErr == nil):
 		t.Fatalf("%s on %s: CompilePred error %v, EvalBool error %v", e, stepString(st), gotErr, wantErr)
@@ -206,19 +214,85 @@ func (d *quantDecoder) pred(depth int, n string) Expr {
 	}
 }
 
+// wideBits returns four values of b whose codes lie past maxMemoCells, so
+// a memo reading b cannot hold them at any table size. Filling b's
+// dictionary that far happens once per process.
+var wideBits = sync.OnceValue(func() []value.Value {
+	var out []value.Value
+	for i := int64(0); i < maxMemoCells+4; i++ {
+		v := value.Int(1000 + i)
+		c := state.New(map[string]value.Value{"b": v}).CodeAt(0)
+		if i >= maxMemoCells {
+			if c < maxMemoCells {
+				panic("b's dictionary did not grow past maxMemoCells")
+			}
+			out = append(out, v)
+		}
+	}
+	return out
+})
+
+// TestMemoPastCapAddsNoAllocation: a key no table can hold runs the
+// wrapped closure unmemoized and allocates nothing beyond what the closure
+// does, for a value memo and for a predicate memo whose closure fails.
+func TestMemoPastCapAddsNoAllocation(t *testing.T) {
+	st := state.Step{From: state.New(map[string]value.Value{"b": wideBits()[0]})}
+	var rs slotSet
+	rs.add(mkSlot(0, false))
+	val := func(st state.Step) (value.Value, error) { return value.Tuple(st.From.At(0)), nil }
+	pred := func(state.Step) (bool, error) { return false, errCompiled }
+	mval, mpred := memoVal(&rs, val), memoPred(&rs, pred)
+	for _, tc := range []struct {
+		name      string
+		raw, memo func()
+	}{
+		{"value", func() { _, _ = val(st) }, func() { _, _ = mval(st) }},
+		{"failing predicate", func() { _, _ = pred(st) }, func() { _, _ = mpred(st) }},
+	} {
+		raw, memo := testing.AllocsPerRun(100, tc.raw), testing.AllocsPerRun(100, tc.memo)
+		if memo > raw {
+			t.Errorf("%s: %v allocations per past-cap evaluation, the closure alone %v", tc.name, memo, raw)
+		}
+	}
+}
+
 // FuzzCompilePred holds CompilePred to EvalBool on a decoded predicate and
-// step over mappedLayout: the raw compiled closure never decides where the
-// interpreter fails or disagrees, and the wrapped predicate gives the
-// interpreter's verdict or error text.
+// decoded steps over mappedLayout: the raw compiled closure never decides
+// where the interpreter fails or disagrees, and the wrapped predicate gives
+// the interpreter's verdict or error text. One compilation evaluates every
+// step twice, so the second round answers from its memos; some steps bind b
+// to a value whose code no memo table can hold.
 func FuzzCompilePred(f *testing.F) {
 	domains := mappedDomains()
+	wide := wideBits()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &quantDecoder{enabledDecoder{data: data}}
+		decodeState := func() *state.State {
+			s := mappedState(domains, d.next)
+			if i := d.next(len(wide) + 4); i < len(wide) {
+				s = s.With("b", wide[i])
+			}
+			return s
+		}
 		st := state.Step{From: mappedState(domains, d.next)}
 		if to := mappedState(domains, d.next); d.next(4) != 0 {
 			st.To = to
 		}
-		sameCompiled(t, d.pred(4, "x"), st)
+		e := d.pred(4, "x")
+		steps := []state.Step{st}
+		for n := d.next(6); n > 0; n-- {
+			st := state.Step{From: decodeState()}
+			if d.next(4) != 0 {
+				st.To = decodeState()
+			}
+			steps = append(steps, st)
+		}
+		raw, p := CompileRaw(e, mappedLayout), CompilePred(e, mappedLayout)
+		for round := 0; round < 2; round++ {
+			for _, st := range steps {
+				sameAnswers(t, e, raw, p, st)
+			}
+		}
 	})
 }
 

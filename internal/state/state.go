@@ -91,6 +91,14 @@ func (s *State) Get(name string) (value.Value, bool) {
 // a fixed variable layout. The caller must ensure 0 <= i < Len().
 func (s *State) At(i int) value.Value { return s.lay.dicts[i].entry(s.row[i]).val }
 
+// CodeAt returns the code of the value at binding position i in the
+// dictionary of that position's variable. Dictionaries are per variable
+// name and live for the process, so over one layout equal codes at i mean
+// equal values at i, in any state and at any time; compiled evaluation
+// (form.CompilePred) keys its memo tables by them. The caller must ensure
+// 0 <= i < Len().
+func (s *State) CodeAt(i int) uint32 { return s.row[i] }
+
 // EqualAt reports whether s and t have equal values at binding position i,
 // comparing codes when both bind the same variable there.
 func (s *State) EqualAt(t *State, i int) bool {

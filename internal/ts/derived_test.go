@@ -54,8 +54,11 @@ func TestDerivedUpdatesCheckPassesDerivedGenerator(t *testing.T) {
 }
 
 // TestDerivedUpdatesCheckCatchesIncompleteGenerator: the check is not
-// vacuous. A generator that drops a candidate, or lists one twice, is
-// reported with the action where it diverges.
+// vacuous. A generator that drops a candidate, lists one twice, or invents
+// one its Def forbids is reported with the action where it diverges. A
+// build rejects an invented candidate only by the per-candidate check of
+// the conjuncts over owned variables (see splitDef); the oracle reports it
+// by name.
 func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 	sys := chooserSystem()
 	g, err := sys.Build()
@@ -64,19 +67,25 @@ func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		edit func([][]state.PosUpdate) [][]state.PosUpdate
+		edit func(*state.State, [][]state.PosUpdate) [][]state.PosUpdate
 	}{
-		{"dropped-candidate", func(ups [][]state.PosUpdate) [][]state.PosUpdate {
+		{"dropped-candidate", func(_ *state.State, ups [][]state.PosUpdate) [][]state.PosUpdate {
 			if len(ups) > 1 {
 				return ups[:len(ups)-1]
 			}
 			return ups
 		}},
-		{"repeated-candidate", func(ups [][]state.PosUpdate) [][]state.PosUpdate {
+		{"repeated-candidate", func(_ *state.State, ups [][]state.PosUpdate) [][]state.PosUpdate {
 			if len(ups) > 0 {
 				return append(ups[:len(ups):len(ups)], ups[0])
 			}
 			return ups
+		}},
+		// y' = x is within y's domain, and Pick (∃v : v ≠ x ∧ y' = v)
+		// forbids it on every state.
+		{"invented-candidate", func(s *state.State, ups [][]state.PosUpdate) [][]state.PosUpdate {
+			y, _ := s.PosOf("y")
+			return append(ups[:len(ups):len(ups)], []state.PosUpdate{{Pos: y, Val: s.MustGet("x")}})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,7 +96,7 @@ func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 				}
 				return func(s *state.State) ([][]state.PosUpdate, error) {
 					ups, err := updates(s)
-					return tc.edit(ups), err
+					return tc.edit(s, ups), err
 				}, nil
 			}
 			err := tstest.CheckUpdates(sys, g, sabotaged)
@@ -183,5 +192,101 @@ func TestSuccessorEmittedAtFirstValidCombination(t *testing.T) {
 	want := []string{"[x=0 y=0]", "[x=1 y=0]", "[x=2 y=0]", "[x=0 y=1]", "[x=2 y=1]", "[x=1 y=1]"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("successors %v, want %v", got, want)
+	}
+}
+
+// TestDefRecheckKeepsForeignPrimes: the part of Def a merged step is
+// re-checked against keeps every conjunct that primes a variable the
+// component does not own. Move asserts z' = z, z owned by another
+// component, and w' = w, w owned by none; merging Move with Bump's change
+// to z, or with any change to w, must be rejected, as brute force does.
+func TestDefRecheckKeepsForeignPrimes(t *testing.T) {
+	sys := &ts.System{
+		Name: "foreign-primes",
+		Components: []*spec.Component{{
+			Name:    "mover",
+			Inputs:  []string{"w", "z"},
+			Outputs: []string{"x"},
+			Init:    form.Eq(form.Var("x"), form.IntC(0)),
+			Actions: []spec.Action{{Name: "Move", Def: form.And(
+				form.Eq(form.PrimedVar("x"), form.Sub(form.IntC(1), form.Var("x"))),
+				form.Unchanged("z"),
+				form.Unchanged("w"))}},
+		}, {
+			Name:    "zed",
+			Outputs: []string{"z"},
+			Init:    form.Eq(form.Var("z"), form.IntC(0)),
+			Actions: []spec.Action{{Name: "Bump", Def: form.Eq(form.PrimedVar("z"), form.Sub(form.IntC(1), form.Var("z")))}},
+		}},
+		InitConstraints: []form.Expr{form.Eq(form.Var("w"), form.IntC(0))},
+		Domains:         map[string][]value.Value{"w": value.Bits(), "x": value.Bits(), "z": value.Bits()},
+	}
+	if err := tstest.CheckSuccessors(sys); err != nil {
+		t.Fatal(err)
+	}
+	inits, err := sys.InitialStates()
+	if err != nil || len(inits) != 1 {
+		t.Fatalf("initial states %v, %v", inits, err)
+	}
+	succs, err := sys.Successors(inits[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range succs {
+		got = append(got, s.String())
+	}
+	// Move alone; Bump and stutters under each w. Move with Bump or with a
+	// change to w is rejected.
+	want := []string{"[w=0 x=0 z=0]", "[w=0 x=1 z=0]", "[w=0 x=0 z=1]", "[w=1 x=0 z=0]", "[w=1 x=0 z=1]"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("successors %v, want %v", got, want)
+	}
+}
+
+// TestDefRecheckKeepsEvaluationErrors: a Def that fails to evaluate on a
+// candidate's step fails the build, as re-checking all of Def on each
+// merged step does, even where only conjuncts over owned variables are
+// re-checked and the lenient generator still proposes the candidate from a
+// later disjunct. In the first Def the failing disjunct is a guard the
+// generator rejects on the state; in the second it is a primed conjunct the
+// generator only evaluates on its own disjunct's candidate x' = 1, never on
+// x' = 2.
+func TestDefRecheckKeepsEvaluationErrors(t *testing.T) {
+	x, q := form.PrimedVar("x"), form.Var("q")
+	for _, tc := range []struct {
+		name string
+		def  form.Expr
+	}{
+		{"failing-guard", form.Or(
+			form.And(form.Eq(form.Head(q), form.IntC(1)), form.Eq(x, form.IntC(1))),
+			form.Eq(x, form.IntC(2)))},
+		{"failing-primed-conjunct", form.Or(
+			form.And(
+				form.Eq(form.Head(form.If(form.Eq(x, form.IntC(1)), form.TupleOf(form.IntC(1)), form.TupleOf())), form.IntC(1)),
+				form.Eq(x, form.IntC(1))),
+			form.Eq(x, form.IntC(2)))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := &ts.System{
+				Name: "partial",
+				Components: []*spec.Component{{
+					Name:    "setter",
+					Inputs:  []string{"q"},
+					Outputs: []string{"x"},
+					Init:    form.Eq(form.Var("x"), form.IntC(0)),
+					Actions: []spec.Action{{Name: "Set", Def: tc.def}},
+				}, {
+					Name:    "holder",
+					Outputs: []string{"q"},
+					Init:    form.Eq(q, form.TupleOf()),
+				}},
+				Domains: map[string][]value.Value{"x": value.Ints(0, 2), "q": {value.Tuple()}},
+			}
+			_, err := sys.Build()
+			if err == nil || !strings.Contains(err.Error(), "action Set") || !strings.Contains(err.Error(), "Head") {
+				t.Fatalf("Build: %v, want the evaluation error of Set's Def", err)
+			}
+		})
 	}
 }

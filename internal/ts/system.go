@@ -178,16 +178,67 @@ type compiledComponent struct {
 	actions []compiledAction
 }
 
-// compiledAction is one action definition compiled twice against the system
+// compiledAction is one action definition compiled against the system
 // layout: as a successor generator proposing owned-variable updates, and as
-// a predicate re-checked on every merged step. freeDep records whether Def
-// primes a free variable: when it does not, its verdict on a candidate step
-// is the same under every free assignment (see successors).
+// the checks that stand in for re-checking all of Def on each merged step
+// (see splitDef). freeDep records whether the re-checked part primes a free
+// variable: when it does not, its verdict on a candidate step is the same
+// under every free assignment (see successors).
 type compiledAction struct {
 	name    string
-	pred    form.CompiledPred // Def compiled against the system layout
 	updates func(*state.State) ([][]state.PosUpdate, error)
-	freeDep bool
+	// vouched is the conjunction of the conjuncts the generator makes TRUE,
+	// checked once per candidate; nil: none.
+	vouched form.CompiledPred
+	// pred is the conjunction of the re-checked conjuncts, nil: none; def
+	// is all of Def, re-checked in its place on a candidate whose vouched
+	// conjuncts are not TRUE.
+	pred, def form.CompiledPred
+	freeDep   bool
+}
+
+// splitDef splits the top-level conjuncts of def into those that prime
+// only variables in owned (vouched) and the rest (recheck), either nil when
+// empty; a conjunct priming nothing is vouched.
+//
+// A vouched conjunct reads only unprimed and owned primed variables, and a
+// merged step gives owned the values the component's candidate ups does,
+// since components own disjoint variables and free variables are owned by
+// none. So it has the same verdict, and the same error, on every merged
+// step with ups as on the candidate's own step ⟨s, s[owned := ups]⟩, where
+// successors evaluates it once. Where every vouched conjunct is TRUE there,
+// it cannot stop an AndE's evaluation on a merged step, so the re-checked
+// conjuncts, in order, give def's verdict and its first error. Where one is
+// not, the candidate is re-checked against all of def, as if nothing were
+// vouched. UpdatesFn proposes only owned assignments making def TRUE, so
+// the second case arises only where def fails to evaluate somewhere (say
+// (Head(q) = 1 ∧ x' = 1) ∨ x' = 2 at q = ⟨⟩, which a lenient generator
+// still answers with x' = 2) or where a generator invents a candidate; the
+// build then reports the error, or rejects the step, as a full re-check
+// does.
+func splitDef(def form.Expr, owned map[string]bool) (vouched, recheck form.Expr) {
+	var keep, rest []form.Expr
+	for _, cj := range form.Conjuncts(def) {
+		foreign := false
+		for _, v := range form.PrimedVars(cj) {
+			if !owned[v] {
+				foreign = true
+				break
+			}
+		}
+		if foreign {
+			rest = append(rest, cj)
+		} else {
+			keep = append(keep, cj)
+		}
+	}
+	and := func(xs []form.Expr) form.Expr {
+		if len(xs) == 0 {
+			return nil
+		}
+		return form.And(xs...)
+	}
+	return and(keep), and(rest)
 }
 
 // compiledConstraint is a step constraint compiled against the system
@@ -231,6 +282,10 @@ func (sys *System) compile() (*compiledSystem, error) {
 	}
 	for i, c := range sys.Components {
 		cc := compiledComponent{comp: c, owned: c.Owned()}
+		ownedSet := make(map[string]bool, len(cc.owned))
+		for _, v := range cc.owned {
+			ownedSet[v] = true
+		}
 		for _, a := range c.Actions {
 			if a.Def == nil {
 				return nil, fmt.Errorf("component %s action %s: no definition", c.Name, a.Name)
@@ -239,10 +294,17 @@ func (sys *System) compile() (*compiledSystem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("component %s action %s: %w", c.Name, a.Name, err)
 			}
-			cc.actions = append(cc.actions, compiledAction{
-				name: a.Name, pred: form.CompilePred(a.Def, layout),
-				updates: updates, freeDep: primesFree(a.Def),
-			})
+			ca := compiledAction{name: a.Name, updates: updates}
+			vouched, rest := splitDef(a.Def, ownedSet)
+			if rest != nil {
+				// A conjunct priming a free variable is re-checked, so def
+				// and rest agree on freeDep.
+				ca.pred, ca.freeDep = form.CompilePred(rest, layout), primesFree(rest)
+			}
+			if vouched != nil {
+				ca.vouched, ca.def = form.CompilePred(vouched, layout), form.CompilePred(a.Def, layout)
+			}
+			cc.actions = append(cc.actions, ca)
 		}
 		cs.comps[i] = cc
 	}
@@ -398,6 +460,9 @@ func assignmentCount(vars []string, domains map[string][]value.Value) (int, erro
 type choice struct {
 	action *compiledAction
 	ups    []state.PosUpdate
+	// full: the action's vouched conjuncts are not TRUE on this candidate,
+	// so merged steps re-check all of its Def (see splitDef).
+	full bool
 }
 
 // Successors computes all states t such that ⟨s, t⟩ satisfies every
@@ -424,10 +489,12 @@ const (
 const maxComboCache = 1 << 20
 
 // successors enumerates every candidate step from s and verifies each
-// against the declarative definitions: each chosen action's Def and every
-// step constraint, evaluated on the merged pair. Verifying Def on the merged
-// pair is what rejects cross-component conflicts (e.g. an action asserting
-// z' = z merged with another component's change to z).
+// against the declarative definitions: each chosen action's re-checked
+// conjuncts (see splitDef) and every step constraint, evaluated on the
+// merged pair. Verifying those conjuncts on the merged pair is what rejects
+// cross-component conflicts (e.g. an action asserting z' = z merged with
+// another component's change to z); the rest of Def is checked once per
+// candidate on the candidate's own step.
 //
 // Candidates are the cross product of free-variable assignments and
 // per-component choice combinations. An expression that primes no free
@@ -448,6 +515,10 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 	// update, so each candidate below costs one slice copy.
 	perComp := make([][]choice, len(compiled))
 	comboCount := 1
+	// All candidates are built in one goroutine-local scratch state; only
+	// accepted ones are materialized (Clone), so rejected candidates cost no
+	// allocation.
+	scratch := state.New(nil)
 	for i, cc := range compiled {
 		chs := []choice{{action: nil}} // stutter
 		for ai := range cc.actions {
@@ -458,7 +529,13 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 			}
 			for _, ups := range cands {
 				s.Resolve(ups)
-				chs = append(chs, choice{action: ca, ups: ups})
+				ch := choice{action: ca, ups: ups}
+				if ca.vouched != nil {
+					s.OverwriteInto(scratch, ups)
+					ok, err := ca.vouched(state.Step{From: s, To: scratch})
+					ch.full = err != nil || !ok
+				}
+				chs = append(chs, ch)
 			}
 		}
 		perComp[i] = chs
@@ -492,10 +569,6 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 	groups := make([][]state.PosUpdate, len(compiled)+1)
 	idx := make([]int, len(compiled))
 	var chosen []*choice
-	// All candidates are built in one goroutine-local scratch state; only
-	// accepted ones are materialized (Clone), so rejected candidates cost no
-	// allocation.
-	scratch := state.New(nil)
 
 	for {
 		for i := range free {
@@ -598,15 +671,19 @@ func emitted(out []*state.State, t *state.State) bool {
 	return false
 }
 
-// holds evaluates on st the Defs of the chosen actions whose free
-// dependence is freeDep, then the constraints cons, stopping at the first
-// that fails.
+// holds evaluates on st the re-checked conjuncts (or, for a full choice,
+// the whole Def) of the chosen actions whose free dependence is freeDep, then the constraints cons, stopping at
+// the first that fails.
 func (sys *System) holds(chosen []*choice, freeDep bool, cons []compiledConstraint, st state.Step) (bool, error) {
 	for _, ch := range chosen {
-		if ch.action.freeDep != freeDep {
+		pred := ch.action.pred
+		if ch.full {
+			pred = ch.action.def
+		}
+		if pred == nil || ch.action.freeDep != freeDep {
 			continue
 		}
-		if ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st); err != nil || !ok {
+		if ok, err := sys.evalStep("action", ch.action.name, pred, st); err != nil || !ok {
 			return false, err
 		}
 	}
