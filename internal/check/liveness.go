@@ -71,18 +71,31 @@ func memoState(g *ts.Graph, f func(id int) (bool, error)) (StateMask, *error) {
 // first evaluation error lands in *errs. The enabledness function reuses
 // scratch buffers (see form.Ctx.EnabledFn) and so shares memoState's
 // single-goroutine contract.
-func angleMasks(g *ts.Graph, action, sub form.Expr, errs *error) (enabled StateMask, enErr *error, taken EdgeMask) {
+//
+// raw and im are nil, or ⟨A⟩_sub is the substitution of a refinement
+// mapping into raw and im holds the graph's images under that mapping. In
+// the second case the edge predicate reads the images as SafetyUnder does:
+// it evaluates raw on the image step, and ⟨A⟩_sub on the concrete step
+// where an image is missing or raw fails on it, so it reports the
+// substituted formula's errors. The ENABLED mask always evaluates
+// ⟨A⟩_sub: ENABLED does not commute with substitution.
+func angleMasks(g *ts.Graph, action, sub, raw form.Expr, im *imager, errs *error) (enabled StateMask, enErr *error, taken EdgeMask) {
 	var layout []string
 	if len(g.States) > 0 {
 		layout = g.States[0].Vars()
 	}
 	angle := form.Angle(action, sub)
-	enFn, stepPred := g.Ctx.EnabledFn(angle, layout), form.CompilePred(angle, layout)
+	enFn := g.Ctx.EnabledFn(angle, layout)
+	stepPred := im.compile([]form.Expr{angle}, []form.Expr{raw}, layout)[0]
 	enabled, enErr = memoState(g, func(id int) (bool, error) {
 		return enFn(g.States[id])
 	})
 	taken = func(from, to int) bool {
-		ok, err := stepPred(state.Step{From: g.States[from], To: g.States[to]})
+		st := state.Step{From: g.States[from], To: g.States[to]}
+		// st.To is a graph state, whose image im holds: step computes none
+		// and so returns no error.
+		img, _ := im.step(from, to, st.To)
+		ok, err := stepPred.eval(st, img)
 		if err != nil && *errs == nil {
 			*errs = err
 		}
@@ -111,7 +124,7 @@ func FairnessConds(g *ts.Graph) ([]CycleCond, *error) {
 
 // fairnessCond builds the cycle condition for one WF/SF assumption.
 func fairnessCond(g *ts.Graph, name string, kind form.FairKind, action, sub form.Expr, errs *error) CycleCond {
-	enabled, enErr, taken := angleMasks(g, action, sub, errs)
+	enabled, enErr, taken := angleMasks(g, action, sub, nil, nil, errs)
 	cond := CycleCond{Name: name, HitEdge: taken}
 	if kind == form.Weak {
 		// Fair iff cycle has a ¬enabled state or a taken edge.
@@ -145,13 +158,23 @@ func fairnessCond(g *ts.Graph, name string, kind form.FairKind, action, sub form
 //	WF_v(A), SF_v(A)        (fairness obligations, e.g. of an abstract spec)
 //
 // An optional refinement mapping is substituted into the target first.
+// A WF/SF target's taken-edge test then reads the states' images under the
+// mapping instead (see angleMasks), with the same results and errors.
 //
 // The check is governed by the graph's resource meter: exhaustion aborts
 // with an *engine.BudgetError, and panics during the fair-cycle search are
 // contained as *engine.EngineError carrying the target conjunct.
-func Liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr) (result *LivenessResult, err error) {
+func Liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr) (*LivenessResult, error) {
+	return liveness(g, target, mapping, nil)
+}
+
+// liveness is Liveness reading the images im when the caller has built
+// them under mapping already; with im nil it builds them if a WF/SF target
+// needs them.
+func liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr, im *imager) (result *LivenessResult, err error) {
+	shown := target
 	if mapping != nil {
-		target = target.Subst(mapping)
+		shown = target.Subst(mapping)
 	}
 	m := g.Meter()
 	defer obs.FromMeter(m).Span("check:liveness")()
@@ -160,13 +183,28 @@ func Liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr) (r
 		if curTarget != nil {
 			return "", curTarget.String()
 		}
-		return "", target.String()
+		return "", shown.String()
 	})
-	conjuncts := flattenConjuncts(target)
+	conjuncts := flattenConjuncts(shown)
+	var raws []form.Formula
+	if mapping != nil {
+		// Subst keeps a formula's shape, so target flattens as shown does.
+		raws = flattenConjuncts(target)
+	}
 	fair, ferr := FairnessConds(g)
-	for _, cj := range conjuncts {
+	for i, cj := range conjuncts {
 		curTarget = cj
-		res, err := checkLivenessConjunct(g, fair, cj)
+		var raw form.Expr
+		if _, ok := cj.(form.FairF); ok && mapping != nil {
+			if im == nil {
+				if im, err = imagesOf(g, mapping, nil); err != nil {
+					return nil, err
+				}
+			}
+			rt := raws[i].(form.FairF)
+			raw = form.Angle(rt.A, rt.Sub)
+		}
+		res, err := checkLivenessConjunct(g, fair, cj, raw, im)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +242,10 @@ func predMask(g *ts.Graph, p form.Expr) (StateMask, *error) {
 
 func notMask(m StateMask) StateMask { return func(id int) bool { return !m(id) } }
 
-func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula) (*LivenessResult, error) {
+// checkLivenessConjunct checks one conjunct of a liveness target. raw, for
+// a WF/SF conjunct under a refinement mapping, is its ⟨A⟩_v before
+// substitution and im the images to read it on (see angleMasks).
+func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, raw form.Expr, im *imager) (*LivenessResult, error) {
 	switch t := target.(type) {
 	case form.EventuallyF:
 		if p, ok := t.F.(form.PredF); ok {
@@ -233,7 +274,7 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula) (
 			}
 		}
 	case form.FairF:
-		return checkFairTarget(g, fair, t, nil)
+		return checkFairTarget(g, fair, t, nil, raw, im)
 	}
 	return nil, fmt.Errorf("liveness: unsupported target conjunct %s", target)
 }
@@ -349,9 +390,11 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*
 //	                    ⟨A⟩_v edge.
 //
 // A non-nil restrict confines the lasso's prefix and cycle to its states.
-func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, restrict StateMask) (*LivenessResult, error) {
+// raw and im, when t is substituted from a refinement mapping, are as for
+// angleMasks.
+func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, restrict StateMask, raw form.Expr, im *imager) (*LivenessResult, error) {
 	var takenErr error
-	enabled, enErr, taken := angleMasks(g, t.A, t.Sub, &takenErr)
+	enabled, enErr, taken := angleMasks(g, t.A, t.Sub, raw, im, &takenErr)
 	q := LassoQuery{
 		StartIDs:    g.Inits,
 		PrefixState: restrict,

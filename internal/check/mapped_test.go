@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"opentla/internal/form"
@@ -192,5 +193,38 @@ func TestSafetyUnderImageErrorReDerives(t *testing.T) {
 		if res := SameAsReference(t, g, f, mapping); res != nil {
 			t.Fatalf("%s: %v, want an error", f, res)
 		}
+	}
+}
+
+// TestLivenessImageErrorReDerives: where a WF/SF target's action fails on
+// an image step, the taken-edge test evaluates the substituted action on
+// the concrete step, so the error names F̄'s expression, not f's. On the
+// fair ring x ∈ 0..2 under y ↦ IF x = 2 THEN ⟨⟩ ELSE ⟨x⟩, ENABLED is
+// decided by x' = 0 before Head(y') is reached, so only the edge into
+// x = 2 fails; with the mapped value failing at x = 2 instead, that
+// state has no image at all.
+func TestLivenessImageErrorReDerives(t *testing.T) {
+	g := ringGraph(t, 3, true)
+	x := form.Var("x")
+	at2 := form.Eq(x, form.IntC(2))
+	action := form.Or(form.Eq(form.PrimedVar("x"), form.IntC(0)), form.Ge(form.Head(form.PrimedVar("y")), form.IntC(0)))
+	for _, tc := range []struct {
+		name    string
+		mapping map[string]form.Expr
+		want    string // in the error: f on the image would fail in Head(y')
+	}{
+		{"image-fails", map[string]form.Expr{"y": form.If(at2, form.EmptySeq, form.TupleOf(x))}, "Head(((IF (x = 2)"},
+		{"no-image", map[string]form.Expr{"y": failingAt(at2, form.TupleOf(x))}, "Head(<<>>)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, f := range []form.Formula{form.WFVars(action, "x"), form.SFVars(action, "x")} {
+				if res := SameLivenessAsReference(t, g, f, tc.mapping); res != nil {
+					t.Fatalf("%s: %v, want an error", f, res)
+				}
+				if _, err := Liveness(g, f, tc.mapping); !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: error %q, want one in %s", f, err, tc.want)
+				}
+			}
+		})
 	}
 }

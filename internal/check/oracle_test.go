@@ -133,6 +133,52 @@ func TestSafetyUnderMatchesReferenceAppendixA(t *testing.T) {
 	}
 }
 
+// TestLivenessUnderMatchesReference holds the liveness checks that read
+// images (Liveness, and Component, whose halves share them) to the
+// substituting liveness check on Fig. 9's H2b (the left-hand-side graph
+// under q̄, the faultinject truncated mapping and the reversed q1 ∘ q2,
+// for K = 2 and 3) and on CDQ ⇒ CQ^dbl with and without G.
+func TestLivenessUnderMatchesReference(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		cfg := queue.Config{N: 1, Vals: k}
+		th := cfg.Fig9Theorem()
+		var comps []*spec.Component
+		var cons []ts.StepConstraint
+		for _, p := range th.Pairs {
+			if p.Sys != nil {
+				comps = append(comps, p.Sys)
+			}
+			cons = append(cons, p.Constraints...)
+		}
+		lhs := build(t, &ts.System{Name: "lhs", Components: append([]*spec.Component{th.Concl.Env}, comps...),
+			Constraints: cons, Domains: th.Domains})
+		t.Run(fmt.Sprintf("K=%d/lhs", k), func(t *testing.T) {
+			if res := check.SameComponentAsReference(t, lhs, th.Concl.Sys, th.Concl.Mapping); !res.Holds() || res.Liveness == nil {
+				t.Fatalf("H2b under q̄: %v", res)
+			}
+			f := th.Concl.Sys.FairnessFormula()
+			if res := check.SameLivenessAsReference(t, lhs, f, mutantMapping(t, cfg, "mapping-truncate")); res == nil {
+				t.Fatal("H2b liveness under the truncated mapping failed")
+			}
+			// q1 ∘ q2 puts the queues in the wrong order: values enter and
+			// leave q̄ in its middle, so a fair cycle can take no Enq̄ or
+			// Deq̄ step while one stays enabled.
+			reversed := map[string]form.Expr{"q": form.Concat(form.Var("q1"), form.Var("q2"))}
+			if res := check.SameLivenessAsReference(t, lhs, f, reversed); res == nil || res.Holds {
+				t.Fatalf("H2b liveness under q1 ∘ q2: %v", res)
+			}
+		})
+	}
+	cfg := queue.Config{N: 1, Vals: 2}
+	for _, withG := range []bool{true, false} {
+		g := build(t, cfg.DoubleSystem(withG))
+		res := check.SameComponentAsReference(t, g, cfg.DoubleQueueSpec(), queue.DoubleMapping())
+		if res.Holds() != withG {
+			t.Fatalf("CDQ (G=%v) => CQ^dbl: %v", withG, res)
+		}
+	}
+}
+
 // visibleTuple is the Corollary's default v: every input and output of
 // its three components.
 func visibleTuple(rf *ag.Refinement) form.Expr {

@@ -7,6 +7,7 @@ import (
 	"opentla/internal/engine"
 	"opentla/internal/form"
 	"opentla/internal/obs"
+	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/ts"
 )
@@ -27,6 +28,60 @@ func SameAsReference(t *testing.T, g *ts.Graph, f form.Formula, mapping map[stri
 	case traceKeys(got.Trace) != traceKeys(want.Trace):
 		t.Fatalf("%s: trace\n%s\nreference trace\n%s", f, got.Trace, want.Trace)
 	}
+	return got
+}
+
+// SameLivenessAsReference fails t unless Liveness agrees with the
+// substituting check it replaced on g ⊨ F̄: Liveness of F̄ itself, which
+// reads no images. It compares error text, or verdict, violated conjunct
+// and counterexample.
+func SameLivenessAsReference(t *testing.T, g *ts.Graph, f form.Formula, mapping map[string]form.Expr) *LivenessResult {
+	t.Helper()
+	got, gotErr := Liveness(g, f, mapping)
+	want, wantErr := Liveness(g, f.Subst(mapping), nil)
+	return sameLiveness(t, f, got, gotErr, want, wantErr)
+}
+
+func sameLiveness(t *testing.T, f form.Formula, got *LivenessResult, gotErr error, want *LivenessResult, wantErr error) *LivenessResult {
+	t.Helper()
+	switch {
+	case (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error():
+		t.Fatalf("%s: error %v, reference error %v", f, gotErr, wantErr)
+	case gotErr != nil:
+		return nil
+	case got.Holds != want.Holds || got.Violated != want.Violated:
+		t.Fatalf("%s: holds=%v %q, reference holds=%v %q", f, got.Holds, got.Violated, want.Holds, want.Violated)
+	case got.String() != want.String():
+		t.Fatalf("%s: result\n%s\nreference result\n%s", f, got, want)
+	}
+	return got
+}
+
+// SameComponentAsReference fails t unless Component, whose halves share
+// one set of images, agrees with RefSafetyUnder and the substituting
+// liveness check on g ⊨ target under mapping.
+func SameComponentAsReference(t *testing.T, g *ts.Graph, target *spec.Component, mapping map[string]form.Expr) *SpecResult {
+	t.Helper()
+	got, err := Component(g, target, mapping)
+	if err != nil {
+		t.Fatalf("component %s: %v", target.Name, err)
+	}
+	saf, err := RefSafetyUnder(g, target.SafetyFormula(), mapping)
+	if err != nil {
+		t.Fatalf("component %s: reference safety: %v", target.Name, err)
+	}
+	if got.Safety.String() != saf.String() {
+		t.Fatalf("component %s: safety\n%s\nreference safety\n%s", target.Name, got.Safety, saf)
+	}
+	if !saf.Holds || len(target.Fairness) == 0 {
+		if got.Liveness != nil {
+			t.Fatalf("component %s: liveness checked after %v", target.Name, saf)
+		}
+		return got
+	}
+	f := target.FairnessFormula()
+	live, err := Liveness(g, f.Subst(mapping), nil)
+	sameLiveness(t, f, got.Liveness, nil, live, err)
 	return got
 }
 

@@ -125,7 +125,14 @@ func Safety(g *ts.Graph, f form.Formula) (*SafetyResult, error) {
 // The check is governed by the graph's resource meter: exhaustion aborts
 // with an *engine.BudgetError, and panics during evaluation are contained
 // as *engine.EngineError carrying the offending state and formula.
-func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (result *SafetyResult, err error) {
+func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (*SafetyResult, error) {
+	res, _, err := safetyUnder(g, f, mapping)
+	return res, err
+}
+
+// safetyUnder is SafetyUnder, also returning the images it checked on (nil
+// without a mapping), so Component's liveness half can read them too.
+func safetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (result *SafetyResult, im *imager, err error) {
 	shown := f
 	if mapping != nil {
 		shown = f.Subst(mapping)
@@ -139,13 +146,13 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		}
 		return "", shown.String()
 	})
-	done := func(r *SafetyResult) (*SafetyResult, error) {
+	done := func(r *SafetyResult) (*SafetyResult, *imager, error) {
 		r.Stats = m.Stats()
-		return r, nil
+		return r, im, nil
 	}
 	ob, err := decomposeSafety(shown)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Every state of one graph binds the same variable set, and so does
 	// every image; compiling the obligation's predicates against those
@@ -155,24 +162,14 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 	if len(g.States) > 0 {
 		layout = g.States[0].Vars()
 	}
-	var im *imager
 	raw := &safetyObligation{}
 	if mapping != nil {
 		// Subst keeps a formula's shape, so f decomposes as F̄ does.
 		if raw, err = decomposeSafety(f); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if im, err = newImager(g.States, mapping); err != nil {
-			return nil, err
-		}
-		for id, s := range g.States {
-			if err := m.Tick(); err != nil {
-				return nil, err
-			}
-			cur = s
-			if im.images[id], err = im.of(s); err != nil {
-				return nil, err
-			}
+		if im, err = imagesOf(g, mapping, &cur); err != nil {
+			return nil, nil, err
 		}
 	}
 	inits := im.compile(ob.inits, raw.inits, layout)
@@ -185,7 +182,7 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		for i, p := range inits {
 			ok, err := p.eval(state.Step{From: s}, im.state(id))
 			if err != nil {
-				return nil, fmt.Errorf("initial predicate %s on %s: %w", ob.inits[i], s, err)
+				return nil, nil, fmt.Errorf("initial predicate %s on %s: %w", ob.inits[i], s, err)
 			}
 			if !ok {
 				return done(&SafetyResult{
@@ -198,13 +195,13 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 	// Invariants.
 	for id, s := range g.States {
 		if err := m.Tick(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cur = s
 		for i, p := range invs {
 			ok, err := p.eval(state.Step{From: s}, im.state(id))
 			if err != nil {
-				return nil, fmt.Errorf("invariant %s on %s: %w", ob.invariants[i], s, err)
+				return nil, nil, fmt.Errorf("invariant %s on %s: %w", ob.invariants[i], s, err)
 			}
 			if !ok {
 				return done(&SafetyResult{
@@ -253,7 +250,7 @@ func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (res
 		return true
 	})
 	if evalErr != nil {
-		return nil, evalErr
+		return nil, nil, evalErr
 	}
 	if res != nil {
 		return done(res)
@@ -305,6 +302,28 @@ type imager struct {
 	ups    []state.PosUpdate // scratch for of
 	images []*state.State    // by state id; nil where the mapping fails
 	layout []string          // variables of every image
+}
+
+// imagesOf returns the imager of g under mapping with every state's image
+// built. A non-nil cur records the state being mapped, for panic capture.
+func imagesOf(g *ts.Graph, mapping map[string]form.Expr, cur **state.State) (*imager, error) {
+	im, err := newImager(g.States, mapping)
+	if err != nil {
+		return nil, err
+	}
+	m := g.Meter()
+	for id, s := range g.States {
+		if err := m.Tick(); err != nil {
+			return nil, err
+		}
+		if cur != nil {
+			*cur = s
+		}
+		if im.images[id], err = im.of(s); err != nil {
+			return nil, err
+		}
+	}
+	return im, nil
 }
 
 func newImager(states []*state.State, mapping map[string]form.Expr) (*imager, error) {

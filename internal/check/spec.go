@@ -59,9 +59,11 @@ func (r *SpecResult) String() string {
 // target component specification. The target's internal variables are
 // discharged with the refinement mapping (abstract internal variable →
 // concrete state function), as in §A.4 of the paper; a nil mapping means
-// the target's internals are visible concrete variables.
+// the target's internals are visible concrete variables. The images of the
+// graph's states under the mapping are built once, by the safety half, and
+// read by both halves.
 func Component(g *ts.Graph, target *spec.Component, mapping map[string]form.Expr) (*SpecResult, error) {
-	saf, err := SafetyUnder(g, target.SafetyFormula(), mapping)
+	saf, im, err := safetyUnder(g, target.SafetyFormula(), mapping)
 	if err != nil {
 		return nil, fmt.Errorf("component %s safety: %w", target.Name, err)
 	}
@@ -70,7 +72,7 @@ func Component(g *ts.Graph, target *spec.Component, mapping map[string]form.Expr
 		return res, nil
 	}
 	if len(target.Fairness) > 0 {
-		live, err := Liveness(g, target.FairnessFormula(), mapping)
+		live, err := liveness(g, target.FairnessFormula(), mapping, im)
 		if err != nil {
 			return nil, fmt.Errorf("component %s liveness: %w", target.Name, err)
 		}

@@ -192,7 +192,7 @@ func livenessRestricted(g *ts.Graph, restrict StateMask, target form.Formula) (*
 		if !ok {
 			return nil, fmt.Errorf("restricted liveness: only WF/SF targets supported, got %s", cj)
 		}
-		res, err := checkFairTarget(g, fair, t, restrict)
+		res, err := checkFairTarget(g, fair, t, restrict, nil, nil)
 		if err != nil {
 			return nil, err
 		}

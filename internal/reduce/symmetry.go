@@ -1,9 +1,12 @@
 package reduce
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"opentla/internal/form"
 	"opentla/internal/spec"
@@ -79,12 +82,18 @@ func (sym *Symmetry) inValues(v value.Value) bool {
 // Canonicalization
 
 // Canonicalizer maps states to canonical representatives of their group
-// orbits. Build one with Config.Canonicalizer; it is immutable and safe for
-// concurrent use from exploration workers.
+// orbits. Build one with Config.Canonicalizer; it is safe for concurrent
+// use from exploration workers.
+//
+// Canon memoizes its answers by the scoped slots' value codes (see
+// layoutMemo), so each distinct scoped projection is relabeled once.
 type Canonicalizer struct {
 	sym  *Symmetry
 	vars []string // sorted scoped vars, the deterministic scan order
 	sab  *Sabotage
+
+	mu      sync.Mutex                    // serializes additions to layouts
+	layouts atomic.Pointer[[]*layoutMemo] // copy-on-write, one per layout seen
 }
 
 // Canonicalizer compiles the config's symmetry declaration into a reusable
@@ -93,20 +102,107 @@ func (c *Config) Canonicalizer() *Canonicalizer {
 	if !c.Active() {
 		return nil
 	}
-	return &Canonicalizer{sym: c.Symmetry, vars: c.Symmetry.sortedVars(), sab: c.Sabotage}
+	cz := &Canonicalizer{sym: c.Symmetry, vars: c.Symmetry.sortedVars(), sab: c.Sabotage}
+	cz.layouts.Store(new([]*layoutMemo))
+	return cz
 }
 
-// Canon returns the canonical representative of s's orbit.
+// A layoutMemo remembers Canon's answers for the states of one layout.
+//
+// Relabeling reads nothing but the scoped variables' values, and a code
+// stands for one value of its variable for the whole process (state
+// dictionaries are per variable name and append-only). So the codes of the
+// scoped slots, in scan order, decide both whether a state is canonical and
+// the canonical codes of those slots when it is not: the memo is exact.
+// Its entries number at most the distinct scoped projections of the states
+// canonicalized, never more than the states themselves, so it needs no cap.
+type layoutMemo struct {
+	lay state.Layout
+	pos []int // positions of the scoped variables the layout binds, in scan order
+
+	mu    sync.RWMutex
+	codes map[string][]uint32 // by the scoped slots' codes; nil: already canonical
+}
+
+// memoFor returns the memo of s's layout, making it on first sight.
+func (cz *Canonicalizer) memoFor(s *state.State) *layoutMemo {
+	lay := s.Layout()
+	if m := cz.findMemo(lay); m != nil {
+		return m
+	}
+	cz.mu.Lock()
+	defer cz.mu.Unlock()
+	if m := cz.findMemo(lay); m != nil {
+		return m
+	}
+	m := &layoutMemo{lay: lay, codes: map[string][]uint32{}}
+	for _, name := range cz.vars {
+		if p, ok := s.PosOf(name); ok {
+			m.pos = append(m.pos, p)
+		}
+	}
+	// The full slice expression makes append copy, so a reader ranging over
+	// the old slice never sees this write.
+	old := *cz.layouts.Load()
+	ms := append(old[:len(old):len(old)], m)
+	cz.layouts.Store(&ms)
+	return m
+}
+
+func (cz *Canonicalizer) findMemo(lay state.Layout) *layoutMemo {
+	for _, m := range *cz.layouts.Load() {
+		if m.lay == lay {
+			return m
+		}
+	}
+	return nil
+}
+
+// Canon returns the canonical representative of s's orbit: s itself when
+// it is already canonical, else a new state.
 //
 // First-occurrence relabeling is already canonical: scanning the scoped
 // variables in sorted order (recursing left-to-right through tuples), the
 // j-th distinct orbit value encountered is renamed to Values[j]. Any two
 // states in the same value orbit produce the same relabeled state, and
-// relabeling is idempotent.
+// relabeling is idempotent. Canon looks the answer up by the scoped slots'
+// codes and relabels only on a miss.
 func (cz *Canonicalizer) Canon(s *state.State) *state.State {
 	if cz == nil {
 		return s
 	}
+	m := cz.memoFor(s)
+	var buf [64]byte
+	key := buf[:0]
+	for _, p := range m.pos {
+		key = binary.LittleEndian.AppendUint32(key, s.CodeAt(p))
+	}
+	m.mu.RLock()
+	codes, hit := m.codes[string(key)]
+	m.mu.RUnlock()
+	if hit {
+		if codes == nil {
+			return s
+		}
+		return s.WithCodes(m.pos, codes)
+	}
+	t := cz.relabel(s)
+	if t != s {
+		codes = make([]uint32, len(m.pos))
+		for j, p := range m.pos {
+			codes[j] = t.CodeAt(p)
+		}
+	}
+	m.mu.Lock()
+	m.codes[string(key)] = codes
+	m.mu.Unlock()
+	return t
+}
+
+// relabel computes Canon's answer from the values: the memo's miss path,
+// and the oracle the memo is tested against. It returns s when s is
+// already canonical.
+func (cz *Canonicalizer) relabel(s *state.State) *state.State {
 	// src/dst record the relabeling discovered so far; orbit sizes are tiny
 	// (a handful of data values), so linear scans beat any map.
 	var src, dst []value.Value

@@ -211,6 +211,20 @@ func (s *State) CloneWith(groups ...[]PosUpdate) *State {
 	return &State{lay: s.lay, row: row}
 }
 
+// WithCodes returns a copy of s with the code at binding position pos[j]
+// replaced by codes[j]. Each code must be one that CodeAt returned at a
+// position binding the same variable, in any state of any layout:
+// dictionaries are per variable name, so such a code means the same value
+// here. It is the positional dual of WithAll for callers that already hold
+// the codes, and interns nothing.
+func (s *State) WithCodes(pos []int, codes []uint32) *State {
+	row := append([]uint32(nil), s.row...)
+	for j, p := range pos {
+		row[p] = codes[j]
+	}
+	return &State{lay: s.lay, row: row}
+}
+
 // OverwriteInto copies s into dst (reusing dst's row capacity), applies the
 // update groups, and invalidates dst's cached fingerprint. It exists so
 // successor enumeration can evaluate millions of candidate states against a

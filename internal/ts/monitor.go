@@ -81,14 +81,6 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		return nil, err
 	}
 
-	// When the base graph was built under symmetry, the product inherits the
-	// reduction: product states are canonicalized on their base part (monitor
-	// values ride along unchanged), and every product edge records its real
-	// successor. Monitors always evaluate on genuine base steps — the base
-	// edge's real successor — never on representative-to-representative
-	// pseudo-steps.
-	pcanon := productCanon(g, x, len(mons))
-
 	// Products are cached like base graphs, keyed by the base system's
 	// description extended with the monitors' semantic descriptions. A
 	// monitor without a Desc disables caching for this product.
@@ -98,7 +90,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		if d, ok := productDesc(g.Sys, mons); ok {
 			desc = d
 			if snap := cacheLoad(g.Sys.Cache, meter, desc); snap != nil {
-				return graphFromSnapshot(g.Sys, form.NewCtx(domains), meter, snap, pcanon), nil
+				return graphFromSnapshot(g.Sys, form.NewCtx(domains), meter, snap, g.canon), nil
 			}
 			if g.Sys.Resume {
 				snap, lerr := g.Sys.Cache.LoadCheckpoint(desc)
@@ -193,14 +185,21 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 			}
 			return out, nil
 		},
-		canon:        pcanon,
+		// When the base graph was built under symmetry, the product inherits
+		// the reduction through the base graph's canonicalizer itself: a
+		// scoped variable has a system domain and a monitor variable may
+		// not, so it relabels a product state's base part and leaves the
+		// monitor bindings as they are. Every product edge records its real
+		// successor, so monitors evaluate on genuine base steps, never on
+		// representative-to-representative pseudo-steps.
+		canon:        g.canon,
 		resume:       resumeSnap,
 		onCheckpoint: checkpointSaver(g.Sys.Cache, meter, desc),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if pcanon != nil && res.symCollapsed > 0 {
+	if g.canon != nil && res.symCollapsed > 0 {
 		obs.FromMeter(meter).AddReduction("ts.Product", obs.ReductionStats{SymCollapsed: res.symCollapsed})
 	}
 	prod := &Graph{
@@ -214,7 +213,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		table:      res.table,
 		meter:      meter,
 		reduced:    g.reduced,
-		canon:      pcanon,
+		canon:      g.canon,
 	}
 	cacheStore(g.Sys.Cache, meter, desc, prod)
 	return prod, nil
@@ -237,38 +236,6 @@ func productExtension(g *Graph, mons []*Monitor) (*state.Extension, error) {
 		return nil, fmt.Errorf("ts.Product: %w", err)
 	}
 	return x, nil
-}
-
-// productCanon lifts the base graph's symmetry canonicalizer to product
-// states: the base part is canonicalized, the monitor bindings ride along
-// unchanged. Returns nil when the base graph has no canonicalizer. Like
-// every canon function, it returns its argument pointer when the state is
-// already canonical. A product state off the extension's layout is an
-// internal error; canon functions cannot return one, so it panics, and
-// exploration contains the panic as an *engine.EngineError.
-func productCanon(g *Graph, x *state.Extension, nmons int) func(*state.State) *state.State {
-	if g.canon == nil {
-		return nil
-	}
-	return func(s *state.State) *state.State {
-		base := new(state.State)
-		if err := x.Project(s, base); err != nil {
-			panic(err)
-		}
-		c := g.canon(base)
-		if c == base {
-			return s
-		}
-		ups := make([]state.PosUpdate, nmons)
-		for j := range ups {
-			ups[j] = x.Update(j, s.At(x.Pos(j)))
-		}
-		t, err := x.Extend(c, ups)
-		if err != nil {
-			panic(err)
-		}
-		return t
-	}
 }
 
 // combos enumerates the monitor-value combinations of one base state or
