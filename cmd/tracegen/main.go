@@ -13,12 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"opentla/internal/cache"
-	"opentla/internal/engine"
 	"opentla/internal/handshake"
 	"opentla/internal/obs"
 	"opentla/internal/tracetab"
@@ -26,62 +25,53 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	valsFlag := fs.String("values", "37,4,19", "comma-separated values to send (at least one)")
 	chanName := fs.String("chan", "c", "channel name (no dots, commas, or spaces)")
-	// Accepted for CLI uniformity with agcheck and queueverify; trace
-	// generation builds no state graphs, so these settings have no effect
-	// here (invalid cache flag combinations still fail).
-	_ = engine.AddWorkersFlag(fs)
-	var cf cache.Flags
-	cf.AddFlags(fs)
 	pf := obs.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := cf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		return 2
-	}
 	stopProfiles, err := pf.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		fmt.Fprintln(stderr, "tracegen:", err)
 		return 2
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
+			fmt.Fprintln(stderr, "tracegen:", err)
 		}
 	}()
 	if *chanName == "" || strings.ContainsAny(*chanName, ". ,") {
-		fmt.Fprintf(os.Stderr, "tracegen: invalid channel name %q (must be non-empty, no dots, commas, or spaces)\n", *chanName)
+		fmt.Fprintf(stderr, "tracegen: invalid channel name %q (must be non-empty, no dots, commas, or spaces)\n", *chanName)
 		return 2
 	}
 	var vals []value.Value
 	for _, part := range strings.Split(*valsFlag, ",") {
 		n, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: parsing value %q: %v\n", part, err)
+			fmt.Fprintf(stderr, "tracegen: parsing value %q: %v\n", part, err)
 			return 2
 		}
 		vals = append(vals, value.Int(n))
 	}
 	if len(vals) == 0 {
-		fmt.Fprintln(os.Stderr, "tracegen: -values must list at least one value")
+		fmt.Fprintln(stderr, "tracegen: -values must list at least one value")
 		return 2
 	}
 	c := handshake.Chan(*chanName)
 	b, err := c.Trace(value.Int(0), vals)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		fmt.Fprintln(stderr, "tracegen:", err)
 		return 2
 	}
-	fmt.Printf("Two-phase handshake on channel %s (Fig. 2):\n\n", *chanName)
-	fmt.Print(tracetab.Table(b, []string{c.Ack(), c.Sig(), c.Val()}))
-	fmt.Printf("\nsteps: %s  (%d states, %d sends)\n", strings.Join(tracetab.Diff(b), " ; "), len(b), len(vals))
+	fmt.Fprintf(stdout, "Two-phase handshake on channel %s (Fig. 2):\n\n", *chanName)
+	fmt.Fprint(stdout, tracetab.Table(b, []string{c.Ack(), c.Sig(), c.Val()}))
+	fmt.Fprintf(stdout, "\nsteps: %s  (%d states, %d sends)\n", strings.Join(tracetab.Diff(b), " ; "), len(b), len(vals))
 	return 0
 }

@@ -36,8 +36,6 @@ type Refinement struct {
 	// of all non-internal variables.
 	PlusSub form.Expr
 	Domains map[string][]value.Value
-	// MaxStates bounds graph construction.
-	MaxStates int
 	// Workers is the goroutine count used to explore each state graph
 	// (0 = GOMAXPROCS); results are identical at any setting.
 	Workers int
@@ -120,7 +118,6 @@ func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
 		Name:       rf.Name + "/low-closure",
 		Components: []*spec.Component{rf.Low.SafetyOnly()},
 		Domains:    rf.Domains,
-		MaxStates:  rf.MaxStates,
 		Workers:    rf.Workers,
 		Cache:      rf.Cache,
 		Resume:     rf.Resume,
@@ -145,7 +142,6 @@ func (rf *Refinement) checkHypB(r *Report, m *engine.Meter) error {
 		Name:       rf.Name + "/full",
 		Components: []*spec.Component{rf.Low},
 		Domains:    rf.Domains,
-		MaxStates:  rf.MaxStates,
 		Workers:    rf.Workers,
 		Cache:      rf.Cache,
 		Resume:     rf.Resume,

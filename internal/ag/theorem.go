@@ -77,8 +77,6 @@ type Theorem struct {
 	Pairs   []Pair
 	Concl   Conclusion
 	Domains map[string][]value.Value
-	// MaxStates bounds each constructed state graph.
-	MaxStates int
 	// Workers is the goroutine count used to explore each state graph
 	// (0 = GOMAXPROCS). The verdict and every counterexample are identical
 	// at any setting.
@@ -286,7 +284,6 @@ func (th *Theorem) system(suffix string, comps []*spec.Component, cons []ts.Step
 		Components:  comps,
 		Constraints: cons,
 		Domains:     th.Domains,
-		MaxStates:   th.MaxStates,
 		Workers:     th.Workers,
 		Cache:       th.Cache,
 		Resume:      th.Resume,

@@ -10,7 +10,7 @@ import (
 )
 
 // Flags is the standard command-line surface of the graph cache, shared by
-// every CLI (agcheck, queueverify, tracegen).
+// the CLIs that build state graphs (agcheck, queueverify).
 type Flags struct {
 	// Dir is the cache directory; empty disables caching entirely.
 	Dir string

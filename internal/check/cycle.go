@@ -36,9 +36,8 @@ type LassoQuery struct {
 	// StartIDs are the states the prefix may start from (typically the
 	// graph's initial states).
 	StartIDs []int
-	// PrefixState/PrefixEdge restrict the prefix path.
+	// PrefixState restricts the prefix path.
 	PrefixState StateMask
-	PrefixEdge  EdgeMask
 	// CycleState/CycleEdge restrict the cycle.
 	CycleState StateMask
 	CycleEdge  EdgeMask
@@ -90,8 +89,8 @@ func FindFairLasso(g *ts.Graph, q LassoQuery) (*LassoWitness, error) {
 	if err := m.Tick(); err != nil {
 		return nil, err
 	}
-	// Phase 1: states reachable under the prefix masks.
-	reachable := reachableFrom(g, q.StartIDs, q.PrefixState, q.PrefixEdge)
+	// Phase 1: states reachable under the prefix mask.
+	reachable := reachableFrom(g, q.StartIDs, q.PrefixState)
 	if err := m.Err(); err != nil {
 		return nil, err
 	}
@@ -123,9 +122,9 @@ func FindFairLasso(g *ts.Graph, q LassoQuery) (*LassoWitness, error) {
 	return &LassoWitness{PrefixIDs: path[:len(path)-1], CycleIDs: cyc}, nil
 }
 
-// reachableFrom computes the set of states reachable from starts under the
-// given masks (starts failing the state mask are excluded).
-func reachableFrom(g *ts.Graph, starts []int, sm StateMask, em EdgeMask) []bool {
+// reachableFrom computes the set of states reachable from starts through
+// states the mask allows (starts failing it are excluded).
+func reachableFrom(g *ts.Graph, starts []int, sm StateMask) []bool {
 	seen := make([]bool, len(g.States))
 	var queue []int
 	for _, s := range starts {
@@ -145,9 +144,6 @@ func reachableFrom(g *ts.Graph, starts []int, sm StateMask, em EdgeMask) []bool 
 				return true
 			}
 			if sm != nil && !sm(v) {
-				return true
-			}
-			if em != nil && !em(u, v) {
 				return true
 			}
 			seen[v] = true

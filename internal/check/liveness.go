@@ -341,7 +341,7 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*
 	pMask, perr := predMask(g, p)
 	qMask, qerr := predMask(g, q)
 	notQ := notMask(qMask)
-	reach := reachableFrom(g, g.Inits, nil, nil)
+	reach := reachableFrom(g, g.Inits, nil)
 	var starts []int
 	for id := range g.States {
 		if reach[id] && pMask(id) && notQ(id) {

@@ -332,10 +332,10 @@ func (c *compiler) stutterPositions(a, b Expr) ([]int, bool) {
 	return ps, true
 }
 
-// cmp compiles a comparison and reports whether to memoize it. Equality gets
-// two fast paths: the stutter shape f' = f over variable layouts, which
-// compares codes and is never memoized, and elementwise tuple comparison
-// (both sides syntactic tuples of equal length); neither allocates.
+// cmp compiles a comparison and reports whether to memoize it. The stutter
+// shape f' = f over variable layouts compares codes and is never memoized;
+// every other comparison, tuple equality included, evaluates both sides and
+// compares the values, and the code-keyed memos spare the repeats.
 func (c *compiler) cmp(n CmpE, primed bool) (boolFn, bool) {
 	if (n.Op == OpEq || n.Op == OpNe) && !primed {
 		if ps, ok := c.stutterPositions(n.A, n.B); ok {
@@ -355,39 +355,6 @@ func (c *compiler) cmp(n CmpE, primed bool) (boolFn, bool) {
 				}
 				return !neq, nil
 			}, false
-		}
-	}
-	if n.Op == OpEq || n.Op == OpNe {
-		ta, aOK := n.A.(TupleE)
-		tb, bOK := n.B.(TupleE)
-		if aOK && bOK && len(ta.Xs) == len(tb.Xs) {
-			fas := make([]valFn, len(ta.Xs))
-			fbs := make([]valFn, len(tb.Xs))
-			for i := range ta.Xs {
-				fas[i] = c.val(ta.Xs[i], primed)
-				fbs[i] = c.val(tb.Xs[i], primed)
-			}
-			neq := n.Op == OpNe
-			return func(st state.Step) (bool, error) {
-				// No short-circuit on inequality: the interpreter evaluates
-				// every element before comparing, so an element whose
-				// evaluation fails must fail here too.
-				eq := true
-				for i := range fas {
-					a, err := fas[i](st)
-					if err != nil {
-						return false, err
-					}
-					b, err := fbs[i](st)
-					if err != nil {
-						return false, err
-					}
-					if eq && !a.Equal(b) {
-						eq = false
-					}
-				}
-				return eq != neq, nil
-			}, true
 		}
 	}
 	fa := c.val(n.A, primed)

@@ -63,7 +63,12 @@ func (c *Ctx) Domain(name string) ([]value.Value, error) {
 // of TLC's action evaluation: top-level disjunctions are split, primeless
 // conjuncts are evaluated as guards, and conjuncts of the form x' = e with
 // e primeless determine x's next value directly. Only the remaining primed
-// variables are enumerated over their domains.
+// variables are enumerated over their domains, each candidate merged into s
+// by name (state.WithAll), so s may bind only some variables.
+//
+// Enabled is the interpreted reference: checkers evaluate ENABLED through
+// EnabledFn, which compiles the same analysis and calls Enabled only as its
+// fallback and test oracle.
 func (c *Ctx) Enabled(a Expr, s *state.State) (bool, error) {
 	return c.enabledConj(flattenAnd(a, nil), s)
 }
@@ -168,76 +173,6 @@ func (c *Ctx) enabledConj(conjs []Expr, s *state.State) (bool, error) {
 	for _, v := range free {
 		if _, err := c.Domain(v); err != nil {
 			return false, fmt.Errorf("Enabled: %w", err)
-		}
-	}
-	// Conjuncts still needing verification on each candidate: the rest,
-	// plus determined conjuncts only if their variables interact (already
-	// satisfied by construction otherwise).
-	//
-	// When every varied variable is already bound in s (the normal case:
-	// system states bind the full variable set), candidates are built with
-	// one positional slice copy each; otherwise fall back to map merging.
-	detUps := make([]state.PosUpdate, 0, len(determined))
-	positional := true
-	for k, v := range determined {
-		p, ok := s.PosOf(k)
-		if !ok {
-			positional = false
-			break
-		}
-		detUps = append(detUps, state.PosUpdate{Pos: p, Val: v})
-	}
-	freeUps := make([]state.PosUpdate, len(free))
-	freeDoms := make([][]value.Value, len(free))
-	if positional {
-		for i, v := range free {
-			p, ok := s.PosOf(v)
-			if !ok {
-				positional = false
-				break
-			}
-			freeUps[i] = state.PosUpdate{Pos: p}
-			freeDoms[i] = c.Domains[v]
-		}
-	}
-	if positional {
-		// Mixed-radix enumeration with the LAST variable varying fastest,
-		// matching value.ForEachAssignment's order. Candidates only need to
-		// live for one evaluation, so they share one scratch state.
-		freeIdx := make([]int, len(free))
-		scratch := state.New(nil)
-		for {
-			for i := range free {
-				freeUps[i].Val = freeDoms[i][freeIdx[i]]
-			}
-			s.OverwriteInto(scratch, detUps, freeUps)
-			st := state.Step{From: s, To: scratch}
-			sat := true
-			for _, cj := range rest {
-				ok, err := EvalBool(cj, st, nil)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					sat = false
-					break
-				}
-			}
-			if sat {
-				return true, nil
-			}
-			fi := len(free) - 1
-			for fi >= 0 {
-				freeIdx[fi]++
-				if freeIdx[fi] < len(freeDoms[fi]) {
-					break
-				}
-				freeIdx[fi] = 0
-				fi--
-			}
-			if fi < 0 {
-				return false, nil
-			}
 		}
 	}
 	enabled := false

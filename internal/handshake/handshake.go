@@ -37,9 +37,6 @@ func (c Channel) SndVars() []string { return []string{c.Sig(), c.Val()} }
 // Tuple returns the tuple expression ⟨c.sig, c.ack, c.val⟩.
 func (c Channel) Tuple() form.Expr { return form.VarTuple(c.Vars()...) }
 
-// SndTuple returns the tuple expression for c.snd = ⟨c.sig, c.val⟩.
-func (c Channel) SndTuple() form.Expr { return form.VarTuple(c.SndVars()...) }
-
 // Init returns CInit(c) ≜ c.sig = c.ack = 0 (§A.2).
 func (c Channel) Init() form.Expr {
 	return form.And(

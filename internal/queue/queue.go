@@ -185,9 +185,6 @@ func GConstraints() []ts.StepConstraint {
 	return out
 }
 
-// GFormula returns G as a temporal formula.
-func GFormula() form.Formula { return form.Disjoint(OutputTuples()...) }
-
 // DoubleSystem returns the complete double-queue system of Figures 7 and 8:
 // environment + two queues in series. withG adds the interleaving
 // constraints of G; Figure 8's CDQ is the interleaved system, i.e.

@@ -125,13 +125,6 @@ func (c *Component) Formula() form.Formula {
 	return form.ExistsF(c.Internals, c.InnerFormula())
 }
 
-// SafetyHidden returns ∃x : Init ∧ □[N]_v — by Propositions 1 and 2 an
-// upper bound for (and in the machine-closed case equal to) the closure of
-// Formula.
-func (c *Component) SafetyHidden() form.Formula {
-	return form.ExistsF(c.Internals, c.SafetyFormula())
-}
-
 // SquareExpr returns [N]_⟨m,x⟩ as an action expression — the per-step
 // constraint of the component's safety part.
 func (c *Component) SquareExpr() form.Expr {

@@ -293,15 +293,6 @@ func (l Layout) Vars() []string {
 	return append([]string(nil), l.l.names...)
 }
 
-// Map returns a fresh map copy of the bindings.
-func (s *State) Map() map[string]value.Value {
-	m := make(map[string]value.Value, len(s.row))
-	for i, n := range s.lay.names {
-		m[n] = s.At(i)
-	}
-	return m
-}
-
 // Len returns the number of bound variables.
 func (s *State) Len() int { return len(s.row) }
 

@@ -46,22 +46,6 @@ func TestMetricsCollisionProbesOnCollidingHash(t *testing.T) {
 	}
 }
 
-func TestMetricsBatchCountsOnce(t *testing.T) {
-	st := NewWithHash(func(*state.State) uint64 { return 7 }) // one shard, one bucket
-	batch := []*state.State{mkNamed("x", 1), mkNamed("x", 2), mkNamed("x", 1)}
-	fps := make([]uint64, 3)
-	refs := make([]Ref, 3)
-	added := make([]bool, 3)
-	st.InternBatch(batch, fps, refs, added)
-	// Everything maps to one shard: the lock is taken once per batch.
-	if got := st.Counts().Acquisitions; got != 1 {
-		t.Fatalf("acquisitions = %d, want 1 (one shard visit per batch)", got)
-	}
-	if refs[0] != refs[2] || !added[0] || added[2] {
-		t.Fatalf("batch dedup semantics broke: refs=%v added=%v", refs, added)
-	}
-}
-
 // TestMetricsContentionAndFlush: contention under concurrent interning is
 // attributed to the shard it happened on, and reading the tallies neither
 // resets nor bumps them.

@@ -107,8 +107,7 @@ type Store struct {
 // Counts are a store's lock and probe tallies, the contention-analysis
 // figures of the performance telemetry:
 //
-//   - Acquisitions: every time a shard mutex is taken by Intern or a batch
-//     shard visit;
+//   - Acquisitions: every time Intern takes a shard mutex;
 //   - Contended: those where TryLock failed and the caller had to block —
 //     the direct measure of shard contention — also per shard, so a skewed
 //     fingerprint distribution is visible;
@@ -167,47 +166,6 @@ func (st *Store) Intern(s *state.State) (Ref, bool) {
 		st.count.Add(1)
 	}
 	return ref, added
-}
-
-// noRef marks an unprocessed slot during batch interning; it can never be a
-// real Ref (a real slot index would have to exhaust the address space).
-const noRef = ^Ref(0)
-
-// InternBatch deduplicates a batch of states in one pass, filling refs and
-// added (all four slices must share the batch's length; fps is scratch for
-// the precomputed hashes). The batch is processed shard-by-shard so each
-// shard's lock is taken at most once per call instead of once per state —
-// the batched-interning path of the parallel frontier, where a state's
-// successor list lands in few shards and per-state locking dominates.
-// Semantics match len(batch) Intern calls in order: intra-batch duplicates
-// resolve to one Ref with added reported only for the first occurrence.
-func (st *Store) InternBatch(batch []*state.State, fps []uint64, refs []Ref, added []bool) {
-	for i, s := range batch {
-		fps[i] = st.hash(s)
-		refs[i] = noRef
-	}
-	newCount := 0
-	for i := range batch {
-		if refs[i] != noRef {
-			continue
-		}
-		part := Partition(fps[i])
-		sh := &st.shards[part]
-		sh.lock()
-		for j := i; j < len(batch); j++ {
-			if refs[j] != noRef || Partition(fps[j]) != part {
-				continue
-			}
-			refs[j], added[j] = sh.intern(part, fps[j], batch[j])
-			if added[j] {
-				newCount++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if newCount > 0 {
-		st.count.Add(int64(newCount))
-	}
 }
 
 // Number records id as the final id of the state behind ref. Numbering

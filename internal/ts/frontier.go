@@ -93,7 +93,7 @@ type exploreResult struct {
 // phases on the same persistent worker pool:
 //
 //  1. drain: workers claim frontier chunks, expand states, and
-//     batch-intern every successor into the store, recording its Ref in the
+//     intern every successor into the store, recording its Ref in the
 //     worker's arena. Newly interned states land in per-worker
 //     per-partition buckets keyed by store.Partition(fp) — the top
 //     fingerprint bits, which are also the store's shards — so the barrier
@@ -425,13 +425,10 @@ const (
 // so steady-state expansion allocates only for genuinely new states. arena
 // accumulates the successor Refs of every state the worker expanded this
 // level (rows index into it); newsPart buckets first-interned states by
-// fingerprint partition for the barrier; fps/added are the rest of the
-// InternBatch scratch.
+// fingerprint partition for the barrier.
 type workerScratch struct {
 	arena  []store.Ref
 	rowIdx []int32 // frontier indices this worker expanded (its commit rows)
-	fps    []uint64
-	added  []bool
 	// newsPart[p] holds the states this worker interned first whose
 	// fingerprint lands in partition p.
 	newsPart [store.NumPartitions][]newlyInterned
@@ -709,24 +706,19 @@ func (lv *levelRun) drain(wid int) {
 				ws.realArena = append(ws.realArena, succs...)
 				interning = cb
 			}
-			// Intern the row straight into its arena slots: a successor
-			// numbered at an earlier barrier gets its old Ref back, and
-			// commitRows resolves every Ref to its final id.
+			// Intern the row straight into the arena: a successor numbered
+			// at an earlier barrier gets its old Ref back, and commitRows
+			// resolves every Ref to its final id.
 			rowStart := len(ws.arena)
-			k := len(interning)
-			ws.arena = append(ws.arena, make([]store.Ref, k)...)
-			if cap(ws.fps) < k {
-				ws.fps = make([]uint64, k)
-				ws.added = make([]bool, k)
-			}
-			fps, added := ws.fps[:k], ws.added[:k]
-			lv.store.InternBatch(interning, fps, ws.arena[rowStart:], added)
-			for j, t := range interning {
-				if !added[j] {
+			for _, t := range interning {
+				ref, added := lv.store.Intern(t)
+				ws.arena = append(ws.arena, ref)
+				if !added {
 					continue
 				}
-				pi := store.Partition(fps[j])
-				ws.newsPart[pi] = append(ws.newsPart[pi], newlyInterned{ref: ws.arena[rowStart+j], fp: fps[j], st: t})
+				fp := t.Fingerprint()
+				pi := store.Partition(fp)
+				ws.newsPart[pi] = append(ws.newsPart[pi], newlyInterned{ref: ref, fp: fp, st: t})
 				if err := m.AddState(); err != nil {
 					lv.setErr(err)
 					return

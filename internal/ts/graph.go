@@ -171,19 +171,26 @@ func (sys *System) cacheSetup(m *engine.Meter) (string, *Snapshot) {
 	desc := sys.CanonicalDesc()
 	var resume *Snapshot
 	if sys.Resume {
-		snap, err := sys.Cache.LoadCheckpoint(desc)
-		switch {
-		case err != nil:
-			m.Note("cache-corrupt", fmt.Sprintf("checkpoint for %s unusable, cold build: %v", sys.Name, err))
-		case snap != nil && !validSnapshot(snap, false):
-			m.Note("cache-corrupt", fmt.Sprintf("checkpoint for %s fails validation, cold build", sys.Name))
-		case snap != nil:
-			resume = snap
-			m.Note("resume", fmt.Sprintf("%s: resuming from level %d (%d states, %d committed rows)",
-				sys.Name, snap.Level, len(snap.States), snap.Rows()))
-		}
+		resume = loadCheckpoint(sys.Cache, m, desc, sys.Name)
 	}
 	return desc, resume
+}
+
+// loadCheckpoint loads the saved checkpoint of the graph named name, noting
+// the outcome; an unusable or invalid checkpoint degrades to a cold build.
+func loadCheckpoint(c GraphCache, m *engine.Meter, desc, name string) *Snapshot {
+	snap, err := c.LoadCheckpoint(desc)
+	switch {
+	case err != nil:
+		m.Note("cache-corrupt", fmt.Sprintf("checkpoint for %s unusable, cold build: %v", name, err))
+	case snap != nil && !validSnapshot(snap, false):
+		m.Note("cache-corrupt", fmt.Sprintf("checkpoint for %s fails validation, cold build", name))
+	case snap != nil:
+		m.Note("resume", fmt.Sprintf("%s: resuming from level %d (%d states, %d committed rows)",
+			name, snap.Level, len(snap.States), snap.Rows()))
+		return snap
+	}
+	return nil
 }
 
 // cacheLoad consults the cache for a complete graph, noting the outcome in

@@ -93,17 +93,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 				return graphFromSnapshot(g.Sys, form.NewCtx(domains), meter, snap, g.canon), nil
 			}
 			if g.Sys.Resume {
-				snap, lerr := g.Sys.Cache.LoadCheckpoint(desc)
-				switch {
-				case lerr != nil:
-					meter.Note("cache-corrupt", fmt.Sprintf("product checkpoint unusable, cold build: %v", lerr))
-				case snap != nil && !validSnapshot(snap, false):
-					meter.Note("cache-corrupt", "product checkpoint fails validation, cold build")
-				case snap != nil:
-					resumeSnap = snap
-					meter.Note("resume", fmt.Sprintf("product of %s: resuming from level %d (%d states)",
-						g.Sys.Name, snap.Level, len(snap.States)))
-				}
+				resumeSnap = loadCheckpoint(g.Sys.Cache, meter, desc, "product of "+g.Sys.Name)
 			}
 		}
 	}
