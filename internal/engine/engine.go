@@ -387,12 +387,12 @@ func (e *BudgetError) Error() string { return "budget exhausted: " + e.Reason }
 
 // EngineError is a contained internal failure: a panic recovered inside the
 // exploration core, converted into a diagnosable error carrying the
-// offending state fingerprint and formula instead of crashing the process.
+// offending state's key and formula instead of crashing the process.
 type EngineError struct {
 	// Op names the engine entry point that failed.
 	Op string
-	// Fingerprint is the key of the state being processed, if known.
-	Fingerprint string
+	// State is the key (state.Key) of the state being processed, if known.
+	State string
 	// Formula renders the property being evaluated, if known.
 	Formula string
 	// PanicVal is the recovered panic value.
@@ -404,8 +404,8 @@ type EngineError struct {
 // Error renders the failure without the stack (use Stack for post-mortems).
 func (e *EngineError) Error() string {
 	msg := fmt.Sprintf("internal engine error in %s: %s", e.Op, e.PanicVal)
-	if e.Fingerprint != "" {
-		msg += fmt.Sprintf(" (state %s)", e.Fingerprint)
+	if e.State != "" {
+		msg += fmt.Sprintf(" (state %s)", e.State)
 	}
 	if e.Formula != "" {
 		msg += fmt.Sprintf(" (formula %s)", e.Formula)
@@ -418,23 +418,24 @@ func (e *EngineError) Error() string {
 //
 //	defer engine.Capture(&err, "ts.Build", func() (string, string) { return cur.Key(), "" })
 //
-// where the diag callback reports the state fingerprint and formula under
-// examination when the panic fired (either may be empty; diag may be nil).
-func Capture(err *error, op string, diag func() (fingerprint, formula string)) {
+// where the diag callback reports the key of the state and the formula
+// under examination when the panic fired (either may be empty; diag may be
+// nil).
+func Capture(err *error, op string, diag func() (state, formula string)) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	fp, f := "", ""
+	st, f := "", ""
 	if diag != nil {
-		fp, f = diag()
+		st, f = diag()
 	}
 	*err = &EngineError{
-		Op:          op,
-		Fingerprint: fp,
-		Formula:     f,
-		PanicVal:    fmt.Sprint(r),
-		Stack:       string(debug.Stack()),
+		Op:       op,
+		State:    st,
+		Formula:  f,
+		PanicVal: fmt.Sprint(r),
+		Stack:    string(debug.Stack()),
 	}
 }
 

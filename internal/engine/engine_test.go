@@ -135,7 +135,7 @@ func TestCaptureConvertsPanic(t *testing.T) {
 	if !errors.As(err, &ee) {
 		t.Fatalf("expected *EngineError, got %T: %v", err, err)
 	}
-	if ee.Op != "test.Op" || ee.Fingerprint != "x=1" || ee.Formula != "[]P" {
+	if ee.Op != "test.Op" || ee.State != "x=1" || ee.Formula != "[]P" {
 		t.Errorf("diag fields = %+v", ee)
 	}
 	if !strings.Contains(ee.Error(), "invariant broken") {

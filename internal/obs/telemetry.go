@@ -39,7 +39,7 @@ var counterInfo = [numCounters]struct{ name, help string }{
 	cLevels:       {"opentla_levels_total", "level barriers completed"},
 	cAcquisitions: {"opentla_store_lock_acquisitions_total", "store shard-lock acquisitions"},
 	cContended:    {"opentla_store_lock_contended_total", "store shard-lock acquisitions that had to block"},
-	cProbes:       {"opentla_store_collision_probes_total", "structural-equality probes inside fingerprint buckets"},
+	cProbes:       {"opentla_store_collision_probes_total", "structural-equality probes inside store hash buckets"},
 }
 
 // Latency histograms: the barrier wait of each worker at each level, and

@@ -102,6 +102,7 @@ func (d *dict) lookup(v value.Value, fp uint64) (uint32, bool) {
 type layout struct {
 	names []string
 	dicts []*dict
+	seed  uint64 // namesHash(names), the starting value of RowHash
 }
 
 // pos returns the index of name in the layout. The binary search is
@@ -142,7 +143,7 @@ func layoutOf(names []string) *layout {
 	if l := findLayout(h, names); l != nil {
 		return l
 	}
-	l = &layout{names: append([]string(nil), names...), dicts: make([]*dict, len(names))}
+	l = &layout{names: append([]string(nil), names...), dicts: make([]*dict, len(names)), seed: h}
 	for i, n := range names {
 		d := registry.dicts[n]
 		if d == nil {

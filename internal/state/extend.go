@@ -3,7 +3,6 @@ package state
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"opentla/internal/value"
 )
@@ -120,9 +119,8 @@ func (x *Extension) Extend(s *State, ups []PosUpdate) (*State, error) {
 }
 
 // Project overwrites dst with the source-layout part of wide, a state over
-// the extension's wide layout, and invalidates dst's cached fingerprint.
-// Like OverwriteInto it reuses dst's row capacity, so dst must be private
-// to the caller while it is reused.
+// the extension's wide layout. Like OverwriteInto it reuses dst's row
+// capacity, so dst must be private to the caller while it is reused.
 func (x *Extension) Project(wide, dst *State) error {
 	if x.overlap {
 		return fmt.Errorf("state: projection through an extension that overwrites source variables")
@@ -135,6 +133,5 @@ func (x *Extension) Project(wide, dst *State) error {
 	for _, p := range x.scatter {
 		dst.row = append(dst.row, wide.row[p])
 	}
-	atomic.StoreUint64(&dst.fp, 0)
 	return nil
 }

@@ -1,13 +1,15 @@
 // Package store is the explicit-state checker's one state table: it
-// interns states by their 64-bit fingerprint with collision-verified
-// structural equality, and it records each state's final id once the
-// explorer numbers it. The string serialization state.Key() never enters a
-// hot path (it survives only in diagnostics and golden files).
+// interns states by a 64-bit hash of their value codes (state.RowHash) with
+// collision-verified structural equality, and it records each state's final
+// id once the explorer numbers it. The string serialization state.Key()
+// never enters a hot path (it survives only in diagnostics and golden
+// files), and neither does the persisted fingerprint: the explorer computes
+// that once per new state, to order its numbering.
 //
 // Many goroutines may intern concurrently, and exactly one of them is told
-// a given state was new. A 64-bit fingerprint collision falls back to
-// structural equality (state.Equal), so it can never merge distinct states,
-// the failure mode that silently truncates state graphs in fingerprint-only
+// a given state was new. A 64-bit hash collision falls back to structural
+// equality (state.Equal), so it can never merge distinct states, the
+// failure mode that silently truncates state graphs in fingerprint-only
 // checkers.
 package store
 
@@ -18,14 +20,15 @@ import (
 	"opentla/internal/state"
 )
 
-// Partitioning: the store's shards are the fingerprint ranges of the
-// parallel level barrier of package ts, the top PartitionBits bits of a
-// fingerprint. The barrier numbers each range on its own worker, so two
-// workers may Number concurrently: they never touch the same shard.
-// Concatenating the ranges in ascending partition order preserves the global
-// fingerprint sort, which is what keeps the parallel numbering
-// byte-identical to a single global sort. 64 shards also keep lock
-// contention negligible for worker pools up to a few dozen goroutines.
+// Partitioning: a state's shard is Partition of its store hash. The
+// parallel level barrier of package ts uses the same function on the
+// fingerprint to split each level into fingerprint ranges, which it numbers
+// on separate workers; concatenating the ranges in ascending partition
+// order preserves the global fingerprint sort, which keeps the parallel
+// numbering byte-identical to a single global sort. The two partitions of a
+// state are unrelated, so two workers may Number into one shard at once:
+// they write distinct entries. 64 shards also keep lock contention
+// negligible for worker pools up to a few dozen goroutines.
 const (
 	// PartitionBits is log2 of NumPartitions.
 	PartitionBits = 6
@@ -35,9 +38,10 @@ const (
 	partMask      = NumPartitions - 1
 )
 
-// Partition maps a fingerprint to its shard and barrier partition: the top
-// PartitionBits bits, so partition order is fingerprint order.
-func Partition(fp uint64) int { return int(fp >> (64 - PartitionBits)) }
+// Partition maps a 64-bit hash to its top PartitionBits bits: a state's
+// shard, from its store hash, and its barrier partition, from its
+// fingerprint, so that partition order is fingerprint order.
+func Partition(h uint64) int { return int(h >> (64 - PartitionBits)) }
 
 // Ref is an opaque handle to an interned state, stable for the lifetime of
 // its Store: the state's slot in its shard, shifted past the shard index.
@@ -45,14 +49,13 @@ func Partition(fp uint64) int { return int(fp >> (64 - PartitionBits)) }
 // deterministic numbering is the caller's concern, recorded with Number.
 type Ref uint64
 
-// Hash maps a state to its dedup fingerprint. The default is
-// (*state.State).Fingerprint; tests inject degenerate hashes to exercise
-// the collision path.
+// Hash maps a state to its dedup hash. The default is
+// (*state.State).RowHash; tests inject degenerate hashes to exercise the
+// collision path.
 type Hash func(*state.State) uint64
 
 // entry is one interned state: its final id (-1 until numbered) and the
-// slot of the next entry in its fingerprint bucket, plus one (0 ends the
-// chain).
+// slot of the next entry in its hash bucket, plus one (0 ends the chain).
 type entry struct {
 	st   *state.State
 	id   int32
@@ -61,7 +64,7 @@ type entry struct {
 
 type shard struct {
 	mu      sync.Mutex
-	heads   map[uint64]int32 // fingerprint -> first slot of its bucket, plus one
+	heads   map[uint64]int32 // hash -> first slot of its bucket, plus one
 	entries []entry          // slot-indexed
 	// Lock and probe tallies, written under mu (see Counts).
 	acquisitions, contended, probes int64
@@ -77,11 +80,11 @@ func (sh *shard) lock() {
 	sh.acquisitions++
 }
 
-// intern returns the Ref of a state equal to s in fp's bucket of shard
+// intern returns the Ref of a state equal to s in h's bucket of shard
 // part, counting each equality probe, or appends s there unnumbered and
 // reports it added; mu must be held.
-func (sh *shard) intern(part int, fp uint64, s *state.State) (Ref, bool) {
-	i := sh.heads[fp]
+func (sh *shard) intern(part int, h uint64, s *state.State) (Ref, bool) {
+	i := sh.heads[h]
 	for ; i != 0; i = sh.entries[i-1].next {
 		sh.probes++
 		if sh.entries[i-1].st.Equal(s) {
@@ -90,9 +93,9 @@ func (sh *shard) intern(part int, fp uint64, s *state.State) (Ref, bool) {
 	}
 	added := i == 0
 	if added {
-		sh.entries = append(sh.entries, entry{st: s, id: -1, next: sh.heads[fp]})
+		sh.entries = append(sh.entries, entry{st: s, id: -1, next: sh.heads[h]})
 		i = int32(len(sh.entries))
-		sh.heads[fp] = i
+		sh.heads[h] = i
 	}
 	return Ref(i-1)<<PartitionBits | Ref(part), added
 }
@@ -110,10 +113,10 @@ type Store struct {
 //   - Acquisitions: every time Intern takes a shard mutex;
 //   - Contended: those where TryLock failed and the caller had to block —
 //     the direct measure of shard contention — also per shard, so a skewed
-//     fingerprint distribution is visible;
-//   - Probes: structural-equality comparisons inside fingerprint buckets
-//     while interning, the price of fingerprint collisions (and of dedup
-//     hits, which probe once).
+//     hash distribution is visible;
+//   - Probes: structural-equality comparisons inside hash buckets while
+//     interning: one per dedup hit, plus one per row-hash collision
+//     between distinct states.
 type Counts struct {
 	Acquisitions, Contended, Probes int64
 	ContendedByShard                [NumPartitions]int64
@@ -134,15 +137,15 @@ func (st *Store) Counts() Counts {
 	return c
 }
 
-// New returns an empty store deduplicating by state.Fingerprint.
+// New returns an empty store deduplicating by state.RowHash.
 func New() *Store { return NewWithHash(nil) }
 
 // NewWithHash returns an empty store deduplicating by the given hash (nil
-// means state.Fingerprint). Injecting a colliding hash exercises the
+// means state.RowHash). Injecting a colliding hash exercises the
 // structural-equality fallback.
 func NewWithHash(h Hash) *Store {
 	if h == nil {
-		h = (*state.State).Fingerprint
+		h = (*state.State).RowHash
 	}
 	s := &Store{hash: h}
 	for i := range s.shards {
@@ -156,11 +159,11 @@ func NewWithHash(h Hash) *Store {
 // observes added == true. The caller must not mutate s afterwards (states
 // are immutable by construction).
 func (st *Store) Intern(s *state.State) (Ref, bool) {
-	fp := st.hash(s)
-	part := Partition(fp)
+	h := st.hash(s)
+	part := Partition(h)
 	sh := &st.shards[part]
 	sh.lock()
-	ref, added := sh.intern(part, fp, s)
+	ref, added := sh.intern(part, h, s)
 	sh.mu.Unlock()
 	if added {
 		st.count.Add(1)
@@ -169,17 +172,17 @@ func (st *Store) Intern(s *state.State) (Ref, bool) {
 }
 
 // Number records id as the final id of the state behind ref. Numbering
-// takes no lock: calls on refs of one partition must be serialized, but
-// calls on distinct partitions may run concurrently (the parallel barrier
-// of package ts relies on this), and none may overlap an intern into the
-// same partition.
+// takes no lock and writes only ref's own entry: calls on distinct refs may
+// run concurrently, even into one shard (the parallel barrier of package ts
+// relies on this), but none may overlap an intern into ref's shard, which
+// may move the entries.
 func (st *Store) Number(ref Ref, id int) {
 	st.shards[ref&partMask].entries[ref>>PartitionBits].id = int32(id)
 }
 
 // ID returns the final id recorded for ref, or -1 if it is not numbered
-// yet. It takes no lock, so it must not overlap an intern or a Number into
-// ref's partition.
+// yet. It takes no lock, so it must not overlap an intern into ref's shard
+// or a Number of ref.
 func (st *Store) ID(ref Ref) int {
 	return int(st.shards[ref&partMask].entries[ref>>PartitionBits].id)
 }
@@ -189,9 +192,9 @@ func (st *Store) ID(ref Ref) int {
 // numbering pause (at a level barrier, or for good), any number of
 // goroutines may Get concurrently.
 func (st *Store) Get(s *state.State) (int, bool) {
-	fp := st.hash(s)
-	sh := &st.shards[Partition(fp)]
-	for i := sh.heads[fp]; i != 0; i = sh.entries[i-1].next {
+	h := st.hash(s)
+	sh := &st.shards[Partition(h)]
+	for i := sh.heads[h]; i != 0; i = sh.entries[i-1].next {
 		if e := &sh.entries[i-1]; e.st.Equal(s) {
 			return int(e.id), e.id >= 0
 		}

@@ -180,8 +180,9 @@ func TestGetNumberedOnly(t *testing.T) {
 	}
 }
 
-// TestRefPacksShardAndSlot: a Ref carries its state's partition in its low
-// bits, and ID and Get round-trip through it.
+// TestRefPacksShardAndSlot: a Ref carries its state's shard, Partition of
+// the store's own hash, in its low bits, and ID and Get round-trip through
+// it.
 func TestRefPacksShardAndSlot(t *testing.T) {
 	st := New()
 	// Enough states to populate many shards and multiple slots per shard.
@@ -192,8 +193,8 @@ func TestRefPacksShardAndSlot(t *testing.T) {
 		if !added {
 			t.Fatalf("x=%d should be new", i)
 		}
-		if got, want := int(ref&(NumPartitions-1)), Partition(s.Fingerprint()); got != want {
-			t.Fatalf("x=%d: Ref %v is in shard %d, want partition %d", i, ref, got, want)
+		if got, want := int(ref&(NumPartitions-1)), Partition(s.RowHash()); got != want {
+			t.Fatalf("x=%d: Ref %v is in shard %d, want %d", i, ref, got, want)
 		}
 		refs[i] = ref
 		st.Number(ref, i)
@@ -211,17 +212,26 @@ func TestRefPacksShardAndSlot(t *testing.T) {
 	}
 }
 
-// TestConcurrentNumberDistinctPartitions numbers every partition on its own
-// goroutine at once, the parallel barrier's assign phase. Run with -race:
-// Number takes no lock, so distinct partitions must share no memory.
+// TestConcurrentNumberDistinctPartitions numbers every fingerprint
+// partition on its own goroutine at once, the parallel barrier's assign
+// phase. The store shards by its own hash, so the partitions share shards.
+// Run with -race: Number takes no lock, so numbering distinct refs must
+// share no memory, even within a shard.
 func TestConcurrentNumberDistinctPartitions(t *testing.T) {
 	st := New()
 	var byPart [NumPartitions][]Ref
+	shared := 0 // refs whose shard differs from their partition
 	for i := 0; i < 4000; i++ {
 		s := mkState2(int64(i), int64(i%3))
 		ref, _ := st.Intern(s)
 		p := Partition(s.Fingerprint())
 		byPart[p] = append(byPart[p], ref)
+		if int(ref&(NumPartitions-1)) != p {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("every state's shard is its fingerprint partition; the test needs them to differ")
 	}
 	var wg sync.WaitGroup
 	for p := range byPart {
@@ -244,6 +254,24 @@ func TestConcurrentNumberDistinctPartitions(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		if _, ok := st.Get(mkState2(int64(i), int64(i%3))); !ok {
 			t.Fatalf("state %d unnumbered after the concurrent round", i)
+		}
+	}
+}
+
+// TestEqualRowsOverDistinctLayouts: states whose code rows are identical
+// but whose variables differ intern as distinct states.
+func TestEqualRowsOverDistinctLayouts(t *testing.T) {
+	a := state.FromPairs("store.rows.a", value.Int(1))
+	b := state.FromPairs("store.rows.b", value.Int(1))
+	if a.CodeAt(0) != b.CodeAt(0) {
+		t.Fatalf("codes %d and %d differ; the test needs equal rows", a.CodeAt(0), b.CodeAt(0))
+	}
+	for _, h := range []Hash{nil, func(*state.State) uint64 { return 9 }} {
+		st := NewWithHash(h)
+		ra, addedA := st.Intern(a)
+		rb, addedB := st.Intern(b)
+		if !addedA || !addedB || ra == rb || st.Len() != 2 {
+			t.Fatalf("interning %s and %s: added %v,%v, refs %v,%v, len %d; want two distinct states", a, b, addedA, addedB, ra, rb, st.Len())
 		}
 	}
 }

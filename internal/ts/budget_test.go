@@ -93,7 +93,7 @@ func TestOversizedInitialSpaceIsBudgetError(t *testing.T) {
 
 // TestBuildContainsPanicsWithFingerprint: a panic in a user callback — a
 // monitor's Step, the one Go callback exploration runs — is contained as an
-// *engine.EngineError carrying the fingerprint of the state being expanded.
+// *engine.EngineError carrying the key of the state being expanded.
 func TestBuildContainsPanicsWithFingerprint(t *testing.T) {
 	g, err := counterSystem(3).Build()
 	if err != nil {
@@ -121,8 +121,8 @@ func TestBuildContainsPanicsWithFingerprint(t *testing.T) {
 	if !strings.Contains(ee.PanicVal, "monitor invariant broken") {
 		t.Errorf("panic val = %q", ee.PanicVal)
 	}
-	if !strings.Contains(ee.Fingerprint, "x=2") {
-		t.Errorf("fingerprint = %q, want the offending state x=2", ee.Fingerprint)
+	if !strings.Contains(ee.State, "x=2") {
+		t.Errorf("state = %q, want the offending state x=2", ee.State)
 	}
 }
 

@@ -78,12 +78,14 @@ type exploreResult struct {
 //
 // Determinism guarantee: the returned numbering, initial-state ids, and
 // adjacency are byte-identical for every worker count. States are interned
-// concurrently into a sharded store (arrival order is scheduling-dependent),
-// but final ids are assigned only at level barriers: the states first
-// reached during a level are numbered in (fingerprint, Key) order — ties are
-// genuine 64-bit collisions between distinct states, broken by the canonical
-// Key string. A state's level is its BFS distance from the seed set, which
-// no schedule can change, so the numbering depends only on the graph itself.
+// concurrently into a sharded store (arrival order is scheduling-dependent,
+// and the store's hash is process-local), but final ids are assigned only
+// at level barriers: the states first reached during a level are numbered
+// in (fingerprint, Key) order — ties are genuine 64-bit collisions between
+// distinct states, broken by the canonical Key string. The fingerprint is
+// computed once per state, when the store first reports it added. A
+// state's level is its BFS distance from the seed set, which no schedule
+// can change, so the numbering depends only on the graph itself.
 // Successor lists are produced by the deterministic expand callback and
 // recorded per source state, preserving callback order.
 //
@@ -94,21 +96,21 @@ type exploreResult struct {
 //
 //  1. drain: workers claim frontier chunks, expand states, and
 //     intern every successor into the store, recording its Ref in the
-//     worker's arena. Newly interned states land in per-worker
-//     per-partition buckets keyed by store.Partition(fp) — the top
-//     fingerprint bits, which are also the store's shards — so the barrier
-//     never re-buckets.
+//     worker's arena. Only a newly interned state is fingerprinted; it
+//     lands in a per-worker per-partition bucket keyed by
+//     store.Partition(fp), the top fingerprint bits, so the barrier never
+//     re-buckets.
 //  2. seal (single-threaded, deliberately tiny): per-partition counts are
 //     summed into base offsets, the CSR offsets row is extended by a prefix
 //     sum of known row lengths, and the states/targets arrays are grown.
 //     Pure arithmetic — no sorting, no hashing, no per-edge work.
 //  3. commit (parallel): workers sort and number whole fingerprint
 //     partitions against their precomputed bases (each numbering only its
-//     own store shards and states slots), then resolve their own drain
-//     rows' Refs to final ids into the preallocated CSR range. Partition
-//     order is fingerprint order, so concatenating sorted partitions
-//     reproduces the exact global (fingerprint, Key) sort a single thread
-//     would produce.
+//     own partitions' store entries and states slots), then resolve their
+//     own drain rows' Refs to final ids into the preallocated CSR range.
+//     Partition order is fingerprint order, so concatenating sorted
+//     partitions reproduces the exact global (fingerprint, Key) sort a
+//     single thread would produce.
 func explore(p exploreParams) (*exploreResult, error) {
 	m := p.meter
 	workers := p.workers
@@ -116,7 +118,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	interned := store.New()
+	interned := newStore()
 	// The run's recorder, if any, gets the level barriers; ex, its telemetry
 	// handle, exists only with telemetry on (-trace/-metrics-out), so with it
 	// off the hot paths below pay one pointer check and take no timestamps.
@@ -356,6 +358,11 @@ func explore(p exploreParams) (*exploreResult, error) {
 	return res, nil
 }
 
+// newStore makes the state table of an exploration or of a loaded graph's
+// ID lookups. Numbering must not depend on the store's hash; the tests
+// swap in degenerate hashes to hold it to that.
+var newStore = store.New
+
 // internNumbered interns states into st, numbering each with its position.
 func internNumbered(st *store.Store, states []*state.State) {
 	for i, s := range states {
@@ -568,9 +575,10 @@ func (lv *levelRun) work(wid int) {
 // assignPartitions numbers this worker's share of the fingerprint
 // partitions: for each owned partition, merge every drain worker's bucket,
 // sort by (fingerprint, Key), and assign final ids from the sealed base.
-// Distinct partitions touch disjoint store shards and states slots, so the
-// phase is write-race-free by construction; panics are contained like drain
-// panics.
+// Distinct partitions hold distinct states, so they write disjoint store
+// entries (possibly in one shard: Number writes only its ref's entry) and
+// states slots, and the phase is write-race-free by construction; panics
+// are contained like drain panics.
 func (lv *levelRun) assignPartitions(wid int) {
 	var perr error
 	defer func() {
@@ -637,7 +645,7 @@ func (lv *levelRun) commitRows(wid int) {
 
 // drain drains frontier chunks until the level (or the budget) is exhausted.
 // Panics in the expand callback are contained as *engine.EngineError
-// carrying the fingerprint of the state being expanded.
+// carrying the key of the state being expanded.
 func (lv *levelRun) drain(wid int) {
 	p := lv.params
 	m := p.meter

@@ -72,7 +72,7 @@ func (sys *System) Build() (*Graph, error) {
 // initial ids, adjacency — is identical at every worker count. Exploration
 // aborts with an *engine.BudgetError (carrying partial statistics) when the
 // budget is exhausted, and internal panics are contained as
-// *engine.EngineError with the fingerprint of the state being expanded. The
+// *engine.EngineError with the key of the state being expanded. The
 // meter stays attached to the returned graph, so subsequent checks and
 // monitor products draw from the same budget.
 func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
@@ -303,7 +303,7 @@ func (g *Graph) ForEachEdgeStep(f func(from, to int, real *state.State) bool) {
 func (g *Graph) ID(s *state.State) int {
 	g.tableOnce.Do(func() {
 		if g.table == nil {
-			g.table = store.New()
+			g.table = newStore()
 			internNumbered(g.table, g.States)
 		}
 	})

@@ -57,7 +57,7 @@ var (
 // inherits the base graph's resource meter: product states and edges draw
 // from the same budget as the base exploration, and exhaustion aborts with
 // an *engine.BudgetError. Panics inside monitor callbacks are contained as
-// *engine.EngineError with the current product state's fingerprint.
+// *engine.EngineError with the current product state's key.
 func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	meter := g.Meter()
 	defer obs.FromMeter(meter).Span("product:" + g.Sys.Name)()

@@ -9,6 +9,8 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
+	"opentla/internal/state"
+	"opentla/internal/store"
 	"opentla/internal/ts"
 )
 
@@ -149,5 +151,61 @@ func TestProductOverReloadedGraph(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestNumberingIgnoresStoreHash builds Fig. 9's guarantees-only graph and
+// its +v product, unreduced and under symmetry, by 1 and 4 workers, with the
+// store interning by degenerate hashes: a constant one, so every state
+// shares one bucket of one shard, and the complemented fingerprint, so the
+// shards run in the reverse of the barrier's partition order. Each graph
+// must equal the one built with the default row hash: the store's hash
+// decides only where a state is kept, never its number.
+func TestNumberingIgnoresStoreHash(t *testing.T) {
+	cfg := queue.Config{N: 1, Vals: 2}
+	th := cfg.Fig9Theorem()
+	env := th.Concl.Env
+	mons := func() []*ts.Monitor {
+		return []*ts.Monitor{ts.PlusMonitor("$plusAlive", env.Init, []form.Expr{env.SquareExpr()}, th.Concl.PlusSub)}
+	}
+	build := func(sym bool, workers int) (*ts.Graph, *ts.Graph) {
+		t.Helper()
+		sys := guaranteesOnly(th)
+		sys.Workers = workers
+		if sym {
+			sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: cfg.DoubleSymmetry()}
+		}
+		g, err := sys.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ts.Product(g, mons())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, p
+	}
+	hashes := []struct {
+		name string
+		h    store.Hash
+	}{
+		{"constant", func(*state.State) uint64 { return 42 }},
+		{"reversed", func(s *state.State) uint64 { return ^s.Fingerprint() }},
+	}
+	for _, sym := range []bool{false, true} {
+		wantG, wantP := build(sym, 1)
+		for _, hc := range hashes {
+			for _, workers := range []int{1, 4} {
+				restore := ts.WithStoreHash(hc.h)
+				g, p := build(sym, workers)
+				restore()
+				if err := ts.DiffGraphs(g, wantG); err != nil {
+					t.Errorf("sym=%v %s hash -workers %d: guarantees-only graph: %v", sym, hc.name, workers, err)
+				}
+				if err := ts.DiffGraphs(p, wantP); err != nil {
+					t.Errorf("sym=%v %s hash -workers %d: +v product: %v", sym, hc.name, workers, err)
+				}
+			}
+		}
 	}
 }

@@ -503,11 +503,11 @@ const maxComboCache = 1 << 20
 // verdicts are computed once per combination and cached.
 //
 // A candidate is checked first and deduplicated after: only valid ones are
-// fingerprinted and compared with the successors already emitted, by a
-// linear scan (a state has few successors, so no map pays for itself).
-// Since an invalid candidate is never emitted, the result is each valid
-// successor once, at its first valid occurrence, and each emitted state
-// carries the fingerprint the explorer interns it by next.
+// compared with the successors already emitted, by a linear scan of Equal
+// (a state has few successors, so no map pays for itself, and Equal
+// compares a layout pointer and a short code row). Since an invalid
+// candidate is never emitted, the result is each valid successor once, at
+// its first valid occurrence.
 func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.State, error) {
 	compiled, free := cs.comps, cs.free
 
@@ -659,12 +659,10 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 	return out, nil
 }
 
-// emitted reports whether out holds a state equal to t, comparing cached
-// fingerprints before structure.
+// emitted reports whether out holds a state equal to t.
 func emitted(out []*state.State, t *state.State) bool {
-	fp := t.Fingerprint()
 	for _, o := range out {
-		if o.Fingerprint() == fp && o.Equal(t) {
+		if o.Equal(t) {
 			return true
 		}
 	}

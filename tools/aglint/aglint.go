@@ -11,7 +11,7 @@
 //  2. aglint:atomic — a struct field whose comment carries this marker is
 //     part of a lock-free protocol and must only be accessed through
 //     sync/atomic: either as the &-argument of a sync/atomic function
-//     (atomic.LoadUint64(&s.fp)) or, for atomic.Int64-style fields, via
+//     (atomic.LoadUint64(&c.hits)) or, for atomic.Int64-style fields, via
 //     the type's own methods. A plain read or assignment is a data race
 //     waiting for the right interleaving.
 //
