@@ -159,7 +159,8 @@ func (cz *Canonicalizer) findMemo(lay state.Layout) *layoutMemo {
 }
 
 // Canon returns the canonical representative of s's orbit: s itself when
-// it is already canonical, else a new state.
+// it is already canonical, else a new state. It keeps nothing of s, so s
+// may be a scratch state its caller overwrites afterwards.
 //
 // First-occurrence relabeling is already canonical: scanning the scoped
 // variables in sorted order (recursing left-to-right through tuples), the

@@ -99,23 +99,40 @@ func (x *Extension) Update(j int, v value.Value) PosUpdate {
 // by ups[j], an update made by Update(j, ...). s must be a state over the
 // extension's source layout.
 func (x *Extension) Extend(s *State, ups []PosUpdate) (*State, error) {
+	t := new(State)
+	if err := x.ExtendInto(s, ups, t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ExtendInto is Extend into dst: it overwrites dst with the widened state,
+// reusing dst's row capacity, so one scratch state can take every widening
+// of an enumeration. Like OverwriteInto's dst, dst must be private to the
+// caller while it is reused; Clone it to keep it.
+func (x *Extension) ExtendInto(s *State, ups []PosUpdate, dst *State) error {
 	if s.lay != x.src {
-		return nil, fmt.Errorf("state: extending %s, whose layout is not the extension's source %v", s, x.src.names)
+		return fmt.Errorf("state: extending %s, whose layout is not the extension's source %v", s, x.src.names)
 	}
 	if len(ups) != len(x.extra) {
-		return nil, fmt.Errorf("state: extension by %d variables given %d updates", len(x.extra), len(ups))
+		return fmt.Errorf("state: extension by %d variables given %d updates", len(x.extra), len(ups))
 	}
 	for j := range ups {
 		if ups[j].Pos != x.extra[j] {
-			return nil, fmt.Errorf("state: update %d of an extension binds position %d, not extra variable %d's", j, ups[j].Pos, j)
+			return fmt.Errorf("state: update %d of an extension binds position %d, not extra variable %d's", j, ups[j].Pos, j)
 		}
 	}
-	row := make([]uint32, len(x.dst.names))
+	n := len(x.dst.names)
+	if cap(dst.row) < n {
+		dst.row = make([]uint32, n)
+	}
+	row := dst.row[:n]
 	for i, c := range s.row {
 		row[x.scatter[i]] = c
 	}
 	x.dst.apply(row, ups)
-	return &State{lay: x.dst, row: row}, nil
+	dst.lay, dst.row = x.dst, row
+	return nil
 }
 
 // Project overwrites dst with the source-layout part of wide, a state over

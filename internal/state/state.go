@@ -223,10 +223,12 @@ func (s *State) WithCodes(pos []int, codes []uint32) *State {
 }
 
 // OverwriteInto copies s into dst (reusing dst's row capacity) and applies
-// the update groups. It exists so successor enumeration can evaluate
-// millions of candidate states against a single scratch State instead of
-// allocating one per candidate; dst must be goroutine-local and must not escape while being reused — materialize an
-// accepted candidate with Clone.
+// the update groups. dst may be a zero State: OverwriteInto sets its
+// layout. It exists so successor enumeration can build every candidate of
+// a state in one scratch State instead of allocating one per candidate.
+// dst must be goroutine-local and must not escape while it is reused: a
+// consumer that keeps a candidate keeps a Clone of it (store.InternCopy
+// clones only the states it adds).
 func (s *State) OverwriteInto(dst *State, groups ...[]PosUpdate) {
 	dst.lay = s.lay
 	dst.row = append(dst.row[:0], s.row...)

@@ -80,10 +80,9 @@ func (sh *shard) lock() {
 	sh.acquisitions++
 }
 
-// intern returns the Ref of a state equal to s in h's bucket of shard
-// part, counting each equality probe, or appends s there unnumbered and
-// reports it added; mu must be held.
-func (sh *shard) intern(part int, h uint64, s *state.State) (Ref, bool) {
+// find returns the slot, plus one, of a state equal to s in h's bucket,
+// counting each equality probe, or 0 if there is none; mu must be held.
+func (sh *shard) find(h uint64, s *state.State) int32 {
 	i := sh.heads[h]
 	for ; i != 0; i = sh.entries[i-1].next {
 		sh.probes++
@@ -91,13 +90,16 @@ func (sh *shard) intern(part int, h uint64, s *state.State) (Ref, bool) {
 			break
 		}
 	}
-	added := i == 0
-	if added {
-		sh.entries = append(sh.entries, entry{st: s, id: -1, next: sh.heads[h]})
-		i = int32(len(sh.entries))
-		sh.heads[h] = i
-	}
-	return Ref(i-1)<<PartitionBits | Ref(part), added
+	return i
+}
+
+// insert appends s unnumbered to h's bucket and returns its slot, plus one;
+// mu must be held.
+func (sh *shard) insert(h uint64, s *state.State) int32 {
+	sh.entries = append(sh.entries, entry{st: s, id: -1, next: sh.heads[h]})
+	i := int32(len(sh.entries))
+	sh.heads[h] = i
+	return i
 }
 
 // Store is a sharded, concurrency-safe interned-state table.
@@ -156,19 +158,42 @@ func NewWithHash(h Hash) *Store {
 
 // Intern deduplicates s into the store, returning its Ref and whether this
 // call added it. For concurrent interns of equal states exactly one caller
-// observes added == true. The caller must not mutate s afterwards (states
-// are immutable by construction).
+// observes added == true. The store keeps s itself, so the caller must not
+// mutate s afterwards (states are immutable by construction).
 func (st *Store) Intern(s *state.State) (Ref, bool) {
+	ref, _, added := st.intern(s, false)
+	return ref, added
+}
+
+// InternCopy is Intern for a state the caller goes on to overwrite, such as
+// a successor built in a scratch row: it probes with s and stores a copy of
+// s only when s is new, so a state already interned costs no allocation. It
+// returns the state the store holds, which is that copy when added is true.
+func (st *Store) InternCopy(s *state.State) (ref Ref, held *state.State, added bool) {
+	return st.intern(s, true)
+}
+
+// intern is Intern, storing a copy of s when clone is set.
+func (st *Store) intern(s *state.State, clone bool) (Ref, *state.State, bool) {
 	h := st.hash(s)
 	part := Partition(h)
 	sh := &st.shards[part]
 	sh.lock()
-	ref, added := sh.intern(part, h, s)
+	i := sh.find(h, s)
+	added := i == 0
+	if added {
+		if clone {
+			s = s.Clone()
+		}
+		i = sh.insert(h, s)
+	} else {
+		s = sh.entries[i-1].st
+	}
 	sh.mu.Unlock()
 	if added {
 		st.count.Add(1)
 	}
-	return ref, added
+	return Ref(i-1)<<PartitionBits | Ref(part), s, added
 }
 
 // Number records id as the final id of the state behind ref. Numbering

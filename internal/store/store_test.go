@@ -284,3 +284,59 @@ func ExampleStore_Intern() {
 	fmt.Println(added, addedAgain, st.Len())
 	// Output: true false 1
 }
+
+// TestInternCopyKeepsACopy: InternCopy stores a copy of a new state, never
+// the state it was handed, so the caller may overwrite its scratch; an
+// already-interned state comes back as the copy the store holds.
+func TestInternCopyKeepsACopy(t *testing.T) {
+	st := New()
+	tmpl := mkState(0)
+	ups := []state.PosUpdate{{Pos: 0, Val: value.Int(1)}}
+	scratch := new(state.State)
+	tmpl.OverwriteInto(scratch, ups)
+	ref, held, added := st.InternCopy(scratch)
+	if !added || held == scratch || !held.Equal(mkState(1)) {
+		t.Fatalf("InternCopy of a new state: added=%v, held %v (the scratch itself: %v)", added, held, held == scratch)
+	}
+	tmpl.OverwriteInto(scratch, []state.PosUpdate{{Pos: 0, Val: value.Int(2)}})
+	if !held.Equal(mkState(1)) {
+		t.Fatalf("overwriting the scratch changed the held state to %v", held)
+	}
+	tmpl.OverwriteInto(scratch, ups)
+	ref2, held2, added := st.InternCopy(scratch)
+	if added || ref2 != ref || held2 != held {
+		t.Fatalf("InternCopy of an interned state: added=%v, ref %v (want %v), held the stored copy: %v", added, ref2, ref, held2 == held)
+	}
+	if ref3, added := st.Intern(mkState(1)); added || ref3 != ref {
+		t.Fatalf("Intern after InternCopy: added=%v, ref %v, want %v", added, ref3, ref)
+	}
+}
+
+// TestInternCopyOfInternedAllocatesNothing pins the point of InternCopy: a
+// successor the store already holds costs no allocation.
+func TestInternCopyOfInternedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	st := New()
+	tmpl := mkState2(0, 0)
+	var ups [][]state.PosUpdate
+	for x := int64(0); x < 8; x++ {
+		u := []state.PosUpdate{{Pos: 0, Val: value.Int(x)}, {Pos: 1, Val: value.Int(x + 1)}}
+		tmpl.Resolve(u)
+		ups = append(ups, u)
+		st.Intern(tmpl.CloneWith(u))
+	}
+	scratch := new(state.State)
+	tmpl.OverwriteInto(scratch, ups[0])
+	if n := testing.AllocsPerRun(100, func() {
+		for _, u := range ups {
+			tmpl.OverwriteInto(scratch, u)
+			if _, _, added := st.InternCopy(scratch); added {
+				t.Fatal("an interned state was added again")
+			}
+		}
+	}); n != 0 {
+		t.Errorf("InternCopy of interned states allocates %v times per pass, want 0", n)
+	}
+}

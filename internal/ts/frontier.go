@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,15 +33,21 @@ type exploreParams struct {
 	meter     *engine.Meter
 	// inits seeds the exploration, in a deterministic order.
 	inits []*state.State
-	// expand returns the successor states of s (duplicates allowed; the
-	// store dedups). Successor order must be deterministic in s.
-	expand func(s *state.State) ([]*state.State, error)
+	// expand hands each successor state of s to emit, in an order
+	// deterministic in s, and returns emit's first error as it is.
+	// Duplicates are allowed: the explorer keeps each distinct successor
+	// once, at its first occurrence. emit keeps no successor it is handed,
+	// so expand may build every successor in one scratch state and
+	// overwrite it once emit returns.
+	expand func(s *state.State, emit func(t *state.State) error) error
 	// canon, when non-nil, maps every state to the canonical representative
 	// of its symmetry orbit. Seeds and successors are canonicalized before
 	// interning, so the graph holds only representatives; the real (pre-
 	// canonicalization) successor of every edge is preserved alongside the
 	// canonical target id in edgeStates, keeping each recorded edge a
-	// genuine step of the system.
+	// genuine step of the system. canon returns its argument itself when
+	// that is the representative, and keeps nothing of it: it may be
+	// handed expand's scratch.
 	canon func(*state.State) *state.State
 	// resume, when non-nil, restores a checkpoint: the committed states,
 	// inits, and adjacency rows are adopted verbatim (without consuming
@@ -87,7 +94,8 @@ type exploreResult struct {
 // state's level is its BFS distance from the seed set, which no schedule
 // can change, so the numbering depends only on the graph itself.
 // Successor lists are produced by the deterministic expand callback and
-// recorded per source state, preserving callback order.
+// recorded per source state, in emission order with repeats dropped (see
+// levelRun.emit).
 //
 // The barrier itself is parallel (the PR 9 rebuild — before it, numbering,
 // remapping, and CSR commit ran single-threaded at every level and capped
@@ -95,8 +103,11 @@ type exploreResult struct {
 // phases on the same persistent worker pool:
 //
 //  1. drain: workers claim frontier chunks, expand states, and
-//     intern every successor into the store, recording its Ref in the
-//     worker's arena. Only a newly interned state is fingerprinted; it
+//     intern every successor into the store as expand emits it, recording
+//     its Ref in the worker's arena unless the state's row already holds
+//     it. A successor arrives in the expander's scratch state, and the
+//     store copies it only when it is new, so a successor reached before
+//     costs no allocation. Only a newly interned state is fingerprinted; it
 //     lands in a per-worker per-partition bucket keyed by
 //     store.Partition(fp), the top fingerprint bits, so the barrier never
 //     re-buckets.
@@ -444,8 +455,6 @@ type workerScratch struct {
 	// realArena mirrors arena positionally with each successor's real
 	// (pre-canonicalization) state; populated only when canon is active.
 	realArena []*state.State
-	// canonBuf is the per-expansion scratch for canonicalized successors.
-	canonBuf []*state.State
 	// collapsed counts successors whose canonical representative differed,
 	// accumulated across levels and summed once exploration finishes.
 	collapsed int64
@@ -663,6 +672,9 @@ func (lv *levelRun) drain(wid int) {
 		}
 		return "", ""
 	})
+	// cur's row is ws.arena[rowStart:], filled by emit as expand runs.
+	rowStart := 0
+	emit := func(t *state.State) error { return lv.emit(ws, rowStart, t) }
 	for {
 		start := int(lv.next.Add(lv.chunk)) - int(lv.chunk)
 		if start >= len(lv.states) {
@@ -681,70 +693,95 @@ func (lv *levelRun) drain(wid int) {
 				lv.setErr(err)
 				return
 			}
-			succs, err := p.expand(cur)
-			if err != nil {
+			rowStart = len(ws.arena)
+			if err := p.expand(cur, emit); err != nil {
 				lv.setErr(err)
 				return
 			}
+			row := len(ws.arena) - rowStart
 			ws.levelStates++
-			ws.levelSuccs += int64(len(succs))
-			// Under canonicalization the graph interns representatives only;
-			// the real successors land in realArena, positionally aligned with
-			// arena so the barrier can zip ⟨canonical id, real state⟩ per edge.
-			interning := succs
-			if p.canon != nil {
-				var canonStart time.Time
-				if lv.ex != nil {
-					canonStart = time.Now()
-				}
-				if cap(ws.canonBuf) < len(succs) {
-					ws.canonBuf = make([]*state.State, len(succs))
-				}
-				cb := ws.canonBuf[:len(succs)]
-				for j, t := range succs {
-					c := p.canon(t)
-					if c != t {
-						ws.collapsed++
-					}
-					cb[j] = c
-				}
-				if lv.ex != nil {
-					ws.levelCanonNS += time.Since(canonStart).Nanoseconds()
-				}
-				ws.realArena = append(ws.realArena, succs...)
-				interning = cb
-			}
-			// Intern the row straight into the arena: a successor numbered
-			// at an earlier barrier gets its old Ref back, and commitRows
-			// resolves every Ref to its final id.
-			rowStart := len(ws.arena)
-			for _, t := range interning {
-				ref, added := lv.store.Intern(t)
-				ws.arena = append(ws.arena, ref)
-				if !added {
-					continue
-				}
-				fp := t.Fingerprint()
-				pi := store.Partition(fp)
-				ws.newsPart[pi] = append(ws.newsPart[pi], newlyInterned{ref: ref, fp: fp, st: t})
-				if err := m.AddState(); err != nil {
-					lv.setErr(err)
-					return
-				}
-				if p.limit > 0 && lv.store.Len() > p.limit {
-					lv.setErr(&engine.BudgetError{
-						Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
-						Stats:  m.Stats(),
-					})
-					return
-				}
-			}
+			ws.levelSuccs += int64(row)
 			ws.rowIdx = append(ws.rowIdx, int32(i))
 			lv.rows[i] = refRow{start: int32(rowStart), end: int32(len(ws.arena))}
-			if err := m.AddTransitions(len(succs)); err != nil {
+			if err := m.AddTransitions(row); err != nil {
 				lv.setErr(err)
 				return
 			}
 		}
 	}
+}
+
+// emit adds t, one successor of the state being expanded, to that state's
+// row ws.arena[rowStart:], unless the row already holds it. t may be the
+// expander's scratch, so nothing here keeps t itself.
+//
+// Without canon the store copies t only if it is new, and the row is
+// deduped by Ref: the store is exact, so equal Refs are equal states. A
+// successor numbered at an earlier barrier gets its old Ref back, and
+// commitRows resolves every Ref to its final id.
+//
+// Under canon the graph interns representatives only, and each edge keeps
+// its real successor in realArena, positionally aligned with arena, so the
+// barrier can zip ⟨canonical id, real state⟩ per edge. Two distinct real
+// successors with one representative stay two edges, so the row is deduped
+// by the real state. A real successor that is its own representative is
+// interned like an unreduced one, and the state the store holds is the
+// edge's real state too; any other real successor is kept as a clone.
+func (lv *levelRun) emit(ws *workerScratch, rowStart int, t *state.State) error {
+	canon := lv.params.canon
+	if canon != nil {
+		if slices.ContainsFunc(ws.realArena[rowStart:], t.Equal) {
+			return nil
+		}
+		var canonStart time.Time
+		if lv.ex != nil {
+			canonStart = time.Now()
+		}
+		c := canon(t)
+		if lv.ex != nil {
+			ws.levelCanonNS += time.Since(canonStart).Nanoseconds()
+		}
+		if c != t {
+			ws.collapsed++
+			ref, added := lv.store.Intern(c)
+			ws.arena = append(ws.arena, ref)
+			ws.realArena = append(ws.realArena, t.Clone())
+			if added {
+				return lv.discovered(ws, ref, c)
+			}
+			return nil
+		}
+	}
+	ref, held, added := lv.store.InternCopy(t)
+	if canon == nil && !added && slices.Contains(ws.arena[rowStart:], ref) {
+		return nil
+	}
+	ws.arena = append(ws.arena, ref)
+	if canon != nil {
+		ws.realArena = append(ws.realArena, held)
+	}
+	if added {
+		return lv.discovered(ws, ref, held)
+	}
+	return nil
+}
+
+// discovered does the bookkeeping of a state the store just added at ref:
+// it fingerprints the state once, buckets it by fingerprint partition for
+// the barrier, and charges it to the state budget and the MaxStates limit.
+func (lv *levelRun) discovered(ws *workerScratch, ref store.Ref, s *state.State) error {
+	p := lv.params
+	fp := s.Fingerprint()
+	pi := store.Partition(fp)
+	ws.newsPart[pi] = append(ws.newsPart[pi], newlyInterned{ref: ref, fp: fp, st: s})
+	if err := p.meter.AddState(); err != nil {
+		return err
+	}
+	if p.limit > 0 && lv.store.Len() > p.limit {
+		return &engine.BudgetError{
+			Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
+			Stats:  p.meter.Stats(),
+		}
+	}
+	return nil
 }

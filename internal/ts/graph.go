@@ -130,8 +130,8 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		limitName: "system " + sys.Name,
 		meter:     m,
 		inits:     inits,
-		expand: func(s *state.State) ([]*state.State, error) {
-			return sys.successors(compiled, s)
+		expand: func(s *state.State, emit func(*state.State) error) error {
+			return sys.successors(compiled, s, emit)
 		},
 		canon:        canon,
 		resume:       resume,

@@ -119,7 +119,11 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 				c.vals[i] = vals
 			}
 			if admitted {
-				if inits, err = c.extend(inits, base); err != nil {
+				err := c.each(base, func(t *state.State) error {
+					inits = append(inits, t.Clone())
+					return nil
+				})
+				if err != nil {
 					return nil, err
 				}
 			}
@@ -137,14 +141,14 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		limitName: "monitor product",
 		meter:     meter,
 		inits:     inits,
-		expand: func(cur *state.State) ([]*state.State, error) {
+		expand: func(cur *state.State, emit func(*state.State) error) error {
 			var base state.State
 			if err := x.Project(cur, &base); err != nil {
-				return nil, fmt.Errorf("ts.Product: %w", err)
+				return fmt.Errorf("ts.Product: %w", err)
 			}
 			bid := g.ID(&base)
 			if bid < 0 {
-				return nil, fmt.Errorf("ts.Product: base state %s not in base graph", &base)
+				return fmt.Errorf("ts.Product: base state %s not in base graph", &base)
 			}
 			from := g.States[bid]
 			curVals := make([]value.Value, len(mons))
@@ -152,7 +156,6 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 				curVals[i] = cur.At(x.Pos(i))
 			}
 			c := newCombos(x, len(mons))
-			var out []*state.State
 			var expErr error
 			g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
 				st := state.Step{From: from, To: real}
@@ -167,13 +170,10 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 					}
 					c.vals[i] = vals
 				}
-				out, expErr = c.extend(out, real)
+				expErr = c.each(real, emit)
 				return expErr == nil
 			})
-			if expErr != nil {
-				return nil, expErr
-			}
-			return out, nil
+			return expErr
 		},
 		// When the base graph was built under symmetry, the product inherits
 		// the reduction through the base graph's canonicalizer itself: a
@@ -236,24 +236,29 @@ type combos struct {
 	vals [][]value.Value   // vals[i]: the values monitor i allows
 	idx  []int             // the current combination
 	ups  []state.PosUpdate // ups[i]: monitor i's update for vals[i][idx[i]]
+	wide state.State       // the scratch every widened state is built in
 }
 
 func newCombos(x *state.Extension, n int) *combos {
 	return &combos{x: x, vals: make([][]value.Value, n), idx: make([]int, n), ups: make([]state.PosUpdate, n)}
 }
 
-// extend appends base widened by every combination of c.vals to out.
-func (c *combos) extend(out []*state.State, base *state.State) ([]*state.State, error) {
+// each widens base by every combination of c.vals, in turn, into c's
+// scratch state and hands it to emit, which must not keep it (the
+// explorer's store copies the states it adds). An error from emit stops
+// the enumeration and is returned as it is.
+func (c *combos) each(base *state.State, emit func(*state.State) error) error {
 	for i := range c.idx {
 		c.idx[i] = 0
 		c.ups[i] = c.x.Update(i, c.vals[i][0])
 	}
 	for {
-		t, err := c.x.Extend(base, c.ups)
-		if err != nil {
-			return nil, fmt.Errorf("ts.Product: %w", err)
+		if err := c.x.ExtendInto(base, c.ups, &c.wide); err != nil {
+			return fmt.Errorf("ts.Product: %w", err)
 		}
-		out = append(out, t)
+		if err := emit(&c.wide); err != nil {
+			return err
+		}
 		i := len(c.idx) - 1
 		for ; i >= 0; i-- {
 			c.idx[i]++
@@ -265,7 +270,7 @@ func (c *combos) extend(out []*state.State, base *state.State) ([]*state.State, 
 			c.ups[i] = c.x.Update(i, c.vals[i][0])
 		}
 		if i < 0 {
-			return out, nil
+			return nil
 		}
 	}
 }

@@ -41,13 +41,12 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 		limitName: "monitor product",
 		meter:     engine.NoLimit(),
 		inits:     inits,
-		expand: func(cur *state.State) ([]*state.State, error) {
+		expand: func(cur *state.State, emit func(*state.State) error) error {
 			base := BaseState(cur, mons)
 			bid := g.ID(base)
 			if bid < 0 {
-				return nil, fmt.Errorf("ts.refProduct: base state %s not in base graph", base)
+				return fmt.Errorf("ts.refProduct: base state %s not in base graph", base)
 			}
-			var out []*state.State
 			var expErr error
 			g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
 				baseStep := state.Step{From: g.States[bid], To: real}
@@ -57,11 +56,13 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 					return false
 				}
 				for _, combo := range combos {
-					out = append(out, real.WithAll(combo))
+					if expErr = emit(real.WithAll(combo)); expErr != nil {
+						return false
+					}
 				}
 				return true
 			})
-			return out, expErr
+			return expErr
 		},
 		canon: pcanon,
 	})

@@ -13,6 +13,7 @@ package ts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -395,7 +396,7 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 	for i := range ups {
 		ups[i] = doms[i][0]
 	}
-	scratch := state.New(nil)
+	scratch := new(state.State)
 	idx := make([]int, len(vars))
 	var out []*state.State
 	for {
@@ -467,14 +468,25 @@ type choice struct {
 
 // Successors computes all states t such that ⟨s, t⟩ satisfies every
 // component's [N_i]_⟨m_i,x_i⟩, every step constraint, and changes free
-// variables arbitrarily. The result always includes s itself (stuttering).
-// The system is compiled on the first call only (see System).
+// variables arbitrarily. The result always includes s itself (stuttering),
+// holds each successor once, at its first valid occurrence, and is freshly
+// allocated. The system is compiled on the first call only (see System).
 func (sys *System) Successors(s *state.State) ([]*state.State, error) {
 	sys.succOnce.Do(func() { sys.succCS, sys.succErr = sys.compile() })
 	if sys.succErr != nil {
 		return nil, sys.succErr
 	}
-	return sys.successors(sys.succCS, s)
+	var out []*state.State
+	err := sys.successors(sys.succCS, s, func(t *state.State) error {
+		if !slices.ContainsFunc(out, t.Equal) {
+			out = append(out, t.Clone())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Combo-cache verdicts for the free-independent part of a step's validity.
@@ -502,30 +514,31 @@ const maxComboCache = 1 << 20
 // free assignment (unprimed variables read s, which is fixed), so those
 // verdicts are computed once per combination and cached.
 //
-// A candidate is checked first and deduplicated after: only valid ones are
-// compared with the successors already emitted, by a linear scan of Equal
-// (a state has few successors, so no map pays for itself, and Equal
-// compares a layout pointer and a short code row). Since an invalid
-// candidate is never emitted, the result is each valid successor once, at
-// its first valid occurrence.
-func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.State, error) {
+// A candidate is checked first and emitted after: every valid candidate
+// is handed to emit, in enumeration order, as the one scratch state all
+// candidates are built in, so neither a rejected nor an accepted candidate
+// costs an allocation here. emit must not keep the scratch (the explorer's
+// store copies the states it adds), and it sees a successor once per valid
+// combination producing it: deduplication is the consumer's. An error from
+// emit stops the enumeration and is returned as it is, so a budget error
+// still aborts the build.
+func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *state.State) error) error {
 	compiled, free := cs.comps, cs.free
 
 	// Gather each component's choices in state s; each is a positional
 	// update, so each candidate below costs one slice copy.
 	perComp := make([][]choice, len(compiled))
 	comboCount := 1
-	// All candidates are built in one goroutine-local scratch state; only
-	// accepted ones are materialized (Clone), so rejected candidates cost no
-	// allocation.
-	scratch := state.New(nil)
+	// All candidates are built in one goroutine-local scratch state, whose
+	// layout OverwriteInto sets.
+	scratch := new(state.State)
 	for i, cc := range compiled {
 		chs := []choice{{action: nil}} // stutter
 		for ai := range cc.actions {
 			ca := &cc.actions[ai]
 			cands, err := ca.updates(s)
 			if err != nil {
-				return nil, fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
+				return fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
 			}
 			for _, ups := range cands {
 				s.Resolve(ups)
@@ -561,11 +574,10 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 	freeIdx := make([]int, len(free))
 	for i, v := range free {
 		if p, ok := s.PosOf(v); !ok || p != cs.freeUps[i][0].Pos {
-			return nil, fmt.Errorf("system %s: free variable %q not bound at its layout position in state %s", sys.Name, v, s)
+			return fmt.Errorf("system %s: free variable %q not bound at its layout position in state %s", sys.Name, v, s)
 		}
 	}
 
-	var out []*state.State
 	groups := make([][]state.PosUpdate, len(compiled)+1)
 	idx := make([]int, len(compiled))
 	var chosen []*choice
@@ -612,7 +624,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 				// prime no free variable.
 				ok, err := sys.holds(chosen, false, cs.consIndep, st)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				valid = ok
 				if comboCache != nil {
@@ -627,13 +639,13 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 				// Free-dependent part, re-checked per free assignment.
 				ok, err := sys.holds(chosen, true, cs.consDep, st)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				valid = ok
 			}
 			if valid {
-				if t := scratch.Clone(); !emitted(out, t) {
-					out = append(out, t)
+				if err := emit(scratch); err != nil {
+					return err
 				}
 			}
 			if !advance(idx, perComp) {
@@ -656,17 +668,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State) ([]*state.Stat
 			break
 		}
 	}
-	return out, nil
-}
-
-// emitted reports whether out holds a state equal to t.
-func emitted(out []*state.State, t *state.State) bool {
-	for _, o := range out {
-		if o.Equal(t) {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // holds evaluates on st the re-checked conjuncts (or, for a full choice,
