@@ -79,7 +79,7 @@ func BenchmarkE4_MachineClosure(b *testing.B) {
 	cfg := queue.Config{N: 1, Vals: 2}
 	qm := queue.QM("QM", cfg.N, queue.In, queue.Out, "q", cfg.ValueDomain())
 	for i := 0; i < b.N; i++ {
-		res, err := ag.MachineClosure(qm, cfg.Domains(), 0)
+		res, err := ag.MachineClosure(qm, cfg.Domains())
 		if err != nil || !res.Closed {
 			b.Fatalf("closed=%v err=%v", res != nil && res.Closed, err)
 		}

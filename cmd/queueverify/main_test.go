@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"opentla/internal/ag"
+	"opentla/internal/engine"
 	"opentla/internal/obs"
 	"opentla/internal/queue"
 )
@@ -25,6 +28,7 @@ func TestExitCodes(t *testing.T) {
 		{"verifies", []string{"-n", "1", "-k", "2"}, 0, ""},
 		{"stall timeout armed but quiet", []string{"-n", "1", "-k", "2", "-stall-timeout", "10m"}, 0, ""},
 		{"bad flag", []string{"-nonesuch"}, 2, "flag provided but not defined"},
+		{"removed -v", []string{"-v"}, 2, "flag provided but not defined: -v"},
 		{"bad n", []string{"-n", "0"}, 2, "capacity N must be >= 1"},
 		{"bad k", []string{"-k", "1"}, 2, "value-domain size K must be >= 2"},
 		{"resume without cache-dir", []string{"-resume"}, 2, "-resume requires -cache-dir"},
@@ -407,5 +411,90 @@ func TestEarlyExitsWriteEveryOutput(t *testing.T) {
 			}
 			parseOutputs(t, report, trace, prom)
 		})
+	}
+}
+
+// TestA4Line pins how §A.4 is read off a Fig. 9 report: OK exactly when
+// every (2b) entry holds, whatever the other hypotheses say; FAILED with
+// the failing entry's detail otherwise; no line for an undecided check.
+func TestA4Line(t *testing.T) {
+	const ok = "CDQ => CQ^dbl (§A.4): OK  [refinement mapping q = q2 o z-in-flight o q1]"
+	hyp := func(name string, holds bool, detail string) ag.HypothesisResult {
+		return ag.HypothesisResult{Name: name, Holds: holds, Detail: detail}
+	}
+	for _, tt := range []struct {
+		name    string
+		r       ag.Report
+		want    string // the whole line for OK and UNKNOWN, a prefix for FAILED
+		detail  string
+		verdict engine.Verdict
+	}{
+		{"all hold", ag.Report{Verdict: engine.Holds, Valid: true, Hypotheses: []ag.HypothesisResult{
+			hyp("H1[Q1]: C(E) /\\ conj C(Mj) => E_Q1", true, ""),
+			hyp(ag.Hyp2bSafety, true, "holds"),
+			hyp(ag.Hyp2bLiveness, true, "holds"),
+		}}, ok, "", engine.Holds},
+		{"another hypothesis fails", ag.Report{Verdict: engine.Violated, Hypotheses: []ag.HypothesisResult{
+			hyp("H1[Q1]: C(E) /\\ conj C(Mj) => E_Q1", false, "violated at state 3"),
+			hyp(ag.Hyp2bSafety, true, "holds"),
+			hyp(ag.Hyp2bLiveness, true, "holds"),
+		}}, ok, "", engine.Holds},
+		{"liveness fails", ag.Report{Verdict: engine.Violated, Hypotheses: []ag.HypothesisResult{
+			hyp(ag.Hyp2bSafety, true, "holds"),
+			hyp(ag.Hyp2bLiveness, false, "fair lasso violates WF(Deq)\nloop: s4 -> s5"),
+		}}, "CDQ => CQ^dbl (§A.4): FAILED\n  " + ag.Hyp2bLiveness, "fair lasso violates WF(Deq)\n    loop: s4 -> s5", engine.Violated},
+		{"unknown", ag.Report{Verdict: engine.Unknown, Unknown: "state budget 10 exceeded"}, "", "", engine.Unknown},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			line, v := a4Line(&tt.r)
+			if v != tt.verdict {
+				t.Errorf("verdict %v, want %v", v, tt.verdict)
+			}
+			if tt.verdict == engine.Violated {
+				if !strings.HasPrefix(line, tt.want) || !strings.Contains(line, tt.detail) {
+					t.Errorf("line %q, want prefix %q and detail %q", line, tt.want, tt.detail)
+				}
+			} else if line != tt.want {
+				t.Errorf("line %q, want %q", line, tt.want)
+			}
+		})
+	}
+}
+
+// verdictLine and measured copy bench/verdict.go's selection of the lines
+// that state a verdict and its stripping of state counts and timings (bench
+// is a separate module, so it cannot be imported).
+var (
+	verdictLine = regexp.MustCompile(`^(\[OK  \]|\[FAIL\]|VALID:|NOT ESTABLISHED|UNKNOWN:|CDQ => CQ\^dbl|formula \(3\) without G:|first failing hypothesis:)`)
+	measured    = regexp.MustCompile(`\s*\((\d+ states max|\d[0-9.hmsµ]*)\)$`)
+)
+
+// TestVerdictLinesGolden: -n 1 -k 2 exits 0 and prints, in order, the
+// verdict lines in testdata/n1k2.verdict, which were taken when §A.4 was
+// still checked on a CDQ graph of its own.
+func TestVerdictLinesGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "n1k2.verdict"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-n", "1", "-k", "2"}, &out, &errb); code != 0 {
+		t.Fatalf("exit code = %d, want 0 (stderr %q)", code, errb.String())
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		line = strings.TrimSpace(line)
+		if verdictLine.MatchString(line) {
+			got = append(got, measured.ReplaceAllString(line, ""))
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("verdict lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

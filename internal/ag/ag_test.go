@@ -200,7 +200,7 @@ func TestMachineClosureDetectsUnclosedSpec(t *testing.T) {
 			Action: form.Eq(form.PrimedVar("x"), form.Add(form.Var("x"), form.IntC(1))),
 		}},
 	}
-	res, err := MachineClosure(c, map[string][]value.Value{"x": value.Ints(0, 2)}, 0)
+	res, err := MachineClosure(c, map[string][]value.Value{"x": value.Ints(0, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

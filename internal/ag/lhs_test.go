@@ -124,3 +124,19 @@ func onLHS(hyp string) bool {
 	}
 	return false
 }
+
+// TestFig9LHSIsCDQ pins the identity queueverify relies on to read §A.4
+// off Fig. 9: the theorem's left-hand side QE^dbl ∧ G ∧ QM¹ ∧ QM² is the
+// CDQ system, so the theorem's hypothesis (2b) under q̄ is CDQ ⇒ CQ^dbl.
+// Equal canonical descriptions mean byte-identical graphs (the graph
+// cache's contract); if either side drifts, the §A.4 line would state a
+// different claim.
+func TestFig9LHSIsCDQ(t *testing.T) {
+	for _, c := range []queue.Config{{N: 1, Vals: 2}, {N: 1, Vals: 3}, {N: 2, Vals: 2}} {
+		cdq := c.DoubleSystem(true).CanonicalDesc()
+		lhs := c.Fig9Theorem().LHSSystem().CanonicalDesc()
+		if cdq != lhs {
+			t.Errorf("N=%d K=%d: CDQ and the Fig. 9 left-hand side differ:\nCDQ: %s\nLHS: %s", c.N, c.Vals, cdq, lhs)
+		}
+	}
+}

@@ -26,12 +26,11 @@ type MachineClosureResult struct {
 //
 // The component's input variables are left unconstrained (free), so the
 // check quantifies over all environments, as the proposition requires.
-func MachineClosure(c *spec.Component, domains map[string][]value.Value, maxStates int) (*MachineClosureResult, error) {
+func MachineClosure(c *spec.Component, domains map[string][]value.Value) (*MachineClosureResult, error) {
 	sys := &ts.System{
 		Name:       c.Name + "/machine-closure",
 		Components: []*spec.Component{c},
 		Domains:    domains,
-		MaxStates:  maxStates,
 	}
 	g, err := sys.Build()
 	if err != nil {

@@ -708,12 +708,20 @@ func plusCheck(r *Report, baseG *ts.Graph, env *spec.Component, v form.Expr, tar
 	return check.SafetyUnder(prod, target.SafetyFormula(), mapping)
 }
 
+// The names of hypothesis (2b)'s report entries, E ∧ ⋀M_j ⇒ M checked on
+// the left-hand-side graph: its safety half and, when the conclusion's
+// guarantee has fairness, its liveness half.
+const (
+	Hyp2bSafety   = "H2b: E /\\ conj Mj => M  (safety)"
+	Hyp2bLiveness = "H2b: E /\\ conj Mj => M  (liveness)"
+)
+
 // addHyp2b reports ⊨ E ∧ ⋀M_j ⇒ M, checked with fairness on both sides.
 func (th *Theorem) addHyp2b(r *Report, res *check.SpecResult) {
-	r.add("H2b: E /\\ conj Mj => M  (safety)", res.Safety.Holds, res.Safety.String())
+	r.add(Hyp2bSafety, res.Safety.Holds, res.Safety.String())
 	if res.Liveness != nil {
-		r.add("H2b: E /\\ conj Mj => M  (liveness)", res.Liveness.Holds, res.Liveness.String())
+		r.add(Hyp2bLiveness, res.Liveness.Holds, res.Liveness.String())
 	} else if len(th.Concl.Sys.Fairness) > 0 && !res.Safety.Holds {
-		r.add("H2b: E /\\ conj Mj => M  (liveness)", false, "skipped: safety part failed")
+		r.add(Hyp2bLiveness, false, "skipped: safety part failed")
 	}
 }

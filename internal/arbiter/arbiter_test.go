@@ -157,7 +157,7 @@ func TestGreedyArbiterViolatesAGSpec(t *testing.T) {
 // TestMachineClosure: the arbiter's SF+WF fairness is machine closed
 // (Proposition 1 applies).
 func TestMachineClosure(t *testing.T) {
-	res, err := ag.MachineClosure(Arbiter(), Domains(), 0)
+	res, err := ag.MachineClosure(Arbiter(), Domains())
 	if err != nil {
 		t.Fatal(err)
 	}

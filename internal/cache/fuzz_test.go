@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"opentla/internal/engine"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/ts"
@@ -71,8 +72,8 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	sys := fig9Closure(false)
-	sys.Cache, sys.MaxStates = c, 40
-	if _, err := sys.Build(); err == nil {
+	sys.Cache = c
+	if _, err := sys.BuildWith(engine.Budget{MaxStates: 40}.Meter()); err == nil {
 		f.Fatal("a 40-state budget did not interrupt the build")
 	}
 	ck, err := os.ReadFile(c.CheckpointPath(sys.CanonicalDesc()))

@@ -155,7 +155,7 @@ func TestCopyProcessViolatesUnconditional(t *testing.T) {
 // TestMachineClosureOfCopyProcess checks Proposition 1's hypothesis for the
 // copy process: its fairness is machine closed.
 func TestMachineClosureOfCopyProcess(t *testing.T) {
-	res, err := ag.MachineClosure(CopyProcess("Pc", "c", "d"), Domains(), 0)
+	res, err := ag.MachineClosure(CopyProcess("Pc", "c", "d"), Domains())
 	if err != nil {
 		t.Fatalf("MachineClosure: %v", err)
 	}

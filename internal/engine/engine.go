@@ -466,7 +466,7 @@ type BudgetFlags struct {
 func AddBudgetFlags(fs *flag.FlagSet) *BudgetFlags {
 	b := &BudgetFlags{}
 	fs.IntVar(&b.TimeoutMS, "budget-ms", 0, "wall-clock budget in milliseconds (0 = unlimited)")
-	fs.IntVar(&b.MaxStates, "max-states", 0, "maximum states to explore across all graphs (0 = unlimited)")
+	fs.IntVar(&b.MaxStates, "max-states", 0, "maximum states to explore across all graphs (0 = no run-wide cap; each graph still stops at 500000 states)")
 	fs.IntVar(&b.MaxTransitions, "max-transitions", 0, "maximum transitions to explore (0 = unlimited)")
 	return b
 }

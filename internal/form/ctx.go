@@ -73,10 +73,6 @@ func (c *Ctx) Enabled(a Expr, s *state.State) (bool, error) {
 	return c.enabledConj(flattenAnd(a, nil), s)
 }
 
-// Conjuncts returns the top-level conjuncts of a, nested conjunctions
-// flattened, in the order AndE evaluates them.
-func Conjuncts(a Expr) []Expr { return flattenAnd(a, nil) }
-
 // flattenAnd appends the conjuncts of a (flattening nested AndE) to out.
 func flattenAnd(a Expr, out []Expr) []Expr {
 	if and, ok := a.(AndE); ok {

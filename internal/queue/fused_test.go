@@ -48,7 +48,7 @@ func TestCorollaryRejectsOverclaim(t *testing.T) {
 // machine closed (Proposition 1 applies to it).
 func TestFusedDoubleMachineClosure(t *testing.T) {
 	c := cfg1()
-	res, err := ag.MachineClosure(c.FusedDouble(), c.DoubleDomains(), 0)
+	res, err := ag.MachineClosure(c.FusedDouble(), c.DoubleDomains())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestReceiverWireSafetyIsUnconditional(t *testing.T) {
 // closed.
 func TestSerialMachineClosure(t *testing.T) {
 	for _, c := range []*spec.Component{Sender(), Receiver()} {
-		res, err := ag.MachineClosure(c, Domains(), 0)
+		res, err := ag.MachineClosure(c, Domains())
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}

@@ -60,14 +60,15 @@ func TestBuildWithRecordsStats(t *testing.T) {
 }
 
 func TestLegacyMaxStatesBecomesBudgetError(t *testing.T) {
-	sys := counterSystem(50)
-	sys.MaxStates = 4
-	_, err := sys.Build()
+	old := maxGraphStates
+	maxGraphStates = 4
+	t.Cleanup(func() { maxGraphStates = old })
+	_, err := counterSystem(50).Build()
 	var be *engine.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected *engine.BudgetError, got %T: %v", err, err)
 	}
-	if !strings.Contains(be.Reason, "MaxStates limit 4") {
+	if !strings.Contains(be.Reason, "graph state limit 4") {
 		t.Errorf("reason = %q", be.Reason)
 	}
 }

@@ -56,9 +56,8 @@ func TestDerivedUpdatesCheckPassesDerivedGenerator(t *testing.T) {
 // TestDerivedUpdatesCheckCatchesIncompleteGenerator: the check is not
 // vacuous. A generator that drops a candidate, lists one twice, or invents
 // one its Def forbids is reported with the action where it diverges. A
-// build rejects an invented candidate only by the per-candidate check of
-// the conjuncts over owned variables (see splitDef); the oracle reports it
-// by name.
+// build rejects an invented candidate only by re-checking Def on the merged
+// step; the oracle reports it by name.
 func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 	sys := chooserSystem()
 	g, err := sys.Build()
@@ -195,9 +194,9 @@ func TestSuccessorEmittedAtFirstValidCombination(t *testing.T) {
 	}
 }
 
-// TestDefRecheckKeepsForeignPrimes: the part of Def a merged step is
-// re-checked against keeps every conjunct that primes a variable the
-// component does not own. Move asserts z' = z, z owned by another
+// TestDefRecheckKeepsForeignPrimes: a merged step is re-checked against
+// every conjunct of Def, those that prime a variable the component does
+// not own included. Move asserts z' = z, z owned by another
 // component, and w' = w, w owned by none; merging Move with Bump's change
 // to z, or with any change to w, must be rejected, as brute force does.
 func TestDefRecheckKeepsForeignPrimes(t *testing.T) {
@@ -245,10 +244,8 @@ func TestDefRecheckKeepsForeignPrimes(t *testing.T) {
 }
 
 // TestDefRecheckKeepsEvaluationErrors: a Def that fails to evaluate on a
-// candidate's step fails the build, as re-checking all of Def on each
-// merged step does, even where only conjuncts over owned variables are
-// re-checked and the lenient generator still proposes the candidate from a
-// later disjunct. In the first Def the failing disjunct is a guard the
+// candidate's step fails the build, even where the lenient generator still
+// proposes the candidate from a later disjunct. In the first Def the failing disjunct is a guard the
 // generator rejects on the state; in the second it is a primed conjunct the
 // generator only evaluates on its own disjunct's candidate x' = 1, never on
 // x' = 2.

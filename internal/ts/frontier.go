@@ -26,8 +26,9 @@ type exploreParams struct {
 	op string
 	// workers is the goroutine pool size; <= 0 means GOMAXPROCS.
 	workers int
-	// limit is the legacy per-system MaxStates cap; limitName prefixes its
-	// BudgetError reason ("system X", "monitor product").
+	// limit caps the states of the one graph (maxGraphStates; <= 0: no
+	// cap); limitName prefixes its BudgetError reason ("system X",
+	// "monitor product").
 	limit     int
 	limitName string
 	meter     *engine.Meter
@@ -184,7 +185,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 		}
 		if p.limit > 0 && len(res.states) > p.limit {
 			return &engine.BudgetError{
-				Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
+				Reason: fmt.Sprintf("%s: state space exceeds the graph state limit %d", p.limitName, p.limit),
 				Stats:  m.Stats(),
 			}
 		}
@@ -314,7 +315,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 		}
 		if p.limit > 0 && levelEnd+total > p.limit {
 			return fail(&engine.BudgetError{
-				Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
+				Reason: fmt.Sprintf("%s: state space exceeds the graph state limit %d", p.limitName, p.limit),
 				Stats:  m.Stats(),
 			})
 		}
@@ -368,6 +369,11 @@ func explore(p exploreParams) (*exploreResult, error) {
 	}
 	return res, nil
 }
+
+// maxGraphStates caps the states of any one graph Build or Product
+// explores, whatever the run's budget: past it the exploration stops with a
+// BudgetError. Tests lower it.
+var maxGraphStates = 500000
 
 // newStore makes the state table of an exploration or of a loaded graph's
 // ID lookups. Numbering must not depend on the store's hash; the tests
@@ -768,7 +774,7 @@ func (lv *levelRun) emit(ws *workerScratch, rowStart int, t *state.State) error 
 
 // discovered does the bookkeeping of a state the store just added at ref:
 // it fingerprints the state once, buckets it by fingerprint partition for
-// the barrier, and charges it to the state budget and the MaxStates limit.
+// the barrier, and charges it to the state budget and the graph state limit.
 func (lv *levelRun) discovered(ws *workerScratch, ref store.Ref, s *state.State) error {
 	p := lv.params
 	fp := s.Fingerprint()
@@ -779,7 +785,7 @@ func (lv *levelRun) discovered(ws *workerScratch, ref store.Ref, s *state.State)
 	}
 	if p.limit > 0 && lv.store.Len() > p.limit {
 		return &engine.BudgetError{
-			Reason: fmt.Sprintf("%s: state space exceeds MaxStates limit %d", p.limitName, p.limit),
+			Reason: fmt.Sprintf("%s: state space exceeds the graph state limit %d", p.limitName, p.limit),
 			Stats:  p.meter.Stats(),
 		}
 	}

@@ -126,7 +126,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	res, err := explore(exploreParams{
 		op:        op,
 		workers:   sys.Workers,
-		limit:     sys.maxStates(),
+		limit:     maxGraphStates,
 		limitName: "system " + sys.Name,
 		meter:     m,
 		inits:     inits,

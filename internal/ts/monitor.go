@@ -137,7 +137,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	res, err := explore(exploreParams{
 		op:        "ts.Product",
 		workers:   g.Sys.Workers,
-		limit:     g.Sys.maxStates(),
+		limit:     maxGraphStates,
 		limitName: "monitor product",
 		meter:     meter,
 		inits:     inits,

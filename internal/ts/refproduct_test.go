@@ -37,7 +37,7 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 	res, err := explore(exploreParams{
 		op:        "ts.refProduct",
 		workers:   g.Sys.Workers,
-		limit:     g.Sys.maxStates(),
+		limit:     maxGraphStates,
 		limitName: "monitor product",
 		meter:     engine.NoLimit(),
 		inits:     inits,

@@ -162,9 +162,7 @@ func validSnapshot(snap *Snapshot, wantComplete bool) bool {
 // enumeration order), the step constraints, and the initial constraints. It
 // deliberately excludes Name (content addressing lets differently-named
 // instances of the same system share entries), Workers (graphs are
-// byte-identical at any worker count), and MaxStates (only complete graphs
-// are cached, and a complete graph does not depend on the cap that failed to
-// trigger).
+// byte-identical at any worker count).
 //
 // CanonicalDesc is the cache key; identical systems must produce
 // identical descriptors on every run. It assumes a validated system (every

@@ -64,13 +64,12 @@ func TestCanonicalDescStable(t *testing.T) {
 		t.Error("identical systems should have identical descriptions")
 	}
 
-	// Name, Workers, and MaxStates are not part of graph identity.
+	// Name and Workers are not part of graph identity.
 	renamed := counterSystem(3)
 	renamed.Name = "other"
 	renamed.Workers = 7
-	renamed.MaxStates = 99
 	if d3 := renamed.CanonicalDesc(); d3 != d1 {
-		t.Error("Name/Workers/MaxStates should not affect the description")
+		t.Error("Name/Workers should not affect the description")
 	}
 
 	// A different domain is a different system.

@@ -47,14 +47,12 @@ type System struct {
 	InitConstraints []form.Expr
 	// Domains assigns a finite domain to every variable.
 	Domains map[string][]value.Value
-	// MaxStates bounds graph construction (default 500000).
-	MaxStates int
 	// Workers is the goroutine count for parallel frontier exploration
 	// (0 = GOMAXPROCS). The built graph is identical at any setting.
 	Workers int
 	// Cache, when non-nil, is consulted before exploring and persisted to
 	// after a complete build (see GraphCache). Entries are keyed by
-	// CanonicalDesc, so Name/Workers/MaxStates do not affect cache identity.
+	// CanonicalDesc, so Name and Workers do not affect cache identity.
 	Cache GraphCache
 	// Resume, when true (and Cache is set), restores a checkpoint saved by
 	// an earlier budget-exhausted run and continues the exploration from its
@@ -164,13 +162,6 @@ func (sys *System) Validate() error {
 	return nil
 }
 
-func (sys *System) maxStates() int {
-	if sys.MaxStates <= 0 {
-		return 500000
-	}
-	return sys.MaxStates
-}
-
 // compiledComponent caches per-component data used during successor
 // generation.
 type compiledComponent struct {
@@ -181,65 +172,14 @@ type compiledComponent struct {
 
 // compiledAction is one action definition compiled against the system
 // layout: as a successor generator proposing owned-variable updates, and as
-// the checks that stand in for re-checking all of Def on each merged step
-// (see splitDef). freeDep records whether the re-checked part primes a free
-// variable: when it does not, its verdict on a candidate step is the same
-// under every free assignment (see successors).
+// the predicate each merged step re-checks. freeDep records whether Def
+// primes a free variable: when it does not, its verdict on a candidate step
+// is the same under every free assignment (see successors).
 type compiledAction struct {
 	name    string
 	updates func(*state.State) ([][]state.PosUpdate, error)
-	// vouched is the conjunction of the conjuncts the generator makes TRUE,
-	// checked once per candidate; nil: none.
-	vouched form.CompiledPred
-	// pred is the conjunction of the re-checked conjuncts, nil: none; def
-	// is all of Def, re-checked in its place on a candidate whose vouched
-	// conjuncts are not TRUE.
-	pred, def form.CompiledPred
-	freeDep   bool
-}
-
-// splitDef splits the top-level conjuncts of def into those that prime
-// only variables in owned (vouched) and the rest (recheck), either nil when
-// empty; a conjunct priming nothing is vouched.
-//
-// A vouched conjunct reads only unprimed and owned primed variables, and a
-// merged step gives owned the values the component's candidate ups does,
-// since components own disjoint variables and free variables are owned by
-// none. So it has the same verdict, and the same error, on every merged
-// step with ups as on the candidate's own step ⟨s, s[owned := ups]⟩, where
-// successors evaluates it once. Where every vouched conjunct is TRUE there,
-// it cannot stop an AndE's evaluation on a merged step, so the re-checked
-// conjuncts, in order, give def's verdict and its first error. Where one is
-// not, the candidate is re-checked against all of def, as if nothing were
-// vouched. UpdatesFn proposes only owned assignments making def TRUE, so
-// the second case arises only where def fails to evaluate somewhere (say
-// (Head(q) = 1 ∧ x' = 1) ∨ x' = 2 at q = ⟨⟩, which a lenient generator
-// still answers with x' = 2) or where a generator invents a candidate; the
-// build then reports the error, or rejects the step, as a full re-check
-// does.
-func splitDef(def form.Expr, owned map[string]bool) (vouched, recheck form.Expr) {
-	var keep, rest []form.Expr
-	for _, cj := range form.Conjuncts(def) {
-		foreign := false
-		for _, v := range form.PrimedVars(cj) {
-			if !owned[v] {
-				foreign = true
-				break
-			}
-		}
-		if foreign {
-			rest = append(rest, cj)
-		} else {
-			keep = append(keep, cj)
-		}
-	}
-	and := func(xs []form.Expr) form.Expr {
-		if len(xs) == 0 {
-			return nil
-		}
-		return form.And(xs...)
-	}
-	return and(keep), and(rest)
+	pred    form.CompiledPred
+	freeDep bool
 }
 
 // compiledConstraint is a step constraint compiled against the system
@@ -283,10 +223,6 @@ func (sys *System) compile() (*compiledSystem, error) {
 	}
 	for i, c := range sys.Components {
 		cc := compiledComponent{comp: c, owned: c.Owned()}
-		ownedSet := make(map[string]bool, len(cc.owned))
-		for _, v := range cc.owned {
-			ownedSet[v] = true
-		}
 		for _, a := range c.Actions {
 			if a.Def == nil {
 				return nil, fmt.Errorf("component %s action %s: no definition", c.Name, a.Name)
@@ -295,17 +231,12 @@ func (sys *System) compile() (*compiledSystem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("component %s action %s: %w", c.Name, a.Name, err)
 			}
-			ca := compiledAction{name: a.Name, updates: updates}
-			vouched, rest := splitDef(a.Def, ownedSet)
-			if rest != nil {
-				// A conjunct priming a free variable is re-checked, so def
-				// and rest agree on freeDep.
-				ca.pred, ca.freeDep = form.CompilePred(rest, layout), primesFree(rest)
-			}
-			if vouched != nil {
-				ca.vouched, ca.def = form.CompilePred(vouched, layout), form.CompilePred(a.Def, layout)
-			}
-			cc.actions = append(cc.actions, ca)
+			cc.actions = append(cc.actions, compiledAction{
+				name:    a.Name,
+				updates: updates,
+				pred:    form.CompilePred(a.Def, layout),
+				freeDep: primesFree(a.Def),
+			})
 		}
 		cs.comps[i] = cc
 	}
@@ -461,9 +392,6 @@ func assignmentCount(vars []string, domains map[string][]value.Value) (int, erro
 type choice struct {
 	action *compiledAction
 	ups    []state.PosUpdate
-	// full: the action's vouched conjuncts are not TRUE on this candidate,
-	// so merged steps re-check all of its Def (see splitDef).
-	full bool
 }
 
 // Successors computes all states t such that ⟨s, t⟩ satisfies every
@@ -501,12 +429,11 @@ const (
 const maxComboCache = 1 << 20
 
 // successors enumerates every candidate step from s and verifies each
-// against the declarative definitions: each chosen action's re-checked
-// conjuncts (see splitDef) and every step constraint, evaluated on the
-// merged pair. Verifying those conjuncts on the merged pair is what rejects
-// cross-component conflicts (e.g. an action asserting z' = z merged with
-// another component's change to z); the rest of Def is checked once per
-// candidate on the candidate's own step.
+// against the declarative definitions: each chosen action's Def and every
+// step constraint, evaluated on the merged pair. Verifying the Defs on the
+// merged pair is what rejects cross-component conflicts (e.g. an action
+// asserting z' = z merged with another component's change to z), and it
+// fails the build on a Def that does not evaluate there.
 //
 // Candidates are the cross product of free-variable assignments and
 // per-component choice combinations. An expression that primes no free
@@ -542,13 +469,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 			}
 			for _, ups := range cands {
 				s.Resolve(ups)
-				ch := choice{action: ca, ups: ups}
-				if ca.vouched != nil {
-					s.OverwriteInto(scratch, ups)
-					ok, err := ca.vouched(state.Step{From: s, To: scratch})
-					ch.full = err != nil || !ok
-				}
-				chs = append(chs, ch)
+				chs = append(chs, choice{action: ca, ups: ups})
 			}
 		}
 		perComp[i] = chs
@@ -671,19 +592,14 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 	return nil
 }
 
-// holds evaluates on st the re-checked conjuncts (or, for a full choice,
-// the whole Def) of the chosen actions whose free dependence is freeDep, then the constraints cons, stopping at
-// the first that fails.
+// holds evaluates on st the Def of each chosen action whose free dependence
+// is freeDep, then the constraints cons, stopping at the first that fails.
 func (sys *System) holds(chosen []*choice, freeDep bool, cons []compiledConstraint, st state.Step) (bool, error) {
 	for _, ch := range chosen {
-		pred := ch.action.pred
-		if ch.full {
-			pred = ch.action.def
-		}
-		if pred == nil || ch.action.freeDep != freeDep {
+		if ch.action.freeDep != freeDep {
 			continue
 		}
-		if ok, err := sys.evalStep("action", ch.action.name, pred, st); err != nil || !ok {
+		if ok, err := sys.evalStep("action", ch.action.name, ch.action.pred, st); err != nil || !ok {
 			return false, err
 		}
 	}
