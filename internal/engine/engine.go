@@ -315,8 +315,8 @@ func (m *Meter) AddState() error {
 	if m.failed.Load() {
 		return m.Err()
 	}
-	n := m.states.Add(1)
-	if m.budget.MaxStates > 0 && n > int64(m.budget.MaxStates) {
+	n, over := addCapped(&m.states, 1, int64(m.budget.MaxStates))
+	if over {
 		return m.fail(fmt.Sprintf("state budget %d exceeded", m.budget.MaxStates))
 	}
 	if m.obs != nil && m.warn80s > 0 {
@@ -335,8 +335,8 @@ func (m *Meter) AddTransitions(n int) error {
 	if m.failed.Load() {
 		return m.Err()
 	}
-	total := m.transitions.Add(int64(n))
-	if m.budget.MaxTransitions > 0 && total > int64(m.budget.MaxTransitions) {
+	total, over := addCapped(&m.transitions, int64(n), int64(m.budget.MaxTransitions))
+	if over {
 		return m.fail(fmt.Sprintf("transition budget %d exceeded", m.budget.MaxTransitions))
 	}
 	if m.obs != nil && m.warn80t > 0 {
@@ -347,6 +347,26 @@ func (m *Meter) AddTransitions(n int) error {
 		}
 	}
 	return nil
+}
+
+// addCapped adds n to c unless c already exceeds limit, and returns the
+// count and whether it exceeds limit (limit <= 0: no limit, a plain add).
+// The add that first takes c past limit is the last, so concurrent callers
+// racing past the budget stop the count at that first overflow; a
+// sequential caller sees exactly what a plain add would give it.
+func addCapped(c *atomic.Int64, n, limit int64) (int64, bool) {
+	if limit <= 0 {
+		return c.Add(n), false
+	}
+	for {
+		old := c.Load()
+		if old > limit {
+			return old, true
+		}
+		if c.CompareAndSwap(old, old+n) {
+			return old + n, old+n > limit
+		}
+	}
 }
 
 // sccMilestoneMask amortises SCC milestone events: one fires every

@@ -261,3 +261,44 @@ func TestMeterConcurrentBudgetLatch(t *testing.T) {
 		t.Error("meter should report exhausted")
 	}
 }
+
+// TestMeterConcurrentOverrunStopsAtFirstOverflow: workers racing past a
+// budget stop the count at the first overflow, so an exhausted run reports
+// the same partial count under any schedule: MaxStates+1 states, and
+// MaxTransitions+1 transitions when each add is one.
+func TestMeterConcurrentOverrunStopsAtFirstOverflow(t *testing.T) {
+	const goroutines, limit = 8, 10
+	for round := 0; round < 200; round++ {
+		for _, tc := range []struct {
+			name   string
+			budget Budget
+			add    func(*Meter) error
+			count  func(RunStats) int
+		}{
+			{"states", Budget{MaxStates: limit}, (*Meter).AddState, func(s RunStats) int { return s.States }},
+			{"transitions", Budget{MaxTransitions: limit}, func(m *Meter) error { return m.AddTransitions(1) }, func(s RunStats) int { return s.Transitions }},
+		} {
+			m := tc.budget.Meter()
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 2*limit; i++ {
+						if tc.add(m) != nil {
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			var be *BudgetError
+			if !errors.As(m.Err(), &be) {
+				t.Fatalf("round %d %s: Err() = %v, want a *BudgetError", round, tc.name, m.Err())
+			}
+			if got, reported := tc.count(m.Stats()), tc.count(be.Stats); got != limit+1 || reported != limit+1 {
+				t.Fatalf("round %d %s: count %d, reported %d, want %d for both", round, tc.name, got, reported, limit+1)
+			}
+		}
+	}
+}

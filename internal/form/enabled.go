@@ -3,7 +3,6 @@ package form
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"opentla/internal/state"
 	"opentla/internal/value"
@@ -47,7 +46,7 @@ func (c *Ctx) EnabledFn(a Expr, layout []string) func(s *state.State) (bool, err
 		return interp
 	}
 	lay := state.LayoutOf(layout)
-	scr := &enScratch{state: state.New(nil)}
+	scr := new(enScratch)
 	found := func([]state.PosUpdate) bool { return false }
 	return func(s *state.State) (bool, error) {
 		if s == nil || s.Layout() != lay {
@@ -104,12 +103,16 @@ func (c *Ctx) enabledBranches(a Expr, layout []string) ([]*enBranch, bool) {
 // rejects the branch or candidate it occurs in, as a brute-force
 // enumeration skips every assignment on which a fails to evaluate.
 //
+// The returned function appends the candidates of s to u.Cands and
+// evaluates its branches in u's scratch, so a caller that keeps one Updates
+// per goroutine and Resets it per state generates candidates without
+// allocating. It is safe for concurrent use on distinct Updates.
+//
 // Compilation fails when a mentions a variable outside the layout, when an
 // owned variable has no declared domain, or when the expansion or the
 // enumeration of undetermined owned variables is too large to be a
-// plausible finite-state action. The returned function is safe for
-// concurrent use.
-func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State) ([][]state.PosUpdate, error), error) {
+// plausible finite-state action.
+func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State, u *Updates) error, error) {
 	budget := maxUpdateBranches
 	flat, ok := expandBranches(flattenAnd(a, nil), nil, &budget, true)
 	if !ok {
@@ -141,30 +144,54 @@ func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State) ([
 		branches[i] = b
 	}
 	lay := state.LayoutOf(layout)
-	pool := sync.Pool{New: func() any { return &enScratch{state: state.New(nil)} }}
-	return func(s *state.State) ([][]state.PosUpdate, error) {
+	return func(s *state.State, u *Updates) error {
 		if s == nil || s.Layout() != lay {
-			return nil, fmt.Errorf("state %s does not bind exactly the %d layout variables", s, len(layout))
+			return fmt.Errorf("state %s does not bind exactly the %d layout variables", s, len(layout))
 		}
-		scr := pool.Get().(*enScratch)
-		defer pool.Put(scr)
-		var out [][]state.PosUpdate
+		first := len(u.Cands)
 		for _, b := range branches {
 			// Branches may overlap; a candidate repeating one from an earlier
 			// branch is dropped. Within a branch candidates are distinct.
-			prior := out
-			_, _ = b.each(s, scr, true, func(ups []state.PosUpdate) bool {
+			prior := u.Cands[first:]
+			_, _ = b.each(s, &u.scr, true, func(ups []state.PosUpdate) bool {
 				for _, o := range prior {
 					if sameValues(o, ups) {
 						return true
 					}
 				}
-				out = append(out, append([]state.PosUpdate(nil), ups...))
+				u.add(ups)
 				return true
 			})
 		}
-		return out, nil
+		return nil
 	}, nil
+}
+
+// Updates is the caller-owned output and scratch of an UpdatesFn
+// generator. Generators append their candidates to Cands, each a slice of
+// one flat buffer of positional updates, and evaluate their branches in
+// its branch scratch; Reset empties it and keeps every buffer's capacity.
+// An Updates is not safe for concurrent use.
+type Updates struct {
+	// Cands lists the candidates appended since the last Reset. Each stays
+	// valid, and may be resolved in place, until the next Reset.
+	Cands [][]state.PosUpdate
+	flat  []state.PosUpdate
+	scr   enScratch
+}
+
+// Reset empties u for the candidates of another state.
+func (u *Updates) Reset() {
+	u.Cands = u.Cands[:0]
+	u.flat = u.flat[:0]
+}
+
+// add appends a copy of ups as a candidate. A candidate added before flat
+// outgrew its capacity keeps the old array, which nothing writes again.
+func (u *Updates) add(ups []state.PosUpdate) {
+	start := len(u.flat)
+	u.flat = append(u.flat, ups...)
+	u.Cands = append(u.Cands, u.flat[start:len(u.flat):len(u.flat)])
 }
 
 // sameValues reports whether two updates over the same positions assign the
@@ -281,7 +308,7 @@ type eqBucket struct {
 type enScratch struct {
 	ups     []state.PosUpdate
 	freeIdx []int
-	state   *state.State
+	state   state.State
 }
 
 // compileBranch classifies and compiles one pure-conjunction branch.
@@ -606,8 +633,8 @@ func (b *enBranch) each(s *state.State, scr *enScratch, lenient bool, yield func
 // conjuncts rest, and reports whether yield asked to stop.
 func tryCandidate(s *state.State, scr *enScratch, ups []state.PosUpdate, rest []enItem, lenient bool, yield func([]state.PosUpdate) bool) (bool, error) {
 	if len(rest) > 0 {
-		s.OverwriteInto(scr.state, ups)
-		st := state.Step{From: s, To: scr.state}
+		s.OverwriteInto(&scr.state, ups)
+		st := state.Step{From: s, To: &scr.state}
 		for _, r := range rest {
 			ok, err := evalPred(r.guard, r.gexpr, st, lenient)
 			if err != nil || !ok {

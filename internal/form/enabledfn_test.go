@@ -263,15 +263,17 @@ func TestUpdatesFnIndexedOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("UpdatesFn(%s): %v", a, err)
 		}
+		// One Updates serves every state, as in successor generation.
+		var u Updates
 		value.ForEachAssignment(mappedLayout, domains, func(asgn map[string]value.Value) bool {
 			s := state.New(asgn)
-			ups, err := updates(s)
-			if err != nil {
+			u.Reset()
+			if err := updates(s, &u); err != nil {
 				t.Fatalf("%s on %s: %v", a, s, err)
 			}
 			var got, want []string
-			for _, u := range ups {
-				got = append(got, s.CloneWith(u).Key())
+			for _, c := range u.Cands {
+				got = append(got, s.CloneWith(c).Key())
 			}
 			value.ForEachAssignment(owned, domains, func(o map[string]value.Value) bool {
 				to := s.WithAll(o)
@@ -302,7 +304,8 @@ func TestEnabledFnLayoutMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ups, err := updates(xy); err == nil {
-		t.Fatalf("UpdatesFn on %s: %v, want an error", xy, ups)
+	var u Updates
+	if err := updates(xy, &u); err == nil {
+		t.Fatalf("UpdatesFn on %s: %v, want an error", xy, u.Cands)
 	}
 }

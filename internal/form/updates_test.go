@@ -143,16 +143,16 @@ func FuzzDerivedUpdates(f *testing.F) {
 		if err != nil {
 			t.Fatalf("UpdatesFn(%s): %v", a, err)
 		}
-		ups, err := updates(s)
-		if err != nil {
+		var u Updates
+		if err := updates(s, &u); err != nil {
 			t.Fatalf("updates(%s) on %s: %v", a, s, err)
 		}
 		var got []string
-		for _, u := range ups {
-			if len(u) != len(owned) {
-				t.Fatalf("%s on %s: update %v does not cover owned %v", a, s, u, owned)
+		for _, c := range u.Cands {
+			if len(c) != len(owned) {
+				t.Fatalf("%s on %s: update %v does not cover owned %v", a, s, c, owned)
 			}
-			got = append(got, s.CloneWith(u).Key())
+			got = append(got, s.CloneWith(c).Key())
 		}
 		sort.Strings(got)
 		want := bruteUpdates(t, a, owned, domains, s)

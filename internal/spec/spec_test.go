@@ -169,11 +169,11 @@ func TestDerivedUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ups, err := updates(s)
-		if err != nil {
+		var u form.Updates
+		if err := updates(s, &u); err != nil {
 			t.Fatal(err)
 		}
-		return ups
+		return u.Cands
 	}
 	ups := derive(c.Actions[0].Def)
 	if len(ups) != 1 || !ups[0][0].Val.Equal(value.Int(2)) {

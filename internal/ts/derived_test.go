@@ -88,14 +88,15 @@ func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sabotaged := func(def form.Expr, layout, owned []string) (func(*state.State) ([][]state.PosUpdate, error), error) {
+			sabotaged := func(def form.Expr, layout, owned []string) (func(*state.State, *form.Updates) error, error) {
 				updates, err := sys.Ctx().UpdatesFn(def, layout, owned)
 				if err != nil {
 					return nil, err
 				}
-				return func(s *state.State) ([][]state.PosUpdate, error) {
-					ups, err := updates(s)
-					return tc.edit(s, ups), err
+				return func(s *state.State, u *form.Updates) error {
+					err := updates(s, u)
+					u.Cands = tc.edit(s, u.Cands)
+					return err
 				}, nil
 			}
 			err := tstest.CheckUpdates(sys, g, sabotaged)

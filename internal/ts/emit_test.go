@@ -29,20 +29,23 @@ func xOf(s *state.State) int {
 	return int(x)
 }
 
-// ringExpander returns an expand callback over the ring of n states that
-// emits x+d mod n for each d of offsets, in order, every one from a single
-// scratch state that it overwrites as soon as emit returns.
-func ringExpander(n int, offsets []int) func(*state.State, func(*state.State) error) error {
+// ringExpander returns an expander factory over the ring of n states: each
+// expander emits x+d mod n for each d of offsets, in order, every one from
+// the single scratch state it owns, which it overwrites as soon as emit
+// returns.
+func ringExpander(n int, offsets []int) func() expandFunc {
 	base, ups := ring(n)
-	return func(s *state.State, emit func(*state.State) error) error {
+	return func() expandFunc {
 		scratch := new(state.State)
-		for _, d := range offsets {
-			base.OverwriteInto(scratch, ups[(xOf(s)+d)%n])
-			if err := emit(scratch); err != nil {
-				return err
+		return func(s *state.State, emit func(*state.State) error) error {
+			for _, d := range offsets {
+				base.OverwriteInto(scratch, ups[(xOf(s)+d)%n])
+				if err := emit(scratch); err != nil {
+					return err
+				}
 			}
+			return nil
 		}
-		return nil
 	}
 }
 
@@ -57,11 +60,11 @@ func TestExploreDedupsReusedScratch(t *testing.T) {
 	base, _ := ring(n)
 	for _, workers := range []int{1, 4} {
 		res, err := explore(exploreParams{
-			op:      "test",
-			workers: workers,
-			meter:   engine.NoLimit(),
-			inits:   []*state.State{base},
-			expand:  ringExpander(n, emitted),
+			op:        "test",
+			workers:   workers,
+			meter:     engine.NoLimit(),
+			inits:     []*state.State{base},
+			newExpand: ringExpander(n, emitted),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,8 +144,8 @@ func TestExploreCanonKeepsRealSuccessors(t *testing.T) {
 			meter:   engine.NoLimit(),
 			inits:   []*state.State{base},
 			// From x: x+2, x+3 (one orbit), then x+2 again.
-			expand: ringExpander(n, []int{2, 3, 2}),
-			canon:  canon,
+			newExpand: ringExpander(n, []int{2, 3, 2}),
+			canon:     canon,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +190,7 @@ func TestExploreRepeatsCostNoAllocation(t *testing.T) {
 				offsets = append(offsets, d)
 			}
 		}
-		p := exploreParams{op: "test", workers: 1, inits: []*state.State{base}, expand: ringExpander(n, offsets)}
+		p := exploreParams{op: "test", workers: 1, inits: []*state.State{base}, newExpand: ringExpander(n, offsets)}
 		return testing.AllocsPerRun(5, func() {
 			p.meter = engine.NoLimit()
 			if _, err := explore(p); err != nil {

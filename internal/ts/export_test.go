@@ -3,11 +3,37 @@ package ts
 import "opentla/internal/store"
 
 // RefProduct and DiffGraphs expose the map-based product reference and the
-// graph comparison to the external tests of this package.
+// graph comparison to the external tests of this package; RaceEnabled
+// tells their allocation pins to skip.
 var (
-	RefProduct = refProduct
-	DiffGraphs = diffGraphs
+	RefProduct  = refProduct
+	DiffGraphs  = diffGraphs
+	RaceEnabled = raceEnabled
 )
+
+// Expander is an exploration worker's expander (see expandFunc).
+type Expander = expandFunc
+
+// Expanders compiles sys and returns the expander factory Build hands its
+// workers: each call returns an expander over a fresh scratch, which it
+// keeps across its own calls.
+func Expanders(sys *System) (func() Expander, error) {
+	cs, err := sys.compile()
+	if err != nil {
+		return nil, err
+	}
+	return sys.newExpand(cs), nil
+}
+
+// ProductExpanders returns the expander factory Product hands its workers
+// for the product of g with mons.
+func ProductExpanders(g *Graph, mons []*Monitor) (func() Expander, error) {
+	x, err := productExtension(g, mons)
+	if err != nil {
+		return nil, err
+	}
+	return productExpand(g, mons, x), nil
+}
 
 // UnitSystems returns the small systems the internal tests of this package
 // build, for the external tests' oracles.

@@ -16,10 +16,17 @@ import (
 	"opentla/internal/store"
 )
 
+// expandFunc hands each successor state of s to emit, in an order
+// deterministic in s, and returns emit's first error as it is. Duplicates
+// are allowed: the explorer keeps each distinct successor once, at its
+// first occurrence. emit keeps no successor it is handed, so an expander
+// may build every successor in one scratch state and overwrite it once
+// emit returns.
+type expandFunc func(s *state.State, emit func(t *state.State) error) error
+
 // exploreParams configures one frontier exploration (a graph build or a
-// monitor product). The expand callback must be deterministic and safe for
-// concurrent invocation on distinct states: it is called exactly once per
-// reachable state, possibly from several worker goroutines at once.
+// monitor product). Every reachable state is expanded exactly once, by one
+// of the workers, and several workers expand at once.
 type exploreParams struct {
 	// op names the exploration for contained-panic diagnostics
 	// (engine.EngineError.Op), e.g. "ts.Build(counter)".
@@ -34,13 +41,13 @@ type exploreParams struct {
 	meter     *engine.Meter
 	// inits seeds the exploration, in a deterministic order.
 	inits []*state.State
-	// expand hands each successor state of s to emit, in an order
-	// deterministic in s, and returns emit's first error as it is.
-	// Duplicates are allowed: the explorer keeps each distinct successor
-	// once, at its first occurrence. emit keeps no successor it is handed,
-	// so expand may build every successor in one scratch state and
-	// overwrite it once emit returns.
-	expand func(s *state.State, emit func(t *state.State) error) error
+	// newExpand makes a worker's expander. Each worker calls it once per
+	// exploration, before its first expansion, and expands every state it
+	// claims with the result, so an expander may keep scratch across its
+	// calls without locking; newExpand itself must be safe for concurrent
+	// calls. What an expander emits for s must not depend on the states it
+	// expanded before.
+	newExpand func() expandFunc
 	// canon, when non-nil, maps every state to the canonical representative
 	// of its symmetry orbit. Seeds and successors are canonicalized before
 	// interning, so the graph holds only representatives; the real (pre-
@@ -48,7 +55,7 @@ type exploreParams struct {
 	// canonical target id in edgeStates, keeping each recorded edge a
 	// genuine step of the system. canon returns its argument itself when
 	// that is the representative, and keeps nothing of it: it may be
-	// handed expand's scratch.
+	// handed an expander's scratch.
 	canon func(*state.State) *state.State
 	// resume, when non-nil, restores a checkpoint: the committed states,
 	// inits, and adjacency rows are adopted verbatim (without consuming
@@ -94,7 +101,7 @@ type exploreResult struct {
 // computed once per state, when the store first reports it added. A
 // state's level is its BFS distance from the seed set, which no schedule
 // can change, so the numbering depends only on the graph itself.
-// Successor lists are produced by the deterministic expand callback and
+// Successor lists are produced by the workers' deterministic expanders and
 // recorded per source state, in emission order with repeats dropped (see
 // levelRun.emit).
 //
@@ -104,14 +111,16 @@ type exploreResult struct {
 // phases on the same persistent worker pool:
 //
 //  1. drain: workers claim frontier chunks, expand states, and
-//     intern every successor into the store as expand emits it, recording
-//     its Ref in the worker's arena unless the state's row already holds
-//     it. A successor arrives in the expander's scratch state, and the
-//     store copies it only when it is new, so a successor reached before
-//     costs no allocation. Only a newly interned state is fingerprinted; it
-//     lands in a per-worker per-partition bucket keyed by
-//     store.Partition(fp), the top fingerprint bits, so the barrier never
-//     re-buckets.
+//     intern every successor into the store as their expander emits it,
+//     recording its Ref in the worker's arena unless the state's row
+//     already holds it. Each worker's expander, made once per exploration
+//     by newExpand, keeps its scratch across the states it expands; a
+//     successor arrives in that scratch, and the store copies it only when
+//     it is new, so neither a successor reached before nor the expansion
+//     itself costs an allocation. Only a newly interned state is
+//     fingerprinted; it lands in a per-worker per-partition bucket keyed
+//     by store.Partition(fp), the top fingerprint bits, so the barrier
+//     never re-buckets.
 //  2. seal (single-threaded, deliberately tiny): per-partition counts are
 //     summed into base offsets, the CSR offsets row is extended by a prefix
 //     sum of known row lengths, and the states/targets arrays are grown.
@@ -446,11 +455,13 @@ const (
 )
 
 // workerScratch is one worker's private level scratch, reused across levels
-// so steady-state expansion allocates only for genuinely new states. arena
-// accumulates the successor Refs of every state the worker expanded this
-// level (rows index into it); newsPart buckets first-interned states by
-// fingerprint partition for the barrier.
+// so steady-state expansion allocates only for genuinely new states. expand
+// is the worker's expander, made on its first drain; arena accumulates the
+// successor Refs of every state the worker expanded this level (rows index
+// into it); newsPart buckets first-interned states by fingerprint
+// partition for the barrier.
 type workerScratch struct {
+	expand expandFunc
 	arena  []store.Ref
 	rowIdx []int32 // frontier indices this worker expanded (its commit rows)
 	// newsPart[p] holds the states this worker interned first whose
@@ -659,8 +670,8 @@ func (lv *levelRun) commitRows(wid int) {
 }
 
 // drain drains frontier chunks until the level (or the budget) is exhausted.
-// Panics in the expand callback are contained as *engine.EngineError
-// carrying the key of the state being expanded.
+// Panics in the expander are contained as *engine.EngineError carrying the
+// key of the state being expanded.
 func (lv *levelRun) drain(wid int) {
 	p := lv.params
 	m := p.meter
@@ -678,6 +689,9 @@ func (lv *levelRun) drain(wid int) {
 		}
 		return "", ""
 	})
+	if ws.expand == nil {
+		ws.expand = p.newExpand()
+	}
 	// cur's row is ws.arena[rowStart:], filled by emit as expand runs.
 	rowStart := 0
 	emit := func(t *state.State) error { return lv.emit(ws, rowStart, t) }
@@ -700,7 +714,7 @@ func (lv *levelRun) drain(wid int) {
 				return
 			}
 			rowStart = len(ws.arena)
-			if err := p.expand(cur, emit); err != nil {
+			if err := ws.expand(cur, emit); err != nil {
 				lv.setErr(err)
 				return
 			}

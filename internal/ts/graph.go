@@ -124,15 +124,13 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	}
 	op := "ts.Build(" + sys.Name + ")"
 	res, err := explore(exploreParams{
-		op:        op,
-		workers:   sys.Workers,
-		limit:     maxGraphStates,
-		limitName: "system " + sys.Name,
-		meter:     m,
-		inits:     inits,
-		expand: func(s *state.State, emit func(*state.State) error) error {
-			return sys.successors(compiled, s, emit)
-		},
+		op:           op,
+		workers:      sys.Workers,
+		limit:        maxGraphStates,
+		limitName:    "system " + sys.Name,
+		meter:        m,
+		inits:        inits,
+		newExpand:    sys.newExpand(compiled),
 		canon:        canon,
 		resume:       resume,
 		onCheckpoint: checkpointSaver(sys.Cache, m, desc),

@@ -130,10 +130,6 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		}
 	}
 
-	// The base id of a product state is recoverable from the state itself:
-	// projecting away the monitor variables yields the base state, which the
-	// base graph's state table resolves. This keeps expansion
-	// stateless, hence safe for concurrent workers.
 	res, err := explore(exploreParams{
 		op:        "ts.Product",
 		workers:   g.Sys.Workers,
@@ -141,40 +137,7 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		limitName: "monitor product",
 		meter:     meter,
 		inits:     inits,
-		expand: func(cur *state.State, emit func(*state.State) error) error {
-			var base state.State
-			if err := x.Project(cur, &base); err != nil {
-				return fmt.Errorf("ts.Product: %w", err)
-			}
-			bid := g.ID(&base)
-			if bid < 0 {
-				return fmt.Errorf("ts.Product: base state %s not in base graph", &base)
-			}
-			from := g.States[bid]
-			curVals := make([]value.Value, len(mons))
-			for i := range mons {
-				curVals[i] = cur.At(x.Pos(i))
-			}
-			c := newCombos(x, len(mons))
-			var expErr error
-			g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
-				st := state.Step{From: from, To: real}
-				for i, m := range mons {
-					vals, err := m.Step(st, curVals[i])
-					if err != nil {
-						expErr = fmt.Errorf("monitor %s step on %s: %w", m.Var, st, err)
-						return false
-					}
-					if len(vals) == 0 {
-						return true // some monitor disallows the edge
-					}
-					c.vals[i] = vals
-				}
-				expErr = c.each(real, emit)
-				return expErr == nil
-			})
-			return expErr
-		},
+		newExpand: productExpand(g, mons, x),
 		// When the base graph was built under symmetry, the product inherits
 		// the reduction through the base graph's canonicalizer itself: a
 		// scoped variable has a system domain and a monitor variable may
@@ -207,6 +170,73 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	}
 	cacheStore(g.Sys.Cache, meter, desc, prod)
 	return prod, nil
+}
+
+// productExpand returns the expander factory of the product of g with mons,
+// whose states widen g's through x. The base id of a product state is
+// recoverable from the state itself: projecting away the monitor variables
+// yields the base state, which the base graph's state table resolves. So
+// an expander shares nothing with another but g, and keeps the projected
+// base state, the current monitor values and the combination scratch with
+// its widened row across the states it expands.
+func productExpand(g *Graph, mons []*Monitor, x *state.Extension) func() expandFunc {
+	return func() expandFunc {
+		pe := &productExpander{g: g, mons: mons, curVals: make([]value.Value, len(mons)), c: newCombos(x, len(mons))}
+		pe.visit = pe.step
+		return pe.expand
+	}
+}
+
+// productExpander is one worker's product expander (see productExpand).
+// from, emit and err hold the current expansion for step, which visit
+// binds once so that ForEachSuccStep is handed no new closure per state.
+type productExpander struct {
+	g       *Graph
+	mons    []*Monitor
+	base    state.State   // cur's base part
+	curVals []value.Value // cur's monitor values, in monitor order
+	c       *combos
+	visit   func(to int, real *state.State) bool
+
+	from *state.State
+	emit func(*state.State) error
+	err  error
+}
+
+func (pe *productExpander) expand(cur *state.State, emit func(*state.State) error) error {
+	x := pe.c.x
+	if err := x.Project(cur, &pe.base); err != nil {
+		return fmt.Errorf("ts.Product: %w", err)
+	}
+	bid := pe.g.ID(&pe.base)
+	if bid < 0 {
+		return fmt.Errorf("ts.Product: base state %s not in base graph", &pe.base)
+	}
+	for i := range pe.mons {
+		pe.curVals[i] = cur.At(x.Pos(i))
+	}
+	pe.from, pe.emit, pe.err = pe.g.States[bid], emit, nil
+	pe.g.ForEachSuccStep(bid, pe.visit)
+	return pe.err
+}
+
+// step emits the product successors over one real base step from pe.from,
+// one per combination of the values the monitors allow on it.
+func (pe *productExpander) step(_ int, real *state.State) bool {
+	st := state.Step{From: pe.from, To: real}
+	for i, m := range pe.mons {
+		vals, err := m.Step(st, pe.curVals[i])
+		if err != nil {
+			pe.err = fmt.Errorf("monitor %s step on %s: %w", m.Var, st, err)
+			return false
+		}
+		if len(vals) == 0 {
+			return true // some monitor disallows the edge
+		}
+		pe.c.vals[i] = vals
+	}
+	pe.err = pe.c.each(real, pe.emit)
+	return pe.err == nil
 }
 
 // productExtension returns the extension of the base graph's layout by the

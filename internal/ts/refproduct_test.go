@@ -41,28 +41,30 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 		limitName: "monitor product",
 		meter:     engine.NoLimit(),
 		inits:     inits,
-		expand: func(cur *state.State, emit func(*state.State) error) error {
-			base := BaseState(cur, mons)
-			bid := g.ID(base)
-			if bid < 0 {
-				return fmt.Errorf("ts.refProduct: base state %s not in base graph", base)
-			}
-			var expErr error
-			g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
-				baseStep := state.Step{From: g.States[bid], To: real}
-				combos, cerr := monitorStepCombos(mons, baseStep, cur)
-				if cerr != nil {
-					expErr = cerr
-					return false
+		newExpand: func() expandFunc {
+			return func(cur *state.State, emit func(*state.State) error) error {
+				base := BaseState(cur, mons)
+				bid := g.ID(base)
+				if bid < 0 {
+					return fmt.Errorf("ts.refProduct: base state %s not in base graph", base)
 				}
-				for _, combo := range combos {
-					if expErr = emit(real.WithAll(combo)); expErr != nil {
+				var expErr error
+				g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
+					baseStep := state.Step{From: g.States[bid], To: real}
+					combos, cerr := monitorStepCombos(mons, baseStep, cur)
+					if cerr != nil {
+						expErr = cerr
 						return false
 					}
-				}
-				return true
-			})
-			return expErr
+					for _, combo := range combos {
+						if expErr = emit(real.WithAll(combo)); expErr != nil {
+							return false
+						}
+					}
+					return true
+				})
+				return expErr
+			}
 		},
 		canon: pcanon,
 	})

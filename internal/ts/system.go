@@ -177,7 +177,7 @@ type compiledComponent struct {
 // is the same under every free assignment (see successors).
 type compiledAction struct {
 	name    string
-	updates func(*state.State) ([][]state.PosUpdate, error)
+	updates func(*state.State, *form.Updates) error
 	pred    form.CompiledPred
 	freeDep bool
 }
@@ -398,14 +398,15 @@ type choice struct {
 // component's [N_i]_⟨m_i,x_i⟩, every step constraint, and changes free
 // variables arbitrarily. The result always includes s itself (stuttering),
 // holds each successor once, at its first valid occurrence, and is freshly
-// allocated. The system is compiled on the first call only (see System).
+// allocated, scratch included. The system is compiled on the first call
+// only (see System).
 func (sys *System) Successors(s *state.State) ([]*state.State, error) {
 	sys.succOnce.Do(func() { sys.succCS, sys.succErr = sys.compile() })
 	if sys.succErr != nil {
 		return nil, sys.succErr
 	}
 	var out []*state.State
-	err := sys.successors(sys.succCS, s, func(t *state.State) error {
+	err := sys.successors(sys.succCS, new(expandScratch), s, func(t *state.State) error {
 		if !slices.ContainsFunc(out, t.Equal) {
 			out = append(out, t.Clone())
 		}
@@ -415,6 +416,38 @@ func (sys *System) Successors(s *state.State) ([]*state.State, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// newExpand returns the exploration's expander factory over cs: each
+// worker calls it once and expands every state it claims over the one
+// expandScratch the returned expander owns.
+func (sys *System) newExpand(cs *compiledSystem) func() expandFunc {
+	return func() expandFunc {
+		x := new(expandScratch)
+		return func(s *state.State, emit func(*state.State) error) error {
+			return sys.successors(cs, x, s, emit)
+		}
+	}
+}
+
+// expandScratch is the successor-generation scratch of one exploration
+// worker: every buffer successors uses, kept across the states the worker
+// expands so that expanding a state allocates nothing of its own. Each
+// call truncates every buffer, or clears it where it must start zeroed,
+// before using it; nothing of one call is read by the next.
+type expandScratch struct {
+	ups     form.Updates // every action's candidates in the current state
+	perComp [][]choice   // perComp[i]: component i's choices, stutter first
+	// combo is the combo-verdict cache, cleared for every state: a verdict
+	// left from another state would be a wrong graph.
+	combo   []int8
+	strides []int               // strides[i]: the cache index weight of component i
+	freePos []state.PosUpdate   // the current free assignment
+	freeIdx []int               // its mixed-radix counter, last variable fastest
+	groups  [][]state.PosUpdate // the update groups of the current candidate
+	idx     []int               // the current choice combination
+	chosen  []*choice           // its non-stutter choices
+	next    state.State         // the scratch every candidate is built in
 }
 
 // Combo-cache verdicts for the free-independent part of a step's validity.
@@ -439,35 +472,35 @@ const maxComboCache = 1 << 20
 // per-component choice combinations. An expression that primes no free
 // variable has the same verdict for a given choice combination under every
 // free assignment (unprimed variables read s, which is fixed), so those
-// verdicts are computed once per combination and cached.
+// verdicts are computed once per combination and cached for s.
 //
 // A candidate is checked first and emitted after: every valid candidate
-// is handed to emit, in enumeration order, as the one scratch state all
-// candidates are built in, so neither a rejected nor an accepted candidate
-// costs an allocation here. emit must not keep the scratch (the explorer's
-// store copies the states it adds), and it sees a successor once per valid
-// combination producing it: deduplication is the consumer's. An error from
-// emit stops the enumeration and is returned as it is, so a budget error
-// still aborts the build.
-func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *state.State) error) error {
+// is handed to emit, in enumeration order, as the one scratch state x.next
+// all candidates are built in. Every buffer comes from x, the calling
+// worker's scratch, so on a warm x neither a rejected nor an accepted
+// candidate costs an allocation here. emit must not keep the scratch (the
+// explorer's store copies the states it adds), and it sees a successor
+// once per valid combination producing it: deduplication is the
+// consumer's. An error from emit stops the enumeration and is returned as
+// it is, so a budget error still aborts the build.
+func (sys *System) successors(cs *compiledSystem, x *expandScratch, s *state.State, emit func(t *state.State) error) error {
 	compiled, free := cs.comps, cs.free
 
 	// Gather each component's choices in state s; each is a positional
-	// update, so each candidate below costs one slice copy.
-	perComp := make([][]choice, len(compiled))
+	// update, so each candidate below costs one row copy.
+	x.ups.Reset()
+	perComp := resize(x.perComp, len(compiled))
+	x.perComp = perComp
 	comboCount := 1
-	// All candidates are built in one goroutine-local scratch state, whose
-	// layout OverwriteInto sets.
-	scratch := new(state.State)
 	for i, cc := range compiled {
-		chs := []choice{{action: nil}} // stutter
+		chs := append(perComp[i][:0], choice{action: nil}) // stutter
 		for ai := range cc.actions {
 			ca := &cc.actions[ai]
-			cands, err := ca.updates(s)
-			if err != nil {
+			first := len(x.ups.Cands)
+			if err := ca.updates(s, &x.ups); err != nil {
 				return fmt.Errorf("system %s: action %s: %w", sys.Name, ca.name, err)
 			}
-			for _, ups := range cands {
+			for _, ups := range x.ups.Cands[first:] {
 				s.Resolve(ups)
 				chs = append(chs, choice{action: ca, ups: ups})
 			}
@@ -478,9 +511,12 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 		}
 	}
 	var comboCache []int8
-	strides := make([]int, len(compiled))
+	strides := resize(x.strides, len(compiled))
+	x.strides = strides
 	if comboCount <= maxComboCache {
-		comboCache = make([]int8, comboCount)
+		comboCache = resize(x.combo, comboCount)
+		clear(comboCache)
+		x.combo = comboCache
 		stride := 1
 		for ci := range compiled {
 			strides[ci] = stride
@@ -491,17 +527,20 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 	// Free-variable updates come resolved from compile; most systems have
 	// no free variables, in which case the outer loop body runs exactly
 	// once.
-	freePos := make([]state.PosUpdate, len(free))
-	freeIdx := make([]int, len(free))
+	freePos := resize(x.freePos, len(free))
+	freeIdx := resize(x.freeIdx, len(free))
+	clear(freeIdx)
+	x.freePos, x.freeIdx = freePos, freeIdx
 	for i, v := range free {
 		if p, ok := s.PosOf(v); !ok || p != cs.freeUps[i][0].Pos {
 			return fmt.Errorf("system %s: free variable %q not bound at its layout position in state %s", sys.Name, v, s)
 		}
 	}
 
-	groups := make([][]state.PosUpdate, len(compiled)+1)
-	idx := make([]int, len(compiled))
-	var chosen []*choice
+	groups := resize(x.groups, len(compiled)+1)
+	idx := resize(x.idx, len(compiled))
+	x.groups, x.idx = groups, idx
+	scratch := &x.next
 
 	for {
 		for i := range free {
@@ -510,9 +549,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 		groups[0] = freePos
 		// Enumerate per-component choice combinations under this free
 		// assignment.
-		for i := range idx {
-			idx[i] = 0
-		}
+		clear(idx)
 		for {
 			cv, lin := comboUnknown, 0
 			if comboCache != nil {
@@ -529,7 +566,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 					continue
 				}
 			}
-			chosen = chosen[:0]
+			chosen := x.chosen[:0]
 			for ci := range compiled {
 				ch := &perComp[ci][idx[ci]]
 				groups[ci+1] = ch.ups
@@ -537,6 +574,7 @@ func (sys *System) successors(cs *compiledSystem, s *state.State, emit func(t *s
 					chosen = append(chosen, ch)
 				}
 			}
+			x.chosen = chosen
 			s.OverwriteInto(scratch, groups...)
 			st := state.Step{From: s, To: scratch}
 			valid := true
@@ -634,4 +672,13 @@ func advance(idx []int, perComp [][]choice) bool {
 		ci++
 	}
 	return false
+}
+
+// resize returns buf with length n, reusing its capacity. Elements within
+// the old capacity keep whatever they held; callers overwrite or clear them.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

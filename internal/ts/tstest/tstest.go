@@ -14,8 +14,9 @@ import (
 )
 
 // Deriver compiles an action definition into a successor generator
-// proposing owned-variable updates; form.Ctx.UpdatesFn is one.
-type Deriver func(def form.Expr, layout, owned []string) (func(*state.State) ([][]state.PosUpdate, error), error)
+// appending owned-variable updates to a form.Updates; form.Ctx.UpdatesFn
+// is one.
+type Deriver func(def form.Expr, layout, owned []string) (func(*state.State, *form.Updates) error, error)
 
 // BruteUpdates is the reference semantics of successor derivation: every
 // assignment to the owned variables over their declared domains that
@@ -53,7 +54,8 @@ func BruteUpdates(owned []string, domains map[string][]value.Value, def form.Exp
 
 // CheckUpdates compares, on every state of g and for every action of sys,
 // the candidates of the generator derive compiles against the system layout
-// with BruteUpdates, and returns the first divergence. Missing candidates
+// with BruteUpdates, and returns the first divergence. One form.Updates,
+// Reset per state, serves every state, as in successor generation. Missing candidates
 // would silently truncate the graph and make every check over it vacuously
 // optimistic; extra or repeated ones would add steps the specification
 // forbids.
@@ -66,14 +68,15 @@ func CheckUpdates(sys *ts.System, g *ts.Graph, derive Deriver) error {
 			if err != nil {
 				return fmt.Errorf("%s.%s: %w", c.Name, a.Name, err)
 			}
+			var u form.Updates
 			for _, s := range g.States {
-				ups, err := updates(s)
-				if err != nil {
+				u.Reset()
+				if err := updates(s, &u); err != nil {
 					return fmt.Errorf("%s.%s on %s: %w", c.Name, a.Name, s, err)
 				}
-				got := make([]string, len(ups))
-				for i, u := range ups {
-					got[i] = s.CloneWith(u).Key()
+				got := make([]string, len(u.Cands))
+				for i, c := range u.Cands {
+					got[i] = s.CloneWith(c).Key()
 				}
 				sort.Strings(got)
 				want, err := BruteUpdates(owned, sys.Domains, a.Def, s)
