@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -594,5 +595,44 @@ func TestEarlyExitsWriteEveryOutput(t *testing.T) {
 			}
 			parseOutputs(t, report, trace, prom)
 		})
+	}
+}
+
+// verdictLine and measured copy bench/verdict.go's selection of the lines
+// that state a verdict and its stripping of state counts and timings (bench
+// is a separate module, so it cannot be imported).
+var (
+	verdictLine = regexp.MustCompile(`^(\[OK  \]|\[FAIL\]|VALID:|NOT ESTABLISHED|UNKNOWN:)`)
+	measured    = regexp.MustCompile(`\s*\((\d+ states max|\d[0-9.hmsµ]*)\)$`)
+)
+
+// TestQueuesNoGListsEveryHypothesis: agcheck checks a refuted theorem in
+// full, so -model queues-no-g -k 2 exits 1 and lists all nine hypotheses
+// for diagnosis, as in testdata/queues-no-g.k2.verdict (only queueverify's
+// formula (3) check stops at the first failure).
+func TestQueuesNoGListsEveryHypothesis(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "queues-no-g.k2.verdict"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-model", "queues-no-g", "-k", "2"}, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr %q)", code, errb.String())
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		line = strings.TrimSpace(line)
+		if verdictLine.MatchString(line) {
+			got = append(got, measured.ReplaceAllString(line, ""))
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("verdict lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

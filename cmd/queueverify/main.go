@@ -3,6 +3,8 @@
 // discharges every step of the Figure 9 proof that two open queues compose
 // into a larger open queue, and reads the CDQ ⇒ CQ^dbl refinement of §A.4
 // off that proof's hypothesis (2b), whose left-hand side is the CDQ system.
+// It then confirms that §A.5's formula (3), the composition without G, is
+// refuted, checking it only as far as its first failing hypothesis.
 //
 // Usage:
 //
@@ -322,6 +324,8 @@ func verify(w io.Writer, cfg queue.Config, m *engine.Meter, workers int, gc ts.G
 	}
 
 	// §A.5: without G the claim is invalid — confirm the checker agrees.
+	// Only the verdict and the first failing hypothesis are printed, so the
+	// check stops at the first phase that refutes the theorem.
 	start = time.Now()
 	noG := cfg.Fig9Theorem()
 	noG.Name = "formula (3): composition WITHOUT G"
@@ -330,7 +334,7 @@ func verify(w io.Writer, cfg queue.Config, m *engine.Meter, workers int, gc ts.G
 	noG.Cache, noG.Resume = gc, resume
 	noG.Reduce = rd
 	noG.Symmetry = cfg.DoubleSymmetry()
-	reportNoG, err := noG.CheckWith(m)
+	reportNoG, err := noG.FirstFailure(m)
 	if err != nil {
 		return engine.Unknown, err
 	}

@@ -498,3 +498,51 @@ func TestVerdictLinesGolden(t *testing.T) {
 		t.Errorf("verdict lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestReportBuildsOnlyDecidingGraphs: the -report of -n 1 -k 2 shows each
+// graph the run needs built once, and nothing more: CQ, Fig. 9's
+// left-hand side (the CDQ system §A.4 is read off) and guarantees-only
+// graph, and its +v product; for formula (3), only the left-hand side,
+// since H1[Q1] already fails there and stops the check.
+func TestReportBuildsOnlyDecidingGraphs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-n", "1", "-k", "2", "-report", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit code = %d, want 0 (stderr %q)", code, errb.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	var builds, products []string
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		switch {
+		case strings.HasPrefix(s.Name, "build:"):
+			builds = append(builds, s.Name)
+		case strings.HasPrefix(s.Name, "product:"):
+			products = append(products, s.Name)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(rep.Span)
+	fig9 := "Fig9[N=1,K=2]: two open queues implement a 3-queue"
+	want := []string{
+		"build:CQ[N=1,K=2]",
+		"build:" + fig9 + "/full-lhs",
+		"build:" + fig9 + "/guarantees-only",
+		"build:formula (3): composition WITHOUT G/full-lhs",
+	}
+	if strings.Join(builds, "\n") != strings.Join(want, "\n") {
+		t.Errorf("build spans:\n%s\nwant:\n%s", strings.Join(builds, "\n"), strings.Join(want, "\n"))
+	}
+	if len(products) != 1 || products[0] != "product:"+fig9+"/guarantees-only" {
+		t.Errorf("product spans %q, want only Fig. 9's", products)
+	}
+}

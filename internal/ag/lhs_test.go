@@ -1,6 +1,7 @@
 package ag_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,6 +34,26 @@ func theoremModels() []theoremModel {
 		}, cfg.DoubleSymmetry()},
 		{"arbiter", arbiter.Theorem, nil},
 	}
+}
+
+// theoremModelsK23 returns agcheck's theorem models with Fig. 9 at K=2
+// and 3: circular, arbiter, and queues and queues-no-g at each K.
+func theoremModelsK23() []theoremModel {
+	models := []theoremModel{
+		{"circular", circular.SafetyTheorem, nil},
+		{"arbiter", arbiter.Theorem, nil},
+	}
+	for _, k := range []int{2, 3} {
+		cfg := queue.Config{N: 1, Vals: k}
+		models = append(models,
+			theoremModel{fmt.Sprintf("queues/K=%d", k), cfg.Fig9Theorem, cfg.DoubleSymmetry()},
+			theoremModel{fmt.Sprintf("queues-no-g/K=%d", k), func() *ag.Theorem {
+				th := cfg.Fig9Theorem()
+				th.Pairs = th.Pairs[1:]
+				return th
+			}, cfg.DoubleSymmetry()})
+	}
+	return models
 }
 
 // graphShape renders a graph's states, initial states and edges, in

@@ -1,14 +1,10 @@
 package ag_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"opentla/internal/ag"
-	"opentla/internal/arbiter"
-	"opentla/internal/circular"
-	"opentla/internal/queue"
 )
 
 // routeVerdicts runs both routes for hypothesis 2a of th and returns route
@@ -54,33 +50,15 @@ func routeVerdicts(t *testing.T, mk func() *ag.Theorem) (a, sides, b bool) {
 // 2a. It also pins today's verdicts: queues-no-g fails both routes and the
 // other models pass both.
 func TestHyp2aRoutesAgree(t *testing.T) {
-	type model struct {
-		name string
-		mk   func() *ag.Theorem
-		pass bool
-	}
-	models := []model{
-		{"circular", circular.SafetyTheorem, true},
-		{"arbiter", arbiter.Theorem, true},
-	}
-	for _, k := range []int{2, 3} {
-		cfg := queue.Config{N: 1, Vals: k}
-		models = append(models,
-			model{fmt.Sprintf("queues/K=%d", k), cfg.Fig9Theorem, true},
-			model{fmt.Sprintf("queues-no-g/K=%d", k), func() *ag.Theorem {
-				th := cfg.Fig9Theorem()
-				th.Pairs = th.Pairs[1:]
-				return th
-			}, false})
-	}
-	for _, m := range models {
+	for _, m := range theoremModelsK23() {
 		t.Run(m.name, func(t *testing.T) {
-			a, sides, b := routeVerdicts(t, m.mk)
+			a, sides, b := routeVerdicts(t, m.make)
 			if sides && a != b {
 				t.Errorf("route A's side conditions hold, but A gives %v and B gives %v", a, b)
 			}
-			if a != m.pass || b != m.pass {
-				t.Errorf("route A gives %v and route B %v, want %v for both", a, b, m.pass)
+			pass := !strings.HasPrefix(m.name, "queues-no-g/")
+			if a != pass || b != pass {
+				t.Errorf("route A gives %v and route B %v, want %v for both", a, b, pass)
 			}
 		})
 	}

@@ -430,7 +430,21 @@ func (th *Theorem) Check() (*Report, error) {
 // cancellation, and contained internal failures yield a Report with an
 // Unknown verdict and partial statistics instead of an error.
 func (th *Theorem) CheckWith(m *engine.Meter) (*Report, error) {
-	return th.run(m, "", th.checkAll)
+	return th.run(m, "", func(r *Report, m *engine.Meter) error {
+		return th.checkAll(r, m, false)
+	})
+}
+
+// FirstFailure is CheckWith for a caller that needs only the verdict and
+// the first failing hypothesis: it stops building and checking after the
+// first phase of checkAll that records a failure. The report lists a
+// subsequence of CheckWith's entries, in the same order and with the same
+// outcomes and details, and has the same verdict and first failing entry
+// whenever both decide.
+func (th *Theorem) FirstFailure(m *engine.Meter) (*Report, error) {
+	return th.run(m, "", func(r *Report, m *engine.Meter) error {
+		return th.checkAll(r, m, true)
+	})
 }
 
 // run validates the theorem, resolves its reduction and runs body under m,
@@ -447,28 +461,39 @@ func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine
 	return finishReport(r, m, err)
 }
 
-// checkAll runs every hypothesis check, accumulating results into r in the
-// order Check documents. Hypothesis (2b) is checked first, on the LHS graph,
-// but reported last.
-func (th *Theorem) checkAll(r *Report, m *engine.Meter) error {
+// checkAll runs the hypothesis checks in three phases, accumulating results
+// into r in the order Check documents: the LHS graph (H1, 2a(i), and (2b),
+// which is checked first but reported last), route A's side conditions on
+// the guarantees-only graph, and route B's +v product.
+//
+// With firstFailure set it stops after the first phase that records a
+// failure, still reporting (2b) last. Every phase's entries come before
+// (2b)'s, so a later phase can change neither the verdict nor the first
+// failing entry. A failure of (2b) alone stops nothing: a later phase could
+// still fail, and it would be reported first.
+func (th *Theorem) checkAll(r *Report, m *engine.Meter, firstFailure bool) error {
 	h2b, err := th.checkLHS(r, m)
 	if err != nil {
 		return err
 	}
-
-	// The graph of ⋀ C(M_j) alone: route A's side conditions and route B's
-	// monitor base.
-	rG, err := th.guaranteesGraph(r, m)
-	if err != nil {
-		return err
-	}
-	// Hypothesis (2a), route A (Propositions 3 + 4): (ii) and (iii).
-	if err := th.checkHyp2aViaPropositions(r, rG); err != nil {
-		return err
-	}
-	// Hypothesis (2a), route B (direct +v monitor product).
-	if err := th.checkHyp2aDirect(r, rG); err != nil {
-		return err
+	decided := func() bool { return firstFailure && !r.Valid }
+	if !decided() {
+		// The graph of ⋀ C(M_j) alone: route A's side conditions and route
+		// B's monitor base.
+		rG, err := th.guaranteesGraph(r, m)
+		if err != nil {
+			return err
+		}
+		// Hypothesis (2a), route A (Propositions 3 + 4): (ii) and (iii).
+		if err := th.checkHyp2aViaPropositions(r, rG); err != nil {
+			return err
+		}
+		// Hypothesis (2a), route B (direct +v monitor product).
+		if !decided() {
+			if err := th.checkHyp2aDirect(r, rG); err != nil {
+				return err
+			}
+		}
 	}
 	th.addHyp2b(r, h2b)
 	return nil
@@ -590,21 +615,29 @@ func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
 //
 // Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). Step (i) is checked
 // on the LHS graph (see checkLHS); this checks the side conditions (ii) and
-// (iii) on the graph rG of ⋀C(M_j) alone (see guaranteesGraph).
+// (iii) on the graph rG of ⋀C(M_j) alone (see guaranteesGraph). Disjoint(e,
+// m) is discharged without rG when the guarantees' step constraints cover
+// (e, m) (see disjointCover); the report entry's detail says so.
 func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
 	defer obs.FromMeter(rG.Meter()).Span("H2a-A")()
 	m := th.Concl.Sys
 
 	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
-	// tuples (Proposition 4's interleaving requirement).
+	// tuples (Proposition 4's interleaving requirement). Every step of rG
+	// satisfies the guarantees' step constraints, so when those cover
+	// (e, m) no step needs checking (Fig. 9, step 2.1).
 	eVars, mVars := th.conclusionInterface()
 	if len(eVars) > 0 && len(mVars) > 0 {
-		disj := form.Disjoint(eVars, mVars)
-		dres, err := check.Safety(rG, disj)
-		if err != nil {
-			return fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
+		const name = "H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]"
+		if names := th.disjointCover(eVars, mVars); names != nil {
+			r.add(name, true, fmt.Sprintf("static: step constraints %s cover (e, m)", strings.Join(names, ", ")))
+		} else {
+			dres, err := check.Safety(rG, form.Disjoint(eVars, mVars))
+			if err != nil {
+				return fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
+			}
+			r.add(name, dres.Holds, dres.String())
 		}
-		r.add("H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]", dres.Holds, dres.String())
 	} else {
 		r.add("H2a-A(ii): Disjoint(e, m)  [Prop 4]", true, "trivial (empty interface)")
 	}
@@ -654,6 +687,26 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
 	r.add("H2a-A(iii): v contains the free variables of C(M)  [Prop 3]",
 		len(missing) == 0, fmt.Sprintf("missing from v: %v", missing))
 	return nil
+}
+
+// disjointCover returns the names of the guarantees' step constraints that
+// form.ParseDisjoint recognizes when together they cover (e, m), so that
+// every step of the guarantees-only graph satisfies Disjoint(e, m); it
+// returns nil when they do not.
+func (th *Theorem) disjointCover(eVars, mVars []string) []string {
+	_, cons := th.guaranteeComponents()
+	var names []string
+	var sets [][]map[string]bool
+	for _, sc := range cons {
+		if s, ok := form.ParseDisjoint(sc.Action); ok {
+			names = append(names, sc.Name)
+			sets = append(sets, s)
+		}
+	}
+	if !form.DisjointCovers(sets, eVars, mVars) {
+		return nil
+	}
+	return names
 }
 
 // conclusionInterface returns the conclusion's environment-output tuple e

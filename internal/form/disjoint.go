@@ -50,7 +50,9 @@ func DisjointSteps(tuples ...[]string) []Expr {
 //
 // The vet pre-check reads the paper's Disjoint hypothesis (§2.3) through
 // it, both to audit interleaving coverage (SV020/SV021) and to re-prove
-// that coverage from inferred writes (SV111).
+// that coverage from inferred writes (SV111), and the theorem check
+// discharges Proposition 4's Disjoint(e, m) through it when the
+// guarantees' constraints cover (e, m) (see DisjointCovers).
 func ParseDisjoint(e Expr) ([]map[string]bool, bool) {
 	var sets []map[string]bool
 	for _, leaf := range orLeaves(e) {
@@ -61,6 +63,49 @@ func ParseDisjoint(e Expr) ([]map[string]bool, bool) {
 		sets = append(sets, s)
 	}
 	return sets, len(sets) > 0
+}
+
+// DisjointCovers reports whether step constraints force the variables of a
+// and b to change in separate steps, so that every step they all allow
+// satisfies [(a' = a) ∨ (b' = b)]. Each element of sets is one constraint
+// as ParseDisjoint reads it: a step satisfies it iff it leaves one of its
+// frozen sets unchanged.
+//
+// Frozen-set constraints are closed under shrinking the set of variables a
+// step changes, so a step changing some x ∈ a and some y ∈ b is excluded
+// iff the step changing just x and y is. That step is excluded iff some
+// constraint has no disjunct missing both. The test is therefore exact for
+// the given constraints, and several constraints may cover a pair together:
+// G's three DisjointSteps cover (e, m) of Fig. 9, though none does alone.
+// For one constraint it is the classic shape: each disjunct freezes all of
+// a or all of b.
+func DisjointCovers(sets [][]map[string]bool, a, b []string) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if !separates(sets, x, y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// separates reports whether some constraint forbids changing x and y in one
+// step: each of its disjuncts freezes x or y.
+func separates(sets [][]map[string]bool, x, y string) bool {
+	for _, disjuncts := range sets {
+		all := len(disjuncts) > 0
+		for _, s := range disjuncts {
+			if !s[x] && !s[y] {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }
 
 // orLeaves flattens nested disjunctions into their leaves.

@@ -1,6 +1,8 @@
 package form
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"opentla/internal/state"
@@ -255,4 +257,111 @@ func FuzzParseDisjoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parsedSteps reads each constraint DisjointSteps(tuples...) emits with
+// ParseDisjoint.
+func parsedSteps(t *testing.T, tuples ...[]string) [][]map[string]bool {
+	t.Helper()
+	var out [][]map[string]bool
+	for _, e := range DisjointSteps(tuples...) {
+		sets, ok := ParseDisjoint(e)
+		if !ok {
+			t.Fatalf("DisjointSteps output not recognized: %v", e)
+		}
+		out = append(out, sets)
+	}
+	return out
+}
+
+// TestDisjointCoversFig9: G's three constraints cover Fig. 9's (e, m)
+// together, though none does alone: e is the environment's block, and m
+// takes i.ack from the first queue's block and o's signal and value from
+// the second's. The two constraints pairing e's block with the others are
+// enough; without the one against the first queue's block, i.ack and e may
+// change in one step.
+func TestDisjointCoversFig9(t *testing.T) {
+	env := []string{"i.sig", "i.val", "o.ack"}
+	q1 := []string{"z.sig", "z.val", "i.ack"}
+	q2 := []string{"o.sig", "o.val", "z.ack"}
+	e, m := env, []string{"i.ack", "o.sig", "o.val"}
+	g := parsedSteps(t, env, q1, q2) // (env,q1), (env,q2), (q1,q2)
+	for _, tc := range []struct {
+		name string
+		sets [][]map[string]bool
+		want bool
+	}{
+		{"all of G", g, true},
+		{"env against both queues", g[:2], true},
+		{"env against q1 only", g[:1], false},
+		{"env against q2 only", g[1:2], false},
+		{"the queues against each other", g[2:], false},
+		{"env against q2, queues against each other", g[1:], false},
+		{"no constraint", nil, false},
+	} {
+		if got := DisjointCovers(tc.sets, e, m); got != tc.want {
+			t.Errorf("%s: DisjointCovers = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDisjointCoversMatchesStepEnumeration checks DisjointCovers against
+// its definition on random DisjointSteps constraints over six variables:
+// (a, b) is covered iff no set of changed variables that every constraint
+// allows (some frozen set of each stays unchanged) meets both a and b.
+func TestDisjointCoversMatchesStepEnumeration(t *testing.T) {
+	vars := []string{"u", "v", "w", "x", "y", "z"}
+	pick := func(r *rand.Rand) []string {
+		var out []string
+		for _, v := range vars {
+			if r.Intn(3) == 0 {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	meets := func(changed int, names []string) bool {
+		for _, n := range names {
+			if changed&(1<<slices.Index(vars, n)) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	r := rand.New(rand.NewSource(1))
+	covered := 0
+	for round := 0; round < 2000; round++ {
+		var sets [][]map[string]bool
+		for n := r.Intn(4); n > 0; n-- {
+			sets = append(sets, parsedSteps(t, pick(r), pick(r))...)
+		}
+		a, b := pick(r), pick(r)
+		want := true
+		for changed := 0; changed < 1<<len(vars) && want; changed++ {
+			allowed := true
+			for _, disjuncts := range sets {
+				some := false
+				for _, s := range disjuncts {
+					frozen := make([]string, 0, len(s))
+					for v := range s {
+						frozen = append(frozen, v)
+					}
+					some = some || !meets(changed, frozen)
+				}
+				allowed = allowed && some
+			}
+			if allowed && meets(changed, a) && meets(changed, b) {
+				want = false
+			}
+		}
+		if got := DisjointCovers(sets, a, b); got != want {
+			t.Fatalf("round %d: DisjointCovers(%v, %v, %v) = %v, want %v", round, sets, a, b, got, want)
+		}
+		if want && len(a) > 0 && len(b) > 0 {
+			covered++
+		}
+	}
+	if covered == 0 {
+		t.Error("no round had two non-empty covered sets; the oracle is not exercised")
+	}
 }

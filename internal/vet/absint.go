@@ -161,11 +161,11 @@ func checkDisjointRefuted(res *Result, name string, comps []*spec.Component, con
 			if len(cb.Actions) == 0 || len(cb.Outputs) == 0 {
 				continue
 			}
-			if !coveredBy(recognized, ca.Outputs, cb.Outputs) {
+			if !form.DisjointCovers(recognized, ca.Outputs, cb.Outputs) {
 				continue // no declared coverage to refute; SV020 reports it
 			}
 			extA, extB := ext(ca), ext(cb)
-			if coveredBy(recognized, extA, extB) {
+			if form.DisjointCovers(recognized, extA, extB) {
 				continue
 			}
 			res.add(Diagnostic{

@@ -22,11 +22,14 @@ import (
 //	SV021 — a step constraint is not recognized as a Disjoint shape, so
 //	        the coverage analysis cannot credit it.
 //
-// A constraint counts toward pair (A, B) when every one of its disjuncts
-// freezes all of A's outputs or all of B's outputs — exactly the shape
-// produced by form.DisjointSteps: [(vi'=vi) ∨ (vj'=vj)]_⟨vi,vj⟩, whose
-// three disjuncts freeze vi, vj, and ⟨vi,vj⟩ respectively. Components with
-// no actions or no outputs need no interleaving and are skipped.
+// The recognized constraints cover pair (A, B) when together they exclude
+// every step changing an output of A and an output of B
+// (form.DisjointCovers). One constraint does when every one of its
+// disjuncts freezes all of A's outputs or all of B's outputs — exactly the
+// shape produced by form.DisjointSteps: [(vi'=vi) ∨ (vj'=vj)]_⟨vi,vj⟩,
+// whose three disjuncts freeze vi, vj, and ⟨vi,vj⟩ respectively.
+// Components with no actions or no outputs need no interleaving and are
+// skipped.
 func checkDisjointCoverage(res *Result, name string, comps []*spec.Component, cons []ts.StepConstraint, opt Options) {
 	var recognized [][]map[string]bool
 	for _, con := range cons {
@@ -54,7 +57,7 @@ func checkDisjointCoverage(res *Result, name string, comps []*spec.Component, co
 			if len(b.Actions) == 0 || len(b.Outputs) == 0 {
 				continue
 			}
-			if coveredBy(recognized, a.Outputs, b.Outputs) {
+			if form.DisjointCovers(recognized, a.Outputs, b.Outputs) {
 				continue
 			}
 			res.add(Diagnostic{
@@ -65,32 +68,4 @@ func checkDisjointCoverage(res *Result, name string, comps []*spec.Component, co
 			})
 		}
 	}
-}
-
-// coveredBy reports whether some recognized constraint interleaves the
-// two output sets: every one of its disjuncts freezes all of outA or all
-// of outB.
-func coveredBy(recognized [][]map[string]bool, outA, outB []string) bool {
-	for _, sets := range recognized {
-		all := len(sets) > 0
-		for _, s := range sets {
-			if !subset(outA, s) && !subset(outB, s) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
-func subset(names []string, set map[string]bool) bool {
-	for _, n := range names {
-		if !set[n] {
-			return false
-		}
-	}
-	return true
 }

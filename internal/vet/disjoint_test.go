@@ -54,6 +54,20 @@ func TestDisjointCoverage(t *testing.T) {
 			t.Errorf("multi-var coverage missed:\n%s", res)
 		}
 	})
+	t.Run("constraints-cover-together", func(t *testing.T) {
+		// a writes x1 and x2; x1 is interleaved with y by one constraint
+		// and x2 by another, so no step changes an output of each.
+		a := writer("a", []string{"x1", "x2"}, nil, "x1", "x2")
+		b := writer("b", []string{"y"}, nil, "y")
+		cons := append(disjointCons([]string{"x1"}, []string{"y"}), disjointCons([]string{"x2"}, []string{"y"})...)
+		res := Composition("sys", []*spec.Component{a, b}, cons, Options{RequireDisjoint: true})
+		if hasCode(res, "SV020") {
+			t.Errorf("jointly covered pair flagged:\n%s", res)
+		}
+		// Either constraint alone leaves the other output free.
+		res = Composition("sys", []*spec.Component{a, b}, cons[:1], Options{RequireDisjoint: true})
+		diag(t, res, "SV020")
+	})
 	t.Run("wrong-pair-not-credited", func(t *testing.T) {
 		// A constraint interleaving x with z says nothing about (x, y).
 		cons := disjointCons([]string{"x"}, []string{"z"})
@@ -95,8 +109,15 @@ func TestParseDisjoint(t *testing.T) {
 		t.Fatalf("ParseDisjoint: ok=%v sets=%v", ok, sets)
 	}
 	// The three disjuncts freeze x, y, and the combined tuple.
-	if !subset([]string{"x1", "x2"}, sets[0]) || !subset([]string{"y"}, sets[1]) ||
-		!subset([]string{"x1", "x2", "y"}, sets[2]) {
+	freezes := func(set map[string]bool, names ...string) bool {
+		for _, n := range names {
+			if !set[n] {
+				return false
+			}
+		}
+		return true
+	}
+	if !freezes(sets[0], "x1", "x2") || !freezes(sets[1], "y") || !freezes(sets[2], "x1", "x2", "y") {
 		t.Errorf("frozen sets = %v", sets)
 	}
 	if _, ok := form.ParseDisjoint(form.Eq(form.PrimedVar("x"), form.IntC(0))); ok {
