@@ -2,7 +2,6 @@ package ag
 
 import (
 	"fmt"
-	"sort"
 
 	"opentla/internal/check"
 	"opentla/internal/engine"
@@ -51,27 +50,20 @@ func (rf *Refinement) plusSub() form.Expr {
 	if rf.PlusSub != nil {
 		return rf.PlusSub
 	}
-	set := make(map[string]bool)
-	add := func(c *spec.Component) {
-		if c == nil {
-			return
-		}
-		for _, v := range c.Inputs {
-			set[v] = true
-		}
-		for _, v := range c.Outputs {
-			set[v] = true
-		}
+	return form.VarTuple(interfaceVars([]*spec.Component{rf.Env, rf.Low, rf.High}, nil)...)
+}
+
+// system returns a system over comps with the refinement's exploration
+// settings, named after the refinement.
+func (rf *Refinement) system(suffix string, comps ...*spec.Component) *ts.System {
+	return &ts.System{
+		Name:       rf.Name + suffix,
+		Components: comps,
+		Domains:    rf.Domains,
+		Workers:    rf.Workers,
+		Cache:      rf.Cache,
+		Resume:     rf.Resume,
 	}
-	add(rf.Env)
-	add(rf.Low)
-	add(rf.High)
-	vars := make([]string, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return form.VarTuple(vars...)
 }
 
 // Check discharges both hypotheses of the Corollary, without resource
@@ -96,10 +88,7 @@ func (rf *Refinement) CheckWith(m *engine.Meter) (*Report, error) {
 		Valid:       true,
 		Conclusion:  "(E -+> M') => (E -+> M)",
 	}
-	end := obs.FromMeter(m).Span("corollary:" + rf.Name)
-	err := rf.checkBoth(r, m)
-	end()
-	return finishReport(r, m, err)
+	return settle(m, "corollary:"+rf.Name, r, rf.checkBoth)
 }
 
 // checkBoth runs hypotheses (a) and (b), accumulating results into r.
@@ -114,15 +103,7 @@ func (rf *Refinement) checkBoth(r *Report, m *engine.Meter) error {
 // over the graph of C(M') with environment variables unconstrained.
 func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
 	defer obs.FromMeter(m).Span("hyp-a")()
-	baseSys := &ts.System{
-		Name:       rf.Name + "/low-closure",
-		Components: []*spec.Component{rf.Low.SafetyOnly()},
-		Domains:    rf.Domains,
-		Workers:    rf.Workers,
-		Cache:      rf.Cache,
-		Resume:     rf.Resume,
-	}
-	baseG, err := baseSys.BuildWith(m)
+	baseG, err := rf.system("/low-closure", rf.Low.SafetyOnly()).BuildWith(m)
 	if err != nil {
 		return fmt.Errorf("refinement %s: building C(M') graph: %w", rf.Name, err)
 	}
@@ -138,18 +119,11 @@ func (rf *Refinement) checkHypA(r *Report, m *engine.Meter) error {
 // checkHypB discharges (b) E ∧ M' ⇒ M with fairness.
 func (rf *Refinement) checkHypB(r *Report, m *engine.Meter) error {
 	defer obs.FromMeter(m).Span("hyp-b")()
-	fullSys := &ts.System{
-		Name:       rf.Name + "/full",
-		Components: []*spec.Component{rf.Low},
-		Domains:    rf.Domains,
-		Workers:    rf.Workers,
-		Cache:      rf.Cache,
-		Resume:     rf.Resume,
-	}
+	comps := []*spec.Component{rf.Low}
 	if rf.Env != nil {
-		fullSys.Components = append([]*spec.Component{rf.Env}, fullSys.Components...)
+		comps = append([]*spec.Component{rf.Env}, comps...)
 	}
-	fullG, err := fullSys.BuildWith(m)
+	fullG, err := rf.system("/full", comps...).BuildWith(m)
 	if err != nil {
 		return fmt.Errorf("refinement %s: building full graph: %w", rf.Name, err)
 	}

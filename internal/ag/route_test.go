@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"opentla/internal/ag"
+	"opentla/internal/form"
+	"opentla/internal/queue"
 )
 
 // routeVerdicts runs both routes for hypothesis 2a of th and returns route
@@ -61,5 +63,39 @@ func TestHyp2aRoutesAgree(t *testing.T) {
 				t.Errorf("route A gives %v and route B %v, want %v for both", a, b, pass)
 			}
 		})
+	}
+}
+
+// TestHoldingEntriesCarryNoMissingDetail: a holding entry of the Fig. 9
+// check at N=1, K=2 has no detail naming missing variables, and H2a-A(iii)
+// keeps its "missing from v" list when v omits C(M)'s free variables.
+func TestHoldingEntriesCarryNoMissingDetail(t *testing.T) {
+	cfg := queue.Config{N: 1, Vals: 2}
+	r, err := cfg.Fig9Theorem().Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range r.Hypotheses {
+		if h.Holds && strings.Contains(h.Detail, "missing") {
+			t.Errorf("holding entry %q has detail %q", h.Name, h.Detail)
+		}
+	}
+	th := cfg.Fig9Theorem()
+	th.Concl.PlusSub = form.VarTuple()
+	r, err = th.CheckHyp2aPropositionsOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, h := range r.Hypotheses {
+		if strings.HasPrefix(h.Name, "H2a-A(iii)") {
+			found = true
+			if h.Holds || !strings.HasPrefix(h.Detail, "missing from v: [") {
+				t.Errorf("H2a-A(iii) with an empty v: holds %v, detail %q", h.Holds, h.Detail)
+			}
+		}
+	}
+	if !found {
+		t.Error("no H2a-A(iii) entry")
 	}
 }

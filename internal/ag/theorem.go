@@ -199,10 +199,27 @@ func (r *Report) add(name string, holds bool, detail string) {
 // visibleVars returns the non-internal variables of the whole composition,
 // the default subscript of the C(E)+v hypothesis.
 func (th *Theorem) visibleVars() []string {
+	comps := []*spec.Component{th.Concl.Env, th.Concl.Sys}
+	var extra []string
+	for _, p := range th.Pairs {
+		comps = append(comps, p.Env, p.Sys)
+		for _, sc := range p.Constraints {
+			extra = append(extra, form.AllVars(sc.Action)...)
+		}
+	}
+	return interfaceVars(comps, extra)
+}
+
+// interfaceVars returns the sorted union of extra and the inputs and
+// outputs of comps, skipping nil components.
+func interfaceVars(comps []*spec.Component, extra []string) []string {
 	set := make(map[string]bool)
-	addComp := func(c *spec.Component) {
+	for _, v := range extra {
+		set[v] = true
+	}
+	for _, c := range comps {
 		if c == nil {
-			return
+			continue
 		}
 		for _, v := range c.Inputs {
 			set[v] = true
@@ -211,17 +228,6 @@ func (th *Theorem) visibleVars() []string {
 			set[v] = true
 		}
 	}
-	for _, p := range th.Pairs {
-		addComp(p.Env)
-		addComp(p.Sys)
-		for _, sc := range p.Constraints {
-			for _, v := range form.AllVars(sc.Action) {
-				set[v] = true
-			}
-		}
-	}
-	addComp(th.Concl.Env)
-	addComp(th.Concl.Sys)
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -453,9 +459,17 @@ func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine
 	if err := th.validate(); err != nil {
 		return nil, err
 	}
-	end := obs.FromMeter(m).Span("theorem:" + th.Name)
-	th.rd = th.buildReduce(m)
 	r := &Report{TheoremName: th.Name + title, Valid: true}
+	return settle(m, "theorem:"+th.Name, r, func(r *Report, m *engine.Meter) error {
+		th.rd = th.buildReduce(m)
+		return body(r, m)
+	})
+}
+
+// settle runs body on r under m inside the span named span, then settles
+// r's verdict with finishReport.
+func settle(m *engine.Meter, span string, r *Report, body func(*Report, *engine.Meter) error) (*Report, error) {
+	end := obs.FromMeter(m).Span(span)
 	err := body(r, m)
 	end()
 	return finishReport(r, m, err)
@@ -684,8 +698,11 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
 			missing = append(missing, v)
 		}
 	}
-	r.add("H2a-A(iii): v contains the free variables of C(M)  [Prop 3]",
-		len(missing) == 0, fmt.Sprintf("missing from v: %v", missing))
+	detail := ""
+	if len(missing) > 0 {
+		detail = fmt.Sprintf("missing from v: %v", missing)
+	}
+	r.add("H2a-A(iii): v contains the free variables of C(M)  [Prop 3]", len(missing) == 0, detail)
 	return nil
 }
 
