@@ -214,7 +214,7 @@ func BenchmarkE12_Fig9WithoutG(b *testing.B) {
 func BenchmarkE14_Corollary(b *testing.B) {
 	cfg := queue.Config{N: 1, Vals: 2}
 	for i := 0; i < b.N; i++ {
-		report, err := cfg.CorollaryRefinement().Check()
+		report, err := cfg.CorollaryTheorem().Check()
 		if err != nil || !report.Valid {
 			b.Fatalf("valid=%v err=%v", report != nil && report.Valid, err)
 		}

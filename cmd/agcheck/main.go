@@ -7,7 +7,7 @@
 //	agcheck -model circular
 //	agcheck -model queues -n 1 -k 2
 //	agcheck -model queues-no-g -n 1 -k 2   (expected to FAIL: §A.5 formula (3))
-//	agcheck -model corollary -n 1 -k 2     (the refinement Corollary)
+//	agcheck -model corollary -n 1 -k 2     (the refinement Corollary: a one-pair theorem)
 //	agcheck -model arbiter                 (mutual-exclusion arbiter domain)
 //
 // It shares its flags, run lifecycle and exit codes with queueverify (see
@@ -15,7 +15,8 @@
 // metrics, profiles, the graph cache and the -vet pre-check, which here
 // analyzes the theorem instance. -mutate <name> plants a named ill-formed-spec
 // mutation from the faultinject vet catalog first — a testing aid for the
-// analyzer itself.
+// analyzer itself; a model without the pairs the mutation targets is
+// refused (exit 2) before the run starts.
 //
 // Exit codes: 0 = all hypotheses hold, 1 = some hypothesis violated,
 // 2 = undecided (budget exhausted, internal failure, vet-strict
@@ -46,13 +47,6 @@ func main() {
 // modelNames lists the valid -model values, in help order.
 var modelNames = []string{"circular", "queues", "queues-no-g", "corollary", "arbiter"}
 
-// checker is what a model resolves to: a Composition Theorem instance or
-// the Corollary's refinement.
-type checker interface {
-	Vet() *vet.Result
-	CheckWith(*engine.Meter) (*ag.Report, error)
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	r := cli.New("agcheck", stderr)
 	r.Flags.StringVar(&r.Conf.Model, "model", "circular", "model to check: circular | queues | queues-no-g | corollary | arbiter")
@@ -62,15 +56,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := r.Queue
 
-	// Resolve the model before spending anything on meters or profiles, so
-	// a typo fails fast with the valid list. resolve builds a fresh
-	// instance with the run's settings on each call, so the vet pre-check
-	// and the check itself analyze the same instance — including any fault
-	// planted by -mutate. The settings are read at call time, after the
-	// cache is open.
+	// Resolve the model, and any -mutate, before spending anything on the
+	// cache, meters or profiles, so a typo or a mutation the model cannot
+	// take fails fast. resolve builds a fresh instance with the run's
+	// settings on each call, so the vet pre-check and the check itself
+	// analyze the same instance — including any fault planted by -mutate.
+	// The settings are read at call time, after the cache is open.
 	var mu *faultinject.VetMutation
-	theorem := func(mk func() *ag.Theorem, sym *reduce.Symmetry) func() (checker, error) {
-		return func() (checker, error) {
+	theorem := func(mk func() *ag.Theorem, sym *reduce.Symmetry) func() (*ag.Theorem, error) {
+		return func() (*ag.Theorem, error) {
 			th := mk()
 			th.Workers, th.Cache, th.Resume = r.Workers, r.Cache, r.Resume
 			th.Reduce, th.Symmetry = r.Reduce, sym
@@ -82,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return th, nil
 		}
 	}
-	var resolve func() (checker, error)
+	var resolve func() (*ag.Theorem, error)
 	switch r.Conf.Model {
 	case "circular":
 		resolve = theorem(circular.SafetyTheorem, nil)
@@ -99,14 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if r.Reduce.Any() {
 			return r.Fail("-reduce is not supported for the corollary refinement model (its checks are liveness-bearing end to end)")
 		}
-		if *mutate != "" {
-			return r.Fail("-mutate applies only to theorem models, not %q", r.Conf.Model)
-		}
-		resolve = func() (checker, error) {
-			rf := cfg.CorollaryRefinement()
-			rf.Workers, rf.Cache, rf.Resume = r.Workers, r.Cache, r.Resume
-			return rf, nil
-		}
+		resolve = theorem(cfg.CorollaryTheorem, nil)
 	case "arbiter":
 		resolve = theorem(arbiter.Theorem, nil)
 	default:
@@ -125,21 +112,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if mu == nil {
 			return r.Fail("unknown vet mutation %q; valid: %s", *mutate, strings.Join(known, " | "))
 		}
+		// The catalog targets Fig. 9's pairs: plant the mutation in a
+		// throwaway instance to refuse a model it does not fit.
+		if _, err := resolve(); err != nil {
+			return r.Fail("%v", err)
+		}
 	}
 
 	analyze := func() (*vet.Result, error) {
-		c, err := resolve()
+		th, err := resolve()
 		if err != nil {
 			return nil, err
 		}
-		return c.Vet(), nil
+		return th.Vet(), nil
 	}
 	return r.Check(analyze, func(m *engine.Meter) (cli.Outcome, error) {
-		c, err := resolve()
+		th, err := resolve()
 		if err != nil {
 			return cli.Outcome{}, err
 		}
-		report, err := c.CheckWith(m)
+		report, err := th.CheckWith(m)
 		if err != nil {
 			return cli.Outcome{}, err
 		}

@@ -453,7 +453,7 @@ func TestVetUsageErrors(t *testing.T) {
 	}{
 		{"bad vet mode", []string{"-model", "circular", "-vet", "bogus"}, `invalid vet mode "bogus"`},
 		{"unknown mutation", []string{"-model", "queues", "-mutate", "nonesuch"}, `unknown vet mutation "nonesuch"`},
-		{"mutate on refinement", []string{"-model", "corollary", "-mutate", "vet-unowned-write"}, "-mutate applies only to theorem models"},
+		{"mutate on refinement", []string{"-model", "corollary", "-mutate", "vet-unowned-write"}, `mutation vet-unowned-write: theorem fused-double-queue[N=1,K=2] refines 3-queue (Corollary) has no pair "Q1"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -463,6 +463,38 @@ func TestVetUsageErrors(t *testing.T) {
 			}
 			if !strings.Contains(errb.String(), tt.reason) {
 				t.Errorf("stderr %q missing %q", errb.String(), tt.reason)
+			}
+		})
+	}
+}
+
+// TestMutateFailsFast: a -mutate the model cannot take is refused while
+// resolving the model, before the run opens the cache or starts anything:
+// exit 2 with the mutation's error, and no -cache-dir is created.
+func TestMutateFailsFast(t *testing.T) {
+	tests := []struct {
+		model, mutation, reason string
+	}{
+		{"circular", "vet-unowned-write", `mutation vet-unowned-write: theorem circular-safety (§1 example 1) has no pair "Q1"`},
+		{"arbiter", "vet-unowned-write", `has no pair "Q1"`},
+		{"queues-no-g", "vet-missing-disjoint", `mutation vet-missing-disjoint: theorem Fig9[N=1,K=2]: two open queues implement a 3-queue WITHOUT G (expected to fail, §A.5 formula (3)) has no pair "G"`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.model+"/"+tt.mutation, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			var out, errb bytes.Buffer
+			code := run([]string{"-model", tt.model, "-mutate", tt.mutation, "-cache-dir", dir}, &out, &errb)
+			if code != 2 {
+				t.Fatalf("exit code = %d, want 2 (stderr %q)", code, errb.String())
+			}
+			if !strings.Contains(errb.String(), tt.reason) {
+				t.Errorf("stderr %q missing %q", errb.String(), tt.reason)
+			}
+			if out.Len() != 0 {
+				t.Errorf("stdout %q, want nothing checked", out.String())
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("-cache-dir %s was created (stat err %v)", dir, err)
 			}
 		})
 	}

@@ -11,7 +11,7 @@
 //	spec           — canonical-form component specifications (§2.2)
 //	ts             — transition systems, state graphs, monitor products
 //	check          — safety/liveness model checking, fair-cycle search
-//	ag             — the Composition Theorem (§5), Corollary, Propositions
+//	ag             — the Composition Theorem (§5) and its Corollary, Propositions
 //	handshake      — the two-phase handshake channel substrate (§A.1)
 //	queue          — the queue example, CDQ ⇒ CQ^dbl, Figure 9 (App. A)
 //	circular       — the §1 introductory examples

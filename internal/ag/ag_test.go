@@ -300,3 +300,37 @@ func TestTheoremDetectsBrokenGuarantee(t *testing.T) {
 		t.Fatalf("nothing guarantees e=0; the theorem must not validate:\n%s", report)
 	}
 }
+
+// TestDisjointCoverNamesWhatCovers: disjointCover credits the step
+// constraints alone when they cover (e, m), adds the guarantees' frames
+// only when they fall short, and names both when both are needed. Here
+// e = ⟨a, b⟩ and m = ⟨x⟩; the guarantee's one action freezes a but not b,
+// and the constraint Gb separates b from x.
+func TestDisjointCoverNamesWhatCovers(t *testing.T) {
+	low := &spec.Component{
+		Name:    "low",
+		Inputs:  []string{"a", "b"},
+		Outputs: []string{"x"},
+		Actions: []spec.Action{{Name: "Flip", Def: form.And(
+			form.Eq(form.PrimedVar("x"), form.Sub(form.IntC(1), form.Var("x"))),
+			form.Unchanged("a"),
+		)}},
+	}
+	gb := ts.StepConstraint{Name: "Gb", Action: form.DisjointSteps([]string{"b"}, []string{"x"})[0]}
+	gab := ts.StepConstraint{Name: "Gab", Action: form.DisjointSteps([]string{"a", "b"}, []string{"x"})[0]}
+	e, m := []string{"a", "b"}, []string{"x"}
+	for _, tc := range []struct {
+		name  string
+		pairs []Pair
+		want  string
+	}{
+		{"constraints alone", []Pair{{Name: "low", Sys: low}, {Name: "G", Constraints: []ts.StepConstraint{gab}}}, "step constraints Gab"},
+		{"constraints and frames", []Pair{{Name: "low", Sys: low}, {Name: "G", Constraints: []ts.StepConstraint{gb}}}, "step constraints Gb and frames of low"},
+		{"frames fall short", []Pair{{Name: "low", Sys: low}}, ""},
+	} {
+		th := &Theorem{Name: tc.name, Pairs: tc.pairs}
+		if got := th.disjointCover(e, m); got != tc.want {
+			t.Errorf("%s: disjointCover = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -156,10 +156,11 @@ func TestFirstFailureStopsWhereExpected(t *testing.T) {
 }
 
 // TestStaticDisjointImpliesGraphCheck: wherever H2a-A(ii)'s Disjoint(e, m)
-// is discharged from the guarantees' step constraints, checking it on the
-// guarantees-only graph holds too. It also pins where the static route
-// applies: on Fig. 9, whose G covers (e, m), and not without G, where the
-// graph check refutes it.
+// is discharged from the guarantees' step constraints or action frames,
+// checking it on the guarantees-only graph holds too. It also pins where
+// and how the static route applies: on Fig. 9, whose G covers (e, m), on
+// the Corollary, whose fused queue freezes e in every action, and not
+// without G, where the graph check refutes it.
 func TestStaticDisjointImpliesGraphCheck(t *testing.T) {
 	const name = "H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]"
 	for _, m := range theoremModelsK23() {
@@ -185,8 +186,9 @@ func TestStaticDisjointImpliesGraphCheck(t *testing.T) {
 				t.Fatalf("no %q entry in\n%v", name, r)
 			}
 			static := strings.HasPrefix(entry.Detail, "static: ")
-			if wantStatic := strings.HasPrefix(m.name, "queues/"); static != wantStatic {
-				t.Errorf("static discharge %v, want %v (detail %q)", static, wantStatic, entry.Detail)
+			want := map[string]string{"queues": "static: step constraints G0, G1, G2 cover", "corollary": "static: frames of DQ[N=1] cover"}[strings.Split(m.name, "/")[0]]
+			if static != (want != "") || !strings.HasPrefix(entry.Detail, want) {
+				t.Errorf("detail %q, want a static discharge %q", entry.Detail, want)
 			}
 			g, err := th.GuaranteesSystem().Build()
 			if err != nil {
@@ -204,4 +206,80 @@ func TestStaticDisjointImpliesGraphCheck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFrameMutantFallsBackToGraph: a fused queue whose Deq2 no longer says
+// o.ack' = o.ack lets one step change o.ack ∈ e and o.sig ∈ m, so its
+// frames must not cover (e, m). H2a-A(ii) then falls back to the graph
+// check, which decides it: it fails, with the graph's counterexample.
+func TestFrameMutantFallsBackToGraph(t *testing.T) {
+	const name = "H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]"
+	for _, k := range []int{2, 3} {
+		mk := func() *ag.Theorem {
+			th := queue.Config{N: 1, Vals: k}.CorollaryTheorem()
+			dq := th.Pairs[0].Sys
+			for i, a := range dq.Actions {
+				if a.Name == "Deq2" {
+					dq.Actions[i].Def = dropFrame(t, a.Def, queue.Out.Ack())
+				}
+			}
+			return th
+		}
+		r, err := mk().CheckHyp2aPropositionsOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := mk()
+		g, err := th.GuaranteesSystem().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := check.Safety(g, form.Disjoint(th.Concl.Env.Outputs, th.Concl.Sys.Outputs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Holds {
+			t.Fatalf("K=%d: Deq2 without o.ack' = o.ack still satisfies Disjoint(e, m) on the graph", k)
+		}
+		found := false
+		for _, h := range r.Hypotheses {
+			if h.Name == name {
+				found = true
+				if h.Holds || h.Detail != res.String() {
+					t.Errorf("K=%d: %s holds=%v detail %q, want the graph check's failure %q", k, name, h.Holds, h.Detail, res.String())
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("K=%d: no %q entry in\n%v", k, name, r)
+		}
+	}
+}
+
+// dropFrame returns def without its top-level conjunct v' = v, failing t
+// when there is none.
+func dropFrame(t *testing.T, def form.Expr, v string) form.Expr {
+	t.Helper()
+	frame := form.Unchanged(v).String()
+	var keep []form.Expr
+	dropped := false
+	var walk func(form.Expr)
+	walk = func(e form.Expr) {
+		if a, ok := e.(form.AndE); ok {
+			for _, c := range a.Xs {
+				walk(c)
+			}
+			return
+		}
+		if e.String() == frame {
+			dropped = true
+			return
+		}
+		keep = append(keep, e)
+	}
+	walk(def)
+	if !dropped {
+		t.Fatalf("%s has no top-level %s", def, frame)
+	}
+	return form.And(keep...)
 }

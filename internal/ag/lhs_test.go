@@ -11,6 +11,7 @@ import (
 	"opentla/internal/circular"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
+	"opentla/internal/spec"
 	"opentla/internal/ts"
 )
 
@@ -33,11 +34,13 @@ func theoremModels() []theoremModel {
 			return th
 		}, cfg.DoubleSymmetry()},
 		{"arbiter", arbiter.Theorem, nil},
+		{"corollary", cfg.CorollaryTheorem, nil},
 	}
 }
 
-// theoremModelsK23 returns agcheck's theorem models with Fig. 9 at K=2
-// and 3: circular, arbiter, and queues and queues-no-g at each K.
+// theoremModelsK23 returns agcheck's theorem models with the queues at K=2
+// and 3: circular, arbiter, and queues, queues-no-g and corollary at each
+// K.
 func theoremModelsK23() []theoremModel {
 	models := []theoremModel{
 		{"circular", circular.SafetyTheorem, nil},
@@ -51,7 +54,8 @@ func theoremModelsK23() []theoremModel {
 				th := cfg.Fig9Theorem()
 				th.Pairs = th.Pairs[1:]
 				return th
-			}, cfg.DoubleSymmetry()})
+			}, cfg.DoubleSymmetry()},
+			theoremModel{fmt.Sprintf("corollary/K=%d", k), cfg.CorollaryTheorem, nil})
 	}
 	return models
 }
@@ -158,6 +162,30 @@ func TestFig9LHSIsCDQ(t *testing.T) {
 		lhs := c.Fig9Theorem().LHSSystem().CanonicalDesc()
 		if cdq != lhs {
 			t.Errorf("N=%d K=%d: CDQ and the Fig. 9 left-hand side differ:\nCDQ: %s\nLHS: %s", c.N, c.Vals, cdq, lhs)
+		}
+	}
+}
+
+// TestCorollaryGraphsAreRefinementGraphs pins that the Corollary, as a
+// one-pair theorem, builds the graphs of the refinement it states: its
+// left-hand side is QE^dbl ∧ DQ and its guarantees-only graph is C(DQ)
+// with the environment free. Names are not part of a CanonicalDesc, so a
+// graph cache filled by the Corollary's former driver, which built exactly
+// these two systems, still hits.
+func TestCorollaryGraphsAreRefinementGraphs(t *testing.T) {
+	for _, c := range []queue.Config{{N: 1, Vals: 2}, {N: 1, Vals: 3}} {
+		th := c.CorollaryTheorem()
+		env, dq := queue.QE("QEdbl", queue.In, queue.Out, c.ValueDomain()), c.FusedDouble()
+		for _, tc := range []struct {
+			name      string
+			got, want *ts.System
+		}{
+			{"LHS", th.LHSSystem(), &ts.System{Components: []*spec.Component{env, dq}, Domains: c.DoubleDomains()}},
+			{"guarantees-only", th.GuaranteesSystem(), &ts.System{Components: []*spec.Component{dq.SafetyOnly()}, Domains: c.DoubleDomains()}},
+		} {
+			if got, want := tc.got.CanonicalDesc(), tc.want.CanonicalDesc(); got != want {
+				t.Errorf("N=%d K=%d %s: the Corollary's graph differs from the direct one:\ngot:  %s\nwant: %s", c.N, c.Vals, tc.name, got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 // Package ag implements the assumption/guarantee reasoning of Abadi &
-// Lamport, "Open Systems in TLA" (1994): the Composition Theorem (§5), its
-// refinement Corollary, and checkable forms of Propositions 1–4.
+// Lamport, "Open Systems in TLA" (1994): the Composition Theorem (§5) and
+// checkable forms of Propositions 1–4. The refinement Corollary of §5 is
+// the Theorem with one pair whose assumption is the conclusion's (see
+// queue.Config.CorollaryTheorem): its hypothesis (1) holds because E is a
+// safety property, and its (a) and (b) are the Theorem's 2a and 2b.
 //
 // Each hypothesis of the theorem asserts that a complete system satisfies a
 // property (§5), so the driver discharges hypotheses by explicit-state model
@@ -126,9 +129,6 @@ type Report struct {
 	// Stats snapshots the governing meter when the check finished, partial
 	// results included.
 	Stats engine.RunStats
-	// Conclusion is the established formula, rendered for the report
-	// footer (defaults to the Composition Theorem's conclusion).
-	Conclusion string
 	// States records the size of the largest graph explored.
 	States int
 }
@@ -152,11 +152,7 @@ func (r *Report) String() string {
 	case r.Verdict == engine.Unknown:
 		fmt.Fprintf(&sb, "UNKNOWN: %s\n  partial progress: %s\n", r.Unknown, r.Stats)
 	case r.Valid:
-		concl := r.Conclusion
-		if concl == "" {
-			concl = "/\\_j (Ej -+> Mj) => (E -+> M)"
-		}
-		fmt.Fprintf(&sb, "VALID: %s  (%d states max)\n", concl, r.States)
+		fmt.Fprintf(&sb, "VALID: /\\_j (Ej -+> Mj) => (E -+> M)  (%d states max)\n", r.States)
 	default:
 		sb.WriteString("NOT ESTABLISHED\n")
 	}
@@ -197,25 +193,17 @@ func (r *Report) add(name string, holds bool, detail string) {
 }
 
 // visibleVars returns the non-internal variables of the whole composition,
-// the default subscript of the C(E)+v hypothesis.
+// sorted: the default subscript of the C(E)+v hypothesis.
 func (th *Theorem) visibleVars() []string {
 	comps := []*spec.Component{th.Concl.Env, th.Concl.Sys}
-	var extra []string
+	set := make(map[string]bool)
 	for _, p := range th.Pairs {
 		comps = append(comps, p.Env, p.Sys)
 		for _, sc := range p.Constraints {
-			extra = append(extra, form.AllVars(sc.Action)...)
+			for _, v := range form.AllVars(sc.Action) {
+				set[v] = true
+			}
 		}
-	}
-	return interfaceVars(comps, extra)
-}
-
-// interfaceVars returns the sorted union of extra and the inputs and
-// outputs of comps, skipping nil components.
-func interfaceVars(comps []*spec.Component, extra []string) []string {
-	set := make(map[string]bool)
-	for _, v := range extra {
-		set[v] = true
 	}
 	for _, c := range comps {
 		if c == nil {
@@ -453,23 +441,16 @@ func (th *Theorem) FirstFailure(m *engine.Meter) (*Report, error) {
 	})
 }
 
-// run validates the theorem, resolves its reduction and runs body under m,
-// settling the report titled th.Name+title.
+// run validates the theorem, then resolves its reduction and runs body
+// under m inside the theorem's span, and settles the verdict of the report
+// titled th.Name+title with finishReport.
 func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine.Meter) error) (*Report, error) {
 	if err := th.validate(); err != nil {
 		return nil, err
 	}
 	r := &Report{TheoremName: th.Name + title, Valid: true}
-	return settle(m, "theorem:"+th.Name, r, func(r *Report, m *engine.Meter) error {
-		th.rd = th.buildReduce(m)
-		return body(r, m)
-	})
-}
-
-// settle runs body on r under m inside the span named span, then settles
-// r's verdict with finishReport.
-func settle(m *engine.Meter, span string, r *Report, body func(*Report, *engine.Meter) error) (*Report, error) {
-	end := obs.FromMeter(m).Span(span)
+	end := obs.FromMeter(m).Span("theorem:" + th.Name)
+	th.rd = th.buildReduce(m)
 	err := body(r, m)
 	end()
 	return finishReport(r, m, err)
@@ -630,21 +611,23 @@ func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
 // Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). Step (i) is checked
 // on the LHS graph (see checkLHS); this checks the side conditions (ii) and
 // (iii) on the graph rG of ⋀C(M_j) alone (see guaranteesGraph). Disjoint(e,
-// m) is discharged without rG when the guarantees' step constraints cover
-// (e, m) (see disjointCover); the report entry's detail says so.
+// m) is discharged without rG when the guarantees' step constraints, or
+// those and the frames of their actions, cover (e, m) (see disjointCover);
+// the report entry's detail says which.
 func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
 	defer obs.FromMeter(rG.Meter()).Span("H2a-A")()
 	m := th.Concl.Sys
 
 	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
 	// tuples (Proposition 4's interleaving requirement). Every step of rG
-	// satisfies the guarantees' step constraints, so when those cover
-	// (e, m) no step needs checking (Fig. 9, step 2.1).
+	// satisfies the guarantees' step constraints and each guarantee's
+	// [N]_v, so when those cover (e, m) no step needs checking (Fig. 9,
+	// step 2.1).
 	eVars, mVars := th.conclusionInterface()
 	if len(eVars) > 0 && len(mVars) > 0 {
 		const name = "H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]"
-		if names := th.disjointCover(eVars, mVars); names != nil {
-			r.add(name, true, fmt.Sprintf("static: step constraints %s cover (e, m)", strings.Join(names, ", ")))
+		if by := th.disjointCover(eVars, mVars); by != "" {
+			r.add(name, true, "static: "+by+" cover (e, m)")
 		} else {
 			dres, err := check.Safety(rG, form.Disjoint(eVars, mVars))
 			if err != nil {
@@ -706,12 +689,15 @@ func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
 	return nil
 }
 
-// disjointCover returns the names of the guarantees' step constraints that
-// form.ParseDisjoint recognizes when together they cover (e, m), so that
-// every step of the guarantees-only graph satisfies Disjoint(e, m); it
-// returns nil when they do not.
-func (th *Theorem) disjointCover(eVars, mVars []string) []string {
-	_, cons := th.guaranteeComponents()
+// disjointCover reports what makes every step of the guarantees-only graph
+// satisfy Disjoint(e, m), or "" when nothing static does. It tries the
+// guarantees' step constraints that form.ParseDisjoint recognizes first,
+// then adds the frames of the guarantee components' actions
+// (form.FrameSets of each [N]_v, which every step satisfies), and names
+// what covered (e, m): "step constraints G0, G1, G2", "frames of DQ[N=1]",
+// or both.
+func (th *Theorem) disjointCover(eVars, mVars []string) string {
+	comps, cons := th.guaranteeComponents()
 	var names []string
 	var sets [][]map[string]bool
 	for _, sc := range cons {
@@ -720,10 +706,26 @@ func (th *Theorem) disjointCover(eVars, mVars []string) []string {
 			sets = append(sets, s)
 		}
 	}
-	if !form.DisjointCovers(sets, eVars, mVars) {
-		return nil
+	constraints := ""
+	if len(names) > 0 {
+		constraints = "step constraints " + strings.Join(names, ", ")
 	}
-	return names
+	if form.DisjointCovers(sets, eVars, mVars) {
+		return constraints
+	}
+	var framed []string
+	for _, c := range comps {
+		framed = append(framed, c.Name)
+		sets = append(sets, form.FrameSets(c.SquareExpr()))
+	}
+	if !form.DisjointCovers(sets, eVars, mVars) {
+		return ""
+	}
+	by := "frames of " + strings.Join(framed, ", ")
+	if constraints != "" {
+		by = constraints + " and " + by
+	}
+	return by
 }
 
 // conclusionInterface returns the conclusion's environment-output tuple e
@@ -746,36 +748,30 @@ func (th *Theorem) conclusionGuaranteeFreeVars() []string {
 	return out
 }
 
-// checkHyp2aDirect discharges 2a with a +v monitor: the base graph is
-// ⋀C(M_j) with environment variables unconstrained (see guaranteesGraph).
+// checkHyp2aDirect discharges 2a with a +v monitor on the graph baseG of
+// ⋀C(M_j), whose environment variables are unconstrained (see
+// guaranteesGraph): the monitor enforces "C(E) held for a prefix, after
+// which v froze" (no E means TRUE), and C(M) is checked under the mapping
+// on the product.
 func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
 	defer obs.FromMeter(baseG.Meter()).Span("H2a-B")()
-	res, err := plusCheck(r, baseG, th.Concl.Env, th.plusSub(), th.Concl.Sys, th.Concl.Mapping)
+	var envInit form.Expr
+	var envSquares []form.Expr
+	if env := th.Concl.Env; env != nil {
+		envInit = env.Init
+		envSquares = []form.Expr{env.SquareExpr()}
+	}
+	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, th.plusSub())})
+	if err != nil {
+		return fmt.Errorf("hypothesis 2a (direct): +v monitor product: %w", err)
+	}
+	r.noteStates(prod.NumStates())
+	res, err := check.SafetyUnder(prod, th.Concl.Sys.SafetyFormula(), th.Concl.Mapping)
 	if err != nil {
 		return fmt.Errorf("hypothesis 2a (direct): %w", err)
 	}
 	r.add("H2a-B: C(E)+v /\\ conj C(Mj) => C(M)  [direct monitor]", res.Holds, res.String())
 	return nil
-}
-
-// plusCheck checks ⊨ env+v ∧ G ⇒ C(target) on the graph baseG of G, whose
-// environment variables are unconstrained: a +v monitor enforces "env held
-// for a prefix, after which v froze" (env nil means TRUE), and target's
-// closure is checked under mapping on the product. The Composition
-// Theorem's route B and the Corollary's hypothesis (a) both use it.
-func plusCheck(r *Report, baseG *ts.Graph, env *spec.Component, v form.Expr, target *spec.Component, mapping map[string]form.Expr) (*check.SafetyResult, error) {
-	var envInit form.Expr
-	var envSquares []form.Expr
-	if env != nil {
-		envInit = env.Init
-		envSquares = []form.Expr{env.SquareExpr()}
-	}
-	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, v)})
-	if err != nil {
-		return nil, fmt.Errorf("+v monitor product: %w", err)
-	}
-	r.noteStates(prod.NumStates())
-	return check.SafetyUnder(prod, target.SafetyFormula(), mapping)
 }
 
 // The names of hypothesis (2b)'s report entries, E ∧ ⋀M_j ⇒ M checked on

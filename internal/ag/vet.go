@@ -44,31 +44,3 @@ func (th *Theorem) Vet() *vet.Result {
 	res.Merge(vet.Pair("conclusion", th.Concl.Env, th.Concl.Sys, opt))
 	return res
 }
-
-// Vet statically analyzes the corollary instance: environment and
-// low-level guarantee as a composition (no Disjoint requirement — the
-// corollary makes no interleaving hypothesis), plus the high-level
-// guarantee individually.
-func (rf *Refinement) Vet() *vet.Result {
-	opt := vet.Options{Domains: rf.Domains}
-	var comps []*spec.Component
-	if rf.Env != nil {
-		comps = append(comps, rf.Env)
-	}
-	if rf.Low != nil {
-		comps = append(comps, rf.Low)
-	}
-	res := vet.Composition(rf.Name, comps, nil, opt)
-	if rf.High != nil {
-		dup := false
-		for _, c := range comps {
-			if c.Name == rf.High.Name {
-				dup = true
-			}
-		}
-		if !dup {
-			res.Merge(vet.Component(rf.High))
-		}
-	}
-	return res
-}

@@ -77,17 +77,21 @@ func TestTheoremVetDedupesByName(t *testing.T) {
 	}
 }
 
+// TestRefinementVet: a refinement is the one-pair theorem with the
+// low-level guarantee as its pair and the high-level one as its
+// conclusion. It vets clean, and an undeclared write in the low-level
+// guarantee is reported against that component.
 func TestRefinementVet(t *testing.T) {
-	rf := &Refinement{
-		Name: "ref-demo",
-		Low:  countComp("low", "x"),
-		High: countComp("high", "x"),
+	th := &Theorem{
+		Name:  "ref-demo",
+		Pairs: []Pair{{Name: "low", Sys: countComp("low", "x")}},
+		Concl: Conclusion{Sys: countComp("high", "x")},
 	}
-	if res := rf.Vet(); res.HasErrors() {
+	if res := th.Vet(); res.HasErrors() {
 		t.Errorf("clean refinement has vet errors:\n%s", res)
 	}
-	rf.Low.Actions[0].Def = form.Eq(form.PrimedVar("ghost"), form.IntC(1))
-	res := rf.Vet()
+	th.Pairs[0].Sys.Actions[0].Def = form.Eq(form.PrimedVar("ghost"), form.IntC(1))
+	res := th.Vet()
 	found := false
 	for _, d := range res.Diagnostics {
 		if d.Code == "SV001" && d.Component == "low" {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"opentla/internal/ag"
 	"opentla/internal/check"
 	"opentla/internal/faultinject"
 	"opentla/internal/form"
@@ -121,14 +120,15 @@ func TestSafetyUnderMatchesReferenceAppendixA(t *testing.T) {
 			t.Fatalf("CDQ (G=%v) => CQ^dbl: %v", withG, res)
 		}
 	}
-	rf := cfg.CorollaryRefinement()
-	base := build(t, &ts.System{Name: "low-closure", Components: []*spec.Component{rf.Low.SafetyOnly()}, Domains: rf.Domains})
-	prod := plusProduct(t, base, rf.Env, visibleTuple(rf))
-	if res := check.SameAsReference(t, prod, rf.High.SafetyFormula(), rf.Mapping); res == nil || !res.Holds {
+	cor := cfg.CorollaryTheorem()
+	env, low, high := cor.Concl.Env, cor.Pairs[0].Sys, cor.Concl.Sys
+	base := build(t, &ts.System{Name: "low-closure", Components: []*spec.Component{low.SafetyOnly()}, Domains: cor.Domains})
+	prod := plusProduct(t, base, env, visibleTuple(env, low, high))
+	if res := check.SameAsReference(t, prod, high.SafetyFormula(), cor.Concl.Mapping); res == nil || !res.Holds {
 		t.Fatalf("Corollary (a): %v", res)
 	}
-	full := build(t, &ts.System{Name: "full", Components: []*spec.Component{rf.Env, rf.Low}, Domains: rf.Domains})
-	if res := check.SameAsReference(t, full, rf.High.SafetyFormula(), rf.Mapping); res == nil || !res.Holds {
+	full := build(t, &ts.System{Name: "full", Components: []*spec.Component{env, low}, Domains: cor.Domains})
+	if res := check.SameAsReference(t, full, high.SafetyFormula(), cor.Concl.Mapping); res == nil || !res.Holds {
 		t.Fatalf("Corollary (b): %v", res)
 	}
 }
@@ -181,9 +181,9 @@ func TestLivenessUnderMatchesReference(t *testing.T) {
 
 // visibleTuple is the Corollary's default v: every input and output of
 // its three components.
-func visibleTuple(rf *ag.Refinement) form.Expr {
+func visibleTuple(comps ...*spec.Component) form.Expr {
 	set := map[string]bool{}
-	for _, c := range []*spec.Component{rf.Env, rf.Low, rf.High} {
+	for _, c := range comps {
 		for _, v := range append(append([]string(nil), c.Inputs...), c.Outputs...) {
 			set[v] = true
 		}

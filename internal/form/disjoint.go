@@ -65,6 +65,41 @@ func ParseDisjoint(e Expr) ([]map[string]bool, bool) {
 	return sets, len(sets) > 0
 }
 
+// FrameSets reads the frame conditions of an action such as a component's
+// [N]_v: for each disjunct, the variables its top-level x' = x and
+// tuple-stutter conjuncts freeze. A disjunct of any other shape, or any
+// other conjunct, freezes nothing. It is the lenient sibling of
+// ParseDisjoint and never fails: every step satisfying e leaves one of the
+// returned sets unchanged, so the result is one constraint for
+// DisjointCovers. A component's actions that each say UNCHANGED of a
+// tuple, as the fused queue's say of e, cover (e, m) with no step
+// constraint at all.
+func FrameSets(e Expr) []map[string]bool {
+	leaves := orLeaves(e)
+	sets := make([]map[string]bool, len(leaves))
+	for i, leaf := range leaves {
+		sets[i] = make(map[string]bool)
+		addFrozen(sets[i], leaf)
+	}
+	return sets
+}
+
+// addFrozen adds to set the variables frozen by the top-level conjuncts of
+// e, looking through nested conjunctions.
+func addFrozen(set map[string]bool, e Expr) {
+	if a, ok := e.(AndE); ok {
+		for _, c := range a.Xs {
+			addFrozen(set, c)
+		}
+		return
+	}
+	if s, ok := unchangedSet(e); ok {
+		for v := range s {
+			set[v] = true
+		}
+	}
+}
+
 // DisjointCovers reports whether step constraints force the variables of a
 // and b to change in separate steps, so that every step they all allow
 // satisfies [(a' = a) ∨ (b' = b)]. Each element of sets is one constraint
@@ -78,7 +113,8 @@ func ParseDisjoint(e Expr) ([]map[string]bool, bool) {
 // the given constraints, and several constraints may cover a pair together:
 // G's three DisjointSteps cover (e, m) of Fig. 9, though none does alone.
 // For one constraint it is the classic shape: each disjunct freezes all of
-// a or all of b.
+// a or all of b. A FrameSets constraint only implies that one of its sets
+// stays unchanged, so for it the test is sound but not exact.
 func DisjointCovers(sets [][]map[string]bool, a, b []string) bool {
 	for _, x := range a {
 		for _, y := range b {

@@ -365,3 +365,54 @@ func TestDisjointCoversMatchesStepEnumeration(t *testing.T) {
 		t.Error("no round had two non-empty covered sets; the oracle is not exercised")
 	}
 }
+
+// TestFrameSets: each disjunct freezes the variables of its top-level
+// stutter conjuncts, through nested conjunctions and tuple stutters, and
+// anything else freezes nothing: a non-stutter conjunct adds nothing, a
+// disjunct that is not a conjunction freezes nothing, and neither does a
+// top-level ∃, whose body's frame FrameSets does not read.
+func TestFrameSets(t *testing.T) {
+	step := Eq(PrimedVar("x"), Add(Var("x"), IntC(1)))
+	for _, tc := range []struct {
+		name string
+		e    Expr
+		want [][]string
+	}{
+		{"one action", And(step, Unchanged("y", "z")), [][]string{{"y", "z"}}},
+		{"nested and", And(step, And(Unchanged("y"), And(Gt(Var("x"), IntC(0)), Unchanged("z")))), [][]string{{"y", "z"}}},
+		{"tuple stutter", And(step, Eq(Prime(VarTuple("y", "z")), VarTuple("y", "z"))), [][]string{{"y", "z"}}},
+		{"square", Square(Or(And(step, Unchanged("y")), And(Unchanged("x"), Ne(PrimedVar("y"), Var("y")))), VarTuple("x", "y")),
+			[][]string{{"y"}, {"x"}, {"x", "y"}}},
+		{"not a conjunction", Or(step, Not(Unchanged("y"))), [][]string{{}, {}}},
+		{"stutter under a negation", And(Unchanged("y"), Not(Unchanged("z"))), [][]string{{"y"}}},
+		{"top-level exists", Exists("v", value.Ints(0, 1), And(Eq(PrimedVar("x"), Var("v")), Unchanged("y"))), [][]string{{}}},
+		{"false", Or(), nil},
+	} {
+		if got := FrameSets(tc.e); !sameSets(got, tc.want...) {
+			t.Errorf("%s: FrameSets(%v) = %v, want %v", tc.name, tc.e, got, tc.want)
+		}
+	}
+}
+
+// TestFrameSetsCover: a component whose actions each freeze e and whose
+// stutter freezes its outputs m covers (e, m) on its own, and one action
+// that forgets one variable of e uncovers exactly the pairs with it.
+func TestFrameSetsCover(t *testing.T) {
+	e, m := []string{"a", "b"}, []string{"x", "y"}
+	act := func(frozen ...string) Expr {
+		return And(Eq(PrimedVar("x"), Add(Var("x"), IntC(1))), Unchanged(frozen...))
+	}
+	square := func(acts ...Expr) [][]map[string]bool {
+		return [][]map[string]bool{FrameSets(Square(Or(acts...), VarTuple(m...)))}
+	}
+	if !DisjointCovers(square(act("a", "b", "y"), act("a", "b")), e, m) {
+		t.Error("frames freezing e in every action do not cover (e, m)")
+	}
+	leaky := square(act("a", "b", "y"), act("a"))
+	if DisjointCovers(leaky, e, m) {
+		t.Error("an action that does not freeze b still covers (e, m)")
+	}
+	if !DisjointCovers(leaky, []string{"a"}, m) {
+		t.Error("the frames still freeze a in every action, yet do not cover (a, m)")
+	}
+}

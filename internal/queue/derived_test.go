@@ -15,10 +15,10 @@ import (
 // environment.
 func TestDerivedUpdatesMatchBruteForce(t *testing.T) {
 	cfg := cfg1()
-	ref := cfg.CorollaryRefinement()
+	cor := cfg.CorollaryTheorem()
 	for _, sys := range []*ts.System{
 		cfg.SingleSystem(), cfg.DoubleSystem(true), cfg.DoubleSystem(false),
-		{Name: "fused", Components: []*spec.Component{ref.Env, ref.Low}, Domains: ref.Domains},
+		{Name: "fused", Components: []*spec.Component{cor.Concl.Env, cor.Pairs[0].Sys}, Domains: cor.Domains},
 	} {
 		t.Run(sys.Name, func(t *testing.T) {
 			if err := tstest.CheckDerivedUpdates(sys); err != nil {

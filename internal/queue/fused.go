@@ -96,16 +96,18 @@ func (c Config) FusedDouble() *spec.Component {
 	}
 }
 
-// CorollaryRefinement returns the Corollary instance (experiment E14):
-// with the fixed environment assumption E = QE^dbl, the fused double queue
-// refines the (2N+1)-element queue: (E ⊳ DQ) ⇒ (E ⊳ QM^dbl).
-func (c Config) CorollaryRefinement() *ag.Refinement {
-	return &ag.Refinement{
-		Name:    fmt.Sprintf("fused-double-queue[N=%d,K=%d] refines %d-queue", c.N, c.Vals, 2*c.N+1),
-		Env:     QE("QEdbl", In, Out, c.ValueDomain()),
-		Low:     c.FusedDouble(),
-		High:    c.DoubleQueueSpec(),
-		Mapping: DoubleMapping(),
+// CorollaryTheorem returns the Corollary instance (experiment E14): with
+// the fixed environment assumption E = QE^dbl, the fused double queue
+// refines the (2N+1)-element queue, (E ⊳ DQ) ⇒ (E ⊳ QM^dbl). The Corollary
+// is the Composition Theorem with one pair whose assumption is the
+// conclusion's: hypothesis (1) is C(E) ∧ C(DQ) ⇒ E, which holds since E is
+// a safety property, and the Corollary's (a) and (b) are 2a and 2b.
+func (c Config) CorollaryTheorem() *ag.Theorem {
+	env := QE("QEdbl", In, Out, c.ValueDomain())
+	return &ag.Theorem{
+		Name:    fmt.Sprintf("fused-double-queue[N=%d,K=%d] refines %d-queue (Corollary)", c.N, c.Vals, 2*c.N+1),
+		Pairs:   []ag.Pair{{Name: "DQ", Env: env, Sys: c.FusedDouble()}},
+		Concl:   ag.Conclusion{Env: env, Sys: c.DoubleQueueSpec(), Mapping: DoubleMapping()},
 		Domains: c.DoubleDomains(),
 	}
 }

@@ -15,8 +15,7 @@ import (
 // the refinement (QE^dbl ⊳ DQ) ⇒ (QE^dbl ⊳ QM^dbl), where DQ is the fused
 // double queue with the middle channel hidden.
 func TestCorollaryRefinement(t *testing.T) {
-	rf := cfg1().CorollaryRefinement()
-	report, err := rf.Check()
+	report, err := cfg1().CorollaryTheorem().Check()
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -33,9 +32,9 @@ func TestCorollaryRefinement(t *testing.T) {
 // SMALLER queue: capacity 2N, which the in-flight value on z overflows.
 func TestCorollaryRejectsOverclaim(t *testing.T) {
 	c := cfg1()
-	rf := c.CorollaryRefinement()
-	rf.High = QM("QM2N", 2*c.N, In, Out, "q", c.ValueDomain())
-	report, err := rf.Check()
+	th := c.CorollaryTheorem()
+	th.Concl.Sys = QM("QM2N", 2*c.N, In, Out, "q", c.ValueDomain())
+	report, err := th.Check()
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}

@@ -11,14 +11,14 @@ import (
 
 // checkDisjointCoverage implements the Disjoint-hypothesis analyses:
 //
-//	SV020 — no step constraint forces the outputs of two components to
-//	        change in separate steps. Proposition 4 reduces the
-//	        conditional implementation E ∧ Disjoint(v1,…,vn) ⊆ M to an
-//	        unconditional one only when the Disjoint hypothesis actually
-//	        covers every pair; a missing pair silently weakens the
-//	        theorem being checked. Severity is Warn when the caller
-//	        requires interleaving (Options.RequireDisjoint), Info
-//	        otherwise.
+//	SV020 — neither step constraints nor action frames force the
+//	        outputs of two components to change in separate steps.
+//	        Proposition 4 reduces the conditional implementation
+//	        E ∧ Disjoint(v1,…,vn) ⊆ M to an unconditional one only when
+//	        the Disjoint hypothesis actually covers every pair; a missing
+//	        pair silently weakens the theorem being checked. Severity is
+//	        Warn when the caller requires interleaving
+//	        (Options.RequireDisjoint), Info otherwise.
 //	SV021 — a step constraint is not recognized as a Disjoint shape, so
 //	        the coverage analysis cannot credit it.
 //
@@ -28,10 +28,16 @@ import (
 // disjuncts freezes all of A's outputs or all of B's outputs — exactly the
 // shape produced by form.DisjointSteps: [(vi'=vi) ∨ (vj'=vj)]_⟨vi,vj⟩,
 // whose three disjuncts freeze vi, vj, and ⟨vi,vj⟩ respectively.
-// Components with no actions or no outputs need no interleaving and are
-// skipped.
+// Every step of the composition also satisfies each component's [N]_v,
+// so the frames of its actions (form.FrameSets) are credited alongside the
+// constraints: the fused queue, whose every action freezes its inputs,
+// needs no Disjoint constraint against its environment. Components with no
+// actions or no outputs need no interleaving and are skipped.
 func checkDisjointCoverage(res *Result, name string, comps []*spec.Component, cons []ts.StepConstraint, opt Options) {
-	var recognized [][]map[string]bool
+	recognized := make([][]map[string]bool, 0, len(comps)+len(cons))
+	for _, c := range comps {
+		recognized = append(recognized, form.FrameSets(c.SquareExpr()))
+	}
 	for _, con := range cons {
 		sets, ok := form.ParseDisjoint(con.Action)
 		if !ok {

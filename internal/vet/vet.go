@@ -23,7 +23,8 @@
 //	SV004 error  Init contains primed variables
 //	SV010 error  variable declared more than once (broken partition)
 //	SV011 error  two components own the same variable
-//	SV020 warn*  no Disjoint constraint separates two components' outputs
+//	SV020 warn*  no Disjoint constraint or action frame separates two
+//	             components' outputs
 //	             (*info when the composition does not require interleaving)
 //	SV021 info   step constraint not recognized as a Disjoint shape
 //	SV030 error  fairness subscript contains primed variables
