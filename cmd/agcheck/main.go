@@ -58,22 +58,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Resolve the model, and any -mutate, before spending anything on the
 	// cache, meters or profiles, so a typo or a mutation the model cannot
-	// take fails fast. resolve builds a fresh instance with the run's
-	// settings on each call, so the vet pre-check and the check itself
-	// analyze the same instance — including any fault planted by -mutate.
-	// The settings are read at call time, after the cache is open.
+	// take fails fast. resolve builds the run's one instance on its first
+	// call, so the vet pre-check and the check itself use the same
+	// instance — including any fault planted by -mutate — and the check
+	// reuses the pre-check's analysis. The check attaches the cache, which
+	// is open by then.
 	var mu *faultinject.VetMutation
+	var resolved *ag.Theorem
 	theorem := func(mk func() *ag.Theorem, sym *reduce.Symmetry) func() (*ag.Theorem, error) {
 		return func() (*ag.Theorem, error) {
-			th := mk()
-			th.Workers, th.Cache, th.Resume = r.Workers, r.Cache, r.Resume
-			th.Reduce, th.Symmetry = r.Reduce, sym
+			if resolved != nil {
+				return resolved, nil
+			}
+			inst := mk()
+			inst.Workers, inst.Resume = r.Workers, r.Resume
+			inst.Reduce, inst.Symmetry = r.Reduce, sym
 			if mu != nil {
-				if err := mu.Apply(th); err != nil {
+				if err := mu.Apply(inst); err != nil {
 					return nil, fmt.Errorf("mutation %s: %w", mu.Name, err)
 				}
 			}
-			return th, nil
+			resolved = inst
+			return inst, nil
 		}
 	}
 	var resolve func() (*ag.Theorem, error)
@@ -91,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}, cfg.DoubleSymmetry())
 	case "corollary":
 		if r.Reduce.Any() {
-			return r.Fail("-reduce is not supported for the corollary refinement model (its checks are liveness-bearing end to end)")
+			return r.Fail("-reduce is not supported for the corollary model: it declares no symmetry group")
 		}
 		resolve = theorem(cfg.CorollaryTheorem, nil)
 	case "arbiter":
@@ -112,8 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if mu == nil {
 			return r.Fail("unknown vet mutation %q; valid: %s", *mutate, strings.Join(known, " | "))
 		}
-		// The catalog targets Fig. 9's pairs: plant the mutation in a
-		// throwaway instance to refuse a model it does not fit.
+		// The catalog targets Fig. 9's pairs: resolving the instance now
+		// plants the mutation, and refuses a model it does not fit.
 		if _, err := resolve(); err != nil {
 			return r.Fail("%v", err)
 		}
@@ -131,6 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return cli.Outcome{}, err
 		}
+		th.Cache = r.Cache
 		report, err := th.CheckWith(m)
 		if err != nil {
 			return cli.Outcome{}, err

@@ -516,7 +516,7 @@ func TestWorkersAndReduceValidation(t *testing.T) {
 		{"bad reduce mode", []string{"-model", "circular", "-reduce", "magic"}, `invalid -reduce mode "magic"`},
 		{"removed por mode", []string{"-model", "circular", "-reduce", "por"}, "want off|sym"},
 		{"removed por,sym mode", []string{"-model", "queues", "-reduce", "por,sym"}, "want off|sym"},
-		{"reduce on corollary", []string{"-model", "corollary", "-reduce", "sym"}, "not supported for the corollary"},
+		{"reduce on corollary", []string{"-model", "corollary", "-reduce", "sym"}, "not supported for the corollary model: it declares no symmetry group"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,9 +57,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// single queue CQ. Building the Figure 9 instance materializes sequence
 	// domains up to length 2N+1, so the phase is skipped on instances too
 	// large to even enumerate — the budgeted build rejects those with an
-	// UNKNOWN verdict anyway.
+	// UNKNOWN verdict anyway. The check reuses the pre-check's Figure 9
+	// instance, and with it the analysis.
+	var th *ag.Theorem
+	fig9 := func() *ag.Theorem {
+		if th == nil {
+			th = cfg.Fig9Theorem()
+		}
+		return th
+	}
 	analyze := func() (*vet.Result, error) {
-		res := cfg.Fig9Theorem().Vet()
+		res := fig9().Vet()
 		res.Merge(vet.Composition("CQ", []*spec.Component{
 			queue.QE("QE", queue.In, queue.Out, cfg.ValueDomain()),
 			queue.QM("QM", cfg.N, queue.In, queue.Out, "q", cfg.ValueDomain()),
@@ -71,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		analyze = nil
 	}
 	return r.Check(analyze, func(m *engine.Meter) (cli.Outcome, error) {
-		verdict, err := verify(stdout, r, m)
+		verdict, err := verify(stdout, r, m, fig9)
 		if reason, _, ok := engine.AsUnknown(err); ok {
 			fmt.Fprintf(stdout, "UNKNOWN: %s\n  partial progress: %s\n", reason, m.Stats())
 			return cli.Outcome{Verdict: engine.Unknown, Unknown: reason}, nil
@@ -129,7 +137,11 @@ func vetTractable(cfg queue.Config, limit int) bool {
 // through ag.Theorem, the Figure 9 guarantees-only graph. The
 // left-hand-side graph stays full — (2b)'s liveness half needs genuine
 // fair cycles, which reduced graphs refuse to search for.
-func verify(w io.Writer, r *cli.Run, m *engine.Meter) (engine.Verdict, error) {
+//
+// fig9 returns the Figure 9 instance of the vet pre-check, so its check does
+// not analyze it again; the instance is built on first use, since building
+// it materializes the instance's domains.
+func verify(w io.Writer, r *cli.Run, m *engine.Meter, fig9 func() *ag.Theorem) (engine.Verdict, error) {
 	cfg := r.Queue
 	fmt.Fprintf(w, "== Appendix A with N=%d, K=%d: values 0..%d, double capacity %d ==\n\n",
 		cfg.N, cfg.Vals, cfg.Vals-1, 2*cfg.N+1)
@@ -154,8 +166,7 @@ func verify(w io.Writer, r *cli.Run, m *engine.Meter) (engine.Verdict, error) {
 	fmt.Fprintf(w, "CQ (Fig. 6): %d states, %d edges%s (%v)\n",
 		gq.NumStates(), gq.NumEdges(), reduced, time.Since(start).Round(time.Millisecond))
 
-	fig9 := func() *ag.Theorem {
-		th := cfg.Fig9Theorem()
+	settings := func(th *ag.Theorem) *ag.Theorem {
 		th.Workers, th.Cache, th.Resume = r.Workers, r.Cache, r.Resume
 		th.Reduce, th.Symmetry = r.Reduce, cfg.DoubleSymmetry()
 		return th
@@ -164,7 +175,7 @@ func verify(w io.Writer, r *cli.Run, m *engine.Meter) (engine.Verdict, error) {
 	// §A.5 / Fig. 9: the open-queue composition via the Composition
 	// Theorem, and §A.4 read off its hypothesis (2b).
 	start = time.Now()
-	report, err := fig9().CheckWith(m)
+	report, err := settings(fig9()).CheckWith(m)
 	if err != nil {
 		return engine.Unknown, err
 	}
@@ -185,7 +196,7 @@ func verify(w io.Writer, r *cli.Run, m *engine.Meter) (engine.Verdict, error) {
 	// Only the verdict and the first failing hypothesis are printed, so the
 	// check stops at the first phase that refutes the theorem.
 	start = time.Now()
-	noG := fig9()
+	noG := settings(cfg.Fig9Theorem())
 	noG.Name = "formula (3): composition WITHOUT G"
 	noG.Pairs = noG.Pairs[1:]
 	reportNoG, err := noG.FirstFailure(m)

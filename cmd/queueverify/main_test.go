@@ -73,6 +73,29 @@ func TestBudgetExhaustedWritesReport(t *testing.T) {
 	}
 }
 
+// TestBudgetStopCountsAreScheduleIndependent stops a two-worker run
+// mid-level, many times over: a level's transitions count only once the
+// level commits, so every run prints the same partial progress, transitions
+// included, whichever rows each worker finished before the stop.
+func TestBudgetStopCountsAreScheduleIndependent(t *testing.T) {
+	elapsed := regexp.MustCompile(`, elapsed .*`)
+	lines := map[string]int{}
+	for i := 0; i < 30; i++ {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-n", "1", "-k", "2", "-max-states", "300", "-workers", "2"}, &out, &errb); code != 2 {
+			t.Fatalf("exit code = %d, want 2 (stderr %q)", code, errb.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, "partial progress") {
+				lines[elapsed.ReplaceAllString(line, "")]++
+			}
+		}
+	}
+	if len(lines) != 1 {
+		t.Errorf("30 budget-stopped runs printed %d distinct partial progress lines: %v", len(lines), lines)
+	}
+}
+
 // TestStartupFailureStillWritesReport pins the agcheck-parity bugfix:
 // usage errors detected before verification must not skip -report.
 func TestStartupFailureStillWritesReport(t *testing.T) {

@@ -3,6 +3,7 @@ package ag
 import (
 	"opentla/internal/engine"
 	"opentla/internal/ts"
+	"opentla/internal/vet"
 )
 
 // LHSSystem returns the left-hand-side system CheckWith builds for
@@ -19,4 +20,18 @@ func (th *Theorem) LHSSystem() *ts.System {
 func (th *Theorem) GuaranteesSystem() *ts.System {
 	th.rd = th.buildReduce(engine.NoLimit())
 	return th.guaranteesSystem()
+}
+
+// CountAnalyses runs f and returns how many times it ran the analysis
+// behind Vet.
+func CountAnalyses(f func()) int {
+	orig := analyze
+	defer func() { analyze = orig }()
+	n := 0
+	analyze = func(th *Theorem) *vet.Result {
+		n++
+		return orig(th)
+	}
+	f()
+	return n
 }

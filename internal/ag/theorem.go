@@ -28,7 +28,6 @@ import (
 	"opentla/internal/spec"
 	"opentla/internal/ts"
 	"opentla/internal/value"
-	"opentla/internal/vet"
 )
 
 // plusVar is the monitor variable recording whether the conclusion's
@@ -103,6 +102,10 @@ type Theorem struct {
 	// rd is the validated reduction configuration for this check run,
 	// resolved once by buildReduce before any graph is built.
 	rd *reduce.Config
+	// vetted records that Vet ran on this instance, and vetErr the
+	// canonical-form refusal it found (nil if none).
+	vetted bool
+	vetErr error
 }
 
 // HypothesisResult reports one discharged (or failed) proof obligation.
@@ -393,12 +396,12 @@ func (th *Theorem) validate() error {
 	}
 	// Canonical-form gate: a component that writes unowned variables or
 	// breaks its partition would still model-check — to a meaningless
-	// verdict — so error-severity analyzer findings refuse the check.
-	if res := th.Vet(); res.HasErrors() {
-		return fmt.Errorf("theorem is not in canonical form (%d vet errors; run specvet for the full list): %s",
-			res.Errors(), res.Filter(vet.Error)[0])
+	// verdict — so error-severity analyzer findings refuse the check. An
+	// instance the caller already vetted is not analyzed again.
+	if !th.vetted {
+		th.Vet()
 	}
-	return nil
+	return th.vetErr
 }
 
 // Check discharges the hypotheses of the Composition Theorem:

@@ -1,6 +1,8 @@
 package ag
 
 import (
+	"fmt"
+
 	"opentla/internal/spec"
 	"opentla/internal/vet"
 )
@@ -12,7 +14,26 @@ import (
 // environment assumptions and the conclusion guarantee are checked
 // individually. Components appearing in several roles (e.g. the arbiter as
 // both a pair's Sys and a client's Env) are analyzed once, by name.
+//
+// Vet records on the instance whether the analysis found errors. Check,
+// CheckWith and FirstFailure refuse an instance in that case, and they
+// analyze only an instance that was never vetted, so a caller that vets a
+// theorem must not change its pairs, conclusion or domains before
+// checking it.
 func (th *Theorem) Vet() *vet.Result {
+	res := analyze(th)
+	th.vetted, th.vetErr = true, nil
+	if res.HasErrors() {
+		th.vetErr = fmt.Errorf("theorem is not in canonical form (%d vet errors; run specvet for the full list): %s",
+			res.Errors(), res.Filter(vet.Error)[0])
+	}
+	return res
+}
+
+// analyze is the analysis behind Vet; tests count its calls through it.
+var analyze = (*Theorem).analyze
+
+func (th *Theorem) analyze() *vet.Result {
 	opt := vet.Options{Domains: th.Domains, RequireDisjoint: true}
 
 	lhs := th.lhsSystem()

@@ -6,6 +6,7 @@ import (
 
 	"opentla/internal/form"
 	"opentla/internal/spec"
+	"opentla/internal/value"
 )
 
 // countComp is a minimal canonical component: out counts modulo 2.
@@ -100,5 +101,43 @@ func TestRefinementVet(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("undeclared write not reported:\n%s", res)
+	}
+}
+
+// TestVetOncePerInstance holds Check to one analysis per theorem instance:
+// a vetted instance's check reuses the Vet result's verdict, an instance
+// nobody vetted is analyzed by its check, and a vetted instance with error
+// findings is still refused.
+func TestVetOncePerInstance(t *testing.T) {
+	mk := func() *Theorem {
+		th := vetTheorem()
+		th.Domains = map[string][]value.Value{"x": value.Ints(0, 1), "d": value.Ints(0, 1)}
+		return th
+	}
+	check := func(th *Theorem) error {
+		_, err := th.Check()
+		return err
+	}
+	var err error
+	if n := CountAnalyses(func() {
+		th := mk()
+		th.Vet()
+		err = check(th)
+	}); n != 1 || err != nil {
+		t.Errorf("vetted then checked: %d analyses (want 1), error %v", n, err)
+	}
+	if n := CountAnalyses(func() { err = check(mk()) }); n != 1 || err != nil {
+		t.Errorf("checked without vetting: %d analyses (want 1), error %v", n, err)
+	}
+	if n := CountAnalyses(func() {
+		bad := mk()
+		bad.Pairs[0].Sys.Inputs = []string{"d"}
+		bad.Pairs[0].Sys.Actions = append(bad.Pairs[0].Sys.Actions, spec.Action{
+			Name: "Rogue", Def: form.Eq(form.PrimedVar("d"), form.IntC(1)),
+		})
+		bad.Vet()
+		err = check(bad)
+	}); n != 1 || err == nil || !strings.Contains(err.Error(), "SV002") {
+		t.Errorf("vetted ill-formed theorem: %d analyses (want 1), error %v (want the SV002 refusal)", n, err)
 	}
 }

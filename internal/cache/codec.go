@@ -16,39 +16,50 @@ import (
 //	magic    [8]byte  "OTLASNAP"
 //	version  uint16 little-endian (codecVersion)
 //	descSum  [32]byte SHA-256 of the canonical system description
-//	flags    byte     bit 0: complete graph (vs checkpoint)
+//	flags    byte     bit 0: complete graph (vs checkpoint);
+//	                  bit 1: the edges section follows the targets
 //	level    varint   next BFS level (checkpoints)
-//	nvars    varint   shared variable-name table (every state in one graph
-//	                  binds the same variable set); names are len-prefixed
-//	nstates  varint   per state, one value per table entry, in table order
+//	nvars    varint   variable-name table, sorted and distinct (every state
+//	                  in one graph binds the same variable set); names are
+//	                  len-prefixed
+//	dicts    varint   per variable in table order, a value count, then
+//	                  each distinct value of the variable once (see
+//	                  appendValue)
+//	nstates  varint   per state, one dictionary index per table entry
 //	ninits   varint   initial-state ids
 //	nrows    varint   committed CSR row lengths, then all targets
-//	edges    (version 2 only) per target, one edge-state record: a 0 byte
-//	                  when the edge's real successor IS the target state, or
-//	                  a 1 byte followed by the state's values in table order
+//	edges    (flag bit 1) per target, one edge-state record: a 0 byte when
+//	                  the edge's real successor IS the target state, or a 1
+//	                  byte followed by the real successor's dictionary
+//	                  indices; present only for symmetry-reduced graphs
 //	checksum [32]byte SHA-256 of everything above
 //
-// Version 1 has no edge section; snapshots without edge states (the
-// overwhelmingly common case — every unreduced graph) are still written as
-// version 1, byte-identical to what earlier builds produced, so existing
-// cache entries stay valid and the resume-determinism byte comparison is
-// unaffected. Symmetry-reduced snapshots carry per-edge real successors and
-// are written as version 2; the decoder accepts both.
+// A state is a row of small indices, so decoding interns each distinct
+// value once and builds every state by copying codes. A dictionary lists
+// its values in first-appearance order: over the states in id order, then
+// over the edge-state records. The order depends only on the graph, not on
+// the codes the writing process happened to give the values, so the
+// encoding is fully deterministic: encoding the same snapshot always yields
+// the same bytes, encode(decode(b)) == b, and byte-comparing two snapshot
+// files is a valid graph-identity check (CI's resume-determinism job relies
+// on this).
 //
-// The encoding is fully deterministic: encoding the same snapshot always
-// yields the same bytes, so byte-comparing two snapshot files is a valid
-// graph-identity check (CI's resume-determinism job relies on this).
+// Files of any other version, such as the value-per-cell versions 1 and 2
+// of earlier builds, are rejected: the cache quarantines them, and the cold
+// build that follows stores the graph in this format.
 
-const (
-	codecVersion      = 1
-	codecVersionEdges = 2
-)
+const codecVersion = 3
 
 var magic = [8]byte{'O', 'T', 'L', 'A', 'S', 'N', 'A', 'P'}
 
 const (
 	headerLen   = 8 + 2 + sha256.Size // magic + version + descSum
 	checksumLen = sha256.Size
+)
+
+const (
+	flagComplete = 1 << iota
+	flagEdges
 )
 
 // Encode serializes a snapshot, binding it to the description digest. It
@@ -59,44 +70,66 @@ const (
 //
 // aglint:deterministic
 func Encode(snap *ts.Snapshot, descSum [sha256.Size]byte) ([]byte, error) {
+	edges := len(snap.EdgeStates) > 0
+	if edges && len(snap.EdgeStates) != len(snap.Targets) {
+		return nil, fmt.Errorf("snapshot has %d edge states for %d targets", len(snap.EdgeStates), len(snap.Targets))
+	}
+	var lay state.Layout
+	if len(snap.States) > 0 {
+		lay = snap.States[0].Layout()
+	}
+	vars := lay.Vars()
+	d := newDictEncoder(len(vars))
+	for i, s := range snap.States {
+		if s.Layout() != lay {
+			return nil, fmt.Errorf("state %d binds %v, the table has %v", i, s.Vars(), vars)
+		}
+		d.add(s)
+	}
+	// Only the edge states that differ from their target get a row.
+	var edgeRows []*state.State
+	if edges {
+		edgeRows = make([]*state.State, len(snap.EdgeStates))
+		for k, es := range snap.EdgeStates {
+			switch {
+			case es == nil:
+				return nil, fmt.Errorf("edge %d has nil real-successor state", k)
+			case es.Equal(snap.States[snap.Targets[k]]):
+				continue
+			case es.Layout() != lay:
+				return nil, fmt.Errorf("edge state %d binds %v, the table has %v", k, es.Vars(), vars)
+			}
+			d.add(es)
+			edgeRows[k] = es
+		}
+	}
+
 	var buf []byte
 	buf = append(buf, magic[:]...)
-	version := uint16(codecVersion)
-	if len(snap.EdgeStates) > 0 {
-		if len(snap.EdgeStates) != len(snap.Targets) {
-			return nil, fmt.Errorf("snapshot has %d edge states for %d targets", len(snap.EdgeStates), len(snap.Targets))
-		}
-		version = codecVersionEdges
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, codecVersion)
 	buf = append(buf, descSum[:]...)
 	var flags byte
 	if snap.Complete {
-		flags |= 1
+		flags |= flagComplete
+	}
+	if edges {
+		flags |= flagEdges
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(snap.Level))
-
-	var vars []string
-	if len(snap.States) > 0 {
-		vars = snap.States[0].Vars()
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(vars)))
 	for _, v := range vars {
 		buf = appendString(buf, v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(snap.States)))
-	for i, s := range snap.States {
-		if s.Len() != len(vars) {
-			return nil, fmt.Errorf("state %d binds %d variables, table has %d", i, s.Len(), len(vars))
-		}
-		for _, v := range vars {
-			val, ok := s.Get(v)
-			if !ok {
-				return nil, fmt.Errorf("state %d does not bind %q", i, v)
-			}
+	for _, vals := range d.vals {
+		buf = binary.AppendUvarint(buf, uint64(len(vals)))
+		for _, val := range vals {
 			buf = appendValue(buf, val)
 		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(snap.States)))
+	for _, s := range snap.States {
+		buf = d.appendRow(buf, s)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.Inits)))
 	for _, id := range snap.Inits {
@@ -110,32 +143,50 @@ func Encode(snap *ts.Snapshot, descSum [sha256.Size]byte) ([]byte, error) {
 	for _, t := range snap.Targets {
 		buf = binary.AppendUvarint(buf, uint64(t))
 	}
-	if version == codecVersionEdges {
-		for k, es := range snap.EdgeStates {
-			if es == nil {
-				return nil, fmt.Errorf("edge %d has nil real-successor state", k)
-			}
-			// Most real successors equal their canonical target; a single
-			// marker byte avoids re-encoding the state.
-			if es.Equal(snap.States[snap.Targets[k]]) {
-				buf = append(buf, 0)
-				continue
-			}
-			buf = append(buf, 1)
-			if es.Len() != len(vars) {
-				return nil, fmt.Errorf("edge state %d binds %d variables, table has %d", k, es.Len(), len(vars))
-			}
-			for _, v := range vars {
-				val, ok := es.Get(v)
-				if !ok {
-					return nil, fmt.Errorf("edge state %d does not bind %q", k, v)
-				}
-				buf = appendValue(buf, val)
-			}
+	for _, es := range edgeRows {
+		if es == nil {
+			buf = append(buf, 0)
+			continue
 		}
+		buf = d.appendRow(append(buf, 1), es)
 	}
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...), nil
+}
+
+// dictEncoder builds the per-variable dictionaries of one snapshot. States
+// over one layout share its per-variable codes, so a slice indexed by code
+// finds a cell's dictionary index without hashing its value.
+type dictEncoder struct {
+	index [][]uint32      // index[i][code]: 1 + the dictionary index of code; 0 = not yet seen
+	vals  [][]value.Value // vals[i]: variable i's dictionary, in first-appearance order
+}
+
+func newDictEncoder(nvars int) *dictEncoder {
+	return &dictEncoder{index: make([][]uint32, nvars), vals: make([][]value.Value, nvars)}
+}
+
+// add enters every value of s not yet in its variable's dictionary.
+func (d *dictEncoder) add(s *state.State) {
+	for i, idx := range d.index {
+		c := s.CodeAt(i)
+		if int(c) >= len(idx) {
+			idx = append(idx, make([]uint32, int(c)+1-len(idx))...)
+			d.index[i] = idx
+		}
+		if idx[c] == 0 {
+			d.vals[i] = append(d.vals[i], s.At(i))
+			idx[c] = uint32(len(d.vals[i]))
+		}
+	}
+}
+
+// appendRow appends the dictionary indices of s, a state already added.
+func (d *dictEncoder) appendRow(buf []byte, s *state.State) []byte {
+	for i, idx := range d.index {
+		buf = binary.AppendUvarint(buf, uint64(idx[s.CodeAt(i)]-1))
+	}
+	return buf
 }
 
 // Decode parses and verifies a snapshot file. Every failure mode names its
@@ -155,9 +206,8 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 	if string(data[:8]) != string(magic[:]) {
 		return nil, fmt.Errorf("bad snapshot magic %q", data[:8])
 	}
-	version := binary.LittleEndian.Uint16(data[8:10])
-	if version != codecVersion && version != codecVersionEdges {
-		return nil, fmt.Errorf("snapshot version %d, this build reads %d and %d", version, codecVersion, codecVersionEdges)
+	if version := binary.LittleEndian.Uint16(data[8:10]); version != codecVersion {
+		return nil, fmt.Errorf("snapshot version %d, this build reads %d", version, codecVersion)
 	}
 	if subtle.ConstantTimeCompare(data[10:10+sha256.Size], descSum[:]) != 1 {
 		return nil, fmt.Errorf("snapshot was written for a different system description")
@@ -175,7 +225,7 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 	if err != nil {
 		return nil, err
 	}
-	snap := &ts.Snapshot{Complete: flags&1 != 0}
+	snap := &ts.Snapshot{Complete: flags&flagComplete != 0}
 	level, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -194,6 +244,37 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		if vars[i], err = r.string(); err != nil {
 			return nil, err
 		}
+		if i > 0 && vars[i-1] >= vars[i] {
+			return nil, fmt.Errorf("snapshot variable table is not sorted and distinct at %q", vars[i])
+		}
+	}
+	sd := &stateDecoder{dicts: make([][]state.PosUpdate, nvars), ups: make([]state.PosUpdate, nvars)}
+	tmpl := make(map[string]value.Value, nvars)
+	for i := range sd.dicts {
+		n, err := r.count("dictionary size")
+		if err != nil {
+			return nil, err
+		}
+		dict := make([]state.PosUpdate, n)
+		for j := range dict {
+			if dict[j].Val, err = r.value(0); err != nil {
+				return nil, err
+			}
+			dict[j].Pos = i
+		}
+		sd.dicts[i] = dict
+		if n > 0 {
+			tmpl[vars[i]] = dict[0].Val
+		}
+	}
+	// Intern every dictionary value once; the states below copy its code.
+	// A variable with an empty dictionary leaves the template unbuilt, but
+	// then every row fails that variable's index check before using it.
+	if len(tmpl) == nvars {
+		sd.tmpl = state.New(tmpl)
+		for _, dict := range sd.dicts {
+			sd.tmpl.Resolve(dict)
+		}
 	}
 	nstates, err := r.count("nstates")
 	if err != nil {
@@ -208,7 +289,6 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		return nil, fmt.Errorf("snapshot nstates×nvars %d×%d exceeds the %d bytes left at offset %d", nstates, nvars, r.left(), r.off)
 	}
 	snap.States = make([]*state.State, nstates)
-	sd := &stateDecoder{vars: vars}
 	for i := range snap.States {
 		if snap.States[i], err = sd.next(r); err != nil {
 			return nil, err
@@ -254,7 +334,10 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		}
 		snap.Targets[i] = int32(t)
 	}
-	if version == codecVersionEdges {
+	if flags&flagEdges != 0 {
+		if total > r.left() {
+			return nil, fmt.Errorf("snapshot %d edge-state records exceed the %d bytes left at offset %d", total, r.left(), r.off)
+		}
 		snap.EdgeStates = make([]*state.State, total)
 		for k := range snap.EdgeStates {
 			marker, err := r.byte()
@@ -279,40 +362,26 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 	return snap, nil
 }
 
-// stateDecoder reads states binding vars, one value per variable in the
-// order of vars. The first state read fixes the variable layout; every
-// later one is a positional copy of it, so a state costs the interning of
-// its values and no name handling. A variable repeated in vars keeps its
-// last value, as in a map.
+// stateDecoder reads rows of dictionary indices. dicts[i] holds variable
+// i's dictionary as updates resolved against tmpl, so a state is one row
+// copy of tmpl with the indexed updates applied: no value is read or
+// interned per state.
 type stateDecoder struct {
-	vars []string
-	tmpl *state.State
-	ups  []state.PosUpdate
+	tmpl  *state.State
+	dicts [][]state.PosUpdate
+	ups   []state.PosUpdate
 }
 
 func (d *stateDecoder) next(r *reader) (*state.State, error) {
-	if d.tmpl == nil {
-		binding := make(map[string]value.Value, len(d.vars))
-		for _, v := range d.vars {
-			val, err := r.value(0)
-			if err != nil {
-				return nil, err
-			}
-			binding[v] = val
-		}
-		d.tmpl = state.New(binding)
-		d.ups = make([]state.PosUpdate, len(d.vars))
-		for i, v := range d.vars {
-			d.ups[i].Pos, _ = d.tmpl.PosOf(v)
-		}
-		return d.tmpl, nil
-	}
-	for i := range d.ups {
-		val, err := r.value(0)
+	for i, dict := range d.dicts {
+		j, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		d.ups[i].Val = val
+		if j >= uint64(len(dict)) {
+			return nil, fmt.Errorf("snapshot index %d past the %d values of variable %d at offset %d", j, len(dict), i, r.off)
+		}
+		d.ups[i] = dict[j]
 	}
 	return d.tmpl.CloneWith(d.ups), nil
 }

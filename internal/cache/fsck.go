@@ -2,7 +2,6 @@ package cache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"path/filepath"
@@ -95,12 +94,6 @@ func (c *Cache) checkEntry(name string) string {
 	}
 	if len(data) < headerLen+1+checksumLen {
 		return fmt.Sprintf("truncated: %d bytes, header alone needs %d", len(data), headerLen+1+checksumLen)
-	}
-	if string(data[:8]) != string(magic[:]) {
-		return fmt.Sprintf("bad magic %q", data[:8])
-	}
-	if v := binary.LittleEndian.Uint16(data[8:10]); v != codecVersion && v != codecVersionEdges {
-		return fmt.Sprintf("codec version %d, this build reads %d and %d", v, codecVersion, codecVersionEdges)
 	}
 	var descSum [sha256.Size]byte
 	copy(descSum[:], data[10:10+sha256.Size])

@@ -11,6 +11,7 @@ import (
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/ts"
+	"opentla/internal/value"
 )
 
 // fig9Closure is the Fig. 9 N=1 K=2 system C(E) ∧ ⋀C(Mⱼ), optionally under
@@ -48,9 +49,9 @@ func reseal(data []byte) {
 // and decodes to an equal snapshot. The description digest is taken from
 // the input, so mutations are not all stopped at the header.
 //
-// The seeds are real Encode output: a complete graph (version 1), a
-// budget-interrupted checkpoint, and a symmetry-reduced graph carrying
-// per-edge real successors (version 2).
+// The seeds are real Encode output: a complete graph, a budget-interrupted
+// checkpoint, and a symmetry-reduced graph carrying per-edge real
+// successors (edge-state records whose rows index the same dictionaries).
 func FuzzDecode(f *testing.F) {
 	_, sum := Digest("fuzz")
 	encode := func(snap *ts.Snapshot) {
@@ -116,7 +117,8 @@ func FuzzDecode(f *testing.F) {
 // (nrows+1 wraps to an empty offsets slice). The third, zero-var-states,
 // holds states that bind no variables behind overlong varints; it caught a
 // bound that its own canonical re-encoding failed. TestCodecHostileCounts
-// pins the error each count now gets.
+// pins the error each count now gets, and the error of each index or
+// record that the rows of dictionary indices can get wrong.
 func TestCodecHostileCounts(t *testing.T) {
 	uv := func(xs ...uint64) []byte {
 		var b []byte
@@ -125,31 +127,42 @@ func TestCodecHostileCounts(t *testing.T) {
 		}
 		return b
 	}
+	// A one-entry dictionary holding the integer 0.
+	const kInt = uint64(value.KindInt)
 	cases := map[string]struct {
+		flags   byte   // 1: complete; 3: complete, with edge-state records
 		payload []byte // after the flags byte and the level
 		want    string
 	}{
-		"nvars":         {uv(1 << 62), "nvars"},
-		"nstates":       {uv(0, 1<<40), "nstates"},
-		"empty states":  {uv(0, 2, 0, 0), "2 states binding no variables"},
-		"nstates×nvars": {uv(2, 1, 'x', 1, 'y', 2, 0, 0), "nstates×nvars"},
-		"ninits":        {uv(0, 0, 1<<40), "ninits"},
-		"nrows":         {uv(0, 0, 0, 1<<64-1), "nrows"},
-		"row length":    {uv(0, 0, 0, 1, 1<<40), "row length"},
-		"total targets": {uv(0, 0, 0, 2, 1, 1, 0), "total targets"},
-		"target range":  {uv(0, 0, 0, 1, 1, 0), "out of range"},
+		"nvars":           {1, uv(1 << 62), "nvars"},
+		"variable order":  {1, uv(2, 1, 'y', 1, 'x'), "not sorted and distinct"},
+		"dictionary size": {1, uv(1, 1, 'x', 1<<40), "dictionary size"},
+		"nstates":         {1, uv(0, 1<<40), "nstates"},
+		"empty states":    {1, uv(0, 2, 0, 0), "2 states binding no variables"},
+		"nstates×nvars":   {1, uv(2, 1, 'x', 1, 'y', 1, kInt, 0, 1, kInt, 0, 2, 0, 0), "nstates×nvars"},
+		"index":           {1, uv(1, 1, 'x', 1, kInt, 0, 1, 1), "index 1 past the 1 values"},
+		"empty dict":      {1, uv(1, 1, 'x', 0, 1, 0), "index 0 past the 0 values"},
+		"row cut short":   {1, append(uv(2, 1, 'x', 1, 'y', 1, kInt, 0, 1, kInt, 0, 1, 0), 0x80), "bad varint"},
+		"ninits":          {1, uv(0, 0, 1<<40), "ninits"},
+		"nrows":           {1, uv(0, 0, 0, 1<<64-1), "nrows"},
+		"row length":      {1, uv(0, 0, 0, 1, 1<<40), "row length"},
+		"total targets":   {1, uv(0, 0, 0, 2, 1, 1, 0), "total targets"},
+		"target range":    {1, uv(0, 0, 0, 1, 1, 0), "out of range"},
+		"edge records":    {3, uv(0, 1, 0, 1, 1, 0), "edge-state records"},
+		"edge cut short":  {3, uv(1, 1, 'x', 1, kInt, 0, 1, 0, 0, 1, 1, 0, 1), "bad varint"},
+		"edge marker":     {3, uv(1, 1, 'x', 1, kInt, 0, 1, 0, 0, 1, 1, 0, 2), "unknown marker"},
 	}
 	_, sum := Digest("hostile")
 	for name, tc := range cases {
 		data := append(append([]byte(nil), magic[:]...), codecVersion, 0)
 		data = append(data, sum[:]...)
-		data = append(data, 1, 0) // flags: complete; level 0
+		data = append(data, tc.flags, 0) // flags; level 0
 		data = append(data, tc.payload...)
 		data = append(data, make([]byte, checksumLen)...)
 		reseal(data)
 		snap, err := Decode(data, sum)
 		if err == nil || snap != nil {
-			t.Errorf("%s: decode accepted a hostile count", name)
+			t.Errorf("%s: decode accepted a hostile input", name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {

@@ -349,6 +349,21 @@ func (m *Meter) AddTransitions(n int) error {
 	return nil
 }
 
+// CheckTransitions checks the transition budget as if n more transitions
+// were recorded, and records nothing. An exploration that records a
+// level's transitions only once the level commits checks its drained but
+// uncommitted ones with it, so it stops as promptly as AddTransitions
+// would, while a stopped run's count covers committed levels only.
+func (m *Meter) CheckTransitions(n int64) error {
+	if m.failed.Load() {
+		return m.Err()
+	}
+	if lim := int64(m.budget.MaxTransitions); lim > 0 && m.transitions.Load()+n > lim {
+		return m.fail(fmt.Sprintf("transition budget %d exceeded", m.budget.MaxTransitions))
+	}
+	return nil
+}
+
 // addCapped adds n to c unless c already exceeds limit, and returns the
 // count and whether it exceeds limit (limit <= 0: no limit, a plain add).
 // The add that first takes c past limit is the last, so concurrent callers

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"opentla/internal/engine"
 	"opentla/internal/spec"
@@ -148,5 +149,70 @@ func TestProductInheritsMeterAndBudget(t *testing.T) {
 	var be *engine.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected *engine.BudgetError from product, got %T: %v", err, err)
+	}
+}
+
+// TestBudgetStopCountsCommittedTransitions stops a two-worker exploration
+// mid-level under both orders of a level's two expansions: a, whose
+// successors exhaust the state budget, and b, whose one successor is old.
+// A level's transitions count only once the level commits, so both orders
+// report the transitions of the committed level 0 alone, whether or not b's
+// row finished before the stop.
+func TestBudgetStopCountsCommittedTransitions(t *testing.T) {
+	base, ups := ring(6)
+	for _, bFirst := range []bool{false, true} {
+		m := engine.Budget{MaxStates: 4}.Meter()
+		bDone := make(chan struct{})
+		wait := func(ready func() bool) error {
+			for deadline := time.Now().Add(10 * time.Second); !ready(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					return errors.New("expansion order not reached")
+				}
+			}
+			return nil
+		}
+		expand := func() expandFunc {
+			scratch := new(state.State)
+			return func(s *state.State, emit func(*state.State) error) error {
+				var succs []int
+				switch xOf(s) {
+				case 0:
+					succs = []int{1, 2}
+				case 1: // a: 3 and 4 are new, and the fifth state exceeds the budget
+					if bFirst {
+						<-bDone
+						time.Sleep(20 * time.Millisecond) // let b's row finish
+					}
+					succs = []int{3, 4, 5}
+				case 2: // b
+					if !bFirst {
+						if err := wait(m.Exhausted); err != nil {
+							return err
+						}
+					}
+					defer func() {
+						if bFirst {
+							close(bDone)
+						}
+					}()
+					succs = []int{0}
+				}
+				for _, x := range succs {
+					base.OverwriteInto(scratch, ups[x])
+					if err := emit(scratch); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		_, err := explore(exploreParams{op: "test", workers: 2, meter: m, inits: []*state.State{base}, newExpand: expand})
+		var be *engine.BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("b first %v: err = %v, want a state budget stop", bFirst, err)
+		}
+		if st := m.Stats(); st.States != 5 || st.Transitions != 2 {
+			t.Errorf("b first %v: stopped at %d states, %d transitions; want 5 and level 0's 2", bFirst, st.States, st.Transitions)
+		}
 	}
 }

@@ -249,10 +249,11 @@ func explore(p exploreParams) (*exploreResult, error) {
 	// The level scratch persists across levels: one levelRun handed to the
 	// pool each phase round, per-worker arenas that keep their capacity.
 	lv := &levelRun{
-		params:  &p,
-		store:   interned,
-		scratch: make([]workerScratch, workers),
-		ex:      ex,
+		params:      &p,
+		store:       interned,
+		scratch:     make([]workerScratch, workers),
+		ex:          ex,
+		limitsTrans: m.Budget().MaxTransitions > 0,
 	}
 	firstRow, firstTarget := levelStart, len(targets)
 
@@ -335,6 +336,7 @@ func explore(p exploreParams) (*exploreResult, error) {
 			off += int(lv.rows[i].end - lv.rows[i].start)
 			offsets = append(offsets, off)
 		}
+		levelTrans := off - len(targets)
 		targets = grow(targets, off-len(targets))
 		if p.canon != nil {
 			edgeStates = grow(edgeStates, off-len(edgeStates))
@@ -355,6 +357,11 @@ func explore(p exploreParams) (*exploreResult, error) {
 		}
 		runRound(phaseRows, w)
 		if err := lv.firstErr(); err != nil {
+			return fail(err)
+		}
+		// A level's transitions count once its rows are committed, so a run
+		// stopped mid-level counts the same transitions at any schedule.
+		if err := m.AddTransitions(levelTrans); err != nil {
 			return fail(err)
 		}
 
@@ -512,10 +519,14 @@ type levelRun struct {
 	rowBase    int
 
 	next atomic.Int64 // frontier work index
-	stop atomic.Bool
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	err  error
+	// drained sums the successors of this level's expanded rows, for the
+	// transition budget check, when limitsTrans says there is a budget.
+	drained     atomic.Int64
+	limitsTrans bool
+	stop        atomic.Bool
+	wg          sync.WaitGroup
+	mu          sync.Mutex
+	err         error
 }
 
 // begin readies the scratch for one level over the given frontier slice.
@@ -546,6 +557,7 @@ func (lv *levelRun) begin(states []*state.State, w int) {
 	}
 	lv.chunk = chunk
 	lv.next.Store(0)
+	lv.drained.Store(0)
 	lv.stop.Store(false)
 }
 
@@ -723,9 +735,11 @@ func (lv *levelRun) drain(wid int) {
 			ws.levelSuccs += int64(row)
 			ws.rowIdx = append(ws.rowIdx, int32(i))
 			lv.rows[i] = refRow{start: int32(rowStart), end: int32(len(ws.arena))}
-			if err := m.AddTransitions(row); err != nil {
-				lv.setErr(err)
-				return
+			if lv.limitsTrans {
+				if err := m.CheckTransitions(lv.drained.Add(int64(row))); err != nil {
+					lv.setErr(err)
+					return
+				}
 			}
 		}
 	}
