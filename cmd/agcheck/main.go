@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return resolved, nil
 			}
 			inst := mk()
-			inst.Workers, inst.Resume = r.Workers, r.Resume
+			inst.Workers = r.Workers
 			inst.Reduce, inst.Symmetry = r.Reduce, sym
 			if mu != nil {
 				if err := mu.Apply(inst); err != nil {

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"opentla/internal/obs"
 )
@@ -150,8 +151,6 @@ func TestErrorPathsStillWriteReport(t *testing.T) {
 		{"unknown model", []string{"-model", "nonesuch"}, `unknown model "nonesuch"`},
 		{"bad n", []string{"-model", "queues", "-n", "0"}, "capacity N must be >= 1"},
 		{"bad k", []string{"-model", "queues", "-k", "1"}, "value-domain size K must be >= 2"},
-		{"resume without cache-dir", []string{"-model", "circular", "-resume"}, "-resume requires -cache-dir"},
-		{"resume with no-cache", []string{"-model", "circular", "-cache-dir", "d", "-no-cache", "-resume"}, "-resume and -no-cache contradict each other"},
 		{"negative cache bound", []string{"-model", "circular", "-cache-dir", "d", "-cache-max-bytes", "-1"}, "-cache-max-bytes must be >= 0"},
 		{"cache bound without dir", []string{"-model", "circular", "-cache-max-bytes", "4096"}, "-cache-max-bytes requires -cache-dir"},
 		{"profile start failure", []string{"-model", "circular", "-cpuprofile", "no/such/dir/cpu.prof"}, "cpu"},
@@ -230,18 +229,34 @@ func TestWarmCacheSecondRunSkipsExploration(t *testing.T) {
 	}
 }
 
-func TestNoCacheForcesColdBuild(t *testing.T) {
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-model", "circular", "-cache-dir", cacheDir}, &out, &errb); code != 0 {
-		t.Fatalf("priming run exit code = %d (stderr %q)", code, errb.String())
+// fig9K2 returns the arguments of a Fig. 9 N=1 K=2 check on cacheDir.
+func fig9K2(cacheDir string, extra ...string) []string {
+	return append([]string{"-model", "queues", "-n", "1", "-k", "2", "-cache-dir", cacheDir}, extra...)
+}
+
+// cacheFiles returns the contents of the files in dir whose names end in
+// ext, by name.
+func cacheFiles(t *testing.T, dir, ext string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+	if err != nil {
+		t.Fatal(err)
 	}
-	report := filepath.Join(dir, "report.json")
-	if code := run([]string{"-model", "circular", "-cache-dir", cacheDir, "-no-cache", "-report", report}, &out, &errb); code != 0 {
-		t.Fatalf("no-cache run exit code = %d (stderr %q)", code, errb.String())
+	files := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(p)] = data
 	}
-	data, err := os.ReadFile(report)
+	return files
+}
+
+// readCacheStats returns the cache section of the report at path.
+func readCacheStats(t *testing.T, path string) obs.CacheStats {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +264,109 @@ func TestNoCacheForcesColdBuild(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Cache != nil {
-		t.Errorf("-no-cache run still touched the cache: %+v", rep.Cache)
+	if rep.Cache == nil {
+		t.Fatalf("report %s has no cache section", path)
 	}
-	if rep.Stats.States == 0 {
-		t.Error("-no-cache run explored no states; the cache was not bypassed")
+	return *rep.Cache
+}
+
+// TestPlainRerunResumes stops a Fig. 9 K=2 check on a state budget, once
+// inside the left-hand-side build (-max-states 40) and once inside the +v
+// product (-max-states 3300), then reruns it on the same cache with no
+// budget and no other flag. The rerun must resume from the checkpoint the
+// stopped run saved and leave .snap files byte-identical to a one-shot
+// cache's.
+func TestPlainRerunResumes(t *testing.T) {
+	oneShot := filepath.Join(t.TempDir(), "one-shot")
+	var out, errb bytes.Buffer
+	if code := run(fig9K2(oneShot), &out, &errb); code != 0 {
+		t.Fatalf("one-shot run exit code = %d (stderr %q)", code, errb.String())
+	}
+	want := cacheFiles(t, oneShot, ".snap")
+	if len(want) != 3 {
+		t.Fatalf("one-shot cache holds %d snapshots, want Fig. 9's 3", len(want))
+	}
+	for _, budget := range []string{"40", "3300"} {
+		t.Run("max-states "+budget, func(t *testing.T) {
+			dir := t.TempDir()
+			cacheDir := filepath.Join(dir, "cache")
+			var out, errb bytes.Buffer
+			if code := run(fig9K2(cacheDir, "-max-states", budget), &out, &errb); code != 2 {
+				t.Fatalf("bounded run exit code = %d, want 2 (stderr %q)", code, errb.String())
+			}
+			if ckpts := cacheFiles(t, cacheDir, ".ckpt"); len(ckpts) != 1 {
+				t.Fatalf("bounded run left %d checkpoints, want 1", len(ckpts))
+			}
+			report := filepath.Join(dir, "rerun.json")
+			if code := run(fig9K2(cacheDir, "-report", report), &out, &errb); code != 0 {
+				t.Fatalf("rerun exit code = %d, want 0 (stderr %q)", code, errb.String())
+			}
+			if st := readCacheStats(t, report); st.Resumes < 1 {
+				t.Errorf("rerun cache section = %+v, want resumes >= 1", st)
+			}
+			if ckpts := cacheFiles(t, cacheDir, ".ckpt"); len(ckpts) != 0 {
+				t.Errorf("rerun left %d checkpoints, want 0", len(ckpts))
+			}
+			got := cacheFiles(t, cacheDir, ".snap")
+			if len(got) != len(want) {
+				t.Errorf("rerun cache holds %d snapshots, one-shot %d", len(got), len(want))
+			}
+			for name, data := range want {
+				if !bytes.Equal(got[name], data) {
+					t.Errorf("%s differs from the one-shot cache's", name)
+				}
+			}
+		})
+	}
+}
+
+// TestStaleCheckpointIsNotResumed puts a valid checkpoint beside the
+// complete entry of the same key, as a crash between a store's rename and
+// its checkpoint removal leaves it. The complete entry wins: the run hits
+// all three graphs, resumes nothing, and never loads the checkpoint (a load
+// would touch its modification time).
+func TestStaleCheckpointIsNotResumed(t *testing.T) {
+	dir := t.TempDir()
+	full, stopped := filepath.Join(dir, "full"), filepath.Join(dir, "stopped")
+	var out, errb bytes.Buffer
+	if code := run(fig9K2(full), &out, &errb); code != 0 {
+		t.Fatalf("filling run exit code = %d (stderr %q)", code, errb.String())
+	}
+	if code := run(fig9K2(stopped, "-max-states", "40"), &out, &errb); code != 2 {
+		t.Fatalf("bounded run exit code = %d, want 2 (stderr %q)", code, errb.String())
+	}
+	ckpts := cacheFiles(t, stopped, ".ckpt")
+	if len(ckpts) != 1 {
+		t.Fatalf("bounded run left %d checkpoints, want 1", len(ckpts))
+	}
+	var ckpt string
+	for name, data := range ckpts {
+		ckpt = filepath.Join(full, name)
+		if _, err := os.Stat(strings.TrimSuffix(ckpt, ".ckpt") + ".snap"); err != nil {
+			t.Fatalf("checkpoint %s has no complete entry beside it: %v", name, err)
+		}
+		if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(ckpt, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	report := filepath.Join(dir, "r.json")
+	if code := run(fig9K2(full, "-report", report), &out, &errb); code != 0 {
+		t.Fatalf("run exit code = %d, want 0 (stderr %q)", code, errb.String())
+	}
+	if st := readCacheStats(t, report); st.Hits != 3 || st.Misses != 0 || st.Resumes != 0 {
+		t.Errorf("cache section = %+v, want 3 hits, 0 misses, 0 resumes", st)
+	}
+	fi, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatalf("stale checkpoint gone: %v", err)
+	}
+	if !fi.ModTime().Equal(old) {
+		t.Errorf("stale checkpoint was loaded: modified %v", fi.ModTime())
 	}
 }
 

@@ -124,7 +124,7 @@ func vetTractable(cfg queue.Config, limit int) bool {
 }
 
 // verify runs every Appendix A obligation under the shared meter with r's
-// exploration settings (workers, graph cache, resume, reduction) and
+// exploration settings (workers, graph cache, reduction) and
 // returns the overall verdict. Budget and engine errors propagate to the
 // caller, which classifies them as UNKNOWN.
 //
@@ -150,7 +150,7 @@ func verify(w io.Writer, r *cli.Run, m *engine.Meter, fig9 func() *ag.Theorem) (
 	start := time.Now()
 	endCQ := obs.FromMeter(m).Span("phase:CQ")
 	singleSys := cfg.SingleSystem()
-	singleSys.Workers, singleSys.Cache, singleSys.Resume = r.Workers, r.Cache, r.Resume
+	singleSys.Workers, singleSys.Cache = r.Workers, r.Cache
 	if r.Reduce.Any() {
 		singleSys.Reduce = &reduce.Config{Options: r.Reduce, Symmetry: cfg.SingleSymmetry()}
 	}
@@ -167,7 +167,7 @@ func verify(w io.Writer, r *cli.Run, m *engine.Meter, fig9 func() *ag.Theorem) (
 		gq.NumStates(), gq.NumEdges(), reduced, time.Since(start).Round(time.Millisecond))
 
 	settings := func(th *ag.Theorem) *ag.Theorem {
-		th.Workers, th.Cache, th.Resume = r.Workers, r.Cache, r.Resume
+		th.Workers, th.Cache = r.Workers, r.Cache
 		th.Reduce, th.Symmetry = r.Reduce, cfg.DoubleSymmetry()
 		return th
 	}

@@ -31,8 +31,8 @@ func TestExitCodes(t *testing.T) {
 		{"removed -v", []string{"-v"}, 2, "flag provided but not defined: -v"},
 		{"bad n", []string{"-n", "0"}, 2, "capacity N must be >= 1"},
 		{"bad k", []string{"-k", "1"}, 2, "value-domain size K must be >= 2"},
-		{"resume without cache-dir", []string{"-resume"}, 2, "-resume requires -cache-dir"},
-		{"resume with no-cache", []string{"-cache-dir", "d", "-no-cache", "-resume"}, 2, "-resume and -no-cache contradict each other"},
+		{"removed -resume", []string{"-resume"}, 2, "flag provided but not defined: -resume"},
+		{"removed -no-cache", []string{"-no-cache"}, 2, "flag provided but not defined: -no-cache"},
 		{"negative cache bound", []string{"-cache-dir", "d", "-cache-max-bytes", "-1"}, 2, "-cache-max-bytes must be >= 0"},
 		{"cache bound without dir", []string{"-cache-max-bytes", "4096"}, 2, "-cache-max-bytes requires -cache-dir"},
 		{"profile start failure", []string{"-cpuprofile", "no/such/dir/cpu.prof"}, 2, ""},

@@ -86,9 +86,6 @@ type Theorem struct {
 	// Cache, when non-nil, is consulted before each graph construction and
 	// persisted after (see ts.GraphCache).
 	Cache ts.GraphCache
-	// Resume, when true (with Cache set), continues interrupted graph
-	// builds from their saved checkpoints.
-	Resume bool
 	// Reduce selects symmetry reduction for the guarantees-only graph and
 	// its +v monitor product. The left-hand-side graph that hypotheses 1,
 	// 2a(i) and 2b share is never reduced: 2b needs fairness. A symmetry
@@ -283,7 +280,6 @@ func (th *Theorem) system(suffix string, comps []*spec.Component, cons []ts.Step
 		Domains:     th.Domains,
 		Workers:     th.Workers,
 		Cache:       th.Cache,
-		Resume:      th.Resume,
 	}
 }
 

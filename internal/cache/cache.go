@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,6 +23,7 @@ import (
 //   - transient write errors are retried with bounded exponential backoff;
 //   - entries that fail to decode are quarantined (renamed to
 //     *.quarantined) so they never block the cold build that replaces them;
+//     entries of another codec version are removed, a plain miss;
 //   - orphaned temp files left by a killed process are swept on Open;
 //   - an optional size bound evicts least-recently-used entries after every
 //     store (see GC).
@@ -157,7 +159,8 @@ func (c *Cache) path(desc, ext string) string {
 // Load returns the cached complete graph for desc, (nil, nil) on a miss, or
 // an error describing why an existing entry was unusable. An unusable entry
 // is quarantined on the way out, so it cannot block the cold build that
-// follows: the next run sees a clean miss.
+// follows: the next run sees a clean miss. An entry of another codec
+// version is removed and is itself a miss.
 func (c *Cache) Load(desc string) (*ts.Snapshot, error) {
 	return c.load(desc, ".snap")
 }
@@ -179,6 +182,12 @@ func (c *Cache) load(desc, ext string) (*ts.Snapshot, error) {
 	}
 	_, sum := Digest(desc)
 	snap, err := decodeWith(data, sum, c.mut != MutDropChecksum)
+	if errors.Is(err, errVersion) {
+		// Another build's format is a miss, not corruption: drop it
+		// (best-effort, the cold build's store replaces it anyway).
+		c.fs.Remove(path)
+		return nil, nil
+	}
 	if err != nil {
 		c.quarantine(path, err)
 		return nil, fmt.Errorf("cache %s: %w", filepath.Base(path), err)

@@ -457,7 +457,6 @@ func TestResumeProducesByteIdenticalSnapshot(t *testing.T) {
 	// Resumed run completes the graph.
 	resumed := pairSystem(4)
 	resumed.Cache = c
-	resumed.Resume = true
 	gRes, err := resumed.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -502,10 +501,6 @@ func TestFlagsValidate(t *testing.T) {
 	}{
 		{"disabled", Flags{}, true},
 		{"dirOnly", Flags{Dir: "x"}, true},
-		{"resumeWithDir", Flags{Dir: "x", Resume: true}, true},
-		{"resumeNoDir", Flags{Resume: true}, false},
-		{"resumeNoCache", Flags{Dir: "x", Resume: true, NoCache: true}, false},
-		{"noCacheOnly", Flags{Dir: "x", NoCache: true}, true},
 	}
 	for _, tc := range cases {
 		err := tc.flags.Validate()
@@ -513,12 +508,9 @@ func TestFlagsValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
-	// Open honours NoCache and the empty dir.
+	// Open honours the empty dir.
 	if c, err := (&Flags{}).Open(); c != nil || err != nil {
 		t.Errorf("disabled Open = (%v, %v)", c, err)
-	}
-	if c, err := (&Flags{Dir: filepath.Join(t.TempDir(), "c"), NoCache: true}).Open(); c != nil || err != nil {
-		t.Errorf("no-cache Open = (%v, %v)", c, err)
 	}
 	if c, err := (&Flags{Dir: filepath.Join(t.TempDir(), "c")}).Open(); c == nil || err != nil {
 		t.Errorf("enabled Open = (%v, %v)", c, err)

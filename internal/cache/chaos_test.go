@@ -70,14 +70,13 @@ func runCrashStages(t *testing.T, c *Cache, top int64, f *iofs.Faulty) {
 	}
 	b := pairSystem(top)
 	b.Cache = c
-	b.Resume = true
 	if _, err := b.Build(); err != nil && !f.Crashed() {
 		t.Fatalf("stage B: %v", err)
 	}
 }
 
 // recoverAndCheck restarts on the crashed directory — a fresh cache over the
-// real filesystem, exactly what a rerun with -resume does — and asserts the
+// real filesystem, exactly what a plain rerun does — and asserts the
 // recovery invariants: the build completes, the graph matches the one-shot
 // reference, the snapshot file is byte-identical, and (when wantClean) fsck
 // finds nothing, i.e. the crash left no file the recovery had to repair.
@@ -89,7 +88,6 @@ func recoverAndCheck(t *testing.T, dir string, top int64, ref chaosRef, wantClea
 	}
 	sys := pairSystem(top)
 	sys.Cache = c
-	sys.Resume = true
 	g, err := sys.Build()
 	if err != nil {
 		t.Fatalf("recovery build: %v", err)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"opentla/internal/state"
@@ -45,10 +46,15 @@ import (
 // on this).
 //
 // Files of any other version, such as the value-per-cell versions 1 and 2
-// of earlier builds, are rejected: the cache quarantines them, and the cold
-// build that follows stores the graph in this format.
+// of earlier builds, are rejected with errVersion: the cache removes them
+// as a miss, and the cold build that follows stores the graph in this
+// format.
 
 const codecVersion = 3
+
+// errVersion marks a file whose magic and header are intact but whose codec
+// version is not codecVersion: another build's format, not damage.
+var errVersion = errors.New("snapshot codec version")
 
 var magic = [8]byte{'O', 'T', 'L', 'A', 'S', 'N', 'A', 'P'}
 
@@ -207,7 +213,7 @@ func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapsh
 		return nil, fmt.Errorf("bad snapshot magic %q", data[:8])
 	}
 	if version := binary.LittleEndian.Uint16(data[8:10]); version != codecVersion {
-		return nil, fmt.Errorf("snapshot version %d, this build reads %d", version, codecVersion)
+		return nil, fmt.Errorf("%w %d, this build reads %d", errVersion, version, codecVersion)
 	}
 	if subtle.ConstantTimeCompare(data[10:10+sha256.Size], descSum[:]) != 1 {
 		return nil, fmt.Errorf("snapshot was written for a different system description")

@@ -14,12 +14,6 @@ import (
 type Flags struct {
 	// Dir is the cache directory; empty disables caching entirely.
 	Dir string
-	// Resume asks interrupted builds to continue from their saved
-	// checkpoint. Requires Dir.
-	Resume bool
-	// NoCache disables cache reads and writes even when Dir is set, for
-	// forcing a cold build against a populated cache.
-	NoCache bool
 	// MaxBytes bounds the cache's total size; 0 means unbounded. After
 	// every store the least-recently-used entries are evicted until the
 	// cache fits.
@@ -29,20 +23,12 @@ type Flags struct {
 // AddFlags registers the cache flags on a flag set.
 func (f *Flags) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&f.Dir, "cache-dir", "", "directory for the persistent graph cache (empty = no caching)")
-	fs.BoolVar(&f.Resume, "resume", false, "resume an interrupted build from its checkpoint (requires -cache-dir)")
-	fs.BoolVar(&f.NoCache, "no-cache", false, "force a cold build: ignore and do not write the cache")
 	fs.Int64Var(&f.MaxBytes, "cache-max-bytes", 0, "evict least-recently-used cache entries beyond this total size (0 = unbounded)")
 }
 
 // Validate reports flag combinations that cannot mean what the user
 // intended. CLIs treat a failure as a usage error (exit 2).
 func (f *Flags) Validate() error {
-	if f.Resume && f.NoCache {
-		return fmt.Errorf("-resume and -no-cache contradict each other: resuming reads the cache that -no-cache disables")
-	}
-	if f.Resume && f.Dir == "" {
-		return fmt.Errorf("-resume requires -cache-dir: there is no checkpoint to resume from without a cache directory")
-	}
 	if f.MaxBytes < 0 {
 		return fmt.Errorf("-cache-max-bytes must be >= 0 (got %d)", f.MaxBytes)
 	}
@@ -61,7 +47,7 @@ const CrashAtEnv = "OPENTLA_CACHE_CRASH_AT"
 
 // Open returns the configured cache, or nil when caching is disabled.
 func (f *Flags) Open() (*Cache, error) {
-	if f.Dir == "" || f.NoCache {
+	if f.Dir == "" {
 		return nil, nil
 	}
 	opts := Options{Retries: -1, MaxBytes: f.MaxBytes}

@@ -111,6 +111,72 @@ func TestLoadQuarantinesCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestLoadOtherVersionIsMiss rewrites the version field of a stored entry
+// and of a stored checkpoint: each load is a clean miss that removes the
+// file, with no quarantine and no event, while any other header damage is
+// still quarantined.
+func TestLoadOtherVersionIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	c := openQuiet(t, dir, Options{})
+	var ev events
+	c.SetNotify(ev.note)
+
+	const desc = "old format"
+	snap := buildSnapshot(t)
+	ck := &ts.Snapshot{Level: 1, States: snap.States[:1], Inits: []int{0}, Offsets: []int{0}}
+	for _, tc := range []struct {
+		path  string
+		store func() error
+		load  func() (*ts.Snapshot, error)
+	}{
+		{c.EntryPath(desc), func() error { return c.Store(desc, snap) }, func() (*ts.Snapshot, error) { return c.Load(desc) }},
+		{c.CheckpointPath(desc), func() error { return c.StoreCheckpoint(desc, ck) }, func() (*ts.Snapshot, error) { return c.LoadCheckpoint(desc) }},
+	} {
+		if err := tc.store(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[8], data[9] = 1, 0 // codec version 1
+		if err := os.WriteFile(tc.path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tc.load(); got != nil || err != nil {
+			t.Errorf("%s: load = (%v, %v), want a miss (nil, nil)", filepath.Base(tc.path), got, err)
+		}
+		if _, err := os.Stat(tc.path); !os.IsNotExist(err) {
+			t.Errorf("%s: old-version file still present: %v", filepath.Base(tc.path), err)
+		}
+	}
+	if len(ev.kinds) != 0 {
+		t.Errorf("old-version loads noted %v, want nothing", ev.kinds)
+	}
+	if _, err := os.Stat(c.EntryPath(desc) + ".quarantined"); !os.IsNotExist(err) {
+		t.Errorf("old-version entry quarantined: %v", err)
+	}
+
+	// A bad magic with the same length is damage, not another format.
+	if err := c.Store(desc, snap); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(c.EntryPath(desc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 'X'
+	if err := os.WriteFile(c.EntryPath(desc), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Load(desc); got != nil || err == nil {
+		t.Errorf("bad-magic load = (%v, %v), want an error", got, err)
+	}
+	if ev.count("cache-quarantine") != 1 {
+		t.Errorf("bad-magic entry: %d quarantine events, want 1", ev.count("cache-quarantine"))
+	}
+}
+
 func TestStoreRetriesTransientFaults(t *testing.T) {
 	dir := t.TempDir()
 	// Ops 1 and 2 fail transiently: attempt 1 dies at CreateTemp, attempt 2

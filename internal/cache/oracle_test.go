@@ -13,6 +13,7 @@ import (
 	"opentla/internal/circular"
 	"opentla/internal/engine"
 	"opentla/internal/models"
+	"opentla/internal/obs"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/state"
@@ -204,9 +205,10 @@ func TestCodecDictionaryOrder(t *testing.T) {
 
 // TestPreviousFormatEntriesMissCleanly runs a Fig. 9 N=1 K=2 check over a
 // cache filled by a build that wrote value-per-cell snapshots (codec version
-// 1, testdata/v1-fig9-n1-k2). The decoder rejects every entry, so the check
-// rebuilds cold and gets the cold verdict, each old entry is quarantined,
-// and each key ends up holding a readable entry in the current format.
+// 1, testdata/v1-fig9-n1-k2). Every old entry is a plain miss, not
+// corruption: the check rebuilds cold and gets the cold verdict, nothing is
+// quarantined, fsck finds nothing afterwards, and each key ends up holding
+// a readable entry in the current format.
 func TestPreviousFormatEntriesMissCleanly(t *testing.T) {
 	const fixture = "testdata/v1-fig9-n1-k2"
 	ents, err := os.ReadDir(fixture)
@@ -243,25 +245,26 @@ func TestPreviousFormatEntriesMissCleanly(t *testing.T) {
 	}
 	th := cfg.Fig9Theorem()
 	th.Cache = c
-	got, err := th.Check()
+	m := engine.NoLimit()
+	rec := obs.New(m)
+	c.SetNotify(m.Note)
+	got, err := th.CheckWith(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Verdict != cold.Verdict || got.String() != cold.String() {
 		t.Errorf("over the old cache:\n%s\ncold:\n%s", got, cold)
 	}
+	if st := rec.CacheStats(); st.Misses != 3 || st.Hits != 0 || st.Corrupt != 0 || st.Quarantined != 0 {
+		t.Errorf("cache stats %+v, want 3 misses and nothing corrupt or quarantined", st)
+	}
 
 	res, err := c.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scanned != len(names) || len(res.Findings) != len(names) {
-		t.Errorf("fsck scanned %d entries with findings %v, want %d entries and only the quarantined old ones", res.Scanned, res.Findings, len(names))
-	}
-	for _, f := range res.Findings {
-		if !strings.HasSuffix(f.Name, ".quarantined") {
-			t.Errorf("fsck finding %s: %s", f.Name, f.Problem)
-		}
+	if res.Scanned != len(names) || len(res.Findings) != 0 {
+		t.Errorf("fsck scanned %d entries with findings %v, want %d entries and no findings", res.Scanned, res.Findings, len(names))
 	}
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
@@ -270,9 +273,6 @@ func TestPreviousFormatEntriesMissCleanly(t *testing.T) {
 		}
 		if v := binary.LittleEndian.Uint16(data[8:10]); v != codecVersion {
 			t.Errorf("%s rebuilt with codec version %d, want %d", name, v, codecVersion)
-		}
-		if _, err := os.Stat(filepath.Join(dir, name+".quarantined")); err != nil {
-			t.Errorf("old entry %s not quarantined: %v", name, err)
 		}
 	}
 }

@@ -93,8 +93,8 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 	envInit, envSquares := safetyParts(env, nil)
 	sysInit, sysSquares := safetyParts(sys, mapping)
 
-	envMon := ts.SafetyMonitor(envAliveVar, envInit, envSquares, true)
-	sysMon := ts.SafetyMonitor(sysAliveVar, sysInit, sysSquares, true)
+	envMon := ts.SafetyMonitor(envAliveVar, envInit, envSquares)
+	sysMon := ts.SafetyMonitor(sysAliveVar, sysInit, sysSquares)
 	prod, err := ts.Product(g, []*ts.Monitor{envMon, sysMon})
 	if err != nil {
 		return nil, err

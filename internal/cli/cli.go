@@ -44,10 +44,9 @@ type Run struct {
 	Workers int
 	Reduce  reduce.Options
 	VetMode vet.Mode
-	Resume  bool
 
 	// Cache is the graph cache, set by Check once it is open; nil without
-	// -cache-dir or with -no-cache.
+	// -cache-dir.
 	Cache ts.GraphCache
 
 	workers             *int
@@ -93,7 +92,7 @@ func (r *Run) Parse(args []string) bool {
 	if err := r.Flags.Parse(args); err != nil {
 		return false
 	}
-	r.Workers, r.Resume = *r.workers, r.cache.Resume
+	r.Workers = *r.workers
 	r.Conf.N, r.Conf.K, r.Conf.Workers = r.Queue.N, r.Queue.Vals, r.Workers
 	r.Conf.BudgetMS = int64(r.budget.TimeoutMS)
 	r.Conf.MaxStates, r.Conf.MaxTransitions = r.budget.MaxStates, r.budget.MaxTransitions

@@ -59,8 +59,6 @@ func TestUsageErrorsWriteUnknownReport(t *testing.T) {
 		{"bad k", "value-domain size K must be >= 2, got 1", []string{"-k", "1"}},
 		{"bad workers", "-workers must be >= 1", []string{"-workers", "0"}},
 		{"bad reduce", "bogus", []string{"-reduce", "bogus"}},
-		{"resume without cache-dir", "-resume requires -cache-dir", []string{"-resume"}},
-		{"resume with no-cache", "-resume and -no-cache contradict", []string{"-cache-dir", "d", "-no-cache", "-resume"}},
 		{"cache bound without dir", "-cache-max-bytes requires -cache-dir", []string{"-cache-max-bytes", "10"}},
 		{"bad vet mode", "bogus", []string{"-vet", "bogus"}},
 		{"profile start", "cpu", []string{"-cpuprofile", filepath.Join("no", "such", "dir", "cpu.prof")}},

@@ -216,7 +216,6 @@ func crashPoint(dir string, mut cache.Mutation, at int, desc string, ref []byte)
 	if !f.Crashed() {
 		b := durabilityWorkload()
 		b.Cache = c
-		b.Resume = true
 		if _, err := b.Build(); err != nil && !f.Crashed() {
 			return "", false, fmt.Errorf("stage B: %v", err)
 		}
@@ -231,7 +230,6 @@ func crashPoint(dir string, mut cache.Mutation, at int, desc string, ref []byte)
 	rc.Mutate(mut)
 	r := durabilityWorkload()
 	r.Cache = rc
-	r.Resume = true
 	if _, err := r.Build(); err != nil {
 		return fmt.Sprintf("crash at op %d: recovery build failed: %v", at, err), crashed, nil
 	}
@@ -255,7 +253,7 @@ func crashPoint(dir string, mut cache.Mutation, at int, desc string, ref []byte)
 
 // detectCheckpointLoadable pins the promise the checkpoint-saved notice
 // makes: a checkpoint the cache reports saved must be loadable and valid
-// when audited by an unmutated reader — otherwise -resume silently degrades
+// when audited by an unmutated reader — otherwise the rerun silently degrades
 // to the cold build the user interrupted a run to avoid.
 func detectCheckpointLoadable(mut cache.Mutation) (string, error) {
 	dir, err := os.MkdirTemp("", "durability-ckpt-*")

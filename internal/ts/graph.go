@@ -96,82 +96,97 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		canon = rd.Canonicalizer().Canon
 	}
 
-	// Cache consultation happens before compiling or enumerating anything: a
-	// warm hit skips graph construction entirely. A corrupt entry degrades
-	// to a cold build, never to a wrong graph. (CanonicalDesc embeds the
-	// reduction configuration, so reduced and full graphs never collide.)
-	desc, resume := sys.cacheSetup(m)
-	if desc != "" {
-		if snap := cacheLoad(sys.Cache, m, desc); snap != nil {
-			return graphFromSnapshot(sys, sys.Ctx(), m, snap, canon), nil
-		}
-	}
-
-	compiled, err := sys.compile()
-	if err != nil {
-		return nil, err
-	}
-
-	var inits []*state.State
-	if resume == nil {
-		inits, err = sys.initialStates(m)
-		if err != nil {
-			return nil, err
-		}
-		if len(inits) == 0 {
-			return nil, fmt.Errorf("system %s: no initial states", sys.Name)
-		}
+	// CanonicalDesc embeds the reduction configuration, so reduced and full
+	// graphs never share an entry.
+	var desc string
+	if sys.Cache != nil {
+		desc = sys.CanonicalDesc()
 	}
 	op := "ts.Build(" + sys.Name + ")"
-	res, err := explore(exploreParams{
-		op:           op,
-		workers:      sys.Workers,
-		limit:        maxGraphStates,
-		limitName:    "system " + sys.Name,
-		meter:        m,
-		inits:        inits,
-		newExpand:    sys.newExpand(compiled),
-		canon:        canon,
-		resume:       resume,
-		onCheckpoint: checkpointSaver(sys.Cache, m, desc),
+	g, res, err := sys.cachedBuild(sys.Ctx(), desc, sys.Name, exploreParams{
+		op:        op,
+		workers:   sys.Workers,
+		limit:     maxGraphStates,
+		limitName: "system " + sys.Name,
+		meter:     m,
+		canon:     canon,
+	}, func(seed bool) ([]*state.State, func() expandFunc, error) {
+		compiled, err := sys.compile()
+		if err != nil {
+			return nil, nil, err
+		}
+		var inits []*state.State
+		if seed {
+			if inits, err = sys.initialStates(m); err != nil {
+				return nil, nil, err
+			}
+			if len(inits) == 0 {
+				return nil, nil, fmt.Errorf("system %s: no initial states", sys.Name)
+			}
+		}
+		return inits, sys.newExpand(compiled), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if rd.Active() {
+	if res != nil && rd.Active() {
 		obs.FromMeter(m).AddReduction(op, obs.ReductionStats{
 			FullStates: res.expanded, FullSuccs: res.emitted, SymCollapsed: res.symCollapsed,
 		})
 	}
-	g := &Graph{
-		Sys:        sys,
-		Ctx:        sys.Ctx(),
-		States:     res.states,
-		Inits:      res.inits,
-		offsets:    res.offsets,
-		targets:    res.targets,
-		edgeStates: res.edgeStates,
-		table:      res.table,
-		meter:      m,
-		reduced:    rd.Active(),
-		canon:      canon,
-	}
-	cacheStore(sys.Cache, m, desc, g)
-	return g, nil
+	return g, err
 }
 
-// cacheSetup resolves the system's cache key and, when resuming, loads the
-// saved checkpoint. It returns ("", nil) when caching is disabled.
-func (sys *System) cacheSetup(m *engine.Meter) (string, *Snapshot) {
-	if sys.Cache == nil {
-		return "", nil
+// cachedBuild is the one build path of BuildWith and Product, for a graph
+// of sys with context ctx under the cache key desc ("" = not cached). It
+//
+//  1. probes sys.Cache for the complete entry under desc, and a hit is the
+//     graph: nothing is compiled or explored;
+//  2. on a miss, loads the checkpoint under the same key. The key is the
+//     SHA-256 of the system description, so a checkpoint found there is a
+//     prefix of this very build and resuming it needs no flag;
+//  3. has prepare make the expanders and, unless resuming (seed false),
+//     the initial states;
+//  4. explores p, from the checkpoint or the seeds, saving a checkpoint
+//     under desc if the budget runs out;
+//  5. assembles the graph with graphFromSnapshot and stores it under desc.
+//
+// name labels the checkpoint notes. The exploration's result is returned
+// for the caller's reduction statistics; it is nil on a hit.
+func (sys *System) cachedBuild(ctx *form.Ctx, desc, name string, p exploreParams,
+	prepare func(seed bool) ([]*state.State, func() expandFunc, error)) (*Graph, *exploreResult, error) {
+	c, m := sys.Cache, p.meter
+	cached := c != nil && desc != ""
+	if cached {
+		if snap := cacheLoad(c, m, desc); snap != nil {
+			return graphFromSnapshot(sys, ctx, m, snap, p.canon), nil, nil
+		}
+		p.resume = loadCheckpoint(c, m, desc, name)
+		p.onCheckpoint = checkpointSaver(c, m, desc)
 	}
-	desc := sys.CanonicalDesc()
-	var resume *Snapshot
-	if sys.Resume {
-		resume = loadCheckpoint(sys.Cache, m, desc, sys.Name)
+	var err error
+	p.inits, p.newExpand, err = prepare(p.resume == nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return desc, resume
+	res, err := explore(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap := &Snapshot{
+		Complete:   true,
+		States:     res.states,
+		Inits:      res.inits,
+		Offsets:    res.offsets,
+		Targets:    res.targets,
+		EdgeStates: res.edgeStates,
+	}
+	g := graphFromSnapshot(sys, ctx, m, snap, p.canon)
+	g.table = res.table
+	if cached {
+		defer obs.FromMeter(m).CacheOp("store", time.Now())
+		if err := c.Store(desc, snap); err != nil {
+			m.Note("cache-corrupt", fmt.Sprintf("storing cache entry: %v", err))
+		}
+	}
+	return g, res, nil
 }
 
 // loadCheckpoint loads the saved checkpoint of the graph named name, noting
@@ -213,31 +228,16 @@ func cacheLoad(c GraphCache, m *engine.Meter, desc string) *Snapshot {
 	return snap
 }
 
-// cacheStore persists a complete graph, noting write failures (which are
-// nonfatal: the build already succeeded).
-func cacheStore(c GraphCache, m *engine.Meter, desc string, g *Graph) {
-	if c == nil || desc == "" {
-		return
-	}
-	defer obs.FromMeter(m).CacheOp("store", time.Now())
-	if err := c.Store(desc, g.Snapshot()); err != nil {
-		m.Note("cache-corrupt", fmt.Sprintf("storing cache entry: %v", err))
-	}
-}
-
 // checkpointSaver returns the explore onCheckpoint callback persisting
-// budget-exhaustion checkpoints, or nil when caching is disabled.
+// budget-exhaustion checkpoints under desc.
 func checkpointSaver(c GraphCache, m *engine.Meter, desc string) func(*Snapshot) {
-	if c == nil || desc == "" {
-		return nil
-	}
 	return func(snap *Snapshot) {
 		defer obs.FromMeter(m).CacheOp("checkpoint", time.Now())
 		if err := c.StoreCheckpoint(desc, snap); err != nil {
 			m.Note("cache-corrupt", fmt.Sprintf("storing checkpoint: %v", err))
 			return
 		}
-		m.Note("checkpoint-saved", fmt.Sprintf("checkpoint at level %d: %d states, %d committed rows; rerun with -resume to continue",
+		m.Note("checkpoint-saved", fmt.Sprintf("checkpoint at level %d: %d states, %d committed rows; rerun with the same -cache-dir to continue",
 			snap.Level, len(snap.States), snap.Rows()))
 	}
 }

@@ -85,59 +85,15 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	// description extended with the monitors' semantic descriptions. A
 	// monitor without a Desc disables caching for this product.
 	var desc string
-	var resumeSnap *Snapshot
 	if g.Sys.Cache != nil {
-		if d, ok := productDesc(g.Sys, mons); ok {
-			desc = d
-			if snap := cacheLoad(g.Sys.Cache, meter, desc); snap != nil {
-				return graphFromSnapshot(g.Sys, form.NewCtx(domains), meter, snap, g.canon), nil
-			}
-			if g.Sys.Resume {
-				resumeSnap = loadCheckpoint(g.Sys.Cache, meter, desc, "product of "+g.Sys.Name)
-			}
-		}
+		desc, _ = productDesc(g.Sys, mons)
 	}
-
-	// Initial product states. A base init may admit no monitor values, and
-	// all of them may: an empty product graph is a legal (vacuous) outcome,
-	// unlike an empty base graph.
-	var inits []*state.State
-	if resumeSnap == nil {
-		c := newCombos(x, len(mons))
-		for _, bid := range g.Inits {
-			base := g.States[bid]
-			admitted := true
-			for i, m := range mons {
-				vals, err := m.Init(base)
-				if err != nil {
-					return nil, fmt.Errorf("monitor %s init on %s: %w", m.Var, base, err)
-				}
-				if len(vals) == 0 {
-					admitted = false
-					break
-				}
-				c.vals[i] = vals
-			}
-			if admitted {
-				err := c.each(base, func(t *state.State) error {
-					inits = append(inits, t.Clone())
-					return nil
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	res, err := explore(exploreParams{
+	p, res, err := g.Sys.cachedBuild(form.NewCtx(domains), desc, "product of "+g.Sys.Name, exploreParams{
 		op:        "ts.Product",
 		workers:   g.Sys.Workers,
 		limit:     maxGraphStates,
 		limitName: "monitor product",
 		meter:     meter,
-		inits:     inits,
-		newExpand: productExpand(g, mons, x),
 		// When the base graph was built under symmetry, the product inherits
 		// the reduction through the base graph's canonicalizer itself: a
 		// scoped variable has a system domain and a monitor variable may
@@ -145,31 +101,51 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		// monitor bindings as they are. Every product edge records its real
 		// successor, so monitors evaluate on genuine base steps, never on
 		// representative-to-representative pseudo-steps.
-		canon:        g.canon,
-		resume:       resumeSnap,
-		onCheckpoint: checkpointSaver(g.Sys.Cache, meter, desc),
+		canon: g.canon,
+	}, func(seed bool) (inits []*state.State, _ func() expandFunc, err error) {
+		if seed {
+			inits, err = productInits(g, mons, x)
+		}
+		return inits, productExpand(g, mons, x), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if g.canon != nil && res.symCollapsed > 0 {
+	if res != nil && g.canon != nil && res.symCollapsed > 0 {
 		obs.FromMeter(meter).AddReduction("ts.Product", obs.ReductionStats{SymCollapsed: res.symCollapsed})
 	}
-	prod := &Graph{
-		Sys:        g.Sys,
-		Ctx:        form.NewCtx(domains),
-		States:     res.states,
-		Inits:      res.inits,
-		offsets:    res.offsets,
-		targets:    res.targets,
-		edgeStates: res.edgeStates,
-		table:      res.table,
-		meter:      meter,
-		reduced:    g.reduced,
-		canon:      g.canon,
+	return p, err
+}
+
+// productInits returns the initial product states: each initial state of
+// g widened by every combination of the values the monitors admit on it.
+// A base init may admit no monitor values, and all of them may: an empty
+// product graph is a legal (vacuous) outcome, unlike an empty base graph.
+func productInits(g *Graph, mons []*Monitor, x *state.Extension) ([]*state.State, error) {
+	var inits []*state.State
+	c := newCombos(x, len(mons))
+	for _, bid := range g.Inits {
+		base := g.States[bid]
+		admitted := true
+		for i, m := range mons {
+			vals, err := m.Init(base)
+			if err != nil {
+				return nil, fmt.Errorf("monitor %s init on %s: %w", m.Var, base, err)
+			}
+			if len(vals) == 0 {
+				admitted = false
+				break
+			}
+			c.vals[i] = vals
+		}
+		if admitted {
+			err := c.each(base, func(t *state.State) error {
+				inits = append(inits, t.Clone())
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
-	cacheStore(g.Sys.Cache, meter, desc, prod)
-	return prod, nil
+	return inits, nil
 }
 
 // productExpand returns the expander factory of the product of g with mons,
@@ -307,8 +283,10 @@ func (c *combos) each(base *state.State, emit func(*state.State) error) error {
 
 // monitorDesc renders the canonical description of a constructor-built
 // monitor from its defining formulas, so equal semantics yield equal cache
-// keys regardless of how the closures were assembled.
-func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr, strict bool) string {
+// keys regardless of how the closures were assembled. A safety monitor's
+// description ends in ", strict" so that the keys of cached products built
+// with it stay valid.
+func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr) string {
 	var sb strings.Builder
 	sb.WriteString(kind)
 	sb.WriteString("-monitor(init=")
@@ -325,7 +303,7 @@ func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr, 
 		sb.WriteString(", v=")
 		writeExpr(&sb, v)
 	}
-	if strict {
+	if kind == "safety" {
 		sb.WriteString(", strict")
 	}
 	sb.WriteString(")")
@@ -333,16 +311,13 @@ func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr, 
 }
 
 // SafetyMonitor builds a two-state monitor tracking whether the safety
-// formula with initial predicate init and step actions boxes (each already
-// in [A]_v form) has held so far: the monitor value is TRUE while the
-// prefix satisfies the formula and FALSE forever after. Both transitions
-// out of TRUE are offered when the step satisfies the boxes, modelling the
-// nondeterministic "die early" choice needed for +v (see PlusMonitor).
-//
-// If strict is true the monitor only dies when the safety formula is
-// actually violated (no early death) — the right semantics for tracking
-// closure death indices.
-func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict bool) *Monitor {
+// formula with initial predicate init and step actions squares (each
+// already in [A]_v form) has held so far: the monitor value is TRUE while
+// the prefix satisfies the formula and FALSE forever after. The monitor is
+// deterministic: it dies exactly when the formula is violated, never
+// early — the semantics for tracking closure death indices. (PlusMonitor is
+// the one that may die early.)
+func SafetyMonitor(varName string, init form.Expr, squares []form.Expr) *Monitor {
 	// The squares are evaluated once per product edge per monitor value;
 	// lazily compiled predicates (layout learned from the first step) keep
 	// that hot path positional and allocation-free.
@@ -357,7 +332,7 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict b
 	return &Monitor{
 		Var:    varName,
 		Domain: value.Bools(),
-		Desc:   monitorDesc("safety", init, squares, nil, strict),
+		Desc:   monitorDesc("safety", init, squares, nil),
 		Init: func(s *state.State) ([]value.Value, error) {
 			ok := true
 			if initPred != nil {
@@ -389,10 +364,7 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr, strict b
 				}
 			}
 			if ok {
-				if strict {
-					return onlyTrue, nil
-				}
-				return trueOrFalse, nil
+				return onlyTrue, nil
 			}
 			return onlyFalse, nil
 		},
@@ -417,7 +389,7 @@ func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Exp
 	return &Monitor{
 		Var:    varName,
 		Domain: value.Bools(),
-		Desc:   monitorDesc("plus", init, squares, v, false),
+		Desc:   monitorDesc("plus", init, squares, v),
 		Init: func(s *state.State) ([]value.Value, error) {
 			ok := true
 			if initPred != nil {

@@ -85,7 +85,7 @@ func TestParallelProductDeterministic(t *testing.T) {
 		// Tracks whether x has stayed below 3 so far.
 		below := form.Lt(form.PrimedVar("x"), form.IntC(3))
 		return SafetyMonitor("ok", form.Lt(form.Var("x"), form.IntC(3)),
-			[]form.Expr{form.Square(below, form.Var("x"))}, true)
+			[]form.Expr{form.Square(below, form.Var("x"))})
 	}
 	build := func(workers int) *Graph {
 		sys := pairSystem(4)

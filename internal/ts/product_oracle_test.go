@@ -1,12 +1,19 @@
 package ts_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"opentla/internal/ag"
+	"opentla/internal/cache"
+	"opentla/internal/engine"
 	"opentla/internal/form"
+	"opentla/internal/obs"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/state"
@@ -30,9 +37,9 @@ func guaranteesOnly(th *ag.Theorem) *ts.System {
 // TestProductMatchesReference holds the positional monitor product to the
 // map-based product it replaced (ts.RefProduct) on the products the checks
 // build over Fig. 9's guarantees-only graph: the +v product of H2a-B, the
-// two-monitor product of check.WhilePlus (strict safety monitors for C(E)
-// and for C(M) under the refinement mapping), and a product of two
-// monitors that each allow two values. Each is built unreduced
+// two-monitor product of check.WhilePlus (safety monitors for C(E) and for
+// C(M) under the refinement mapping), and a product of two +v monitors
+// that each allow two values. Each is built unreduced
 // and under symmetry, for K = 2 and 3, by 1 and 4 workers, and must equal
 // the reference in states, fingerprints, initial ids, CSR adjacency and
 // real successors.
@@ -52,16 +59,17 @@ func TestProductMatchesReference(t *testing.T) {
 			}},
 			{"while-plus", func() []*ts.Monitor {
 				return []*ts.Monitor{
-					ts.SafetyMonitor("$envAlive", envInit, envSquares, true),
-					ts.SafetyMonitor("$sysAlive", sysInit, sysSquares, true),
+					ts.SafetyMonitor("$envAlive", envInit, envSquares),
+					ts.SafetyMonitor("$sysAlive", sysInit, sysSquares),
 				}
 			}},
-			// Strict monitors allow one value per step; two that may die
-			// early allow two each, so the combination order shows.
+			// Safety monitors allow one value per step; two +v monitors
+			// on distinct variables may each die early, so each allows
+			// two and the combination order shows.
 			{"two-nondeterministic", func() []*ts.Monitor {
 				return []*ts.Monitor{
 					ts.PlusMonitor("$plusAlive", envInit, envSquares, th.Concl.PlusSub),
-					ts.SafetyMonitor("$sysAlive", sysInit, sysSquares, false),
+					ts.PlusMonitor("$sysPlus", sysInit, sysSquares, th.Concl.PlusSub),
 				}
 			}},
 		}
@@ -206,6 +214,98 @@ func TestNumberingIgnoresStoreHash(t *testing.T) {
 					t.Errorf("sym=%v %s hash -workers %d: +v product: %v", sym, hc.name, workers, err)
 				}
 			}
+		}
+	}
+}
+
+// TestProductResumesFromCheckpoint stops the +v product over Fig. 9's K=2
+// guarantees-only graph on a state budget, then builds it again on the same
+// cache with no budget: the rerun must hit the base graph, resume the
+// product from the checkpoint the stopped run saved, and give the one-shot
+// product, by DiffGraphs and by the bytes of every snapshot file, at 1 and
+// 4 workers.
+func TestProductResumesFromCheckpoint(t *testing.T) {
+	cfg := queue.Config{N: 1, Vals: 2}
+	th := cfg.Fig9Theorem()
+	env := th.Concl.Env
+	mons := func() []*ts.Monitor {
+		return []*ts.Monitor{ts.PlusMonitor("$plusAlive", env.Init, []form.Expr{env.SquareExpr()}, th.Concl.PlusSub)}
+	}
+	// product builds the base graph and its product on the cache in dir,
+	// under m, and returns the base graph's size and the product.
+	product := func(dir string, workers int, m *engine.Meter) (int, *ts.Graph, error) {
+		t.Helper()
+		c, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetNotify(m.Note)
+		sys := guaranteesOnly(th)
+		sys.Workers, sys.Cache = workers, c
+		g, err := sys.BuildWith(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ts.Product(g, mons())
+		return g.NumStates(), p, err
+	}
+	files := func(dir, ext string) map[string][]byte {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(p)] = data
+		}
+		return out
+	}
+	for _, workers := range []int{1, 4} {
+		oneShot := t.TempDir()
+		base, want, err := product(oneShot, workers, engine.NoLimit())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		dir := t.TempDir()
+		// The base graph fits the budget; the product stops half way.
+		stop := engine.Budget{MaxStates: base + want.NumStates()/2}.Meter()
+		var be *engine.BudgetError
+		if _, _, err := product(dir, workers, stop); !errors.As(err, &be) {
+			t.Fatalf("workers=%d: want the product stopped by the budget, got %v", workers, err)
+		}
+		if n := len(files(dir, ".ckpt")); n != 1 {
+			t.Fatalf("workers=%d: stopped product left %d checkpoints, want 1", workers, n)
+		}
+
+		m := engine.NoLimit()
+		rec := obs.New(m)
+		_, got, err := product(dir, workers, m)
+		if err != nil {
+			t.Fatalf("workers=%d: rerun: %v", workers, err)
+		}
+		if st := rec.CacheStats(); st.Hits != 1 || st.Resumes != 1 {
+			t.Errorf("workers=%d: rerun cache stats %+v, want the base graph hit and the product resumed", workers, st)
+		}
+		if err := ts.DiffGraphs(got, want); err != nil {
+			t.Errorf("workers=%d: resumed product: %v", workers, err)
+		}
+		wantFiles, gotFiles := files(oneShot, ".snap"), files(dir, ".snap")
+		if len(gotFiles) != 2 || len(wantFiles) != 2 {
+			t.Errorf("workers=%d: %d snapshots after the rerun, one-shot %d; want 2 each", workers, len(gotFiles), len(wantFiles))
+		}
+		for name, data := range wantFiles {
+			if !bytes.Equal(gotFiles[name], data) {
+				t.Errorf("workers=%d: %s differs from the one-shot cache's", workers, name)
+			}
+		}
+		if n := len(files(dir, ".ckpt")); n != 0 {
+			t.Errorf("workers=%d: rerun left %d checkpoints", workers, n)
 		}
 	}
 }

@@ -56,8 +56,9 @@ func (s *Snapshot) Rows() int {
 // interface, mirroring the engine.Observer seam.
 //
 // Load and LoadCheckpoint return (nil, nil) on a miss; a non-nil error means
-// the stored entry exists but could not be decoded (corruption, version
-// mismatch), which callers treat as a miss after noting it.
+// the stored entry exists but could not be decoded (corruption), which
+// callers treat as a miss after noting it. Both are probed by every cached
+// build (see cachedBuild), so an unused key must be a cheap miss.
 type GraphCache interface {
 	Load(desc string) (*Snapshot, error)
 	Store(desc string, snap *Snapshot) error
@@ -82,9 +83,11 @@ func (g *Graph) Snapshot() *Snapshot {
 	}
 }
 
-// graphFromSnapshot reconstructs a graph from a complete snapshot; its ID
-// table is interned from the state list on the first ID call. canon is the
-// canonicalizer of the reconstructing configuration (nil when symmetry is
+// graphFromSnapshot is the one Graph constructor: it makes a graph of sys
+// from a complete snapshot, loaded from the cache or just explored. A
+// loaded graph's ID table is interned from the state list on the first ID
+// call; cachedBuild hands a built graph its exploration's store instead.
+// canon is the canonicalizer of the configuration (nil when symmetry is
 // off); the reduced flag follows the configuration, not the snapshot — the
 // cache key embeds the reduction description, so a snapshot is only ever
 // loaded by a matching configuration.

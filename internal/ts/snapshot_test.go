@@ -19,7 +19,7 @@ type memCache struct {
 	snaps, ckpts       map[string]*Snapshot
 	loadErr, ckLoadErr error
 	hits, misses       int
-	ckStores           int
+	ckLoads, ckStores  int
 }
 
 func newMemCache() *memCache {
@@ -45,6 +45,7 @@ func (c *memCache) Store(desc string, snap *Snapshot) error {
 }
 
 func (c *memCache) LoadCheckpoint(desc string) (*Snapshot, error) {
+	c.ckLoads++
 	if c.ckLoadErr != nil {
 		return nil, c.ckLoadErr
 	}
@@ -236,7 +237,6 @@ func TestCheckpointResumeDeterministic(t *testing.T) {
 
 		resumed := mk()
 		resumed.Cache = c
-		resumed.Resume = true
 		m := engine.NoLimit()
 		gRes, err := resumed.BuildWith(m)
 		if err != nil {
@@ -263,12 +263,58 @@ func TestCheckpointResumeDeterministic(t *testing.T) {
 	}
 }
 
+// TestCompleteEntryWinsOverCheckpoint plants a valid checkpoint beside the
+// complete entry of the same key, as a crash between a store and its
+// checkpoint removal leaves it: a build is served by the entry and never
+// loads the checkpoint. Without the entry, the same checkpoint is loaded
+// and resumed.
+func TestCompleteEntryWinsOverCheckpoint(t *testing.T) {
+	c := newMemCache()
+	sys := pairSystem(4)
+	sys.Cache = c
+	if _, err := sys.BuildWith(engine.Budget{MaxStates: 8}.Meter()); err == nil {
+		t.Fatal("want budget exhaustion")
+	}
+	desc := sys.CanonicalDesc()
+	ck := c.ckpts[desc]
+	if ck == nil {
+		t.Fatal("exhaustion saved no checkpoint")
+	}
+	full, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ckpts[desc] = ck // the stale checkpoint
+	loads := c.ckLoads
+	g, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ckLoads != loads {
+		t.Errorf("a build served by the complete entry loaded the checkpoint %d times", c.ckLoads-loads)
+	}
+	if signature(g) != signature(full) {
+		t.Error("graph served beside a stale checkpoint differs")
+	}
+
+	delete(c.snaps, desc)
+	m := engine.NoLimit()
+	if _, err := sys.BuildWith(m); err != nil {
+		t.Fatal(err)
+	}
+	if c.ckLoads != loads+1 {
+		t.Errorf("a miss loaded the checkpoint %d times, want 1", c.ckLoads-loads)
+	}
+	if st := m.Stats(); st.States >= full.NumStates() {
+		t.Errorf("a miss beside the checkpoint metered %d of %d states: it did not resume", st.States, full.NumStates())
+	}
+}
+
 func TestResumeWithCorruptCheckpointColdBuilds(t *testing.T) {
 	c := newMemCache()
 	c.ckLoadErr = errors.New("torn file")
 	sys := counterSystem(3)
 	sys.Cache = c
-	sys.Resume = true
 	g, err := sys.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +328,7 @@ func TestProductWarmHit(t *testing.T) {
 	mon := func() *Monitor {
 		below := form.Lt(form.PrimedVar("x"), form.IntC(3))
 		return SafetyMonitor("ok", form.Lt(form.Var("x"), form.IntC(3)),
-			[]form.Expr{form.Square(below, form.Var("x"))}, true)
+			[]form.Expr{form.Square(below, form.Var("x"))})
 	}
 	c := newMemCache()
 	build := func() *Graph {

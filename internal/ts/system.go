@@ -54,10 +54,6 @@ type System struct {
 	// after a complete build (see GraphCache). Entries are keyed by
 	// CanonicalDesc, so Name and Workers do not affect cache identity.
 	Cache GraphCache
-	// Resume, when true (and Cache is set), restores a checkpoint saved by
-	// an earlier budget-exhausted run and continues the exploration from its
-	// last completed level instead of restarting.
-	Resume bool
 	// Reduce, when non-nil with enabled options, requests symmetry
 	// reduction: canonicalization of every state to its orbit
 	// representative (see internal/reduce). An invalid symmetry declaration

@@ -197,7 +197,7 @@ func TestMonitorProductSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := SafetyMonitor("$ok", form.TrueE, []form.Expr{form.Lt(form.PrimedVar("x"), form.IntC(2))}, true)
+	mon := SafetyMonitor("$ok", form.TrueE, []form.Expr{form.Lt(form.PrimedVar("x"), form.IntC(2))})
 	prod, err := Product(g, []*Monitor{mon})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 #
 # Kills agcheck with a real os.Exit at mutating cache operation 1, 2, 3, ...
 # (via OPENTLA_CACHE_CRASH_AT, see cache.Flags and iofs.Crash), recovers each
-# crashed cache with a plain rerun under -resume, and requires:
+# crashed cache with a plain rerun on the same -cache-dir, and requires:
 #
 #   - the recovery run reproduces the reference verdict (exit 0);
 #   - every .snap file is byte-identical to an uninterrupted run's (the
@@ -90,8 +90,8 @@ while :; do
         echo "chaos: PASS: swept $((at - 1)) crash points (workload performs $((at - 1)) mutating cache ops)"
         break
     fi
-    # Recover: a plain rerun with -resume must converge to the reference.
-    "$tmp/agcheck" -model "$MODEL" -n "$N" -k "$K" -cache-dir "$dir" -resume >/dev/null
+    # Recover: a plain rerun must converge to the reference.
+    "$tmp/agcheck" -model "$MODEL" -n "$N" -k "$K" -cache-dir "$dir" >/dev/null
     verify_dir "$dir"
     echo "chaos: crash at op $at recovered"
     at=$((at + 1))
