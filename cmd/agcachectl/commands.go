@@ -10,24 +10,36 @@ import (
 	"opentla/internal/cache"
 )
 
-// openAdmin opens the cache for administration: the directory must already
-// exist (no silent creation at a mistyped path) and orphaned temp files are
-// kept so fsck can report them.
-func openAdmin(dir string, stderr io.Writer) (*cache.Cache, int) {
-	if dir == "" {
+// newFlagSet starts a command's flag set with the shared -cache-dir flag.
+func newFlagSet(name string, stderr io.Writer) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("agcachectl "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs, fs.String("cache-dir", "", "the cache directory to administer (required)")
+}
+
+// openAdmin parses a command's flags and opens the cache for
+// administration: the directory must already exist (an admin tool that
+// silently created an empty cache at a mistyped path would report a
+// spotless fsck of nothing) and orphaned temp files are kept so fsck can
+// report them.
+func openAdmin(fs *flag.FlagSet, args []string, dir *string, stderr io.Writer) (*cache.Cache, int) {
+	if err := fs.Parse(args); err != nil {
+		return nil, 2
+	}
+	if *dir == "" {
 		fmt.Fprintln(stderr, "agcachectl: -cache-dir is required")
 		return nil, 2
 	}
-	info, err := os.Stat(dir)
+	info, err := os.Stat(*dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "agcachectl: %v\n", err)
 		return nil, 2
 	}
 	if !info.IsDir() {
-		fmt.Fprintf(stderr, "agcachectl: %s is not a directory\n", dir)
+		fmt.Fprintf(stderr, "agcachectl: %s is not a directory\n", *dir)
 		return nil, 2
 	}
-	c, err := cache.OpenWith(dir, cache.Options{Retries: -1, KeepOrphans: true})
+	c, err := cache.OpenWith(*dir, cache.Options{KeepOrphans: true})
 	if err != nil {
 		fmt.Fprintf(stderr, "agcachectl: %v\n", err)
 		return nil, 2
@@ -36,14 +48,9 @@ func openAdmin(dir string, stderr io.Writer) (*cache.Cache, int) {
 }
 
 func runFsck(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("agcachectl fsck", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := addDirFlag(fs)
-	quarantine := fs.Bool("quarantine", false, "move corrupt live entries aside to *.quarantined")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	c, code := openAdmin(*dir, stderr)
+	fs, dir := newFlagSet("fsck", stderr)
+	quarantine := fs.Bool("quarantine", false, "move damaged live entries aside to *.quarantined (stale entries stay)")
+	c, code := openAdmin(fs, args, dir, stderr)
 	if c == nil {
 		return code
 	}
@@ -52,6 +59,9 @@ func runFsck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "agcachectl: %v\n", err)
 		return 2
 	}
+	for _, f := range res.Stale {
+		fmt.Fprintf(stdout, "STALE %s: %s (superseded: removed at its first load)\n", f.Name, f.Problem)
+	}
 	for _, f := range res.Findings {
 		action := ""
 		if f.Quarantined {
@@ -59,29 +69,28 @@ func runFsck(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "BAD  %s: %s%s\n", f.Name, f.Problem, action)
 	}
+	scanned := fmt.Sprintf("fsck: %d entries scanned", res.Scanned)
+	if len(res.Stale) > 0 {
+		scanned += fmt.Sprintf(", %d stale", len(res.Stale))
+	}
 	if len(res.Findings) > 0 {
-		fmt.Fprintf(stdout, "fsck: %d entries scanned, %d findings\n", res.Scanned, len(res.Findings))
+		fmt.Fprintf(stdout, "%s, %d findings\n", scanned, len(res.Findings))
 		return 1
 	}
-	fmt.Fprintf(stdout, "fsck: %d entries scanned, clean\n", res.Scanned)
+	fmt.Fprintf(stdout, "%s, clean\n", scanned)
 	return 0
 }
 
 func runGC(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("agcachectl gc", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := addDirFlag(fs)
+	fs, dir := newFlagSet("gc", stderr)
 	maxBytes := fs.Int64("max-bytes", 0, "evict LRU live entries until the cache is at most this large (0 = remove junk only)")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	c, code := openAdmin(fs, args, dir, stderr)
+	if c == nil {
+		return code
 	}
 	if *maxBytes < 0 {
 		fmt.Fprintln(stderr, "agcachectl: -max-bytes must be >= 0")
 		return 2
-	}
-	c, code := openAdmin(*dir, stderr)
-	if c == nil {
-		return code
 	}
 	res, err := c.GC(*maxBytes)
 	if err != nil {
@@ -96,27 +105,10 @@ func runGC(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// statJSON is the stable machine-readable shape of `stat -json`. Field names
-// are a published contract (CI and scripts parse them with jq); extend it by
-// adding fields, never by renaming or removing.
-type statJSON struct {
-	Snapshots   int   `json:"snapshots"`
-	Checkpoints int   `json:"checkpoints"`
-	Quarantined int   `json:"quarantined"`
-	TempFiles   int   `json:"temp_files"`
-	Other       int   `json:"other_files"`
-	TotalBytes  int64 `json:"total_bytes"`
-}
-
 func runStat(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("agcachectl stat", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := addDirFlag(fs)
+	fs, dir := newFlagSet("stat", stderr)
 	asJSON := fs.Bool("json", false, "emit the counts as a single JSON object")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	c, code := openAdmin(*dir, stderr)
+	c, code := openAdmin(fs, args, dir, stderr)
 	if c == nil {
 		return code
 	}
@@ -128,14 +120,7 @@ func runStat(args []string, stdout, stderr io.Writer) int {
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(statJSON{
-			Snapshots:   st.Snapshots,
-			Checkpoints: st.Checkpoints,
-			Quarantined: st.Quarantined,
-			TempFiles:   st.TempFiles,
-			Other:       st.Other,
-			TotalBytes:  st.TotalBytes,
-		}); err != nil {
+		if err := enc.Encode(st); err != nil {
 			fmt.Fprintf(stderr, "agcachectl: %v\n", err)
 			return 2
 		}

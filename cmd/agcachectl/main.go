@@ -11,19 +11,24 @@
 // content-addressed name of their own description digest, decode under the
 // full codec checks (magic, version, trailing SHA-256), and satisfy the
 // structural graph invariants; temp files, quarantined entries, and foreign
-// files are reported too. With -quarantine, corrupt live entries are moved
-// aside to *.quarantined. Exit codes: 0 = clean, 1 = findings, 2 = error.
+// files are reported too. With -quarantine, damaged live entries are moved
+// aside to *.quarantined. An entry of another codec version is listed as
+// STALE: it is superseded, not damaged, so it is no finding and -quarantine
+// leaves it; the first load removes it as a miss. Exit codes: 0 = clean
+// (stale entries included), 1 = findings, 2 = error.
 //
 // gc removes junk (quarantined entries, orphaned temp files) and, with
 // -max-bytes, evicts least-recently-used live entries until the cache fits
 // the bound. Eviction order is deterministic. Exit codes: 0 = done
 // (including nothing to do), 2 = error.
 //
+// gc and stat judge files by name alone, so a stale entry counts as a live
+// one: stat counts it, and gc evicts it by LRU order.
+//
 // stat prints the cache's entry counts and total size. Exit codes: 0, 2.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -61,11 +66,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "agcachectl: unknown command %q\n%s", cmd, usage)
 		return 2
 	}
-}
-
-// openDir parses the shared -cache-dir flag and opens the cache. The
-// directory must already exist: an admin tool that silently creates an empty
-// cache at a mistyped path would report a spotless fsck of nothing.
-func addDirFlag(fs *flag.FlagSet) *string {
-	return fs.String("cache-dir", "", "the cache directory to administer (required)")
 }

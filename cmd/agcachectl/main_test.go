@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func fixtureSnapshot() *ts.Snapshot {
 func fixtureDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := cache.OpenWith(dir, cache.Options{Retries: -1})
+	c, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +230,49 @@ func TestFsckDoesNotSweepOrphans(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); err != nil {
 		t.Errorf("fsck removed the orphan it should only report: %v", err)
+	}
+}
+
+// TestStaleFixture runs over a copy of a cache a codec-version-1 build
+// filled: its entries are stale, not damaged. fsck lists them and exits 0
+// with no BAD line, -quarantine leaves them in place, and stat counts them
+// as snapshots, judging by name alone.
+func TestStaleFixture(t *testing.T) {
+	src := filepath.Join("..", "..", "internal", "cache", "testdata", "v1-fig9-n1-k2")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, args := range [][]string{{"fsck", "-cache-dir", dir, "-quarantine"}, {"fsck", "-cache-dir", dir}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Errorf("%v: exit %d, want 0\n%s%s", args, code, stdout.String(), stderr.String())
+		}
+		out := stdout.String()
+		if strings.Contains(out, "BAD") || strings.Count(out, "STALE ") != 3 ||
+			!strings.HasSuffix(out, "fsck: 3 entries scanned, 3 stale, clean\n") {
+			t.Errorf("%v: want 3 STALE lines, no BAD line, a clean summary:\n%s", args, out)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"stat", "-cache-dir", dir, "-json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("stat exit %d\n%s", code, stderr.String())
+	}
+	var st cache.Stats
+	if err := json.Unmarshal(stdout.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshots != 3 || st.Quarantined != 0 || st.Other != 0 {
+		t.Errorf("stat = %+v, want 3 snapshots and nothing quarantined", st)
 	}
 }

@@ -53,10 +53,12 @@ type graphProf struct {
 // run many explorations, each restarting at level 0) is allocated to the
 // succgen/reduction/barrier buckets proportionally to the participants'
 // lane time, so narrow levels that used fewer workers don't skew the
-// shares. Seal and cache slices are single-lane and count directly.
-// Measured wall is the sum of the explorations' spans plus cache I/O (which
-// brackets them); whatever the buckets don't cover is inter-level loop
-// overhead, reported as the unattributed remainder.
+// shares. Seal, advance (the coordinator's step from one level to the next,
+// which stretches the next level's span back to the previous one's end) and
+// cache slices are single-lane and count directly. Measured wall is the sum
+// of the explorations' spans plus cache I/O (which brackets them); whatever
+// the buckets don't cover — the few instructions between a level's last
+// slice and the next slice — is reported as the unattributed remainder.
 type profile struct {
 	workers []workerProf
 	graphs  []graphProf // one per exploration, in run order
@@ -69,12 +71,13 @@ type profile struct {
 	waitAvg   float64 // level wall share: barrier wait
 	commitPar float64 // level wall share: parallel commit phases
 	commit    float64 // Σ barrier seal (single-threaded, counts once)
+	advance   float64 // Σ steps between levels (single-threaded, counts once)
 	cache     float64 // Σ cache-track slices
 }
 
-// barrier is the full barrier bucket: idle wait, the serial seal, and the
-// parallel commit phases.
-func (p *profile) barrier() float64 { return p.waitAvg + p.commit + p.commitPar }
+// barrier is the full barrier bucket: idle wait, the serial seal, the
+// steps between levels, and the parallel commit phases.
+func (p *profile) barrier() float64 { return p.waitAvg + p.commit + p.advance + p.commitPar }
 
 // serialCommitShare is the single-threaded seal's fraction of wall — the
 // Amdahl ceiling on barrier scaling, gated in CI via -max-commit-pct.
@@ -183,13 +186,15 @@ func analyze(events []traceEvent) (*profile, error) {
 				w.commit += e.Dur
 				laneCommit += e.Dur
 			}
-		case track == "barrier":
+		case track == "barrier" && (e.Name == "commit" || e.Name == "advance"):
 			if e.Name == "commit" {
 				p.commit += e.Dur
 				p.levels++
-				grow(drains, [2]int64{intArg(e, "run"), intArg(e, "level")}, e)
-				grow(runs, [2]int64{intArg(e, "run"), 0}, e)
+			} else {
+				p.advance += e.Dur
 			}
+			grow(drains, [2]int64{intArg(e, "run"), intArg(e, "level")}, e)
+			grow(runs, [2]int64{intArg(e, "run"), 0}, e)
 		case track == "cache":
 			p.cache += e.Dur
 		case track == "phases" && (strings.HasPrefix(e.Name, "build:") || strings.HasPrefix(e.Name, "product:")):
@@ -214,10 +219,10 @@ func analyze(events []traceEvent) (*profile, error) {
 	for _, d := range drains {
 		drainTotal += d.end - d.start
 	}
-	// The level span includes the serial seal (its slice grows the span, and
-	// in a live trace the parallel commit phases bracket it anyway); take it
-	// back out before lane allocation so it isn't double-counted.
-	drainTotal -= p.commit
+	// The level span includes the serial seal and the advance into the
+	// level (their slices grow the span); take them back out before lane
+	// allocation so they aren't double-counted.
+	drainTotal -= p.commit + p.advance
 	if drainTotal < 0 {
 		drainTotal = 0
 	}
@@ -370,8 +375,8 @@ func printProfile(w io.Writer, p *profile, rep *reportMetrics) {
 	}
 	buckets := []bucket{
 		{"successor generation", p.succgen, ""},
-		{"barrier", p.barrier(), fmt.Sprintf("(wait %s, serial seal %s, parallel commit %s)",
-			pct(p.waitAvg, p.wall), pct(p.commit, p.wall), pct(p.commitPar, p.wall))},
+		{"barrier", p.barrier(), fmt.Sprintf("(wait %s, serial seal %s, advance %s, parallel commit %s)",
+			pct(p.waitAvg, p.wall), pct(p.commit, p.wall), pct(p.advance, p.wall), pct(p.commitPar, p.wall))},
 		{"reduction", p.reduction, "(canonicalization)"},
 		{"cache", p.cache, ""},
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -227,5 +228,37 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if !strings.HasPrefix(rows[2][1], "product:") {
 		t.Errorf("third graph should be the monitor product:\n%s", out.String())
+	}
+}
+
+// TestAdvanceClosesLevelGap: an "advance" slice fills the time between one
+// level's last slice and the next level's first, so however long the
+// coordinator takes there (descheduled, say), the wall stays fully
+// attributed, and the step counts toward the barrier bucket.
+func TestAdvanceClosesLevelGap(t *testing.T) {
+	w0 := map[string]json.RawMessage{"name": json.RawMessage(`"worker 0"`)}
+	bar := map[string]json.RawMessage{"name": json.RawMessage(`"barrier"`)}
+	lvl := func(l string) map[string]json.RawMessage {
+		return map[string]json.RawMessage{"run": json.RawMessage(`1`), "level": json.RawMessage(l)}
+	}
+	events := []traceEvent{
+		{Name: "thread_name", Ph: "M", TID: 0, Args: w0},
+		{Name: "thread_name", Ph: "M", TID: 1, Args: bar},
+		{Name: "expand", Ph: "X", TID: 0, TS: 0, Dur: 40, Args: lvl("0")},
+		{Name: "commit", Ph: "X", TID: 1, TS: 40, Dur: 10, Args: lvl("0")},
+		{Name: "advance", Ph: "X", TID: 1, TS: 50, Dur: 1000, Args: lvl("1")},
+		{Name: "expand", Ph: "X", TID: 0, TS: 1050, Dur: 40, Args: lvl("1")},
+		{Name: "commit", Ph: "X", TID: 1, TS: 1090, Dur: 10, Args: lvl("1")},
+	}
+	p, err := analyze(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.wall != 1100 || p.advance != 1000 || p.levels != 2 {
+		t.Errorf("wall %v, advance %v, levels %d; want 1100, 1000, 2", p.wall, p.advance, p.levels)
+	}
+	if p.attributed() != p.wall || p.barrier() != 1020 || p.succgen != 80 {
+		t.Errorf("attributed %v (barrier %v, succgen %v) of wall %v; want all of it, barrier 1020, succgen 80",
+			p.attributed(), p.barrier(), p.succgen, p.wall)
 	}
 }

@@ -354,7 +354,7 @@ func (th *Theorem) buildReduce(m *engine.Meter) *reduce.Config {
 	for _, sc := range sys.Constraints {
 		steps = append(steps, reduce.NamedExpr{Name: sc.Name, E: sc.Action})
 	}
-	if err := sym.Validate(sys.Components, steps, nil, sys.Domains); err != nil {
+	if err := sym.Validate(sys.Components, steps, sys.Domains); err != nil {
 		return disable(err.Error())
 	}
 	return &reduce.Config{Options: th.Reduce, Symmetry: sym}

@@ -20,10 +20,12 @@ import (
 //
 // The cache is self-healing:
 //
-//   - transient write errors are retried with bounded exponential backoff;
+//   - transient write errors are retried writeRetries times, after a
+//     firstBackoff delay that doubles on each retry;
 //   - entries that fail to decode are quarantined (renamed to
 //     *.quarantined) so they never block the cold build that replaces them;
-//     entries of another codec version are removed, a plain miss;
+//     entries of another codec version are stale, not damaged: removed at
+//     their first load, a plain miss;
 //   - orphaned temp files left by a killed process are swept on Open;
 //   - an optional size bound evicts least-recently-used entries after every
 //     store (see GC).
@@ -36,8 +38,6 @@ type Cache struct {
 	fs  iofs.FS
 
 	maxBytes int64
-	retries  int
-	backoff  time.Duration
 	sleep    func(time.Duration)
 	now      func() time.Time
 
@@ -49,6 +49,14 @@ type Cache struct {
 
 type pendingEvent struct{ kind, msg string }
 
+// The retry schedule of a transient write failure: writeRetries more
+// attempts, the first after firstBackoff, each later one after twice the
+// delay before it.
+const (
+	writeRetries = 2
+	firstBackoff = 5 * time.Millisecond
+)
+
 var _ ts.GraphCache = (*Cache)(nil)
 
 // Options configures OpenWith. The zero value is the production setup.
@@ -58,11 +66,6 @@ type Options struct {
 	// MaxBytes, when positive, bounds the cache's total size: after every
 	// store, least-recently-used entries are evicted until the bound holds.
 	MaxBytes int64
-	// Retries is the number of additional attempts after a transient write
-	// failure (negative = default of 2).
-	Retries int
-	// Backoff is the first retry's delay, doubled per attempt (0 = 5ms).
-	Backoff time.Duration
 	// Sleep and Now are injectable for deterministic tests (nil = real).
 	Sleep func(time.Duration)
 	Now   func() time.Time
@@ -75,51 +78,29 @@ type Options struct {
 // Open creates the cache directory if needed and returns a production cache
 // over it, sweeping any orphaned temp files a killed process left behind.
 func Open(dir string) (*Cache, error) {
-	return OpenWith(dir, Options{Retries: -1})
+	return OpenWith(dir, Options{})
 }
 
 // OpenWith is Open with explicit options.
 func OpenWith(dir string, opts Options) (*Cache, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = iofs.OS{}
+	c := &Cache{dir: dir, fs: opts.FS, maxBytes: opts.MaxBytes, sleep: opts.Sleep, now: opts.Now}
+	if c.fs == nil {
+		c.fs = iofs.OS{}
 	}
-	retries := opts.Retries
-	if retries < 0 {
-		retries = 2
+	if c.sleep == nil {
+		c.sleep = time.Sleep
 	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
+	if c.now == nil {
+		c.now = time.Now
 	}
-	sleep := opts.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
-	}
-	c := &Cache{
-		dir:      dir,
-		fs:       fsys,
-		maxBytes: opts.MaxBytes,
-		retries:  retries,
-		backoff:  backoff,
-		sleep:    sleep,
-		now:      now,
 	}
 	if !opts.KeepOrphans {
 		c.sweepOrphans()
 	}
 	return c, nil
 }
-
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
 
 // SetNotify installs the event sink receiving self-healing diagnostics
 // ("cache-sweep", "cache-quarantine", "cache-retry", "cache-gc"), usually
@@ -146,33 +127,63 @@ func (c *Cache) note(kind, msg string) {
 
 // EntryPath returns the path a complete-graph snapshot for desc occupies,
 // whether or not it exists. CI uses it to byte-compare snapshot files.
-func (c *Cache) EntryPath(desc string) string { return c.path(desc, ".snap") }
+func (c *Cache) EntryPath(desc string) string { return c.path(desc, kindSnap) }
 
 // CheckpointPath returns the path a checkpoint for desc occupies.
-func (c *Cache) CheckpointPath(desc string) string { return c.path(desc, ".ckpt") }
+func (c *Cache) CheckpointPath(desc string) string { return c.path(desc, kindCkpt) }
 
-func (c *Cache) path(desc, ext string) string {
+func (c *Cache) path(desc string, k kind) string {
 	fnv, sum := Digest(desc)
-	return filepath.Join(c.dir, fmt.Sprintf("%016x-%x%s", fnv, sum[:8], ext))
+	return filepath.Join(c.dir, fmt.Sprintf("%016x-%x%s", fnv, sum[:8], suffixes[k]))
 }
+
+// kind is what a file in the cache directory is: a live entry (snap, ckpt),
+// junk (temp, quarantined) or foreign (other, never removed).
+type kind int
+
+const (
+	kindOther kind = iota
+	kindSnap
+	kindCkpt
+	kindTemp
+	kindQuarantined
+)
+
+// suffixes names each kind's files; foreign files have no suffix of theirs.
+var suffixes = [...]string{kindSnap: ".snap", kindCkpt: ".ckpt", kindTemp: ".tmp", kindQuarantined: ".quarantined"}
+
+// kindOf judges a file in the cache directory by its name alone, over the
+// suffix table that also names the files load and store use, so the
+// Open-time sweep, Fsck, GC, Stat and load cannot disagree. A live entry's
+// content (damaged or stale) is judged only by its readers, load and Fsck.
+func kindOf(name string) kind {
+	for k, suf := range suffixes {
+		if suf != "" && strings.HasSuffix(name, suf) {
+			return kind(k)
+		}
+	}
+	return kindOther
+}
+
+func (k kind) live() bool { return k == kindSnap || k == kindCkpt }
 
 // Load returns the cached complete graph for desc, (nil, nil) on a miss, or
 // an error describing why an existing entry was unusable. An unusable entry
 // is quarantined on the way out, so it cannot block the cold build that
 // follows: the next run sees a clean miss. An entry of another codec
-// version is removed and is itself a miss.
+// version is stale: it is removed and is itself a miss.
 func (c *Cache) Load(desc string) (*ts.Snapshot, error) {
-	return c.load(desc, ".snap")
+	return c.load(desc, kindSnap)
 }
 
 // LoadCheckpoint returns the saved checkpoint for desc, (nil, nil) if none.
 // Unusable checkpoints are quarantined like entries.
 func (c *Cache) LoadCheckpoint(desc string) (*ts.Snapshot, error) {
-	return c.load(desc, ".ckpt")
+	return c.load(desc, kindCkpt)
 }
 
-func (c *Cache) load(desc, ext string) (*ts.Snapshot, error) {
-	path := c.path(desc, ext)
+func (c *Cache) load(desc string, k kind) (*ts.Snapshot, error) {
+	path := c.path(desc, k)
 	data, err := c.fs.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -181,10 +192,10 @@ func (c *Cache) load(desc, ext string) (*ts.Snapshot, error) {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
 	_, sum := Digest(desc)
-	snap, err := decodeWith(data, sum, c.mut != MutDropChecksum)
+	snap, err := decodeFor(data, sum, c.mut != MutDropChecksum)
 	if errors.Is(err, errVersion) {
-		// Another build's format is a miss, not corruption: drop it
-		// (best-effort, the cold build's store replaces it anyway).
+		// A stale entry, another build's format, is a miss, not damage:
+		// drop it (best-effort, the cold build's store replaces it anyway).
 		c.fs.Remove(path)
 		return nil, nil
 	}
@@ -203,10 +214,10 @@ func (c *Cache) load(desc, ext string) (*ts.Snapshot, error) {
 // from an interrupted build of the same system (the snapshot supersedes it).
 // When a size bound is configured, the store is followed by a GC pass.
 func (c *Cache) Store(desc string, snap *ts.Snapshot) error {
-	if err := c.store(desc, ".snap", snap); err != nil {
+	if err := c.store(desc, kindSnap, snap); err != nil {
 		return err
 	}
-	if err := c.fs.Remove(c.path(desc, ".ckpt")); err != nil && !os.IsNotExist(err) {
+	if err := c.fs.Remove(c.path(desc, kindCkpt)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("cache: removing stale checkpoint: %w", err)
 	}
 	c.autoGC()
@@ -215,39 +226,39 @@ func (c *Cache) Store(desc string, snap *ts.Snapshot) error {
 
 // StoreCheckpoint persists a partial-exploration checkpoint for desc.
 func (c *Cache) StoreCheckpoint(desc string, snap *ts.Snapshot) error {
-	if err := c.store(desc, ".ckpt", snap); err != nil {
+	if err := c.store(desc, kindCkpt, snap); err != nil {
 		return err
 	}
 	c.autoGC()
 	return nil
 }
 
-func (c *Cache) store(desc, ext string, snap *ts.Snapshot) error {
+func (c *Cache) store(desc string, k kind, snap *ts.Snapshot) error {
 	_, sum := Digest(desc)
 	data, err := Encode(snap, sum)
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if c.mut == MutTruncateCheckpoint && ext == ".ckpt" {
+	if c.mut == MutTruncateCheckpoint && k == kindCkpt {
 		data = data[:len(data)/2]
 	}
-	path := c.path(desc, ext)
+	path := c.path(desc, k)
 	// Bounded retry with exponential backoff: transient failures (the
-	// injected analogue of EINTR-class errors) get retries-many more
+	// injected analogue of EINTR-class errors) get writeRetries more
 	// attempts, each from a fresh temp file; permanent failures (ENOSPC,
 	// read-only filesystem) abort immediately — the caller degrades, the
 	// build result is unaffected.
-	backoff := c.backoff
+	backoff := firstBackoff
 	for attempt := 0; ; attempt++ {
 		err = c.writeEntry(path, data)
 		if err == nil {
 			return nil
 		}
-		if attempt >= c.retries || !iofs.IsTransient(err) {
+		if attempt >= writeRetries || !iofs.IsTransient(err) {
 			return fmt.Errorf("cache: %w", err)
 		}
 		c.note("cache-retry", fmt.Sprintf("transient failure writing %s (attempt %d of %d), retrying in %v: %v",
-			filepath.Base(path), attempt+1, c.retries+1, backoff, err))
+			filepath.Base(path), attempt+1, writeRetries+1, backoff, err))
 		c.sleep(backoff)
 		backoff *= 2
 	}
@@ -256,7 +267,7 @@ func (c *Cache) store(desc, ext string, snap *ts.Snapshot) error {
 // writeEntry performs one durable-write attempt: temp file, write, fsync,
 // close, atomic rename. Any failure removes the temp file (best-effort).
 func (c *Cache) writeEntry(path string, data []byte) error {
-	f, err := c.fs.CreateTemp(c.dir, "snap-*.tmp")
+	f, err := c.fs.CreateTemp(c.dir, "snap-*"+suffixes[kindTemp])
 	if err != nil {
 		return err
 	}
@@ -271,17 +282,14 @@ func (c *Cache) writeEntry(path string, data []byte) error {
 		}
 		tmp = path
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		c.fs.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		c.fs.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		c.fs.Remove(tmp)
 		return err
 	}
@@ -296,22 +304,23 @@ func (c *Cache) writeEntry(path string, data []byte) error {
 }
 
 // quarantine moves an unreadable entry aside so it can never block a cold
-// rebuild, falling back to deletion if even the rename fails. Best-effort:
-// quarantine failure still leaves the caller degrading to a cold build.
-func (c *Cache) quarantine(path string, cause error) {
-	dest := path + ".quarantined"
-	if err := c.fs.Rename(path, dest); err != nil {
-		if rmErr := c.fs.Remove(path); rmErr != nil {
-			c.note("cache-quarantine", fmt.Sprintf("unreadable entry %s could not be quarantined (%v) or removed (%v); manual cleanup needed: %v",
-				filepath.Base(path), err, rmErr, cause))
-			return
-		}
-		c.note("cache-quarantine", fmt.Sprintf("removed unreadable entry %s (quarantine rename failed: %v): %v",
-			filepath.Base(path), err, cause))
-		return
+// rebuild, falling back to deletion if even the rename fails, and reports
+// whether the entry left its live path. Best-effort: quarantine failure
+// still leaves the caller degrading to a cold build.
+func (c *Cache) quarantine(path string, cause error) bool {
+	name, dest := filepath.Base(path), path+suffixes[kindQuarantined]
+	err := c.fs.Rename(path, dest)
+	if err == nil {
+		c.note("cache-quarantine", fmt.Sprintf("quarantined unreadable entry %s -> %s: %v", name, filepath.Base(dest), cause))
+		return true
 	}
-	c.note("cache-quarantine", fmt.Sprintf("quarantined unreadable entry %s -> %s: %v",
-		filepath.Base(path), filepath.Base(dest), cause))
+	if rmErr := c.fs.Remove(path); rmErr != nil {
+		c.note("cache-quarantine", fmt.Sprintf("unreadable entry %s could not be quarantined (%v) or removed (%v); manual cleanup needed: %v",
+			name, err, rmErr, cause))
+		return false
+	}
+	c.note("cache-quarantine", fmt.Sprintf("removed unreadable entry %s (quarantine rename failed: %v): %v", name, err, cause))
+	return true
 }
 
 // sweepOrphans removes temp files left in the cache directory by a killed
@@ -324,7 +333,7 @@ func (c *Cache) sweepOrphans() {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".tmp") {
+		if ent.IsDir() || kindOf(name) != kindTemp {
 			continue
 		}
 		if err := c.fs.Remove(filepath.Join(c.dir, name)); err != nil {

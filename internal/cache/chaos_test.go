@@ -127,7 +127,7 @@ func TestCrashAtEveryWriteOp(t *testing.T) {
 		}
 		dir := t.TempDir()
 		f := iofs.NewFaulty(iofs.OS{}, map[int]iofs.FaultMode{at: iofs.FaultCrash})
-		c, err := OpenWith(dir, Options{FS: f, Retries: -1})
+		c, err := OpenWith(dir, Options{FS: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestSyncDropThenCrashTearsFinalEntry(t *testing.T) {
 		3: iofs.FaultSyncDrop,
 		6: iofs.FaultCrash,
 	})
-	c, err := OpenWith(dir, Options{FS: f, Retries: -1})
+	c, err := OpenWith(dir, Options{FS: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestChaosFullSweep(t *testing.T) {
 			plan[at] = iofs.FaultCrash
 			dir := t.TempDir()
 			f := iofs.NewFaulty(iofs.OS{}, plan)
-			c, err := OpenWith(dir, Options{FS: f, Retries: -1, Sleep: func(time.Duration) {}})
+			c, err := OpenWith(dir, Options{FS: f, Sleep: func(time.Duration) {}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestChaosFullSweep(t *testing.T) {
 // in scripts/chaos.sh.
 func TestCrashOpCountMatchesFaulty(t *testing.T) {
 	run := func(fsys iofs.FS) int {
-		c, err := OpenWith(t.TempDir(), Options{FS: fsys, Retries: -1})
+		c, err := OpenWith(t.TempDir(), Options{FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}

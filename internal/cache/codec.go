@@ -199,34 +199,49 @@ func (d *dictEncoder) appendRow(buf []byte, s *state.State) []byte {
 // cause: wrong magic, unsupported version, a description digest that does
 // not match the requesting system, truncation, or checksum mismatch.
 func Decode(data []byte, descSum [sha256.Size]byte) (*ts.Snapshot, error) {
-	return decodeWith(data, descSum, true)
+	return decodeFor(data, descSum, true)
 }
 
-// decodeWith is Decode with the trailing-checksum verification switchable:
+// decodeFor is Decode with the trailing-checksum verification switchable:
 // verify=false exists solely for the MutDropChecksum durability mutant,
 // which must demonstrably accept a corrupted file the real cache rejects.
-func decodeWith(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapshot, error) {
-	if len(data) < headerLen+1+checksumLen {
-		return nil, fmt.Errorf("snapshot truncated: %d bytes", len(data))
-	}
-	if string(data[:8]) != string(magic[:]) {
-		return nil, fmt.Errorf("bad snapshot magic %q", data[:8])
-	}
-	if version := binary.LittleEndian.Uint16(data[8:10]); version != codecVersion {
-		return nil, fmt.Errorf("%w %d, this build reads %d", errVersion, version, codecVersion)
-	}
-	if subtle.ConstantTimeCompare(data[10:10+sha256.Size], descSum[:]) != 1 {
+func decodeFor(data []byte, descSum [sha256.Size]byte, verify bool) (*ts.Snapshot, error) {
+	snap, sum, err := decodeWith(data, verify)
+	if err == nil && sum != descSum {
 		return nil, fmt.Errorf("snapshot was written for a different system description")
 	}
+	return snap, err
+}
+
+// decodeWith parses a snapshot file and returns it with the description
+// digest its header embeds, which the caller checks: against the requesting
+// system's (decodeFor), or against the file's content-addressed name
+// (Fsck). It is the only reader of the header bytes.
+func decodeWith(data []byte, verify bool) (*ts.Snapshot, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
+	if len(data) < headerLen+1+checksumLen {
+		return nil, sum, fmt.Errorf("truncated: %d bytes, header alone needs %d", len(data), headerLen+1+checksumLen)
+	}
+	if string(data[:8]) != string(magic[:]) {
+		return nil, sum, fmt.Errorf("bad snapshot magic %q", data[:8])
+	}
+	if version := binary.LittleEndian.Uint16(data[8:10]); version != codecVersion {
+		return nil, sum, fmt.Errorf("%w %d, this build reads %d", errVersion, version, codecVersion)
+	}
+	copy(sum[:], data[10:headerLen])
 	payload := data[: len(data)-checksumLen : len(data)-checksumLen]
 	if verify {
-		sum := sha256.Sum256(payload)
-		if subtle.ConstantTimeCompare(sum[:], data[len(data)-checksumLen:]) != 1 {
-			return nil, fmt.Errorf("snapshot checksum mismatch (file corrupted)")
+		check := sha256.Sum256(payload)
+		if subtle.ConstantTimeCompare(check[:], data[len(data)-checksumLen:]) != 1 {
+			return nil, sum, fmt.Errorf("snapshot checksum mismatch (file corrupted)")
 		}
 	}
+	snap, err := decodePayload(&reader{buf: payload, off: headerLen})
+	return snap, sum, err
+}
 
-	r := &reader{buf: payload, off: headerLen}
+// decodePayload reads everything between the header and the checksum.
+func decodePayload(r *reader) (*ts.Snapshot, error) {
 	flags, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -481,15 +496,12 @@ func (r *reader) varint() (int64, error) {
 }
 
 func (r *reader) string() (string, error) {
-	n, err := r.uvarint()
+	n, err := r.count("string length")
 	if err != nil {
 		return "", err
 	}
-	if uint64(len(r.buf)-r.off) < n {
-		return "", fmt.Errorf("string of %d bytes overruns snapshot at offset %d", n, r.off)
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
+	s := string(r.buf[r.off : r.off+n])
+	r.off += n
 	return s, nil
 }
 
@@ -521,12 +533,9 @@ func (r *reader) value(depth int) (value.Value, error) {
 		}
 		return value.Str(s), nil
 	case value.KindTuple:
-		n, err := r.uvarint()
+		n, err := r.count("tuple length")
 		if err != nil {
 			return value.Value{}, err
-		}
-		if uint64(len(r.buf)-r.off) < n {
-			return value.Value{}, fmt.Errorf("tuple of %d elements overruns snapshot", n)
 		}
 		elems := make([]value.Value, n)
 		for i := range elems {

@@ -50,7 +50,7 @@ func (f *Flags) Open() (*Cache, error) {
 	if f.Dir == "" {
 		return nil, nil
 	}
-	opts := Options{Retries: -1, MaxBytes: f.MaxBytes}
+	opts := Options{MaxBytes: f.MaxBytes}
 	if v := os.Getenv(CrashAtEnv); v != "" {
 		at, err := strconv.Atoi(v)
 		if err != nil {

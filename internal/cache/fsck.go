@@ -1,8 +1,8 @@
 package cache
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -14,7 +14,7 @@ type Finding struct {
 	Name string
 	// Problem says what is wrong, in one sentence.
 	Problem string
-	// Quarantined reports whether Fsck moved the file aside.
+	// Quarantined reports whether Fsck moved the file out of the live set.
 	Quarantined bool
 }
 
@@ -24,6 +24,19 @@ type FsckResult struct {
 	Scanned int
 	// Findings lists every problem, in directory (filename) order.
 	Findings []Finding
+	// Stale lists the live entries written in another codec version, in
+	// directory order. They are superseded, not damaged, so they are not
+	// findings: a load removes each as a miss, and gc evicts it like any
+	// other entry.
+	Stale []Finding
+}
+
+// junkProblems says what is wrong with each kind of file that is not a live
+// entry.
+var junkProblems = [...]string{
+	kindOther:       "unrecognized file in cache directory",
+	kindTemp:        "orphaned temp file (interrupted writer; swept at next Open)",
+	kindQuarantined: "quarantined entry awaiting manual inspection or gc",
 }
 
 // Fsck verifies every file in the cache directory: live entries must have a
@@ -31,10 +44,12 @@ type FsckResult struct {
 // (magic, version, trailing checksum), embed a description digest matching
 // their filename, and satisfy the structural graph invariants. Orphaned temp
 // files, quarantined entries, and unrecognized files are reported as
-// findings too, so a clean cache yields exactly zero findings.
+// findings too, so a clean cache yields exactly zero findings. An entry of
+// another codec version is listed as stale, not as a finding.
 //
-// With quarantine set, corrupt live entries are renamed to *.quarantined on
-// the way through (reported in the finding); everything else is left alone.
+// With quarantine set, damaged live entries are quarantined on the way
+// through, as a load would (reported in the finding); everything else,
+// stale entries included, is left alone.
 func (c *Cache) Fsck(quarantine bool) (FsckResult, error) {
 	var res FsckResult
 	ents, err := c.fs.ReadDir(c.dir)
@@ -43,83 +58,72 @@ func (c *Cache) Fsck(quarantine bool) (FsckResult, error) {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
-		if ent.IsDir() {
+		k := kindOf(name)
+		switch {
+		case ent.IsDir():
 			res.Findings = append(res.Findings, Finding{Name: name, Problem: "unexpected directory in cache"})
 			continue
+		case !k.live():
+			res.Findings = append(res.Findings, Finding{Name: name, Problem: junkProblems[k]})
+			continue
 		}
+		res.Scanned++
+		err := c.checkEntry(name, k)
 		switch {
-		case strings.HasSuffix(name, ".snap"), strings.HasSuffix(name, ".ckpt"):
-			res.Scanned++
-			problem := c.checkEntry(name)
-			if problem == "" {
-				continue
-			}
-			f := Finding{Name: name, Problem: problem}
+		case err == nil:
+		case errors.Is(err, errVersion):
+			res.Stale = append(res.Stale, Finding{Name: name, Problem: err.Error()})
+		default:
+			f := Finding{Name: name, Problem: err.Error()}
 			if quarantine {
-				path := filepath.Join(c.dir, name)
-				if err := c.fs.Rename(path, path+".quarantined"); err == nil {
-					f.Quarantined = true
-					c.note("cache-quarantine", fmt.Sprintf("fsck quarantined %s: %s", name, problem))
-				}
+				f.Quarantined = c.quarantine(filepath.Join(c.dir, name), err)
 			}
 			res.Findings = append(res.Findings, f)
-		case strings.HasSuffix(name, ".tmp"):
-			res.Findings = append(res.Findings, Finding{Name: name, Problem: "orphaned temp file (interrupted writer; swept at next Open)"})
-		case strings.HasSuffix(name, ".quarantined"):
-			res.Findings = append(res.Findings, Finding{Name: name, Problem: "quarantined entry awaiting manual inspection or gc"})
-		default:
-			res.Findings = append(res.Findings, Finding{Name: name, Problem: "unrecognized file in cache directory"})
 		}
 	}
 	return res, nil
 }
 
-// checkEntry validates one live entry, returning "" or the problem. Unlike
-// Load, fsck has no requesting system, so the description digest is taken
-// from the file itself and cross-checked against the content-addressed
-// filename instead of a caller-supplied digest.
-func (c *Cache) checkEntry(name string) string {
-	stem := strings.TrimSuffix(strings.TrimSuffix(name, ".snap"), ".ckpt")
-	parts := strings.SplitN(stem, "-", 2)
-	if len(parts) != 2 || len(parts[0]) != 16 || len(parts[1]) != 16 {
-		return "filename is not <fnv64>-<sha8> content-addressed form"
-	}
-	wantSha8, err := hex.DecodeString(parts[1])
-	if err != nil {
-		return "filename digest is not hexadecimal"
+// checkEntry validates one live entry of kind k. Unlike Load, fsck has no
+// requesting system, so the description digest the file embeds is
+// cross-checked against its content-addressed filename instead of a
+// caller-supplied digest.
+func (c *Cache) checkEntry(name string, k kind) error {
+	stem := strings.TrimSuffix(name, suffixes[k])
+	fnv, sha8, ok := strings.Cut(stem, "-")
+	if !ok || len(fnv) != 16 || len(sha8) != 16 {
+		return errors.New("filename is not <fnv64>-<sha8> content-addressed form")
 	}
 	data, err := c.fs.ReadFile(filepath.Join(c.dir, name))
 	if err != nil {
-		return fmt.Sprintf("unreadable: %v", err)
+		return fmt.Errorf("unreadable: %w", err)
 	}
-	if len(data) < headerLen+1+checksumLen {
-		return fmt.Sprintf("truncated: %d bytes, header alone needs %d", len(data), headerLen+1+checksumLen)
-	}
-	var descSum [sha256.Size]byte
-	copy(descSum[:], data[10:10+sha256.Size])
-	snap, err := decodeWith(data, descSum, true)
+	snap, descSum, err := decodeWith(data, true)
 	if err != nil {
-		return err.Error()
+		return err
 	}
 	// Only after the entry proves internally consistent is a key mismatch
 	// meaningful: a corrupt file is corruption, not mis-filing.
-	if !strings.EqualFold(hex.EncodeToString(descSum[:8]), hex.EncodeToString(wantSha8)) {
-		return "embedded description digest does not match the filename (entry stored under the wrong key)"
+	if !strings.EqualFold(hex.EncodeToString(descSum[:8]), sha8) {
+		return errors.New("embedded description digest does not match the filename (entry stored under the wrong key)")
 	}
-	if !snap.Valid(strings.HasSuffix(name, ".snap")) {
-		return "decoded snapshot violates structural graph invariants"
+	if !snap.Valid(k == kindSnap) {
+		return errors.New("decoded snapshot violates structural graph invariants")
 	}
-	return ""
+	return nil
 }
 
-// Stats describes the cache directory's current contents.
+// Stats describes the cache directory's current contents, judged by file
+// name alone. Its JSON form is agcachectl's `stat -json` output, a
+// published contract (CI and scripts parse it with jq): extend it by adding
+// fields, never by renaming or removing.
 type Stats struct {
-	Snapshots   int   // complete-graph entries
-	Checkpoints int   // partial-exploration checkpoints
-	Quarantined int   // entries moved aside as unreadable
-	TempFiles   int   // orphaned temp files
-	Other       int   // unrecognized files
-	TotalBytes  int64 // size of everything counted above
+	Snapshots   int   `json:"snapshots"`   // complete-graph entries, stale ones included
+	Checkpoints int   `json:"checkpoints"` // partial-exploration checkpoints
+	Quarantined int   `json:"quarantined"` // entries moved aside as unreadable
+	TempFiles   int   `json:"temp_files"`  // orphaned temp files
+	Other       int   `json:"other_files"` // unrecognized files
+	TotalBytes  int64 `json:"total_bytes"` // size of everything counted above
 }
 
 // Stat tallies the cache directory without reading entry contents.
@@ -129,23 +133,13 @@ func (c *Cache) Stat() (Stats, error) {
 	if err != nil {
 		return st, fmt.Errorf("cache stat: %w", err)
 	}
+	count := [...]*int{kindOther: &st.Other, kindSnap: &st.Snapshots, kindCkpt: &st.Checkpoints,
+		kindTemp: &st.TempFiles, kindQuarantined: &st.Quarantined}
 	for _, ent := range ents {
 		if ent.IsDir() {
 			continue
 		}
-		name := ent.Name()
-		switch {
-		case strings.HasSuffix(name, ".snap"):
-			st.Snapshots++
-		case strings.HasSuffix(name, ".ckpt"):
-			st.Checkpoints++
-		case strings.HasSuffix(name, ".quarantined"):
-			st.Quarantined++
-		case strings.HasSuffix(name, ".tmp"):
-			st.TempFiles++
-		default:
-			st.Other++
-		}
+		*count[kindOf(ent.Name())]++
 		if info, err := ent.Info(); err == nil {
 			st.TotalBytes += info.Size()
 		}

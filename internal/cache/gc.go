@@ -5,7 +5,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // GCResult summarizes one garbage-collection pass.
@@ -32,6 +31,10 @@ type gcEntry struct {
 // bound holds. Eviction order is deterministic: (mtime, name) ascending, so
 // two GC passes over identical directory states remove identical files.
 // maxBytes <= 0 removes junk only.
+//
+// GC runs after every store of a bounded cache, so it judges files by name
+// alone and never reads an entry: a stale entry (another codec version) is
+// evicted like any other live entry, or removed at its first load.
 func (c *Cache) GC(maxBytes int64) (GCResult, error) {
 	var res GCResult
 	ents, err := c.fs.ReadDir(c.dir)
@@ -45,16 +48,15 @@ func (c *Cache) GC(maxBytes int64) (GCResult, error) {
 			continue
 		}
 		name := ent.Name()
-		junk := strings.HasSuffix(name, ".quarantined") || strings.HasSuffix(name, ".tmp")
-		live := strings.HasSuffix(name, ".snap") || strings.HasSuffix(name, ".ckpt")
-		if !junk && !live {
+		k := kindOf(name)
+		if k == kindOther {
 			continue
 		}
 		info, err := ent.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, gcEntry{name: name, info: info, junk: junk})
+		files = append(files, gcEntry{name: name, info: info, junk: !k.live()})
 		total += info.Size()
 	}
 	sort.Slice(files, func(i, j int) bool {

@@ -180,17 +180,15 @@ func TestLoadOtherVersionIsMiss(t *testing.T) {
 func TestStoreRetriesTransientFaults(t *testing.T) {
 	dir := t.TempDir()
 	// Ops 1 and 2 fail transiently: attempt 1 dies at CreateTemp, attempt 2
-	// dies at its CreateTemp too, attempt 3 runs clean. Default retries = 2.
+	// dies at its CreateTemp too, attempt 3 runs clean: within the 2 retries.
 	fs := iofs.NewFaulty(iofs.OS{}, map[int]iofs.FaultMode{
 		1: iofs.FaultTransient,
 		2: iofs.FaultTransient,
 	})
 	var slept []time.Duration
 	c := openQuiet(t, dir, Options{
-		FS:      fs,
-		Retries: -1,
-		Backoff: time.Millisecond,
-		Sleep:   func(d time.Duration) { slept = append(slept, d) },
+		FS:    fs,
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	var ev events
 	c.SetNotify(ev.note)
@@ -202,8 +200,8 @@ func TestStoreRetriesTransientFaults(t *testing.T) {
 	if got := ev.count("cache-retry"); got != 2 {
 		t.Errorf("cache-retry events = %d, want 2", got)
 	}
-	// Exponential backoff: 1ms then 2ms.
-	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
+	// Exponential backoff: 5ms then 10ms.
+	if want := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
 		t.Errorf("backoff = %v, want %v", slept, want)
 	}
 	if snap, err := c.Load(desc); snap == nil || err != nil {
@@ -214,7 +212,7 @@ func TestStoreRetriesTransientFaults(t *testing.T) {
 func TestStoreGivesUpOnPermanentError(t *testing.T) {
 	dir := t.TempDir()
 	fs := iofs.NewFaulty(iofs.OS{}, map[int]iofs.FaultMode{1: iofs.FaultNoSpace})
-	c := openQuiet(t, dir, Options{FS: fs, Retries: -1})
+	c := openQuiet(t, dir, Options{FS: fs})
 	var ev events
 	c.SetNotify(ev.note)
 
@@ -233,12 +231,12 @@ func TestStoreGivesUpOnPermanentError(t *testing.T) {
 
 func TestStoreExhaustsRetryBudget(t *testing.T) {
 	dir := t.TempDir()
-	// Every CreateTemp fails transiently; with Retries=2 the third failure
-	// is final.
+	// Every CreateTemp fails transiently; after the 2 retries the third
+	// failure is final.
 	fs := iofs.NewFaulty(iofs.OS{}, map[int]iofs.FaultMode{
 		1: iofs.FaultTransient, 2: iofs.FaultTransient, 3: iofs.FaultTransient,
 	})
-	c := openQuiet(t, dir, Options{FS: fs, Retries: -1})
+	c := openQuiet(t, dir, Options{FS: fs})
 	err := c.Store("doomed", buildSnapshot(t))
 	if err == nil || !iofs.IsTransient(err) {
 		t.Fatalf("exhausted retries must surface the transient error, got %v", err)
@@ -256,7 +254,7 @@ func TestShortWriteCleansUpAndRetries(t *testing.T) {
 	// transient error. The retry (ops 3..7) must succeed and the torn temp
 	// file must be gone.
 	fs := iofs.NewFaulty(iofs.OS{}, map[int]iofs.FaultMode{2: iofs.FaultShortWrite})
-	c := openQuiet(t, dir, Options{FS: fs, Retries: -1})
+	c := openQuiet(t, dir, Options{FS: fs})
 	const desc = "torn"
 	if err := c.Store(desc, buildSnapshot(t)); err != nil {
 		t.Fatal(err)
@@ -421,7 +419,7 @@ func TestFsckCatalog(t *testing.T) {
 
 	plant("0000000000000001-0000000000000001.snap", truncated)
 	plant("0000000000000002-0000000000000002.snap", flipped)
-	plant("0000000000000003-0000000000000003.ckpt", badVersion)
+	plant("0000000000000003-0000000000000003.ckpt", badVersion) // stale, not damaged
 	plant("0000000000000004-0000000000000004.snap", []byte("not a snapshot"))
 	plant("badname.snap", goodData)      // malformed stem
 	plant("snap-777.tmp", []byte("x"))   // orphan
@@ -437,7 +435,6 @@ func TestFsckCatalog(t *testing.T) {
 	wantProblems := map[string]string{
 		"0000000000000001-0000000000000001.snap": "checksum",
 		"0000000000000002-0000000000000002.snap": "checksum",
-		"0000000000000003-0000000000000003.ckpt": "version",
 		"0000000000000004-0000000000000004.snap": "truncated",
 		"badname.snap":                           "content-addressed",
 		"snap-777.tmp":                           "orphaned temp",
@@ -447,6 +444,11 @@ func TestFsckCatalog(t *testing.T) {
 	}
 	if len(res.Findings) != len(wantProblems) {
 		t.Fatalf("findings = %d, want %d: %+v", len(res.Findings), len(wantProblems), res.Findings)
+	}
+	// Another codec version is superseded, not damaged: listed as stale.
+	if len(res.Stale) != 1 || res.Stale[0].Name != "0000000000000003-0000000000000003.ckpt" ||
+		!strings.Contains(res.Stale[0].Problem, "version") {
+		t.Errorf("stale = %+v, want only the version-65535 checkpoint", res.Stale)
 	}
 	for _, f := range res.Findings {
 		want, ok := wantProblems[f.Name]
@@ -459,8 +461,8 @@ func TestFsckCatalog(t *testing.T) {
 		}
 	}
 
-	// With quarantine, the corrupt live entries are moved aside; the good
-	// entry survives and a re-run flags only the leftovers.
+	// With quarantine, the damaged live entries are moved aside; the good
+	// entry and the stale one stay, and a re-run flags only the leftovers.
 	if _, err := c.Fsck(true); err != nil {
 		t.Fatal(err)
 	}
@@ -468,8 +470,8 @@ func TestFsckCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scanned != 1 {
-		t.Errorf("after quarantine, %d live entries remain, want only the good one", res.Scanned)
+	if res.Scanned != 2 || len(res.Stale) != 1 {
+		t.Errorf("after quarantine, %d live entries remain (%d stale), want the good and the stale one", res.Scanned, len(res.Stale))
 	}
 	for _, f := range res.Findings {
 		if strings.HasSuffix(f.Name, ".snap") || strings.HasSuffix(f.Name, ".ckpt") {
@@ -654,7 +656,7 @@ func TestSeededFaultPlanNeverCorruptsVerdict(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			fs := iofs.NewFaulty(iofs.OS{}, iofs.SeededPlan(seed, 64, 0.25))
-			c := openQuiet(t, dir, Options{FS: fs, Retries: -1})
+			c := openQuiet(t, dir, Options{FS: fs})
 			c.SetNotify(func(string, string) {})
 			for run := 0; run < 3; run++ {
 				sys := pairSystem(3)

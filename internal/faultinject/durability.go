@@ -203,7 +203,7 @@ func detectCrashSweep(mut cache.Mutation) (string, error) {
 // invariant, or "" and whether the planted crash fired.
 func crashPoint(dir string, mut cache.Mutation, at int, desc string, ref []byte) (string, bool, error) {
 	f := iofs.NewFaulty(iofs.OS{}, map[int]iofs.FaultMode{at: iofs.FaultCrash})
-	c, err := cache.OpenWith(dir, cache.Options{FS: f, Retries: -1})
+	c, err := cache.OpenWith(dir, cache.Options{FS: f})
 	if err != nil {
 		return "", false, err
 	}
@@ -223,7 +223,7 @@ func crashPoint(dir string, mut cache.Mutation, at int, desc string, ref []byte)
 	crashed := f.Crashed()
 
 	// Restart: the same (mutated) cache implementation over the real disk.
-	rc, err := cache.OpenWith(dir, cache.Options{Retries: -1})
+	rc, err := cache.Open(dir)
 	if err != nil {
 		return "", crashed, err
 	}
@@ -261,7 +261,7 @@ func detectCheckpointLoadable(mut cache.Mutation) (string, error) {
 		return "", err
 	}
 	defer os.RemoveAll(dir)
-	c, err := cache.OpenWith(dir, cache.Options{Retries: -1})
+	c, err := cache.Open(dir)
 	if err != nil {
 		return "", err
 	}
@@ -275,7 +275,7 @@ func detectCheckpointLoadable(mut cache.Mutation) (string, error) {
 	if _, err := os.Stat(c.CheckpointPath(desc)); err != nil {
 		return "", fmt.Errorf("no checkpoint written: %w", err)
 	}
-	auditor, err := cache.OpenWith(dir, cache.Options{Retries: -1, KeepOrphans: true})
+	auditor, err := cache.OpenWith(dir, cache.Options{KeepOrphans: true})
 	if err != nil {
 		return "", err
 	}
@@ -301,7 +301,7 @@ func detectCorruptEntryRejected(mut cache.Mutation) (string, error) {
 		return "", err
 	}
 	defer os.RemoveAll(dir)
-	c, err := cache.OpenWith(dir, cache.Options{Retries: -1})
+	c, err := cache.Open(dir)
 	if err != nil {
 		return "", err
 	}

@@ -12,8 +12,7 @@ import (
 
 // referenceInitialStates enumerates the initial states of sys one map per
 // assignment, in value.ForEachAssignment order over the sorted variables,
-// keeping those satisfying every component's Init and every initial
-// constraint.
+// keeping those satisfying every component's Init.
 func referenceInitialStates(sys *ts.System) ([]*state.State, error) {
 	var preds []form.Expr
 	for _, c := range sys.Components {
@@ -21,7 +20,6 @@ func referenceInitialStates(sys *ts.System) ([]*state.State, error) {
 			preds = append(preds, c.Init)
 		}
 	}
-	preds = append(preds, sys.InitConstraints...)
 	var out []*state.State
 	var evalErr error
 	value.ForEachAssignment(sys.Vars(), sys.Domains, func(a map[string]value.Value) bool {

@@ -130,14 +130,16 @@ func (r *Recorder) trackLocked(name string) *track {
 // worker's drain end for its barrier wait. Recorder.Explore hands one out
 // only when telemetry is on.
 //
-// Concurrency: each worker writes only its own track and drainEnd slot;
-// the coordinator reads them in BarrierDone after the level's barrier.
+// Concurrency: each worker writes only its own track and drainEnd and
+// commitEnd slots; the coordinator reads them in BarrierDone and Advance,
+// after the round that wrote them.
 type Exploration struct {
-	r        *Recorder
-	run      int64 // this exploration's ordinal in the run
-	tracks   []*track
-	barrier  *track
-	drainEnd []time.Time
+	r         *Recorder
+	run       int64 // this exploration's ordinal in the run
+	tracks    []*track
+	barrier   *track
+	drainEnd  []time.Time
+	commitEnd []time.Time
 }
 
 // Explore opens the telemetry of one exploration over a pool of workers,
@@ -151,7 +153,8 @@ func (r *Recorder) Explore(workers int) *Exploration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.explorations++
-	e := &Exploration{r: r, run: int64(r.explorations), tracks: make([]*track, workers), drainEnd: make([]time.Time, workers)}
+	e := &Exploration{r: r, run: int64(r.explorations), tracks: make([]*track, workers),
+		drainEnd: make([]time.Time, workers), commitEnd: make([]time.Time, workers)}
 	for wid := range e.tracks {
 		e.tracks[wid] = r.trackLocked("worker " + strconv.Itoa(wid))
 	}
@@ -186,10 +189,30 @@ func (e *Exploration) BarrierDone(level, w int, drainDone, sealEnd time.Time) {
 	e.r.counters[cCommit].Add(sealEnd.Sub(drainDone).Nanoseconds())
 }
 
+// Advance records the coordinator's single-threaded step into level (closing
+// the previous level, readying this one) as an "advance" slice on the
+// barrier track, from the previous level's last commit slice until now, just
+// before the level's drain starts. With it the levels' slices tile the
+// exploration, so time spent between levels, descheduled or waiting to be
+// scheduled, is charged to the barrier instead of left unexplained. The
+// first level of an exploration has no previous one and gets no slice.
+func (e *Exploration) Advance(level int) {
+	var start time.Time
+	for _, end := range e.commitEnd {
+		if end.After(start) {
+			start = end
+		}
+	}
+	if !start.IsZero() {
+		e.barrier.add(e.r.start, "explore", "advance", start, time.Now(), kv{"run", e.run}, kv{"level", int64(level)})
+	}
+}
+
 // EndCommit records one worker's share of a parallel commit phase as a
 // "commit" slice. Each worker calls it for itself.
 func (e *Exploration) EndCommit(wid, level int, start time.Time) {
 	end := time.Now()
+	e.commitEnd[wid] = end
 	e.tracks[wid].add(e.r.start, "explore", "commit", start, end, kv{"run", e.run}, kv{"level", int64(level)})
 	e.r.counters[cCommitPar].Add(end.Sub(start).Nanoseconds())
 }

@@ -241,7 +241,7 @@ func TestValidateShapeErrors(t *testing.T) {
 	}
 	doms := map[string][]value.Value{"x": value.Ints(0, 1)}
 	for i, sym := range bad {
-		if err := sym.Validate(nil, nil, nil, doms); err == nil {
+		if err := sym.Validate(nil, nil, doms); err == nil {
 			t.Errorf("case %d: malformed declaration accepted", i)
 		}
 	}

@@ -268,11 +268,11 @@ func (cz *Canonicalizer) relabel(s *state.State) *state.State {
 // ---------------------------------------------------------------------------
 // Validation
 
-// Validate checks the declaration against a system: components, step and
-// initial constraints (as named expressions), and variable domains. An
-// error means the group is not provably a symmetry of the system and
-// reduction under it would be unsound.
-func (sym *Symmetry) Validate(comps []*spec.Component, steps, inits []NamedExpr, domains map[string][]value.Value) error {
+// Validate checks the declaration against a system: components, step
+// constraints (as named expressions), and variable domains. An error means
+// the group is not provably a symmetry of the system and reduction under it
+// would be unsound.
+func (sym *Symmetry) Validate(comps []*spec.Component, steps []NamedExpr, domains map[string][]value.Value) error {
 	if !sym.nontrivial() {
 		return nil
 	}
@@ -313,11 +313,6 @@ func (sym *Symmetry) Validate(comps []*spec.Component, steps, inits []NamedExpr,
 	}
 	for _, sc := range steps {
 		if err := check("step constraint "+sc.Name, sc.E); err != nil {
-			return err
-		}
-	}
-	for _, ic := range inits {
-		if err := check("init constraint "+ic.Name, ic.E); err != nil {
 			return err
 		}
 	}

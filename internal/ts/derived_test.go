@@ -207,7 +207,7 @@ func TestDefRecheckKeepsForeignPrimes(t *testing.T) {
 			Name:    "mover",
 			Inputs:  []string{"w", "z"},
 			Outputs: []string{"x"},
-			Init:    form.Eq(form.Var("x"), form.IntC(0)),
+			Init:    form.And(form.Eq(form.Var("x"), form.IntC(0)), form.Eq(form.Var("w"), form.IntC(0))),
 			Actions: []spec.Action{{Name: "Move", Def: form.And(
 				form.Eq(form.PrimedVar("x"), form.Sub(form.IntC(1), form.Var("x"))),
 				form.Unchanged("z"),
@@ -218,8 +218,7 @@ func TestDefRecheckKeepsForeignPrimes(t *testing.T) {
 			Init:    form.Eq(form.Var("z"), form.IntC(0)),
 			Actions: []spec.Action{{Name: "Bump", Def: form.Eq(form.PrimedVar("z"), form.Sub(form.IntC(1), form.Var("z")))}},
 		}},
-		InitConstraints: []form.Expr{form.Eq(form.Var("w"), form.IntC(0))},
-		Domains:         map[string][]value.Value{"w": value.Bits(), "x": value.Bits(), "z": value.Bits()},
+		Domains: map[string][]value.Value{"w": value.Bits(), "x": value.Bits(), "z": value.Bits()},
 	}
 	if err := tstest.CheckSuccessors(sys); err != nil {
 		t.Fatal(err)

@@ -305,6 +305,9 @@ func explore(p exploreParams) (*exploreResult, error) {
 		}
 		lv.level = level
 		lv.begin(res.states[levelStart:levelEnd], w)
+		if ex != nil {
+			ex.Advance(level)
+		}
 		runRound(phaseDrain, w)
 		if err := lv.firstErr(); err != nil {
 			return fail(err)

@@ -90,7 +90,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	rd := sys.Reduce
 	var canon func(*state.State) *state.State
 	if rd.Active() {
-		if err := rd.Symmetry.Validate(sys.Components, sys.reduceSteps(), sys.reduceInits(), sys.Domains); err != nil {
+		if err := rd.Symmetry.Validate(sys.Components, sys.reduceSteps(), sys.Domains); err != nil {
 			return nil, fmt.Errorf("system %s: symmetry declaration rejected: %w", sys.Name, err)
 		}
 		canon = rd.Canonicalizer().Canon

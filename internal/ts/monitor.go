@@ -318,6 +318,24 @@ func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr) 
 // early — the semantics for tracking closure death indices. (PlusMonitor is
 // the one that may die early.)
 func SafetyMonitor(varName string, init form.Expr, squares []form.Expr) *Monitor {
+	return aliveMonitor(varName, init, squares, nil)
+}
+
+// PlusMonitor builds the monitor for C(E) +v (§4.1): while TRUE, the
+// E-safety conjuncts must hold on every step; the monitor may drop to FALSE
+// at any time (or start FALSE), after which the state function v must never
+// change. Edges violating the frozen-v requirement in the FALSE state are
+// pruned from the product.
+func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Expr) *Monitor {
+	return aliveMonitor(varName, init, squares, v)
+}
+
+// aliveMonitor is the body of both monitors: its value may be TRUE only
+// while init and every square have held. With v nil it is SafetyMonitor,
+// which dies exactly at the first violation; with v it is PlusMonitor,
+// which may also start dead or die on any step, and whose dead state
+// admits only the steps that leave v unchanged.
+func aliveMonitor(varName string, init form.Expr, squares []form.Expr, v form.Expr) *Monitor {
 	// The squares are evaluated once per product edge per monitor value;
 	// lazily compiled predicates (layout learned from the first step) keep
 	// that hot path positional and allocation-free.
@@ -329,112 +347,49 @@ func SafetyMonitor(varName string, init form.Expr, squares []form.Expr) *Monitor
 	if init != nil {
 		initPred = form.LazyPred(init)
 	}
-	return &Monitor{
-		Var:    varName,
-		Domain: value.Bools(),
-		Desc:   monitorDesc("safety", init, squares, nil),
-		Init: func(s *state.State) ([]value.Value, error) {
-			ok := true
-			if initPred != nil {
-				var err error
-				ok, err = initPred(state.Step{From: s})
-				if err != nil {
-					return nil, err
-				}
-			}
-			if ok {
-				return onlyTrue, nil
-			}
-			return onlyFalse, nil
-		},
-		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
-			alive, _ := cur.AsBool()
-			if !alive {
-				return onlyFalse, nil
-			}
-			ok := true
-			for _, sq := range sqPreds {
-				good, err := sq(st)
-				if err != nil {
-					return nil, err
-				}
-				if !good {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return onlyTrue, nil
-			}
-			return onlyFalse, nil
-		},
-	}
-}
-
-// PlusMonitor builds the monitor for C(E) +v (§4.1): while TRUE, the
-// E-safety conjuncts must hold on every step; the monitor may drop to FALSE
-// at any time (or start FALSE), after which the state function v must never
-// change. Edges violating the frozen-v requirement in the FALSE state are
-// pruned from the product.
-func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Expr) *Monitor {
-	unchanged := form.LazyPred(form.UnchangedExpr(v))
-	sqPreds := make([]form.CompiledPred, len(squares))
-	for i, sq := range squares {
-		sqPreds[i] = form.LazyPred(sq)
-	}
-	var initPred form.CompiledPred
-	if init != nil {
-		initPred = form.LazyPred(init)
+	kind, alive, unchanged := "safety", onlyTrue, form.CompiledPred(nil)
+	if v != nil {
+		// Stay alive, or die with freezing starting at the next state (the
+		// dying step itself may change v); at an initial state, n = 0.
+		kind, alive, unchanged = "plus", trueOrFalse, form.LazyPred(form.UnchangedExpr(v))
 	}
 	return &Monitor{
 		Var:    varName,
 		Domain: value.Bools(),
-		Desc:   monitorDesc("plus", init, squares, v),
+		Desc:   monitorDesc(kind, init, squares, v),
 		Init: func(s *state.State) ([]value.Value, error) {
-			ok := true
 			if initPred != nil {
-				var err error
-				ok, err = initPred(state.Step{From: s})
+				ok, err := initPred(state.Step{From: s})
 				if err != nil {
 					return nil, err
 				}
-			}
-			if ok {
-				// May start alive, or immediately frozen (n = 0).
-				return trueOrFalse, nil
-			}
-			return onlyFalse, nil
-		},
-		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
-			alive, _ := cur.AsBool()
-			if !alive {
-				frozen, err := unchanged(st)
-				if err != nil {
-					return nil, err
-				}
-				if frozen {
+				if !ok {
 					return onlyFalse, nil
 				}
-				return nil, nil // v changed after freezing: edge disallowed
 			}
-			ok := true
+			return alive, nil
+		},
+		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
+			if live, _ := cur.AsBool(); !live {
+				if unchanged == nil {
+					return onlyFalse, nil
+				}
+				frozen, err := unchanged(st)
+				if err != nil || !frozen {
+					return nil, err // v changed after freezing: edge disallowed
+				}
+				return onlyFalse, nil
+			}
 			for _, sq := range sqPreds {
 				good, err := sq(st)
 				if err != nil {
 					return nil, err
 				}
 				if !good {
-					ok = false
-					break
+					return onlyFalse, nil // violated: dead (freezing starts at the target)
 				}
 			}
-			if ok {
-				// Stay alive, or die with freezing starting at the target
-				// state (the dying step itself may change v).
-				return trueOrFalse, nil
-			}
-			// E violated on this step: freezing starts at the target.
-			return onlyFalse, nil
+			return alive, nil
 		},
 	}
 }

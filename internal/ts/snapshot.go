@@ -162,10 +162,10 @@ func validSnapshot(snap *Snapshot, wantComplete bool) bool {
 // The description covers everything graph construction depends on — the
 // variable domains, each component's interface, initial predicate, action
 // definitions and fairness (in declaration order, which fixes successor
-// enumeration order), the step constraints, and the initial constraints. It
-// deliberately excludes Name (content addressing lets differently-named
-// instances of the same system share entries), Workers (graphs are
-// byte-identical at any worker count).
+// enumeration order), and the step constraints. It deliberately excludes
+// Name (content addressing lets differently-named instances of the same
+// system share entries), Workers (graphs are byte-identical at any worker
+// count).
 //
 // CanonicalDesc is the cache key; identical systems must produce
 // identical descriptors on every run. It assumes a validated system (every
@@ -220,11 +220,6 @@ func (sys *System) CanonicalDesc() string {
 		sb.WriteString(sc.Name)
 		sb.WriteString(": ")
 		writeExpr(&sb, sc.Action)
-		sb.WriteByte('\n')
-	}
-	for _, ic := range sys.InitConstraints {
-		sb.WriteString("init-constraint: ")
-		writeExpr(&sb, ic)
 		sb.WriteByte('\n')
 	}
 	// Reduction changes the constructed graph (representative states), so

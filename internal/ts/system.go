@@ -34,17 +34,16 @@ type StepConstraint struct {
 }
 
 // System is a finite-state complete system: the conjunction of component
-// specifications plus optional step and initial constraints, over declared
-// finite variable domains.
+// specifications plus optional step constraints, over declared finite
+// variable domains.
 //
 // A System must not be mutated after its first Successors call, which
 // compiles it once and keeps the result (Build and BuildWith compile afresh
 // on every call).
 type System struct {
-	Name            string
-	Components      []*spec.Component
-	Constraints     []StepConstraint
-	InitConstraints []form.Expr
+	Name        string
+	Components  []*spec.Component
+	Constraints []StepConstraint
 	// Domains assigns a finite domain to every variable.
 	Domains map[string][]value.Value
 	// Workers is the goroutine count for parallel frontier exploration
@@ -78,15 +77,6 @@ func (sys *System) reduceSteps() []reduce.NamedExpr {
 	return out
 }
 
-// reduceInits converts the init constraints to named expressions.
-func (sys *System) reduceInits() []reduce.NamedExpr {
-	out := make([]reduce.NamedExpr, 0, len(sys.InitConstraints))
-	for i, ic := range sys.InitConstraints {
-		out = append(out, reduce.NamedExpr{Name: fmt.Sprintf("init-%d", i), E: ic})
-	}
-	return out
-}
-
 // Vars returns the sorted union of all variables of the system.
 func (sys *System) Vars() []string {
 	set := make(map[string]bool)
@@ -97,11 +87,6 @@ func (sys *System) Vars() []string {
 	}
 	for _, sc := range sys.Constraints {
 		for _, v := range form.AllVars(sc.Action) {
-			set[v] = true
-		}
-	}
-	for _, ic := range sys.InitConstraints {
-		for _, v := range form.AllVars(ic) {
 			set[v] = true
 		}
 	}
@@ -278,7 +263,7 @@ func (sys *System) domainUpdates(layout, vars []string) (*state.State, [][]state
 }
 
 // InitialStates enumerates the states over the full variable set whose
-// assignments satisfy every component's Init and every initial constraint.
+// assignments satisfy every component's Init.
 func (sys *System) InitialStates() ([]*state.State, error) {
 	return sys.initialStates(engine.NoLimit())
 }
@@ -304,7 +289,6 @@ func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
 			preds = append(preds, c.Init)
 		}
 	}
-	preds = append(preds, sys.InitConstraints...)
 	// The enumeration can visit millions of assignments; compiled predicates
 	// keep the per-assignment cost to positional reads.
 	compiled := make([]form.CompiledPred, len(preds))

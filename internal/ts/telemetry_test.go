@@ -56,7 +56,7 @@ func snapshotValue(rec *obs.Recorder, name string) (int64, bool) {
 // per worker that did work (idle workers' tracks are suppressed at write
 // time), a barrier track, per-level "expand" slices carrying state tallies,
 // "commit" slices for both the serial seal and the parallel commit phases,
-// and the exploration metrics — without perturbing the graph.
+// "advance" slices between levels, and the exploration metrics — without perturbing the graph.
 func TestBuildEmitsWorkerTracks(t *testing.T) {
 	const workers = 4
 	m, rec := telemetryMeter()
@@ -80,7 +80,7 @@ func TestBuildEmitsWorkerTracks(t *testing.T) {
 	events := decodeTrace(t, rec)
 	threads := map[string]bool{}
 	tids := map[string]float64{}
-	var expandSlices, waitSlices, commitSlices int
+	var expandSlices, waitSlices, commitSlices, advanceSlices int
 	for _, e := range events {
 		if e["ph"] == "M" && e["name"] == "thread_name" {
 			name := e["args"].(map[string]any)["name"].(string)
@@ -100,6 +100,8 @@ func TestBuildEmitsWorkerTracks(t *testing.T) {
 			waitSlices++
 		case "commit":
 			commitSlices++
+		case "advance":
+			advanceSlices++
 		}
 	}
 	seen := map[float64]bool{}
@@ -117,9 +119,9 @@ func TestBuildEmitsWorkerTracks(t *testing.T) {
 	if !threads["barrier"] {
 		t.Errorf("missing barrier track")
 	}
-	if expandSlices == 0 || waitSlices == 0 || commitSlices == 0 {
-		t.Errorf("want expand/barrier-wait/commit slices, got %d/%d/%d",
-			expandSlices, waitSlices, commitSlices)
+	if expandSlices == 0 || waitSlices == 0 || commitSlices == 0 || advanceSlices == 0 {
+		t.Errorf("want expand/barrier-wait/commit/advance slices, got %d/%d/%d/%d",
+			expandSlices, waitSlices, commitSlices, advanceSlices)
 	}
 
 	// The exploration metrics must be registered and consistent.
