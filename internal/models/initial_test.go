@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opentla/internal/form"
+	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/ts"
 	"opentla/internal/value"
@@ -40,11 +41,40 @@ func referenceInitialStates(sys *ts.System) ([]*state.State, error) {
 	return out, evalErr
 }
 
+// initUnitSystems are small systems whose Inits the branch compiler does
+// not solve in reference order, or leaves variables of unconstrained: a
+// disjunctive Init with overlapping disjuncts, an ∃ over a domain listed
+// out of order, and a variable no Init mentions.
+func initUnitSystems() []*ts.System {
+	a, b := form.Var("a"), form.Var("b")
+	doms := map[string][]value.Value{"a": value.Ints(0, 2), "b": value.Ints(0, 2), "c": value.Bits()}
+	unit := func(name string, init form.Expr, inputs ...string) *ts.System {
+		return &ts.System{
+			Name:       name,
+			Components: []*spec.Component{{Name: name, Inputs: inputs, Outputs: []string{"a", "b"}, Init: init}},
+			Domains:    doms,
+		}
+	}
+	return []*ts.System{
+		// Branches yield (2,0), (0,·), then b = 2: (1,2), (2,2); (0,2) again.
+		unit("disjunctive-init", form.Or(
+			form.And(form.Eq(a, form.IntC(2)), form.Eq(b, form.IntC(0))),
+			form.Eq(a, form.IntC(0)),
+			form.Eq(b, form.IntC(2)))),
+		// v = 2 first: (2,0), (2,1), then (0,1), (0,2).
+		unit("exists-init", form.Exists("v", []value.Value{value.Int(2), value.Int(0)},
+			form.And(form.Eq(a, form.Var("v")), form.Ne(b, form.Var("v"))))),
+		// c is an input no Init constrains; a and b are left to a residual.
+		unit("unconstrained-var", form.Lt(b, a), "c"),
+	}
+}
+
 // TestInitialStatesMatchReference pins System.InitialStates to the
-// map-per-assignment reference enumeration on every registry system: the
-// same states in the same order, which fixes the numbering of every graph.
+// map-per-assignment reference enumeration on every registry system and on
+// initUnitSystems: the same states in the same order, which fixes the
+// numbering of every graph.
 func TestInitialStatesMatchReference(t *testing.T) {
-	for _, sys := range derivedSystems() {
+	for _, sys := range append(derivedSystems(), initUnitSystems()...) {
 		t.Run(sys.Name, func(t *testing.T) {
 			got, err := sys.InitialStates()
 			if err != nil {

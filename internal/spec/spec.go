@@ -162,7 +162,7 @@ func (e *DuplicateVarError) Error() string {
 }
 
 // New validates c and returns it, so construction sites can reject
-// ill-formed components (duplicate declarations, undeclared action
+// ill-formed components (duplicate declarations, undeclared action or Init
 // variables, primed Init) before any checking begins. The returned pointer
 // is c itself; no copy is made.
 func New(c *Component) (*Component, error) {
@@ -174,7 +174,7 @@ func New(c *Component) (*Component, error) {
 
 // Validate checks structural well-formedness: variable classes are
 // disjoint, every action has a definition mentioning only declared
-// variables, and Init primes nothing. Duplicate declarations are reported
+// variables, and Init primes nothing and mentions only declared variables. Duplicate declarations are reported
 // as a *DuplicateVarError.
 func (c *Component) Validate() error {
 	seen := make(map[string]string)
@@ -213,6 +213,11 @@ func (c *Component) Validate() error {
 	if c.Init != nil {
 		if prm := form.PrimedVars(c.Init); len(prm) > 0 {
 			return fmt.Errorf("component %s: Init primes variables %v", c.Name, prm)
+		}
+		for _, v := range form.AllVars(c.Init) {
+			if !declared[v] {
+				return fmt.Errorf("component %s: Init mentions undeclared variable %q", c.Name, v)
+			}
 		}
 	}
 	return nil

@@ -74,6 +74,14 @@ func TestValidate(t *testing.T) {
 	if err := undeclared.Validate(); err == nil {
 		t.Error("undeclared action variable should be rejected")
 	}
+	undeclaredInit := &Component{
+		Name:    "ui",
+		Outputs: []string{"x"},
+		Init:    form.Eq(form.Var("x"), form.Var("ghost")),
+	}
+	if err := undeclaredInit.Validate(); err == nil || !strings.Contains(err.Error(), `Init mentions undeclared variable "ghost"`) {
+		t.Errorf("undeclared Init variable: got %v", err)
+	}
 	primedInit := &Component{
 		Name:    "p",
 		Outputs: []string{"x"},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"opentla/internal/engine"
+	"opentla/internal/form"
 	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/value"
@@ -90,6 +91,33 @@ func TestOversizedInitialSpaceIsBudgetError(t *testing.T) {
 	}
 	if !strings.Contains(be.Reason, "initial-state space") {
 		t.Errorf("reason = %q", be.Reason)
+	}
+}
+
+// TestPinnedInitPastDomainProductBuilds: a domain product of 5^12 ≈ 244M
+// assignments is no obstacle when Init determines all but two variables.
+// Init is solved, not enumerated: the build finds the 25 initial states
+// without visiting the product.
+func TestPinnedInitPastDomainProductBuilds(t *testing.T) {
+	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	var pins []form.Expr
+	for _, v := range vars[:10] {
+		pins = append(pins, form.Eq(form.Var(v), form.IntC(0)))
+	}
+	comp := &spec.Component{Name: "wide", Outputs: vars, Init: form.And(pins...)}
+	sys := &System{Name: "wide", Components: []*spec.Component{comp}, Domains: map[string][]value.Value{}}
+	for _, v := range vars {
+		sys.Domains[v] = value.Ints(0, 4)
+	}
+	g, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Inits) != 25 || g.NumStates() != 25 {
+		t.Fatalf("%d initial states, %d states; want 25 each", len(g.Inits), g.NumStates())
+	}
+	if k, l := g.States[g.Inits[1]].MustGet("k"), g.States[g.Inits[1]].MustGet("l"); !k.Equal(value.Int(0)) || !l.Equal(value.Int(1)) {
+		t.Errorf("second initial state has k=%s l=%s, want k=0 l=1", k, l)
 	}
 }
 

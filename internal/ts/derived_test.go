@@ -111,7 +111,7 @@ func TestDerivedUpdatesCheckCatchesIncompleteGenerator(t *testing.T) {
 // brute-force oracle on this package's test systems: on every reachable
 // state, the same successors, none listed twice.
 func TestBruteSuccessorsMatchSuccessors(t *testing.T) {
-	for _, sys := range append(ts.UnitSystems(), chooserSystem(), rejectedFirstSystem(), freePrimedSystem()) {
+	for _, sys := range append(ts.UnitSystems(), chooserSystem(), rejectedFirstSystem(), freePrimedSystem(), freeSkipSystem(), constraintsOnlySystem()) {
 		t.Run(sys.Name, func(t *testing.T) {
 			if err := tstest.CheckSuccessors(sys); err != nil {
 				t.Fatal(err)
@@ -285,5 +285,41 @@ func TestDefRecheckKeepsEvaluationErrors(t *testing.T) {
 				t.Fatalf("Build: %v, want the evaluation error of Set's Def", err)
 			}
 		})
+	}
+}
+
+// freeSkipSystem has a choice combination that fails its free-independent
+// check: Move asserts z' = z and primes no free variable, so merging it with
+// Bump's change to z fails under w = 0 and must stay rejected under w = 1,
+// where it is not re-checked.
+func freeSkipSystem() *ts.System {
+	return &ts.System{
+		Name: "free-skip",
+		Components: []*spec.Component{{
+			Name:    "mover",
+			Inputs:  []string{"w", "z"},
+			Outputs: []string{"x"},
+			Init:    form.And(form.Eq(form.Var("x"), form.IntC(0)), form.Eq(form.Var("w"), form.IntC(0))),
+			Actions: []spec.Action{{Name: "Move", Def: form.And(
+				form.Eq(form.PrimedVar("x"), form.Sub(form.IntC(1), form.Var("x"))),
+				form.Unchanged("z"))}},
+		}, {
+			Name:    "zed",
+			Outputs: []string{"z"},
+			Init:    form.Eq(form.Var("z"), form.IntC(0)),
+			Actions: []spec.Action{{Name: "Bump", Def: form.Eq(form.PrimedVar("z"), form.Sub(form.IntC(1), form.Var("z")))}},
+		}},
+		Domains: map[string][]value.Value{"w": value.Bits(), "x": value.Bits(), "z": value.Bits()},
+	}
+}
+
+// constraintsOnlySystem is step constraints alone: its one choice
+// combination is the empty one, which must be visited under every free
+// assignment.
+func constraintsOnlySystem() *ts.System {
+	return &ts.System{
+		Name:        "constraints-only",
+		Constraints: []ts.StepConstraint{{Name: "up", Action: form.Le(form.Var("w"), form.PrimedVar("w"))}},
+		Domains:     map[string][]value.Value{"w": value.Ints(0, 2)},
 	}
 }

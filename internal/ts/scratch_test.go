@@ -33,7 +33,7 @@ func emitted(t *testing.T, expand ts.Expander, s *state.State) []string {
 // and of Fig. 9's guarantees-only system, at K=2, unreduced and under
 // symmetry, in BFS order and then in reverse, and must emit for each state
 // exactly the sequence a fresh expander emits, repeats and order included.
-// A buffer a call forgets to truncate or clear (the combo-verdict cache,
+// A buffer a call forgets to truncate or clear (the passed combinations,
 // the choice lists, the chosen actions) carries one state's candidates or
 // verdicts into the next state's expansion.
 func TestExpandScratchReuse(t *testing.T) {

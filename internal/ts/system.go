@@ -268,100 +268,84 @@ func (sys *System) InitialStates() ([]*state.State, error) {
 	return sys.initialStates(engine.NoLimit())
 }
 
-// initialStates is InitialStates under a resource meter: the enumeration is
-// a cooperative cancellation point, and a statically oversized instance
-// fails informatively with an *engine.BudgetError instead of grinding.
+// initialStates is InitialStates under a resource meter. Init is solved by
+// the branch compiler that derives successors: the conjoined Inits, every
+// variable primed, are compiled as an action owning every variable and run
+// once from the template state, so each candidate is a whole initial state
+// and only the variables no Init determines are enumerated. An Init the
+// compiler refuses for size fails informatively with an *engine.BudgetError
+// instead of grinding.
+//
+// The candidates are put in value.ForEachAssignment order (domain ordinals
+// over the sorted variables, last variable fastest), which fixes the
+// numbering of every graph, and each is re-checked against the Inits as
+// successors re-checks Def: an Init that fails to evaluate on a state the
+// compiler admits fails the build. The compiler evaluates leniently, so an
+// Init that fails to evaluate only on states it rejects is not reported.
 func (sys *System) initialStates(m *engine.Meter) ([]*state.State, error) {
-	vars := sys.Vars()
-	total, err := assignmentCount(vars, sys.Domains)
+	layout := sys.Vars()
+	tmpl, _, err := sys.domainUpdates(layout, nil)
 	if err != nil {
 		return nil, err
 	}
-	if total > 10_000_000 {
+	var inits []form.Expr
+	for _, c := range sys.Components {
+		if c.Init != nil {
+			inits = append(inits, c.Init)
+		}
+	}
+	primed := make(map[string]form.Expr, len(layout))
+	for _, v := range layout {
+		primed[v] = form.PrimedVar(v)
+	}
+	// Every compile failure is one of size: Validate keeps each Init to
+	// declared variables, and every variable has a domain.
+	solve, err := sys.Ctx().UpdatesFn(form.And(inits...).Subst(primed), layout, layout)
+	if err != nil {
 		return nil, &engine.BudgetError{
-			Reason: fmt.Sprintf("system %s: initial-state space %d exceeds the enumeration limit; shrink the instance or its domains", sys.Name, total),
+			Reason: fmt.Sprintf("system %s: initial-state space too large to solve Init: %v; shrink the instance or its domains", sys.Name, err),
 			Stats:  m.Stats(),
 		}
 	}
-	var preds []form.Expr
-	for _, c := range sys.Components {
-		if c.Init != nil {
-			preds = append(preds, c.Init)
+	var u form.Updates
+	if err := solve(tmpl, &u); err != nil {
+		return nil, fmt.Errorf("system %s: %w", sys.Name, err)
+	}
+	cands := make([]*state.State, len(u.Cands))
+	for i, ups := range u.Cands {
+		cands[i] = tmpl.CloneWith(ups)
+	}
+	slices.SortFunc(cands, func(a, b *state.State) int {
+		for i, v := range layout {
+			if !a.EqualAt(b, i) {
+				dom := sys.Domains[v]
+				return slices.IndexFunc(dom, a.At(i).Equal) - slices.IndexFunc(dom, b.At(i).Equal)
+			}
 		}
+		return 0
+	})
+	compiled := make([]form.CompiledPred, len(inits))
+	for i, p := range inits {
+		compiled[i] = form.CompilePred(p, layout)
 	}
-	// The enumeration can visit millions of assignments; compiled predicates
-	// keep the per-assignment cost to positional reads.
-	compiled := make([]form.CompiledPred, len(preds))
-	for i, p := range preds {
-		compiled[i] = form.CompilePred(p, vars)
-	}
-	// Positional enumeration in one scratch state, last variable fastest
-	// (value.ForEachAssignment's order); vars is sorted, so variable i sits
-	// at binding position i, and only accepted states are materialized.
-	// Domain values are resolved to codes once, not per assignment.
-	base, doms, err := sys.domainUpdates(vars, vars)
-	if err != nil {
-		return nil, err
-	}
-	ups := make([]state.PosUpdate, len(vars))
-	for i := range ups {
-		ups[i] = doms[i][0]
-	}
-	scratch := new(state.State)
-	idx := make([]int, len(vars))
-	var out []*state.State
-	for {
+	out := cands[:0]
+next:
+	for _, s := range cands {
 		if err := m.Tick(); err != nil {
 			return nil, err
 		}
-		base.OverwriteInto(scratch, ups)
-		accept := true
 		for i, p := range compiled {
-			ok, err := p(state.Step{From: scratch})
+			ok, err := p(state.Step{From: s})
 			if err != nil {
-				return nil, fmt.Errorf("system %s: evaluating Init %s on %s: %w", sys.Name, preds[i], scratch, err)
+				return nil, fmt.Errorf("system %s: evaluating Init %s on %s: %w", sys.Name, inits[i], s, err)
 			}
 			if !ok {
-				accept = false
-				break
+				continue next
 			}
 		}
-		if accept {
-			out = append(out, scratch.Clone())
-		}
-		vi := len(idx) - 1
-		for vi >= 0 {
-			idx[vi]++
-			if idx[vi] < len(doms[vi]) {
-				break
-			}
-			idx[vi] = 0
-			vi--
-		}
-		if vi < 0 {
-			return out, nil
-		}
-		for i := vi; i < len(ups); i++ {
-			ups[i] = doms[i][idx[i]]
-		}
+		out = append(out, s)
 	}
-}
-
-// assignmentCount returns the number of assignments to vars over their
-// domains, saturating past 2^30.
-func assignmentCount(vars []string, domains map[string][]value.Value) (int, error) {
-	n := 1
-	for _, v := range vars {
-		d := domains[v]
-		if len(d) == 0 {
-			return 0, fmt.Errorf("variable %q has no domain", v)
-		}
-		n *= len(d)
-		if n > 1<<30 {
-			return n, nil
-		}
-	}
-	return n, nil
+	return out, nil
 }
 
 // choice is one component's contribution to a joint step with its update
@@ -418,10 +402,10 @@ func (sys *System) newExpand(cs *compiledSystem) func() expandFunc {
 type expandScratch struct {
 	ups     form.Updates // every action's candidates in the current state
 	perComp [][]choice   // perComp[i]: component i's choices, stutter first
-	// combo is the combo-verdict cache, cleared for every state: a verdict
-	// left from another state would be a wrong graph.
-	combo   []int8
-	strides []int               // strides[i]: the cache index weight of component i
+	// passed holds, one index vector after another, the choice combinations
+	// that pass the free-independent check under the first free assignment;
+	// later free assignments visit only these.
+	passed  []int
 	freePos []state.PosUpdate   // the current free assignment
 	freeIdx []int               // its mixed-radix counter, last variable fastest
 	groups  [][]state.PosUpdate // the update groups of the current candidate
@@ -429,17 +413,6 @@ type expandScratch struct {
 	chosen  []*choice           // its non-stutter choices
 	next    state.State         // the scratch every candidate is built in
 }
-
-// Combo-cache verdicts for the free-independent part of a step's validity.
-const (
-	comboUnknown int8 = iota
-	comboPass
-	comboFail
-)
-
-// maxComboCache bounds the per-state verdict cache; a system with more
-// choice combinations than this per state falls back to uncached checking.
-const maxComboCache = 1 << 20
 
 // successors enumerates every candidate step from s and verifies each
 // against the declarative definitions: each chosen action's Def and every
@@ -452,7 +425,8 @@ const maxComboCache = 1 << 20
 // per-component choice combinations. An expression that primes no free
 // variable has the same verdict for a given choice combination under every
 // free assignment (unprimed variables read s, which is fixed), so those
-// verdicts are computed once per combination and cached for s.
+// expressions are checked under the first free assignment only, and later
+// free assignments visit only the combinations that passed them.
 //
 // A candidate is checked first and emitted after: every valid candidate
 // is handed to emit, in enumeration order, as the one scratch state x.next
@@ -471,7 +445,6 @@ func (sys *System) successors(cs *compiledSystem, x *expandScratch, s *state.Sta
 	x.ups.Reset()
 	perComp := resize(x.perComp, len(compiled))
 	x.perComp = perComp
-	comboCount := 1
 	for i, cc := range compiled {
 		chs := append(perComp[i][:0], choice{action: nil}) // stutter
 		for ai := range cc.actions {
@@ -486,22 +459,6 @@ func (sys *System) successors(cs *compiledSystem, x *expandScratch, s *state.Sta
 			}
 		}
 		perComp[i] = chs
-		if comboCount <= maxComboCache {
-			comboCount *= len(chs)
-		}
-	}
-	var comboCache []int8
-	strides := resize(x.strides, len(compiled))
-	x.strides = strides
-	if comboCount <= maxComboCache {
-		comboCache = resize(x.combo, comboCount)
-		clear(comboCache)
-		x.combo = comboCache
-		stride := 1
-		for ci := range compiled {
-			strides[ci] = stride
-			stride *= len(perComp[ci])
-		}
 	}
 
 	// Free-variable updates come resolved from compile; most systems have
@@ -520,75 +477,68 @@ func (sys *System) successors(cs *compiledSystem, x *expandScratch, s *state.Sta
 	groups := resize(x.groups, len(compiled)+1)
 	idx := resize(x.idx, len(compiled))
 	x.groups, x.idx = groups, idx
-	scratch := &x.next
+	x.passed = x.passed[:0]
+	npassed := 0 // combinations in x.passed; with no components, one is empty
 
-	for {
+	// candidate builds the candidate of choice combination comb under the
+	// current free assignment in x.next, collecting its non-stutter choices
+	// in x.chosen.
+	candidate := func(comb []int) state.Step {
+		chosen := x.chosen[:0]
+		for ci := range compiled {
+			ch := &perComp[ci][comb[ci]]
+			groups[ci+1] = ch.ups
+			if ch.action != nil {
+				chosen = append(chosen, ch)
+			}
+		}
+		x.chosen = chosen
+		s.OverwriteInto(&x.next, groups...)
+		return state.Step{From: s, To: &x.next}
+	}
+	// emitIfDep checks the free-dependent part of st, re-checked per free
+	// assignment, and emits st's successor if it holds.
+	emitIfDep := func(st state.Step) error {
+		ok, err := sys.holds(x.chosen, true, cs.consDep, st)
+		if err != nil || !ok {
+			return err
+		}
+		return emit(st.To)
+	}
+
+	for firstFree := true; ; firstFree = false {
 		for i := range free {
 			freePos[i] = cs.freeUps[i][freeIdx[i]]
 		}
 		groups[0] = freePos
-		// Enumerate per-component choice combinations under this free
-		// assignment.
-		clear(idx)
-		for {
-			cv, lin := comboUnknown, 0
-			if comboCache != nil {
-				for ci := range idx {
-					lin += idx[ci] * strides[ci]
-				}
-				cv = comboCache[lin]
-				if cv == comboFail {
-					// Known invalid under every free assignment: skip
-					// without even building the candidate.
-					if !advance(idx, perComp) {
-						break
-					}
-					continue
-				}
-			}
-			chosen := x.chosen[:0]
-			for ci := range compiled {
-				ch := &perComp[ci][idx[ci]]
-				groups[ci+1] = ch.ups
-				if ch.action != nil {
-					chosen = append(chosen, ch)
-				}
-			}
-			x.chosen = chosen
-			s.OverwriteInto(scratch, groups...)
-			st := state.Step{From: s, To: scratch}
-			valid := true
-			if cv == comboUnknown {
-				// Free-independent part: chosen defs and constraints that
-				// prime no free variable.
-				ok, err := sys.holds(chosen, false, cs.consIndep, st)
+		if firstFree {
+			// Every choice combination, checked first against the chosen
+			// defs and constraints that prime no free variable.
+			clear(idx)
+			for {
+				st := candidate(idx)
+				ok, err := sys.holds(x.chosen, false, cs.consIndep, st)
 				if err != nil {
 					return err
 				}
-				valid = ok
-				if comboCache != nil {
-					if valid {
-						comboCache[lin] = comboPass
-					} else {
-						comboCache[lin] = comboFail
+				if ok {
+					if len(free) > 0 {
+						x.passed = append(x.passed, idx...)
+						npassed++
+					}
+					if err := emitIfDep(st); err != nil {
+						return err
 					}
 				}
-			}
-			if valid {
-				// Free-dependent part, re-checked per free assignment.
-				ok, err := sys.holds(chosen, true, cs.consDep, st)
-				if err != nil {
-					return err
-				}
-				valid = ok
-			}
-			if valid {
-				if err := emit(scratch); err != nil {
-					return err
+				if !advance(idx, perComp) {
+					break
 				}
 			}
-			if !advance(idx, perComp) {
-				break
+		} else {
+			for j, n := 0, len(idx); j < npassed; j++ {
+				if err := emitIfDep(candidate(x.passed[j*n : (j+1)*n])); err != nil {
+					return err
+				}
 			}
 		}
 		// Advance the free-variable counter. The LAST variable varies

@@ -23,16 +23,3 @@ func ForEachAssignment(names []string, domains map[string][]Value, f func(map[st
 	}
 	return rec(0)
 }
-
-// AssignmentCount returns the number of assignments ForEachAssignment would
-// enumerate, or -1 on overflow past maxCount.
-func AssignmentCount(names []string, domains map[string][]Value, maxCount int) int {
-	n := 1
-	for _, name := range names {
-		n *= len(domains[name])
-		if n > maxCount {
-			return -1
-		}
-	}
-	return n
-}

@@ -266,13 +266,3 @@ func TestForEachAssignment(t *testing.T) {
 		t.Fatalf("empty names: count=%d", count)
 	}
 }
-
-func TestAssignmentCount(t *testing.T) {
-	domains := map[string][]Value{"x": Bits(), "y": Ints(0, 2)}
-	if got := AssignmentCount([]string{"x", "y"}, domains, 100); got != 6 {
-		t.Errorf("AssignmentCount = %d", got)
-	}
-	if got := AssignmentCount([]string{"x", "y"}, domains, 5); got != -1 {
-		t.Errorf("AssignmentCount overflow = %d, want -1", got)
-	}
-}
