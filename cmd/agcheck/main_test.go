@@ -781,3 +781,53 @@ func TestQueuesNoGListsEveryHypothesis(t *testing.T) {
 		t.Errorf("verdict lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestUnknownKeepsDecidedHypotheses: a state budget that runs out in the
+// guarantees-only build, after the LHS graph has decided (1), 2a(i) and
+// both halves of (2b), still reports every one of them, in report order,
+// before the UNKNOWN verdict, on stdout and in the -report hypotheses.
+func TestUnknownKeepsDecidedHypotheses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	var out, errb bytes.Buffer
+	code := run([]string{"-model", "queues", "-n", "1", "-k", "3", "-workers", "1", "-max-states", "5000",
+		"-report", path}, &out, &errb)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2 (stderr %q)", code, errb.String())
+	}
+	var lines []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "[") || strings.HasPrefix(line, "UNKNOWN") {
+			lines = append(lines, strings.TrimSpace(line))
+		}
+	}
+	want := []string{
+		"[OK  ] H1[G]: C(E) /\\ conj C(Mj) => TRUE",
+		"[OK  ] H1[Q1]: C(E) /\\ conj C(Mj) => E_Q1",
+		"[OK  ] H1[Q2]: C(E) /\\ conj C(Mj) => E_Q2",
+		"[OK  ] H2a-A(i): C(E) /\\ conj C(Mj) => C(M)",
+		"[OK  ] H2b: E /\\ conj Mj => M  (safety)",
+		"[OK  ] H2b: E /\\ conj Mj => M  (liveness)",
+		"UNKNOWN: state budget 5000 exceeded",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("stdout entries:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	var h2b int
+	for _, h := range rep.Hypotheses {
+		if strings.HasPrefix(h.Name, "H2b: ") && h.Holds {
+			h2b++
+		}
+	}
+	if rep.Verdict != "UNKNOWN" || h2b != 2 || len(rep.Hypotheses) != len(want)-1 {
+		t.Errorf("report verdict %s with %d hypotheses, %d holding H2b entries; want UNKNOWN, %d and 2",
+			rep.Verdict, len(rep.Hypotheses), h2b, len(want)-1)
+	}
+}

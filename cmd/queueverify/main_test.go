@@ -210,10 +210,12 @@ func TestReportCarriesVetSection(t *testing.T) {
 // TestOversizedInstanceSkipsVet pins the fast-failure property of
 // oversized runs: the vet pre-check must not materialize the Figure 9
 // domains for an instance the budgeted build is about to reject, so
-// -N 6 -K 8 still returns UNKNOWN promptly instead of hanging.
+// -N 6 -K 8 still returns UNKNOWN promptly instead of hanging. The state
+// budget ends the run once the build is under way; without it the build
+// explores until the wall-clock budget.
 func TestOversizedInstanceSkipsVet(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-N", "6", "-K", "8", "-budget-ms", "5000"}, &out, &errb)
+	code := run([]string{"-N", "6", "-K", "8", "-budget-ms", "5000", "-max-states", "20000"}, &out, &errb)
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2 (stderr %q)", code, errb.String())
 	}

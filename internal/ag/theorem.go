@@ -20,10 +20,8 @@ import (
 	"sort"
 	"strings"
 
-	"opentla/internal/check"
 	"opentla/internal/engine"
 	"opentla/internal/form"
-	"opentla/internal/obs"
 	"opentla/internal/reduce"
 	"opentla/internal/spec"
 	"opentla/internal/ts"
@@ -183,13 +181,6 @@ func finishReport(r *Report, m *engine.Meter, err error) (*Report, error) {
 		r.Verdict = engine.Violated
 	}
 	return r, nil
-}
-
-func (r *Report) add(name string, holds bool, detail string) {
-	r.Hypotheses = append(r.Hypotheses, HypothesisResult{Name: name, Holds: holds, Detail: detail})
-	if !holds {
-		r.Valid = false
-	}
 }
 
 // visibleVars returns the non-internal variables of the whole composition,
@@ -406,11 +397,9 @@ func (th *Theorem) validate() error {
 //	(2a) ⊨ C(E)+v ∧ ⋀_j C(M_j) ⇒ C(M)
 //	(2b) ⊨ E ∧ ⋀_j M_j ⇒ M
 //
-// Hypothesis 2a is checked twice: directly, by running a +v monitor in
-// product with the graph of ⋀ C(M_j) (environment variables unconstrained),
-// and via the paper's own route — Proposition 3 reduces it to the plain
-// implication C(E) ∧ ⋀C(M_j) ⇒ C(M) plus the orthogonality side conditions
-// of Proposition 4. Both must agree for the report to be Valid.
+// Hypothesis 2a is checked twice, along the paper's route through
+// Propositions 3 and 4 and directly on a +v monitor product (see plan).
+// Both must agree for the report to be Valid.
 //
 // Check runs without resource limits; use CheckWith to govern the check
 // with a budget or cancellation.
@@ -421,271 +410,38 @@ func (th *Theorem) Check() (*Report, error) {
 // CheckWith discharges the hypotheses under the given resource meter. All
 // graph construction and checking draws from the shared meter; exhaustion,
 // cancellation, and contained internal failures yield a Report with an
-// Unknown verdict and partial statistics instead of an error.
+// Unknown verdict, the entries decided before it, and partial statistics
+// instead of an error.
 func (th *Theorem) CheckWith(m *engine.Meter) (*Report, error) {
-	return th.run(m, "", func(r *Report, m *engine.Meter) error {
-		return th.checkAll(r, m, false)
-	})
+	return th.run(m, "", named(""), false)
 }
 
 // FirstFailure is CheckWith for a caller that needs only the verdict and
-// the first failing hypothesis: it stops building and checking after the
-// first phase of checkAll that records a failure. The report lists a
+// the first failing hypothesis: it builds and checks no further graph once
+// the entries decided so far fix both (see settled). The report lists a
 // subsequence of CheckWith's entries, in the same order and with the same
 // outcomes and details, and has the same verdict and first failing entry
 // whenever both decide.
 func (th *Theorem) FirstFailure(m *engine.Meter) (*Report, error) {
-	return th.run(m, "", func(r *Report, m *engine.Meter) error {
-		return th.checkAll(r, m, true)
-	})
-}
-
-// run validates the theorem, then resolves its reduction and runs body
-// under m inside the theorem's span, and settles the verdict of the report
-// titled th.Name+title with finishReport.
-func (th *Theorem) run(m *engine.Meter, title string, body func(*Report, *engine.Meter) error) (*Report, error) {
-	if err := th.validate(); err != nil {
-		return nil, err
-	}
-	r := &Report{TheoremName: th.Name + title, Valid: true}
-	end := obs.FromMeter(m).Span("theorem:" + th.Name)
-	th.rd = th.buildReduce(m)
-	err := body(r, m)
-	end()
-	return finishReport(r, m, err)
-}
-
-// checkAll runs the hypothesis checks in three phases, accumulating results
-// into r in the order Check documents: the LHS graph (H1, 2a(i), and (2b),
-// which is checked first but reported last), route A's side conditions on
-// the guarantees-only graph, and route B's +v product.
-//
-// With firstFailure set it stops after the first phase that records a
-// failure, still reporting (2b) last. Every phase's entries come before
-// (2b)'s, so a later phase can change neither the verdict nor the first
-// failing entry. A failure of (2b) alone stops nothing: a later phase could
-// still fail, and it would be reported first.
-func (th *Theorem) checkAll(r *Report, m *engine.Meter, firstFailure bool) error {
-	h2b, err := th.checkLHS(r, m)
-	if err != nil {
-		return err
-	}
-	decided := func() bool { return firstFailure && !r.Valid }
-	if !decided() {
-		// The graph of ⋀ C(M_j) alone: route A's side conditions and route
-		// B's monitor base.
-		rG, err := th.guaranteesGraph(r, m)
-		if err != nil {
-			return err
-		}
-		// Hypothesis (2a), route A (Propositions 3 + 4): (ii) and (iii).
-		if err := th.checkHyp2aViaPropositions(r, rG); err != nil {
-			return err
-		}
-		// Hypothesis (2a), route B (direct +v monitor product).
-		if !decided() {
-			if err := th.checkHyp2aDirect(r, rG); err != nil {
-				return err
-			}
-		}
-	}
-	th.addHyp2b(r, h2b)
-	return nil
-}
-
-// checkLHS builds the graph of the left-hand side (see lhsSystem) and reads
-// it three times: hypothesis (1) for each pair, (2b), and 2a(i). 2a(i),
-// C(E) ∧ ⋀C(M_j) ⇒ C(M), is the very SafetyUnder check that is (2b)'s
-// safety half, so it reuses that result. (2b)'s result is returned for
-// checkAll to report last. The graph is dropped on return, before the
-// guarantees-only graph is built, so the two are never held at once.
-func (th *Theorem) checkLHS(r *Report, m *engine.Meter) (*check.SpecResult, error) {
-	g, err := th.buildLHS(r, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := th.checkHyp1(r, m, g); err != nil {
-		return nil, err
-	}
-	end := obs.FromMeter(m).Span("H2b")
-	h2b, err := check.Component(g, th.Concl.Sys, th.Concl.Mapping)
-	end()
-	if err != nil {
-		return nil, fmt.Errorf("hypothesis 2b: %w", err)
-	}
-	r.add(hyp2aI, h2b.Safety.Holds, h2b.Safety.String())
-	return h2b, nil
-}
-
-// hyp2aI names route A's plain closure implication on the LHS graph.
-const hyp2aI = "H2a-A(i): C(E) /\\ conj C(Mj) => C(M)"
-
-// buildLHS builds the graph of lhsSystem and notes its size in r.
-func (th *Theorem) buildLHS(r *Report, m *engine.Meter) (*ts.Graph, error) {
-	g, err := th.lhsSystem().BuildWith(m)
-	if err != nil {
-		return nil, fmt.Errorf("building LHS graph: %w", err)
-	}
-	r.noteStates(g.NumStates())
-	return g, nil
-}
-
-// guaranteesGraph builds the graph of ⋀ C(M_j) with the environment
-// variables unconstrained: the side conditions of route A must hold without
-// assuming E, and route B's +v monitor supplies E itself.
-func (th *Theorem) guaranteesGraph(r *Report, m *engine.Meter) (*ts.Graph, error) {
-	g, err := th.guaranteesSystem().BuildWith(m)
-	if err != nil {
-		return nil, fmt.Errorf("building guarantees-only graph: %w", err)
-	}
-	r.noteStates(g.NumStates())
-	return g, nil
-}
-
-func (r *Report) noteStates(n int) {
-	if n > r.States {
-		r.States = n
-	}
-}
-
-// checkHyp1 discharges hypothesis (1) for every pair: each assumption is
-// implied by the closure of the environment-constrained composition.
-func (th *Theorem) checkHyp1(r *Report, m *engine.Meter, lhsG *ts.Graph) error {
-	defer obs.FromMeter(m).Span("H1")()
-	for _, p := range th.Pairs {
-		if p.Env == nil {
-			r.add(fmt.Sprintf("H1[%s]: C(E) /\\ conj C(Mj) => TRUE", p.Name), true, "trivial (E_i = TRUE)")
-			continue
-		}
-		res, err := check.Safety(lhsG, p.Env.SafetyFormula())
-		if err != nil {
-			return fmt.Errorf("hypothesis 1 for %s: %w", p.Name, err)
-		}
-		r.add(fmt.Sprintf("H1[%s]: C(E) /\\ conj C(Mj) => E_%s", p.Name, p.Name), res.Holds, res.String())
-	}
-	return nil
+	return th.run(m, "", named(""), true)
 }
 
 // CheckHyp2aPropositionsOnly discharges only hypothesis 2a, along the
 // paper's Proposition 3+4 route. Exposed for the ablation benchmark
 // comparing the two 2a routes.
 func (th *Theorem) CheckHyp2aPropositionsOnly() (*Report, error) {
-	return th.run(engine.NoLimit(), " (2a via Props 3+4)", func(r *Report, m *engine.Meter) error {
-		g, err := th.buildLHS(r, m)
-		if err != nil {
-			return err
-		}
-		res, err := check.SafetyUnder(g, th.Concl.Sys.SafetyFormula(), th.Concl.Mapping)
-		if err != nil {
-			return fmt.Errorf("hypothesis 2a(i): %w", err)
-		}
-		r.add(hyp2aI, res.Holds, res.String())
-		rG, err := th.guaranteesGraph(r, m)
-		if err != nil {
-			return err
-		}
-		return th.checkHyp2aViaPropositions(r, rG)
-	})
+	return th.run(engine.NoLimit(), " (2a via Props 3+4)", named("H2a-A"), false)
 }
 
 // CheckHyp2aDirectOnly discharges only hypothesis 2a, with the direct +v
 // monitor product. Exposed for the ablation benchmark.
 func (th *Theorem) CheckHyp2aDirectOnly() (*Report, error) {
-	return th.run(engine.NoLimit(), " (2a direct)", func(r *Report, m *engine.Meter) error {
-		rG, err := th.guaranteesGraph(r, m)
-		if err != nil {
-			return err
-		}
-		return th.checkHyp2aDirect(r, rG)
-	})
+	return th.run(engine.NoLimit(), " (2a direct)", named("H2a-B"), false)
 }
 
-// checkHyp2aViaPropositions discharges 2a along the paper's route:
-//
-//	(i)  ⊨ C(E) ∧ ⋀C(M_j) ⇒ C(M)                       (Fig. 9, step 2.2)
-//	(ii) ⋀C(M_j) ⇒ Disjoint(e, m) and the initial-state disjunction of
-//	     Proposition 4, giving ⋀C(M_j) ⇒ C(E) ⊥ C(M)   (Fig. 9, step 2.1)
-//	(iii) v contains every free variable of C(M)        (Prop. 3 side cond.)
-//
-// Proposition 3 then yields ⊨ C(E)+v ∧ ⋀C(M_j) ⇒ C(M). Step (i) is checked
-// on the LHS graph (see checkLHS); this checks the side conditions (ii) and
-// (iii) on the graph rG of ⋀C(M_j) alone (see guaranteesGraph). Disjoint(e,
-// m) is discharged without rG when the guarantees' step constraints, or
-// those and the frames of their actions, cover (e, m) (see disjointCover);
-// the report entry's detail says which.
-func (th *Theorem) checkHyp2aViaPropositions(r *Report, rG *ts.Graph) error {
-	defer obs.FromMeter(rG.Meter()).Span("H2a-A")()
-	m := th.Concl.Sys
-
-	// (ii-a) Disjoint(e, m) where e/m are the conclusion's input/output
-	// tuples (Proposition 4's interleaving requirement). Every step of rG
-	// satisfies the guarantees' step constraints and each guarantee's
-	// [N]_v, so when those cover (e, m) no step needs checking (Fig. 9,
-	// step 2.1).
-	eVars, mVars := th.conclusionInterface()
-	if len(eVars) > 0 && len(mVars) > 0 {
-		const name = "H2a-A(ii): conj C(Mj) => Disjoint(e, m)  [Prop 4]"
-		if by := th.disjointCover(eVars, mVars); by != "" {
-			r.add(name, true, "static: "+by+" cover (e, m)")
-		} else {
-			dres, err := check.Safety(rG, form.Disjoint(eVars, mVars))
-			if err != nil {
-				return fmt.Errorf("hypothesis 2a(ii) Disjoint: %w", err)
-			}
-			r.add(name, dres.Holds, dres.String())
-		}
-	} else {
-		r.add("H2a-A(ii): Disjoint(e, m)  [Prop 4]", true, "trivial (empty interface)")
-	}
-
-	// (ii-b) Initial-state disjunction of Proposition 4.
-	initOK := true
-	initDetail := ""
-	var initPreds []form.Expr
-	if th.Concl.Env != nil && th.Concl.Env.Init != nil {
-		initPreds = append(initPreds, th.Concl.Env.Init)
-	}
-	if m.Init != nil {
-		mi := m.Init
-		if th.Concl.Mapping != nil {
-			mi = mi.Subst(th.Concl.Mapping)
-		}
-		initPreds = append(initPreds, mi)
-	}
-	if len(initPreds) > 0 {
-		disjInit := form.Or(initPreds...)
-		for _, id := range rG.Inits {
-			ok, err := form.EvalStateBool(disjInit, rG.States[id])
-			if err != nil {
-				return fmt.Errorf("hypothesis 2a(ii) init disjunction: %w", err)
-			}
-			if !ok {
-				initOK = false
-				initDetail = fmt.Sprintf("initial state %s satisfies neither Init_E nor Init_M", rG.States[id])
-				break
-			}
-		}
-	}
-	r.add("H2a-A(ii): Init_E \\/ Init_M at start  [Prop 4]", initOK, initDetail)
-
-	// (iii) Prop 3 side condition: v ⊇ free variables of M's closure.
-	vVars := form.AllVars(th.plusSub())
-	vSet := make(map[string]bool, len(vVars))
-	for _, v := range vVars {
-		vSet[v] = true
-	}
-	var missing []string
-	for _, v := range th.conclusionGuaranteeFreeVars() {
-		if !vSet[v] {
-			missing = append(missing, v)
-		}
-	}
-	detail := ""
-	if len(missing) > 0 {
-		detail = fmt.Sprintf("missing from v: %v", missing)
-	}
-	r.add("H2a-A(iii): v contains the free variables of C(M)  [Prop 3]", len(missing) == 0, detail)
-	return nil
+// named selects the obligations whose report names start with prefix.
+func named(prefix string) func(*obligation) bool {
+	return func(o *obligation) bool { return strings.HasPrefix(o.name, prefix) }
 }
 
 // disjointCover reports what makes every step of the guarantees-only graph
@@ -737,42 +493,6 @@ func (th *Theorem) conclusionInterface() (eVars, mVars []string) {
 	return eVars, mVars
 }
 
-// conclusionGuaranteeFreeVars returns the free (visible) variables of the
-// conclusion guarantee's closure ∃y : C(M) — its inputs and outputs.
-func (th *Theorem) conclusionGuaranteeFreeVars() []string {
-	m := th.Concl.Sys
-	out := make([]string, 0, len(m.Inputs)+len(m.Outputs))
-	out = append(out, m.Inputs...)
-	out = append(out, m.Outputs...)
-	return out
-}
-
-// checkHyp2aDirect discharges 2a with a +v monitor on the graph baseG of
-// ⋀C(M_j), whose environment variables are unconstrained (see
-// guaranteesGraph): the monitor enforces "C(E) held for a prefix, after
-// which v froze" (no E means TRUE), and C(M) is checked under the mapping
-// on the product.
-func (th *Theorem) checkHyp2aDirect(r *Report, baseG *ts.Graph) error {
-	defer obs.FromMeter(baseG.Meter()).Span("H2a-B")()
-	var envInit form.Expr
-	var envSquares []form.Expr
-	if env := th.Concl.Env; env != nil {
-		envInit = env.Init
-		envSquares = []form.Expr{env.SquareExpr()}
-	}
-	prod, err := ts.Product(baseG, []*ts.Monitor{ts.PlusMonitor(plusVar, envInit, envSquares, th.plusSub())})
-	if err != nil {
-		return fmt.Errorf("hypothesis 2a (direct): +v monitor product: %w", err)
-	}
-	r.noteStates(prod.NumStates())
-	res, err := check.SafetyUnder(prod, th.Concl.Sys.SafetyFormula(), th.Concl.Mapping)
-	if err != nil {
-		return fmt.Errorf("hypothesis 2a (direct): %w", err)
-	}
-	r.add("H2a-B: C(E)+v /\\ conj C(Mj) => C(M)  [direct monitor]", res.Holds, res.String())
-	return nil
-}
-
 // The names of hypothesis (2b)'s report entries, E ∧ ⋀M_j ⇒ M checked on
 // the left-hand-side graph: its safety half and, when the conclusion's
 // guarantee has fairness, its liveness half.
@@ -780,13 +500,3 @@ const (
 	Hyp2bSafety   = "H2b: E /\\ conj Mj => M  (safety)"
 	Hyp2bLiveness = "H2b: E /\\ conj Mj => M  (liveness)"
 )
-
-// addHyp2b reports ⊨ E ∧ ⋀M_j ⇒ M, checked with fairness on both sides.
-func (th *Theorem) addHyp2b(r *Report, res *check.SpecResult) {
-	r.add(Hyp2bSafety, res.Safety.Holds, res.Safety.String())
-	if res.Liveness != nil {
-		r.add(Hyp2bLiveness, res.Liveness.Holds, res.Liveness.String())
-	} else if len(th.Concl.Sys.Fairness) > 0 && !res.Safety.Holds {
-		r.add(Hyp2bLiveness, false, "skipped: safety part failed")
-	}
-}

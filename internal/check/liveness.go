@@ -18,16 +18,6 @@ type LivenessResult struct {
 	Violated string
 	// Counterexample is a fair lasso violating the target.
 	Counterexample *state.Lasso
-	// Stats snapshots the governing meter when the check completed.
-	Stats engine.RunStats
-}
-
-// Verdict maps the decided result onto the three-valued scale.
-func (r *LivenessResult) Verdict() engine.Verdict {
-	if r.Holds {
-		return engine.Holds
-	}
-	return engine.Violated
 }
 
 // String renders the result.
@@ -165,13 +155,14 @@ func fairnessCond(g *ts.Graph, name string, kind form.FairKind, action, sub form
 // with an *engine.BudgetError, and panics during the fair-cycle search are
 // contained as *engine.EngineError carrying the target conjunct.
 func Liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr) (*LivenessResult, error) {
-	return liveness(g, target, mapping, nil)
+	return (&Walked{Obligation: Obligation{Mapping: mapping}}).Liveness(g, target)
 }
 
-// liveness is Liveness reading the images im when the caller has built
-// them under mapping already; with im nil it builds them if a WF/SF target
-// needs them.
-func liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr, im *imager) (result *LivenessResult, err error) {
+// Liveness checks target under the walked obligation's mapping, as
+// Liveness does, reading the images the walk built; a Walked with no
+// images builds them if a WF/SF target needs them.
+func (w *Walked) Liveness(g *ts.Graph, target form.Formula) (result *LivenessResult, err error) {
+	mapping := w.Mapping
 	shown := target
 	if mapping != nil {
 		shown = target.Subst(mapping)
@@ -196,15 +187,15 @@ func liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr, im
 		curTarget = cj
 		var raw form.Expr
 		if _, ok := cj.(form.FairF); ok && mapping != nil {
-			if im == nil {
-				if im, err = imagesOf(g, mapping, nil); err != nil {
+			if w.im == nil {
+				if w.im, err = imagesOf(g, mapping, new(*state.State)); err != nil {
 					return nil, err
 				}
 			}
 			rt := raws[i].(form.FairF)
 			raw = form.Angle(rt.A, rt.Sub)
 		}
-		res, err := checkLivenessConjunct(g, fair, cj, raw, im)
+		res, err := checkLivenessConjunct(g, fair, cj, raw, w.im)
 		if err != nil {
 			return nil, err
 		}
@@ -215,11 +206,10 @@ func liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr, im
 			return nil, err
 		}
 		if !res.Holds {
-			res.Stats = m.Stats()
 			return res, nil
 		}
 	}
-	return &LivenessResult{Holds: true, Stats: m.Stats()}, nil
+	return &LivenessResult{Holds: true}, nil
 }
 
 func flattenConjuncts(f form.Formula) []form.Formula {
@@ -246,29 +236,42 @@ func notMask(m StateMask) StateMask { return func(id int) bool { return !m(id) }
 // a WF/SF conjunct under a refinement mapping, is its ⟨A⟩_v before
 // substitution and im the images to read it on (see angleMasks).
 func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, raw form.Expr, im *imager) (*LivenessResult, error) {
+	name := target.String()
 	switch t := target.(type) {
 	case form.EventuallyF:
 		if p, ok := t.F.(form.PredF); ok {
-			return checkEventually(g, fair, p.P, target.String())
+			// ◇P: a violation is a fair lasso confined to ¬P.
+			return checkPredLasso(g, p.P, name, func(notP StateMask) LassoQuery {
+				return LassoQuery{StartIDs: g.Inits, PrefixState: notP, CycleState: notP, Conds: fair}
+			})
 		}
 		if alw, ok := t.F.(form.AlwaysF); ok {
 			if p, ok := alw.F.(form.PredF); ok {
-				return checkEventuallyAlways(g, fair, p.P, target.String())
+				// ◇□P: a violation is a fair lasso whose cycle contains a ¬P
+				// state.
+				return checkPredLasso(g, p.P, name, func(notP StateMask) LassoQuery {
+					hit := CycleCond{Name: "hits ~P", Buchi: true, HitState: notP}
+					return LassoQuery{StartIDs: g.Inits, Conds: append(append([]CycleCond(nil), fair...), hit)}
+				})
 			}
 		}
 	case form.AlwaysF:
-		// □◇P and leads-to □(P ⇒ ◇Q).
+		// □◇P: a violation is a fair lasso whose cycle is confined to ¬P
+		// (the prefix is unrestricted).
 		if ev, ok := t.F.(form.EventuallyF); ok {
 			if p, ok := ev.F.(form.PredF); ok {
-				return checkAlwaysEventually(g, fair, p.P, target.String())
+				return checkPredLasso(g, p.P, name, func(notP StateMask) LassoQuery {
+					return LassoQuery{StartIDs: g.Inits, CycleState: notP, Conds: fair}
+				})
 			}
 		}
+		// Leads-to □(P ⇒ ◇Q).
 		if imp, ok := t.F.(form.ImpliesFmN); ok {
 			p, pok := imp.A.(form.PredF)
 			if pok {
 				if ev, ok := imp.B.(form.EventuallyF); ok {
 					if q, ok := ev.F.(form.PredF); ok {
-						return checkLeadsTo(g, fair, p.P, q.P, target.String())
+						return checkLeadsTo(g, fair, p.P, q.P, name)
 					}
 				}
 			}
@@ -279,53 +282,11 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, r
 	return nil, fmt.Errorf("liveness: unsupported target conjunct %s", target)
 }
 
-// checkEventually checks ◇P: a violation is a fair lasso confined to ¬P.
-func checkEventually(g *ts.Graph, fair []CycleCond, p form.Expr, name string) (*LivenessResult, error) {
+// checkPredLasso checks a target about the state predicate p whose
+// violations are the fair lassos query finds, given the mask of ¬P.
+func checkPredLasso(g *ts.Graph, p form.Expr, name string, query func(notP StateMask) LassoQuery) (*LivenessResult, error) {
 	mask, merr := predMask(g, p)
-	notP := notMask(mask)
-	w, err := FindFairLasso(g, LassoQuery{
-		StartIDs:    g.Inits,
-		PrefixState: notP,
-		CycleState:  notP,
-		Conds:       fair,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if *merr != nil {
-		return nil, *merr
-	}
-	return lassoResult(g, w, name), nil
-}
-
-// checkAlwaysEventually checks □◇P: a violation is a fair lasso whose cycle
-// is confined to ¬P (the prefix is unrestricted).
-func checkAlwaysEventually(g *ts.Graph, fair []CycleCond, p form.Expr, name string) (*LivenessResult, error) {
-	mask, merr := predMask(g, p)
-	w, err := FindFairLasso(g, LassoQuery{
-		StartIDs:   g.Inits,
-		CycleState: notMask(mask),
-		Conds:      fair,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if *merr != nil {
-		return nil, *merr
-	}
-	return lassoResult(g, w, name), nil
-}
-
-// checkEventuallyAlways checks ◇□P: a violation is a fair lasso whose cycle
-// contains a ¬P state.
-func checkEventuallyAlways(g *ts.Graph, fair []CycleCond, p form.Expr, name string) (*LivenessResult, error) {
-	mask, merr := predMask(g, p)
-	conds := append(append([]CycleCond(nil), fair...), CycleCond{
-		Name:     "hits ~P",
-		Buchi:    true,
-		HitState: notMask(mask),
-	})
-	w, err := FindFairLasso(g, LassoQuery{StartIDs: g.Inits, Conds: conds})
+	w, err := FindFairLasso(g, query(notMask(mask)))
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,27 @@ func SameAsReference(t *testing.T, g *ts.Graph, f form.Formula, mapping map[stri
 	t.Helper()
 	got, gotErr := SafetyUnder(g, f, mapping)
 	want, wantErr := RefSafetyUnder(g, f, mapping)
+	return sameSafety(t, f, got, gotErr, want, wantErr)
+}
+
+// SameWalkAsReference fails t unless one SafetyAll walk over g agrees with
+// RefSafetyUnder on every obligation, as SameAsReference does, and returns
+// the walked outcomes.
+func SameWalkAsReference(t *testing.T, g *ts.Graph, obls []Obligation) []*Walked {
+	t.Helper()
+	ws, err := SafetyAll(g, obls)
+	if err != nil {
+		t.Fatalf("walk: %v", err)
+	}
+	for i, o := range obls {
+		want, wantErr := RefSafetyUnder(g, o.F, o.Mapping)
+		sameSafety(t, o.F, ws[i].Result, ws[i].Err, want, wantErr)
+	}
+	return ws
+}
+
+func sameSafety(t *testing.T, f form.Formula, got *SafetyResult, gotErr error, want *SafetyResult, wantErr error) *SafetyResult {
+	t.Helper()
 	switch {
 	case (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error():
 		t.Fatalf("%s: error %v, reference error %v", f, gotErr, wantErr)
@@ -111,7 +132,6 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		return "", f.String()
 	})
 	done := func(r *SafetyResult) (*SafetyResult, error) {
-		r.Stats = m.Stats()
 		return r, nil
 	}
 	ob, err := decomposeSafety(f)
@@ -126,8 +146,8 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		layout = g.States[0].Vars()
 	}
 	// Initial predicates.
-	initPreds := make([]form.CompiledPred, len(ob.inits))
-	for i, p := range ob.inits {
+	initPreds := make([]form.CompiledPred, len(ob.preds[initPhase]))
+	for i, p := range ob.preds[initPhase] {
 		initPreds[i] = form.CompilePred(p, layout)
 	}
 	for _, id := range g.Inits {
@@ -136,19 +156,19 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		for i, p := range initPreds {
 			ok, err := p(state.Step{From: s})
 			if err != nil {
-				return nil, fmt.Errorf("initial predicate %s on %s: %w", ob.inits[i], s, err)
+				return nil, fmt.Errorf("initial predicate %s on %s: %w", ob.names[initPhase][i], s, err)
 			}
 			if !ok {
 				return done(&SafetyResult{
-					Violation: fmt.Sprintf("initial state violates %s", ob.inits[i]),
+					Violation: fmt.Sprintf("initial state violates %s", ob.names[initPhase][i]),
 					Trace:     state.Behavior{s},
 				})
 			}
 		}
 	}
 	// Invariants.
-	invPreds := make([]form.CompiledPred, len(ob.invariants))
-	for i, p := range ob.invariants {
+	invPreds := make([]form.CompiledPred, len(ob.preds[invPhase]))
+	for i, p := range ob.preds[invPhase] {
 		invPreds[i] = form.CompilePred(p, layout)
 	}
 	for id, s := range g.States {
@@ -159,20 +179,20 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		for i, p := range invPreds {
 			ok, err := p(state.Step{From: s})
 			if err != nil {
-				return nil, fmt.Errorf("invariant %s on %s: %w", ob.invariants[i], s, err)
+				return nil, fmt.Errorf("invariant %s on %s: %w", ob.names[invPhase][i], s, err)
 			}
 			if !ok {
 				return done(&SafetyResult{
-					Violation: fmt.Sprintf("reachable state violates invariant %s", ob.invariants[i]),
+					Violation: fmt.Sprintf("reachable state violates invariant %s", ob.names[invPhase][i]),
 					Trace:     g.Behavior(g.PathTo(id)),
 				})
 			}
 		}
 	}
 	// Action boxes.
-	squares := make([]form.CompiledPred, len(ob.boxes))
-	for i, b := range ob.boxes {
-		squares[i] = form.CompilePred(form.Square(b.A, b.Sub), layout)
+	squares := make([]form.CompiledPred, len(ob.preds[boxPhase]))
+	for i, sq := range ob.preds[boxPhase] {
+		squares[i] = form.CompilePred(sq, layout)
 	}
 	var res *SafetyResult
 	var evalErr error
@@ -191,14 +211,14 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		for i, sq := range squares {
 			ok, err := sq(st)
 			if err != nil {
-				evalErr = fmt.Errorf("box %s on step %s: %w", ob.boxes[i], st, err)
+				evalErr = fmt.Errorf("box %s on step %s: %w", ob.names[boxPhase][i], st, err)
 				return false
 			}
 			if !ok {
 				path := g.PathTo(from)
 				trace := append(g.Behavior(path), real)
 				res = &SafetyResult{
-					Violation: fmt.Sprintf("reachable step violates %s", ob.boxes[i]),
+					Violation: fmt.Sprintf("reachable step violates %s", ob.names[boxPhase][i]),
 					Trace:     trace,
 				}
 				return false

@@ -30,17 +30,6 @@ type SafetyResult struct {
 	// Trace is a finite behavior exhibiting the violation (ending at the
 	// violating state or step).
 	Trace state.Behavior
-	// Stats snapshots the governing meter when the check completed.
-	Stats engine.RunStats
-}
-
-// Verdict maps the decided result onto the three-valued scale (an
-// undecided check surfaces as an error, not a result).
-func (r *SafetyResult) Verdict() engine.Verdict {
-	if r.Holds {
-		return engine.Holds
-	}
-	return engine.Violated
 }
 
 // String renders the result.
@@ -54,11 +43,18 @@ func (r *SafetyResult) String() string {
 	return sb.String()
 }
 
-// safetyObligation is a safety formula decomposed into checkable parts.
+// safetyObligation is a safety formula decomposed into what each phase
+// of a walk checks (see initPhase): the initial predicates, which must
+// hold in every initial state; the invariants, in every reachable state;
+// and the actions [A]_v of the boxes □[A]_v, on every reachable step.
 type safetyObligation struct {
-	inits      []form.Expr    // must hold in every initial state
-	invariants []form.Expr    // must hold in every reachable state
-	boxes      []form.ActBoxF // every reachable step must satisfy [A]_sub
+	preds [3][]form.Expr
+	names [3][]fmt.Stringer // each part as the formula states it
+}
+
+func (ob *safetyObligation) add(ph int, p form.Expr, name fmt.Stringer) {
+	ob.preds[ph] = append(ob.preds[ph], p)
+	ob.names[ph] = append(ob.names[ph], name)
 }
 
 // decomposeSafety splits a safety formula into initial predicates,
@@ -71,17 +67,17 @@ func decomposeSafety(f form.Formula) (*safetyObligation, error) {
 	walk = func(g form.Formula) error {
 		switch n := g.(type) {
 		case form.PredF:
-			ob.inits = append(ob.inits, n.P)
+			ob.add(initPhase, n.P, n.P)
 			return nil
 		case form.AlwaysF:
 			p, ok := n.F.(form.PredF)
 			if !ok {
 				return fmt.Errorf("safety decomposition: []F supported only for state predicates, got %s", n.F)
 			}
-			ob.invariants = append(ob.invariants, p.P)
+			ob.add(invPhase, p.P, p.P)
 			return nil
 		case form.ActBoxF:
-			ob.boxes = append(ob.boxes, n)
+			ob.add(boxPhase, form.Square(n.A, n.Sub), n)
 			return nil
 		case form.AndFm:
 			for _, c := range n.Fs {
@@ -108,6 +104,11 @@ func Safety(g *ts.Graph, f form.Formula) (*SafetyResult, error) {
 	return SafetyUnder(g, f, nil)
 }
 
+// Invariant checks □P for a single state predicate.
+func Invariant(g *ts.Graph, p form.Expr) (*SafetyResult, error) {
+	return Safety(g, form.AlwaysPred(p))
+}
+
 // SafetyUnder checks g ⊨ F̄, where F̄ is the safety formula f with the
 // refinement mapping (abstract variable → concrete state function)
 // substituted into it (§A.4). With a nil mapping it checks f directly.
@@ -126,150 +127,205 @@ func Safety(g *ts.Graph, f form.Formula) (*SafetyResult, error) {
 // with an *engine.BudgetError, and panics during evaluation are contained
 // as *engine.EngineError carrying the offending state and formula.
 func SafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (*SafetyResult, error) {
-	res, _, err := safetyUnder(g, f, mapping)
-	return res, err
+	ws, err := SafetyAll(g, []Obligation{{F: f, Mapping: mapping}})
+	if err != nil {
+		return nil, err
+	}
+	return ws[0].Result, ws[0].Err
 }
 
-// safetyUnder is SafetyUnder, also returning the images it checked on (nil
-// without a mapping), so Component's liveness half can read them too.
-func safetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (result *SafetyResult, im *imager, err error) {
-	shown := f
-	if mapping != nil {
-		shown = f.Subst(mapping)
-	}
-	m := g.Meter()
-	defer obs.FromMeter(m).Span("check:safety")()
-	var cur *state.State
-	defer engine.Capture(&err, "check.Safety", func() (string, string) {
-		if cur != nil {
-			return cur.Key(), shown.String()
+// An Obligation is one safety check g ⊨ F̄ of a SafetyAll walk: F is the
+// safety formula and Mapping the refinement mapping substituted into it,
+// nil for none, as in SafetyUnder.
+type Obligation struct {
+	F       form.Formula
+	Mapping map[string]form.Expr
+}
+
+// Walked is one obligation of a SafetyAll walk with its outcome: exactly
+// the result, or the error, that SafetyUnder returns for it alone.
+type Walked struct {
+	Obligation
+	Result *SafetyResult // nil when Err is set
+	Err    error
+
+	im    *imager
+	shown form.Formula      // F̄, which messages and errors name
+	ob    *safetyObligation // F̄ decomposed
+	preds [3][]obligationPred
+}
+
+// The phases of a SafetyAll walk, in order; they index the parts of
+// Walked.preds, safetyObligation and phases.
+const (
+	initPhase = iota
+	invPhase
+	boxPhase
+)
+
+// phases holds the formats of each phase's errors and violations.
+var phases = [3]struct{ err, violation string }{
+	{"initial predicate %s on %s: %w", "initial state violates %s"},
+	{"invariant %s on %s: %w", "reachable state violates invariant %s"},
+	{"box %s on step %s: %w", "reachable step violates %s"},
+}
+
+func (w *Walked) done() bool { return w.Result != nil || w.Err != nil }
+
+// prepare builds w's images under its mapping and compiles its predicates.
+// An error the meter reports aborts the walk; any other is w's own.
+func (w *Walked) prepare(g *ts.Graph, layout []string, cur **state.State) error {
+	raw := &safetyObligation{}
+	if w.Mapping != nil {
+		// Subst keeps a formula's shape, so F decomposes as F̄ does.
+		if raw, w.Err = decomposeSafety(w.F); w.Err != nil {
+			return nil
 		}
-		return "", shown.String()
+		if w.im, w.Err = imagesOf(g, w.Mapping, cur); w.Err != nil {
+			return g.Meter().Err()
+		}
+	}
+	for ph := range w.preds {
+		w.preds[ph] = w.im.compile(w.ob.preds[ph], raw.preds[ph], layout)
+	}
+	return nil
+}
+
+// settle evaluates w's predicates of phase ph on st (with image img) and
+// settles w on the first one that is false or fails. It reports whether
+// that was a violation, whose trace the caller adds.
+func (w *Walked) settle(ph int, st, img state.Step) bool {
+	for i, p := range w.preds[ph] {
+		ok, err := p.eval(st, img)
+		switch {
+		case err != nil:
+			var at any = st
+			if ph != boxPhase {
+				at = st.From
+			}
+			w.Err = fmt.Errorf(phases[ph].err, w.ob.names[ph][i], at, err)
+			return false
+		case !ok:
+			w.Result = &SafetyResult{Violation: fmt.Sprintf(phases[ph].violation, w.ob.names[ph][i])}
+			return true
+		}
+	}
+	return false
+}
+
+// pending reports whether some undecided obligation has predicates in phase ph.
+func pending(ws []*Walked, ph int) bool {
+	for _, w := range ws {
+		if !w.done() && len(w.preds[ph]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// SafetyAll checks every obligation on g in one walk: the initial states,
+// then the reachable states by id, then the edges in ForEachEdgeStep's
+// order. Each obligation drops out at its own first violation or error, so
+// its Walked is what SafetyUnder returns for it alone. Budget exhaustion
+// and contained panics abort the whole walk. A walk that reads only
+// initial states (no invariant, box or mapping) opens no check:safety span.
+func SafetyAll(g *ts.Graph, obls []Obligation) (ws []*Walked, err error) {
+	m := g.Meter()
+	ws = make([]*Walked, len(obls))
+	walks := false
+	for i, o := range obls {
+		w := &Walked{Obligation: o, shown: o.F}
+		if o.Mapping != nil {
+			w.shown = o.F.Subst(o.Mapping)
+		}
+		w.ob, w.Err = decomposeSafety(w.shown)
+		walks = walks || w.Err == nil && (o.Mapping != nil || len(w.ob.preds[invPhase])+len(w.ob.preds[boxPhase]) > 0)
+		ws[i] = w
+	}
+	if walks {
+		defer obs.FromMeter(m).Span("check:safety")()
+	}
+	var cur *state.State
+	var curW *Walked
+	defer engine.Capture(&err, "check.Safety", func() (st, f string) {
+		if cur != nil {
+			st = cur.Key()
+		}
+		if curW != nil {
+			f = curW.shown.String()
+		}
+		return st, f
 	})
-	done := func(r *SafetyResult) (*SafetyResult, *imager, error) {
-		r.Stats = m.Stats()
-		return r, im, nil
-	}
-	ob, err := decomposeSafety(shown)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Every state of one graph binds the same variable set, and so does
-	// every image; compiling the obligation's predicates against those
+	// every image; compiling the obligations' predicates against those
 	// layouts once keeps the per-state and per-edge evaluation positional
 	// and allocation-free.
 	var layout []string
 	if len(g.States) > 0 {
 		layout = g.States[0].Vars()
 	}
-	raw := &safetyObligation{}
-	if mapping != nil {
-		// Subst keeps a formula's shape, so f decomposes as F̄ does.
-		if raw, err = decomposeSafety(f); err != nil {
-			return nil, nil, err
-		}
-		if im, err = imagesOf(g, mapping, &cur); err != nil {
-			return nil, nil, err
+	for _, w := range ws {
+		if curW = w; !w.done() {
+			if err := w.prepare(g, layout, &cur); err != nil {
+				return nil, err
+			}
 		}
 	}
-	inits := im.compile(ob.inits, raw.inits, layout)
-	invs := im.compile(ob.invariants, raw.invariants, layout)
-	boxes := im.compile(squares(ob.boxes), squares(raw.boxes), layout)
-	// Initial predicates.
 	for _, id := range g.Inits {
 		s := g.States[id]
 		cur = s
-		for i, p := range inits {
-			ok, err := p.eval(state.Step{From: s}, im.state(id))
-			if err != nil {
-				return nil, nil, fmt.Errorf("initial predicate %s on %s: %w", ob.inits[i], s, err)
-			}
-			if !ok {
-				return done(&SafetyResult{
-					Violation: fmt.Sprintf("initial state violates %s", ob.inits[i]),
-					Trace:     state.Behavior{s},
-				})
+		for _, w := range ws {
+			if curW = w; !w.done() && w.settle(initPhase, state.Step{From: s}, w.im.state(id)) {
+				w.Result.Trace = state.Behavior{s}
 			}
 		}
 	}
-	// Invariants.
-	for id, s := range g.States {
+	for id := 0; id < len(g.States) && pending(ws, invPhase); id++ {
 		if err := m.Tick(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cur = s
-		for i, p := range invs {
-			ok, err := p.eval(state.Step{From: s}, im.state(id))
-			if err != nil {
-				return nil, nil, fmt.Errorf("invariant %s on %s: %w", ob.invariants[i], s, err)
-			}
-			if !ok {
-				return done(&SafetyResult{
-					Violation: fmt.Sprintf("reachable state violates invariant %s", ob.invariants[i]),
-					Trace:     g.Behavior(g.PathTo(id)),
-				})
+		cur = g.States[id]
+		for _, w := range ws {
+			if curW = w; !w.done() && w.settle(invPhase, state.Step{From: cur}, w.im.state(id)) {
+				w.Result.Trace = g.Behavior(g.PathTo(id))
 			}
 		}
 	}
-	// Action boxes.
-	var res *SafetyResult
-	var evalErr error
-	// ForEachEdgeStep hands every edge as a GENUINE step of the system: on a
-	// symmetry-reduced graph the target id is a canonical representative, but
-	// real is the actual post-state of the step, so box evaluation (and any
-	// violating trace) never sees a representative-to-representative
+	// ForEachEdgeStep hands every edge as a GENUINE step of the system: on
+	// a symmetry-reduced graph the target id is a canonical representative,
+	// but real is the actual post-state of the step, so box evaluation (and
+	// any violating trace) never sees a representative-to-representative
 	// pseudo-step the system cannot take.
-	g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
-		if err := m.Tick(); err != nil {
-			evalErr = err
-			return false
-		}
-		st := state.Step{From: g.States[from], To: real}
-		cur = st.From
-		img, err := im.step(from, to, real)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		for i, sq := range boxes {
-			ok, err := sq.eval(st, img)
-			if err != nil {
-				evalErr = fmt.Errorf("box %s on step %s: %w", ob.boxes[i], st, err)
+	var tickErr error
+	if pending(ws, boxPhase) {
+		g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
+			if tickErr = m.Tick(); tickErr != nil {
 				return false
 			}
-			if !ok {
-				path := g.PathTo(from)
-				trace := append(g.Behavior(path), real)
-				res = &SafetyResult{
-					Violation: fmt.Sprintf("reachable step violates %s", ob.boxes[i]),
-					Trace:     trace,
+			st := state.Step{From: g.States[from], To: real}
+			cur = st.From
+			for _, w := range ws {
+				if curW = w; w.done() || len(w.preds[boxPhase]) == 0 {
+					continue
 				}
-				return false
+				if img, err := w.im.step(from, to, real); err != nil {
+					w.Err = err
+				} else if w.settle(boxPhase, st, img) {
+					w.Result.Trace = append(g.Behavior(g.PathTo(from)), real)
+				}
 			}
+			return pending(ws, boxPhase)
+		})
+	}
+	if tickErr != nil {
+		return nil, tickErr
+	}
+	for _, w := range ws {
+		if !w.done() {
+			w.Result = &SafetyResult{Holds: true}
 		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, nil, evalErr
 	}
-	if res != nil {
-		return done(res)
-	}
-	return done(&SafetyResult{Holds: true})
-}
-
-// Invariant checks □P for a single state predicate.
-func Invariant(g *ts.Graph, p form.Expr) (*SafetyResult, error) {
-	return Safety(g, form.AlwaysPred(p))
-}
-
-// squares returns the action [A]_v of each box □[A]_v.
-func squares(boxes []form.ActBoxF) []form.Expr {
-	out := make([]form.Expr, len(boxes))
-	for i, b := range boxes {
-		out[i] = form.Square(b.A, b.Sub)
-	}
-	return out
+	return ws, nil
 }
 
 // obligationPred is one predicate of a safety obligation: F̄'s, compiled
@@ -305,30 +361,10 @@ type imager struct {
 }
 
 // imagesOf returns the imager of g under mapping with every state's image
-// built. A non-nil cur records the state being mapped, for panic capture.
+// built; cur records the state being mapped, for panic capture.
 func imagesOf(g *ts.Graph, mapping map[string]form.Expr, cur **state.State) (*imager, error) {
-	im, err := newImager(g.States, mapping)
-	if err != nil {
-		return nil, err
-	}
-	m := g.Meter()
-	for id, s := range g.States {
-		if err := m.Tick(); err != nil {
-			return nil, err
-		}
-		if cur != nil {
-			*cur = s
-		}
-		if im.images[id], err = im.of(s); err != nil {
-			return nil, err
-		}
-	}
-	return im, nil
-}
-
-func newImager(states []*state.State, mapping map[string]form.Expr) (*imager, error) {
-	im := &imager{states: states, images: make([]*state.State, len(states))}
-	if len(states) == 0 {
+	im := &imager{states: g.States, images: make([]*state.State, len(g.States))}
+	if len(g.States) == 0 {
 		return im, nil
 	}
 	names := make([]string, 0, len(mapping))
@@ -339,11 +375,21 @@ func newImager(states []*state.State, mapping map[string]form.Expr) (*imager, er
 	for _, name := range names {
 		im.exprs = append(im.exprs, mapping[name])
 	}
-	x, err := state.NewExtension(states[0].Layout(), names, nil)
+	x, err := state.NewExtension(g.States[0].Layout(), names, nil)
 	if err != nil {
 		return nil, err
 	}
 	im.x, im.ups, im.layout = x, make([]state.PosUpdate, len(names)), x.Layout().Vars()
+	m := g.Meter()
+	for id, s := range g.States {
+		if err := m.Tick(); err != nil {
+			return nil, err
+		}
+		*cur = s
+		if im.images[id], err = im.of(s); err != nil {
+			return nil, err
+		}
+	}
 	return im, nil
 }
 

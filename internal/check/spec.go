@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"opentla/internal/engine"
 	"opentla/internal/form"
 	"opentla/internal/spec"
 	"opentla/internal/ts"
@@ -19,26 +18,6 @@ type SpecResult struct {
 // Holds reports whether both parts hold.
 func (r *SpecResult) Holds() bool {
 	return (r.Safety == nil || r.Safety.Holds) && (r.Liveness == nil || r.Liveness.Holds)
-}
-
-// Verdict maps the decided result onto the three-valued scale.
-func (r *SpecResult) Verdict() engine.Verdict {
-	if r.Holds() {
-		return engine.Holds
-	}
-	return engine.Violated
-}
-
-// Stats returns the latest meter snapshot among the parts (the meter is
-// cumulative, so the later part subsumes the earlier one).
-func (r *SpecResult) Stats() engine.RunStats {
-	if r.Liveness != nil {
-		return r.Liveness.Stats
-	}
-	if r.Safety != nil {
-		return r.Safety.Stats
-	}
-	return engine.RunStats{}
 }
 
 // String renders the result.
@@ -63,16 +42,16 @@ func (r *SpecResult) String() string {
 // graph's states under the mapping are built once, by the safety half, and
 // read by both halves.
 func Component(g *ts.Graph, target *spec.Component, mapping map[string]form.Expr) (*SpecResult, error) {
-	saf, im, err := safetyUnder(g, target.SafetyFormula(), mapping)
+	ws, err := SafetyAll(g, []Obligation{{F: target.SafetyFormula(), Mapping: mapping}})
+	if err == nil {
+		err = ws[0].Err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("component %s safety: %w", target.Name, err)
 	}
-	res := &SpecResult{Safety: saf}
-	if !saf.Holds {
-		return res, nil
-	}
-	if len(target.Fairness) > 0 {
-		live, err := liveness(g, target.FairnessFormula(), mapping, im)
+	res := &SpecResult{Safety: ws[0].Result}
+	if res.Safety.Holds && len(target.Fairness) > 0 {
+		live, err := ws[0].Liveness(g, target.FairnessFormula())
 		if err != nil {
 			return nil, fmt.Errorf("component %s liveness: %w", target.Name, err)
 		}

@@ -33,16 +33,6 @@ type AGResult struct {
 	// Counterexample is a fair lasso witnessing a liveness violation
 	// (E held forever but M's fairness failed), if any.
 	Counterexample *state.Lasso
-	// Stats snapshots the governing meter when the check completed.
-	Stats engine.RunStats
-}
-
-// Verdict maps the decided result onto the three-valued scale.
-func (r *AGResult) Verdict() engine.Verdict {
-	if r.Holds {
-		return engine.Holds
-	}
-	return engine.Violated
 }
 
 // String renders the result.
@@ -86,10 +76,6 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 		}
 		return fp, fmt.Sprintf("%s -+> %s", env.Name, sys.Name)
 	})
-	done := func(r *AGResult) (*AGResult, error) {
-		r.Stats = m.Stats()
-		return r, nil
-	}
 	envInit, envSquares := safetyParts(env, nil)
 	sysInit, sysSquares := safetyParts(sys, mapping)
 
@@ -108,10 +94,10 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 		s := prod.States[id]
 		cur = s
 		if !aliveM(s) {
-			return done(&AGResult{
+			return &AGResult{
 				Reason: "initial state violates the guarantee's initial predicate (n = 0 case of -+>)",
 				Trace:  state.Behavior{s},
-			})
+			}, nil
 		}
 	}
 
@@ -140,7 +126,7 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 		return nil, tickErr
 	}
 	if vio != nil {
-		return done(vio)
+		return vio, nil
 	}
 
 	// Liveness: E ⇒ M on behaviors whose safety parts hold forever. Search
@@ -160,13 +146,13 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 			return nil, err
 		}
 		if !live.Holds {
-			return done(&AGResult{
+			return &AGResult{
 				Reason:         fmt.Sprintf("assumption held forever but guarantee liveness failed: %s", live.Violated),
 				Counterexample: live.Counterexample,
-			})
+			}, nil
 		}
 	}
-	return done(&AGResult{Holds: true})
+	return &AGResult{Holds: true}, nil
 }
 
 // safetyParts extracts a component's initial predicate and per-step square

@@ -22,6 +22,12 @@ const (
 	maxUndetermined   = 1_000_000
 )
 
+// A SizeError is UpdatesFn's refusal of an action past one of its size
+// caps, maxUpdateBranches or maxUndetermined.
+type SizeError struct{ Reason string }
+
+func (e *SizeError) Error() string { return e.Reason }
+
 // maxIndexedTuples caps the free-variable domain product a branch's
 // inverse-image index (see eqIndex) may cover; a larger branch enumerates.
 const maxIndexedTuples = 1 << 16
@@ -111,12 +117,12 @@ func (c *Ctx) enabledBranches(a Expr, layout []string) ([]*enBranch, bool) {
 // Compilation fails when a mentions a variable outside the layout, when an
 // owned variable has no declared domain, or when the expansion or the
 // enumeration of undetermined owned variables is too large to be a
-// plausible finite-state action.
+// plausible finite-state action; the last two refusals are *SizeErrors.
 func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State, u *Updates) error, error) {
 	budget := maxUpdateBranches
 	flat, ok := expandBranches(flattenAnd(a, nil), nil, &budget, true)
 	if !ok {
-		return nil, fmt.Errorf("action expands into more than %d disjunctive branches", maxUpdateBranches)
+		return nil, &SizeError{fmt.Sprintf("action expands into more than %d disjunctive branches", maxUpdateBranches)}
 	}
 	comp := newCompiler(layout)
 	ownedSet := make(map[string]bool, len(owned))
@@ -138,7 +144,7 @@ func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State, u 
 		n := 1
 		for _, d := range b.freeDoms {
 			if n *= len(d); n > maxUndetermined {
-				return nil, fmt.Errorf("more than %d undetermined owned-variable assignments per state", maxUndetermined)
+				return nil, &SizeError{fmt.Sprintf("more than %d undetermined owned-variable assignments per state", maxUndetermined)}
 			}
 		}
 		branches[i] = b
