@@ -99,11 +99,17 @@ func loadTrace(path string) (*profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTrace(path, raw)
+}
+
+// parseTrace derives the profile of the trace raw, read from the file
+// named name. Malformed input is an error.
+func parseTrace(name string, raw []byte) (*profile, error) {
 	var wire struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &wire); err != nil {
-		return nil, fmt.Errorf("%s: not a trace JSON: %w", path, err)
+		return nil, fmt.Errorf("%s: not a trace JSON: %w", name, err)
 	}
 	return analyze(wire.TraceEvents)
 }
@@ -268,11 +274,18 @@ type reportMetrics struct {
 	hotShards    []string // shard labels of contended shards, most-contended first
 }
 
+// loadReport reads the metrics of a -report file.
 func loadReport(path string) (*reportMetrics, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseReport(path, raw)
+}
+
+// parseReport reads the metrics of the run report raw, read from the file
+// named name. Malformed input is an error.
+func parseReport(name string, raw []byte) (*reportMetrics, error) {
 	var wire struct {
 		SchemaVersion int `json:"schema_version"`
 		Metrics       []struct {
@@ -282,7 +295,7 @@ func loadReport(path string) (*reportMetrics, error) {
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(raw, &wire); err != nil {
-		return nil, fmt.Errorf("%s: not a run report: %w", path, err)
+		return nil, fmt.Errorf("%s: not a run report: %w", name, err)
 	}
 	rm := &reportMetrics{}
 	type shardCount struct {

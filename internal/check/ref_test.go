@@ -10,6 +10,7 @@ import (
 	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/ts"
+	"opentla/internal/value"
 )
 
 // SameAsReference fails t unless SafetyUnder and RefSafetyUnder agree on
@@ -233,4 +234,89 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 		return done(res)
 	}
 	return done(&SafetyResult{Holds: true})
+}
+
+// SameMasksAsReference fails t unless, for each WF/SF conjunct of f under
+// mapping, the ENABLED mask the liveness check reads equals on every graph
+// state the substituted mask it replaced, ENABLED of F̄'s ⟨A⟩_v: the same
+// verdict, or the same error text. It reports, per conjunct, whether the
+// mask was read on the images.
+func SameMasksAsReference(t *testing.T, g *ts.Graph, f form.Formula, mapping map[string]form.Expr) []bool {
+	t.Helper()
+	im, err := imagesOf(g, mapping, new(*state.State))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := g.States[0].Vars()
+	var sides []bool
+	for _, cj := range flattenConjuncts(f) {
+		rt, ok := cj.(form.FairF)
+		if !ok {
+			continue
+		}
+		st := rt.Subst(mapping).(form.FairF)
+		raw, angle := form.Angle(rt.A, rt.Sub), form.Angle(st.A, st.Sub)
+		got := enabledOf(g, angle, raw, im, layout)
+		want := g.Ctx.EnabledFn(angle, layout)
+		for id, s := range g.States {
+			ok, err := got(id)
+			wantOK, wantErr := want(s)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || ok != wantOK {
+				t.Fatalf("%s on %s: mask %v (error %v), substituted mask %v (error %v)", st, s, ok, err, wantOK, wantErr)
+			}
+		}
+		sides = append(sides, im.abstractSide(g, raw))
+	}
+	return sides
+}
+
+// SameImagesAsFresh fails t unless the images the checks read under
+// mapping, remembered per tuple of codes, equal a fresh evaluation of
+// every mapped value on every graph state and on every real successor of
+// every edge, where a state on which some mapped value fails has no
+// image. Each image is asked for twice, so the second answer comes from
+// the memo.
+func SameImagesAsFresh(t *testing.T, g *ts.Graph, mapping map[string]form.Expr) {
+	t.Helper()
+	im, err := imagesOf(g, mapping, new(*state.State))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(s *state.State) *state.State {
+		vals := make(map[string]value.Value, len(mapping))
+		for name, e := range mapping {
+			v, err := form.EvalState(e, s)
+			if err != nil {
+				return nil
+			}
+			vals[name] = v
+		}
+		return s.WithAll(vals)
+	}
+	same := func(what string, got, want *state.State) {
+		t.Helper()
+		if (got == nil) != (want == nil) || got != nil && !got.Equal(want) {
+			t.Fatalf("%s: image %v, fresh image %v", what, got, want)
+		}
+	}
+	for id, s := range g.States {
+		same(s.String(), im.images[id], fresh(s))
+		again, err := im.of(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(s.String()+" again", again, fresh(s))
+	}
+	g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
+		img, err := im.step(from, to, real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh(real)
+		if fresh(g.States[from]) == nil || want == nil {
+			want = nil
+		}
+		same(fmt.Sprintf("step %s -> %s", g.States[from], real), img.To, want)
+		return true
+	})
 }

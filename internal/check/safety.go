@@ -12,7 +12,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"opentla/internal/engine"
@@ -345,66 +344,6 @@ func (p obligationPred) eval(st, img state.Step) (bool, error) {
 		}
 	}
 	return p.concrete(st)
-}
-
-// imager holds the image of every graph state under a refinement mapping
-// (see SafetyUnder). A nil imager stands for no mapping: it has no images.
-// Images are the graph states widened by the mapped variables through one
-// state.Extension, so the image layout is known before any image is built.
-type imager struct {
-	states []*state.State
-	exprs  []form.Expr       // exprs[j]: the mapped value of extra variable j
-	x      *state.Extension  // graph layout → image layout; nil for an empty graph
-	ups    []state.PosUpdate // scratch for of
-	images []*state.State    // by state id; nil where the mapping fails
-	layout []string          // variables of every image
-}
-
-// imagesOf returns the imager of g under mapping with every state's image
-// built; cur records the state being mapped, for panic capture.
-func imagesOf(g *ts.Graph, mapping map[string]form.Expr, cur **state.State) (*imager, error) {
-	im := &imager{states: g.States, images: make([]*state.State, len(g.States))}
-	if len(g.States) == 0 {
-		return im, nil
-	}
-	names := make([]string, 0, len(mapping))
-	for name := range mapping {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		im.exprs = append(im.exprs, mapping[name])
-	}
-	x, err := state.NewExtension(g.States[0].Layout(), names, nil)
-	if err != nil {
-		return nil, err
-	}
-	im.x, im.ups, im.layout = x, make([]state.PosUpdate, len(names)), x.Layout().Vars()
-	m := g.Meter()
-	for id, s := range g.States {
-		if err := m.Tick(); err != nil {
-			return nil, err
-		}
-		*cur = s
-		if im.images[id], err = im.of(s); err != nil {
-			return nil, err
-		}
-	}
-	return im, nil
-}
-
-// of returns the image of s: s with every mapped variable bound to its
-// mapped value, or nil if one fails to evaluate on s. A state off the
-// graph's layout is an error.
-func (im *imager) of(s *state.State) (*state.State, error) {
-	for j, e := range im.exprs {
-		v, err := form.EvalState(e, s)
-		if err != nil {
-			return nil, nil
-		}
-		im.ups[j] = im.x.Update(j, v)
-	}
-	return im.x.Extend(s, im.ups)
 }
 
 // compile compiles the predicates shown of F̄ against layout and, under a

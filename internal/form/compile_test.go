@@ -312,3 +312,83 @@ func TestCompilePredQuantifierOverBudget(t *testing.T) {
 		}
 	}
 }
+
+// val decodes a value term over mappedLayout: variable reads, primed or
+// not, constants of several kinds, Fig. 9's mapped queue, sequence and
+// arithmetic operators that fail on some arguments, conditionals, tuples,
+// primes and the predicates of quantDecoder read as booleans.
+func (d *quantDecoder) val(depth int) Expr {
+	op := d.next(12)
+	if depth == 0 {
+		op %= 4
+	}
+	switch op {
+	case 0:
+		return Var(mappedLayout[d.next(len(mappedLayout))])
+	case 1:
+		return PrimedVar(mappedLayout[d.next(len(mappedLayout))])
+	case 2:
+		return Const([]value.Value{value.Int(0), value.Int(1), value.Empty, value.True, value.Str("a"), value.Tuple(value.Int(1))}[d.next(6)])
+	case 3:
+		return mappedQueue()
+	case 4:
+		return Concat(d.val(depth-1), d.val(depth-1))
+	case 5:
+		return []func(Expr) Expr{Head, Tail, Len}[d.next(3)](d.val(depth - 1))
+	case 6:
+		return []func(a, b Expr) Expr{Add, Sub, Mod}[d.next(3)](d.val(depth-1), d.val(depth-1))
+	case 7:
+		return If(d.pred(1, "x"), d.val(depth-1), d.val(depth-1))
+	case 8:
+		return TupleOf(d.val(depth-1), d.val(depth-1))
+	case 9:
+		return Prime(d.val(depth - 1))
+	case 10:
+		return AppendTo(d.val(depth-1), d.val(depth-1))
+	default:
+		return d.pred(depth-1, "x")
+	}
+}
+
+// FuzzCompileVal holds CompileVal to Expr.Eval on a decoded value term and
+// decoded steps over mappedLayout: the same value, or both fail with the
+// same error text. Every step is evaluated twice, so the second round
+// answers from the compiled memos; some steps bind b to a value whose code
+// no memo table can hold.
+func FuzzCompileVal(f *testing.F) {
+	for _, seed := range []string{"", "\x03", "\x04\x03\x01\x02", "\x07\x00\x00\x03\x05\x01", "\x0b\x06\x02\x05\x05", "\x05\x00\x02\x03\x09\x02\x02"} {
+		f.Add([]byte(seed))
+	}
+	domains := mappedDomains()
+	wide := wideBits()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := &quantDecoder{enabledDecoder{data: data}}
+		e := d.val(4)
+		var steps []state.Step
+		for n := d.next(6) + 1; n > 0; n-- {
+			st := state.Step{From: mappedState(domains, d.next)}
+			if i := d.next(len(wide) + 4); i < len(wide) {
+				st.From = st.From.With("b", wide[i])
+			}
+			if d.next(4) != 0 {
+				st.To = mappedState(domains, d.next)
+			}
+			steps = append(steps, st)
+		}
+		cv := CompileVal(e, mappedLayout)
+		for round := 0; round < 2; round++ {
+			for _, st := range steps {
+				want, wantErr := e.Eval(st, nil)
+				got, gotErr := cv(st)
+				switch {
+				case (gotErr == nil) != (wantErr == nil):
+					t.Fatalf("%s on %s: CompileVal error %v, Eval error %v", e, stepString(st), gotErr, wantErr)
+				case gotErr != nil && gotErr.Error() != wantErr.Error():
+					t.Fatalf("%s on %s: CompileVal error %q, Eval error %q", e, stepString(st), gotErr, wantErr)
+				case gotErr == nil && !got.Equal(want):
+					t.Fatalf("%s on %s: CompileVal %s, Eval %s", e, stepString(st), got, want)
+				}
+			}
+		}
+	})
+}

@@ -17,8 +17,8 @@ import (
 // on (EnableTelemetry); the report's metrics section, -metrics-out and
 // -trace are renderings of it.
 
-// Counters the explorer writes, in no particular order; counterInfo names
-// them for export.
+// Counters the explorer writes, in no particular order, then the two the
+// liveness checker writes; counterInfo names them for export.
 const (
 	cWorkerBusy = iota
 	cCanon
@@ -28,6 +28,8 @@ const (
 	cAcquisitions
 	cContended
 	cProbes
+	cMaskAbstract
+	cMaskSubstituted
 	numCounters
 )
 
@@ -40,6 +42,23 @@ var counterInfo = [numCounters]struct{ name, help string }{
 	cAcquisitions: {"opentla_store_lock_acquisitions_total", "store shard-lock acquisitions"},
 	cContended:    {"opentla_store_lock_contended_total", "store shard-lock acquisitions that had to block"},
 	cProbes:       {"opentla_store_collision_probes_total", "structural-equality probes inside store hash buckets"},
+
+	cMaskAbstract:    {"opentla_enabled_masks_abstract_total", "ENABLED masks of WF/SF targets under a refinement mapping evaluated on the states' images"},
+	cMaskSubstituted: {"opentla_enabled_masks_substituted_total", "ENABLED masks of WF/SF targets under a refinement mapping evaluated as the substituted action"},
+}
+
+// EnabledMask counts one ENABLED mask of a WF/SF target under a refinement
+// mapping, by the side it is read on: the images (abstract) or the
+// substituted action on the graph's states. No-op unless telemetry is on.
+func (r *Recorder) EnabledMask(abstract bool) {
+	if r == nil || !r.telemetry {
+		return
+	}
+	c := cMaskSubstituted
+	if abstract {
+		c = cMaskAbstract
+	}
+	r.counters[c].Add(1)
 }
 
 // Latency histograms: the barrier wait of each worker at each level, and
@@ -278,7 +297,8 @@ type Point struct {
 // or nil when telemetry is off. A series exists once its layer ran:
 // the exploration series after the first exploration, a cache histogram
 // after its first operation, the reduction counters once a reduced
-// exploration reported, hits and misses once nonzero.
+// exploration reported, the two ENABLED mask counters once a mapped WF/SF
+// target was checked, hits and misses once nonzero.
 //
 // Two series are views of the report's records rather than counters of
 // their own. opentla_cache_hits_total is the report's cache.hits.
@@ -315,7 +335,7 @@ func (r *Recorder) Points() []Point {
 		pts = append(pts, p)
 	}
 	if explored {
-		for i, c := range counterInfo {
+		for i, c := range counterInfo[:cMaskAbstract] {
 			counter(c.name, c.help, "", r.counters[i].Load())
 		}
 		for shard, n := range byShard {
@@ -336,6 +356,11 @@ func (r *Recorder) Points() []Point {
 	}
 	if misses := r.histograms[hCacheLoad].count.Load() - int64(cs.Hits); misses > 0 {
 		counter("opentla_cache_misses_total", "graph cache lookups that went to a cold build", "", misses)
+	}
+	if masks := r.counters[cMaskAbstract].Load() + r.counters[cMaskSubstituted].Load(); masks > 0 {
+		for _, i := range []int{cMaskAbstract, cMaskSubstituted} {
+			counter(counterInfo[i].name, counterInfo[i].help, "", r.counters[i].Load())
+		}
 	}
 	if rd != (ReductionStats{}) {
 		counter("opentla_reduce_full_states_total", "states expanded under reduction", "", rd.FullStates)

@@ -95,6 +95,15 @@ func (x *Extension) Update(j int, v value.Value) PosUpdate {
 	return PosUpdate{Pos: x.extra[j], Val: v}
 }
 
+// Resolve returns the update binding extra variable j to v with v's code
+// resolved now, so every Extend it is handed to copies the code instead of
+// interning v. A caller that remembers values across many states (an image
+// memo, say) resolves each once and keeps the update.
+func (x *Extension) Resolve(j int, v value.Value) PosUpdate {
+	p := x.extra[j]
+	return PosUpdate{Pos: p, Val: v, code: x.dst.dicts[p].intern(v)}
+}
+
 // Extend returns s widened by the extra variables, extra variable j bound
 // by ups[j], an update made by Update(j, ...). s must be a state over the
 // extension's source layout.

@@ -55,6 +55,11 @@ func TestExtensionMatchesWithAll(t *testing.T) {
 		for j, n := range extra {
 			v := pick(extraVals, j)
 			ups[j] = x.Update(j, v)
+			if j%2 == 1 {
+				if ups[j] = x.Resolve(j, v); ups[j].code == 0 {
+					return false
+				}
+			}
 			want[n] = v
 		}
 		wide, err := x.Extend(st, ups)
