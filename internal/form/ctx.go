@@ -229,9 +229,3 @@ func primedVarName(e Expr) (string, bool) {
 	}
 	return v.Name, true
 }
-
-// EnabledAngle reports whether ⟨A⟩_sub is enabled in s: some successor
-// makes A true and changes the state function sub.
-func (c *Ctx) EnabledAngle(a Expr, sub Expr, s *state.State) (bool, error) {
-	return c.Enabled(Angle(a, sub), s)
-}

@@ -28,10 +28,6 @@ type SizeError struct{ Reason string }
 
 func (e *SizeError) Error() string { return e.Reason }
 
-// maxIndexedTuples caps the free-variable domain product a branch's
-// inverse-image index (see eqIndex) may cover; a larger branch enumerates.
-const maxIndexedTuples = 1 << 16
-
 // EnabledFn compiles Enabled(a, ·) for states binding exactly the variables
 // of layout: the syntactic analysis Enabled repeats on every call —
 // conjunct flattening, disjunction distribution, guard/assignment
@@ -287,27 +283,6 @@ type enBranch struct {
 	rest     []enItem        // residual conjuncts (guard/gexpr fields), on ⟨s, cand⟩
 	freeW    []int           // written-update index of each enumerated variable
 	freeDoms [][]value.Value // their domains, aligned with freeW
-
-	index *eqIndex // inverse image of rest[0], nil if not indexable
-}
-
-// eqIndex is the inverse image of a branch's first residual conjunct L = R,
-// where L reads only enumerated variables, all primed, and R reads no
-// primed variable. Each free-variable tuple is named by its mixed-radix
-// ordinal — its position in the candidate enumeration — and the index maps
-// each value of L to the ascending ordinals of the tuples producing it. On
-// a state the branch then evaluates R once and visits only R's bucket: the
-// tuples outside it falsify L = R without error, so the enumeration would
-// reject them before reaching any later conjunct.
-type eqIndex struct {
-	rhs     valFn
-	rhsExpr Expr
-	buckets map[uint64][]eqBucket // by fingerprint of the L value
-}
-
-type eqBucket struct {
-	val  value.Value
-	ords []int32
 }
 
 // enScratch holds the per-call buffers a branch evaluation reuses.
@@ -413,125 +388,7 @@ func (c *Ctx) compileBranch(conjs []Expr, comp *compiler, owned map[string]bool)
 	for _, pos := range freePos {
 		b.freeW = append(b.freeW, windex[pos])
 	}
-	b.index = b.indexFirstResidual(comp)
 	return b
-}
-
-// indexFirstResidual builds the eqIndex of b's first residual conjunct. It
-// returns nil unless that conjunct is L = R (in either order) with R
-// primeless and L reading only enumerated variables, all primed; the
-// free-variable domain product is at most maxIndexedTuples; and L evaluates
-// without error on every tuple. The first residual is the only one
-// indexable: a tuple outside the bucket must be rejected before any other
-// residual conjunct could raise an error on it.
-func (b *enBranch) indexFirstResidual(comp *compiler) *eqIndex {
-	if len(b.rest) == 0 || b.domainErr != nil {
-		return nil
-	}
-	eq, ok := b.rest[0].gexpr.(CmpE)
-	if !ok || eq.Op != OpEq {
-		return nil
-	}
-	enumerated := make(map[int]bool, len(b.freeW))
-	for _, w := range b.freeW {
-		enumerated[b.writePos[w]] = true
-	}
-	readsOnlyEnumerated := func(e Expr) bool {
-		unprimed, primed := FreeVars(e)
-		if len(unprimed) > 0 {
-			return false
-		}
-		for _, v := range primed {
-			if pos, ok := comp.pos[v]; !ok || !enumerated[pos] {
-				return false
-			}
-		}
-		return true
-	}
-	lhs, rhs := eq.A, eq.B
-	if !readsOnlyEnumerated(lhs) {
-		lhs, rhs = rhs, lhs
-	}
-	if HasPrimes(rhs) || !readsOnlyEnumerated(lhs) {
-		return nil
-	}
-	n := 1
-	for _, d := range b.freeDoms {
-		if n *= len(d); n > maxIndexedTuples {
-			return nil
-		}
-	}
-	// L reads only the enumerated positions of the successor, so any values
-	// serve for the rest of the step.
-	names := make(map[string]value.Value, len(comp.pos))
-	for v := range comp.pos {
-		names[v] = value.Int(0)
-	}
-	base, scratch := state.New(names), state.New(nil)
-	ups := make([]state.PosUpdate, len(b.writePos))
-	for i, pos := range b.writePos {
-		ups[i] = state.PosUpdate{Pos: pos, Val: value.Int(0)}
-	}
-	lfn := comp.val(lhs, false)
-	ix := &eqIndex{rhs: comp.val(rhs, false), rhsExpr: rhs, buckets: make(map[uint64][]eqBucket)}
-	for ord := 0; ord < n; ord++ {
-		b.decode(ord, ups)
-		base.OverwriteInto(scratch, ups)
-		st := state.Step{From: base, To: scratch}
-		v, err := lfn(st)
-		if err != nil {
-			if v, err = lhs.Eval(st, nil); err != nil {
-				return nil
-			}
-		}
-		ix.add(v, int32(ord))
-	}
-	return ix
-}
-
-func (ix *eqIndex) add(v value.Value, ord int32) {
-	fp := v.Fingerprint()
-	bs := ix.buckets[fp]
-	for i := range bs {
-		if bs[i].val.Equal(v) {
-			bs[i].ords = append(bs[i].ords, ord)
-			return
-		}
-	}
-	ix.buckets[fp] = append(bs, eqBucket{val: v, ords: []int32{ord}})
-}
-
-// lookup evaluates R on st — compiled, then interpreted on failure, as for
-// determined assignments — and returns the ordinals of the tuples whose L
-// value equals it. It reports false when there is no index or R fails to
-// evaluate; the caller then enumerates, which surfaces the failure exactly
-// where it always has.
-func (ix *eqIndex) lookup(st state.Step) ([]int32, bool) {
-	if ix == nil {
-		return nil, false
-	}
-	v, err := ix.rhs(st)
-	if err != nil {
-		if v, err = ix.rhsExpr.Eval(st, nil); err != nil {
-			return nil, false
-		}
-	}
-	for _, bk := range ix.buckets[v.Fingerprint()] {
-		if bk.val.Equal(v) {
-			return bk.ords, true
-		}
-	}
-	return nil, true
-}
-
-// decode writes into ups the free-variable values of the tuple with
-// mixed-radix ordinal ord (last variable fastest).
-func (b *enBranch) decode(ord int, ups []state.PosUpdate) {
-	for i := len(b.freeW) - 1; i >= 0; i-- {
-		d := b.freeDoms[i]
-		ups[b.freeW[i]].Val = d[ord%len(d)]
-		ord /= len(d)
-	}
 }
 
 // each evaluates the branch on s and passes every satisfying candidate (the
@@ -541,12 +398,10 @@ func (b *enBranch) decode(ord int, ups []state.PosUpdate) {
 // Every step — guards, determined assignments, domain checks, candidate
 // enumeration — happens in the same order as enabledConj, with compiled
 // closures doing the evaluation and the interpreter re-deriving any
-// compiled failure; an eqIndex only skips candidates the enumeration would
-// reject at its first residual conjunct. Unless lenient, an interpreter
-// error is returned; when lenient it rejects the branch (guards,
-// assignments) or the candidate (residual conjuncts). Lenient evaluation
-// also supplies s as the successor of a primeless conjunct, for the primed
-// constants an ∃ expansion leaves.
+// compiled failure. Unless lenient, an interpreter error is returned; when
+// lenient it rejects the branch (guards, assignments) or the candidate
+// (residual conjuncts). Lenient evaluation also supplies s as the successor
+// of a primeless conjunct, for the primed constants an ∃ expansion leaves.
 func (b *enBranch) each(s *state.State, scr *enScratch, lenient bool, yield func([]state.PosUpdate) bool) (bool, error) {
 	st0 := state.Step{From: s}
 	if lenient {
@@ -593,18 +448,6 @@ func (b *enBranch) each(s *state.State, scr *enScratch, lenient bool, yield func
 	if b.domainErr != nil {
 		return false, b.domainErr
 	}
-	// With an index on the first residual L = R, only the tuples in R's
-	// bucket can satisfy the branch; they are visited in enumeration order
-	// and the conjunct they satisfy by construction is skipped.
-	if ords, ok := b.index.lookup(st0); ok {
-		for _, ord := range ords {
-			b.decode(int(ord), ups)
-			if stop, err := tryCandidate(s, scr, ups, b.rest[1:], lenient, yield); stop || err != nil {
-				return stop, err
-			}
-		}
-		return false, nil
-	}
 	// Candidate enumeration: mixed-radix over the free variables, last
 	// variable fastest, over a single scratch state — the compiled twin of
 	// enabledConj's positional loop.
@@ -617,8 +460,23 @@ func (b *enBranch) each(s *state.State, scr *enScratch, lenient bool, yield func
 		for i, w := range b.freeW {
 			ups[w].Val = b.freeDoms[i][idx[i]]
 		}
-		if stop, err := tryCandidate(s, scr, ups, b.rest, lenient, yield); stop || err != nil {
-			return stop, err
+		sat := true
+		if len(b.rest) > 0 {
+			s.OverwriteInto(&scr.state, ups)
+			st := state.Step{From: s, To: &scr.state}
+			for _, r := range b.rest {
+				ok, err := evalPred(r.guard, r.gexpr, st, lenient)
+				if err != nil {
+					return false, err
+				}
+				if !ok {
+					sat = false
+					break
+				}
+			}
+		}
+		if sat && !yield(ups) {
+			return true, nil
 		}
 		fi := len(idx) - 1
 		for fi >= 0 {
@@ -633,22 +491,6 @@ func (b *enBranch) each(s *state.State, scr *enScratch, lenient bool, yield func
 			return false, nil
 		}
 	}
-}
-
-// tryCandidate passes the candidate ups to yield if it satisfies the residual
-// conjuncts rest, and reports whether yield asked to stop.
-func tryCandidate(s *state.State, scr *enScratch, ups []state.PosUpdate, rest []enItem, lenient bool, yield func([]state.PosUpdate) bool) (bool, error) {
-	if len(rest) > 0 {
-		s.OverwriteInto(&scr.state, ups)
-		st := state.Step{From: s, To: &scr.state}
-		for _, r := range rest {
-			ok, err := evalPred(r.guard, r.gexpr, st, lenient)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-	}
-	return !yield(ups), nil
 }
 
 // evalPred runs a compiled predicate, re-deriving a compiled failure

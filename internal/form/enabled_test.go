@@ -138,8 +138,8 @@ func TestEnabledConflictingDeterminations(t *testing.T) {
 	}
 }
 
-// TestEnabledAngle checks EnabledAngle: an action may be enabled while
-// ⟨A⟩_v (requiring a change of v) is not.
+// TestEnabledAngle: an action may be enabled while ⟨A⟩_v (requiring a
+// change of v) is not.
 func TestEnabledAngle(t *testing.T) {
 	ctx := NewCtx(map[string][]value.Value{
 		"x": value.Ints(0, 1), "y": value.Ints(0, 1),
@@ -154,7 +154,7 @@ func TestEnabledAngle(t *testing.T) {
 	if !en {
 		t.Error("copy should be enabled")
 	}
-	enAngle, err := ctx.EnabledAngle(a, VarTuple("x"), s)
+	enAngle, err := ctx.Enabled(Angle(a, VarTuple("x")), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestEnabledAngle(t *testing.T) {
 		t.Error("⟨copy⟩_x should be disabled when x already equals y")
 	}
 	s2 := st("x", value.Int(0), "y", value.Int(1))
-	enAngle, err = ctx.EnabledAngle(a, VarTuple("x"), s2)
+	enAngle, err = ctx.Enabled(Angle(a, VarTuple("x")), s2)
 	if err != nil {
 		t.Fatal(err)
 	}

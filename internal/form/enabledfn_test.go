@@ -149,9 +149,9 @@ func sameEnabled(t *testing.T, ctx *Ctx, en func(*state.State) (bool, error), a 
 }
 
 // TestEnabledFnMatchesEnabled holds the compiled EnabledFn to the
-// interpreted Ctx.Enabled on random actions (randomAction, every state) and
-// on random mapped-equality actions (enabledDecoder, sampled states), and
-// pins which mapped shapes get an inverse-image index.
+// interpreted Ctx.Enabled on random actions (randomAction, every state), on
+// random mapped-equality actions (enabledDecoder, sampled states), and on
+// fixed mapped-equality shapes (every state).
 func TestEnabledFnMatchesEnabled(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	t.Run("random", func(t *testing.T) {
@@ -174,48 +174,33 @@ func TestEnabledFnMatchesEnabled(t *testing.T) {
 	ctx := NewCtx(domains)
 	t.Run("mapped", func(t *testing.T) {
 		data := make([]byte, 32)
-		indexed := 0
 		for i := 0; i < 400; i++ {
 			r.Read(data)
 			a := (&enabledDecoder{data: data}).action(3)
-			for _, ix := range ctx.IndexedBranches(a, mappedLayout) {
-				if ix {
-					indexed++
-				}
-			}
 			en := ctx.EnabledFn(a, mappedLayout)
 			for j := 0; j < 12; j++ {
 				sameEnabled(t, ctx, en, a, mappedState(domains, r.Intn))
 			}
 		}
-		if indexed == 0 {
-			t.Fatal("no random branch was indexed")
-		}
-		t.Logf("%d indexed branches", indexed)
 	})
 	angle := Ne(Prime(VarTuple(mappedLayout...)), VarTuple(mappedLayout...))
 	for _, tc := range []struct {
-		name    string
-		a       Expr
-		indexed bool
+		name string
+		a    Expr
 	}{
 		// Fig. 9's Enq̄ shape: the mapped equality, then the angle conjunct.
-		{"fig9-enq", And(Lt(Len(Var("q")), IntC(3)), Eq(Prime(mappedQueue()), AppendTo(Var("q"), Var("v"))), angle), true},
-		{"mapped-reversed", And(Eq(Var("q"), Prime(mappedQueue())), angle), true},
-		// Head(⟨⟩) fails, so L is partial and cannot be indexed.
-		{"partial-lhs", And(Eq(Prime(Head(Var("s1"))), Var("v")), angle), false},
-		// Tail(⟨⟩) fails on states with q empty, which fall back to the
-		// enumeration and report its error.
-		{"failing-rhs", And(Eq(Prime(mappedQueue()), Tail(Var("q"))), angle), true},
-		// Only the first residual conjunct is indexed.
-		{"second-residual", And(angle, Eq(Prime(mappedQueue()), Var("q"))), false},
+		{"fig9-enq", And(Lt(Len(Var("q")), IntC(3)), Eq(Prime(mappedQueue()), AppendTo(Var("q"), Var("v"))), angle)},
+		{"mapped-reversed", And(Eq(Var("q"), Prime(mappedQueue())), angle)},
+		// Head(⟨⟩) fails on candidates with s1' empty.
+		{"partial-lhs", And(Eq(Prime(Head(Var("s1"))), Var("v")), angle)},
+		// Tail(⟨⟩) fails on states with q empty.
+		{"failing-rhs", And(Eq(Prime(mappedQueue()), Tail(Var("q"))), angle)},
+		// The mapped equality after another residual conjunct.
+		{"second-residual", And(angle, Eq(Prime(mappedQueue()), Var("q")))},
 		// L reads an unprimed variable.
-		{"unprimed-lhs", And(Eq(Concat(PrimedVar("s1"), Var("s2")), Var("q")), angle), false},
+		{"unprimed-lhs", And(Eq(Concat(PrimedVar("s1"), Var("s2")), Var("q")), angle)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ctx.IndexedBranches(tc.a, mappedLayout); len(got) != 1 || got[0] != tc.indexed {
-				t.Fatalf("indexed branches %v, want [%v]", got, tc.indexed)
-			}
 			en := ctx.EnabledFn(tc.a, mappedLayout)
 			var n int
 			value.ForEachAssignment(mappedLayout, domains, func(asgn map[string]value.Value) bool {
@@ -243,11 +228,11 @@ func FuzzEnabledFn(f *testing.F) {
 	})
 }
 
-// TestUpdatesFnIndexedOrder: an indexed branch lists UpdatesFn's candidates
-// in enumeration order — that of a brute-force walk over the owned
+// TestUpdatesFnOrderMatchesBruteForce: on mapped-equality actions UpdatesFn
+// lists its candidates in the order of a brute-force walk over the owned
 // variables, last variable fastest, that skips every assignment on which
 // the action is false or fails to evaluate.
-func TestUpdatesFnIndexedOrder(t *testing.T) {
+func TestUpdatesFnOrderMatchesBruteForce(t *testing.T) {
 	domains := mappedDomains()
 	ctx := NewCtx(domains)
 	owned := []string{"b", "s1", "s2", "v"}
@@ -256,7 +241,7 @@ func TestUpdatesFnIndexedOrder(t *testing.T) {
 		And(Eq(Prime(mappedQueue()), AppendTo(Var("q"), Var("v"))), angle),
 		And(Eq(Var("q"), Prime(mappedQueue())), angle),
 		And(Eq(Prime(mappedQueue()), Tail(Var("q"))), angle),
-		// R reads a primed owned variable, so the conjunct is not indexed.
+		// R reads a primed owned variable.
 		And(Eq(Prime(mappedQueue()), Concat(PrimedVar("s1"), Var("q"))), angle),
 	} {
 		updates, err := ctx.UpdatesFn(a, mappedLayout, owned)

@@ -97,9 +97,6 @@ type PlusFm struct {
 	Sub Expr
 }
 
-// Plus returns E +sub.
-func Plus(e Formula, sub Expr) Formula { return PlusFm{E: e, Sub: sub} }
-
 // PlusVars returns E +⟨names…⟩.
 func PlusVars(e Formula, names ...string) Formula { return PlusFm{E: e, Sub: VarTuple(names...)} }
 

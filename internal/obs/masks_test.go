@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opentla/internal/obs"
+	"opentla/internal/queue"
 )
 
 // maskCounts returns the two ENABLED mask counters of a recorder's
@@ -25,13 +26,27 @@ func maskCounts(t *testing.T, rec *obs.Recorder) (abstract, substituted int64) {
 	return abstract, substituted
 }
 
-// TestEnabledMaskCounters: Fig. 9's one mapped fairness target, H2b's
-// WF(Enq ∨ Deq) under q̄, is read on the images, and both counters are in
-// the metrics. (check's TestEnabledMaskSides counts the truncated
-// mapping's substituted mask, which a theorem check never reaches: its
-// H2b safety fails first.)
+// TestEnabledMaskCounters: every theorem the CLIs check under a refinement
+// mapping — Fig. 9, unreduced and under symmetry, and the Corollary — has
+// one mapped fairness target, 2b's WF(Enq ∨ Deq) under q̄, and reads it on
+// the images, and both counters are in the metrics. (check's
+// TestEnabledMaskSides counts the truncated mapping's substituted mask,
+// which a theorem check never reaches: its H2b safety fails first.)
 func TestEnabledMaskCounters(t *testing.T) {
-	if a, s := maskCounts(t, fig9Run(t, "off", nil)); a != 1 || s != 0 {
-		t.Errorf("Fig. 9: %d abstract, %d substituted masks; want 1, 0", a, s)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) *obs.Recorder
+	}{
+		{"fig9/off", func(t *testing.T) *obs.Recorder { return fig9Run(t, "off", nil) }},
+		{"fig9/sym", func(t *testing.T) *obs.Recorder { return fig9Run(t, "sym", nil) }},
+		{"corollary", func(t *testing.T) *obs.Recorder {
+			return checkRun(t, "Corollary", queue.Config{N: 1, Vals: 2}.CorollaryTheorem())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if a, s := maskCounts(t, tc.run(t)); a != 1 || s != 0 {
+				t.Errorf("%d abstract, %d substituted masks; want 1, 0", a, s)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"opentla/internal/ag"
 	"opentla/internal/cache"
 	"opentla/internal/engine"
 	"opentla/internal/obs"
@@ -32,17 +33,24 @@ func fig9Run(t *testing.T, mode string, c ts.GraphCache) *obs.Recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := engine.NoLimit()
-	rec := obs.New(m)
-	rec.EnableTelemetry()
 	th := cfg.Fig9Theorem()
-	th.Workers = 1
 	th.Reduce = opts
 	th.Symmetry = cfg.DoubleSymmetry()
 	th.Cache = c
+	return checkRun(t, mode+": Fig. 9", th)
+}
+
+// checkRun checks th in process at one worker with telemetry on, failing t
+// unless it holds, and returns its recorder.
+func checkRun(t *testing.T, label string, th *ag.Theorem) *obs.Recorder {
+	t.Helper()
+	m := engine.NoLimit()
+	rec := obs.New(m)
+	rec.EnableTelemetry()
+	th.Workers = 1
 	rep, err := th.CheckWith(m)
 	if err != nil || rep.Verdict != engine.Holds {
-		t.Fatalf("%s: Fig. 9 check: verdict %v, err %v", mode, rep, err)
+		t.Fatalf("%s check: verdict %v, err %v", label, rep, err)
 	}
 	return rec
 }
