@@ -82,7 +82,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("server satisfies E -+> M: %v\n", res.Holds)
+	fmt.Printf("server satisfies E -+> M: %v\n", res.Holds())
 
 	// 2. Compose: client assumption met by a real client component, server
 	//    guarantee met by the server — conclude the complete system keeps

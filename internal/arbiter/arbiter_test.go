@@ -121,7 +121,7 @@ func TestArbiterSatisfiesAGSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Holds {
+	if !res.Holds() {
 		t.Fatalf("Clients -+> Arbiter should hold:\n%s", res)
 	}
 }
@@ -149,7 +149,7 @@ func TestGreedyArbiterViolatesAGSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Holds {
+	if res.Holds() {
 		t.Fatal("a greedy arbiter must violate its A/G specification")
 	}
 }

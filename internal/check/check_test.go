@@ -336,7 +336,7 @@ func TestWhilePlusOnGraphHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Holds {
+	if !res.Holds() {
 		t.Fatalf("E -+> M should hold for the copier:\n%s", res)
 	}
 }
@@ -366,10 +366,10 @@ func TestWhilePlusOnGraphFailsForEagerViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Holds {
+	if res.Holds() {
 		t.Fatal("E -+> M should fail when the system violates M first")
 	}
-	if res.Trace == nil {
+	if res.Safety.Trace == nil {
 		t.Fatal("expected a violation trace")
 	}
 }

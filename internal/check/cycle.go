@@ -114,7 +114,7 @@ func FindFairLasso(g *ts.Graph, q LassoQuery) (*LassoWitness, error) {
 	// Phase 3: prefix path from a start state to the cycle's first state.
 	path := g.PathBetween(q.StartIDs, cyc[0], func(id int) bool {
 		return q.PrefixState == nil || q.PrefixState(id)
-	})
+	}, nil)
 	if path == nil {
 		return nil, fmt.Errorf("internal: fair cycle found but unreachable from start set")
 	}
@@ -288,49 +288,9 @@ type cycleHit struct {
 // required state hit and traverses every required edge hit.
 func buildCycle(g *ts.Graph, comp []int, inComp map[int]bool, em EdgeMask, required []cycleHit) []int {
 	allowed := func(id int) bool { return inComp[id] }
-	pathIn := func(from, to int) []int {
-		if from == to {
-			return []int{from}
-		}
-		// BFS within the SCC respecting the edge mask.
-		prev := make(map[int]int, len(comp))
-		prev[from] = -1
-		queue := []int{from}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			var found []int
-			g.ForEachSucc(u, func(v int) bool {
-				if !allowed(v) {
-					return true
-				}
-				if em != nil && !em(u, v) {
-					return true
-				}
-				if _, seen := prev[v]; seen {
-					return true
-				}
-				prev[v] = u
-				if v == to {
-					var path []int
-					for x := v; x != -1; x = prev[x] {
-						path = append(path, x)
-					}
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					found = path
-					return false
-				}
-				queue = append(queue, v)
-				return true
-			})
-			if found != nil {
-				return found
-			}
-		}
-		return nil // unreachable: SCC is strongly connected under the mask
-	}
+	// The SCC is strongly connected under the edge mask, so every path
+	// asked for exists.
+	pathIn := func(from, to int) []int { return g.PathBetween([]int{from}, to, allowed, em) }
 
 	start := comp[0]
 	if len(required) > 0 {

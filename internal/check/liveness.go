@@ -201,7 +201,13 @@ func Liveness(g *ts.Graph, target form.Formula, mapping map[string]form.Expr) (*
 // Liveness checks target under the walked obligation's mapping, as
 // Liveness does, reading the images the walk built; a Walked with no
 // images builds them if a WF/SF target needs them.
-func (w *Walked) Liveness(g *ts.Graph, target form.Formula) (result *LivenessResult, err error) {
+func (w *Walked) Liveness(g *ts.Graph, target form.Formula) (*LivenessResult, error) {
+	return w.liveness(g, target, nil)
+}
+
+// liveness is Liveness where a counterexample's cycle must also satisfy
+// the acceptance conditions extra.
+func (w *Walked) liveness(g *ts.Graph, target form.Formula, extra []CycleCond) (result *LivenessResult, err error) {
 	mapping := w.Mapping
 	shown := target
 	if mapping != nil {
@@ -223,6 +229,7 @@ func (w *Walked) Liveness(g *ts.Graph, target form.Formula) (result *LivenessRes
 		raws = flattenConjuncts(target)
 	}
 	fair, ferr := FairnessConds(g)
+	fair = append(fair, extra...)
 	for i, cj := range conjuncts {
 		curTarget = cj
 		var raw form.Expr
@@ -317,7 +324,7 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, r
 			}
 		}
 	case form.FairF:
-		return checkFairTarget(g, fair, t, nil, raw, im)
+		return checkFairTarget(g, fair, t, raw, im)
 	}
 	return nil, fmt.Errorf("liveness: unsupported target conjunct %s", target)
 }
@@ -390,24 +397,18 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*
 //	SF_v(A) violated ⟺ fair cycle with some state enabling ⟨A⟩_v and no
 //	                    ⟨A⟩_v edge.
 //
-// A non-nil restrict confines the lasso's prefix and cycle to its states.
 // raw and im, when t is substituted from a refinement mapping, are as for
 // angleMasks.
-func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, restrict StateMask, raw form.Expr, im *imager) (*LivenessResult, error) {
+func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, raw form.Expr, im *imager) (*LivenessResult, error) {
 	var takenErr error
 	enabled, enErr, taken := angleMasks(g, t.A, t.Sub, raw, im, &takenErr)
 	q := LassoQuery{
-		StartIDs:    g.Inits,
-		PrefixState: restrict,
-		CycleState:  restrict,
-		CycleEdge:   func(from, to int) bool { return !taken(from, to) },
-		Conds:       fair,
+		StartIDs:  g.Inits,
+		CycleEdge: func(from, to int) bool { return !taken(from, to) },
+		Conds:     fair,
 	}
 	if t.Kind == form.Weak {
 		q.CycleState = enabled
-		if restrict != nil {
-			q.CycleState = func(id int) bool { return restrict(id) && enabled(id) }
-		}
 	} else {
 		q.Conds = append(append([]CycleCond(nil), fair...), CycleCond{
 			Name:     "hits enabled state",

@@ -42,6 +42,12 @@ func (r *SpecResult) String() string {
 // graph's states under the mapping are built once, by the safety half, and
 // read by both halves.
 func Component(g *ts.Graph, target *spec.Component, mapping map[string]form.Expr) (*SpecResult, error) {
+	return component(g, target, mapping, nil)
+}
+
+// component is Component where a liveness counterexample's cycle must also
+// satisfy the acceptance conditions extra.
+func component(g *ts.Graph, target *spec.Component, mapping map[string]form.Expr, extra []CycleCond) (*SpecResult, error) {
 	ws, err := SafetyAll(g, []Obligation{{F: target.SafetyFormula(), Mapping: mapping}})
 	if err == nil {
 		err = ws[0].Err
@@ -51,7 +57,7 @@ func Component(g *ts.Graph, target *spec.Component, mapping map[string]form.Expr
 	}
 	res := &SpecResult{Safety: ws[0].Result}
 	if res.Safety.Holds && len(target.Fairness) > 0 {
-		live, err := ws[0].Liveness(g, target.FairnessFormula())
+		live, err := ws[0].liveness(g, target.FairnessFormula(), extra)
 		if err != nil {
 			return nil, fmt.Errorf("component %s liveness: %w", target.Name, err)
 		}

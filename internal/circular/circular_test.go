@@ -124,7 +124,7 @@ func TestCopyProcessGuaranteesAG(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WhilePlus: %v", err)
 	}
-	if !res.Holds {
+	if !res.Holds() {
 		t.Fatalf("Πc should satisfy M⁰d -+> M⁰c:\n%s", res)
 	}
 }

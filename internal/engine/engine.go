@@ -455,7 +455,8 @@ func (e *EngineError) Error() string {
 //
 // where the diag callback reports the key of the state and the formula
 // under examination when the panic fired (either may be empty; diag may be
-// nil).
+// nil). A panic inside diag itself is recovered too: the error then keeps
+// the op and the original panic value, with no state or formula.
 func Capture(err *error, op string, diag func() (state, formula string)) {
 	r := recover()
 	if r == nil {
@@ -463,7 +464,10 @@ func Capture(err *error, op string, diag func() (state, formula string)) {
 	}
 	st, f := "", ""
 	if diag != nil {
-		st, f = diag()
+		func() {
+			defer func() { _ = recover() }() // a diag that panics leaves the context empty
+			st, f = diag()
+		}()
 	}
 	*err = &EngineError{
 		Op:       op,

@@ -146,6 +146,23 @@ func TestCaptureConvertsPanic(t *testing.T) {
 	}
 }
 
+// TestCapturePanickingDiag: a diag that panics while the first panic is
+// being recovered must not escape; the error keeps the op and the first
+// panic value, with empty context.
+func TestCapturePanickingDiag(t *testing.T) {
+	boom := func() (err error) {
+		defer Capture(&err, "test.Op", func() (string, string) { panic("diag broken") })
+		panic("invariant broken")
+	}
+	var ee *EngineError
+	if err := boom(); !errors.As(err, &ee) {
+		t.Fatalf("expected *EngineError, got %T: %v", err, err)
+	}
+	if ee.Op != "test.Op" || ee.PanicVal != "invariant broken" || ee.State != "" || ee.Formula != "" {
+		t.Errorf("fields = %+v", ee)
+	}
+}
+
 func TestCaptureNoPanicLeavesErrAlone(t *testing.T) {
 	fine := func() (err error) {
 		defer Capture(&err, "test.Op", nil)

@@ -222,7 +222,7 @@ func TestWhilePlusCatchesEagerViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Holds {
+	if res.Holds() {
 		t.Fatal("QE -+> QM must fail for the eager acker")
 	}
 }
@@ -248,7 +248,7 @@ func TestWhilePlusHoldsForRealQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Holds {
+	if !res.Holds() {
 		t.Fatalf("QE -+> QM should hold for the real queue:\n%s", res)
 	}
 }

@@ -141,7 +141,7 @@ func TestReceiverAGSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Holds {
+	if !res.Holds() {
 		t.Fatalf("SerialEnv -+> WideSpec should hold for the receiver:\n%s", res)
 	}
 }

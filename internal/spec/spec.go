@@ -91,7 +91,16 @@ func (c *Component) Box() form.Formula { return form.ActBox(c.Next(), c.SubTuple
 // SafetyFormula returns the safety part Init ∧ □[N]_⟨m,x⟩ with internal
 // variables visible. By Proposition 1 this is the closure of InnerFormula.
 func (c *Component) SafetyFormula() form.Formula {
-	return form.AndF(form.Pred(c.Init), c.Box())
+	return form.AndF(c.safetyConjuncts()...)
+}
+
+// safetyConjuncts returns Init and □[N]_⟨m,x⟩, leaving out a nil Init,
+// which means TRUE.
+func (c *Component) safetyConjuncts() []form.Formula {
+	if c.Init == nil {
+		return []form.Formula{c.Box()}
+	}
+	return []form.Formula{form.Pred(c.Init), c.Box()}
 }
 
 // FairnessFormula returns the liveness part L (TRUE if no fairness).
@@ -117,7 +126,7 @@ func (c *Component) InnerFormula() form.Formula {
 	if len(c.Fairness) == 0 {
 		return c.SafetyFormula()
 	}
-	return form.AndF(form.Pred(c.Init), c.Box(), c.FairnessFormula())
+	return form.AndF(append(c.safetyConjuncts(), c.FairnessFormula())...)
 }
 
 // Formula returns the full canonical specification ∃x : Init ∧ □[N]_v ∧ L.

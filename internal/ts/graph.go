@@ -323,13 +323,15 @@ func (g *Graph) ForEachEdge(f func(from, to int) bool) {
 // PathTo returns state IDs of a shortest path from an initial state to
 // target (inclusive), or nil if unreachable.
 func (g *Graph) PathTo(target int) []int {
-	return g.PathBetween(g.Inits, target, nil)
+	return g.PathBetween(g.Inits, target, nil, nil)
 }
 
 // PathBetween returns a shortest path from any state in from to target,
-// restricted to states allowed by the filter (nil allows all). The path
-// includes both endpoints; it is nil if no path exists.
-func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool) []int {
+// restricted to the states and edges the filters allow (nil allows all).
+// The path includes both endpoints; it is nil if no path exists. Among
+// shortest paths it returns the one breadth-first search finds when it
+// visits successors in ForEachSucc order.
+func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool, edge func(from, to int) bool) []int {
 	prev := make([]int, len(g.States))
 	for i := range prev {
 		prev[i] = -2 // unvisited
@@ -361,7 +363,7 @@ func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool) []in
 			if prev[v] != -2 {
 				return true
 			}
-			if allowed != nil && !allowed(v) {
+			if allowed != nil && !allowed(v) || edge != nil && !edge(u, v) {
 				return true
 			}
 			prev[v] = u

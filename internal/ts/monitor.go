@@ -23,8 +23,8 @@ type Monitor struct {
 	// context's domains).
 	Domain []value.Value
 	// Desc is a canonical description of the monitor's semantics, used to
-	// content-address monitor products in the graph cache. Constructors
-	// (SafetyMonitor, PlusMonitor) fill it from their defining formulas; a
+	// content-address monitor products in the graph cache. PlusMonitor
+	// fills it from its defining formulas; a
 	// hand-rolled monitor may leave it empty, which disables caching for any
 	// product it participates in (opaque callbacks cannot be fingerprinted).
 	Desc string
@@ -42,7 +42,6 @@ type Monitor struct {
 // The results of the constructor-built monitors, shared by every call (see
 // Monitor: results are read-only).
 var (
-	onlyTrue    = []value.Value{value.True}
 	onlyFalse   = []value.Value{value.False}
 	trueOrFalse = []value.Value{value.True, value.False}
 )
@@ -281,15 +280,12 @@ func (c *combos) each(base *state.State, emit func(*state.State) error) error {
 	}
 }
 
-// monitorDesc renders the canonical description of a constructor-built
-// monitor from its defining formulas, so equal semantics yield equal cache
-// keys regardless of how the closures were assembled. A safety monitor's
-// description ends in ", strict" so that the keys of cached products built
-// with it stay valid.
-func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr) string {
+// monitorDesc renders the canonical description of a +v monitor from its
+// defining formulas, so equal semantics yield equal cache keys regardless
+// of how the closures were assembled.
+func monitorDesc(init form.Expr, squares []form.Expr, v form.Expr) string {
 	var sb strings.Builder
-	sb.WriteString(kind)
-	sb.WriteString("-monitor(init=")
+	sb.WriteString("plus-monitor(init=")
 	writeExpr(&sb, init)
 	sb.WriteString(", squares=[")
 	for i, sq := range squares {
@@ -298,44 +294,19 @@ func monitorDesc(kind string, init form.Expr, squares []form.Expr, v form.Expr) 
 		}
 		writeExpr(&sb, sq)
 	}
-	sb.WriteString("]")
-	if v != nil {
-		sb.WriteString(", v=")
-		writeExpr(&sb, v)
-	}
-	if kind == "safety" {
-		sb.WriteString(", strict")
-	}
+	sb.WriteString("], v=")
+	writeExpr(&sb, v)
 	sb.WriteString(")")
 	return sb.String()
 }
 
-// SafetyMonitor builds a two-state monitor tracking whether the safety
-// formula with initial predicate init and step actions squares (each
-// already in [A]_v form) has held so far: the monitor value is TRUE while
-// the prefix satisfies the formula and FALSE forever after. The monitor is
-// deterministic: it dies exactly when the formula is violated, never
-// early — the semantics for tracking closure death indices. (PlusMonitor is
-// the one that may die early.)
-func SafetyMonitor(varName string, init form.Expr, squares []form.Expr) *Monitor {
-	return aliveMonitor(varName, init, squares, nil)
-}
-
 // PlusMonitor builds the monitor for C(E) +v (§4.1): while TRUE, the
-// E-safety conjuncts must hold on every step; the monitor may drop to FALSE
-// at any time (or start FALSE), after which the state function v must never
-// change. Edges violating the frozen-v requirement in the FALSE state are
-// pruned from the product.
+// E-safety conjuncts (initial predicate init, nil for TRUE, and step
+// actions squares, each already in [A]_w form) must hold on every step;
+// the monitor may drop to FALSE at any time (or start FALSE), after which
+// the state function v must never change. Edges violating the frozen-v
+// requirement in the FALSE state are pruned from the product.
 func PlusMonitor(varName string, init form.Expr, squares []form.Expr, v form.Expr) *Monitor {
-	return aliveMonitor(varName, init, squares, v)
-}
-
-// aliveMonitor is the body of both monitors: its value may be TRUE only
-// while init and every square have held. With v nil it is SafetyMonitor,
-// which dies exactly at the first violation; with v it is PlusMonitor,
-// which may also start dead or die on any step, and whose dead state
-// admits only the steps that leave v unchanged.
-func aliveMonitor(varName string, init form.Expr, squares []form.Expr, v form.Expr) *Monitor {
 	// The squares are evaluated once per product edge per monitor value;
 	// lazily compiled predicates (layout learned from the first step) keep
 	// that hot path positional and allocation-free.
@@ -347,16 +318,11 @@ func aliveMonitor(varName string, init form.Expr, squares []form.Expr, v form.Ex
 	if init != nil {
 		initPred = form.LazyPred(init)
 	}
-	kind, alive, unchanged := "safety", onlyTrue, form.CompiledPred(nil)
-	if v != nil {
-		// Stay alive, or die with freezing starting at the next state (the
-		// dying step itself may change v); at an initial state, n = 0.
-		kind, alive, unchanged = "plus", trueOrFalse, form.LazyPred(form.UnchangedExpr(v))
-	}
+	unchanged := form.LazyPred(form.UnchangedExpr(v))
 	return &Monitor{
 		Var:    varName,
 		Domain: value.Bools(),
-		Desc:   monitorDesc(kind, init, squares, v),
+		Desc:   monitorDesc(init, squares, v),
 		Init: func(s *state.State) ([]value.Value, error) {
 			if initPred != nil {
 				ok, err := initPred(state.Step{From: s})
@@ -367,13 +333,11 @@ func aliveMonitor(varName string, init form.Expr, squares []form.Expr, v form.Ex
 					return onlyFalse, nil
 				}
 			}
-			return alive, nil
+			// At an initial state, n = 0: the monitor may start dead.
+			return trueOrFalse, nil
 		},
 		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
 			if live, _ := cur.AsBool(); !live {
-				if unchanged == nil {
-					return onlyFalse, nil
-				}
 				frozen, err := unchanged(st)
 				if err != nil || !frozen {
 					return nil, err // v changed after freezing: edge disallowed
@@ -389,7 +353,9 @@ func aliveMonitor(varName string, init form.Expr, squares []form.Expr, v form.Ex
 					return onlyFalse, nil // violated: dead (freezing starts at the target)
 				}
 			}
-			return alive, nil
+			// Stay alive, or die with freezing starting at the next state
+			// (the dying step itself may change v).
+			return trueOrFalse, nil
 		},
 	}
 }

@@ -82,10 +82,10 @@ func TestParallelBuildDeterministic(t *testing.T) {
 // identical at every worker count.
 func TestParallelProductDeterministic(t *testing.T) {
 	mon := func() *Monitor {
-		// Tracks whether x has stayed below 3 so far.
+		// May stay alive while x stays below 3; once dead, x and y freeze.
 		below := form.Lt(form.PrimedVar("x"), form.IntC(3))
-		return SafetyMonitor("ok", form.Lt(form.Var("x"), form.IntC(3)),
-			[]form.Expr{form.Square(below, form.Var("x"))})
+		return PlusMonitor("ok", form.Lt(form.Var("x"), form.IntC(3)),
+			[]form.Expr{form.Square(below, form.Var("x"))}, form.VarTuple("x", "y"))
 	}
 	build := func(workers int) *Graph {
 		sys := pairSystem(4)

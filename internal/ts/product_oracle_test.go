@@ -19,6 +19,7 @@ import (
 	"opentla/internal/state"
 	"opentla/internal/store"
 	"opentla/internal/ts"
+	"opentla/internal/value"
 )
 
 // guaranteesOnly returns the system ⋀C(M_j) of th with the environment
@@ -34,12 +35,38 @@ func guaranteesOnly(th *ag.Theorem) *ts.System {
 	return sys
 }
 
+// deterministicMonitor returns a monitor that allows one value per state
+// and step: TRUE while init and squares have held, FALSE forever after.
+func deterministicMonitor(varName string, init form.Expr, squares []form.Expr) *ts.Monitor {
+	one := func(ok bool) []value.Value { return []value.Value{value.Bool(ok)} }
+	return &ts.Monitor{
+		Var:    varName,
+		Domain: value.Bools(),
+		Init: func(s *state.State) ([]value.Value, error) {
+			ok, err := form.EvalStateBool(init, s)
+			return one(ok), err
+		},
+		Step: func(st state.Step, cur value.Value) ([]value.Value, error) {
+			if live, _ := cur.AsBool(); !live {
+				return one(false), nil
+			}
+			for _, sq := range squares {
+				if ok, err := form.EvalBool(sq, st, nil); err != nil || !ok {
+					return one(false), err
+				}
+			}
+			return one(true), nil
+		},
+	}
+}
+
 // TestProductMatchesReference holds the positional monitor product to the
 // map-based product it replaced (ts.RefProduct) on the products the checks
 // build over Fig. 9's guarantees-only graph: the +v product of H2a-B, the
-// two-monitor product of check.WhilePlus (safety monitors for C(E) and for
-// C(M) under the refinement mapping), and a product of two +v monitors
-// that each allow two values. Each is built unreduced
+// +v product with every variable frozen that check.WhilePlus builds, a
+// product of two deterministic monitors (for C(E) and for C(M) under the
+// refinement mapping) that each allow one value, and a product of two +v
+// monitors that each allow two values. Each is built unreduced
 // and under symmetry, for K = 2 and 3, by 1 and 4 workers, and must equal
 // the reference in states, fingerprints, initial ids, CSR adjacency and
 // real successors.
@@ -50,6 +77,7 @@ func TestProductMatchesReference(t *testing.T) {
 		env, target, mapping := th.Concl.Env, th.Concl.Sys, th.Concl.Mapping
 		envInit, envSquares := env.Init, []form.Expr{env.SquareExpr()}
 		sysInit, sysSquares := target.Init.Subst(mapping), []form.Expr{target.SquareExpr().Subst(mapping)}
+		allVars := form.VarTuple(guaranteesOnly(th).Vars()...)
 		products := []struct {
 			name string
 			mons func() []*ts.Monitor
@@ -58,14 +86,17 @@ func TestProductMatchesReference(t *testing.T) {
 				return []*ts.Monitor{ts.PlusMonitor("$plusAlive", envInit, envSquares, th.Concl.PlusSub)}
 			}},
 			{"while-plus", func() []*ts.Monitor {
+				return []*ts.Monitor{ts.PlusMonitor("$plusAlive", envInit, envSquares, allVars)}
+			}},
+			{"two-deterministic", func() []*ts.Monitor {
 				return []*ts.Monitor{
-					ts.SafetyMonitor("$envAlive", envInit, envSquares),
-					ts.SafetyMonitor("$sysAlive", sysInit, sysSquares),
+					deterministicMonitor("$envAlive", envInit, envSquares),
+					deterministicMonitor("$sysAlive", sysInit, sysSquares),
 				}
 			}},
-			// Safety monitors allow one value per step; two +v monitors
-			// on distinct variables may each die early, so each allows
-			// two and the combination order shows.
+			// Deterministic monitors allow one value per step; two +v
+			// monitors on distinct variables may each die early, so each
+			// allows two and the combination order shows.
 			{"two-nondeterministic", func() []*ts.Monitor {
 				return []*ts.Monitor{
 					ts.PlusMonitor("$plusAlive", envInit, envSquares, th.Concl.PlusSub),

@@ -327,8 +327,8 @@ func TestResumeWithCorruptCheckpointColdBuilds(t *testing.T) {
 func TestProductWarmHit(t *testing.T) {
 	mon := func() *Monitor {
 		below := form.Lt(form.PrimedVar("x"), form.IntC(3))
-		return SafetyMonitor("ok", form.Lt(form.Var("x"), form.IntC(3)),
-			[]form.Expr{form.Square(below, form.Var("x"))})
+		return PlusMonitor("ok", form.Lt(form.Var("x"), form.IntC(3)),
+			[]form.Expr{form.Square(below, form.Var("x"))}, form.VarTuple("x", "y"))
 	}
 	c := newMemCache()
 	build := func() *Graph {

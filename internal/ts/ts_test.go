@@ -191,34 +191,6 @@ func TestSCCs(t *testing.T) {
 	}
 }
 
-func TestMonitorProductSafety(t *testing.T) {
-	// Monitor "x stayed below 2".
-	g, err := counterSystem(3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := SafetyMonitor("$ok", form.TrueE, []form.Expr{form.Lt(form.PrimedVar("x"), form.IntC(2))})
-	prod, err := Product(g, []*Monitor{mon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The product distinguishes x=2 reached (monitor dead) and beyond.
-	deadSeen := false
-	for _, s := range prod.States {
-		alive, _ := s.MustGet("$ok").AsBool()
-		x, _ := s.MustGet("x").AsInt()
-		if x >= 2 && alive {
-			t.Errorf("monitor should be dead at x=%d: %s", x, s)
-		}
-		if !alive {
-			deadSeen = true
-		}
-	}
-	if !deadSeen {
-		t.Error("monitor death never observed")
-	}
-}
-
 func TestPlusMonitorFreezesSubscript(t *testing.T) {
 	g, err := counterSystem(3).Build()
 	if err != nil {
