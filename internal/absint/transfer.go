@@ -22,7 +22,7 @@ type stepInfo struct {
 func analyzeAction(def form.Expr, pre env, declared func(string) *Dom) stepInfo {
 	st := stepInfo{pre: pre.clone(), writes: map[string]*Dom{}, enabled: True}
 	var primed []form.Expr
-	for _, c := range flattenAnd(def) {
+	for _, c := range form.FlattenAnd(def, nil) {
 		if len(form.PrimedVars(c)) == 0 {
 			st.enabled = triAnd(st.enabled, refineGuard(c, st.pre))
 		} else {
@@ -51,11 +51,9 @@ func (st *stepInfo) applyPrimed(c form.Expr, declared func(string) *Dom) {
 		}
 		return
 	case form.CmpE:
-		if x.Op == form.OpEq {
-			if name, rhs, ok := assignment(x); ok {
-				st.mergeWrite(name, absEval(rhs, st.pre))
-				return
-			}
+		if name, rhs, ok := form.Assignment(x); ok {
+			st.mergeWrite(name, absEval(rhs, st.pre))
+			return
 		}
 	case form.OrE:
 		// Analyze each disjunct as a sub-action and join: a variable not
@@ -119,35 +117,6 @@ func (st *stepInfo) mergeWrite(name string, d *Dom) {
 		return
 	}
 	st.writes[name] = d
-}
-
-// assignment matches x' = rhs (either operand order) with a prime-free
-// right-hand side.
-func assignment(x form.CmpE) (name string, rhs form.Expr, ok bool) {
-	if p, isP := x.A.(form.PrimeE); isP {
-		if v, isV := p.X.(form.VarE); isV && len(form.PrimedVars(x.B)) == 0 {
-			return v.Name, x.B, true
-		}
-	}
-	if p, isP := x.B.(form.PrimeE); isP {
-		if v, isV := p.X.(form.VarE); isV && len(form.PrimedVars(x.A)) == 0 {
-			return v.Name, x.A, true
-		}
-	}
-	return "", nil, false
-}
-
-// flattenAnd returns the conjunct list of e, recursively flattening
-// nested conjunctions.
-func flattenAnd(e form.Expr) []form.Expr {
-	if a, ok := e.(form.AndE); ok {
-		var out []form.Expr
-		for _, c := range a.Xs {
-			out = append(out, flattenAnd(c)...)
-		}
-		return out
-	}
-	return []form.Expr{e}
 }
 
 // refineGuard narrows the domains in en using a prime-free guard and

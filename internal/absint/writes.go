@@ -44,7 +44,7 @@ func collectWrites(e form.Expr, out map[string]bool) {
 			out[v] = true
 		}
 	case form.CmpE:
-		if x.Op == form.OpEq && IsStutterEq(x) {
+		if x.Op == form.OpEq && form.StutterEq(x) {
 			return
 		}
 		for _, v := range form.PrimedVars(x) {
@@ -58,19 +58,6 @@ func collectWrites(e form.Expr, out map[string]bool) {
 			out[v] = true
 		}
 	}
-}
-
-// IsStutterEq reports whether the equality has the shape f' = f (either
-// operand order) for some state function f — i.e. it keeps f unchanged
-// rather than writing it.
-func IsStutterEq(x form.CmpE) bool {
-	if p, ok := x.A.(form.PrimeE); ok && p.X.String() == x.B.String() {
-		return true
-	}
-	if p, ok := x.B.(form.PrimeE); ok && p.X.String() == x.A.String() {
-		return true
-	}
-	return false
 }
 
 // Reads returns the unprimed state variables the expression depends on,

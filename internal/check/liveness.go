@@ -7,6 +7,7 @@ import (
 	"opentla/internal/engine"
 	"opentla/internal/form"
 	"opentla/internal/obs"
+	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/ts"
 )
@@ -138,15 +139,22 @@ func FairnessConds(g *ts.Graph) ([]CycleCond, *error) {
 	var conds []CycleCond
 	errs := new(error)
 	for _, c := range g.Sys.Components {
-		for _, fc := range c.Fairness {
-			sub := fc.Sub
-			if sub == nil {
-				sub = c.SubTuple()
-			}
-			conds = append(conds, fairnessCond(g, fmt.Sprintf("%s/%s", c.Name, fc.Kind), fc.Kind, fc.Action, sub, errs))
-		}
+		conds = componentFairness(g, c, conds, errs)
 	}
 	return conds, errs
+}
+
+// componentFairness appends the cycle conditions of c's WF/SF assumptions
+// to conds.
+func componentFairness(g *ts.Graph, c *spec.Component, conds []CycleCond, errs *error) []CycleCond {
+	for _, fc := range c.Fairness {
+		sub := fc.Sub
+		if sub == nil {
+			sub = c.SubTuple()
+		}
+		conds = append(conds, fairnessCond(g, fmt.Sprintf("%s/%s", c.Name, fc.Kind), fc.Kind, fc.Action, sub, errs))
+	}
+	return conds
 }
 
 // fairnessCond builds the cycle condition for one WF/SF assumption.

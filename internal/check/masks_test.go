@@ -52,7 +52,9 @@ func sides(abstract []bool) string {
 // under the faultinject mutant's truncated mapping and the reversed
 // q1 ∘ q2, which are not onto the abstract queue's domain and so are
 // substituted; CDQ ⇒ CQ^dbl with and without G; and the Corollary's
-// (b), the fused double queue under q̄, with its two WF targets.
+// (b), the fused double queue under q̄, with its two WF targets. The
+// subtests are independent and run in parallel; fig9/K=4/sym=false is the
+// longest.
 func TestEnabledMasksMatchReference(t *testing.T) {
 	reversed := map[string]form.Expr{"q": form.Concat(form.Var("q1"), form.Var("q2"))}
 	for _, k := range []int{2, 3, 4} {
@@ -60,8 +62,9 @@ func TestEnabledMasksMatchReference(t *testing.T) {
 		th := cfg.Fig9Theorem()
 		f := th.Concl.Sys.FairnessFormula()
 		for _, sym := range []bool{false, true} {
-			lhs := build(t, fig9LHS(cfg, sym))
 			t.Run(fmt.Sprintf("fig9/K=%d/sym=%v", k, sym), func(t *testing.T) {
+				t.Parallel()
+				lhs := build(t, fig9LHS(cfg, sym))
 				for _, tc := range []struct {
 					name    string
 					mapping map[string]form.Expr
@@ -80,16 +83,22 @@ func TestEnabledMasksMatchReference(t *testing.T) {
 	}
 	cfg := queue.Config{N: 1, Vals: 2}
 	for _, withG := range []bool{true, false} {
-		g := build(t, cfg.DoubleSystem(withG))
-		if got := sides(check.SameMasksAsReference(t, g, cfg.DoubleQueueSpec().FairnessFormula(), queue.DoubleMapping())); got != "A" {
-			t.Errorf("CDQ (G=%v): masks read on sides %q, want A", withG, got)
+		t.Run(fmt.Sprintf("cdq/G=%v", withG), func(t *testing.T) {
+			t.Parallel()
+			g := build(t, cfg.DoubleSystem(withG))
+			if got := sides(check.SameMasksAsReference(t, g, cfg.DoubleQueueSpec().FairnessFormula(), queue.DoubleMapping())); got != "A" {
+				t.Errorf("masks read on sides %q, want A", got)
+			}
+		})
+	}
+	t.Run("corollary", func(t *testing.T) {
+		t.Parallel()
+		cor := cfg.CorollaryTheorem()
+		full := build(t, &ts.System{Name: "full", Components: []*spec.Component{cor.Concl.Env, cor.Pairs[0].Sys}, Domains: cor.Domains})
+		if got := sides(check.SameMasksAsReference(t, full, cor.Concl.Sys.FairnessFormula(), cor.Concl.Mapping)); got != "A" {
+			t.Errorf("Corollary (b): masks read on sides %q, want A", got)
 		}
-	}
-	cor := cfg.CorollaryTheorem()
-	full := build(t, &ts.System{Name: "full", Components: []*spec.Component{cor.Concl.Env, cor.Pairs[0].Sys}, Domains: cor.Domains})
-	if got := sides(check.SameMasksAsReference(t, full, cor.Concl.Sys.FairnessFormula(), cor.Concl.Mapping)); got != "A" {
-		t.Errorf("Corollary (b): masks read on sides %q, want A", got)
-	}
+	})
 }
 
 // TestEnabledMaskFallbacks: on x, y ∈ 0..2, each incremented or reset on

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"fmt"
+
 	"opentla/internal/form"
 	"opentla/internal/obs"
 	"opentla/internal/spec"
@@ -25,12 +27,13 @@ const plusVar = "$plusAlive"
 //     first n+1 states whenever E holds for the first n, for every n ≥ 0
 //     (so M's initial predicate holds unconditionally).
 //  2. Liveness: every fair behavior on which the monitor stays alive, that
-//     is, on which C(E) holds forever, satisfies M's fairness. A dead +v
-//     monitor stays dead, so each strongly connected component of the
-//     product is wholly alive or wholly dead, and a counterexample is a
-//     fair lasso whose cycle hits an alive state.
+//     is, on which C(E) holds forever, and which satisfies E's own
+//     fairness, satisfies M's fairness. A dead +v monitor stays dead, so
+//     each strongly connected component of the product is wholly alive or
+//     wholly dead, and a counterexample is a fair lasso whose cycle hits an
+//     alive state and meets each WF/SF of E.
 //
-// The fairness assumed is the graph system's; E's own is not.
+// The fairness assumed is the graph system's and E's.
 func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Expr) (*SpecResult, error) {
 	defer obs.FromMeter(g.Meter()).Span("check:while-plus")()
 	mon := ts.PlusMonitor(plusVar, env.Init, []form.Expr{env.SquareExpr()}, form.VarTuple(g.Sys.Vars()...))
@@ -38,9 +41,15 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 	if err != nil {
 		return nil, err
 	}
-	alive := CycleCond{Name: "hits alive state", Buchi: true, HitState: func(id int) bool {
+	conds := []CycleCond{{Name: "hits alive state", Buchi: true, HitState: func(id int) bool {
 		b, _ := prod.States[id].MustGet(plusVar).AsBool()
 		return b
-	}}
-	return component(prod, sys, mapping, []CycleCond{alive})
+	}}}
+	errs := new(error)
+	conds = componentFairness(prod, env, conds, errs)
+	res, err := component(prod, sys, mapping, conds)
+	if err == nil && *errs != nil {
+		return nil, fmt.Errorf("component %s fairness: %w", env.Name, *errs)
+	}
+	return res, err
 }

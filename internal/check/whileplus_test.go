@@ -22,11 +22,10 @@ type openTrial struct {
 	mapping map[string]form.Expr
 }
 
-// randomOpen draws an open trial over x, y, h ∈ 0..1. The implementation
-// may be fair; E has no fairness (WhilePlus assumes only the graph's); M
-// has fairness in half the trials and an internal h in a third; E and M
-// each lack an initial predicate in a quarter; and in a third M allows
-// every step of the implementation.
+// randomOpen draws an open trial over x, y, h ∈ 0..1. The implementation,
+// E and M may each be fair (in half the trials when they have actions); M
+// has an internal h in a third; E and M each lack an initial predicate in
+// a quarter; and in a third M allows every step of the implementation.
 func randomOpen(r *rand.Rand) openTrial {
 	lit := func() form.Expr { return form.IntC(int64(r.Intn(2))) }
 	is := func(v string) form.Expr { return form.Eq(form.Var(v), lit()) }
@@ -76,6 +75,7 @@ func randomOpen(r *rand.Rand) openTrial {
 		Init:    init("x"),
 		Actions: actions(r.Intn(3), "x", false, "x", "y"),
 	}
+	env.Fairness = fairness(env.Actions)
 	m := &spec.Component{Name: "M", Inputs: []string{"x"}, Outputs: []string{"y"}}
 	var mapping map[string]form.Expr
 	if r.Intn(3) == 0 {
@@ -116,8 +116,8 @@ func dropPlus(b []*state.State) []*state.State {
 // interpreter on random open systems: every counterexample, projected off
 // the monitor variable, is a behavior of the graph that falsifies
 // E ⊳ M̄ (a safety trace extended by stuttering, a liveness lasso that
-// is also fair), and whenever WhilePlus says HOLDS, every bounded fair
-// lasso of the graph satisfies E ⊳ M̄.
+// is also fair to the graph and to E), and whenever WhilePlus says HOLDS,
+// every bounded fair lasso of the graph satisfies E ⊳ M̄.
 func TestRandomWhilePlusAgreesWithInterpreter(t *testing.T) {
 	r := newRand(t, 39)
 	var held, safetyVio, liveVio int
@@ -166,7 +166,7 @@ func TestRandomWhilePlusAgreesWithInterpreter(t *testing.T) {
 			if err := genuine(l); err != nil {
 				t.Fatalf("trial %d: spurious liveness counterexample: %v\n%s", trial, err, l)
 			}
-			for _, ff := range fairFs {
+			for _, ff := range append(fairFs, tr.env.FairnessFormula()) {
 				if ok, err := ff.Eval(g.Ctx, l); err != nil || !ok {
 					t.Fatalf("trial %d: unfair liveness counterexample: %s fails (err %v) on\n%s", trial, ff, err, l)
 				}
@@ -235,5 +235,65 @@ func TestNilInitTarget(t *testing.T) {
 		t.Fatal(err)
 	} else if res.Holds() {
 		t.Error("WhilePlus with a frozen guarantee should fail on the first flip")
+	}
+}
+
+// TestWhilePlusAssumesEnvFairness: E's own fairness is assumed. E sets x
+// from 0 to 1 once, weakly fairly; the implementation sets y from 0 to 1
+// once x = 1, weakly fairly; M promises that y becomes 1. The behavior in
+// which x stays 0 and nothing happens is not a counterexample: E's WF
+// fails on it, so E ⊳ M holds there.
+func TestWhilePlusAssumesEnvFairness(t *testing.T) {
+	is := func(v string, n int64) form.Expr { return form.Eq(form.Var(v), form.IntC(n)) }
+	set := func(v string) form.Expr { return form.Eq(form.PrimedVar(v), form.IntC(1)) }
+	setX := form.And(is("x", 0), set("x"))
+	setY := form.And(is("x", 1), is("y", 0), set("y"))
+	becomeY := form.And(is("y", 0), set("y"))
+	impl := &spec.Component{
+		Name: "impl", Inputs: []string{"x"}, Outputs: []string{"y"},
+		Init:     is("y", 0),
+		Actions:  []spec.Action{{Name: "SetY", Def: setY}},
+		Fairness: []spec.Fairness{{Kind: form.Weak, Action: setY}},
+	}
+	env := &spec.Component{
+		Name: "E", Inputs: []string{"y"}, Outputs: []string{"x"},
+		Init:     is("x", 0),
+		Actions:  []spec.Action{{Name: "SetX", Def: setX}},
+		Fairness: []spec.Fairness{{Kind: form.Weak, Action: setX}},
+	}
+	m := &spec.Component{
+		Name: "M", Inputs: []string{"x"}, Outputs: []string{"y"},
+		Init:     is("y", 0),
+		Actions:  []spec.Action{{Name: "BecomeY", Def: becomeY}},
+		Fairness: []spec.Fairness{{Kind: form.Weak, Action: becomeY}},
+	}
+	sys := &ts.System{
+		Name:       "open",
+		Components: []*spec.Component{impl},
+		Domains:    map[string][]value.Value{"x": value.Bits(), "y": value.Bits()},
+	}
+	g, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := state.FromPairs("x", value.Int(0), "y", value.Int(0))
+	lasso := &state.Lasso{Cycle: []*state.State{idle}}
+	for _, fair := range []bool{true, false} {
+		e := *env
+		if !fair {
+			e.Fairness = nil
+		}
+		res, err := WhilePlus(g, &e, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds, err := form.WhilePlus(e.Formula(), m.Formula()).Eval(g.Ctx, lasso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Holds() != fair || holds != fair {
+			t.Errorf("E fair = %v: WhilePlus holds = %v and E -+> M on x = 0, y = 0 forever = %v, want both %v:\n%s",
+				fair, res.Holds(), holds, fair, res)
+		}
 	}
 }

@@ -294,62 +294,16 @@ func asBool(f valFn) boolFn {
 	}
 }
 
-// varNames recognizes the subscript shapes of Square/Unchanged: a single
-// variable or a tuple of variables.
-func varNames(e Expr) ([]string, bool) {
-	switch n := e.(type) {
-	case VarE:
-		return []string{n.Name}, true
-	case TupleE:
-		out := make([]string, len(n.Xs))
-		for i, x := range n.Xs {
-			v, ok := x.(VarE)
-			if !ok {
-				return nil, false
-			}
-			out[i] = v.Name
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-func equalNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// stutterPositions detects f' = f for f a variable or variable tuple and
-// resolves the positions, the zero-allocation fast path for the unchanged
-// checks at the heart of [A]_v evaluation.
-func (c *compiler) stutterPositions(a, b Expr) ([]int, bool) {
-	// Accept f' = f with the prime on either side.
-	var prime PrimeE
-	var other Expr
-	if p, ok := a.(PrimeE); ok {
-		prime, other = p, b
-	} else if p, ok := b.(PrimeE); ok {
-		prime, other = p, a
-	} else {
-		return nil, false
-	}
-	pn, ok := varNames(prime.X)
+// stutterPositions resolves the positions of UNCHANGED f (see StutterVars),
+// the zero-allocation fast path for the unchanged checks at the heart of
+// [A]_v evaluation.
+func (c *compiler) stutterPositions(n CmpE) ([]int, bool) {
+	names, ok := StutterVars(n)
 	if !ok {
 		return nil, false
 	}
-	on, ok := varNames(other)
-	if !ok || !equalNames(pn, on) {
-		return nil, false
-	}
-	ps := make([]int, len(pn))
-	for i, name := range pn {
+	ps := make([]int, len(names))
+	for i, name := range names {
 		p, ok := c.pos[name]
 		if !ok {
 			return nil, false
@@ -365,7 +319,7 @@ func (c *compiler) stutterPositions(a, b Expr) ([]int, bool) {
 // compares the values, and the code-keyed memos spare the repeats.
 func (c *compiler) cmp(n CmpE, primed bool) (boolFn, bool) {
 	if (n.Op == OpEq || n.Op == OpNe) && !primed {
-		if ps, ok := c.stutterPositions(n.A, n.B); ok {
+		if ps, ok := c.stutterPositions(n); ok {
 			for _, p := range ps {
 				c.reads.add(mkSlot(p, false))
 				c.reads.add(mkSlot(p, true))

@@ -76,6 +76,20 @@ func TestCompilePredLayoutMismatch(t *testing.T) {
 	}
 }
 
+// TestCompileStutterNeedsSameShape: the compiled UNCHANGED fast path
+// compares codes only when both sides are the same variable or variable
+// tuple; x' = ⟨x⟩ compares an int with a tuple and is FALSE on every step.
+func TestCompileStutterNeedsSameShape(t *testing.T) {
+	s := st("x", value.Int(0), "y", value.Int(0))
+	for _, e := range []Expr{
+		Eq(PrimedVar("x"), TupleOf(Var("x"))),
+		Eq(Prime(TupleOf(Var("x"))), Var("x")),
+		Ne(Prime(TupleOf(Var("x"), Var("y"))), TupleOf(Var("y"), Var("x"))),
+	} {
+		sameAnswers(t, e, CompileRaw(e, []string{"x", "y"}), CompilePred(e, []string{"x", "y"}), state.Step{From: s, To: s})
+	}
+}
+
 // TestCompilePredQuantifiers: an unrolled ∃/∀ keeps QuantE.Eval's
 // meaning — binding, shadowing, rigidity under prime — and its order of
 // short-circuits and errors, on every state over mappedLayout, with and

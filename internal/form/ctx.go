@@ -70,18 +70,7 @@ func (c *Ctx) Domain(name string) ([]value.Value, error) {
 // EnabledFn, which compiles the same analysis and calls Enabled only as its
 // fallback and test oracle.
 func (c *Ctx) Enabled(a Expr, s *state.State) (bool, error) {
-	return c.enabledConj(flattenAnd(a, nil), s)
-}
-
-// flattenAnd appends the conjuncts of a (flattening nested AndE) to out.
-func flattenAnd(a Expr, out []Expr) []Expr {
-	if and, ok := a.(AndE); ok {
-		for _, x := range and.Xs {
-			out = flattenAnd(x, out)
-		}
-		return out
-	}
-	return append(out, a)
+	return c.enabledConj(FlattenAnd(a, nil), s)
 }
 
 func (c *Ctx) enabledConj(conjs []Expr, s *state.State) (bool, error) {
@@ -94,7 +83,7 @@ func (c *Ctx) enabledConj(conjs []Expr, s *state.State) (bool, error) {
 		for _, branch := range or.Xs {
 			sub := make([]Expr, 0, len(conjs)+1)
 			sub = append(sub, conjs[:i]...)
-			sub = flattenAnd(branch, sub)
+			sub = FlattenAnd(branch, sub)
 			sub = append(sub, conjs[i+1:]...)
 			enabled, err := c.enabledConj(sub, s)
 			if err != nil {
@@ -121,7 +110,7 @@ func (c *Ctx) enabledConj(conjs []Expr, s *state.State) (bool, error) {
 			}
 			continue
 		}
-		if name, rhs, ok := determinedAssignment(cj); ok {
+		if name, rhs, ok := Assignment(cj); ok {
 			v, err := rhs.Eval(state.Step{From: s}, nil)
 			if err != nil {
 				return false, err
@@ -200,32 +189,4 @@ func (c *Ctx) enabledConj(conjs []Expr, s *state.State) (bool, error) {
 		return false, evalErr
 	}
 	return enabled, nil
-}
-
-// determinedAssignment recognises conjuncts of the form x' = e or e = x'
-// with e primeless, which pin the next value of x.
-func determinedAssignment(cj Expr) (string, Expr, bool) {
-	eq, ok := cj.(CmpE)
-	if !ok || eq.Op != OpEq {
-		return "", nil, false
-	}
-	if name, ok := primedVarName(eq.A); ok && !HasPrimes(eq.B) {
-		return name, eq.B, true
-	}
-	if name, ok := primedVarName(eq.B); ok && !HasPrimes(eq.A) {
-		return name, eq.A, true
-	}
-	return "", nil, false
-}
-
-func primedVarName(e Expr) (string, bool) {
-	p, ok := e.(PrimeE)
-	if !ok {
-		return "", false
-	}
-	v, ok := p.X.(VarE)
-	if !ok {
-		return "", false
-	}
-	return v.Name, true
 }

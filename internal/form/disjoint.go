@@ -87,15 +87,11 @@ func FrameSets(e Expr) []map[string]bool {
 // addFrozen adds to set the variables frozen by the top-level conjuncts of
 // e, looking through nested conjunctions.
 func addFrozen(set map[string]bool, e Expr) {
-	if a, ok := e.(AndE); ok {
-		for _, c := range a.Xs {
-			addFrozen(set, c)
-		}
-		return
-	}
-	if s, ok := unchangedSet(e); ok {
-		for v := range s {
-			set[v] = true
+	for _, c := range FlattenAnd(e, nil) {
+		if s, ok := unchangedSet(c); ok {
+			for v := range s {
+				set[v] = true
+			}
 		}
 	}
 }
@@ -174,42 +170,18 @@ func unchangedSet(e Expr) (map[string]bool, bool) {
 		}
 		return out, true
 	case CmpE:
-		if x.Op != OpEq || !stutterEq(x) {
+		if x.Op != OpEq {
 			return nil, false
 		}
-		f := x.A
-		if p, ok := x.A.(PrimeE); ok {
-			f = p.X
-		} else if p, ok := x.B.(PrimeE); ok {
-			f = p.X
+		names, ok := StutterVars(x)
+		if !ok {
+			return nil, false
 		}
-		switch sub := f.(type) {
-		case VarE:
-			return map[string]bool{sub.Name: true}, true
-		case TupleE:
-			out := make(map[string]bool, len(sub.Xs))
-			for _, c := range sub.Xs {
-				v, ok := c.(VarE)
-				if !ok {
-					return nil, false
-				}
-				out[v.Name] = true
-			}
-			return out, true
+		out := make(map[string]bool, len(names))
+		for _, v := range names {
+			out[v] = true
 		}
-		return nil, false
+		return out, true
 	}
 	return nil, false
-}
-
-// stutterEq reports whether the equality has the shape f' = f (either
-// operand order) for some state function f.
-func stutterEq(x CmpE) bool {
-	if p, ok := x.A.(PrimeE); ok && p.X.String() == x.B.String() {
-		return true
-	}
-	if p, ok := x.B.(PrimeE); ok && p.X.String() == x.A.String() {
-		return true
-	}
-	return false
 }

@@ -78,7 +78,7 @@ func (c *Ctx) EnabledFn(a Expr, layout []string) func(s *state.State) (bool, err
 // maxEnabledBranches.
 func (c *Ctx) enabledBranches(a Expr, layout []string) ([]*enBranch, bool) {
 	budget := maxEnabledBranches
-	flat, ok := expandBranches(flattenAnd(a, nil), nil, &budget, false)
+	flat, ok := expandBranches(FlattenAnd(a, nil), nil, &budget, false)
 	if !ok {
 		return nil, false
 	}
@@ -116,7 +116,7 @@ func (c *Ctx) enabledBranches(a Expr, layout []string) ([]*enBranch, bool) {
 // plausible finite-state action; the last two refusals are *SizeErrors.
 func (c *Ctx) UpdatesFn(a Expr, layout, owned []string) (func(s *state.State, u *Updates) error, error) {
 	budget := maxUpdateBranches
-	flat, ok := expandBranches(flattenAnd(a, nil), nil, &budget, true)
+	flat, ok := expandBranches(FlattenAnd(a, nil), nil, &budget, true)
 	if !ok {
 		return nil, &SizeError{fmt.Sprintf("action expands into more than %d disjunctive branches", maxUpdateBranches)}
 	}
@@ -232,7 +232,7 @@ func expandBranches(conjs []Expr, out [][]Expr, budget *int, quant bool) ([][]Ex
 		for _, alt := range alts {
 			sub := make([]Expr, 0, len(conjs)+1)
 			sub = append(sub, conjs[:i]...)
-			sub = flattenAnd(alt, sub)
+			sub = FlattenAnd(alt, sub)
 			sub = append(sub, conjs[i+1:]...)
 			var ok bool
 			out, ok = expandBranches(sub, out, budget, quant)
@@ -308,7 +308,7 @@ func (c *Ctx) compileBranch(conjs []Expr, comp *compiler, owned map[string]bool)
 		written[v] = true
 	}
 	for _, cj := range conjs {
-		if name, rhs, ok := determinedAssignment(cj); ok {
+		if name, rhs, ok := Assignment(cj); ok {
 			pos, inLayout := comp.pos[name]
 			if !inLayout {
 				b.fallback = true

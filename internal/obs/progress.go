@@ -38,28 +38,11 @@ func (r *Recorder) StartProgress(w io.Writer, interval time.Duration) func() {
 		}
 	}()
 	var once sync.Once
-	stopFn := func() {
+	return func() {
 		once.Do(func() {
 			close(stop)
 			wg.Wait()
 		})
-	}
-	r.mu.Lock()
-	r.progressStop = stopFn
-	r.mu.Unlock()
-	return stopFn
-}
-
-// StopProgress stops the progress ticker started by StartProgress, if any.
-func (r *Recorder) StopProgress() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	stop := r.progressStop
-	r.mu.Unlock()
-	if stop != nil {
-		stop()
 	}
 }
 

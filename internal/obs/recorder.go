@@ -113,8 +113,6 @@ type Recorder struct {
 	gaugeLevel   atomic.Int64
 	gaugeWidth   atomic.Int64
 	gaugeWorkers atomic.Int64
-
-	progressStop func()
 }
 
 // New creates a recorder governing the given meter and installs itself as

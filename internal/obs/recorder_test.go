@@ -50,8 +50,9 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if got := r.ExhaustedPhase(); got != "" {
 		t.Errorf("nil recorder ExhaustedPhase() = %q, want empty", got)
 	}
-	r.StartProgress(io.Discard, time.Second)()
-	r.StopProgress()
+	stop := r.StartProgress(io.Discard, time.Second)
+	stop()
+	stop() // idempotent
 	rep := r.Finish("tool", Config{}, engine.Holds, "")
 	if rep == nil || rep.SchemaVersion != SchemaVersion || rep.Span != nil {
 		t.Errorf("nil recorder Finish() = %+v, want minimal report without span tree", rep)
@@ -294,7 +295,6 @@ func TestStartProgressWritesAndStops(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
-	r.StopProgress()
 	if mu.Len() == 0 {
 		t.Error("progress ticker wrote nothing")
 	}

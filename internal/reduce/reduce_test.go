@@ -74,6 +74,16 @@ func TestCheckValueInvariantAccepts(t *testing.T) {
 			form.Eq(form.Prime(form.Var("i.val")), form.Var("$v"))),
 		// Append of a scoped value onto a scoped sequence.
 		form.Eq(form.Prime(form.Var("q")), form.AppendTo(form.Var("q"), form.Var("i.val"))),
+		// UNCHANGED of a tuple mixing scoped and unscoped variables.
+		form.UnchangedExpr(form.VarTuple("i.val", "sig")),
+		// The shape of the CDQ mapping: an IF whose condition reads
+		// unscoped variables and whose branches carry scoped values.
+		form.Eq(form.Prime(form.Var("q")), form.Concat(
+			form.If(form.Ne(form.Var("sig"), form.Var("ack")), form.TupleOf(form.Var("i.val")), form.EmptySeq),
+			form.Var("q"))),
+		// An IF choosing between scoped values by an unscoped condition.
+		form.Eq(form.If(form.Eq(form.Var("sig"), form.Var("ack")), form.Var("i.val"), form.Var("o.val")),
+			form.Prime(form.Var("o.val"))),
 	}
 	for _, e := range accept {
 		if err := sym.CheckValueInvariant(e); err != nil {
@@ -99,6 +109,17 @@ func TestCheckValueInvariantRejects(t *testing.T) {
 		{"quantifier over non-closed overlap",
 			form.Exists("$v", []value.Value{value.Int(0)},
 				form.Eq(form.Prime(form.Var("i.val")), form.Var("$v")))},
+		{"IF branch carries an unscoped value",
+			form.Eq(form.If(form.Not(form.Ne(form.Var("o.val"), form.Prime(form.Var("i.val")))), form.Var("sig"), form.Var("o.val")),
+				form.Prime(form.Var("o.val")))},
+		{"IF branch of the other side carries an unscoped value",
+			form.Eq(form.Prime(form.Var("o.val")),
+				form.If(form.Eq(form.Var("sig"), form.IntC(5)), form.Prime(form.Var("i.val")), form.Prime(form.Var("sig"))))},
+		{"misaligned tuples",
+			form.Eq(form.TupleOf(form.Var("i.val"), form.Var("sig")), form.TupleOf(form.Var("sig"), form.Var("o.val")))},
+		{"tuple mixing scoped and unscoped against a scoped variable",
+			form.Eq(form.TupleOf(form.Var("i.val"), form.Var("sig")), form.Var("q"))},
+		{"Len may equal an orbit value", form.Eq(form.Var("o.val"), form.Len(form.Var("q")))},
 		{"quantifier body orders bound value",
 			form.Exists("$v", value.Ints(0, 2),
 				form.And(form.Eq(form.Prime(form.Var("i.val")), form.Var("$v")),

@@ -348,27 +348,34 @@ func (sym *Symmetry) validateShape() error {
 }
 
 // validateValueDomains checks that every scoped variable has a declared
-// domain closed under permutations of Values: applying any transposition of
-// two orbit values to a domain element (recursively inside tuples) yields
-// another domain element. Closure under adjacent transpositions generates
-// closure under the full symmetric group.
+// domain closed under permutations of Values.
 func (sym *Symmetry) validateValueDomains(domains map[string][]value.Value) error {
 	for _, name := range sym.sortedVars() {
 		dom := domains[name]
 		if len(dom) == 0 {
 			return fmt.Errorf("symmetry: scoped variable %q has no declared domain", name)
 		}
-		for i := 0; i+1 < len(sym.Values); i++ {
-			a, b := sym.Values[i], sym.Values[i+1]
-			for _, v := range dom {
-				sw := swapAtoms(v, a, b)
-				if !containsValue(dom, sw) {
-					return fmt.Errorf("symmetry: domain of %q is not closed under value permutations: %s maps to %s, which is outside the domain", name, v, sw)
-				}
-			}
+		if v, sw, ok := sym.escape(dom); ok {
+			return fmt.Errorf("symmetry: domain of %q is not closed under value permutations: %s maps to %s, which is outside the domain", name, v, sw)
 		}
 	}
 	return nil
+}
+
+// escape returns an element of dom and its image under a transposition of
+// two adjacent orbit values (recursively inside tuples) when that image is
+// outside dom. It finds none exactly when dom is closed under permutations
+// of Values: adjacent transpositions generate the full symmetric group.
+func (sym *Symmetry) escape(dom []value.Value) (v, image value.Value, ok bool) {
+	for i := 0; i+1 < len(sym.Values); i++ {
+		a, b := sym.Values[i], sym.Values[i+1]
+		for _, v := range dom {
+			if sw := swapAtoms(v, a, b); !containsValue(dom, sw) {
+				return v, sw, true
+			}
+		}
+	}
+	return value.Value{}, value.Value{}, false
 }
 
 // swapAtoms applies the transposition a <-> b to v, recursing into tuples.
@@ -410,6 +417,10 @@ func containsValue(dom []value.Value, v value.Value) bool {
 //   - Equality/inequality may relate two scope-touching sides (π applies to
 //     both), but not a scope-touching side with a literal from Values or
 //     with a non-scoped variable: val' = 1 and val' = sig pin orbit values.
+//     It is also decided side by side, through IF branches and aligned
+//     tuple components, and no pair of sides that touches the scope may
+//     carry an unscoped variable or a computed int in a value position:
+//     ⟨val, sig⟩ = ⟨sig, val'⟩ and val = Len(q) pin orbit values too.
 //   - A quantifier whose domain overlaps Values must range over a
 //     permutation-closed domain, and its bound variable becomes scoped in
 //     the body (∃ v ∈ Values: val' = v is invariant; ∃ v ∈ {0}: val' = v
@@ -424,184 +435,197 @@ func (sym *Symmetry) CheckValueInvariant(e form.Expr) error {
 	return sym.checkValue(e, sym.scope())
 }
 
+// checkValue applies the rules to the nodes of e in pre-order, left to
+// right, and returns the first violation. A quantifier's body is checked
+// under the scope quantScope gives it.
 func (sym *Symmetry) checkValue(e form.Expr, scope map[string]bool) error {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case form.VarE, form.ConstE:
-		return nil
-	case form.PrimeE:
-		return sym.checkValue(x.X, scope)
-	case form.AndE:
-		for _, c := range x.Xs {
-			if err := sym.checkValue(c, scope); err != nil {
-				return err
+	var err error
+	form.Walk(e, func(n form.Expr) bool {
+		if err != nil {
+			return false
+		}
+		switch x := n.(type) {
+		case form.CmpE:
+			err = sym.checkCmp(x, scope)
+		case form.ArithE:
+			if sym.touches(x.A, scope) || sym.touches(x.B, scope) {
+				err = fmt.Errorf("arithmetic %s touches symmetric values; permutations do not commute with arithmetic", x)
 			}
-		}
-		return nil
-	case form.OrE:
-		for _, c := range x.Xs {
-			if err := sym.checkValue(c, scope); err != nil {
-				return err
-			}
-		}
-		return nil
-	case form.NotE:
-		return sym.checkValue(x.X, scope)
-	case form.ImpliesE:
-		if err := sym.checkValue(x.A, scope); err != nil {
-			return err
-		}
-		return sym.checkValue(x.B, scope)
-	case form.EquivE:
-		if err := sym.checkValue(x.A, scope); err != nil {
-			return err
-		}
-		return sym.checkValue(x.B, scope)
-	case form.CmpE:
-		ta := sym.touches(x.A, scope)
-		tb := sym.touches(x.B, scope)
-		switch x.Op {
-		case form.OpLt, form.OpLe, form.OpGt, form.OpGe:
-			if ta || tb {
-				return fmt.Errorf("ordering comparison %s touches symmetric values; permutations do not preserve order", e)
-			}
-		case form.OpEq, form.OpNe:
-			if ta || tb {
-				if sym.constMentionsValues(x.A) || sym.constMentionsValues(x.B) {
-					return fmt.Errorf("comparison %s pins a symmetric value against a literal", e)
-				}
-				if ta != tb {
-					// One side is in the orbit's scope, the other is not: the
-					// unscoped side must be constant under the permutation,
-					// i.e. mention no variables outside Len(·) subtrees.
-					other := x.B
-					if tb {
-						other = x.A
-					}
-					if mentionsBareVar(other) {
-						return fmt.Errorf("comparison %s relates a symmetric value to an unscoped variable", e)
-					}
+		case form.QuantE:
+			if domainOverlaps(x.Domain, sym.Values) {
+				if _, _, open := sym.escape(x.Domain); open {
+					err = fmt.Errorf("quantifier over %q ranges over a domain not closed under value permutations", x.Name)
+					return false
 				}
 			}
+			err = sym.checkValue(x.Body, sym.quantScope(x, scope))
+			return false
 		}
-		if err := sym.checkValue(x.A, scope); err != nil {
-			return err
-		}
-		return sym.checkValue(x.B, scope)
-	case form.ArithE:
-		if sym.touches(x.A, scope) || sym.touches(x.B, scope) {
-			return fmt.Errorf("arithmetic %s touches symmetric values; permutations do not commute with arithmetic", e)
-		}
-		if err := sym.checkValue(x.A, scope); err != nil {
-			return err
-		}
-		return sym.checkValue(x.B, scope)
-	case form.IfE:
-		if err := sym.checkValue(x.C, scope); err != nil {
-			return err
-		}
-		if err := sym.checkValue(x.T, scope); err != nil {
-			return err
-		}
-		return sym.checkValue(x.E, scope)
-	case form.TupleE:
-		for _, c := range x.Xs {
-			if err := sym.checkValue(c, scope); err != nil {
-				return err
-			}
-		}
+		return err == nil
+	})
+	return err
+}
+
+// checkCmp applies the ordering and equality rules to one comparison.
+func (sym *Symmetry) checkCmp(x form.CmpE, scope map[string]bool) error {
+	ta := sym.touches(x.A, scope)
+	tb := sym.touches(x.B, scope)
+	if !ta && !tb {
 		return nil
-	case form.SeqUnE:
-		return sym.checkValue(x.X, scope)
-	case form.ConcatE:
-		if err := sym.checkValue(x.A, scope); err != nil {
+	}
+	if x.Op != form.OpEq && x.Op != form.OpNe {
+		return fmt.Errorf("ordering comparison %s touches symmetric values; permutations do not preserve order", x)
+	}
+	if sym.constMentionsValues(x.A) || sym.constMentionsValues(x.B) {
+		return fmt.Errorf("comparison %s pins a symmetric value against a literal", x)
+	}
+	if ta != tb {
+		// One side is in the orbit's scope, the other is not: the
+		// unscoped side must be constant under the permutation, i.e.
+		// mention no variables outside Len(·) subtrees.
+		other := x.B
+		if tb {
+			other = x.A
+		}
+		if mentionsBareVar(other) {
+			return fmt.Errorf("comparison %s relates a symmetric value to an unscoped variable", x)
+		}
+	}
+	return sym.checkSides(x, x.A, x.B, scope)
+}
+
+// checkSides decides the equality x side by side, through IF branches
+// (their condition is a boolean the walk checks on its own) and aligned
+// tuple components, with primes pushed into tuples. Of each pair of sides that
+// touches the scope, neither may carry a value that a permutation leaves
+// in place while it moves the other side's: see fixedValue.
+func (sym *Symmetry) checkSides(x form.CmpE, a, b form.Expr, scope map[string]bool) error {
+	a, b = pushPrime(a), pushPrime(b)
+	if c, ok := a.(form.IfE); ok {
+		if err := sym.checkSides(x, c.T, b, scope); err != nil {
 			return err
 		}
-		return sym.checkValue(x.B, scope)
-	case form.QuantE:
-		inner := scope
-		if domainOverlaps(x.Domain, sym.Values) {
-			if !sym.domainClosed(x.Domain) {
-				return fmt.Errorf("quantifier over %q ranges over a domain not closed under value permutations", x.Name)
-			}
-			inner = make(map[string]bool, len(scope)+1)
-			for k := range scope {
-				inner[k] = true
-			}
-			inner[x.Name] = true
-		}
-		return sym.checkValue(x.Body, inner)
-	default:
-		return fmt.Errorf("unsupported expression %T in value-symmetry check", e)
+		return sym.checkSides(x, c.E, b, scope)
 	}
+	if _, ok := b.(form.IfE); ok {
+		return sym.checkSides(x, b, a, scope)
+	}
+	if ta, ok := a.(form.TupleE); ok {
+		if tb, ok := b.(form.TupleE); ok && len(ta.Xs) == len(tb.Xs) {
+			for i := range ta.Xs {
+				if err := sym.checkSides(x, ta.Xs[i], tb.Xs[i], scope); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if (sym.touches(a, scope) || sym.touches(b, scope)) && (sym.fixedValue(a, scope) || sym.fixedValue(b, scope)) {
+		return fmt.Errorf("comparison %s relates a symmetric value to a value that permutations leave in place", x)
+	}
+	return nil
+}
+
+// pushPrime rewrites a primed tuple as the tuple of primes.
+func pushPrime(e form.Expr) form.Expr {
+	p, ok := e.(form.PrimeE)
+	if !ok {
+		return e
+	}
+	t, ok := p.X.(form.TupleE)
+	if !ok {
+		return e
+	}
+	xs := make([]form.Expr, len(t.Xs))
+	for i, c := range t.Xs {
+		xs[i] = form.Prime(c)
+	}
+	return form.TupleE{Xs: xs}
+}
+
+// fixedValue reports whether a value position of e reads an unscoped
+// variable or computes an int (Len, arithmetic): a value that could equal
+// an orbit value and that a permutation of the scoped variables does not
+// move. IF conditions and boolean subterms are not value positions.
+func (sym *Symmetry) fixedValue(e form.Expr, scope map[string]bool) bool {
+	found := false
+	form.Walk(e, func(n form.Expr) bool {
+		if found {
+			return false
+		}
+		switch x := n.(type) {
+		case form.VarE:
+			found = !scope[x.Name]
+		case form.SeqUnE:
+			found = x.Op == form.OpLen
+		case form.ArithE:
+			found = true
+		case form.IfE:
+			found = sym.fixedValue(x.T, scope) || sym.fixedValue(x.E, scope)
+			return false
+		case form.ConstE, form.PrimeE, form.TupleE, form.ConcatE:
+		default:
+			return false // a boolean, whose truth value is checked on its own
+		}
+		return !found
+	})
+	return found
+}
+
+// quantScope returns the scope of q's body: a bound variable whose domain
+// overlaps Values is scoped there.
+func (sym *Symmetry) quantScope(q form.QuantE, scope map[string]bool) map[string]bool {
+	if !domainOverlaps(q.Domain, sym.Values) {
+		return scope
+	}
+	inner := make(map[string]bool, len(scope)+1)
+	for k := range scope {
+		inner[k] = true
+	}
+	inner[q.Name] = true
+	return inner
 }
 
 // touches reports whether e's value can depend on a permutation of the
 // scoped variables' data values. Len(·) is permutation-invariant, so a
 // Len subtree never touches regardless of its contents.
 func (sym *Symmetry) touches(e form.Expr, scope map[string]bool) bool {
-	switch x := e.(type) {
-	case form.VarE:
-		return scope[x.Name]
-	case form.ConstE:
-		return false
-	case form.PrimeE:
-		return sym.touches(x.X, scope)
-	case form.SeqUnE:
-		if x.Op == form.OpLen {
+	found := false
+	form.Walk(e, func(n form.Expr) bool {
+		if found {
 			return false
 		}
-		return sym.touches(x.X, scope)
-	case form.AndE:
-		for _, c := range x.Xs {
-			if sym.touches(c, scope) {
-				return true
-			}
+		switch x := n.(type) {
+		case form.VarE:
+			found = scope[x.Name]
+		case form.SeqUnE:
+			return x.Op != form.OpLen
+		case form.QuantE:
+			found = sym.touches(x.Body, sym.quantScope(x, scope))
+			return false
 		}
-		return false
-	case form.OrE:
-		for _, c := range x.Xs {
-			if sym.touches(c, scope) {
-				return true
-			}
+		return true
+	})
+	return found
+}
+
+// mentionsBareVar reports whether e contains a variable occurrence outside
+// Len(·) subtrees (whose value could pin a permuted data value).
+func mentionsBareVar(e form.Expr) bool {
+	found := false
+	form.Walk(e, func(n form.Expr) bool {
+		if found {
+			return false
 		}
-		return false
-	case form.NotE:
-		return sym.touches(x.X, scope)
-	case form.ImpliesE:
-		return sym.touches(x.A, scope) || sym.touches(x.B, scope)
-	case form.EquivE:
-		return sym.touches(x.A, scope) || sym.touches(x.B, scope)
-	case form.CmpE:
-		return sym.touches(x.A, scope) || sym.touches(x.B, scope)
-	case form.ArithE:
-		return sym.touches(x.A, scope) || sym.touches(x.B, scope)
-	case form.IfE:
-		return sym.touches(x.C, scope) || sym.touches(x.T, scope) || sym.touches(x.E, scope)
-	case form.TupleE:
-		for _, c := range x.Xs {
-			if sym.touches(c, scope) {
-				return true
-			}
+		switch x := n.(type) {
+		case form.VarE:
+			found = true
+		case form.SeqUnE:
+			return x.Op != form.OpLen
 		}
-		return false
-	case form.ConcatE:
-		return sym.touches(x.A, scope) || sym.touches(x.B, scope)
-	case form.QuantE:
-		inner := scope
-		if domainOverlaps(x.Domain, sym.Values) {
-			inner = make(map[string]bool, len(scope)+1)
-			for k := range scope {
-				inner[k] = true
-			}
-			inner[x.Name] = true
-		}
-		return sym.touches(x.Body, inner)
-	default:
-		return true // unknown node: assume dependence (conservative)
-	}
+		return true
+	})
+	return found
 }
 
 // constMentionsValues reports whether e contains a constant whose value
@@ -634,63 +658,6 @@ func (sym *Symmetry) valueHasOrbitAtom(v value.Value) bool {
 	return sym.inValues(v)
 }
 
-// mentionsBareVar reports whether e contains a variable occurrence outside
-// Len(·) subtrees (whose value could pin a permuted data value).
-func mentionsBareVar(e form.Expr) bool {
-	switch x := e.(type) {
-	case form.VarE:
-		return true
-	case form.ConstE:
-		return false
-	case form.PrimeE:
-		return mentionsBareVar(x.X)
-	case form.SeqUnE:
-		if x.Op == form.OpLen {
-			return false
-		}
-		return mentionsBareVar(x.X)
-	case form.AndE:
-		for _, c := range x.Xs {
-			if mentionsBareVar(c) {
-				return true
-			}
-		}
-		return false
-	case form.OrE:
-		for _, c := range x.Xs {
-			if mentionsBareVar(c) {
-				return true
-			}
-		}
-		return false
-	case form.NotE:
-		return mentionsBareVar(x.X)
-	case form.ImpliesE:
-		return mentionsBareVar(x.A) || mentionsBareVar(x.B)
-	case form.EquivE:
-		return mentionsBareVar(x.A) || mentionsBareVar(x.B)
-	case form.CmpE:
-		return mentionsBareVar(x.A) || mentionsBareVar(x.B)
-	case form.ArithE:
-		return mentionsBareVar(x.A) || mentionsBareVar(x.B)
-	case form.IfE:
-		return mentionsBareVar(x.C) || mentionsBareVar(x.T) || mentionsBareVar(x.E)
-	case form.TupleE:
-		for _, c := range x.Xs {
-			if mentionsBareVar(c) {
-				return true
-			}
-		}
-		return false
-	case form.ConcatE:
-		return mentionsBareVar(x.A) || mentionsBareVar(x.B)
-	case form.QuantE:
-		return mentionsBareVar(x.Body)
-	default:
-		return true
-	}
-}
-
 func domainOverlaps(dom, values []value.Value) bool {
 	for _, d := range dom {
 		for _, v := range values {
@@ -700,17 +667,4 @@ func domainOverlaps(dom, values []value.Value) bool {
 		}
 	}
 	return false
-}
-
-// domainClosed reports whether dom is closed under permutations of Values.
-func (sym *Symmetry) domainClosed(dom []value.Value) bool {
-	for i := 0; i+1 < len(sym.Values); i++ {
-		a, b := sym.Values[i], sym.Values[i+1]
-		for _, v := range dom {
-			if !containsValue(dom, swapAtoms(v, a, b)) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -45,27 +45,15 @@ func deadExpr(e form.Expr) bool {
 	case form.AndE:
 		pos := make(map[string]bool)
 		neg := make(map[string]bool)
-		dead := false
-		var flatten func(xs []form.Expr)
-		flatten = func(xs []form.Expr) {
-			for _, c := range xs {
-				if deadExpr(c) {
-					dead = true
-					return
-				}
-				switch y := c.(type) {
-				case form.AndE:
-					flatten(y.Xs)
-				case form.NotE:
-					neg[y.X.String()] = true
-				default:
-					pos[c.String()] = true
-				}
+		for _, c := range form.FlattenAnd(x, nil) {
+			if deadExpr(c) {
+				return true
 			}
-		}
-		flatten(x.Xs)
-		if dead {
-			return true
+			if n, ok := c.(form.NotE); ok {
+				neg[n.X.String()] = true
+			} else {
+				pos[c.String()] = true
+			}
 		}
 		for s := range pos {
 			if neg[s] {

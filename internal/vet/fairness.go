@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"opentla/internal/absint"
 	"opentla/internal/form"
 	"opentla/internal/spec"
 )
@@ -40,7 +41,7 @@ func checkFairness(res *Result, c *spec.Component) {
 				})
 			}
 		}
-		for _, v := range sortedKeys(writes(f.Action)) {
+		for _, v := range absint.SortedVars(absint.Writes(f.Action)) {
 			if !owned[v] {
 				res.add(Diagnostic{
 					Code: "SV032", Severity: Error, Component: c.Name, Action: loc,

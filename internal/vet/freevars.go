@@ -51,7 +51,7 @@ func checkFreeVars(res *Result, c *spec.Component) {
 				})
 			}
 		}
-		for _, v := range sortedKeys(writes(a.Def)) {
+		for _, v := range absint.SortedVars(absint.Writes(a.Def)) {
 			if inputs[v] {
 				res.add(Diagnostic{
 					Code: "SV002", Severity: Error, Component: c.Name, Action: a.Name,
@@ -61,12 +61,4 @@ func checkFreeVars(res *Result, c *spec.Component) {
 			}
 		}
 	}
-}
-
-// writes returns the variables whose next-state values e genuinely
-// constrains, excluding benign stutter conjuncts (f' = f). The analysis is
-// shared with the semantic pass: both layers must agree on what counts as
-// a write, so vet delegates to absint.Writes.
-func writes(e form.Expr) map[string]bool {
-	return absint.Writes(e)
 }

@@ -3,6 +3,7 @@ package vet
 import (
 	"testing"
 
+	"opentla/internal/absint"
 	"opentla/internal/form"
 	"opentla/internal/spec"
 	"opentla/internal/value"
@@ -73,7 +74,7 @@ func TestWrites(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sortedKeys(writes(tc.e))
+			got := absint.SortedVars(absint.Writes(tc.e))
 			if len(got) != len(tc.want) {
 				t.Fatalf("writes = %v, want %v", got, tc.want)
 			}

@@ -3,6 +3,7 @@ package vet
 import (
 	"fmt"
 
+	"opentla/internal/absint"
 	"opentla/internal/spec"
 )
 
@@ -66,7 +67,7 @@ func checkOwnership(res *Result, comps []*spec.Component) {
 		inputs := stringSet(c.Inputs)
 		owned := stringSet(c.Owned())
 		for _, a := range c.Actions {
-			for _, v := range sortedKeys(writes(a.Def)) {
+			for _, v := range absint.SortedVars(absint.Writes(a.Def)) {
 				if owned[v] || inputs[v] {
 					continue
 				}

@@ -53,7 +53,6 @@ package vet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"opentla/internal/absint"
@@ -270,14 +269,5 @@ func stringSet(names []string) map[string]bool {
 	for _, n := range names {
 		out[n] = true
 	}
-	return out
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
