@@ -133,10 +133,10 @@ func vetTractable(cfg queue.Config, limit int) bool {
 // left-hand side QE^dbl ∧ G ∧ QM¹ ∧ QM² is the CDQ system, so the theorem
 // builds and checks CDQ once for both (see a4Line).
 //
-// Reduction applies to the safety-only obligations: the CQ build and,
-// through ag.Theorem, the Figure 9 guarantees-only graph. The
-// left-hand-side graph stays full — (2b)'s liveness half needs genuine
-// fair cycles, which reduced graphs refuse to search for.
+// Reduction applies to the CQ build and, through ag.Theorem, to every
+// Figure 9 graph: the left-hand side, whose (2b) liveness half is decided
+// on the quotient (see check.FindFairLasso), the guarantees-only graph and
+// its +v product.
 //
 // fig9 returns the Figure 9 instance of the vet pre-check, so its check does
 // not analyze it again; the instance is built on first use, since building

@@ -16,8 +16,7 @@ import (
 // TestCheckGraphsCanonicalDescGolden pins the graph-cache key material of
 // the systems a Fig. 9 N=1 K=2 check builds, to exact strings: a change to
 // any of them silently turns every graph-cache entry users already hold
-// into a miss. The left-hand side is never reduced, so it has one golden
-// under every -reduce mode; the guarantees-only system has one per mode.
+// into a miss. Each system has one golden per -reduce mode.
 func TestCheckGraphsCanonicalDescGolden(t *testing.T) {
 	cfg := queue.Config{N: 1, Vals: 2}
 	lhs, gonly := (*ag.Theorem).LHSSystem, (*ag.Theorem).GuaranteesSystem
@@ -27,7 +26,7 @@ func TestCheckGraphsCanonicalDescGolden(t *testing.T) {
 		sys    func(*ag.Theorem) *ts.System
 	}{
 		{"testdata/fig9-n1-k2-full-lhs.desc", reduce.Options{}, lhs},
-		{"testdata/fig9-n1-k2-full-lhs.desc", reduce.Options{Sym: true}, lhs},
+		{"testdata/fig9-n1-k2-full-lhs-sym.desc", reduce.Options{Sym: true}, lhs},
 		{"testdata/fig9-n1-k2-guarantees-only.desc", reduce.Options{}, gonly},
 		{"testdata/fig9-n1-k2-guarantees-only-sym.desc", reduce.Options{Sym: true}, gonly},
 	} {

@@ -3,16 +3,19 @@ package ag_test
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"opentla/internal/ag"
 	"opentla/internal/arbiter"
+	"opentla/internal/check"
 	"opentla/internal/circular"
+	"opentla/internal/faultinject"
+	"opentla/internal/form"
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/spec"
 	"opentla/internal/ts"
+	"opentla/internal/ts/tstest"
 )
 
 // theoremModel is one of agcheck's theorem models with its symmetry group,
@@ -103,13 +106,40 @@ func TestLHSGraphIgnoresFairness(t *testing.T) {
 	}
 }
 
-// TestLHSHypothesesIgnoreReduction checks that -reduce sym reaches only the
-// guarantees-only graph: H1, H2a-A(i) and H2b are read off the shared LHS
-// graph, which is never reduced, so their results (counterexamples
-// included) are identical with and without reduction. Every hypothesis's
-// verdict is identical too.
+// TestLHSHypothesesIgnoreReduction checks that -reduce sym changes no
+// verdict: every hypothesis of every theorem model, of queues-no-g at K=3,
+// of every faultinject theorem mutant at K=2 and of the mutants whose H2b
+// liveness half fails at K=3, holds or fails alike with and without
+// reduction, and so does the theorem. A model without a group, or whose
+// group the theorem disables, is checked unreduced either way, so its
+// report is identical. Otherwise every counterexample the reduced LHS
+// graph gives to hypotheses 1, 2a(i) and 2b replays on the full LHS graph
+// (see lhsReplays).
 func TestLHSHypothesesIgnoreReduction(t *testing.T) {
-	for _, tm := range theoremModels() {
+	cases := theoremModels()
+	cfg3 := queue.Config{N: 1, Vals: 3}
+	cases = append(cases, theoremModel{"queues-no-g/K=3", func() *ag.Theorem {
+		th := cfg3.Fig9Theorem()
+		th.Pairs = th.Pairs[1:]
+		return th
+	}, cfg3.DoubleSymmetry()})
+	for _, k := range []int{2, 3} {
+		cfg := queue.Config{N: 1, Vals: k}
+		for _, mu := range faultinject.Catalog(cfg) {
+			if k == 3 && mu.Name != "fairness-drop-qm1" && mu.Name != "fairness-drop-qm2" {
+				continue
+			}
+			mu := mu
+			cases = append(cases, theoremModel{fmt.Sprintf("mutant/%s/K=%d", mu.Name, k), func() *ag.Theorem {
+				th := cfg.Fig9Theorem()
+				if err := mu.Apply(th); err != nil {
+					panic(err)
+				}
+				return th
+			}, cfg.DoubleSymmetry()})
+		}
+	}
+	for _, tm := range cases {
 		t.Run(tm.name, func(t *testing.T) {
 			run := func(opts reduce.Options) *ag.Report {
 				th := tm.make()
@@ -121,6 +151,12 @@ func TestLHSHypothesesIgnoreReduction(t *testing.T) {
 				return r
 			}
 			off, sym := run(reduce.Options{}), run(reduce.Options{Sym: true})
+			reduced := false
+			if tm.sym != nil {
+				th := tm.make()
+				th.Reduce, th.Symmetry = reduce.Options{Sym: true}, tm.sym
+				reduced = th.LHSSystem().Reduce.Active()
+			}
 			if len(off.Hypotheses) != len(sym.Hypotheses) {
 				t.Fatalf("hypothesis count: off %d, sym %d", len(off.Hypotheses), len(sym.Hypotheses))
 			}
@@ -129,25 +165,108 @@ func TestLHSHypothesesIgnoreReduction(t *testing.T) {
 				if h.Name != s.Name || h.Holds != s.Holds {
 					t.Errorf("hypothesis %d: off %q holds=%v, sym %q holds=%v", i, h.Name, h.Holds, s.Name, s.Holds)
 				}
-				if onLHS(h.Name) && h != s {
-					t.Errorf("%s: reduction changed an LHS result:\noff: %s\nsym: %s", h.Name, h.Detail, s.Detail)
+				if !reduced && h != s {
+					t.Errorf("%s: not reduced, yet -reduce sym changed the result:\noff: %s\nsym: %s", h.Name, h.Detail, s.Detail)
 				}
 			}
 			if off.Verdict != sym.Verdict {
 				t.Errorf("verdict: off %v, sym %v", off.Verdict, sym.Verdict)
 			}
+			if reduced {
+				n := lhsReplays(t, tm.make, tm.sym)
+				t.Logf("%d reduced counterexamples replayed", n)
+			}
 		})
 	}
 }
 
-// onLHS reports whether a hypothesis is checked on the LHS graph.
-func onLHS(hyp string) bool {
-	for _, p := range []string{"H1[", "H2a-A(i):", "H2b:"} {
-		if strings.HasPrefix(hyp, p) {
-			return true
+// lhsReplays checks hypotheses 1, 2a(i) and 2b of the theorem mk makes on
+// its LHS graph built under sym and unreduced: each obligation must hold or
+// fail alike on both, and every counterexample of the reduced graph must be
+// a behavior of the full graph that violates the obligation under form's
+// lasso semantics, with the LHS's fairness TRUE on a liveness lasso. It
+// returns how many counterexamples it replayed.
+func lhsReplays(t *testing.T, mk func() *ag.Theorem, sym *reduce.Symmetry) int {
+	t.Helper()
+	th := mk()
+	th.Reduce, th.Symmetry = reduce.Options{Sym: true}, sym
+	redSys := th.LHSSystem()
+	red, err := redSys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := mk().LHSSystem().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obls []check.Obligation
+	for _, p := range th.Pairs {
+		if p.Env != nil {
+			obls = append(obls, check.Obligation{F: p.Env.SafetyFormula()})
 		}
 	}
-	return false
+	m := th.Concl.Sys
+	obls = append(obls, check.Obligation{F: m.SafetyFormula(), Mapping: th.Concl.Mapping})
+	shown := func(f form.Formula) form.Formula {
+		if th.Concl.Mapping == nil {
+			return f
+		}
+		return f.Subst(th.Concl.Mapping)
+	}
+	rw, err := check.SafetyAll(red, obls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := check.SafetyAll(full, obls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for i, w := range rw {
+		if w.Err != nil || fw[i].Err != nil {
+			t.Fatalf("%s: reduced error %v, full error %v", w.F, w.Err, fw[i].Err)
+		}
+		if w.Result.Holds != fw[i].Result.Holds {
+			t.Errorf("%s: reduced holds=%v, full holds=%v", w.F, w.Result.Holds, fw[i].Result.Holds)
+		}
+		if w.Result.Holds {
+			continue
+		}
+		f := w.F
+		if w.Mapping != nil {
+			f = shown(f)
+		}
+		if err := tstest.ViolatesSafety(full, w.Result.Trace, f); err != nil {
+			t.Errorf("%s: reduced counterexample does not replay: %v\n%s", w.F, err, w.Result.Trace)
+		}
+		replayed++
+	}
+	if cm := rw[len(rw)-1]; cm.Result.Holds && len(m.Fairness) > 0 {
+		rl, err := cm.Liveness(red, m.FairnessFormula())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := check.Liveness(full, m.FairnessFormula(), th.Concl.Mapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rl.Holds != fl.Holds {
+			t.Errorf("H2b liveness: reduced holds=%v, full holds=%v", rl.Holds, fl.Holds)
+		}
+		if !rl.Holds {
+			var fair []form.Formula
+			for _, c := range redSys.Components {
+				if len(c.Fairness) > 0 {
+					fair = append(fair, c.FairnessFormula())
+				}
+			}
+			if err := tstest.ViolatesLiveness(full, rl.Counterexample, form.AndF(fair...), shown(m.FairnessFormula())); err != nil {
+				t.Errorf("H2b liveness: reduced counterexample does not replay: %v\n%s", err, rl.Counterexample)
+			}
+			replayed++
+		}
+	}
+	return replayed
 }
 
 // TestFig9LHSIsCDQ pins the identity queueverify relies on to read §A.4

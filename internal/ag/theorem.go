@@ -84,10 +84,11 @@ type Theorem struct {
 	// Cache, when non-nil, is consulted before each graph construction and
 	// persisted after (see ts.GraphCache).
 	Cache ts.GraphCache
-	// Reduce selects symmetry reduction for the guarantees-only graph and
-	// its +v monitor product. The left-hand-side graph that hypotheses 1,
-	// 2a(i) and 2b share is never reduced: 2b needs fairness. A symmetry
-	// group the system or properties do not respect is disabled with a
+	// Reduce selects symmetry reduction for every graph the check builds:
+	// the left-hand-side graph that hypotheses 1, 2a(i) and 2b share, whose
+	// liveness half 2b decides on the quotient (see check.FindFairLasso),
+	// the guarantees-only graph and its +v monitor product. A symmetry
+	// group the systems or properties do not respect is disabled with a
 	// flight-recorder note rather than erroring: reduction is an
 	// optimization, and the verdict is identical either way.
 	Reduce reduce.Options
@@ -236,17 +237,21 @@ func (th *Theorem) guaranteeComponents() ([]*spec.Component, []ts.StepConstraint
 	return comps, cons
 }
 
-// lhsSystem returns the complete system E ∧ ⋀M_j, fairness included. Its
-// graph is also the graph of C(E) ∧ ⋀C(M_j): by Proposition 1 fairness
-// removes no state and no edge. So hypotheses (1), 2a(i) and (2b) all read
-// this one graph. It is never reduced, since 2b's liveness check refuses
-// reduced graphs.
+// lhsSystem returns the complete system E ∧ ⋀M_j, fairness included,
+// under the check's reduction. Its graph is also the graph of C(E) ∧
+// ⋀C(M_j): by Proposition 1 fairness removes no state and no edge. So
+// hypotheses (1), 2a(i) and (2b) all read this one graph. A reduced graph
+// decides 2b's liveness half on the quotient, which is exact because
+// buildReduce validated the group on this system's components, fairness
+// included, and on the mapped fairness of M.
 func (th *Theorem) lhsSystem() *ts.System {
 	comps, cons := th.guaranteeComponents()
 	if th.Concl.Env != nil {
 		comps = append([]*spec.Component{th.Concl.Env}, comps...)
 	}
-	return th.system("/full-lhs", comps, cons)
+	sys := th.system("/full-lhs", comps, cons)
+	sys.Reduce = th.rd
+	return sys
 }
 
 // guaranteesSystem returns the system ⋀C(M_j) with the environment
@@ -276,10 +281,11 @@ func (th *Theorem) system(suffix string, comps []*spec.Component, cons []ts.Step
 
 // propertyExprs collects every expression that will be evaluated as (part
 // of) a property on a reduced graph: the pairs' assumptions, the
-// conclusion's assumption and (mapping-substituted) guarantee, the mapping
-// state functions themselves, the +v subscript, and Proposition 4's
-// Disjoint(e, m). A declared symmetry must leave all of them invariant for
-// canonicalization to preserve verdicts.
+// conclusion's assumption and (mapping-substituted) guarantee with its
+// fairness actions and subscripts, the mapping state functions
+// themselves, the +v subscript, and Proposition 4's Disjoint(e, m). A
+// declared symmetry must leave all of them invariant for canonicalization
+// to preserve verdicts.
 func (th *Theorem) propertyExprs() []form.Expr {
 	var out []form.Expr
 	addComp := func(c *spec.Component, mapping map[string]form.Expr) {
@@ -298,6 +304,13 @@ func (th *Theorem) propertyExprs() []form.Expr {
 		add(c.Init)
 		for _, a := range c.Actions {
 			add(a.Def)
+		}
+		for _, f := range c.Fairness {
+			add(f.Action)
+			if f.Sub == nil {
+				f.Sub = c.SubTuple()
+			}
+			add(f.Sub)
 		}
 	}
 	for _, p := range th.Pairs {
@@ -337,10 +350,11 @@ func (th *Theorem) buildReduce(m *engine.Meter) *reduce.Config {
 			return disable(fmt.Sprintf("property %s: %v", e, err))
 		}
 	}
-	// Dry-run the system-level validation on the one reduced system:
-	// BuildWith errors on an invalid declaration, and a graceful disable
-	// must happen here.
-	sys := th.guaranteesSystem()
+	// Dry-run the system-level validation, once, on the LHS system: its
+	// components and step constraints include every Init, action, WF and
+	// SF of the guarantees-only system's. BuildWith errors on an invalid
+	// declaration, and a graceful disable must happen here.
+	sys := th.lhsSystem()
 	steps := make([]reduce.NamedExpr, 0, len(sys.Constraints))
 	for _, sc := range sys.Constraints {
 		steps = append(steps, reduce.NamedExpr{Name: sc.Name, E: sc.Action})

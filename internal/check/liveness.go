@@ -58,10 +58,10 @@ func memoState(g *ts.Graph, f func(id int) (bool, error)) (StateMask, *error) {
 // angleMasks compiles ⟨A⟩_sub against the graph's state layout (every
 // state of one graph binds the same variable set) into the memoized
 // ENABLED ⟨A⟩_sub state mask, whose first evaluation error lands in
-// *enErr, and the edge predicate "this edge is an ⟨A⟩_sub step", whose
-// first evaluation error lands in *errs. The enabledness functions reuse
-// scratch buffers (see form.Ctx.EnabledFn) and so share memoState's
-// single-goroutine contract.
+// *enErr, and the edge predicate "this edge is an ⟨A⟩_sub step", read on
+// the edge's real successor, whose first evaluation error lands in *errs.
+// The enabledness functions reuse scratch buffers (see form.Ctx.EnabledFn)
+// and so share memoState's single-goroutine contract.
 //
 // raw and im are nil, or ⟨A⟩_sub is the substitution of a refinement
 // mapping into raw and im holds the graph's images under that mapping. In
@@ -87,12 +87,14 @@ func angleMasks(g *ts.Graph, action, sub, raw form.Expr, im *imager, errs *error
 	angle := form.Angle(action, sub)
 	stepPred := im.compile([]form.Expr{angle}, []form.Expr{raw}, layout)[0]
 	enabled, enErr = memoState(g, enabledOf(g, angle, raw, im, layout))
-	taken = func(from, to int) bool {
-		st := state.Step{From: g.States[from], To: g.States[to]}
-		// st.To is a graph state, whose image im holds: step computes none
-		// and so returns no error.
-		img, _ := im.step(from, to, st.To)
-		ok, err := stepPred.eval(st, img)
+	taken = func(from, k int) bool {
+		real := g.EdgeReal(k)
+		st := state.Step{From: g.States[from], To: real}
+		img, err := im.step(from, g.EdgeTarget(k), real)
+		ok := false
+		if err == nil {
+			ok, err = stepPred.eval(st, img)
+		}
 		if err != nil && *errs == nil {
 			*errs = err
 		}
@@ -152,16 +154,16 @@ func componentFairness(g *ts.Graph, c *spec.Component, conds []CycleCond, errs *
 		if sub == nil {
 			sub = c.SubTuple()
 		}
-		conds = append(conds, fairnessCond(g, fmt.Sprintf("%s/%s", c.Name, fc.Kind), fc.Kind, fc.Action, sub, errs))
+		conds = append(conds, fairnessCond(g, fmt.Sprintf("%s/%s", c.Name, fc.Kind), form.FairF{Kind: fc.Kind, A: fc.Action, Sub: sub}, errs))
 	}
 	return conds
 }
 
 // fairnessCond builds the cycle condition for one WF/SF assumption.
-func fairnessCond(g *ts.Graph, name string, kind form.FairKind, action, sub form.Expr, errs *error) CycleCond {
-	enabled, enErr, taken := angleMasks(g, action, sub, nil, nil, errs)
-	cond := CycleCond{Name: name, HitEdge: taken}
-	if kind == form.Weak {
+func fairnessCond(g *ts.Graph, name string, f form.FairF, errs *error) CycleCond {
+	enabled, enErr, taken := angleMasks(g, f.A, f.Sub, nil, nil, errs)
+	cond := CycleCond{Name: name, HitEdge: taken, From: f}
+	if f.Kind == form.Weak {
 		// Fair iff cycle has a ¬enabled state or a taken edge.
 		cond.Buchi = true
 		cond.HitState = func(id int) bool {
@@ -198,6 +200,11 @@ func fairnessCond(g *ts.Graph, name string, kind form.FairKind, action, sub form
 // angleMasks), with the same results and errors, but for one divergence:
 // an ENABLED mask read on the images may hold on a state where the
 // substituted mask fails with an error before it finds a witness.
+//
+// On a symmetry-reduced graph each conjunct is decided on the orbit
+// representatives, and a counterexample is lifted to a behavior of the
+// system; a conjunct the group does not leave invariant is an error (see
+// FindFairLasso).
 //
 // The check is governed by the graph's resource meter: exhaustion aborts
 // with an *engine.BudgetError, and panics during the fair-cycle search are
@@ -297,7 +304,7 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, r
 		if p, ok := t.F.(form.PredF); ok {
 			// ◇P: a violation is a fair lasso confined to ¬P.
 			return checkPredLasso(g, p.P, name, func(notP StateMask) LassoQuery {
-				return LassoQuery{StartIDs: g.Inits, PrefixState: notP, CycleState: notP, Conds: fair}
+				return LassoQuery{StartIDs: g.Inits, PrefixState: notP, CycleState: notP, Conds: fair, Target: target}
 			})
 		}
 		if alw, ok := t.F.(form.AlwaysF); ok {
@@ -305,8 +312,8 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, r
 				// ◇□P: a violation is a fair lasso whose cycle contains a ¬P
 				// state.
 				return checkPredLasso(g, p.P, name, func(notP StateMask) LassoQuery {
-					hit := CycleCond{Name: "hits ~P", Buchi: true, HitState: notP}
-					return LassoQuery{StartIDs: g.Inits, Conds: append(append([]CycleCond(nil), fair...), hit)}
+					hit := CycleCond{Name: "hits ~P", Buchi: true, HitState: notP, From: target}
+					return LassoQuery{StartIDs: g.Inits, Conds: append(append([]CycleCond(nil), fair...), hit), Target: target}
 				})
 			}
 		}
@@ -316,7 +323,7 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, r
 		if ev, ok := t.F.(form.EventuallyF); ok {
 			if p, ok := ev.F.(form.PredF); ok {
 				return checkPredLasso(g, p.P, name, func(notP StateMask) LassoQuery {
-					return LassoQuery{StartIDs: g.Inits, CycleState: notP, Conds: fair}
+					return LassoQuery{StartIDs: g.Inits, CycleState: notP, Conds: fair, Target: target}
 				})
 			}
 		}
@@ -326,7 +333,7 @@ func checkLivenessConjunct(g *ts.Graph, fair []CycleCond, target form.Formula, r
 			if pok {
 				if ev, ok := imp.B.(form.EventuallyF); ok {
 					if q, ok := ev.F.(form.PredF); ok {
-						return checkLeadsTo(g, fair, p.P, q.P, name)
+						return checkLeadsTo(g, fair, p.P, q.P, target)
 					}
 				}
 			}
@@ -348,12 +355,12 @@ func checkPredLasso(g *ts.Graph, p form.Expr, name string, query func(notP State
 	if *merr != nil {
 		return nil, *merr
 	}
-	return lassoResult(g, w, name), nil
+	return lassoResult(g, w, name)
 }
 
 // checkLeadsTo checks □(P ⇒ ◇Q): a violation reaches a (P ∧ ¬Q) state and
 // then stays in ¬Q forever along a fair lasso.
-func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*LivenessResult, error) {
+func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, target form.Formula) (*LivenessResult, error) {
 	pMask, perr := predMask(g, p)
 	qMask, qerr := predMask(g, q)
 	notQ := notMask(qMask)
@@ -378,6 +385,7 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*
 		PrefixState: notQ,
 		CycleState:  notQ,
 		Conds:       fair,
+		Target:      target,
 	})
 	if err != nil {
 		return nil, err
@@ -393,9 +401,13 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, name string) (*
 	if len(w.PrefixIDs) > 0 {
 		head = w.PrefixIDs[0]
 	}
-	lead := g.PathTo(head)
-	prefix := append(append([]int(nil), lead[:len(lead)-1]...), w.PrefixIDs...)
-	return lassoResult(g, &LassoWitness{PrefixIDs: prefix, CycleIDs: w.CycleIDs}, name), nil
+	lead, leadEdges := g.PathEdges(g.Inits, head, nil, nil)
+	return lassoResult(g, &LassoWitness{
+		PrefixIDs:   append(lead[:len(lead)-1], w.PrefixIDs...),
+		PrefixEdges: append(leadEdges, w.PrefixEdges...),
+		CycleIDs:    w.CycleIDs,
+		CycleEdges:  w.CycleEdges,
+	}, target.String())
 }
 
 // checkFairTarget checks a WF/SF obligation of an abstract specification:
@@ -412,8 +424,9 @@ func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, raw form.Expr,
 	enabled, enErr, taken := angleMasks(g, t.A, t.Sub, raw, im, &takenErr)
 	q := LassoQuery{
 		StartIDs:  g.Inits,
-		CycleEdge: func(from, to int) bool { return !taken(from, to) },
+		CycleEdge: func(from, k int) bool { return !taken(from, k) },
 		Conds:     fair,
+		Target:    t,
 	}
 	if t.Kind == form.Weak {
 		q.CycleState = enabled
@@ -422,6 +435,7 @@ func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, raw form.Expr,
 			Name:     "hits enabled state",
 			Buchi:    true,
 			HitState: enabled,
+			From:     t,
 		})
 	}
 	w, err := FindFairLasso(g, q)
@@ -434,16 +448,16 @@ func checkFairTarget(g *ts.Graph, fair []CycleCond, t form.FairF, raw form.Expr,
 	if takenErr != nil {
 		return nil, takenErr
 	}
-	return lassoResult(g, w, t.String()), nil
+	return lassoResult(g, w, t.String())
 }
 
-func lassoResult(g *ts.Graph, w *LassoWitness, name string) *LivenessResult {
+func lassoResult(g *ts.Graph, w *LassoWitness, name string) (*LivenessResult, error) {
 	if w == nil {
-		return &LivenessResult{Holds: true}
+		return &LivenessResult{Holds: true}, nil
 	}
-	return &LivenessResult{
-		Holds:          false,
-		Violated:       name,
-		Counterexample: w.ToLasso(g),
+	l, err := w.ToLasso(g)
+	if err != nil {
+		return nil, err
 	}
+	return &LivenessResult{Holds: false, Violated: name, Counterexample: l}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"opentla/internal/reduce"
 	"opentla/internal/spec"
 	"opentla/internal/ts"
+	"opentla/internal/ts/tstest"
 )
 
 // build builds sys, failing t on error.
@@ -90,18 +91,27 @@ func TestSafetyUnderMatchesReferenceFig9(t *testing.T) {
 				t.Fatalf("truncated mapping: %v", res)
 			}
 		})
+		var full *ts.Graph // the unreduced product, built first
 		for _, sym := range []bool{false, true} {
 			sys := &ts.System{Name: "guarantees-only", Components: guarantees, Constraints: cons, Domains: th.Domains}
 			if sym {
 				sys.Reduce = &reduce.Config{Options: reduce.Options{Sym: true}, Symmetry: cfg.DoubleSymmetry()}
 			}
 			prod := plusProduct(t, build(t, sys), th.Concl.Env, th.Concl.PlusSub)
+			if !sym {
+				full = prod
+			}
 			t.Run(fmt.Sprintf("K=%d/plus/sym=%v", k, sym), func(t *testing.T) {
 				if res := check.SameAsReference(t, prod, target, th.Concl.Mapping); res == nil || !res.Holds {
 					t.Fatalf("H2a-B under q̄: %v", res)
 				}
-				if res := check.SameAsReference(t, prod, target, truncated); res == nil || res.Holds {
+				res := check.SameAsReference(t, prod, target, truncated)
+				if res == nil || res.Holds {
 					t.Fatalf("truncated mapping: %v", res)
+				}
+				// A reduced trace is lifted: a behavior of the full product.
+				if err := tstest.ViolatesSafety(full, res.Trace, target.Subst(truncated)); err != nil {
+					t.Errorf("truncated mapping: the trace does not replay: %v\n%s", err, res.Trace)
 				}
 			})
 		}

@@ -185,7 +185,7 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 			if !ok {
 				return done(&SafetyResult{
 					Violation: fmt.Sprintf("reachable state violates invariant %s", ob.names[invPhase][i]),
-					Trace:     g.Behavior(g.PathTo(id)),
+					Trace:     g.BehaviorTo(id),
 				})
 			}
 		}
@@ -216,8 +216,7 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 				return false
 			}
 			if !ok {
-				path := g.PathTo(from)
-				trace := append(g.Behavior(path), real)
+				trace := append(g.BehaviorTo(from), real)
 				res = &SafetyResult{
 					Violation: fmt.Sprintf("reachable step violates %s", ob.names[boxPhase][i]),
 					Trace:     trace,

@@ -286,15 +286,15 @@ func SafetyAll(g *ts.Graph, obls []Obligation) (ws []*Walked, err error) {
 		cur = g.States[id]
 		for _, w := range ws {
 			if curW = w; !w.done() && w.settle(invPhase, state.Step{From: cur}, w.im.state(id)) {
-				w.Result.Trace = g.Behavior(g.PathTo(id))
+				w.Result.Trace = g.BehaviorTo(id)
 			}
 		}
 	}
 	// ForEachEdgeStep hands every edge as a GENUINE step of the system: on
 	// a symmetry-reduced graph the target id is a canonical representative,
-	// but real is the actual post-state of the step, so box evaluation (and
-	// any violating trace) never sees a representative-to-representative
-	// pseudo-step the system cannot take.
+	// but real is the actual post-state of the step, so box evaluation never
+	// sees a representative-to-representative pseudo-step the system cannot
+	// take. A violating trace is lifted likewise (see ts.Graph.BehaviorTo).
 	var tickErr error
 	if pending(ws, boxPhase) {
 		g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
@@ -310,7 +310,7 @@ func SafetyAll(g *ts.Graph, obls []Obligation) (ws []*Walked, err error) {
 				if img, err := w.im.step(from, to, real); err != nil {
 					w.Err = err
 				} else if w.settle(boxPhase, st, img) {
-					w.Result.Trace = append(g.Behavior(g.PathTo(from)), real)
+					w.Result.Trace = append(g.BehaviorTo(from), real)
 				}
 			}
 			return pending(ws, boxPhase)

@@ -44,7 +44,7 @@ func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Ex
 	conds := []CycleCond{{Name: "hits alive state", Buchi: true, HitState: func(id int) bool {
 		b, _ := prod.States[id].MustGet(plusVar).AsBool()
 		return b
-	}}}
+	}, From: form.Pred(form.Var(plusVar))}}
 	errs := new(error)
 	conds = componentFairness(prod, env, conds, errs)
 	res, err := component(prod, sys, mapping, conds)

@@ -77,7 +77,7 @@ func New(tool string, stderr io.Writer) *Run {
 	fs.IntVar(&r.Queue.Vals, "k", 2, "value-domain size K (>= 2)")
 	fs.IntVar(&r.Queue.Vals, "K", 2, "alias for -k")
 	fs.StringVar(&r.vetFlag, "vet", "warn", "static pre-check mode: strict | warn | off")
-	fs.StringVar(&r.reduceFlag, "reduce", "off", "symmetry reduction for safety-only obligations: off|sym")
+	fs.StringVar(&r.reduceFlag, "reduce", "off", "symmetry reduction of every graph a check builds: off|sym")
 	r.budget = engine.AddBudgetFlags(fs)
 	r.workers = engine.AddWorkersFlag(fs)
 	r.obs = obs.AddFlags(fs)

@@ -9,12 +9,13 @@ import (
 // TestAllReduceMutantsDetected is the reduction harness's acceptance
 // criterion: every sabotage seam of reduce.Sabotage, flipped alone, must
 // change a safety verdict between the full and the sabotaged reduced graph
-// of its miniature system. Zero survivors — a surviving seam would mean the
+// of its miniature system, and the validation mutant must have its group
+// disabled. Zero survivors — a surviving seam would mean the
 // reduced-vs-full cross-check cannot see that class of reduction bug.
 func TestAllReduceMutantsDetected(t *testing.T) {
 	muts := ReduceCatalog()
-	if len(muts) != 2 {
-		t.Fatalf("catalog has %d mutants, want 2 (one per sabotage seam)", len(muts))
+	if len(muts) != 3 {
+		t.Fatalf("catalog has %d mutants, want 3 (one per sabotage seam, one validation mutant)", len(muts))
 	}
 	results, err := RunReduce(muts, engine.Budget{MaxStates: 100_000})
 	if err != nil {
@@ -43,6 +44,9 @@ func TestReduceCatalogCoversEverySeam(t *testing.T) {
 		"skip-tuple-values": false,
 	}
 	for _, mu := range ReduceCatalog() {
+		if mu.Apply != nil {
+			continue // a validation mutant flips no seam
+		}
 		s := mu.Sabotage.String()
 		seen, ok := want[s]
 		if !ok {
@@ -62,13 +66,21 @@ func TestReduceCatalogCoversEverySeam(t *testing.T) {
 }
 
 // TestReduceMutantBaselines re-checks harness validity in isolation: for
-// every mutant the UNsabotaged reduction must agree with the full build
-// (RunReduce also enforces this, but a broken baseline should read as a
-// baseline failure, not a survivor).
+// every seam mutant the UNsabotaged reduction must agree with the full
+// build, and for the validation mutant the unmutated theorem must keep its
+// group (RunReduce also enforces this, but a broken baseline should read
+// as a baseline failure, not a survivor).
 func TestReduceMutantBaselines(t *testing.T) {
 	for _, mu := range ReduceCatalog() {
 		mu := mu
 		t.Run(mu.Name, func(t *testing.T) {
+			if mu.Apply != nil {
+				rep, notes, err := mu.symRun(mu.Config.Fig9Theorem(), true, engine.Budget{MaxStates: 100_000})
+				if err != nil || len(notes) > 0 || rep.Verdict != engine.Holds {
+					t.Fatalf("unmutated theorem under -reduce sym: %v, disabled by %v, error %v", rep, notes, err)
+				}
+				return
+			}
 			sys := mu.System()
 			sys.Reduce = mu.config(nil)
 			if _, err := sys.Build(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"opentla/internal/reduce"
 	"opentla/internal/state"
 	"opentla/internal/ts"
+	"opentla/internal/ts/tstest"
 )
 
 // reductionProbe is a safety property checked on both the full and the
@@ -78,8 +79,11 @@ func buildModel(t *testing.T, m Model, rd *reduce.Config, workers int) *ts.Graph
 // mutants of internal/faultinject must fail: for every bundled model, the
 // -reduce sym graph decides the same safety verdicts as the full graph,
 // produces a counterexample exactly when the full check does, and never
-// has more states. A model that declares no symmetry group (arbiter,
-// circular) gets the full graph itself. Run with -race and -cpu 1,4.
+// has more states. Every reduced counterexample is a behavior of the full
+// graph that violates the probe: each consecutive pair of its states is a
+// step, not a pair of representatives. A model that declares no symmetry
+// group (arbiter, circular) gets the full graph itself. Run with -race and
+// -cpu 1,4.
 func TestReducedVsFullRegistry(t *testing.T) {
 	// Value symmetry collapses data-distinguishing states in these models,
 	// so it must strictly shrink them; a non-shrinking "reduction" means the
@@ -119,12 +123,96 @@ func TestReducedVsFullRegistry(t *testing.T) {
 					if !rr.Holds && len(rr.Trace) == 0 {
 						t.Errorf("reduced check violated without a counterexample trace")
 					}
+					if !rr.Holds {
+						if err := tstest.ViolatesSafety(full, rr.Trace, p.f); err != nil {
+							t.Errorf("reduced counterexample is not a violating behavior: %v\n%s", err, rr.Trace)
+						}
+					}
 					if !fr.Holds && len(fr.Trace) == 0 {
 						t.Errorf("full check violated without a counterexample trace")
 					}
 					t.Logf("states full=%d reduced=%d holds=%v", len(full.States), len(red.States), rr.Holds)
 				})
 			}
+		})
+	}
+}
+
+// livenessProbes returns liveness targets for a model, each invariant under
+// its declared group: every WF and SF condition of the components (which
+// the system assumes, so they hold), WF and SF of each component action
+// over the component's variables (which fail where nothing forces the
+// action), and ◇□, □◇ and leads-to over the init pin of buildProbes.
+func livenessProbes(m Model, full *ts.Graph) []reductionProbe {
+	var out []reductionProbe
+	for _, c := range m.Components {
+		for i, f := range c.Fairness {
+			sub := f.Sub
+			if sub == nil {
+				sub = c.SubTuple()
+			}
+			out = append(out, reductionProbe{fmt.Sprintf("%s/fairness%d", c.Name, i), form.FairF{Kind: f.Kind, A: f.Action, Sub: sub}})
+		}
+		for _, a := range c.Actions {
+			out = append(out,
+				reductionProbe{c.Name + "/WF(" + a.Name + ")", form.WF(c.SubTuple(), a.Def)},
+				reductionProbe{c.Name + "/SF(" + a.Name + ")", form.SF(c.SubTuple(), a.Def)})
+		}
+	}
+	pin := buildProbes(m, full)[1].f.(form.AlwaysF).F.(form.PredF).P
+	return append(out,
+		reductionProbe{"<>[]pin", form.Eventually(form.AlwaysPred(pin))},
+		reductionProbe{"[]<>pin", form.Always(form.EventuallyPred(pin))},
+		reductionProbe{"~pin ~> pin", form.LeadsTo(form.Not(pin), pin)})
+}
+
+// TestReducedVsFullLiveness is the liveness half of the reduced-vs-full
+// cross-check: for every bundled model with a symmetry group and every
+// liveness probe, the fair-cycle search on the reduced graph's
+// representatives decides what the full graph decides, and every reduced
+// counterexample, lifted, is a behavior of the full graph on which the
+// system's fairness is TRUE and the probe FALSE under form's lasso
+// semantics. Run with -race and -cpu 1,4.
+func TestReducedVsFullLiveness(t *testing.T) {
+	for _, m := range All() {
+		if m.Symmetry == nil {
+			continue
+		}
+		t.Run(m.Name, func(t *testing.T) {
+			full := buildModel(t, m, nil, 0)
+			red := buildModel(t, m, symConfig(m), 0)
+			var fair []form.Formula
+			for _, c := range m.Components {
+				if len(c.Fairness) > 0 {
+					fair = append(fair, c.FairnessFormula())
+				}
+			}
+			violated := 0
+			for _, p := range livenessProbes(m, full) {
+				fr, err := check.Liveness(full, p.f, nil)
+				if err != nil {
+					t.Fatalf("%s: full check: %v", p.name, err)
+				}
+				rr, err := check.Liveness(red, p.f, nil)
+				if err != nil {
+					t.Fatalf("%s: reduced check: %v", p.name, err)
+				}
+				if fr.Holds != rr.Holds {
+					t.Errorf("%s: full holds=%v, reduced holds=%v", p.name, fr.Holds, rr.Holds)
+					continue
+				}
+				if rr.Holds {
+					continue
+				}
+				violated++
+				if err := tstest.ViolatesLiveness(full, rr.Counterexample, form.AndF(fair...), p.f); err != nil {
+					t.Errorf("%s: reduced counterexample is not a fair violating behavior: %v\n%s", p.name, err, rr.Counterexample)
+				}
+			}
+			if violated == 0 {
+				t.Errorf("no probe is violated, so no counterexample was lifted")
+			}
+			t.Logf("states full=%d reduced=%d, %d probes violated", len(full.States), len(red.States), violated)
 		})
 	}
 }

@@ -147,28 +147,32 @@ func TestPrometheusSeriesGolden(t *testing.T) {
 }
 
 // corruptSecondLoad is a graph cache whose second Load fails as an
-// unusable entry would.
+// unusable entry would, and whose later Loads find nothing.
 type corruptSecondLoad struct {
 	*cache.Cache
 	loads int
 }
 
 func (c *corruptSecondLoad) Load(desc string) (*ts.Snapshot, error) {
-	if c.loads++; c.loads == 2 {
+	switch c.loads++; {
+	case c.loads == 2:
 		return nil, errors.New("injected unusable entry")
+	case c.loads > 2:
+		return nil, nil
 	}
 	return c.Cache.Load(desc)
 }
 
 // TestViewsAgree: the report's metrics section and -metrics-out are views
 // of one record. The run is reduced, fills a cache, hits the left-hand
-// side a fill without reduction left, and meets one unusable entry.
+// side an earlier reduced run left, meets one unusable entry and misses
+// the last graph.
 func TestViewsAgree(t *testing.T) {
 	c, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig9Run(t, "off", c)
+	fig9Run(t, "sym", c)
 	rec := fig9Run(t, "sym", &corruptSecondLoad{Cache: c})
 	rep := rec.Finish("test", obs.Config{}, engine.Holds, "")
 

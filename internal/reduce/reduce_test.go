@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opentla/internal/form"
+	"opentla/internal/spec"
 	"opentla/internal/state"
 	"opentla/internal/value"
 )
@@ -292,5 +293,55 @@ func TestConfigDesc(t *testing.T) {
 	soundCfg := &Config{Options: Options{Sym: true}, Symmetry: valSym()}
 	if sab.Desc() == soundCfg.Desc() {
 		t.Error("sabotaged desc equals sound desc")
+	}
+}
+
+// TestValidateRejectsBooleanValues: CheckValueInvariant reads a boolean
+// subterm as a truth value checked on its own, so an orbit of booleans
+// would let p' = (p = p), which moves with p, pass. Validate refuses such
+// an orbit before any formula is checked.
+func TestValidateRejectsBooleanValues(t *testing.T) {
+	sym := &Symmetry{Values: value.Bools(), Vars: []string{"p"}}
+	p := form.Var("p")
+	c := &spec.Component{Name: "c", Outputs: []string{"p"},
+		Actions: []spec.Action{{Name: "A", Def: form.Eq(form.Prime(p), form.Eq(p, p))}}}
+	err := sym.Validate([]*spec.Component{c}, nil, map[string][]value.Value{"p": value.Bools()})
+	if err == nil || !strings.Contains(err.Error(), "must not be booleans") {
+		t.Errorf("boolean orbit: error %v", err)
+	}
+}
+
+// TestPermOfIsCanon holds PermOf to Canon: on every state of a small
+// universe π(s) is Canon(s), π⁻¹ undoes π, π ∘ π⁻¹ is the identity, and π
+// to the power Order() is too.
+func TestPermOfIsCanon(t *testing.T) {
+	sym := valSym()
+	cz := canonFor(sym, nil)
+	vals := value.Ints(0, 2)
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				s := state.New(map[string]value.Value{
+					"i.val": a, "o.val": value.Int(1), "q": value.Tuple(b, c), "sig": value.Int(1),
+				})
+				pi := cz.PermOf(s)
+				if got, want := pi.Apply(s), cz.Canon(s); !got.Equal(want) {
+					t.Fatalf("%s: PermOf gives %s, Canon %s", s, got, want)
+				}
+				if back := pi.Inverse().Apply(pi.Apply(s)); !back.Equal(s) {
+					t.Fatalf("%s: the inverse gives back %s", s, back)
+				}
+				if id := pi.Compose(pi.Inverse()).Apply(s); id != s {
+					t.Fatalf("%s: π ∘ π⁻¹ moves it to %s", s, id)
+				}
+				pow := Perm{}
+				for i := 0; i < pi.Order(); i++ {
+					pow = pow.Compose(pi)
+				}
+				if id := pow.Apply(s); id != s {
+					t.Fatalf("%s: π to the power %d moves it to %s", s, pi.Order(), id)
+				}
+			}
+		}
 	}
 }

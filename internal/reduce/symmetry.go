@@ -69,13 +69,17 @@ func (sym *Symmetry) scope() map[string]bool {
 }
 
 // inValues reports whether v equals a member of the declared orbit.
-func (sym *Symmetry) inValues(v value.Value) bool {
-	for _, w := range sym.Values {
+func (sym *Symmetry) inValues(v value.Value) bool { return sym.index(v) >= 0 }
+
+// index returns the position of v in Values, or -1 if v is not an orbit
+// value.
+func (sym *Symmetry) index(v value.Value) int {
+	for i, w := range sym.Values {
 		if w.Equal(v) {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // ---------------------------------------------------------------------------
@@ -336,6 +340,12 @@ func (sym *Symmetry) validateShape() error {
 		if v.Kind() == value.KindTuple {
 			return fmt.Errorf("symmetry: Values must be atoms, got tuple %s", v)
 		}
+		// CheckValueInvariant takes a boolean subterm's truth value to be
+		// checked on its own, never as an orbit value: with TRUE and FALSE
+		// in the orbit, p' = (p = p) would pass although it moves with p.
+		if v.Kind() == value.KindBool {
+			return fmt.Errorf("symmetry: Values must not be booleans, got %s", v)
+		}
 	}
 	for i, v := range sym.Vars {
 		for _, w := range sym.Vars[i+1:] {
@@ -433,6 +443,51 @@ func (sym *Symmetry) CheckValueInvariant(e form.Expr) error {
 		return nil
 	}
 	return sym.checkValue(e, sym.scope())
+}
+
+// CheckFormulaInvariant applies CheckValueInvariant to every expression of
+// the temporal formula f: its state predicates, and the actions and
+// subscripts of its boxes and WF/SF conditions. A formula of another kind
+// (hiding, for one) is rejected.
+func (sym *Symmetry) CheckFormulaInvariant(f form.Formula) error {
+	if !sym.nontrivial() {
+		return nil
+	}
+	var exprs []form.Expr
+	var subs []form.Formula
+	switch x := f.(type) {
+	case form.PredF:
+		exprs = []form.Expr{x.P}
+	case form.ActBoxF:
+		exprs = []form.Expr{x.A, x.Sub}
+	case form.FairF:
+		exprs = []form.Expr{x.A, x.Sub}
+	case form.AlwaysF:
+		subs = []form.Formula{x.F}
+	case form.EventuallyF:
+		subs = []form.Formula{x.F}
+	case form.NotFm:
+		subs = []form.Formula{x.F}
+	case form.ImpliesFmN:
+		subs = []form.Formula{x.A, x.B}
+	case form.AndFm:
+		subs = x.Fs
+	case form.OrFm:
+		subs = x.Fs
+	default:
+		return fmt.Errorf("formula %s: no invariance rule for its kind", f)
+	}
+	for _, e := range exprs {
+		if err := sym.CheckValueInvariant(e); err != nil {
+			return err
+		}
+	}
+	for _, g := range subs {
+		if err := sym.CheckFormulaInvariant(g); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkValue applies the rules to the nodes of e in pre-order, left to

@@ -44,7 +44,9 @@ func UnitSystems() []*System {
 // Reload rebuilds g from its snapshot as a cache hit does: the returned
 // graph has no ID table until its first ID call.
 func Reload(g *Graph) *Graph {
-	return graphFromSnapshot(g.Sys, g.Ctx, g.Meter(), g.Snapshot(), g.canon)
+	r := graphFromSnapshot(g.Sys, g.Ctx, g.Meter(), g.Snapshot())
+	r.cz = g.cz
+	return r
 }
 
 // WithStoreHash makes every exploration and loaded-graph ID table of this

@@ -2,12 +2,15 @@ package ts
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"opentla/internal/engine"
 	"opentla/internal/form"
 	"opentla/internal/obs"
+	"opentla/internal/reduce"
 	"opentla/internal/state"
 	"opentla/internal/store"
 )
@@ -40,16 +43,35 @@ type Graph struct {
 	// representatives; edgeStates (parallel to targets, symmetry builds
 	// only) preserves each edge's real successor so checks can iterate
 	// genuine steps via ForEachSuccStep.
-	// canon maps any state to its representative (nil when symmetry is off).
+	// cz maps any state to its representative (nil when symmetry is off),
+	// and Lift reads each edge's permutation off it.
 	edgeStates []*state.State
-	reduced    bool
-	canon      func(*state.State) *state.State
+	cz         *reduce.Canonicalizer
 }
 
 // Reduced reports whether the graph was built under symmetry reduction.
-// Reduced graphs preserve all safety verdicts of properties the group
-// leaves invariant but are unsuitable for fairness/liveness analysis.
-func (g *Graph) Reduced() bool { return g.reduced }
+// A reduced graph decides the safety and liveness properties its group
+// leaves invariant as the full graph does: its paths lift to behaviors
+// (see Lift), and fairness and the targets check.FindFairLasso accepts are
+// constant on orbits.
+func (g *Graph) Reduced() bool { return g.cz != nil }
+
+// canonOf returns cz's canonicalization, or nil without symmetry.
+func canonOf(cz *reduce.Canonicalizer) func(*state.State) *state.State {
+	if cz == nil {
+		return nil
+	}
+	return cz.Canon
+}
+
+// Symmetry returns the group a reduced graph was built under, or nil for
+// an unreduced graph.
+func (g *Graph) Symmetry() *reduce.Symmetry {
+	if g.cz == nil {
+		return nil
+	}
+	return g.cz.Symmetry()
+}
 
 // Meter returns the resource meter governing this graph and every check run
 // over it. Graphs built without an explicit budget get an unlimited meter.
@@ -88,12 +110,11 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 	// declaration is a configuration error regardless of cache state, and
 	// the canonicalizer is needed to reconstruct a cached reduced graph.
 	rd := sys.Reduce
-	var canon func(*state.State) *state.State
-	if rd.Active() {
+	cz := rd.Canonicalizer()
+	if cz != nil {
 		if err := rd.Symmetry.Validate(sys.Components, sys.reduceSteps(), sys.Domains); err != nil {
 			return nil, fmt.Errorf("system %s: symmetry declaration rejected: %w", sys.Name, err)
 		}
-		canon = rd.Canonicalizer().Canon
 	}
 
 	// CanonicalDesc embeds the reduction configuration, so reduced and full
@@ -109,7 +130,7 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		limit:     maxGraphStates,
 		limitName: "system " + sys.Name,
 		meter:     m,
-		canon:     canon,
+		canon:     canonOf(cz),
 	}, func(seed bool) ([]*state.State, func() expandFunc, error) {
 		compiled, err := sys.compile()
 		if err != nil {
@@ -130,6 +151,9 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		obs.FromMeter(m).AddReduction(op, obs.ReductionStats{
 			FullStates: res.expanded, FullSuccs: res.emitted, SymCollapsed: res.symCollapsed,
 		})
+	}
+	if g != nil {
+		g.cz = cz
 	}
 	return g, err
 }
@@ -156,7 +180,7 @@ func (sys *System) cachedBuild(ctx *form.Ctx, desc, name string, p exploreParams
 	cached := c != nil && desc != ""
 	if cached {
 		if snap := cacheLoad(c, m, desc); snap != nil {
-			return graphFromSnapshot(sys, ctx, m, snap, p.canon), nil, nil
+			return graphFromSnapshot(sys, ctx, m, snap), nil, nil
 		}
 		p.resume = loadCheckpoint(c, m, desc, name)
 		p.onCheckpoint = checkpointSaver(c, m, desc)
@@ -178,7 +202,7 @@ func (sys *System) cachedBuild(ctx *form.Ctx, desc, name string, p exploreParams
 		Targets:    res.targets,
 		EdgeStates: res.edgeStates,
 	}
-	g := graphFromSnapshot(sys, ctx, m, snap, p.canon)
+	g := graphFromSnapshot(sys, ctx, m, snap)
 	g.table = res.table
 	if cached {
 		defer obs.FromMeter(m).CacheOp("store", time.Now())
@@ -274,16 +298,43 @@ func (g *Graph) ForEachSucc(from int, f func(to int) bool) bool {
 func (g *Graph) ForEachSuccStep(from int, f func(to int, real *state.State) bool) bool {
 	lo, hi := g.offsets[from], g.offsets[from+1]
 	for k := lo; k < hi; k++ {
-		to := int(g.targets[k])
-		real := g.States[to]
-		if len(g.edgeStates) > 0 && g.edgeStates[k] != nil {
-			real = g.edgeStates[k]
-		}
-		if !f(to, real) {
+		if !f(int(g.targets[k]), g.EdgeReal(k)) {
 			return false
 		}
 	}
 	return true
+}
+
+// ForEachSuccEdge calls f for every successor edge of from with its index
+// k, as EdgeTarget and EdgeReal read it, and its target id, in adjacency
+// order, stopping early if f returns false; it reports whether the
+// iteration ran to completion. A reduced graph may hold several edges
+// between two states, one per real successor: only k tells them apart.
+func (g *Graph) ForEachSuccEdge(from int, f func(k, to int) bool) bool {
+	lo, hi := g.offsets[from], g.offsets[from+1]
+	for k := lo; k < hi; k++ {
+		if !f(k, int(g.targets[k])) {
+			return false
+		}
+	}
+	return true
+}
+
+// EdgeTarget returns the target id of edge k.
+func (g *Graph) EdgeTarget(k int) int { return int(g.targets[k]) }
+
+// EdgeReal returns the real successor state of edge k (see
+// ForEachSuccStep).
+func (g *Graph) EdgeReal(k int) *state.State {
+	if len(g.edgeStates) > 0 && g.edgeStates[k] != nil {
+		return g.edgeStates[k]
+	}
+	return g.States[g.targets[k]]
+}
+
+// edgeSource returns the state edge k leaves.
+func (g *Graph) edgeSource(k int) int {
+	return sort.Search(len(g.States), func(i int) bool { return g.offsets[i+1] > k })
 }
 
 // ForEachEdgeStep calls f for every edge with its real successor state (see
@@ -327,22 +378,31 @@ func (g *Graph) PathTo(target int) []int {
 }
 
 // PathBetween returns a shortest path from any state in from to target,
-// restricted to the states and edges the filters allow (nil allows all).
-// The path includes both endpoints; it is nil if no path exists. Among
-// shortest paths it returns the one breadth-first search finds when it
-// visits successors in ForEachSucc order.
-func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool, edge func(from, to int) bool) []int {
-	prev := make([]int, len(g.States))
+// restricted to the states the filter allowed and the edges, by source and
+// index, the filter edge allows (nil allows all). The path includes both
+// endpoints; it is nil if no path exists. Among shortest paths it returns
+// the one breadth-first search finds when it visits successors in
+// ForEachSucc order.
+func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool, edge func(from, k int) bool) []int {
+	path, _ := g.PathEdges(from, target, allowed, edge)
+	return path
+}
+
+// PathEdges is PathBetween that also returns the edge of each step of the
+// path: edges[i] is the index of the edge from path[i] to path[i+1].
+func (g *Graph) PathEdges(from []int, target int, allowed func(int) bool, edge func(from, k int) bool) (path, edges []int) {
+	const unvisited, source = -2, -1
+	prev := make([]int, len(g.States)) // the edge a state was reached by
 	for i := range prev {
-		prev[i] = -2 // unvisited
+		prev[i] = unvisited
 	}
 	var queue []int
 	for _, s := range from {
 		if allowed != nil && !allowed(s) {
 			continue
 		}
-		if prev[s] == -2 {
-			prev[s] = -1 // source
+		if prev[s] == unvisited {
+			prev[s] = source
 			queue = append(queue, s)
 		}
 	}
@@ -350,28 +410,70 @@ func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool, edge
 		u := queue[0]
 		queue = queue[1:]
 		if u == target {
-			var path []int
-			for v := u; v != -1; v = prev[v] {
-				path = append(path, v)
+			path = []int{u}
+			for v := u; prev[v] != source; {
+				k := prev[v]
+				v = g.edgeSource(k)
+				path, edges = append(path, v), append(edges, k)
 			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path
+			slices.Reverse(path)
+			slices.Reverse(edges)
+			return path, edges
 		}
-		g.ForEachSucc(u, func(v int) bool {
-			if prev[v] != -2 {
+		g.ForEachSuccEdge(u, func(k, v int) bool {
+			if prev[v] != unvisited {
 				return true
 			}
-			if allowed != nil && !allowed(v) || edge != nil && !edge(u, v) {
+			if allowed != nil && !allowed(v) || edge != nil && !edge(u, k) {
 				return true
 			}
-			prev[v] = u
+			prev[v] = k
 			queue = append(queue, v)
 			return true
 		})
 	}
-	return nil
+	return nil, nil
+}
+
+// Lift follows a path of the graph, given by its edges k_0, k_1, …,
+// through each edge's real successor. Write π_k for the permutation that
+// takes edge k's real successor to its target (Canonicalizer.PermOf). With
+// σ_0 = sigma, state i of the result is σ_i(real successor of k_i) and
+// σ_{i+1} = σ_i ∘ π_{k_i}⁻¹; Lift also returns the last σ. Each σ_i maps
+// the path's i-th representative to state i−1 of the result (to
+// sigma(first state) for i = 0), and the group maps steps to steps, so the
+// result continues a behavior through sigma(first state). On an unreduced
+// graph the states are the path's own and sigma is returned unchanged.
+func (g *Graph) Lift(sigma reduce.Perm, edges []int) (state.Behavior, reduce.Perm) {
+	out := make(state.Behavior, len(edges))
+	for i, k := range edges {
+		real := g.EdgeReal(k)
+		out[i] = sigma.Apply(real)
+		if g.cz != nil {
+			sigma = sigma.Compose(g.cz.PermOf(real).Inverse())
+		}
+	}
+	return out, sigma
+}
+
+// BehaviorTo returns a shortest behavior of the system from an initial
+// state to States[id], or nil if id is unreachable: the states of PathTo
+// on an unreduced graph. On a reduced graph it lifts that path (see Lift)
+// and maps the result back by the inverse of the permutation it ends in,
+// so it ends at States[id] itself and starts at an initial state, since a
+// validated group leaves the initial predicate invariant.
+func (g *Graph) BehaviorTo(id int) state.Behavior {
+	path, edges := g.PathEdges(g.Inits, id, nil, nil)
+	if path == nil || g.cz == nil {
+		return g.Behavior(path)
+	}
+	lifted, sigma := g.Lift(reduce.Perm{}, edges)
+	b := append(state.Behavior{g.States[path[0]]}, lifted...)
+	inv := sigma.Inverse()
+	for i, s := range b {
+		b[i] = inv.Apply(s)
+	}
+	return b
 }
 
 // Behavior converts a path of state IDs to a finite behavior.
@@ -384,9 +486,10 @@ func (g *Graph) Behavior(path []int) state.Behavior {
 }
 
 // SCCs returns the strongly connected components of the subgraph induced by
-// the allowed states and edges (nil filters allow everything), in reverse
-// topological order, using Tarjan's algorithm (iterative).
-func (g *Graph) SCCs(allowedState func(int) bool, allowedEdge func(from, to int) bool) [][]int {
+// the allowed states and the edges, by source and index, allowedEdge
+// allows (nil filters allow everything), in reverse topological order,
+// using Tarjan's algorithm (iterative).
+func (g *Graph) SCCs(allowedState func(int) bool, allowedEdge func(from, k int) bool) [][]int {
 	n := len(g.States)
 	const unvisited = -1
 	indexOf := make([]int, n)
@@ -424,14 +527,16 @@ func (g *Graph) SCCs(allowedState func(int) bool, allowedEdge func(from, to int)
 			f := &call[len(call)-1]
 			v := f.v
 			advanced := false
-			row := g.targets[g.offsets[v]:g.offsets[v+1]]
+			lo := g.offsets[v]
+			row := g.targets[lo:g.offsets[v+1]]
 			for f.succ < len(row) {
+				k := lo + f.succ
 				w := int(row[f.succ])
 				f.succ++
 				if allowedState != nil && !allowedState(w) {
 					continue
 				}
-				if allowedEdge != nil && !allowedEdge(v, w) {
+				if allowedEdge != nil && !allowedEdge(v, k) {
 					continue
 				}
 				if indexOf[w] == unvisited {

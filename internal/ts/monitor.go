@@ -100,15 +100,18 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 		// monitor bindings as they are. Every product edge records its real
 		// successor, so monitors evaluate on genuine base steps, never on
 		// representative-to-representative pseudo-steps.
-		canon: g.canon,
+		canon: canonOf(g.cz),
 	}, func(seed bool) (inits []*state.State, _ func() expandFunc, err error) {
 		if seed {
 			inits, err = productInits(g, mons, x)
 		}
 		return inits, productExpand(g, mons, x), err
 	})
-	if res != nil && g.canon != nil && res.symCollapsed > 0 {
+	if res != nil && g.cz != nil && res.symCollapsed > 0 {
 		obs.FromMeter(meter).AddReduction("ts.Product", obs.ReductionStats{SymCollapsed: res.symCollapsed})
+	}
+	if p != nil {
+		p.cz = g.cz
 	}
 	return p, err
 }

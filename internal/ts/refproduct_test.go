@@ -80,15 +80,14 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 		targets:    res.targets,
 		edgeStates: res.edgeStates,
 		table:      res.table,
-		reduced:    g.reduced,
-		canon:      pcanon,
+		cz:         g.cz,
 	}, nil
 }
 
 // refProductCanon canonicalizes a product state's base part, dropping and
 // re-adding the monitor bindings by name.
 func refProductCanon(g *Graph, mons []*Monitor) func(*state.State) *state.State {
-	if g.canon == nil {
+	if g.cz == nil {
 		return nil
 	}
 	names := make([]string, len(mons))
@@ -97,7 +96,7 @@ func refProductCanon(g *Graph, mons []*Monitor) func(*state.State) *state.State 
 	}
 	return func(s *state.State) *state.State {
 		base := s.Drop(names)
-		c := g.canon(base)
+		c := g.cz.Canon(base)
 		if c == base {
 			return s
 		}

@@ -86,12 +86,12 @@ func (g *Graph) Snapshot() *Snapshot {
 // graphFromSnapshot is the one Graph constructor: it makes a graph of sys
 // from a complete snapshot, loaded from the cache or just explored. A
 // loaded graph's ID table is interned from the state list on the first ID
-// call; cachedBuild hands a built graph its exploration's store instead.
-// canon is the canonicalizer of the configuration (nil when symmetry is
-// off); the reduced flag follows the configuration, not the snapshot — the
-// cache key embeds the reduction description, so a snapshot is only ever
-// loaded by a matching configuration.
-func graphFromSnapshot(sys *System, ctx *form.Ctx, m *engine.Meter, snap *Snapshot, canon func(*state.State) *state.State) *Graph {
+// call; cachedBuild hands a built graph its exploration's store instead,
+// and its caller the configuration's canonicalizer, which makes the graph
+// reduced: that follows the configuration, not the snapshot — the cache
+// key embeds the reduction description, so a snapshot is only ever loaded
+// by a matching configuration.
+func graphFromSnapshot(sys *System, ctx *form.Ctx, m *engine.Meter, snap *Snapshot) *Graph {
 	return &Graph{
 		Sys:        sys,
 		Ctx:        ctx,
@@ -101,8 +101,6 @@ func graphFromSnapshot(sys *System, ctx *form.Ctx, m *engine.Meter, snap *Snapsh
 		targets:    snap.Targets,
 		edgeStates: snap.EdgeStates,
 		meter:      m,
-		reduced:    sys.Reduce.Active(),
-		canon:      canon,
 	}
 }
 

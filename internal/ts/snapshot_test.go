@@ -398,7 +398,7 @@ func TestSnapshotRoundTripThroughGraph(t *testing.T) {
 	if !validSnapshot(snap, true) {
 		t.Fatal("graph snapshot fails validation")
 	}
-	g2 := graphFromSnapshot(sys, sys.Ctx(), engine.NoLimit(), snap, nil)
+	g2 := graphFromSnapshot(sys, sys.Ctx(), engine.NoLimit(), snap)
 	if signature(g2) != signature(g) {
 		t.Error("reconstructed graph differs")
 	}

@@ -58,8 +58,10 @@ type System struct {
 	// representative (see internal/reduce). An invalid symmetry declaration
 	// is a BuildWith error — at this level the declaration is the user's claim
 	// and a wrong claim must fail loudly, not silently explore less.
-	// Liveness checks refuse reduced graphs (see check.FindFairLasso);
-	// safety checks must iterate real steps via ForEachSuccStep.
+	// Checks must read each edge's real successor (ForEachSuccStep,
+	// EdgeReal) and lift counterexamples (Lift); liveness on a reduced
+	// graph is exact for targets the group leaves invariant (see
+	// check.FindFairLasso).
 	Reduce *reduce.Config
 
 	succOnce sync.Once // compiles succCS/succErr for Successors
