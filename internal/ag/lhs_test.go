@@ -74,7 +74,7 @@ func graphShape(t *testing.T, sys *ts.System) (states []string, inits []int, edg
 	for id, s := range g.States {
 		states = append(states, s.String())
 		var succ []int
-		g.ForEachSucc(id, func(to int) bool {
+		g.ForEachSuccEdge(id, func(_, to int) bool {
 			succ = append(succ, to)
 			return true
 		})

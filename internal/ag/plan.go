@@ -246,8 +246,7 @@ func (th *Theorem) build(gid graphID, base *ts.Graph, m *engine.Meter) (g *ts.Gr
 		if env := th.Concl.Env; env != nil {
 			envInit, envSquares = env.Init, []form.Expr{env.SquareExpr()}
 		}
-		mon := ts.PlusMonitor(plusVar, envInit, envSquares, th.plusSub())
-		if g, err = ts.Product(base, []*ts.Monitor{mon}); err != nil {
+		if g, err = ts.PlusProduct(base, envInit, envSquares, th.plusSub()); err != nil {
 			err = fmt.Errorf("hypothesis 2a (direct): +v monitor product: %w", err)
 		}
 	}

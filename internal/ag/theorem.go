@@ -28,11 +28,6 @@ import (
 	"opentla/internal/value"
 )
 
-// plusVar is the monitor variable recording whether the conclusion's
-// environment assumption is still alive in the +v product (invalid as a TLA
-// identifier, so it cannot collide with system variables).
-const plusVar = "$plusAlive"
-
 // Pair is one device's assumption/guarantee specification E_j ⊳ M_j.
 // Exactly one of Sys or Constraints should describe the guarantee:
 //

@@ -51,7 +51,7 @@ func signature(g *ts.Graph) string {
 	fmt.Fprintf(&sb, "inits:%v\n", g.Inits)
 	for id := range g.States {
 		fmt.Fprintf(&sb, "%d ->", id)
-		g.ForEachSucc(id, func(to int) bool {
+		g.ForEachSuccEdge(id, func(_, to int) bool {
 			fmt.Fprintf(&sb, " %d", to)
 			return true
 		})

@@ -19,9 +19,9 @@ import (
 // reference file exactly.
 //
 // scripts/chaos.sh is the process-level twin of this test (real os.Exit via
-// OPENTLA_CACHE_CRASH_AT); the op counter is defined identically in
-// iofs.Faulty and iofs.Crash, so a crash point here names the same operation
-// there.
+// OPENTLA_CACHE_CRASH_AT); both crash through iofs.Faulty, whose one op
+// counter numbers the operations, so a crash point here names the same
+// operation there.
 
 // chaosRef is the one-shot reference every crash point is compared against.
 type chaosRef struct {
@@ -225,35 +225,20 @@ func TestChaosFullSweep(t *testing.T) {
 	}
 }
 
-// TestCrashOpCountMatchesFaulty pins the shared op-counting contract between
-// the in-process sweep (iofs.Faulty) and the process-level one (iofs.Crash):
-// the same workload must consume the same number of mutating operations
-// through both, or a crash point found here would name a different operation
-// in scripts/chaos.sh.
-func TestCrashOpCountMatchesFaulty(t *testing.T) {
-	run := func(fsys iofs.FS) int {
-		c, err := OpenWith(t.TempDir(), Options{FS: fsys})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Store("contract", buildSnapshot(t)); err != nil {
-			t.Fatal(err)
-		}
-		switch f := fsys.(type) {
-		case *iofs.Faulty:
-			return f.Ops()
-		case *iofs.Crash:
-			return f.Ops()
-		}
-		t.Fatal("unreachable")
-		return 0
+// TestCrashOpCount pins the op numbering the crash sweeps share: one store
+// consumes six mutating operations, so a crash point of the in-process
+// sweep and of scripts/chaos.sh (both iofs.Faulty) keeps naming the same
+// operation of a store.
+func TestCrashOpCount(t *testing.T) {
+	f := iofs.NewFaulty(iofs.OS{}, nil)
+	c, err := OpenWith(t.TempDir(), Options{FS: f})
+	if err != nil {
+		t.Fatal(err)
 	}
-	faulty := run(iofs.NewFaulty(iofs.OS{}, nil))
-	crash := run(iofs.NewCrash(iofs.OS{}, 0, func(int) {})) // at=0 never fires
-	if faulty != crash {
-		t.Errorf("op counters disagree: Faulty counts %d, Crash counts %d", faulty, crash)
+	if err := c.Store("contract", buildSnapshot(t)); err != nil {
+		t.Fatal(err)
 	}
-	if want := 6; faulty != want {
-		t.Errorf("a single store consumed %d ops, want %d (temp, write, sync, close, rename, stale-checkpoint remove)", faulty, want)
+	if want := 6; f.Ops() != want {
+		t.Errorf("a single store consumed %d ops, want %d (temp, write, sync, close, rename, stale-checkpoint remove)", f.Ops(), want)
 	}
 }

@@ -40,8 +40,9 @@ func (f *Flags) Validate() error {
 
 // CrashAtEnv is the environment variable scripts/chaos.sh uses to plant a
 // process kill at the Nth mutating cache-filesystem operation. When set to a
-// positive integer, Open wraps the production filesystem in iofs.Crash, and
-// the process exits with iofs.CrashExitCode at that operation. Unset, empty,
+// positive integer, Open wraps the production filesystem in iofs.NewCrash's
+// iofs.Faulty, and the process exits with iofs.CrashExitCode at that
+// operation. Unset, empty,
 // or zero means no crash. Chaos-harness use only.
 const CrashAtEnv = "OPENTLA_CACHE_CRASH_AT"
 

@@ -631,14 +631,14 @@ func TestCrashAtEnvOpensCrashFS(t *testing.T) {
 	}
 	// A positive value installs the crash FS; prove it by checking the store
 	// path dies at op 1 — but via the error we can't observe os.Exit, so just
-	// check Open succeeds and the FS is a *iofs.Crash.
+	// check Open succeeds and the FS is an *iofs.Faulty.
 	t.Setenv(CrashAtEnv, "3")
 	c, err := (&Flags{Dir: dir}).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.fs.(*iofs.Crash); !ok {
-		t.Errorf("fs is %T, want *iofs.Crash", c.fs)
+	if _, ok := c.fs.(*iofs.Faulty); !ok {
+		t.Errorf("fs is %T, want *iofs.Faulty", c.fs)
 	}
 }
 

@@ -59,35 +59,35 @@ type LassoQuery struct {
 	Target form.Formula
 }
 
-// LassoWitness is a reachable fair cycle: the behavior
-// Prefix[0..] (Cycle[0..])^ω. Prefix ends just before the cycle's first
-// state; it may be empty. PrefixEdges[i] is the edge (see
-// ts.Graph.ForEachSuccEdge) from PrefixIDs[i] to the next state of the
-// lasso, and CycleEdges[i] the edge from CycleIDs[i] to the next state of
-// the cycle, so a reduced graph's witness can be lifted.
+// LassoWitness is a reachable fair cycle, by its edges (see
+// ts.Graph.ForEachSuccEdge): PrefixEdges lead from a start state to the
+// cycle's first state, and CycleEdges lead from there back to it. The
+// prefix may be empty; the cycle never is. The lasso's states are read off
+// its edges, so a reduced graph's witness can be lifted.
 type LassoWitness struct {
-	PrefixIDs, PrefixEdges []int
-	CycleIDs, CycleEdges   []int
+	PrefixEdges, CycleEdges []int
 }
 
-// ToLasso converts the witness to a semantic lasso. On an unreduced graph
-// its states are the graph's. On a reduced graph it is the witness lifted
-// to a behavior of the system (see ts.Graph.Lift), with the cycle unrolled
-// until its real states close it: once round the quotient cycle moves the
+// start returns the id of the lasso's first state.
+func (w *LassoWitness) start(g *ts.Graph) int {
+	if len(w.PrefixEdges) > 0 {
+		return g.EdgeSource(w.PrefixEdges[0])
+	}
+	return g.EdgeSource(w.CycleEdges[0])
+}
+
+// ToLasso converts the witness to a semantic lasso: the witness lifted to
+// a behavior of the system (see ts.Graph.Lift), with the cycle unrolled
+// until its real states close it. Once round the quotient cycle moves the
 // cycle's first state by a permutation τ, so it closes after at most ord(τ)
 // rounds, each of which meets every state and edge label the quotient
 // cycle meets, since those are constant on orbits. A cycle that does not
-// close then, as under a sabotaged canonicalizer, is an error.
+// close then, as under a sabotaged canonicalizer, is an error. On an
+// unreduced graph τ is the identity: the lasso's states are the graph's,
+// and the cycle closes in round 1.
 func (w *LassoWitness) ToLasso(g *ts.Graph) (*state.Lasso, error) {
-	if !g.Reduced() {
-		return &state.Lasso{Prefix: g.Behavior(w.PrefixIDs), Cycle: g.Behavior(w.CycleIDs)}, nil
-	}
-	start := w.CycleIDs[0]
-	if len(w.PrefixIDs) > 0 {
-		start = w.PrefixIDs[0]
-	}
 	lifted, sigma := g.Lift(reduce.Perm{}, w.PrefixEdges)
-	prefix := append(state.Behavior{g.States[start]}, lifted...)
+	prefix := append(state.Behavior{g.States[w.start(g)]}, lifted...)
 	head := prefix[len(prefix)-1] // the cycle's first state
 	prefix = prefix[:len(prefix)-1]
 	cycle := state.Behavior{head}
@@ -137,37 +137,29 @@ func FindFairLasso(g *ts.Graph, q LassoQuery) (*LassoWitness, error) {
 	if err := m.Tick(); err != nil {
 		return nil, err
 	}
-	// Phase 1: states reachable under the prefix mask.
-	reachable := reachableFrom(g, q.StartIDs, q.PrefixState)
+	// Phase 1: states reachable under the prefix mask. The same search
+	// gives phase 3 its prefix.
+	reach := g.Search(q.StartIDs, q.PrefixState, nil, -1)
 	if err := m.Err(); err != nil {
 		return nil, err
 	}
 
 	// Phase 2: fair-cycle search inside reachable ∩ CycleState.
 	cycleAllowed := func(id int) bool {
-		if !reachable[id] {
-			return false
-		}
-		return q.CycleState == nil || q.CycleState(id)
+		return reach.Reached(id) && (q.CycleState == nil || q.CycleState(id))
 	}
-	cyc, cycEdges := searchFairCycle(g, cycleAllowed, q.CycleEdge, q.Conds)
+	cyc, found := searchFairCycle(g, cycleAllowed, q.CycleEdge, q.Conds)
 	if err := m.Err(); err != nil {
 		// A truncated SCC decomposition proves nothing: report exhaustion.
 		return nil, err
 	}
-	if cyc == nil {
+	if !found {
 		return nil, nil
 	}
 
-	// Phase 3: prefix path from a start state to the cycle's first state.
-	path, edges := g.PathEdges(q.StartIDs, cyc[0], func(id int) bool {
-		return q.PrefixState == nil || q.PrefixState(id)
-	}, nil)
-	if path == nil {
-		return nil, fmt.Errorf("internal: fair cycle found but unreachable from start set")
-	}
-	// Drop the junction state from the prefix (it is the cycle's head).
-	return &LassoWitness{PrefixIDs: path[:len(path)-1], PrefixEdges: edges, CycleIDs: cyc, CycleEdges: cycEdges}, nil
+	// Phase 3: the prefix from a start state to the cycle's first state.
+	prefix, _ := reach.Path(cyc.Start)
+	return &LassoWitness{PrefixEdges: prefix.Edges, CycleEdges: cyc.Edges}, nil
 }
 
 // orbitInvariant returns why a search for q on a graph reduced under sym
@@ -189,38 +181,6 @@ func orbitInvariant(sym *reduce.Symmetry, q LassoQuery) error {
 	return nil
 }
 
-// reachableFrom computes the set of states reachable from starts through
-// states the mask allows (starts failing it are excluded).
-func reachableFrom(g *ts.Graph, starts []int, sm StateMask) []bool {
-	seen := make([]bool, len(g.States))
-	var queue []int
-	for _, s := range starts {
-		if sm != nil && !sm(s) {
-			continue
-		}
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		g.ForEachSucc(u, func(v int) bool {
-			if seen[v] {
-				return true
-			}
-			if sm != nil && !sm(v) {
-				return true
-			}
-			seen[v] = true
-			queue = append(queue, v)
-			return true
-		})
-	}
-	return seen
-}
-
 // searchFairCycle finds a cycle within the allowed subgraph satisfying all
 // conditions, by recursive SCC refinement (the standard Streett emptiness
 // algorithm, extended with edge hits):
@@ -229,20 +189,20 @@ func reachableFrom(g *ts.Graph, starts []int, sm StateMask) []bool {
 //   - a Streett condition with a trigger but no hit forces removal of the
 //     trigger states, and the SCC is re-decomposed.
 //
-// It returns the cycle's states and the edge leaving each.
-func searchFairCycle(g *ts.Graph, sm StateMask, em EdgeMask, conds []CycleCond) (cycle, edges []int) {
+// It returns the cycle as a closed path and whether it found one.
+func searchFairCycle(g *ts.Graph, sm StateMask, em EdgeMask, conds []CycleCond) (ts.Path, bool) {
 	sccs := g.SCCs(sm, em)
 	for _, comp := range sccs {
-		if cyc, es := examineSCC(g, comp, sm, em, conds); cyc != nil {
-			return cyc, es
+		if cyc, ok := examineSCC(g, comp, sm, em, conds); ok {
+			return cyc, true
 		}
 	}
-	return nil, nil
+	return ts.Path{}, false
 }
 
 // examineSCC decides whether the SCC contains an accepting cycle, possibly
 // recursing into sub-SCCs after removing Streett trigger states.
-func examineSCC(g *ts.Graph, comp []int, sm StateMask, em EdgeMask, conds []CycleCond) (cycle, cycleEdges []int) {
+func examineSCC(g *ts.Graph, comp []int, sm StateMask, em EdgeMask, conds []CycleCond) (ts.Path, bool) {
 	inComp := make(map[int]bool, len(comp))
 	for _, id := range comp {
 		inComp[id] = true
@@ -263,7 +223,7 @@ func examineSCC(g *ts.Graph, comp []int, sm StateMask, em EdgeMask, conds []Cycl
 		})
 	}
 	if len(edges) == 0 {
-		return nil, nil // trivial SCC: no cycle at all
+		return ts.Path{}, false // trivial SCC: no cycle at all
 	}
 
 	// Evaluate each condition over the SCC.
@@ -294,7 +254,7 @@ func examineSCC(g *ts.Graph, comp []int, sm StateMask, em EdgeMask, conds []Cycl
 		}
 		if c.Buchi {
 			if !have {
-				return nil, nil // no sub-cycle of this SCC can hit either
+				return ts.Path{}, false // no sub-cycle of this SCC can hit either
 			}
 			required = append(required, found)
 			continue
@@ -331,7 +291,7 @@ func examineSCC(g *ts.Graph, comp []int, sm StateMask, em EdgeMask, conds []Cycl
 			removed[id] = true
 		}
 		if len(removed) == len(comp) {
-			return nil, nil
+			return ts.Path{}, false
 		}
 		subSM := func(id int) bool {
 			if !inComp[id] || removed[id] {
@@ -343,7 +303,7 @@ func examineSCC(g *ts.Graph, comp []int, sm StateMask, em EdgeMask, conds []Cycl
 	}
 
 	// Accepting SCC: build a closed walk visiting every required hit.
-	return buildCycle(g, comp, inComp, em, required)
+	return buildCycle(g, comp, inComp, em, required), true
 }
 
 // cycleHit is a visit requirement for the witness cycle: a state (stateID ≥
@@ -354,14 +314,9 @@ type cycleHit struct {
 }
 
 // buildCycle constructs a closed walk within the SCC that visits every
-// required state hit and traverses every required edge hit, and returns
-// its states and the edge leaving each.
-func buildCycle(g *ts.Graph, comp []int, inComp map[int]bool, em EdgeMask, required []cycleHit) (walk, walkEdges []int) {
+// required state hit and traverses every required edge hit.
+func buildCycle(g *ts.Graph, comp []int, inComp map[int]bool, em EdgeMask, required []cycleHit) ts.Path {
 	allowed := func(id int) bool { return inComp[id] }
-	// The SCC is strongly connected under the edge mask, so every path
-	// asked for exists.
-	pathIn := func(from, to int) ([]int, []int) { return g.PathEdges([]int{from}, to, allowed, em) }
-
 	start := comp[0]
 	if len(required) > 0 {
 		if required[0].stateID >= 0 {
@@ -370,32 +325,26 @@ func buildCycle(g *ts.Graph, comp []int, inComp map[int]bool, em EdgeMask, requi
 			start = required[0].from
 		}
 	}
-	walk = []int{start}
+	var edges []int
 	cur := start
-	extend := func(path, edges []int) {
-		if path != nil {
-			walk = append(walk, path[1:]...)
-			walkEdges = append(walkEdges, edges...)
-			cur = walk[len(walk)-1]
-		}
+	// walkTo extends the walk by a shortest path from cur to id. The SCC is
+	// strongly connected under the edge mask, so every path asked for
+	// exists.
+	walkTo := func(id int) {
+		p, _ := g.Search([]int{cur}, allowed, em, id).Path(id)
+		edges, cur = append(edges, p.Edges...), id
 	}
 	for _, r := range required {
 		if r.stateID >= 0 {
-			extend(pathIn(cur, r.stateID))
+			walkTo(r.stateID)
 			continue
 		}
-		extend(pathIn(cur, r.from))
-		walk = append(walk, g.EdgeTarget(r.k))
-		walkEdges = append(walkEdges, r.k)
-		cur = walk[len(walk)-1]
+		walkTo(r.from)
+		edges, cur = append(edges, r.k), g.EdgeTarget(r.k)
 	}
-	// Close the walk.
-	if cur != start {
-		extend(pathIn(cur, start))
-	}
-	// walk starts and ends at start; drop the final repetition.
-	if len(walk) > 1 && walk[len(walk)-1] == start {
-		return walk[:len(walk)-1], walkEdges
+	walkTo(start)
+	if len(edges) > 0 {
+		return ts.Path{Start: start, Edges: edges}
 	}
 	// The walk never left start: close it with a loop at start if the masks
 	// allow one, else with a round trip through start's first allowed edge.
@@ -414,9 +363,9 @@ func buildCycle(g *ts.Graph, comp []int, inComp map[int]bool, em EdgeMask, requi
 		return true
 	})
 	if loop >= 0 {
-		return walk, []int{loop}
+		return ts.Path{Start: start, Edges: []int{loop}}
 	}
-	walk, walkEdges = append(walk, g.EdgeTarget(first)), []int{first}
-	extend(pathIn(walk[1], start))
-	return walk[:len(walk)-1], walkEdges
+	edges, cur = []int{first}, g.EdgeTarget(first)
+	walkTo(start)
+	return ts.Path{Start: start, Edges: edges}
 }

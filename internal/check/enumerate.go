@@ -73,7 +73,7 @@ func GraphLassos(g *ts.Graph, maxPrefix, maxCycle int, f func(*state.Lasso) bool
 	// edges start→c1→…→cm→start and total length ≤ maxCycle.
 	var findCycles func(start, cur int, cyc, prefix []int) bool
 	findCycles = func(start, cur int, cyc, prefix []int) bool {
-		return g.ForEachSucc(cur, func(nxt int) bool {
+		return g.ForEachSuccEdge(cur, func(_, nxt int) bool {
 			if nxt == start {
 				cycle := make([]int, 0, len(cyc)+1)
 				cycle = append(cycle, start)
@@ -94,7 +94,7 @@ func GraphLassos(g *ts.Graph, maxPrefix, maxCycle int, f func(*state.Lasso) bool
 			return false
 		}
 		if len(path)-1 < maxPrefix {
-			return g.ForEachSucc(head, func(nxt int) bool {
+			return g.ForEachSuccEdge(head, func(_, nxt int) bool {
 				next := make([]int, 0, len(path)+1)
 				next = append(next, path...)
 				next = append(next, nxt)

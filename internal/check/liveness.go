@@ -359,15 +359,16 @@ func checkPredLasso(g *ts.Graph, p form.Expr, name string, query func(notP State
 }
 
 // checkLeadsTo checks □(P ⇒ ◇Q): a violation reaches a (P ∧ ¬Q) state and
-// then stays in ¬Q forever along a fair lasso.
+// then stays in ¬Q forever along a fair lasso. One search from the initial
+// states gives both the starts and the lead to the lasso found.
 func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, target form.Formula) (*LivenessResult, error) {
 	pMask, perr := predMask(g, p)
 	qMask, qerr := predMask(g, q)
 	notQ := notMask(qMask)
-	reach := reachableFrom(g, g.Inits, nil)
+	reach := g.Search(g.Inits, nil, nil, -1)
 	var starts []int
 	for id := range g.States {
-		if reach[id] && pMask(id) && notQ(id) {
+		if reach.Reached(id) && pMask(id) && notQ(id) {
 			starts = append(starts, id)
 		}
 	}
@@ -397,15 +398,9 @@ func checkLeadsTo(g *ts.Graph, fair []CycleCond, p, q form.Expr, target form.For
 		return &LivenessResult{Holds: true}, nil
 	}
 	// Stitch the path from an initial state to the witness's start.
-	head := w.CycleIDs[0]
-	if len(w.PrefixIDs) > 0 {
-		head = w.PrefixIDs[0]
-	}
-	lead, leadEdges := g.PathEdges(g.Inits, head, nil, nil)
+	lead, _ := reach.Path(w.start(g))
 	return lassoResult(g, &LassoWitness{
-		PrefixIDs:   append(lead[:len(lead)-1], w.PrefixIDs...),
-		PrefixEdges: append(leadEdges, w.PrefixEdges...),
-		CycleIDs:    w.CycleIDs,
+		PrefixEdges: append(lead.Edges, w.PrefixEdges...),
 		CycleEdges:  w.CycleEdges,
 	}, target.String())
 }

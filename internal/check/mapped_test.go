@@ -137,7 +137,7 @@ func TestSafetyUnderMappedConcreteName(t *testing.T) {
 func TestSafetyUnderReducedEdges(t *testing.T) {
 	g := copyGraph(t)
 	offRep := 0
-	g.ForEachEdgeStep(func(_, to int, real *state.State) bool {
+	forEachStep(g, func(_, to int, real *state.State) bool {
 		if real != g.States[to] {
 			offRep++
 		}

@@ -205,7 +205,7 @@ func TestRandomLivenessCounterexamplesAreGenuine(t *testing.T) {
 		for i := 0; i < cex.Horizon(); i++ {
 			from := g.ID(cex.At(i))
 			to := g.ID(cex.At(i + 1))
-			if from < 0 || to < 0 || !g.HasEdge(from, to) {
+			if from < 0 || to < 0 || !hasEdge(g, from, to) {
 				t.Fatalf("trial %d: counterexample step %d not a graph edge", trial, i)
 			}
 		}

@@ -13,6 +13,22 @@ import (
 	"opentla/internal/value"
 )
 
+// forEachStep calls f for every edge of g with its source, its target and
+// its real successor (ts.Graph.EdgeReal), by source id and, within a
+// source, in ForEachSuccEdge order, stopping early if f returns false.
+func forEachStep(g *ts.Graph, f func(from, to int, real *state.State) bool) {
+	for from := range g.States {
+		if !g.ForEachSuccEdge(from, func(k, to int) bool { return f(from, to, g.EdgeReal(k)) }) {
+			return
+		}
+	}
+}
+
+// hasEdge reports whether g has an edge from → to.
+func hasEdge(g *ts.Graph, from, to int) bool {
+	return !g.ForEachSuccEdge(from, func(_, v int) bool { return v != to })
+}
+
 // SameAsReference fails t unless SafetyUnder and RefSafetyUnder agree on
 // g ⊨ F̄: the same error text, or the same verdict, violation and trace.
 func SameAsReference(t *testing.T, g *ts.Graph, f form.Formula, mapping map[string]form.Expr) *SafetyResult {
@@ -197,12 +213,12 @@ func RefSafetyUnder(g *ts.Graph, f form.Formula, mapping map[string]form.Expr) (
 	}
 	var res *SafetyResult
 	var evalErr error
-	// ForEachEdgeStep hands every edge as a GENUINE step of the system: on a
+	// forEachStep hands every edge as a GENUINE step of the system: on a
 	// symmetry-reduced graph the target id is a canonical representative, but
 	// real is the actual post-state of the step, so box evaluation (and any
 	// violating trace) never sees a representative-to-representative
 	// pseudo-step the system cannot take.
-	g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
+	forEachStep(g, func(from, to int, real *state.State) bool {
 		if err := m.Tick(); err != nil {
 			evalErr = err
 			return false
@@ -306,7 +322,7 @@ func SameImagesAsFresh(t *testing.T, g *ts.Graph, mapping map[string]form.Expr) 
 		}
 		same(s.String()+" again", again, fresh(s))
 	}
-	g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
+	forEachStep(g, func(from, to int, real *state.State) bool {
 		img, err := im.step(from, to, real)
 		if err != nil {
 			t.Fatal(err)

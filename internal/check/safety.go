@@ -223,9 +223,10 @@ func pending(ws []*Walked, ph int) bool {
 }
 
 // SafetyAll checks every obligation on g in one walk: the initial states,
-// then the reachable states by id, then the edges in ForEachEdgeStep's
-// order. Each obligation drops out at its own first violation or error, so
-// its Walked is what SafetyUnder returns for it alone. Budget exhaustion
+// then the reachable states by id, then the edges by source id and, within
+// a source, in ForEachSuccEdge order. Each obligation drops out at its own
+// first violation or error, so its Walked is what SafetyUnder returns for
+// it alone. Budget exhaustion
 // and contained panics abort the whole walk. A walk that reads only
 // initial states (no invariant, box or mapping) opens no check:safety span.
 func SafetyAll(g *ts.Graph, obls []Obligation) (ws []*Walked, err error) {
@@ -290,17 +291,19 @@ func SafetyAll(g *ts.Graph, obls []Obligation) (ws []*Walked, err error) {
 			}
 		}
 	}
-	// ForEachEdgeStep hands every edge as a GENUINE step of the system: on
-	// a symmetry-reduced graph the target id is a canonical representative,
-	// but real is the actual post-state of the step, so box evaluation never
-	// sees a representative-to-representative pseudo-step the system cannot
-	// take. A violating trace is lifted likewise (see ts.Graph.BehaviorTo).
+	// Every edge is read as a GENUINE step of the system: on a
+	// symmetry-reduced graph the target id is a canonical representative,
+	// but EdgeReal is the actual post-state of the step, so box evaluation
+	// never sees a representative-to-representative pseudo-step the system
+	// cannot take. A violating trace is lifted likewise (see
+	// ts.Graph.BehaviorTo).
 	var tickErr error
-	if pending(ws, boxPhase) {
-		g.ForEachEdgeStep(func(from, to int, real *state.State) bool {
+	for from := 0; from < len(g.States) && tickErr == nil && pending(ws, boxPhase); from++ {
+		g.ForEachSuccEdge(from, func(k, to int) bool {
 			if tickErr = m.Tick(); tickErr != nil {
 				return false
 			}
+			real := g.EdgeReal(k)
 			st := state.Step{From: g.States[from], To: real}
 			cur = st.From
 			for _, w := range ws {

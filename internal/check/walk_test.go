@@ -9,7 +9,6 @@ import (
 	"opentla/internal/queue"
 	"opentla/internal/reduce"
 	"opentla/internal/spec"
-	"opentla/internal/state"
 	"opentla/internal/ts"
 )
 
@@ -107,12 +106,14 @@ func TestSafetyAllMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("K=%d/guarantees-only/sym/noG=%v", k, noG), func(t *testing.T) {
 				g := build(t, gonly)
 				moved := 0
-				g.ForEachEdgeStep(func(_, to int, real *state.State) bool {
-					if real != g.States[to] {
-						moved++
-					}
-					return true
-				})
+				for from := range g.States {
+					g.ForEachSuccEdge(from, func(k, to int) bool {
+						if g.EdgeReal(k) != g.States[to] {
+							moved++
+						}
+						return true
+					})
+				}
 				if !g.Reduced() || moved == 0 {
 					t.Fatalf("reduced %v, %d edges to a real successor that is not a graph state", g.Reduced(), moved)
 				}

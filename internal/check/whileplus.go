@@ -9,10 +9,6 @@ import (
 	"opentla/internal/ts"
 )
 
-// plusVar is the +v monitor's variable in WhilePlus's product. It is not
-// a TLA identifier, so it cannot collide with a system variable.
-const plusVar = "$plusAlive"
-
 // WhilePlus checks that every fair behavior of the graph satisfies
 // E ⊳ M (§3), where env and sys are the assumption and guarantee as
 // canonical components and mapping discharges sys's internal variables as
@@ -36,15 +32,14 @@ const plusVar = "$plusAlive"
 // The fairness assumed is the graph system's and E's.
 func WhilePlus(g *ts.Graph, env, sys *spec.Component, mapping map[string]form.Expr) (*SpecResult, error) {
 	defer obs.FromMeter(g.Meter()).Span("check:while-plus")()
-	mon := ts.PlusMonitor(plusVar, env.Init, []form.Expr{env.SquareExpr()}, form.VarTuple(g.Sys.Vars()...))
-	prod, err := ts.Product(g, []*ts.Monitor{mon})
+	prod, err := ts.PlusProduct(g, env.Init, []form.Expr{env.SquareExpr()}, form.VarTuple(g.Sys.Vars()...))
 	if err != nil {
 		return nil, err
 	}
 	conds := []CycleCond{{Name: "hits alive state", Buchi: true, HitState: func(id int) bool {
-		b, _ := prod.States[id].MustGet(plusVar).AsBool()
+		b, _ := prod.States[id].MustGet(ts.PlusVar).AsBool()
 		return b
-	}, From: form.Pred(form.Var(plusVar))}}
+	}, From: form.Pred(form.Var(ts.PlusVar))}}
 	errs := new(error)
 	conds = componentFairness(prod, env, conds, errs)
 	res, err := component(prod, sys, mapping, conds)

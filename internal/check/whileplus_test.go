@@ -107,7 +107,7 @@ func randomOpen(r *rand.Rand) openTrial {
 func dropPlus(b []*state.State) []*state.State {
 	out := make([]*state.State, len(b))
 	for i, s := range b {
-		out[i] = s.Drop([]string{plusVar})
+		out[i] = s.Drop([]string{ts.PlusVar})
 	}
 	return out
 }
@@ -138,7 +138,7 @@ func TestRandomWhilePlusAgreesWithInterpreter(t *testing.T) {
 		genuine := func(l *state.Lasso) error {
 			for i := 0; i < l.Horizon(); i++ {
 				from, to := g.ID(l.At(i)), g.ID(l.At(i+1))
-				if from < 0 || to < 0 || !g.HasEdge(from, to) {
+				if from < 0 || to < 0 || !hasEdge(g, from, to) {
 					return fmt.Errorf("step %d is not a graph edge", i)
 				}
 			}

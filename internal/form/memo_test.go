@@ -32,10 +32,12 @@ func TestCompiledMemoConcurrent(t *testing.T) {
 	for _, s := range g.States {
 		steps = append(steps, state.Step{From: s})
 	}
-	g.ForEachEdgeStep(func(from, _ int, real *state.State) bool {
-		steps = append(steps, state.Step{From: g.States[from], To: real})
-		return true
-	})
+	for from, s := range g.States {
+		g.ForEachSuccEdge(from, func(k, _ int) bool {
+			steps = append(steps, state.Step{From: s, To: g.EdgeReal(k)})
+			return true
+		})
+	}
 	type answer struct {
 		ok  bool
 		err string

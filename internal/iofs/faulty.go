@@ -57,6 +57,11 @@ func (m FaultMode) String() string {
 	}
 }
 
+// CrashExitCode is the process exit code of a planted crash (see
+// NewCrash), distinct from the verdict codes (0/1/2) so scripts/chaos.sh
+// can tell "killed at the planned operation" from every other outcome.
+const CrashExitCode = 7
+
 // ErrCrashed is returned by every operation after a planned FaultCrash
 // fired: the simulated process is dead and can touch nothing.
 var ErrCrashed = errors.New("iofs: simulated crash: filesystem frozen")
@@ -78,9 +83,12 @@ var errNoSpace = errors.New("injected fault: no space left on device")
 //
 // Faulty reaches around the FS interface with os.Truncate to tear files at
 // crash time, so the inner FS must be rooted on a real directory.
+//
+// A Faulty made by NewCrash kills the process at its crash instead.
 type Faulty struct {
 	inner FS
 	plan  map[int]FaultMode
+	exit  func(int) // nil: a FaultCrash freezes the FS; else it is called with CrashExitCode
 
 	mu      sync.Mutex
 	ops     int
@@ -96,6 +104,23 @@ var _ FS = (*Faulty)(nil)
 // index -> mode). A nil plan injects nothing and only counts operations.
 func NewFaulty(inner FS, plan map[int]FaultMode) *Faulty {
 	return &Faulty{inner: inner, plan: plan, files: make(map[string]int64)}
+}
+
+// NewCrash wraps inner to kill the process at mutating operation at
+// (1-based), emulating a power loss or SIGKILL in the middle of cache
+// persistence: a Faulty whose plan holds one FaultCrash, at which it calls
+// exit with CrashExitCode (nil = os.Exit; tests inject a panic) before
+// tearing anything. So a crashing Write leaves half its buffer in the file
+// for the restart to face, and every other crashing operation dies before
+// it takes effect. scripts/chaos.sh drives it through
+// OPENTLA_CACHE_CRASH_AT (see cache.Flags).
+func NewCrash(inner FS, at int, exit func(int)) *Faulty {
+	if exit == nil {
+		exit = os.Exit
+	}
+	f := NewFaulty(inner, map[int]FaultMode{at: FaultCrash})
+	f.exit = exit
+	return f
 }
 
 // SeededPlan derives a deterministic random plan from a seed: each of the
@@ -136,9 +161,17 @@ func (f *Faulty) next() FaultMode {
 	return f.plan[f.ops]
 }
 
-// crash tears every tracked file down to its durable length and freezes the
-// filesystem. Caller holds f.mu.
+// crash kills the process through f.exit if one is set, and otherwise tears
+// every tracked file down to its durable length and freezes the filesystem.
+// Caller holds f.mu.
 func (f *Faulty) crash() {
+	if f.exit != nil {
+		f.exit(CrashExitCode)
+		// Injected exit funcs (tests) panic instead of returning; an exit
+		// func that returns anyway would let the run continue past its own
+		// death.
+		panic("iofs: crash exit func returned")
+	}
 	f.crashed = true
 	for path, synced := range f.files {
 		if _, err := os.Stat(path); err != nil {

@@ -199,7 +199,7 @@ func TestSeededPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestCrashFS checks the process-level crash wrapper using an injected exit
+// TestCrashFS checks NewCrash's process-level crash using an injected exit
 // func (panic instead of os.Exit).
 func TestCrashFS(t *testing.T) {
 	runToCrash := func(at int, dir string) (code int, crashed bool) {

@@ -10,7 +10,6 @@ import (
 	"opentla/internal/form"
 	"opentla/internal/obs"
 	"opentla/internal/reduce"
-	"opentla/internal/state"
 	"opentla/internal/ts"
 	"opentla/internal/ts/tstest"
 )
@@ -228,8 +227,8 @@ func reducedSignature(g *ts.Graph) string {
 	fmt.Fprintf(&sb, "inits:%v reduced:%v\n", g.Inits, g.Reduced())
 	for id := range g.States {
 		fmt.Fprintf(&sb, "%d ->", id)
-		g.ForEachSuccStep(id, func(to int, real *state.State) bool {
-			fmt.Fprintf(&sb, " %d(%s)", to, real.Key())
+		g.ForEachSuccEdge(id, func(k, to int) bool {
+			fmt.Fprintf(&sb, " %d(%s)", to, g.EdgeReal(k).Key())
 			return true
 		})
 		sb.WriteByte('\n')

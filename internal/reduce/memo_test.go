@@ -49,12 +49,14 @@ func fig9States(t testing.TB, k int) ([]*state.State, func() *reduce.Canonicaliz
 	var out []*state.State
 	for _, gr := range []*ts.Graph{g, prod} {
 		out = append(out, gr.States...)
-		gr.ForEachEdgeStep(func(_, to int, real *state.State) bool {
-			if real != gr.States[to] {
-				t.Fatalf("a real successor of the unreduced %s graph is not its state", gr.Sys.Name)
-			}
-			return true
-		})
+		for from := range gr.States {
+			gr.ForEachSuccEdge(from, func(k, to int) bool {
+				if gr.EdgeReal(k) != gr.States[to] {
+					t.Fatalf("a real successor of the unreduced %s graph is not its state", gr.Sys.Name)
+				}
+				return true
+			})
+		}
 	}
 	if g.States[0].Layout() == prod.States[0].Layout() {
 		t.Fatal("the product binds the base graph's variables only")

@@ -9,7 +9,7 @@
 // disable (with a flight-recorder note) at the ag.Theorem level.
 //
 // Reduced graphs store, for every edge, the real successor state alongside
-// the canonical target id (see ts.Graph.ForEachSuccStep), so checks always
+// the canonical target id (see ts.Graph.EdgeReal), so checks always
 // evaluate genuine steps of the system — the reduction can hide behaviors
 // only if the validated group assumptions are violated, never manufacture
 // spurious ones. The permutation that takes a real successor to its

@@ -108,7 +108,7 @@ func TestBuildDedupsRepeatedSuccessors(t *testing.T) {
 	}
 	for id, s := range g.States {
 		var got, want []int
-		g.ForEachSucc(id, func(to int) bool {
+		g.ForEachSuccEdge(id, func(_, to int) bool {
 			got = append(got, xOf(g.States[to]))
 			return true
 		})

@@ -21,9 +21,11 @@ import (
 //
 // Adjacency is stored in compressed-sparse-row form, finalized once
 // exploration completes: offsets[i]:offsets[i+1] index the successor ids of
-// state i in targets. Consumers iterate through ForEachSucc and Degree
-// rather than touching the arrays. State numbering is deterministic
-// regardless of how many workers built the graph (see explore).
+// state i in targets, and the index k into targets is edge k's one handle
+// (EdgeSource, EdgeTarget, EdgeReal). Consumers walk edges through
+// ForEachSuccEdge and paths through Search rather than touching the
+// arrays. State numbering is deterministic regardless of how many workers
+// built the graph (see explore).
 type Graph struct {
 	Sys    *System
 	Ctx    *form.Ctx
@@ -41,8 +43,8 @@ type Graph struct {
 
 	// Reduction bookkeeping. A reduced graph's States are canonical orbit
 	// representatives; edgeStates (parallel to targets, symmetry builds
-	// only) preserves each edge's real successor so checks can iterate
-	// genuine steps via ForEachSuccStep.
+	// only) preserves each edge's real successor so checks can read
+	// genuine steps via EdgeReal.
 	// cz maps any state to its representative (nil when symmetry is off),
 	// and Lift reads each edge's permutation off it.
 	edgeStates []*state.State
@@ -55,14 +57,6 @@ type Graph struct {
 // (see Lift), and fairness and the targets check.FindFairLasso accepts are
 // constant on orbits.
 func (g *Graph) Reduced() bool { return g.cz != nil }
-
-// canonOf returns cz's canonicalization, or nil without symmetry.
-func canonOf(cz *reduce.Canonicalizer) func(*state.State) *state.State {
-	if cz == nil {
-		return nil
-	}
-	return cz.Canon
-}
 
 // Symmetry returns the group a reduced graph was built under, or nil for
 // an unreduced graph.
@@ -124,13 +118,12 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 		desc = sys.CanonicalDesc()
 	}
 	op := "ts.Build(" + sys.Name + ")"
-	g, res, err := sys.cachedBuild(sys.Ctx(), desc, sys.Name, exploreParams{
+	g, res, err := sys.cachedBuild(sys.Ctx(), cz, desc, sys.Name, exploreParams{
 		op:        op,
 		workers:   sys.Workers,
 		limit:     maxGraphStates,
 		limitName: "system " + sys.Name,
 		meter:     m,
-		canon:     canonOf(cz),
 	}, func(seed bool) ([]*state.State, func() expandFunc, error) {
 		compiled, err := sys.compile()
 		if err != nil {
@@ -152,14 +145,12 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 			FullStates: res.expanded, FullSuccs: res.emitted, SymCollapsed: res.symCollapsed,
 		})
 	}
-	if g != nil {
-		g.cz = cz
-	}
 	return g, err
 }
 
 // cachedBuild is the one build path of BuildWith and Product, for a graph
-// of sys with context ctx under the cache key desc ("" = not cached). It
+// of sys with context ctx, reduced by cz (nil = unreduced), under the cache
+// key desc ("" = not cached). It
 //
 //  1. probes sys.Cache for the complete entry under desc, and a hit is the
 //     graph: nothing is compiled or explored;
@@ -174,16 +165,21 @@ func (sys *System) BuildWith(m *engine.Meter) (*Graph, error) {
 //
 // name labels the checkpoint notes. The exploration's result is returned
 // for the caller's reduction statistics; it is nil on a hit.
-func (sys *System) cachedBuild(ctx *form.Ctx, desc, name string, p exploreParams,
+func (sys *System) cachedBuild(ctx *form.Ctx, cz *reduce.Canonicalizer, desc, name string, p exploreParams,
 	prepare func(seed bool) ([]*state.State, func() expandFunc, error)) (*Graph, *exploreResult, error) {
 	c, m := sys.Cache, p.meter
 	cached := c != nil && desc != ""
 	if cached {
 		if snap := cacheLoad(c, m, desc); snap != nil {
-			return graphFromSnapshot(sys, ctx, m, snap), nil, nil
+			g := graphFromSnapshot(sys, ctx, m, snap)
+			g.cz = cz
+			return g, nil, nil
 		}
 		p.resume = loadCheckpoint(c, m, desc, name)
 		p.onCheckpoint = checkpointSaver(c, m, desc)
+	}
+	if cz != nil {
+		p.canon = cz.Canon
 	}
 	var err error
 	p.inits, p.newExpand, err = prepare(p.resume == nil)
@@ -203,7 +199,7 @@ func (sys *System) cachedBuild(ctx *form.Ctx, desc, name string, p exploreParams
 		EdgeStates: res.edgeStates,
 	}
 	g := graphFromSnapshot(sys, ctx, m, snap)
-	g.table = res.table
+	g.table, g.cz = res.table, cz
 	if cached {
 		defer obs.FromMeter(m).CacheOp("store", time.Now())
 		if err := c.Store(desc, snap); err != nil {
@@ -275,41 +271,11 @@ func (g *Graph) NumEdges() int { return len(g.targets) }
 // Degree returns the number of successors of state id.
 func (g *Graph) Degree(id int) int { return g.offsets[id+1] - g.offsets[id] }
 
-// ForEachSucc calls f for every successor of from, in adjacency order,
-// stopping early if f returns false. It reports whether the iteration ran to
-// completion (false = stopped early).
-func (g *Graph) ForEachSucc(from int, f func(to int) bool) bool {
-	for _, to := range g.targets[g.offsets[from]:g.offsets[from+1]] {
-		if !f(int(to)) {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEachSuccStep calls f for every successor edge of from with the
-// canonical target id and the edge's REAL successor state, in adjacency
-// order, stopping early if f returns false; it reports whether the iteration
-// ran to completion. On an unreduced graph the real successor is simply
-// States[to]; on a symmetry-reduced graph it is the genuine post-state of
-// the step from States[from] (whose canonical representative is States[to]),
-// so ⟨States[from], real⟩ is always a step the system can actually take —
-// the iteration surface safety checks must use to stay false-alarm-free.
-func (g *Graph) ForEachSuccStep(from int, f func(to int, real *state.State) bool) bool {
-	lo, hi := g.offsets[from], g.offsets[from+1]
-	for k := lo; k < hi; k++ {
-		if !f(int(g.targets[k]), g.EdgeReal(k)) {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEachSuccEdge calls f for every successor edge of from with its index
-// k, as EdgeTarget and EdgeReal read it, and its target id, in adjacency
-// order, stopping early if f returns false; it reports whether the
-// iteration ran to completion. A reduced graph may hold several edges
-// between two states, one per real successor: only k tells them apart.
+// k and its target id, in adjacency order, stopping early if f returns
+// false; it reports whether the iteration ran to completion. A reduced
+// graph may hold several edges between two states, one per real
+// successor: only k tells them apart.
 func (g *Graph) ForEachSuccEdge(from int, f func(k, to int) bool) bool {
 	lo, hi := g.offsets[from], g.offsets[from+1]
 	for k := lo; k < hi; k++ {
@@ -323,8 +289,11 @@ func (g *Graph) ForEachSuccEdge(from int, f func(k, to int) bool) bool {
 // EdgeTarget returns the target id of edge k.
 func (g *Graph) EdgeTarget(k int) int { return int(g.targets[k]) }
 
-// EdgeReal returns the real successor state of edge k (see
-// ForEachSuccStep).
+// EdgeReal returns the real successor state of edge k. On an unreduced
+// graph it is the target's state; on a symmetry-reduced graph it is the
+// genuine post-state of the step from the edge's source, whose canonical
+// representative is the target. So ⟨source, EdgeReal(k)⟩ is always a step
+// the system can take: checks read steps here to stay false-alarm-free.
 func (g *Graph) EdgeReal(k int) *state.State {
 	if len(g.edgeStates) > 0 && g.edgeStates[k] != nil {
 		return g.edgeStates[k]
@@ -332,19 +301,9 @@ func (g *Graph) EdgeReal(k int) *state.State {
 	return g.States[g.targets[k]]
 }
 
-// edgeSource returns the state edge k leaves.
-func (g *Graph) edgeSource(k int) int {
+// EdgeSource returns the id of the state edge k leaves.
+func (g *Graph) EdgeSource(k int) int {
 	return sort.Search(len(g.States), func(i int) bool { return g.offsets[i+1] > k })
-}
-
-// ForEachEdgeStep calls f for every edge with its real successor state (see
-// ForEachSuccStep), stopping early if f returns false.
-func (g *Graph) ForEachEdgeStep(f func(from, to int, real *state.State) bool) {
-	for from := 0; from < len(g.States); from++ {
-		if !g.ForEachSuccStep(from, func(to int, real *state.State) bool { return f(from, to, real) }) {
-			return
-		}
-	}
 }
 
 // ID returns the identifier of a state, or -1 if unreachable. Any number
@@ -364,75 +323,90 @@ func (g *Graph) ID(s *state.State) int {
 
 // ForEachEdge calls f for every edge, stopping early if f returns false.
 func (g *Graph) ForEachEdge(f func(from, to int) bool) {
-	for from := 0; from < len(g.States); from++ {
-		if !g.ForEachSucc(from, func(to int) bool { return f(from, to) }) {
+	for from := range g.States {
+		if !g.ForEachSuccEdge(from, func(_, to int) bool { return f(from, to) }) {
 			return
 		}
 	}
 }
 
-// PathTo returns state IDs of a shortest path from an initial state to
-// target (inclusive), or nil if unreachable.
-func (g *Graph) PathTo(target int) []int {
-	return g.PathBetween(g.Inits, target, nil, nil)
+// Path is a path of a graph: the state it starts from and the edges it
+// follows, by index. Its states are read off the edges: state i+1 is
+// EdgeTarget(Edges[i]), and EdgeReal(Edges[i]) is the step's real
+// successor.
+type Path struct {
+	Start int
+	Edges []int
 }
 
-// PathBetween returns a shortest path from any state in from to target,
-// restricted to the states the filter allowed and the edges, by source and
-// index, the filter edge allows (nil allows all). The path includes both
-// endpoints; it is nil if no path exists. Among shortest paths it returns
-// the one breadth-first search finds when it visits successors in
-// ForEachSucc order.
-func (g *Graph) PathBetween(from []int, target int, allowed func(int) bool, edge func(from, k int) bool) []int {
-	path, _ := g.PathEdges(from, target, allowed, edge)
-	return path
+// Search is the record of a breadth-first search of a graph: the edge by
+// which the search first reached each state. Reachability and shortest
+// paths are both read off it.
+type Search struct {
+	g    *Graph
+	prev []int // the edge a state was first reached by, or searchStart or unreached
 }
 
-// PathEdges is PathBetween that also returns the edge of each step of the
-// path: edges[i] is the index of the edge from path[i] to path[i+1].
-func (g *Graph) PathEdges(from []int, target int, allowed func(int) bool, edge func(from, k int) bool) (path, edges []int) {
-	const unvisited, source = -2, -1
-	prev := make([]int, len(g.States)) // the edge a state was reached by
-	for i := range prev {
-		prev[i] = unvisited
+const (
+	searchStart = -1
+	unreached   = -2
+)
+
+// Search searches g breadth-first from starts through the states allowed
+// admits and the edges edge admits, by source and index (nil admits all),
+// visiting each state's successors in ForEachSuccEdge order; it skips the
+// starts allowed rejects. It stops as soon as it reaches target, so a
+// target ≥ 0 leaves the states it would have reached later unreached; a
+// negative target searches everything reachable.
+func (g *Graph) Search(starts []int, allowed func(id int) bool, edge func(from, k int) bool, target int) *Search {
+	s := &Search{g: g, prev: make([]int, len(g.States))}
+	for i := range s.prev {
+		s.prev[i] = unreached
 	}
 	var queue []int
-	for _, s := range from {
-		if allowed != nil && !allowed(s) {
-			continue
-		}
-		if prev[s] == unvisited {
-			prev[s] = source
-			queue = append(queue, s)
+	reach := func(v, k int) bool {
+		s.prev[v] = k
+		queue = append(queue, v)
+		return v != target
+	}
+	for _, v := range starts {
+		if s.prev[v] == unreached && (allowed == nil || allowed(v)) && !reach(v, searchStart) {
+			return s
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == target {
-			path = []int{u}
-			for v := u; prev[v] != source; {
-				k := prev[v]
-				v = g.edgeSource(k)
-				path, edges = append(path, v), append(edges, k)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for k := g.offsets[u]; k < g.offsets[u+1]; k++ {
+			v := int(g.targets[k])
+			if s.prev[v] != unreached || allowed != nil && !allowed(v) || edge != nil && !edge(u, k) {
+				continue
 			}
-			slices.Reverse(path)
-			slices.Reverse(edges)
-			return path, edges
+			if !reach(v, k) {
+				return s
+			}
 		}
-		g.ForEachSuccEdge(u, func(k, v int) bool {
-			if prev[v] != unvisited {
-				return true
-			}
-			if allowed != nil && !allowed(v) || edge != nil && !edge(u, k) {
-				return true
-			}
-			prev[v] = k
-			queue = append(queue, v)
-			return true
-		})
 	}
-	return nil, nil
+	return s
+}
+
+// Reached reports whether the search reached state id.
+func (s *Search) Reached(id int) bool { return s.prev[id] != unreached }
+
+// Path returns the path by which the search first reached state id, a
+// shortest path to it from the starts under the search's filters, and
+// whether the search reached id.
+func (s *Search) Path(id int) (Path, bool) {
+	if !s.Reached(id) {
+		return Path{}, false
+	}
+	var edges []int
+	for s.prev[id] != searchStart {
+		k := s.prev[id]
+		edges = append(edges, k)
+		id = s.g.EdgeSource(k)
+	}
+	slices.Reverse(edges)
+	return Path{Start: id, Edges: edges}, true
 }
 
 // Lift follows a path of the graph, given by its edges k_0, k_1, …,
@@ -457,32 +431,24 @@ func (g *Graph) Lift(sigma reduce.Perm, edges []int) (state.Behavior, reduce.Per
 }
 
 // BehaviorTo returns a shortest behavior of the system from an initial
-// state to States[id], or nil if id is unreachable: the states of PathTo
-// on an unreduced graph. On a reduced graph it lifts that path (see Lift)
-// and maps the result back by the inverse of the permutation it ends in,
-// so it ends at States[id] itself and starts at an initial state, since a
-// validated group leaves the initial predicate invariant.
+// state to States[id], or nil if id is unreachable. It lifts the path
+// Search finds from Inits (see Lift) and maps the result back by the
+// inverse of the permutation it ends in, so it ends at States[id] itself
+// and starts at an initial state, since a validated group leaves the
+// initial predicate invariant. On an unreduced graph every permutation is
+// the identity, so the behavior is the path's own states.
 func (g *Graph) BehaviorTo(id int) state.Behavior {
-	path, edges := g.PathEdges(g.Inits, id, nil, nil)
-	if path == nil || g.cz == nil {
-		return g.Behavior(path)
+	p, ok := g.Search(g.Inits, nil, nil, id).Path(id)
+	if !ok {
+		return nil
 	}
-	lifted, sigma := g.Lift(reduce.Perm{}, edges)
-	b := append(state.Behavior{g.States[path[0]]}, lifted...)
+	lifted, sigma := g.Lift(reduce.Perm{}, p.Edges)
+	b := append(state.Behavior{g.States[p.Start]}, lifted...)
 	inv := sigma.Inverse()
 	for i, s := range b {
 		b[i] = inv.Apply(s)
 	}
 	return b
-}
-
-// Behavior converts a path of state IDs to a finite behavior.
-func (g *Graph) Behavior(path []int) state.Behavior {
-	out := make(state.Behavior, len(path))
-	for i, id := range path {
-		out[i] = g.States[id]
-	}
-	return out
 }
 
 // SCCs returns the strongly connected components of the subgraph induced by
@@ -581,9 +547,4 @@ func (g *Graph) SCCs(allowedState func(int) bool, allowedEdge func(from, k int) 
 		}
 	}
 	return sccs
-}
-
-// HasEdge reports whether the graph has an edge from → to.
-func (g *Graph) HasEdge(from, to int) bool {
-	return !g.ForEachSucc(from, func(v int) bool { return v != to })
 }

@@ -87,20 +87,19 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	if g.Sys.Cache != nil {
 		desc, _ = productDesc(g.Sys, mons)
 	}
-	p, res, err := g.Sys.cachedBuild(form.NewCtx(domains), desc, "product of "+g.Sys.Name, exploreParams{
+	// When the base graph was built under symmetry, the product inherits
+	// the reduction through the base graph's canonicalizer itself: a scoped
+	// variable has a system domain and a monitor variable may not, so it
+	// relabels a product state's base part and leaves the monitor bindings
+	// as they are. Every product edge records its real successor, so
+	// monitors evaluate on genuine base steps, never on
+	// representative-to-representative pseudo-steps.
+	p, res, err := g.Sys.cachedBuild(form.NewCtx(domains), g.cz, desc, "product of "+g.Sys.Name, exploreParams{
 		op:        "ts.Product",
 		workers:   g.Sys.Workers,
 		limit:     maxGraphStates,
 		limitName: "monitor product",
 		meter:     meter,
-		// When the base graph was built under symmetry, the product inherits
-		// the reduction through the base graph's canonicalizer itself: a
-		// scoped variable has a system domain and a monitor variable may
-		// not, so it relabels a product state's base part and leaves the
-		// monitor bindings as they are. Every product edge records its real
-		// successor, so monitors evaluate on genuine base steps, never on
-		// representative-to-representative pseudo-steps.
-		canon: canonOf(g.cz),
 	}, func(seed bool) (inits []*state.State, _ func() expandFunc, err error) {
 		if seed {
 			inits, err = productInits(g, mons, x)
@@ -109,9 +108,6 @@ func Product(g *Graph, mons []*Monitor) (p *Graph, err error) {
 	})
 	if res != nil && g.cz != nil && res.symCollapsed > 0 {
 		obs.FromMeter(meter).AddReduction("ts.Product", obs.ReductionStats{SymCollapsed: res.symCollapsed})
-	}
-	if p != nil {
-		p.cz = g.cz
 	}
 	return p, err
 }
@@ -167,14 +163,14 @@ func productExpand(g *Graph, mons []*Monitor, x *state.Extension) func() expandF
 
 // productExpander is one worker's product expander (see productExpand).
 // from, emit and err hold the current expansion for step, which visit
-// binds once so that ForEachSuccStep is handed no new closure per state.
+// binds once so that ForEachSuccEdge is handed no new closure per state.
 type productExpander struct {
 	g       *Graph
 	mons    []*Monitor
 	base    state.State   // cur's base part
 	curVals []value.Value // cur's monitor values, in monitor order
 	c       *combos
-	visit   func(to int, real *state.State) bool
+	visit   func(k, to int) bool
 
 	from *state.State
 	emit func(*state.State) error
@@ -194,13 +190,14 @@ func (pe *productExpander) expand(cur *state.State, emit func(*state.State) erro
 		pe.curVals[i] = cur.At(x.Pos(i))
 	}
 	pe.from, pe.emit, pe.err = pe.g.States[bid], emit, nil
-	pe.g.ForEachSuccStep(bid, pe.visit)
+	pe.g.ForEachSuccEdge(bid, pe.visit)
 	return pe.err
 }
 
-// step emits the product successors over one real base step from pe.from,
-// one per combination of the values the monitors allow on it.
-func (pe *productExpander) step(_ int, real *state.State) bool {
+// step emits the product successors over the real base step of edge k
+// from pe.from, one per combination of the values the monitors allow on it.
+func (pe *productExpander) step(k, _ int) bool {
+	real := pe.g.EdgeReal(k)
 	st := state.Step{From: pe.from, To: real}
 	for i, m := range pe.mons {
 		vals, err := m.Step(st, pe.curVals[i])
@@ -301,6 +298,18 @@ func monitorDesc(init form.Expr, squares []form.Expr, v form.Expr) string {
 	writeExpr(&sb, v)
 	sb.WriteString(")")
 	return sb.String()
+}
+
+// PlusVar is the +v monitor's variable in a PlusProduct. It is not a TLA
+// identifier, so it cannot collide with a system variable.
+const PlusVar = "$plusAlive"
+
+// PlusProduct returns the product of g with the monitor of C(E) +v (see
+// PlusMonitor) under PlusVar: the behaviors of g on which E, given by
+// init and squares, held for a prefix, after which one more step was taken
+// and v froze.
+func PlusProduct(g *Graph, init form.Expr, squares []form.Expr, v form.Expr) (*Graph, error) {
+	return Product(g, []*Monitor{PlusMonitor(PlusVar, init, squares, v)})
 }
 
 // PlusMonitor builds the monitor for C(E) +v (§4.1): while TRUE, the

@@ -22,7 +22,7 @@ func signature(g *Graph) string {
 	fmt.Fprintf(&sb, "inits:%v\n", g.Inits)
 	for id := range g.States {
 		fmt.Fprintf(&sb, "%d ->", id)
-		g.ForEachSucc(id, func(to int) bool {
+		g.ForEachSuccEdge(id, func(_, to int) bool {
 			fmt.Fprintf(&sb, " %d", to)
 			return true
 		})

@@ -49,7 +49,8 @@ func refProduct(g *Graph, mons []*Monitor) (*Graph, error) {
 					return fmt.Errorf("ts.refProduct: base state %s not in base graph", base)
 				}
 				var expErr error
-				g.ForEachSuccStep(bid, func(_ int, real *state.State) bool {
+				g.ForEachSuccEdge(bid, func(k, _ int) bool {
+					real := g.EdgeReal(k)
 					baseStep := state.Step{From: g.States[bid], To: real}
 					combos, cerr := monitorStepCombos(mons, baseStep, cur)
 					if cerr != nil {

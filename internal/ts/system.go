@@ -58,10 +58,9 @@ type System struct {
 	// representative (see internal/reduce). An invalid symmetry declaration
 	// is a BuildWith error — at this level the declaration is the user's claim
 	// and a wrong claim must fail loudly, not silently explore less.
-	// Checks must read each edge's real successor (ForEachSuccStep,
-	// EdgeReal) and lift counterexamples (Lift); liveness on a reduced
-	// graph is exact for targets the group leaves invariant (see
-	// check.FindFairLasso).
+	// Checks must read each edge's real successor (EdgeReal) and lift
+	// counterexamples (Lift); liveness on a reduced graph is exact for
+	// targets the group leaves invariant (see check.FindFairLasso).
 	Reduce *reduce.Config
 
 	succOnce sync.Once // compiles succCS/succErr for Successors

@@ -104,7 +104,7 @@ func TestFreeVarsChangeArbitrarily(t *testing.T) {
 		t.Fatal("state not found")
 	}
 	foundFlip := false
-	g.ForEachSucc(id, func(to int) bool {
+	g.ForEachSuccEdge(id, func(_, to int) bool {
 		if g.States[to].MustGet("x").Equal(value.Int(1)) {
 			foundFlip = true
 		}
@@ -136,7 +136,7 @@ func TestStepConstraintsPruneEdges(t *testing.T) {
 	// Without constraints the diagonal step (0,0)→(1,1) exists.
 	from := unconstrained.ID(state.FromPairs("x", value.Int(0), "y", value.Int(0)))
 	diag := unconstrained.ID(state.FromPairs("x", value.Int(1), "y", value.Int(1)))
-	if !unconstrained.HasEdge(from, diag) {
+	if !hasEdge(unconstrained, from, diag) {
 		t.Fatal("expected diagonal edge without constraints")
 	}
 	constrained := mk([]StepConstraint{{
@@ -145,7 +145,7 @@ func TestStepConstraintsPruneEdges(t *testing.T) {
 	}})
 	from = constrained.ID(state.FromPairs("x", value.Int(0), "y", value.Int(0)))
 	diag = constrained.ID(state.FromPairs("x", value.Int(1), "y", value.Int(1)))
-	if diag >= 0 && constrained.HasEdge(from, diag) {
+	if diag >= 0 && hasEdge(constrained, from, diag) {
 		t.Error("Disjoint constraint should prune the diagonal edge")
 	}
 }
@@ -156,7 +156,14 @@ func TestPathTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := g.ID(state.FromPairs("x", value.Int(3)))
-	path := g.PathTo(target)
+	p, ok := g.Search(g.Inits, nil, nil, target).Path(target)
+	if !ok {
+		t.Fatal("target unreached")
+	}
+	path := []int{p.Start}
+	for _, k := range p.Edges {
+		path = append(path, g.EdgeTarget(k))
+	}
 	if len(path) != 4 {
 		t.Fatalf("path length = %d, want 4", len(path))
 	}
@@ -165,6 +172,11 @@ func TestPathTo(t *testing.T) {
 			t.Errorf("path[%d] has x=%d", i, x)
 		}
 	}
+}
+
+// hasEdge reports whether g has an edge from → to.
+func hasEdge(g *Graph, from, to int) bool {
+	return !g.ForEachSuccEdge(from, func(_, v int) bool { return v != to })
 }
 
 func TestSCCs(t *testing.T) {

@@ -33,7 +33,7 @@ func IsBehavior(full *ts.Graph, b state.Behavior) error {
 
 func isStep(full *ts.Graph, s, t *state.State) error {
 	from, to := full.ID(s), full.ID(t)
-	if from < 0 || to < 0 || !full.HasEdge(from, to) {
+	if from < 0 || to < 0 || full.ForEachSuccEdge(from, func(_, v int) bool { return v != to }) {
 		return fmt.Errorf("%s -> %s is not a step of the system", s, t)
 	}
 	return nil

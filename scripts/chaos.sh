@@ -2,7 +2,7 @@
 # chaos.sh — process-level crash sweep over the graph cache.
 #
 # Kills agcheck with a real os.Exit at mutating cache operation 1, 2, 3, ...
-# (via OPENTLA_CACHE_CRASH_AT, see cache.Flags and iofs.Crash), recovers each
+# (via OPENTLA_CACHE_CRASH_AT, see cache.Flags and iofs.NewCrash), recovers each
 # crashed cache with a plain rerun on the same -cache-dir, and requires:
 #
 #   - the recovery run reproduces the reference verdict (exit 0);
@@ -14,9 +14,9 @@
 # The sweep is self-sizing: it stops at the first op index past the
 # workload's last write (the crashed run exits with the verdict code instead
 # of iofs.CrashExitCode = 7). The in-process twin of this sweep is
-# TestCrashAtEveryWriteOp in internal/cache; the op counter is defined
-# identically on both sides, so a crash point found here names the same
-# operation there.
+# TestCrashAtEveryWriteOp in internal/cache; both sides crash through
+# iofs.Faulty and share its op counter, so a crash point found here names
+# the same operation there.
 #
 # Usage:
 #   scripts/chaos.sh                     # defaults: -model queues -n 1 -k 2
